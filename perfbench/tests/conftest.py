@@ -1,0 +1,6 @@
+"""Make the benchmark's modules importable as run.py sees them."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
