@@ -285,15 +285,12 @@ def cmd_oracle(args) -> int:
     if (args.R is None) == (not args.hard_wall):
         raise DomainError("oracle needs exactly one of --R or --hard-wall")
     if args.hard_wall:
-        config = grid_oracle.GridOracleConfig.hard_wall(
-            num_points=args.num_points, num_states=args.num_states
-        )
+        config = grid_oracle.GridOracleConfig.hard_wall(num_points=args.num_points)
     else:
         config = grid_oracle.GridOracleConfig(
             well_R=args.R,
             box_half_width=args.box_half_width,
             num_points=args.num_points,
-            num_states=args.num_states,
         )
     result = grid_oracle.oracle_study(config, levels=args.levels)
     route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
@@ -349,7 +346,6 @@ def cmd_oracle(args) -> int:
         "R": args.R,
         "hard_wall": args.hard_wall,
         "num_points": args.num_points,
-        "num_states": args.num_states,
         "levels": args.levels,
     }
     return _emit_report(args, inputs, rows, diagnostics, checks)
@@ -427,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=None, help="well strength")
     p.add_argument("--hard-wall", action="store_true", help="hard-wall box instead")
     p.add_argument("--num-points", type=int, default=2000)
-    p.add_argument("--num-states", type=int, default=200)
     p.add_argument("--levels", type=int, default=2, help="grid doublings for refinement")
     p.add_argument("--box-half-width", type=int, default=None)
     _add_report_options(p)

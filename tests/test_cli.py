@@ -193,6 +193,7 @@ class TestReports:
         assert code == 0
         payload = json.loads(out)
         assert all(c["passed"] for c in payload["diagnostics"]["checks"])
+        assert set(payload["meta"]["inputs"]) == {"R", "hard_wall", "num_points", "levels"}
 
     def test_oracle_reports_honest_deviation_for_shallow_well(self, capsys):
         # The exact (grid) polarizability exceeds the closed-form value by

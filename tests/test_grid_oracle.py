@@ -1,11 +1,14 @@
-"""Grid-diagonalization oracle tests: spectra, both alpha routes, refinement."""
+"""Grid oracle tests: spectra, both alpha routes, refinement."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from wellpol.conventional_sum import infinite_well_alpha
+from wellpol.dalgarno_lewis import alpha_exact_prime
+from wellpol import grid_oracle
 from wellpol.errors import DomainError, FieldTooLargeError, NumericalError
 from wellpol.grid_oracle import (
     GridOracleConfig,
@@ -16,7 +19,7 @@ from wellpol.grid_oracle import (
     refine,
     solve_spectrum,
 )
-from wellpol.well_spectrum import ground_state_from_R
+from wellpol.well_spectrum import ground_state_from_R, ground_state_from_gamma
 
 R_REF = 3.617018  # gamma0 = 0.39 pi row
 
@@ -72,10 +75,27 @@ class TestSpectrum:
 
 
 class TestAlphaSum:
-    def test_forbidden_states_do_not_contribute(self):
+    def test_solve_equals_sum_over_every_grid_state(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = alpha_sum_over_states(config)
-        assert result.diagnostics["forbidden_max"] < 1e-10
+        size = result.diagnostics["num_points_actual"]
+        spectrum = solve_spectrum(dataclasses.replace(config, num_states=size))
+        assert spectrum.energies.size == size
+        ground = spectrum.states[:, 0]
+        elements = spectrum.states[:, 1:].T @ (spectrum.x * ground)
+        gaps = spectrum.energies[1:] - spectrum.energies[0]
+        reference = 4.0 * float(np.sum(elements**2 / gaps))
+        assert result.alpha_sum == pytest.approx(reference, rel=1e-12)
+        # states alternate parity, so the even excited states are
+        # dipole-forbidden from the even ground state
+        assert np.max(np.abs(elements[1::2])) <= 1e-10
+
+    def test_shift_above_odd_states_raises(self, monkeypatch):
+        # H - E0 must be positive definite on the odd half-grid; a shift
+        # past the first odd state breaks the Cholesky solve.
+        monkeypatch.setattr(grid_oracle, "_rayleigh_refine", lambda *args: 1e3)
+        with pytest.raises(NumericalError):
+            alpha_sum_over_states(GridOracleConfig(well_R=R_REF, num_points=900))
 
     def test_hard_wall_matches_conventional_sum(self):
         config = GridOracleConfig.hard_wall(num_points=1000)
@@ -89,11 +109,6 @@ class TestAlphaSum:
         config = GridOracleConfig(well_R=9.037118, num_points=900)
         result = alpha_sum_over_states(config)
         assert abs(result.alpha_sum - 0.106382) / 0.106382 < 0.05
-
-    def test_tail_contribution_is_negligible(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = alpha_sum_over_states(config)
-        assert result.diagnostics["tail_last10"] < 1e-10 * result.alpha_sum
 
 
 class TestCurvature:
@@ -154,6 +169,14 @@ class TestRefine:
         result = refine(config, levels=2)
         assert abs(result.richardson_alpha - 0.076129) / 0.076129 < 0.02
 
+    @pytest.mark.parametrize("gamma_pi", [0.39, 0.41, 0.43, 0.45, 0.47, 0.49])
+    def test_four_levels_match_edge_matched_closed_form(self, gamma_pi):
+        # Order 2 holds; deep wells are only pre-asymptotic at two levels.
+        state = ground_state_from_gamma(gamma_pi * math.pi)
+        config = GridOracleConfig(well_R=state.R, num_points=1100)
+        result = refine(config, levels=4)
+        assert result.richardson_alpha == pytest.approx(alpha_exact_prime(state), rel=1e-6)
+
     def test_rejects_single_level(self):
         with pytest.raises(DomainError):
             refine(GridOracleConfig.hard_wall(num_points=600), levels=1)
@@ -175,6 +198,6 @@ class TestOracleResult:
         assert result.alpha_sum > 0
         assert result.alpha_curvature > 0
         assert result.richardson_alpha > 0
-        assert "sum_contributions" in result.diagnostics
+        assert "sum_solve_residual" in result.diagnostics
         assert "curvature_fit_residual" in result.diagnostics
         assert "refine_observed_order" in result.diagnostics
