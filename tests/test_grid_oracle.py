@@ -75,7 +75,9 @@ class TestSpectrum:
 
 
 class TestAlphaSum:
-    def test_solve_equals_sum_over_every_grid_state(self):
+    @pytest.fixture(scope="class")
+    def every_state(self):
+        """The solve result and each grid state's share of the spectral sum."""
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = alpha_sum_over_states(config)
         size = result.diagnostics["num_points_actual"]
@@ -84,11 +86,23 @@ class TestAlphaSum:
         ground = spectrum.states[:, 0]
         elements = spectrum.states[:, 1:].T @ (spectrum.x * ground)
         gaps = spectrum.energies[1:] - spectrum.energies[0]
-        reference = 4.0 * float(np.sum(elements**2 / gaps))
+        return result, elements, 4.0 * elements**2 / gaps
+
+    def test_solve_equals_sum_over_every_grid_state(self, every_state):
+        result, _, contributions = every_state
+        reference = float(np.sum(contributions))
         assert result.alpha_sum == pytest.approx(reference, rel=1e-12)
+
+    def test_forbidden_states_do_not_contribute(self, every_state):
         # states alternate parity, so the even excited states are
         # dipole-forbidden from the even ground state
+        _, elements, _ = every_state
         assert np.max(np.abs(elements[1::2])) <= 1e-10
+
+    def test_tail_contribution_is_negligible(self, every_state):
+        # the top ten grid states carry nothing the solve could depend on
+        result, _, contributions = every_state
+        assert float(np.sum(contributions[-10:])) < 1e-10 * result.alpha_sum
 
     def test_shift_above_odd_states_raises(self, monkeypatch):
         # H - E0 must be positive definite on the odd half-grid; a shift
