@@ -294,16 +294,7 @@ def cmd_oracle(args) -> int:
         )
     result = grid_oracle.oracle_study(config, levels=args.levels)
     route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
-    checks = [
-        {
-            "name": "sum_vs_curvature_rel",
-            "value": route_gap,
-            "target": 0.0,
-            "band": 5e-3,
-            "deviation": route_gap,
-            "passed": bool(route_gap <= 5e-3),
-        }
-    ]
+    checks = [_check("sum_vs_curvature_rel", route_gap, 0.0, 5e-3)]
     rows = [
         {
             "alpha_sum": result.alpha_sum,
@@ -317,16 +308,7 @@ def cmd_oracle(args) -> int:
         reference = conventional_sum.infinite_well_alpha(50).partial_alpha_prime
         gap = abs(result.richardson_alpha - reference) / reference
         diagnostics["conventional_sum_reference"] = reference
-        checks.append(
-            {
-                "name": "hard_wall_vs_conventional_rel",
-                "value": gap,
-                "target": 0.0,
-                "band": 2e-3,
-                "deviation": gap,
-                "passed": bool(gap <= 2e-3),
-            }
-        )
+        checks.append(_check("hard_wall_vs_conventional_rel", gap, 0.0, 2e-3))
     else:
         closed = dalgarno_lewis.breakdown(ground_state_from_R(args.R)).alpha_prime
         deviation = (result.richardson_alpha - closed) / closed
@@ -381,10 +363,21 @@ def cmd_calibrate(args) -> int:
     return _emit_report(args, {"num_terms": args.num_terms}, rows, diagnostics, checks)
 
 
+def _precision(text: str) -> int:
+    """Decimal places for --precision; a negative count is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--precision", type=int, default=6,
+    parser.add_argument("--precision", type=_precision, default=6,
                         help="decimal places for fixed-point columns")
 
 

@@ -63,7 +63,6 @@ __all__ = [
     "t_ratio",
     "breakdown",
     "alpha_via_quadrature",
-    "overlap_with_psi0",
     "orthogonality",
 ]
 
@@ -384,12 +383,13 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
     return total
 
 
-def overlap_with_psi0(state: GroundState, func) -> float:
-    """Numerical overlap integral of psi0 with an arbitrary reduced function."""
+def orthogonality(state: GroundState) -> float:
+    """Overlap <psi0|phi'> by quadrature; vanishes by parity (psi0 even, phi' odd)."""
+    phi = phi_reduced(state)
     cut = _region_edges(state)
 
     def integrand(x: float) -> float:
-        return psi0_eval(state, x) * func(x)
+        return psi0_eval(state, x) * phi_eval(phi, x)
 
     pieces = [
         _quad_piece(integrand, -cut, -1.0),
@@ -397,9 +397,3 @@ def overlap_with_psi0(state: GroundState, func) -> float:
         _quad_piece(integrand, 1.0, cut),
     ]
     return math.fsum(v for v, _ in pieces)
-
-
-def orthogonality(state: GroundState) -> float:
-    """Overlap <psi0|phi'>; vanishes by parity (psi0 even, phi' odd)."""
-    phi = phi_reduced(state)
-    return overlap_with_psi0(state, lambda x: phi_eval(phi, x))

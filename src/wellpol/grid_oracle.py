@@ -14,7 +14,8 @@ independent ways:
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
-and makes Richardson extrapolation across grid doublings meaningful.
+and makes Richardson extrapolation across grid doublings meaningful
+(``refine`` calls ``limits.extrapolate`` with ratio 1/4).
 Ground energies are refined with an extended-precision Rayleigh quotient so
 the curvature fit is not polluted by eigensolver noise.
 
@@ -34,6 +35,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solveh_banded
 
 from .errors import ConvergenceWarning, DomainError, FieldTooLargeError, NumericalError
+from .limits import extrapolate
 from .well_spectrum import ground_state_from_R
 
 __all__ = [
@@ -60,8 +62,11 @@ class GridOracleConfig:
     """Discretization and study parameters for one oracle run.
 
     ``well_R`` is the dimensionless well strength; None selects the
-    hard-wall box of half-width 1.  ``num_points`` is a request: the actual
-    grid is snapped up to the nearest size whose nodes hit the well edges.
+    hard-wall box of half-width 1.  ``box_half_width`` is resolved on
+    construction, from the one bound-state solve: 1 for the hard wall, and
+    max(12, ceil(1 + 40/beta0)) for a well when none is given.
+    ``num_points`` is a request: the actual grid is snapped up to the
+    nearest size whose nodes hit the well edges.
     """
 
     well_R: Optional[float]
@@ -87,11 +92,16 @@ class GridOracleConfig:
         if self.well_R is None:
             if self.box_half_width not in (None, 1):
                 raise DomainError("hard-wall configuration fixes the box half-width to 1")
+            object.__setattr__(self, "box_half_width", 1)
             return
         if not (math.isfinite(self.well_R) and self.well_R > 0.0):
             raise DomainError(f"well_R must be positive, got {self.well_R!r}")
         beta0 = ground_state_from_R(self.well_R).beta0
-        if self.box_half_width is not None:
+        if self.box_half_width is None:
+            object.__setattr__(
+                self, "box_half_width", max(12, math.ceil(1.0 + 40.0 / beta0))
+            )
+        else:
             if self.box_half_width < 2:
                 raise DomainError("box half-width must be an integer >= 2")
             if self.box_half_width < 1.0 + 30.0 / beta0:
@@ -113,14 +123,6 @@ class GridOracleConfig:
             num_states=num_states,
             field_values=field_values,
         )
-
-    def resolved_box_half_width(self) -> int:
-        if self.well_R is None:
-            return 1
-        if self.box_half_width is not None:
-            return self.box_half_width
-        beta0 = ground_state_from_R(self.well_R).beta0
-        return max(12, math.ceil(1.0 + 40.0 / beta0))
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class OracleResult:
 
 def _grid(config: GridOracleConfig, m_override: Optional[int] = None):
     """Aligned grid arrays: abscissae, diagonal, off-diagonal, spacing, L, m."""
-    L = config.resolved_box_half_width()
+    L = config.box_half_width
     m = m_override if m_override is not None else math.ceil(
         (config.num_points + 1) / (2 * L)
     )
@@ -341,7 +343,7 @@ def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
             ConvergenceWarning,
             stacklevel=2,
         )
-    richardson = alphas[-1] + d_last / 3.0
+    richardson = extrapolate(alphas, ratio=0.25)
     return OracleResult(
         alpha_sum=alphas[-1],
         alpha_curvature=None,
@@ -358,21 +360,18 @@ def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     )
 
 
-def oracle_study(config: GridOracleConfig, levels: Optional[int] = 2) -> OracleResult:
-    """Run both oracle routes (plus optional refinement) and merge the results."""
+def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
+    """Run both oracle routes and the refinement, and merge the results."""
     sum_result = alpha_sum_over_states(config)
     curv_result = alpha_from_curvature(config)
+    refined = refine(config, levels=levels)
     diagnostics = {f"sum_{k}": v for k, v in sum_result.diagnostics.items()}
     diagnostics.update({f"curvature_{k}": v for k, v in curv_result.diagnostics.items()})
-    richardson = None
-    if levels is not None:
-        refined = refine(config, levels=levels)
-        richardson = refined.richardson_alpha
-        diagnostics.update({f"refine_{k}": v for k, v in refined.diagnostics.items()})
+    diagnostics.update({f"refine_{k}": v for k, v in refined.diagnostics.items()})
     return OracleResult(
         alpha_sum=sum_result.alpha_sum,
         alpha_curvature=curv_result.alpha_curvature,
         ground_energy_dimless=sum_result.ground_energy_dimless,
-        richardson_alpha=richardson,
+        richardson_alpha=refined.richardson_alpha,
         diagnostics=diagnostics,
     )

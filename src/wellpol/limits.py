@@ -9,18 +9,23 @@ Hard-wall limit: push the inside phase gamma0 -> pi/2.  There alpha1' -> 0,
 alpha2' -> 0.0702247 and the bare trial value -> -0.1324176; the module
 evaluates at pi/2 - eps for a decreasing eps sequence and extrapolates
 eps -> 0.
+
+Both studies, and the grid oracle's refinement over grid doublings, reach
+their limits through the one helper ``extrapolate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .dalgarno_lewis import alpha1_prime, alpha2_prime, alpha2_t_prime
 from .errors import ConfigurationError, DomainError
 from .well_spectrum import WellSpec, ground_state_from_gamma
 
 __all__ = [
+    "extrapolate",
     "DeltaLimitSequence",
     "InfiniteWellLimitReport",
     "delta_limit",
@@ -60,15 +65,23 @@ class InfiniteWellLimitReport:
     alpha2_t_limit: float
 
 
-def _geometric_extrapolate(values: tuple[float, ...]) -> float:
-    """Two-point Richardson step using the measured decay ratio of differences."""
-    d_prev = values[-2] - values[-3]
+def extrapolate(values: Sequence[float], ratio: float | None = None) -> float:
+    """Limit of a sequence whose successive differences shrink by ``ratio``.
+
+    Returns values[-1] + d_last * r / (1 - r), the sum of the geometric tail
+    of differences.  With no ``ratio`` given, r is measured as
+    d_last / d_prev from the last three values; a measured r that is zero,
+    not finite, or of magnitude >= 0.95 (no geometric decay to exploit)
+    returns values[-1] unchanged.
+    """
     d_last = values[-1] - values[-2]
-    if d_prev == 0.0 or not math.isfinite(d_last / d_prev):
-        return values[-1]
-    ratio = d_last / d_prev
-    if not 0.0 < abs(ratio) < 0.95:
-        return values[-1]
+    if ratio is None:
+        d_prev = values[-2] - values[-3]
+        if d_prev == 0.0 or not math.isfinite(d_last / d_prev):
+            return values[-1]
+        ratio = d_last / d_prev
+        if not 0.0 < abs(ratio) < 0.95:
+            return values[-1]
     return values[-1] + d_last * ratio / (1.0 - ratio)
 
 
@@ -105,8 +118,8 @@ def delta_limit(
         v0_values=tuple(v_vals),
         alpha1_scaled=tuple(s1_vals),
         alpha2_scaled=tuple(s2_vals),
-        alpha1_extrapolated=_geometric_extrapolate(tuple(s1_vals)),
-        alpha2_extrapolated=_geometric_extrapolate(tuple(s2_vals)),
+        alpha1_extrapolated=extrapolate(s1_vals),
+        alpha2_extrapolated=extrapolate(s2_vals),
     )
 
 
@@ -131,19 +144,15 @@ def infinite_well_limit(
         a2.append(alpha2_prime(state))
         a2t.append(alpha2_t_prime(state))
 
-    def to_zero(values: list[float]) -> float:
-        # Leading error is linear in eps; eliminate it with the two
-        # smallest epsilons.
-        e1, e2 = eps[-2], eps[-1]
-        f1, f2 = values[-2], values[-1]
-        return f2 + (f2 - f1) * e2 / (e1 - e2)
-
+    # The leading error is linear in eps, so successive differences shrink
+    # with the epsilons themselves.
+    ratio = eps[-1] / eps[-2]
     return InfiniteWellLimitReport(
         epsilons=eps,
         alpha1_values=tuple(a1),
         alpha2_values=tuple(a2),
         alpha2_t_values=tuple(a2t),
-        alpha1_limit=to_zero(a1),
-        alpha2_limit=to_zero(a2),
-        alpha2_t_limit=to_zero(a2t),
+        alpha1_limit=extrapolate(a1, ratio),
+        alpha2_limit=extrapolate(a2, ratio),
+        alpha2_t_limit=extrapolate(a2t, ratio),
     )

@@ -78,6 +78,14 @@ class TestTables:
         assert code == 0
         assert out == TABLE2_GOLDEN
 
+    def test_negative_precision_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--precision", "-1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --precision: must be >= 0, got -1" in captured.err
+
     def test_table1_json_round_trips(self, capsys):
         code, out = run(["table1", "--format", "json"], capsys)
         assert code == 0

@@ -27,11 +27,25 @@ R_REF = 3.617018  # gamma0 = 0.39 pi row
 class TestConfig:
     def test_defaults_resolve_box(self):
         config = GridOracleConfig(well_R=R_REF, num_points=800)
-        assert config.resolved_box_half_width() == 13
+        assert config.box_half_width == 13
 
     def test_hard_wall_forces_unit_box(self):
         config = GridOracleConfig.hard_wall(num_points=600)
-        assert config.resolved_box_half_width() == 1
+        assert config.box_half_width == 1
+
+    def test_study_solves_bound_state_once(self, monkeypatch):
+        # The config resolves its box from one bound-state solve; the grids
+        # of every route and refinement level reuse it.
+        calls = []
+        solve = grid_oracle.ground_state_from_R
+
+        def counting(R):
+            calls.append(R)
+            return solve(R)
+
+        monkeypatch.setattr(grid_oracle, "ground_state_from_R", counting)
+        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        assert calls == [R_REF]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -5,11 +5,44 @@ import math
 import pytest
 
 from wellpol.errors import ConfigurationError, DomainError
-from wellpol.limits import delta_limit, infinite_well_limit
+from wellpol.limits import delta_limit, extrapolate, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_R
 
 HARD_WALL_ALPHA_EXACT = 0.07022473357056967
 HARD_WALL_ALPHA2T_EXACT = -0.13241763371410586
+
+
+def geometric(limit, ratio, count=4):
+    return [limit + ratio**k for k in range(count)]
+
+
+class TestExtrapolate:
+    def test_given_quarter_ratio_is_exact(self):
+        # every term and step is a dyadic fraction, so the limit is exact
+        assert extrapolate(geometric(0.5, 0.25), ratio=0.25) == 0.5
+
+    def test_given_small_ratio(self):
+        assert extrapolate(geometric(2.0, 1e-2), ratio=1e-2) == pytest.approx(
+            2.0, rel=1e-15
+        )
+
+    @pytest.mark.parametrize("limit,ratio", [(0.5, 0.25), (2.0, 1e-2), (-3.0, -0.5)])
+    def test_measured_ratio_gives_same_limit(self, limit, ratio):
+        assert extrapolate(geometric(limit, ratio)) == pytest.approx(limit, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 1.0, 2.0],  # d_prev == 0
+            [1.0, 2.0, 2.0],  # measured ratio 0
+            [0.0, 1.0, 1.96],  # ratio 0.96
+            [0.0, 1.0, 2.0],  # ratio 1: no decay
+            [0.0, 1.0, 0.0],  # ratio -1: oscillates without decay
+            [0.0, 5e-324, 1e300],  # ratio overflows
+        ],
+    )
+    def test_fallbacks_return_last_value(self, values):
+        assert extrapolate(values) == values[-1]
 
 
 class TestDeltaLimit:
