@@ -2,7 +2,9 @@
 
 Closed-form polarizabilities from the ground state alone, limit-case
 validations, an analytic hard-wall transition sum, and a brute-force
-grid-diagonalization oracle.
+grid-diagonalization oracle.  The oracle's names live in
+``wellpol.grid_oracle`` and are not re-exported here, so that
+``import wellpol`` loads neither numpy nor scipy.
 """
 
 from .conventional_sum import (
@@ -33,16 +35,6 @@ from .errors import (
     DomainError,
     FieldTooLargeError,
     NumericalError,
-)
-from .grid_oracle import (
-    GridOracleConfig,
-    OracleResult,
-    SpectrumResult,
-    alpha_from_curvature,
-    alpha_sum_over_states,
-    oracle_study,
-    refine,
-    solve_spectrum,
 )
 from .limits import (
     DeltaLimitSequence,

@@ -24,12 +24,9 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from . import conventional_sum, dalgarno_lewis, grid_oracle, limits
+from . import conventional_sum, dalgarno_lewis, limits
 from .errors import DomainError, NumericalError
 from .well_spectrum import ground_state_from_R, ground_state_from_gamma
-
-TABLE1_GAMMAS_PI = (0.39, 0.41, 0.43, 0.45, 0.47, 0.49)
-TABLE2_GAMMAS_PI = (0.19, 0.17, 0.15)
 
 TABLE1_COLUMNS = (
     "gamma0_over_pi",
@@ -41,6 +38,11 @@ TABLE1_COLUMNS = (
     "alpha_apr_prime",
 )
 TABLE2_COLUMNS = TABLE1_COLUMNS[:-1]
+# Each reference table: its gamma0 rows, in multiples of pi, and its columns.
+TABLES = {
+    "table1": ((0.39, 0.41, 0.43, 0.45, 0.47, 0.49), TABLE1_COLUMNS),
+    "table2": ((0.19, 0.17, 0.15), TABLE2_COLUMNS),
+}
 SWEEP_COLUMNS = (
     "gamma0_over_pi",
     "beta0",
@@ -59,6 +61,10 @@ _MIXED_COLUMNS = frozenset(
     {"alpha1_prime", "alpha2_prime", "alpha2_t_prime", "alpha_prime",
      "alpha_apr_prime", "t_ratio"}
 )
+
+# Most rows one sweep may ask for; a finer step is refused before any row
+# is solved, since the rows are built in memory before printing.
+MAX_SWEEP_ROWS = 100_000
 
 
 def parse_angle(text: str) -> float:
@@ -164,15 +170,10 @@ def _check(name: str, value: float, target: float, band: float) -> dict:
     }
 
 
-def cmd_table1(args) -> int:
-    rows = [_breakdown_row(g * math.pi) for g in TABLE1_GAMMAS_PI]
-    _emit_table(rows, TABLE1_COLUMNS, args)
-    return 0
-
-
-def cmd_table2(args) -> int:
-    rows = [_breakdown_row(g * math.pi) for g in TABLE2_GAMMAS_PI]
-    _emit_table(rows, TABLE2_COLUMNS, args)
+def cmd_table(args) -> int:
+    gammas_pi, columns = TABLES[args.command]
+    rows = [_breakdown_row(g * math.pi) for g in gammas_pi]
+    _emit_table(rows, columns, args)
     return 0
 
 
@@ -208,23 +209,35 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _sweep_gammas(lo: float, hi: float, step: float) -> list[float]:
+    """The sweep's angles lo + k * step, k = 0, 1, ..., up to hi + 1e-9 * step.
+
+    A step wider than the range gives lo alone; so does an infinite step,
+    for which lo + 0 * step would be nan.  More than MAX_SWEEP_ROWS angles
+    raise DomainError.
+    """
+    if math.isinf(step):
+        return [lo]
+    gammas: list[float] = []
+    while (gamma := lo + len(gammas) * step) <= hi + 1e-9 * step:
+        if len(gammas) == MAX_SWEEP_ROWS:
+            raise DomainError(
+                f"sweep would give more than {MAX_SWEEP_ROWS} rows; use a larger step"
+            )
+        gammas.append(gamma)
+    return gammas
+
+
 def cmd_sweep(args) -> int:
     lo = parse_angle(args.min)
     hi = parse_angle(args.max)
     step = parse_angle(args.step)
-    if step <= 0.0:
+    if not step > 0.0:
         raise DomainError(f"sweep step must be positive, got {args.step!r}")
     for name, value in (("min", lo), ("max", hi)):
         if not 0.0 < value < 0.5 * math.pi:
             raise DomainError(f"sweep {name} must lie in (0, pi/2), got {value!r}")
-    rows = []
-    k = 0
-    while True:
-        gamma = lo + k * step
-        if gamma > hi + 1e-9 * step:
-            break
-        rows.append(_breakdown_row(gamma))
-        k += 1
+    rows = [_breakdown_row(gamma) for gamma in _sweep_gammas(lo, hi, step)]
     _emit_table(rows, SWEEP_COLUMNS, args)
     return 0
 
@@ -282,6 +295,10 @@ def cmd_limits(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # The only command that needs numpy and scipy.linalg; the others skip
+    # their import.
+    from . import grid_oracle
+
     if (args.R is None) == (not args.hard_wall):
         raise DomainError("oracle needs exactly one of --R or --hard-wall")
     if args.hard_wall:
@@ -392,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("table1", "table2"):
+    for name in TABLES:
         p = sub.add_parser(name, help=f"reproduce reference {name}")
         _add_output_options(p)
 
@@ -428,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "table1": cmd_table1,
-    "table2": cmd_table2,
+    "table1": cmd_table,
+    "table2": cmd_table,
     "solve": cmd_solve,
     "sweep": cmd_sweep,
     "limits": cmd_limits,

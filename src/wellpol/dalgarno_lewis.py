@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import DomainError, NumericalError
 from .well_spectrum import GroundState, psi0_eval
 
@@ -342,6 +340,11 @@ def breakdown(state: GroundState) -> PolarizabilityBreakdown:
 
 
 def _quad_piece(f, lo: float, hi: float) -> tuple[float, float]:
+    # Imported on first use, not at module level: importing scipy.integrate
+    # costs far more than every closed form here, and only the quadrature
+    # routes need it.
+    from scipy.integrate import quad
+
     value, err = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
     return value, err
 

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import wellpol
 from wellpol.cli import format_mixed, main, parse_angle
 
 TABLE1_GOLDEN = """\
@@ -135,6 +141,15 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].startswith("0.390000,")
 
+    def test_infinite_step_gives_single_row(self, capsys):
+        code, out = run(
+            ["sweep", "--min", "0.1pi", "--max", "0.2pi", "--step", "inf"], capsys
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 2
+        assert lines[1].startswith("0.100000,")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -146,6 +161,20 @@ class TestSweep:
     def test_invalid_bounds_are_usage_errors(self, argv, capsys):
         code, _ = run(argv, capsys)
         assert code == 2
+
+    def test_nan_step_is_refused_as_nonpositive(self, capsys):
+        assert main(["sweep", "--min", "0.1pi", "--max", "0.2pi", "--step", "nan"]) == 2
+        assert "sweep step must be positive" in capsys.readouterr().err
+
+    def test_too_many_rows_are_refused_before_solving(self, capsys):
+        started = time.perf_counter()
+        code = main(["sweep", "--min", "0.1pi", "--max", "0.4pi", "--step", "1e-12"])
+        elapsed = time.perf_counter() - started
+        captured = capsys.readouterr()
+        assert code == 2
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert "more than 100000 rows" in captured.err
 
 
 class TestSolve:
@@ -248,3 +277,47 @@ class TestDeterminism:
         assert code == 0
         _, stdout_version = run(["table1"], capsys)
         assert target.read_text() == stdout_version
+
+
+class TestLazyImports:
+    """numpy and scipy load only for quadrature and the grid oracle.
+
+    Each check runs in a fresh interpreter, because this test process has
+    loaded both already.
+    """
+
+    SRC = str(Path(wellpol.__file__).resolve().parents[1])
+
+    def python(self, *args):
+        path = os.pathsep.join(filter(None, [self.SRC, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+
+    def loaded_heavy_modules(self, code):
+        child = self.python(
+            "-c",
+            code + "\nimport sys\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))",
+        )
+        assert child.returncode == 0, child.stderr
+        return child.stdout.strip().splitlines()[-1]
+
+    def test_import_loads_neither_numpy_nor_scipy(self):
+        assert self.loaded_heavy_modules("import wellpol") == "[]"
+
+    def test_table1_loads_neither_numpy_nor_scipy(self):
+        code = "import wellpol.cli\nassert wellpol.cli.main(['table1']) == 0"
+        assert self.loaded_heavy_modules(code) == "[]"
+
+    def test_oracle_command_matches_in_process_run(self, capsys):
+        argv = ["oracle", "--R", "3.617018", "--num-points", "500"]
+        code, out = run(argv, capsys)
+        child = self.python("-m", "wellpol.cli", *argv)
+        assert code == 1
+        assert child.returncode == 1, child.stderr
+        assert child.stdout == out
