@@ -210,16 +210,19 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_gammas(lo: float, hi: float, step: float) -> list[float]:
-    """The sweep's angles lo + k * step, k = 0, 1, ..., up to hi + 1e-9 * step.
+    """The sweep's angles lo + k * step, k = 0, 1, ..., up to hi + tol.
 
-    A step wider than the range gives lo alone; so does an infinite step,
-    for which lo + 0 * step would be nan.  More than MAX_SWEEP_ROWS angles
-    raise DomainError.
+    tol = 1e-9 * min(step, hi - lo) absorbs the rounding of a grid-aligned
+    end; bounding it by the range keeps a reversed range (hi < lo) empty at
+    any step.  A step wider than the range gives lo alone; so does an
+    infinite step, for which lo + 0 * step would be nan.  More than
+    MAX_SWEEP_ROWS angles raise DomainError.
     """
     if math.isinf(step):
-        return [lo]
+        return [lo] if lo <= hi else []
+    end = hi + 1e-9 * min(step, hi - lo)
     gammas: list[float] = []
-    while (gamma := lo + len(gammas) * step) <= hi + 1e-9 * step:
+    while (gamma := lo + len(gammas) * step) <= end:
         if len(gammas) == MAX_SWEEP_ROWS:
             raise DomainError(
                 f"sweep would give more than {MAX_SWEEP_ROWS} rows; use a larger step"

@@ -31,11 +31,14 @@ All phi evaluations here are in the reduced convention
 
 so the applied field eps never appears numerically.  ``alpha_via_quadrature``
 integrates <psi0| x |phi> directly as an independent route to the same
-number, and ``orthogonality`` checks <psi0|phi> = 0.
+number, and ``orthogonality`` checks <psi0|phi> = 0.  Both use fixed
+Gauss-Legendre panels written in ``math``, so this module, like every
+closed form here, needs neither numpy nor scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -339,20 +342,67 @@ def breakdown(state: GroundState) -> PolarizabilityBreakdown:
     )
 
 
-def _quad_piece(f, lo: float, hi: float) -> tuple[float, float]:
-    # Imported on first use, not at module level: importing scipy.integrate
-    # costs far more than every closed form here, and only the quadrature
-    # routes need it.
-    from scipy.integrate import quad
+# Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23, 221 (1969)) for the
+# quadrature cross-checks.  The integrands are smooth on each piece, so a
+# fixed rule on fixed panels suffices: the 16-point rule gives the value and
+# the 10-point rule on the same panels the error estimate.
+_RULE_POINTS = 16
+_ESTIMATE_POINTS = 10
+# Outer panel edges in t = beta0 (|x'| - 1).  The integrands fall like
+# e^{-2t}, so the tail cut at t = 40 is ~e^{-80} ~ 1.8e-35 of the peak.
+_OUTER_PANEL_T = (0.0, 2.0, 6.0, 14.0, 40.0)
 
-    value, err = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return value, err
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
+
+    Newton iteration on P_n from cos(pi (i - 1/4) / (n + 1/2)); the nodes
+    come in exact +-pairs, so an odd integrand sums to zero.
+    """
+    nodes: list[float] = []
+    weights: list[float] = []
+    for i in range(1, n // 2 + 1):
+        x, dx = math.cos(math.pi * (i - 0.25) / (n + 0.5)), math.inf
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            if abs(dx) <= 1e-15:
+                break
+            dx = p / dp
+            x -= dx
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        nodes += [-x, x]
+        weights += [w, w]
+    return tuple(nodes), tuple(weights)
 
 
-def _region_edges(state: GroundState) -> float:
-    # Outer tails truncated where the integrand is far below its peak:
-    # exp(-2 beta0 * 40/beta0) ~ 1.8e-35.
-    return 1.0 + 40.0 / state.beta0
+def _panels(state: GroundState, region: str) -> list[tuple[float, float]]:
+    """(centre, half-width) of each quadrature panel of the chosen pieces.
+
+    The left outer panels mirror the right ones exactly, so even and odd
+    integrands keep their parity through the sum.
+    """
+    panels: list[tuple[float, float]] = []
+    if region in ("all", "outer"):
+        edges = [1.0 + t / state.beta0 for t in _OUTER_PANEL_T]
+        for lo, hi in zip(edges, edges[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            panels += [(-mid, half), (mid, half)]
+    if region in ("all", "inner"):
+        panels.append((0.0, 1.0))
+    return panels
+
+
+def _gauss(f, panels: list[tuple[float, float]], n: int) -> list[float]:
+    """Integral of f over each panel by the n-point Gauss-Legendre rule."""
+    nodes, weights = _gauss_legendre(n)
+    return [
+        half * math.fsum([w * f(mid + half * x) for x, w in zip(nodes, weights)])
+        for mid, half in panels
+    ]
 
 
 def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
@@ -360,24 +410,21 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
 
     Independent numerical route to alpha' (or to its outer / inner pieces
     via ``region``); agrees with the closed forms to better than 1e-8
-    relative.
+    relative.  Raises NumericalError when the 16- and 10-point rules
+    differ by more than 1e-8 of the total.
     """
     if region not in ("all", "outer", "inner"):
         raise DomainError(f"region must be 'all', 'outer' or 'inner', got {region!r}")
     phi = phi_reduced(state)
-    cut = _region_edges(state)
 
     def integrand(x: float) -> float:
         return psi0_eval(state, x) * x * phi_eval(phi, x)
 
-    pieces: list[tuple[float, float]] = []
-    if region in ("all", "outer"):
-        pieces.append(_quad_piece(integrand, -cut, -1.0))
-        pieces.append(_quad_piece(integrand, 1.0, cut))
-    if region in ("all", "inner"):
-        pieces.append(_quad_piece(integrand, -1.0, 1.0))
-    total = state.n_prime * math.fsum(v for v, _ in pieces)
-    err = state.n_prime * math.fsum(e for _, e in pieces)
+    panels = _panels(state, region)
+    high = _gauss(integrand, panels, _RULE_POINTS)
+    low = _gauss(integrand, panels, _ESTIMATE_POINTS)
+    total = state.n_prime * math.fsum(high)
+    err = state.n_prime * math.fsum(abs(h - lo) for h, lo in zip(high, low))
     if err > 1e-8 * max(abs(total), 1e-3):
         raise NumericalError(
             f"quadrature did not converge: value {total!r}, error estimate {err!r}, "
@@ -389,14 +436,8 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
 def orthogonality(state: GroundState) -> float:
     """Overlap <psi0|phi'> by quadrature; vanishes by parity (psi0 even, phi' odd)."""
     phi = phi_reduced(state)
-    cut = _region_edges(state)
 
     def integrand(x: float) -> float:
         return psi0_eval(state, x) * phi_eval(phi, x)
 
-    pieces = [
-        _quad_piece(integrand, -cut, -1.0),
-        _quad_piece(integrand, -1.0, 1.0),
-        _quad_piece(integrand, 1.0, cut),
-    ]
-    return math.fsum(v for v, _ in pieces)
+    return math.fsum(_gauss(integrand, _panels(state, "all"), _RULE_POINTS))

@@ -248,13 +248,9 @@ def _alpha_sum_at(config: GridOracleConfig, m_override: Optional[int] = None):
     return alpha, e0, solve_residual, h, L, m, x.size
 
 
-def alpha_sum_over_states(config: GridOracleConfig) -> OracleResult:
-    """Polarizability from the discrete Dalgarno-Lewis equation.
-
-    Equal to the transition sum over every state of the grid Hamiltonian;
-    ``solve_residual`` is the relative infinity-norm residual of the solve.
-    """
-    alpha, e0, solve_residual, h, L, m, n = _alpha_sum_at(config)
+def _sum_result(solve) -> OracleResult:
+    """OracleResult of the sum route from one ``_alpha_sum_at`` solve."""
+    alpha, e0, solve_residual, h, L, m, n = solve
     diagnostics = {
         "num_points_actual": n,
         "box_half_width": L,
@@ -267,6 +263,15 @@ def alpha_sum_over_states(config: GridOracleConfig) -> OracleResult:
         ground_energy_dimless=e0,
         diagnostics=diagnostics,
     )
+
+
+def alpha_sum_over_states(config: GridOracleConfig) -> OracleResult:
+    """Polarizability from the discrete Dalgarno-Lewis equation.
+
+    Equal to the transition sum over every state of the grid Hamiltonian;
+    ``solve_residual`` is the relative infinity-norm residual of the solve.
+    """
+    return _sum_result(_alpha_sum_at(config))
 
 
 def alpha_from_curvature(config: GridOracleConfig) -> OracleResult:
@@ -323,17 +328,20 @@ def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     With ``levels=4`` from 1100 points it lies within 1e-6 (relative) of
     ``alpha_exact_prime`` on every Table-1 row.
     """
+    return _refine(config, levels)
+
+
+def _refine(config: GridOracleConfig, levels: int, base=None) -> OracleResult:
+    """``refine``, reusing ``base``, the ``_alpha_sum_at`` solve of level 0, if given."""
     if levels < 2:
         raise DomainError(f"need at least 2 grid doublings, got {levels!r}")
-    _, _, _, _, L, m0 = _grid(config)
-    alphas, e0s, ms, ns = [], [], [], []
-    for level in range(levels + 1):
-        m = m0 * 2**level
-        alpha, e0, _, _, _, _, n = _alpha_sum_at(config, m_override=m)
-        alphas.append(alpha)
-        e0s.append(e0)
-        ms.append(m)
-        ns.append(n)
+    if base is None:
+        base = _alpha_sum_at(config)
+    _, _, _, _, L, m0, _ = base
+    solves = [base] + [
+        _alpha_sum_at(config, m_override=m0 * 2**level) for level in range(1, levels + 1)
+    ]
+    alphas, e0s, _, _, _, ms, ns = zip(*solves)
     d_prev = alphas[-2] - alphas[-3]
     d_last = alphas[-1] - alphas[-2]
     observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan
@@ -341,7 +349,7 @@ def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
         warnings.warn(
             f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
             ConvergenceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     richardson = extrapolate(alphas, ratio=0.25)
     return OracleResult(
@@ -351,10 +359,10 @@ def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
         richardson_alpha=richardson,
         diagnostics={
             "box_half_width": L,
-            "grid_multipliers": tuple(ms),
-            "grid_sizes": tuple(ns),
-            "alpha_per_level": tuple(alphas),
-            "ground_energy_per_level": tuple(e0s),
+            "grid_multipliers": ms,
+            "grid_sizes": ns,
+            "alpha_per_level": alphas,
+            "ground_energy_per_level": e0s,
             "observed_order": observed,
         },
     )
@@ -362,9 +370,12 @@ def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
 
 def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     """Run both oracle routes and the refinement, and merge the results."""
-    sum_result = alpha_sum_over_states(config)
+    # The sum route solves the same grid as level 0 of the refinement, so
+    # that one solve serves both.
+    base = _alpha_sum_at(config)
+    sum_result = _sum_result(base)
     curv_result = alpha_from_curvature(config)
-    refined = refine(config, levels=levels)
+    refined = _refine(config, levels, base)
     diagnostics = {f"sum_{k}": v for k, v in sum_result.diagnostics.items()}
     diagnostics.update({f"curvature_{k}": v for k, v in curv_result.diagnostics.items()})
     diagnostics.update({f"refine_{k}": v for k, v in refined.diagnostics.items()})

@@ -37,14 +37,19 @@ def phi_outer_reduced(gamma, x) -> mpf:
     return cos(g) * exp(-b * (x - 1)) * (x * x / b + x / b**2)
 
 
-def alpha2_t_by_quadrature(gamma) -> mpf:
-    """In-well polarizability of the bare trial solution via direct integration."""
+def alpha2_by_quadrature(gamma, c_prime=0) -> mpf:
+    """In-well polarizability of phi' with homogeneous coefficient C' via direct integration.
+
+    C' = 0 is the bare trial solution; the paper's phi' has
+    C' = -(pi/2)^2 / gamma^2.
+    """
     g = mpf(gamma)
+    c = mpf(c_prime)
 
-    def phi_t(x):
-        return -(x * x * sin(g * x) / g + x * cos(g * x) / g**2)
+    def phi(x):
+        return -(x * x * sin(g * x) / g + x * cos(g * x) / g**2 + c * sin(g * x) / g)
 
-    return nprime_sq(g) * 2 * quad(lambda x: cos(g * x) * x * phi_t(x), [0, 1])
+    return nprime_sq(g) * 2 * quad(lambda x: cos(g * x) * x * phi(x), [0, 1])
 
 
 def edge_matched_phi(gamma):
@@ -112,7 +117,11 @@ if __name__ == "__main__":
     g39 = mpf(0.39 * math.pi)
     print(f"NPRIME_SQ_039PI = {float(nprime_sq(g39))!r}")
     print(f"PHI_OUTER_X2_039PI = {float(phi_outer_reduced(g39, 2))!r}")
-    print(f"ALPHA2T_QUAD_039PI = {float(alpha2_t_by_quadrature(g39))!r}")
+    print(f"ALPHA2T_QUAD_039PI = {float(alpha2_by_quadrature(g39))!r}")
+    for gamma in ("1e-6", "1e-4", "1e-2"):
+        g = mpf(float(gamma))
+        value = alpha2_by_quadrature(g, -(pi / 2) ** 2 / g**2)
+        print(f"ALPHA2_QUAD[{gamma}] = {float(value)!r}")
     print(f"BOX_X12 = {float(box_dipole_element(2))!r}")
     print(f"BOX_X14 = {float(box_dipole_element(4))!r}")
     print(f"BOX_TERM2 = {float(box_term(2))!r}")

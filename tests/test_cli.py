@@ -141,6 +141,15 @@ class TestSweep:
         assert len(lines) == 2
         assert lines[1].startswith("0.390000,")
 
+    @pytest.mark.parametrize("step", ["1e12", "inf"])
+    def test_reversed_range_yields_header_only_at_any_step(self, capsys, step):
+        code, out = run(
+            ["sweep", "--min", "0.3pi", "--max", "0.2pi", "--step", step], capsys
+        )
+        assert code == 0
+        assert out.strip().count("\n") == 0
+        assert out.startswith("gamma0_over_pi,")
+
     def test_infinite_step_gives_single_row(self, capsys):
         code, out = run(
             ["sweep", "--min", "0.1pi", "--max", "0.2pi", "--step", "inf"], capsys
@@ -280,7 +289,7 @@ class TestDeterminism:
 
 
 class TestLazyImports:
-    """numpy and scipy load only for quadrature and the grid oracle.
+    """numpy and scipy load only for the grid oracle.
 
     Each check runs in a fresh interpreter, because this test process has
     loaded both already.
@@ -313,6 +322,21 @@ class TestLazyImports:
     def test_table1_loads_neither_numpy_nor_scipy(self):
         code = "import wellpol.cli\nassert wellpol.cli.main(['table1']) == 0"
         assert self.loaded_heavy_modules(code) == "[]"
+
+    def test_solve_json_loads_neither_numpy_nor_scipy(self):
+        code = (
+            "import wellpol.cli\n"
+            "assert wellpol.cli.main(['solve', '--R', '3.617018', '--format', 'json']) == 0"
+        )
+        assert self.loaded_heavy_modules(code) == "[]"
+
+    def test_solve_json_command_matches_in_process_run(self, capsys):
+        argv = ["solve", "--R", "3.617018", "--format", "json"]
+        code, out = run(argv, capsys)
+        child = self.python("-m", "wellpol.cli", *argv)
+        assert code == 0
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == out
 
     def test_oracle_command_matches_in_process_run(self, capsys):
         argv = ["oracle", "--R", "3.617018", "--num-points", "500"]

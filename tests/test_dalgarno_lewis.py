@@ -1,6 +1,7 @@
 """Closed-form polarizability tests: published values, frozen oracles, ODE checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from wellpol.dalgarno_lewis import (
 )
 from wellpol import dalgarno_lewis
 from wellpol.dalgarno_lewis import _edge_match
-from wellpol.errors import DomainError
+from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import GAMMA_MAX, ground_state_from_gamma
 
 PI = math.pi
@@ -35,6 +36,12 @@ PHI_OUTER_X2_039PI = 0.015191082987919545
 ALPHA2T_QUAD_039PI = -0.26294270331254843
 HARD_WALL_ALPHA_EXACT = 0.07022473357056967
 HARD_WALL_ALPHA2T_EXACT = -0.13241763371410586
+# gamma0 (rad) -> alpha2' of the paper's phi' by 40-digit quadrature.
+ALPHA2_QUAD = {
+    1e-6: 0.9782674001802496,
+    1e-4: 0.9782673870800409,
+    1e-2: 0.9781363958355124,
+}
 # gamma0/pi -> alpha' of the edge-matched phi' by 40-digit quadrature.
 ALPHA_EXACT_QUAD = {
     0.05: 3264330.310682011,
@@ -359,6 +366,66 @@ class TestQuadratureRoute:
     def test_rejects_unknown_region(self):
         with pytest.raises(DomainError):
             alpha_via_quadrature(state_039(), region="everywhere")
+
+
+class TestGaussLegendre:
+    """The fixed Gauss-Legendre panels behind both quadrature routes."""
+
+    # gamma0 from near the delta limit to near the hard wall.
+    GRID = np.linspace(1e-6, GAMMA_MAX, 101)
+
+    @pytest.mark.parametrize(
+        "n", [dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS]
+    )
+    def test_rule_is_exact_for_polynomials_up_to_degree_2n_minus_1(self, n):
+        nodes, weights = dalgarno_lewis._gauss_legendre(n)
+        assert len(nodes) == n
+        assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
+        for k in range(2 * n):
+            moment = math.fsum(w * x**k for x, w in zip(nodes, weights))
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert moment == pytest.approx(exact, abs=2e-15), k
+
+    def test_total_matches_closed_form_without_warning_on_whole_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gamma in self.GRID:
+                state = ground_state_from_gamma(float(gamma))
+                closed = breakdown(state).alpha_prime
+                assert alpha_via_quadrature(state) == pytest.approx(closed, rel=1e-12)
+                assert abs(orthogonality(state)) <= 1e-10
+
+    def test_regions_match_alpha1_and_alpha2(self):
+        # At pi/2 - 1e-9 the outer panels span 2.5e-8 in x', so the rounding
+        # of the nodes x' limits the outer piece to ~3e-8; alpha1' is 1e-18
+        # of the total there.  Below gamma0 ~ 0.02 the closed alpha2' itself
+        # loses 1e-12, because its bracket cancels 1/gamma0^5 terms; the
+        # inner piece is checked there against ALPHA2_QUAD instead.
+        for gamma in self.GRID[:-1]:
+            state = ground_state_from_gamma(float(gamma))
+            assert alpha_via_quadrature(state, region="outer") == pytest.approx(
+                alpha1_prime(state), rel=1e-12
+            )
+        for gamma in self.GRID[2:]:
+            state = ground_state_from_gamma(float(gamma))
+            assert alpha_via_quadrature(state, region="inner") == pytest.approx(
+                alpha2_prime(state), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("gamma", sorted(ALPHA2_QUAD))
+    def test_inner_region_matches_frozen_quadrature_on_shallow_wells(self, gamma):
+        state = ground_state_from_gamma(gamma)
+        assert alpha_via_quadrature(state, region="inner") == pytest.approx(
+            ALPHA2_QUAD[gamma], rel=1e-12
+        )
+
+    def test_disagreeing_rules_raise(self, monkeypatch):
+        def kinked(phi, x):
+            return phi_eval(phi, x) + abs(x - 0.3)
+
+        monkeypatch.setattr(dalgarno_lewis, "phi_eval", kinked)
+        with pytest.raises(NumericalError, match="did not converge"):
+            alpha_via_quadrature(state_039(), region="inner")
 
 
 class TestOrthogonality:
