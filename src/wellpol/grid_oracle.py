@@ -2,22 +2,29 @@
 
 The dimensionless Hamiltonian -d^2/dx'^2 - R^2 * [|x'| < 1] (energies in
 hbar^2 / (2 m a^2)) is discretized with the three-point stencil on a hard-
-wall box [-L, L] as a symmetric tridiagonal matrix, whose ground eigenpair
-comes from a tridiagonal eigensolver.  The polarizability then comes out two
-independent ways:
+wall box [-L, L] as a symmetric tridiagonal matrix.  The grid is mirror-
+symmetric node for node, so the zero-field ground state is exactly even and
+its eigenpair comes from the even block (nodes x' >= 0), half the size of
+the grid.  The polarizability then comes out two independent ways:
 
   * Dalgarno-Lewis solve  (H - E_0') phi = x' psi0 on the odd half-grid,
                           alpha' = 4 <x' psi0|phi>, which is the spectral
                           sum 4 sum_n |<n|x'|0>|^2 / (E_n' - E_0') over every
                           grid state, without building one excited state
-  * field curvature       E_0'(eps') = E_0' - (alpha'/4) eps'^2, quadratic fit
+  * field curvature       E_0'(eps') = E_0' - (alpha'/4) eps'^2, quadratic fit;
+                          the matrix at -eps' is the exact mirror image of
+                          the one at +eps', so one full-grid eigensolve per
+                          |eps'| serves both signs, and E_0' is the even
+                          block's
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
 and makes Richardson extrapolation across grid doublings meaningful
 (``refine`` calls ``limits.extrapolate`` with ratio 1/4).
 Ground energies are refined with an extended-precision Rayleigh quotient so
-the curvature fit is not polluted by eigensolver noise.
+the curvature fit is not polluted by eigensolver noise.  ``oracle_study``
+makes one even-block eigensolve per refinement level, whose base level
+serves the sum route and the zero field of the curvature fit too.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
 infinite-well configuration); responses then check out against the
@@ -220,15 +227,32 @@ def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
     return SpectrumResult(x=x, h=h, box_half_width=L, energies=lam, states=vec)
 
 
+def _even_ground(diag: np.ndarray, off: np.ndarray):
+    """Ground energy and unit eigenvector of the grid from its even block.
+
+    The ground state is even, so the nodes x' >= 0 carry it.  On them the
+    centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
+    the block is symmetric tridiagonal, half the size of the grid.  The
+    energy is the Rayleigh quotient of the rebuilt full vector: taken on the
+    scaled block, the rounded sqrt(2) would move it by ~1e-13 relative.
+    """
+    centre = diag.size // 2
+    block_off = off[centre:].copy()
+    block_off[0] *= math.sqrt(2.0)
+    _, vec = _solve_band(diag[centre:], block_off, 0)
+    half = vec[1:, 0] / math.sqrt(2.0)
+    psi = np.concatenate((half[::-1], vec[:1, 0], half))
+    return _rayleigh_refine(diag, off, psi), psi
+
+
 def _alpha_sum_at(config: GridOracleConfig, m_override: Optional[int] = None):
     x, diag, off, h, L, m = _grid(config, m_override)
-    _, vec = _solve_band(diag, off, 0)
-    e0 = _rayleigh_refine(diag, off, vec[:, 0])
+    e0, psi0 = _even_ground(diag, off)
     # phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
     # problem.  That block holds only odd states, all above E_0', so
     # H - E_0' is positive definite there and Cholesky applies.
     right = x > 0.0
-    b = (x * vec[:, 0])[right]
+    b = (x * psi0)[right]
     band = np.empty((2, b.size))
     band[0, 0] = 0.0
     band[0, 1:] = off[x.size - b.size:]
@@ -275,14 +299,29 @@ def alpha_sum_over_states(config: GridOracleConfig) -> OracleResult:
 
 
 def alpha_from_curvature(config: GridOracleConfig) -> OracleResult:
-    """Polarizability from the curvature of the ground energy in the field."""
+    """Polarizability from the curvature of the ground energy in the field.
+
+    The zero-field energy comes from the even block of the grid.  The grid
+    is mirror-symmetric node for node, so the matrix at -eps' is the exact
+    reversal of the one at +eps' and has the same spectrum: one eigensolve
+    per distinct |eps'| serves both signs.
+    """
+    return _curvature(config)
+
+
+def _curvature(config: GridOracleConfig, e0: Optional[float] = None) -> OracleResult:
+    """``alpha_from_curvature``, reusing ``e0``, the zero-field energy of the grid, if given."""
     x, diag, off, h, L, m = _grid(config)
+    if e0 is None:
+        e0, _ = _even_ground(diag, off)
     fields = np.asarray(config.field_values)
-    energies = []
-    for eps in fields:
-        lam, vec = _solve_band(diag - eps * x, off, 0)
-        energies.append(_rayleigh_refine(diag - eps * x, off, vec[:, 0]))
-    energies = np.asarray(energies)
+    by_size = {0.0: e0}
+    for size in np.abs(fields):
+        if size not in by_size:
+            shifted = diag - size * x
+            _, vec = _solve_band(shifted, off, 0)
+            by_size[size] = _rayleigh_refine(shifted, off, vec[:, 0])
+    energies = np.array([by_size[size] for size in np.abs(fields)])
     coeffs = np.polyfit(fields, energies, 2)
     fit = np.polyval(coeffs, fields)
     residual = float(np.max(np.abs(fit - energies)))
@@ -293,12 +332,6 @@ def alpha_from_curvature(config: GridOracleConfig) -> OracleResult:
             f"non-quadratic fit residual {residual:.3e} is {rel_residual:.3e} of the "
             f"curvature coefficient {curvature:.3e}; shrink the probe fields"
         )
-    zero_hits = np.flatnonzero(fields == 0.0)
-    if zero_hits.size:
-        e0 = float(energies[zero_hits[0]])
-    else:
-        lam, vec = _solve_band(diag, off, 0)
-        e0 = _rayleigh_refine(diag, off, vec[:, 0])
     return OracleResult(
         alpha_sum=None,
         alpha_curvature=-4.0 * curvature,
@@ -371,10 +404,11 @@ def _refine(config: GridOracleConfig, levels: int, base=None) -> OracleResult:
 def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     """Run both oracle routes and the refinement, and merge the results."""
     # The sum route solves the same grid as level 0 of the refinement, so
-    # that one solve serves both.
+    # that one solve serves both, and its ground energy is the zero-field
+    # point of the curvature fit.
     base = _alpha_sum_at(config)
     sum_result = _sum_result(base)
-    curv_result = alpha_from_curvature(config)
+    curv_result = _curvature(config, sum_result.ground_energy_dimless)
     refined = _refine(config, levels, base)
     diagnostics = {f"sum_{k}": v for k, v in sum_result.diagnostics.items()}
     diagnostics.update({f"curvature_{k}": v for k, v in curv_result.diagnostics.items()})

@@ -200,8 +200,13 @@ def ground_state_from_R(R: float) -> GroundState:
     if not (math.isfinite(R) and R > 0.0):
         raise DomainError(f"R must be finite and positive, got {R!r}")
     gamma0 = _solve_gamma(R)
-    # sqrt((R-g)(R+g)) keeps beta0 accurate where R and gamma0 nearly agree.
-    beta0 = math.sqrt((R - gamma0) * (R + gamma0))
+    # sqrt((R-g)(R+g)) cancels where R and gamma0 nearly agree (shallow
+    # wells, beta0 ~ R^2); tan is steep near pi/2 (deep wells).  Each form
+    # is used where the other loses digits.
+    if gamma0 < 0.25 * math.pi:
+        beta0 = gamma0 * math.tan(gamma0)
+    else:
+        beta0 = math.sqrt((R - gamma0) * (R + gamma0))
     return _make_state(gamma0, beta0, R)
 
 

@@ -114,6 +114,9 @@ if __name__ == "__main__":
     g4 = bisect_gamma(4)
     print(f"R4_GAMMA0 = {float(g4)!r}")
     print(f"R4_BETA0 = {float(sqrt(mpf(16) - g4 * g4))!r}")
+    for R in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9):
+        g = bisect_gamma(R)
+        print(f"BETA0_BISECT[{R!r}] = {float(sqrt(mpf(R) ** 2 - g * g))!r}")
     g39 = mpf(0.39 * math.pi)
     print(f"NPRIME_SQ_039PI = {float(nprime_sq(g39))!r}")
     print(f"PHI_OUTER_X2_039PI = {float(phi_outer_reduced(g39, 2))!r}")

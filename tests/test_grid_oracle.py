@@ -47,6 +47,21 @@ class TestConfig:
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
         assert calls == [R_REF]
 
+    def test_study_makes_five_eigensolves(self, monkeypatch):
+        # One even block per refinement level (the base grid's serves the
+        # sum route and the zero field too) and one full-grid solve per
+        # distinct |eps'|.
+        calls = []
+        solve = grid_oracle.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(grid_oracle, "eigh_tridiagonal", counting)
+        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -79,6 +94,18 @@ class TestSpectrum:
         base = math.pi**2 / 4.0
         for n in range(1, 8):
             assert result.energies[n - 1] == pytest.approx(n * n * base, rel=1e-4)
+
+    @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
+    def test_even_block_ground_pair_matches_full_grid(self, well_R):
+        config = GridOracleConfig(well_R=well_R)
+        _, diag, off, *_ = grid_oracle._grid(config)
+        e0, psi0 = grid_oracle._even_ground(diag, off)
+        _, vec = grid_oracle._solve_band(diag, off, 0)
+        assert psi0.size == diag.size
+        assert e0 == pytest.approx(
+            grid_oracle._rayleigh_refine(diag, off, vec[:, 0]), rel=1e-15, abs=0.0
+        )
+        assert np.max(np.abs(psi0 - vec[:, 0])) <= 1e-12
 
     def test_parity_of_lowest_states(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
@@ -161,6 +188,22 @@ class TestCurvature:
         assert abs(result.diagnostics["linear_coeff"]) <= 1e-6 * abs(
             result.diagnostics["quadratic_coeff"]
         )
+        # The route takes E(-eps') from the solve at +eps'; a direct solve at
+        # -eps' checks that symmetry instead of assuming it.
+        x, diag, off, *_ = grid_oracle._grid(config)
+        eps = max(config.field_values)
+        shifted = diag + eps * x
+        _, vec = grid_oracle._solve_band(shifted, off, 0)
+        mirrored = result.diagnostics["ground_energies"][config.field_values.index(-eps)]
+        assert grid_oracle._rayleigh_refine(shifted, off, vec[:, 0]) == pytest.approx(
+            mirrored, rel=1e-14, abs=0.0
+        )
+
+    def test_study_shares_zero_field_energy(self):
+        result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        fields = result.diagnostics["curvature_field_values"]
+        energies = result.diagnostics["curvature_ground_energies"]
+        assert energies[fields.index(0.0)] == result.ground_energy_dimless
 
     def test_fit_residual_is_tiny_for_reference_row(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)

@@ -21,6 +21,19 @@ PI = math.pi
 R4_GAMMA0 = 1.2523532340025887
 R4_BETA0 = 3.798896073503888
 NPRIME_SQ_039PI = 0.7728915455299401
+BETA0_BISECT = {
+    1e-08: 1e-16,
+    1e-06: 9.999999999993331e-13,
+    1e-04: 9.999999933333336e-09,
+    1e-02: 9.999333413321653e-05,
+    0.3: 0.08511622267855154,
+    1.0: 0.6736120291832148,
+    3.0: 2.76239333954543,
+    10.0: 9.897580306264054,
+    1e03: 999.9987687623978,
+    1e06: 999999.9999987663,
+    1e09: 1000000000.0,
+}
 
 
 class TestGroundStateFromR:
@@ -38,6 +51,13 @@ class TestGroundStateFromR:
         state = ground_state_from_R(4.0)
         assert state.gamma0 == pytest.approx(R4_GAMMA0, abs=1e-14)
         assert state.beta0 == pytest.approx(R4_BETA0, abs=1e-13)
+
+    @pytest.mark.parametrize("R", sorted(BETA0_BISECT))
+    def test_beta0_against_bisection_oracle(self, R):
+        # sqrt(R^2 - gamma0^2) cancels on shallow wells (82% off at 1e-8)
+        # and gamma0 tan(gamma0) is steep on deep ones (7.5e-8 off at 1e9).
+        beta0 = ground_state_from_R(R).beta0
+        assert beta0 == pytest.approx(BETA0_BISECT[R], rel=1e-15, abs=0.0)
 
     def test_root_residual(self):
         for R in (0.05, 0.5, 3.617018, 9.037118, 49.008061):
