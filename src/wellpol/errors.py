@@ -19,7 +19,10 @@ class FieldTooLargeError(NumericalError):
     Raised when the non-quadratic fit residual exceeds 1e-8 of the fitted
     curvature coefficient, which happens when the probe fields are too
     large for the quadratic response regime (or too small to rise above
-    eigenvalue noise).
+    eigenvalue noise).  Also raised when the ground state found in the well
+    at a probe field is not the lowest state of the tilted box: the field
+    has pulled the box's ground state out of the well, towards the wall on
+    the low side.
     """
 
 

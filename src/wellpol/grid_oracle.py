@@ -13,9 +13,16 @@ the grid.  The polarizability then comes out two independent ways:
                           grid state, without building one excited state
   * field curvature       E_0'(eps') = E_0' - (alpha'/4) eps'^2, quadratic fit;
                           the matrix at -eps' is the exact mirror image of
-                          the one at +eps', so one full-grid eigensolve per
+                          the one at +eps', so one full-grid ground state per
                           |eps'| serves both signs, and E_0' is the even
                           block's
+
+Every ground state comes from shifted inverse iteration started at the
+continuum ground state sampled on the nodes, one O(n) tridiagonal solve per
+step, and is certified as the lowest state by one positive-definite
+factorisation below it (Sylvester's law of inertia).  No ground state needs
+a bisection eigensolver; ``solve_spectrum`` keeps one as the full-spectrum
+reference.
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
@@ -23,7 +30,7 @@ and makes Richardson extrapolation across grid doublings meaningful
 (``refine`` calls ``limits.extrapolate`` with ratio 1/4).
 Ground energies are refined with an extended-precision Rayleigh quotient so
 the curvature fit is not polluted by eigensolver noise.  ``oracle_study``
-makes one even-block eigensolve per refinement level, whose base level
+finds one even-block ground state per refinement level, whose base level
 serves the sum route and the zero field of the curvature fit too.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
@@ -40,10 +47,11 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solveh_banded
+from scipy.linalg.lapack import dgtsv, dpttrf
 
 from .errors import ConvergenceWarning, DomainError, FieldTooLargeError, NumericalError
 from .limits import extrapolate
-from .well_spectrum import ground_state_from_R
+from .well_spectrum import GroundState, ground_state_from_R
 
 __all__ = [
     "DEFAULT_FIELDS",
@@ -63,6 +71,10 @@ DEFAULT_FIELDS: tuple[float, ...] = (-1e-3, -5e-4, 0.0, 5e-4, 1e-3)
 # discretization before a combined result is considered sane.
 _ROUTE_AGREEMENT = 5e-3
 
+# Inverse-iteration steps allowed before a ground state counts as lost.
+_MAX_INVERSE_STEPS = 30
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class GridOracleConfig:
@@ -71,9 +83,10 @@ class GridOracleConfig:
     ``well_R`` is the dimensionless well strength; None selects the
     hard-wall box of half-width 1.  ``box_half_width`` is resolved on
     construction, from the one bound-state solve: 1 for the hard wall, and
-    max(12, ceil(1 + 40/beta0)) for a well when none is given.
-    ``num_points`` is a request: the actual grid is snapped up to the
-    nearest size whose nodes hit the well edges.
+    max(12, ceil(1 + 40/beta0)) for a well when none is given.  That solve
+    is kept as ``ground`` (None for the hard wall); it starts the grid's
+    ground-state iterations.  ``num_points`` is a request: the actual grid
+    is snapped up to the nearest size whose nodes hit the well edges.
     """
 
     well_R: Optional[float]
@@ -81,6 +94,7 @@ class GridOracleConfig:
     num_points: int = 2000
     num_states: int = 200
     field_values: tuple[float, ...] = DEFAULT_FIELDS
+    ground: Optional[GroundState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_points < 500:
@@ -100,10 +114,12 @@ class GridOracleConfig:
             if self.box_half_width not in (None, 1):
                 raise DomainError("hard-wall configuration fixes the box half-width to 1")
             object.__setattr__(self, "box_half_width", 1)
+            object.__setattr__(self, "ground", None)
             return
         if not (math.isfinite(self.well_R) and self.well_R > 0.0):
             raise DomainError(f"well_R must be positive, got {self.well_R!r}")
-        beta0 = ground_state_from_R(self.well_R).beta0
+        object.__setattr__(self, "ground", ground_state_from_R(self.well_R))
+        beta0 = self.ground.beta0
         if self.box_half_width is None:
             object.__setattr__(
                 self, "box_half_width", max(12, math.ceil(1.0 + 40.0 / beta0))
@@ -227,27 +243,90 @@ def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
     return SpectrumResult(x=x, h=h, box_half_width=L, energies=lam, states=vec)
 
 
-def _even_ground(diag: np.ndarray, off: np.ndarray):
+def _continuum_ground(config: GridOracleConfig, x: np.ndarray) -> np.ndarray:
+    """The continuum ground state at the nodes ``x``, not normalised."""
+    if config.ground is None:
+        return np.cos(0.5 * math.pi * x)
+    gamma0, beta0 = config.ground.gamma0, config.ground.beta0
+    ax = np.abs(x)
+    tail = math.cos(gamma0) * np.exp(-beta0 * np.maximum(ax - 1.0, 0.0))
+    return np.where(ax <= 1.0, np.cos(gamma0 * ax), tail)
+
+
+def _lowest_vector(
+    diag, off, start, not_lowest: type[NumericalError] = NumericalError
+) -> np.ndarray:
+    """Unit eigenvector of the lowest eigenvalue of the tridiagonal T = (diag, off).
+
+    Shifted inverse iteration from ``start``: each step solves
+    (T - sigma) w = v by LU with partial pivoting, where sigma = rho - 2|r|
+    sits below the Rayleigh quotient rho of v and r = T v - rho v.  The
+    solve is indefinite on purpose: a state below sigma does not stop it.
+    Once |r| <= 4 eps |T| the iteration takes one more step.  The pair is
+    the lowest if T - (rho - delta) factors as L D L^T with D > 0, which by
+    Sylvester's law of inertia leaves no eigenvalue below rho - delta,
+    delta = max(4|r|, 1e3 eps |T|); ``not_lowest`` is raised otherwise.
+    """
+    row = np.abs(diag)
+    row[:-1] += np.abs(off)
+    row[1:] += np.abs(off)
+    scale = _EPS * float(np.max(row))
+    vec = start / np.linalg.norm(start)
+    converged = False
+    for _ in range(_MAX_INVERSE_STEPS):
+        tv = diag * vec
+        tv[:-1] += off * vec[1:]
+        tv[1:] += off * vec[:-1]
+        rho = float(vec @ tv)
+        res = float(np.linalg.norm(tv - rho * vec))
+        if converged:
+            break
+        converged = res <= 4.0 * scale
+        _, _, _, w, info = dgtsv(off, diag - (rho - 2.0 * res), off, vec)
+        if info != 0:
+            raise NumericalError(f"shifted tridiagonal solve is singular (n={diag.size})")
+        vec = w / np.linalg.norm(w)
+    else:
+        raise NumericalError(
+            f"inverse iteration left residual {res:.2e} after {_MAX_INVERSE_STEPS} "
+            f"steps (n={diag.size})"
+        )
+    delta = max(4.0 * res, 1e3 * scale)
+    if dpttrf(diag - (rho - delta), off)[2] != 0:
+        raise not_lowest(
+            f"inverse iteration from the continuum ground state settled at "
+            f"E' = {rho:.6e}, but the grid (n={diag.size}) has a state more than "
+            f"{delta:.1e} below it"
+        )
+    # Deterministic sign convention: largest-magnitude component positive.
+    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
+
+
+def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
     """Ground energy and unit eigenvector of the grid from its even block.
 
     The ground state is even, so the nodes x' >= 0 carry it.  On them the
     centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
-    the block is symmetric tridiagonal, half the size of the grid.  The
-    energy is the Rayleigh quotient of the rebuilt full vector: taken on the
-    scaled block, the rounded sqrt(2) would move it by ~1e-13 relative.
+    the block is symmetric tridiagonal, half the size of the grid.
+    ``start``, the continuum ground state on the whole grid, starts the
+    block's inverse iteration.  The energy is the Rayleigh quotient of the
+    rebuilt full vector: taken on the scaled block, the rounded sqrt(2)
+    would move it by ~1e-13 relative.
     """
     centre = diag.size // 2
     block_off = off[centre:].copy()
     block_off[0] *= math.sqrt(2.0)
-    _, vec = _solve_band(diag[centre:], block_off, 0)
-    half = vec[1:, 0] / math.sqrt(2.0)
-    psi = np.concatenate((half[::-1], vec[:1, 0], half))
+    block_start = start[centre:].copy()
+    block_start[1:] *= math.sqrt(2.0)
+    vec = _lowest_vector(diag[centre:], block_off, block_start)
+    half = vec[1:] / math.sqrt(2.0)
+    psi = np.concatenate((half[::-1], vec[:1], half))
     return _rayleigh_refine(diag, off, psi), psi
 
 
 def _alpha_sum_at(config: GridOracleConfig, m_override: Optional[int] = None):
     x, diag, off, h, L, m = _grid(config, m_override)
-    e0, psi0 = _even_ground(diag, off)
+    e0, psi0 = _even_ground(diag, off, _continuum_ground(config, x))
     # phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
     # problem.  That block holds only odd states, all above E_0', so
     # H - E_0' is positive definite there and Cholesky applies.
@@ -303,8 +382,11 @@ def alpha_from_curvature(config: GridOracleConfig) -> OracleResult:
 
     The zero-field energy comes from the even block of the grid.  The grid
     is mirror-symmetric node for node, so the matrix at -eps' is the exact
-    reversal of the one at +eps' and has the same spectrum: one eigensolve
-    per distinct |eps'| serves both signs.
+    reversal of the one at +eps' and has the same spectrum: one ground
+    state per distinct |eps'| serves both signs.  Each starts from the
+    continuum ground state; ``FieldTooLargeError`` is raised when it is not
+    the lowest state of the tilted box, i.e. the field has pulled the box's
+    ground state out of the well.
     """
     return _curvature(config)
 
@@ -312,15 +394,16 @@ def alpha_from_curvature(config: GridOracleConfig) -> OracleResult:
 def _curvature(config: GridOracleConfig, e0: Optional[float] = None) -> OracleResult:
     """``alpha_from_curvature``, reusing ``e0``, the zero-field energy of the grid, if given."""
     x, diag, off, h, L, m = _grid(config)
+    start = _continuum_ground(config, x)
     if e0 is None:
-        e0, _ = _even_ground(diag, off)
+        e0, _ = _even_ground(diag, off, start)
     fields = np.asarray(config.field_values)
     by_size = {0.0: e0}
     for size in np.abs(fields):
         if size not in by_size:
             shifted = diag - size * x
-            _, vec = _solve_band(shifted, off, 0)
-            by_size[size] = _rayleigh_refine(shifted, off, vec[:, 0])
+            vec = _lowest_vector(shifted, off, start, FieldTooLargeError)
+            by_size[size] = _rayleigh_refine(shifted, off, vec)
     energies = np.array([by_size[size] for size in np.abs(fields)])
     coeffs = np.polyfit(fields, energies, 2)
     fit = np.polyval(coeffs, fields)

@@ -97,14 +97,20 @@ class GroundState:
             raise DomainError(f"gamma0 must lie in (0, pi/2), got {self.gamma0!r}")
         if not (self.beta0 > 0.0 and self.R > 0.0 and self.n_prime_sq > 0.0):
             raise DomainError("beta0, R and n_prime_sq must all be positive")
-        # Quantisation residuals.  The tan form is evaluated in the
-        # cos-multiplied shape so that states near gamma0 = pi/2 (where
-        # tan is steep) are not rejected for rounding in the last ulp.
-        r12 = self.gamma0 * math.sin(self.gamma0) - self.beta0 * math.cos(self.gamma0)
-        if abs(r12) > 1e-10 * (1.0 + self.beta0):
+        # Quantisation residuals, each bounded relative to the terms it
+        # compares, so a shallow well (every term ~R^2) is checked as
+        # tightly as a deep one.  The tan form is evaluated in the
+        # cos-multiplied shape; near gamma0 = pi/2, where tan is steep, one
+        # ulp of gamma0 moves beta0 cos(gamma0) by ~beta0 ulp(gamma0), which
+        # the second term of its bound allows.
+        sin_part = self.gamma0 * math.sin(self.gamma0)
+        cos_part = self.beta0 * math.cos(self.gamma0)
+        r12 = sin_part - cos_part
+        bound12 = 1e-10 * (sin_part + cos_part) + 4.0 * (1.0 + self.beta0) * math.ulp(self.gamma0)
+        if abs(r12) > bound12:
             raise NumericalError(f"quantisation residual gamma*tan(gamma)-beta = {r12!r}")
         r13 = self.gamma0**2 + self.beta0**2 - self.R**2
-        if abs(r13) > 1e-10 * max(1.0, self.R**2):
+        if abs(r13) > 1e-10 * (self.gamma0**2 + self.beta0**2 + self.R**2):
             raise NumericalError(f"strength residual gamma^2+beta^2-R^2 = {r13!r}")
         n2 = normalization_sq(self.gamma0, self.beta0)
         if abs(self.n_prime_sq - n2) > 1e-12 * n2:

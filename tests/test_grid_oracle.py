@@ -49,18 +49,25 @@ class TestConfig:
 
     def test_study_makes_five_eigensolves(self, monkeypatch):
         # One even block per refinement level (the base grid's serves the
-        # sum route and the zero field too) and one full-grid solve per
-        # distinct |eps'|.
-        calls = []
-        solve = grid_oracle.eigh_tridiagonal
+        # sum route and the zero field too) and one full-grid ground state
+        # per distinct |eps'|, each by inverse iteration: no bisection.
+        bisections, ground_states = [], []
+        eigh = grid_oracle.eigh_tridiagonal
+        lowest = grid_oracle._lowest_vector
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+        def counting_eigh(*args, **kwargs):
+            bisections.append(args)
+            return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(grid_oracle, "eigh_tridiagonal", counting)
+        def counting_lowest(*args, **kwargs):
+            ground_states.append(args)
+            return lowest(*args, **kwargs)
+
+        monkeypatch.setattr(grid_oracle, "eigh_tridiagonal", counting_eigh)
+        monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
-        assert len(calls) == 5
+        assert len(bisections) == 0
+        assert len(ground_states) == 5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -98,14 +105,29 @@ class TestSpectrum:
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         config = GridOracleConfig(well_R=well_R)
-        _, diag, off, *_ = grid_oracle._grid(config)
-        e0, psi0 = grid_oracle._even_ground(diag, off)
+        x, diag, off, *_ = grid_oracle._grid(config)
+        start = grid_oracle._continuum_ground(config, x)
+        e0, psi0 = grid_oracle._even_ground(diag, off, start)
         _, vec = grid_oracle._solve_band(diag, off, 0)
         assert psi0.size == diag.size
         assert e0 == pytest.approx(
             grid_oracle._rayleigh_refine(diag, off, vec[:, 0]), rel=1e-15, abs=0.0
         )
         assert np.max(np.abs(psi0 - vec[:, 0])) <= 1e-12
+
+    def test_excited_start_is_not_certified(self):
+        # Started on the even block's first excited state, inverse iteration
+        # stays there; the factorisation below it fails, so the pair is
+        # refused instead of returned as the ground state.
+        config = GridOracleConfig(well_R=R_REF, num_points=900)
+        _, diag, off, *_ = grid_oracle._grid(config)
+        centre = diag.size // 2
+        block_diag = diag[centre:]
+        block_off = off[centre:].copy()
+        block_off[0] *= math.sqrt(2.0)
+        _, vec = grid_oracle._solve_band(block_diag, block_off, 1)
+        with pytest.raises(NumericalError, match="has a state more than"):
+            grid_oracle._lowest_vector(block_diag, block_off, vec[:, 1])
 
     def test_parity_of_lowest_states(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
@@ -198,6 +220,39 @@ class TestCurvature:
         assert grid_oracle._rayleigh_refine(shifted, off, vec[:, 0]) == pytest.approx(
             mirrored, rel=1e-14, abs=0.0
         )
+
+    @pytest.mark.parametrize(
+        "well_R", [None, ground_state_from_gamma(0.2 * math.pi).R, R_REF, 49.008061]
+    )
+    def test_field_energies_match_bisection_reference(self, well_R):
+        config = GridOracleConfig(well_R=well_R)
+        result = alpha_from_curvature(config)
+        x, diag, off, *_ = grid_oracle._grid(config)
+        for eps, energy in zip(config.field_values, result.diagnostics["ground_energies"]):
+            if eps == 0.0:
+                continue
+            shifted = diag - abs(eps) * x
+            _, vec = grid_oracle._solve_band(shifted, off, 0)
+            reference = grid_oracle._rayleigh_refine(shifted, off, vec[:, 0])
+            assert energy == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("step", range(17))
+    def test_field_guard_matches_bisection_reference(self, step):
+        # gamma0 = 0.15 pi ... 0.19 pi: the route must refuse the field
+        # exactly where the grid's lowest state at some |eps'| has left the
+        # well, which the full bisection solve shows by where it peaks.
+        state = ground_state_from_gamma((0.15 + 0.0025 * step) * math.pi)
+        config = GridOracleConfig(well_R=state.R)
+        x, diag, off, *_ = grid_oracle._grid(config)
+        escaped = False
+        for size in {abs(eps) for eps in config.field_values} - {0.0}:
+            _, vec = grid_oracle._solve_band(diag - size * x, off, 0)
+            escaped |= abs(x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
+        if escaped:
+            with pytest.raises(FieldTooLargeError):
+                alpha_from_curvature(config)
+        else:
+            assert alpha_from_curvature(config).alpha_curvature > 0.0
 
     def test_study_shares_zero_field_energy(self):
         result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)

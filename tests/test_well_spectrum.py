@@ -5,8 +5,9 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from wellpol.errors import DomainError
+from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import (
+    GAMMA_MAX,
     GroundState,
     WellSpec,
     ground_state_from_R,
@@ -179,6 +180,32 @@ class TestInvariants:
         with pytest.raises(Exception):
             GroundState(gamma0=1.0, beta0=2.0, R=5.0, n_prime_sq=0.5,
                         energy_dimless=-4.0)
+
+    def test_shallow_well_residual_is_relative(self):
+        # At R = 1e-8 every quantisation term is ~1e-16, so an absolute
+        # bound passed the cancelled beta0 = 1.82e-16 (true value 1.00e-16).
+        gamma0 = ground_state_from_R(1e-8).gamma0
+        beta0 = 1.82e-16
+        with pytest.raises(NumericalError):
+            GroundState(
+                gamma0=gamma0,
+                beta0=beta0,
+                R=1e-8,
+                n_prime_sq=normalization_sq(gamma0, beta0),
+                energy_dimless=-beta0**2,
+            )
+
+    def test_solved_states_pass_relative_residuals(self):
+        # Dense log grids over the whole domain: R in [1e-8, 1e9], and
+        # gamma0 from 1e-8 up to GAMMA_MAX, with the last decades below
+        # pi/2 sampled by their distance to it.
+        for k in range(1701):
+            ground_state_from_R(10.0 ** (-8.0 + k / 100.0))
+        top = math.log10(GAMMA_MAX)
+        for k in range(1001):
+            ground_state_from_gamma(10.0 ** (-8.0 + k * (top + 8.0) / 1000.0))
+        for k in range(901):
+            ground_state_from_gamma(GAMMA_MAX - 10.0 ** (-9.0 + k / 100.0))
 
 
 class TestWellSpec:
