@@ -27,11 +27,12 @@ reference.
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
 and makes Richardson extrapolation across grid doublings meaningful
-(``refine`` calls ``limits.extrapolate`` with ratio 1/4).
+(``limits.extrapolate`` with ratio 1/4).
 Ground energies are refined with an extended-precision Rayleigh quotient so
-the curvature fit is not polluted by eigensolver noise.  ``oracle_study``
-finds one even-block ground state per refinement level, whose base level
-serves the sum route and the zero field of the curvature fit too.
+the curvature fit is not polluted by eigensolver noise.  ``oracle_study`` is
+the one entry point: it builds each of its grids once and finds one
+even-block ground state on each, for the Dalgarno-Lewis solve of that level;
+the base grid's also serves as the zero field of the curvature fit.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
 infinite-well configuration); responses then check out against the
@@ -59,9 +60,6 @@ __all__ = [
     "SpectrumResult",
     "OracleResult",
     "solve_spectrum",
-    "alpha_sum_over_states",
-    "alpha_from_curvature",
-    "refine",
     "oracle_study",
 ]
 
@@ -74,6 +72,11 @@ _ROUTE_AGREEMENT = 5e-3
 # Inverse-iteration steps allowed before a ground state counts as lost.
 _MAX_INVERSE_STEPS = 30
 _EPS = float(np.finfo(float).eps)
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    if not (isinstance(value, int) and value >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +100,8 @@ class GridOracleConfig:
     ground: Optional[GroundState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_points < 500:
-            raise DomainError(f"num_points must be >= 500, got {self.num_points!r}")
-        if self.num_states < 50:
-            raise DomainError(f"num_states must be >= 50, got {self.num_states!r}")
+        _require_int("num_points", self.num_points, 500)
+        _require_int("num_states", self.num_states, 50)
         fields = tuple(float(v) for v in self.field_values)
         object.__setattr__(self, "field_values", fields)
         if len(fields) < 3:
@@ -125,8 +126,7 @@ class GridOracleConfig:
                 self, "box_half_width", max(12, math.ceil(1.0 + 40.0 / beta0))
             )
         else:
-            if self.box_half_width < 2:
-                raise DomainError("box half-width must be an integer >= 2")
+            _require_int("box half-width", self.box_half_width, 2)
             if self.box_half_width < 1.0 + 30.0 / beta0:
                 raise DomainError(
                     f"box half-width {self.box_half_width} does not contain the "
@@ -163,33 +163,34 @@ class SpectrumResult:
 class OracleResult:
     """Oracle polarizabilities plus convergence metadata."""
 
-    alpha_sum: Optional[float]
-    alpha_curvature: Optional[float]
+    alpha_sum: float
+    alpha_curvature: float
     ground_energy_dimless: float
-    richardson_alpha: Optional[float] = None
+    richardson_alpha: float
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.alpha_sum is not None and not self.alpha_sum > 0.0:
+        if not self.alpha_sum > 0.0:
             raise NumericalError(f"alpha_sum must be positive, got {self.alpha_sum!r}")
-        if self.alpha_curvature is not None and not self.alpha_curvature > 0.0:
+        if not self.alpha_curvature > 0.0:
             raise NumericalError(
                 f"alpha_curvature must be positive, got {self.alpha_curvature!r}"
             )
-        if self.alpha_sum is not None and self.alpha_curvature is not None:
-            gap = abs(self.alpha_sum - self.alpha_curvature) / self.alpha_sum
-            if gap > _ROUTE_AGREEMENT:
-                raise NumericalError(
-                    f"oracle routes disagree by {gap:.2e} at matched discretization"
-                )
+        gap = abs(self.alpha_sum - self.alpha_curvature) / self.alpha_sum
+        if gap > _ROUTE_AGREEMENT:
+            raise NumericalError(
+                f"oracle routes disagree by {gap:.2e} at matched discretization"
+            )
 
 
-def _grid(config: GridOracleConfig, m_override: Optional[int] = None):
-    """Aligned grid arrays: abscissae, diagonal, off-diagonal, spacing, L, m."""
+def _multiplier(config: GridOracleConfig) -> int:
+    """Nodes per unit length of the base grid: the fewest that give ``num_points``."""
+    return math.ceil((config.num_points + 1) / (2 * config.box_half_width))
+
+
+def _grid(config: GridOracleConfig, m: int):
+    """Abscissae, diagonal and off-diagonal of the aligned grid, m nodes per unit length."""
     L = config.box_half_width
-    m = m_override if m_override is not None else math.ceil(
-        (config.num_points + 1) / (2 * L)
-    )
     n = 2 * L * m - 1
     k = np.arange(1, n + 1) - L * m
     x = k / float(m)
@@ -201,7 +202,15 @@ def _grid(config: GridOracleConfig, m_override: Optional[int] = None):
         v[np.abs(k) == m] = -0.5 * r_sq  # edge nodes take the mean of the jump
     diag = 2.0 * m * m + v
     off = np.full(n - 1, -float(m) * m)
-    return x, diag, off, 1.0 / m, L, m
+    return x, diag, off
+
+
+def _tridiag_matvec(diag, off, vec, minus=None):
+    """T vec - minus for the symmetric tridiagonal T = (diag, off), in the inputs' precision."""
+    out = diag * vec if minus is None else diag * vec - minus
+    out[:-1] += off * vec[1:]
+    out[1:] += off * vec[:-1]
+    return out
 
 
 def _rayleigh_refine(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> float:
@@ -211,12 +220,8 @@ def _rayleigh_refine(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> floa
     order eps * ||T||, which is comparable to the Stark curvature signal on
     fine grids; the long-double quotient removes it.
     """
-    d = diag.astype(np.longdouble)
-    e = off.astype(np.longdouble)
     w = vec.astype(np.longdouble)
-    tw = d * w
-    tw[:-1] += e * w[1:]
-    tw[1:] += e * w[:-1]
+    tw = _tridiag_matvec(diag.astype(np.longdouble), off.astype(np.longdouble), w)
     return float((w @ tw) / (w @ w))
 
 
@@ -237,10 +242,13 @@ def _solve_band(diag, off, hi_index: int):
 
 def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
     """Lowest ``num_states`` eigenpairs of the discretized Hamiltonian."""
-    x, diag, off, h, L, _ = _grid(config)
+    m = _multiplier(config)
+    x, diag, off = _grid(config, m)
     hi = min(config.num_states, x.size) - 1
     lam, vec = _solve_band(diag, off, hi)
-    return SpectrumResult(x=x, h=h, box_half_width=L, energies=lam, states=vec)
+    return SpectrumResult(
+        x=x, h=1.0 / m, box_half_width=config.box_half_width, energies=lam, states=vec
+    )
 
 
 def _continuum_ground(config: GridOracleConfig, x: np.ndarray) -> np.ndarray:
@@ -274,9 +282,7 @@ def _lowest_vector(
     vec = start / np.linalg.norm(start)
     converged = False
     for _ in range(_MAX_INVERSE_STEPS):
-        tv = diag * vec
-        tv[:-1] += off * vec[1:]
-        tv[1:] += off * vec[:-1]
+        tv = _tridiag_matvec(diag, off, vec)
         rho = float(vec @ tv)
         res = float(np.linalg.norm(tv - rho * vec))
         if converged:
@@ -324,9 +330,14 @@ def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
     return _rayleigh_refine(diag, off, psi), psi
 
 
-def _alpha_sum_at(config: GridOracleConfig, m_override: Optional[int] = None):
-    x, diag, off, h, L, m = _grid(config, m_override)
-    e0, psi0 = _even_ground(diag, off, _continuum_ground(config, x))
+
+
+def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
+    """alpha' from the discrete Dalgarno-Lewis solve, and the solve's residual.
+
+    Equal to the transition sum over every state of the grid Hamiltonian;
+    the residual is the relative infinity-norm residual of the solve.
+    """
     # phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
     # problem.  That block holds only odd states, all above E_0', so
     # H - E_0' is positive definite there and Cholesky applies.
@@ -342,62 +353,24 @@ def _alpha_sum_at(config: GridOracleConfig, m_override: Optional[int] = None):
         raise NumericalError(
             f"H - E0 is not positive definite on the odd half-grid (n={x.size}): {exc}"
         ) from exc
-    residual = band[1] * phi - b
-    residual[:-1] += band[0, 1:] * phi[1:]
-    residual[1:] += band[0, 1:] * phi[:-1]
+    residual = _tridiag_matvec(band[1], band[0, 1:], phi, b)
     solve_residual = float(np.max(np.abs(residual)) / np.max(np.abs(b)))
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
-    alpha = 8.0 * float(b @ phi)
-    return alpha, e0, solve_residual, h, L, m, x.size
+    return 8.0 * float(b @ phi), solve_residual
 
 
-def _sum_result(solve) -> OracleResult:
-    """OracleResult of the sum route from one ``_alpha_sum_at`` solve."""
-    alpha, e0, solve_residual, h, L, m, n = solve
-    diagnostics = {
-        "num_points_actual": n,
-        "box_half_width": L,
-        "grid_spacing": h,
-        "solve_residual": solve_residual,
-    }
-    return OracleResult(
-        alpha_sum=alpha,
-        alpha_curvature=None,
-        ground_energy_dimless=e0,
-        diagnostics=diagnostics,
-    )
+def _curvature(x, diag, off, start, fields: tuple[float, ...], e0: float) -> dict:
+    """Quadratic fit of the ground energy over the probe ``fields``.
 
-
-def alpha_sum_over_states(config: GridOracleConfig) -> OracleResult:
-    """Polarizability from the discrete Dalgarno-Lewis equation.
-
-    Equal to the transition sum over every state of the grid Hamiltonian;
-    ``solve_residual`` is the relative infinity-norm residual of the solve.
+    ``e0`` is the zero-field energy, from the even block of the grid.  The
+    grid is mirror-symmetric node for node, so the matrix at -eps' is the
+    exact reversal of the one at +eps' and has the same spectrum: one
+    ground state per distinct |eps'| serves both signs.  Each starts from
+    ``start``, the continuum ground state; ``FieldTooLargeError`` is raised
+    when it is not the lowest state of the tilted box, i.e. the field has
+    pulled the box's ground state out of the well.
     """
-    return _sum_result(_alpha_sum_at(config))
-
-
-def alpha_from_curvature(config: GridOracleConfig) -> OracleResult:
-    """Polarizability from the curvature of the ground energy in the field.
-
-    The zero-field energy comes from the even block of the grid.  The grid
-    is mirror-symmetric node for node, so the matrix at -eps' is the exact
-    reversal of the one at +eps' and has the same spectrum: one ground
-    state per distinct |eps'| serves both signs.  Each starts from the
-    continuum ground state; ``FieldTooLargeError`` is raised when it is not
-    the lowest state of the tilted box, i.e. the field has pulled the box's
-    ground state out of the well.
-    """
-    return _curvature(config)
-
-
-def _curvature(config: GridOracleConfig, e0: Optional[float] = None) -> OracleResult:
-    """``alpha_from_curvature``, reusing ``e0``, the zero-field energy of the grid, if given."""
-    x, diag, off, h, L, m = _grid(config)
-    start = _continuum_ground(config, x)
-    if e0 is None:
-        e0, _ = _even_ground(diag, off, start)
-    fields = np.asarray(config.field_values)
+    fields = np.asarray(fields)
     by_size = {0.0: e0}
     for size in np.abs(fields):
         if size not in by_size:
@@ -415,49 +388,52 @@ def _curvature(config: GridOracleConfig, e0: Optional[float] = None) -> OracleRe
             f"non-quadratic fit residual {residual:.3e} is {rel_residual:.3e} of the "
             f"curvature coefficient {curvature:.3e}; shrink the probe fields"
         )
-    return OracleResult(
-        alpha_sum=None,
-        alpha_curvature=-4.0 * curvature,
-        ground_energy_dimless=e0,
-        diagnostics={
-            "num_points_actual": x.size,
-            "box_half_width": L,
-            "grid_spacing": h,
-            "field_values": tuple(float(v) for v in fields),
-            "ground_energies": tuple(float(v) for v in energies),
-            "fit_residual": residual,
-            "fit_residual_rel": rel_residual,
-            "linear_coeff": float(coeffs[1]),
-            "quadratic_coeff": curvature,
-        },
-    )
+    return {
+        "field_values": tuple(float(v) for v in fields),
+        "ground_energies": tuple(float(v) for v in energies),
+        "fit_residual": residual,
+        "fit_residual_rel": rel_residual,
+        "linear_coeff": float(coeffs[1]),
+        "quadratic_coeff": curvature,
+    }
 
 
-def refine(config: GridOracleConfig, levels: int = 2) -> OracleResult:
-    """Richardson-extrapolate the Dalgarno-Lewis alpha' over grid doublings.
+def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
+    """Both oracle routes on the base grid, and the sum route over ``levels`` doublings.
 
-    Assumes the second-order convergence of the three-point stencil; the
-    observed order is reported, with a warning outside [1.5, 2.5].  Deep
-    wells approach that order late (successive-difference ratios 3.32,
-    3.80, 3.95 against the asymptotic 4 at gamma0 = 0.49 pi from 1100
-    points), so two doublings leave the extrapolated value 3.5e-5 off there.
-    With ``levels=4`` from 1100 points it lies within 1e-6 (relative) of
-    ``alpha_exact_prime`` on every Table-1 row.
+    Each grid gives one even-block ground state and one Dalgarno-Lewis
+    solve.  On the base grid, ``alpha_sum`` is that solve and its ground
+    energy is the zero-field point of the curvature fit, which gives
+    ``alpha_curvature``.  ``richardson_alpha`` extrapolates the solves of
+    all levels, assuming the second-order convergence of the three-point
+    stencil; the observed order is reported, with a warning outside
+    [1.5, 2.5].  Deep wells approach that order late (successive-difference
+    ratios 3.32, 3.80, 3.95 against the asymptotic 4 at gamma0 = 0.49 pi
+    from 1100 points), so two doublings leave the extrapolated value 3.5e-5
+    off there.  With ``levels=4`` from 1100 points it lies within 1e-6
+    (relative) of ``alpha_exact_prime`` on every Table-1 row.
     """
-    return _refine(config, levels)
-
-
-def _refine(config: GridOracleConfig, levels: int, base=None) -> OracleResult:
-    """``refine``, reusing ``base``, the ``_alpha_sum_at`` solve of level 0, if given."""
+    if not isinstance(levels, int):
+        raise DomainError(f"levels must be an integer, got {levels!r}")
     if levels < 2:
         raise DomainError(f"need at least 2 grid doublings, got {levels!r}")
-    if base is None:
-        base = _alpha_sum_at(config)
-    _, _, _, _, L, m0, _ = base
-    solves = [base] + [
-        _alpha_sum_at(config, m_override=m0 * 2**level) for level in range(1, levels + 1)
-    ]
-    alphas, e0s, _, _, _, ms, ns = zip(*solves)
+    L = config.box_half_width
+    ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
+    alphas, e0s, sizes = [], [], []
+    for m in ms:
+        x, diag, off = _grid(config, m)
+        start = _continuum_ground(config, x)
+        e0, psi0 = _even_ground(diag, off, start)
+        alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
+        if m == ms[0]:
+            grid = {"num_points_actual": x.size, "box_half_width": L, "grid_spacing": 1.0 / m}
+            fit = _curvature(x, diag, off, start, config.field_values, e0)
+            diagnostics = {f"sum_{k}": v for k, v in grid.items()}
+            diagnostics["sum_solve_residual"] = solve_residual
+            diagnostics.update({f"curvature_{k}": v for k, v in {**grid, **fit}.items()})
+        alphas.append(alpha)
+        e0s.append(e0)
+        sizes.append(x.size)
     d_prev = alphas[-2] - alphas[-3]
     d_last = alphas[-1] - alphas[-2]
     observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan
@@ -465,41 +441,20 @@ def _refine(config: GridOracleConfig, levels: int, base=None) -> OracleResult:
         warnings.warn(
             f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
             ConvergenceWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    richardson = extrapolate(alphas, ratio=0.25)
-    return OracleResult(
-        alpha_sum=alphas[-1],
-        alpha_curvature=None,
-        ground_energy_dimless=e0s[-1],
-        richardson_alpha=richardson,
-        diagnostics={
-            "box_half_width": L,
-            "grid_multipliers": ms,
-            "grid_sizes": ns,
-            "alpha_per_level": alphas,
-            "ground_energy_per_level": e0s,
-            "observed_order": observed,
-        },
+    diagnostics.update(
+        refine_box_half_width=L,
+        refine_grid_multipliers=ms,
+        refine_grid_sizes=tuple(sizes),
+        refine_alpha_per_level=tuple(alphas),
+        refine_ground_energy_per_level=tuple(e0s),
+        refine_observed_order=observed,
     )
-
-
-def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
-    """Run both oracle routes and the refinement, and merge the results."""
-    # The sum route solves the same grid as level 0 of the refinement, so
-    # that one solve serves both, and its ground energy is the zero-field
-    # point of the curvature fit.
-    base = _alpha_sum_at(config)
-    sum_result = _sum_result(base)
-    curv_result = _curvature(config, sum_result.ground_energy_dimless)
-    refined = _refine(config, levels, base)
-    diagnostics = {f"sum_{k}": v for k, v in sum_result.diagnostics.items()}
-    diagnostics.update({f"curvature_{k}": v for k, v in curv_result.diagnostics.items()})
-    diagnostics.update({f"refine_{k}": v for k, v in refined.diagnostics.items()})
     return OracleResult(
-        alpha_sum=sum_result.alpha_sum,
-        alpha_curvature=curv_result.alpha_curvature,
-        ground_energy_dimless=sum_result.ground_energy_dimless,
-        richardson_alpha=refined.richardson_alpha,
+        alpha_sum=alphas[0],
+        alpha_curvature=-4.0 * fit["quadratic_coeff"],
+        ground_energy_dimless=e0s[0],
+        richardson_alpha=extrapolate(alphas, ratio=0.25),
         diagnostics=diagnostics,
     )

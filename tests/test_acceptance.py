@@ -33,7 +33,7 @@ from wellpol.dalgarno_lewis import (
     orthogonality,
     phi_reduced,
 )
-from wellpol.grid_oracle import GridOracleConfig, alpha_from_curvature, refine
+from wellpol.grid_oracle import GridOracleConfig, oracle_study
 from wellpol.limits import delta_limit, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_gamma
 
@@ -246,25 +246,21 @@ def oracle_data():
     for gamma_pi in TABLE1_GAMMAS:
         state = ground_state_from_gamma(gamma_pi * PI)
         config = GridOracleConfig(well_R=state.R, num_points=1100)
-        refined = refine(config, levels=2)
-        curved = alpha_from_curvature(config)
-        base_alpha = refined.diagnostics["alpha_per_level"][0]
+        study = oracle_study(config, levels=2)
         rows[gamma_pi] = {
             "closed": breakdown(state).alpha_prime,
             "exact": alpha_exact_prime(state),
-            "richardson": refined.richardson_alpha,
-            "base_sum": base_alpha,
-            "curvature": curved.alpha_curvature,
+            "richardson": study.richardson_alpha,
+            "base_sum": study.alpha_sum,
+            "curvature": study.alpha_curvature,
         }
-    hard_config = GridOracleConfig.hard_wall(num_points=999)
-    hard_refined = refine(hard_config, levels=2)
-    hard_curved = alpha_from_curvature(hard_config)
+    hard_study = oracle_study(GridOracleConfig.hard_wall(num_points=999), levels=2)
     elapsed = time.perf_counter() - start
     return {
         "rows": rows,
-        "hard_richardson": hard_refined.richardson_alpha,
-        "hard_base_sum": hard_refined.diagnostics["alpha_per_level"][0],
-        "hard_curvature": hard_curved.alpha_curvature,
+        "hard_richardson": hard_study.richardson_alpha,
+        "hard_base_sum": hard_study.alpha_sum,
+        "hard_curvature": hard_study.alpha_curvature,
         "elapsed": elapsed,
     }
 

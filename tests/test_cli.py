@@ -258,6 +258,46 @@ class TestReports:
         assert run(["oracle"], capsys)[0] == 2
         assert run(["oracle", "--R", "4.0", "--hard-wall"], capsys)[0] == 2
 
+    def test_oracle_checks_levels_before_solving(self, capsys):
+        # R = 0.529 is too weak for the default probe fields, so a study
+        # that started would fail with a numerical error (exit 3).
+        code = main(["oracle", "--R", "0.529", "--levels", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need at least 2 grid doublings" in captured.err
+
+    def test_oracle_report_keys(self, capsys):
+        code, out = run(["oracle", "--hard-wall", "--num-points", "500"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert [list(row) for row in payload["rows"]] == [
+            ["alpha_sum", "alpha_curvature", "richardson_alpha", "ground_energy_dimless"]
+        ]
+        assert list(payload["diagnostics"]) == [
+            "sum_num_points_actual",
+            "sum_box_half_width",
+            "sum_grid_spacing",
+            "sum_solve_residual",
+            "curvature_num_points_actual",
+            "curvature_box_half_width",
+            "curvature_grid_spacing",
+            "curvature_field_values",
+            "curvature_ground_energies",
+            "curvature_fit_residual",
+            "curvature_fit_residual_rel",
+            "curvature_linear_coeff",
+            "curvature_quadratic_coeff",
+            "refine_box_half_width",
+            "refine_grid_multipliers",
+            "refine_grid_sizes",
+            "refine_alpha_per_level",
+            "refine_ground_energy_per_level",
+            "refine_observed_order",
+            "conventional_sum_reference",
+            "checks",
+        ]
+
 
 class TestDeterminism:
     COMMANDS = [

@@ -9,19 +9,16 @@ import pytest
 from wellpol.conventional_sum import infinite_well_alpha
 from wellpol.dalgarno_lewis import alpha_exact_prime
 from wellpol import grid_oracle
-from wellpol.errors import DomainError, FieldTooLargeError, NumericalError
-from wellpol.grid_oracle import (
-    GridOracleConfig,
-    OracleResult,
-    alpha_from_curvature,
-    alpha_sum_over_states,
-    oracle_study,
-    refine,
-    solve_spectrum,
-)
+from wellpol.errors import ConvergenceWarning, DomainError, FieldTooLargeError, NumericalError
+from wellpol.grid_oracle import GridOracleConfig, OracleResult, oracle_study, solve_spectrum
 from wellpol.well_spectrum import ground_state_from_R, ground_state_from_gamma
 
 R_REF = 3.617018  # gamma0 = 0.39 pi row
+
+
+def base_grid(config):
+    """Abscissae, diagonal and off-diagonal of the study's base grid."""
+    return grid_oracle._grid(config, grid_oracle._multiplier(config))
 
 
 class TestConfig:
@@ -69,6 +66,28 @@ class TestConfig:
         assert len(bisections) == 0
         assert len(ground_states) == 5
 
+    def test_study_builds_each_grid_once(self, monkeypatch):
+        # levels + 1 grids, the base one shared by both routes; the five
+        # ground states above are solved on them.
+        grids, ground_states = [], []
+        build = grid_oracle._grid
+        lowest = grid_oracle._lowest_vector
+
+        def counting_grid(*args, **kwargs):
+            grids.append(args[1:] + tuple(kwargs.values()))
+            return build(*args, **kwargs)
+
+        def counting_lowest(*args, **kwargs):
+            ground_states.append(args)
+            return lowest(*args, **kwargs)
+
+        monkeypatch.setattr(grid_oracle, "_grid", counting_grid)
+        monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
+        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        assert len(grids) == 3
+        assert len(set(grids)) == 3
+        assert len(ground_states) == 5
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -80,6 +99,11 @@ class TestConfig:
             {"well_R": R_REF, "field_values": (0.0, 1e-3, 2e-3)},
             {"well_R": R_REF, "field_values": (-0.5, 0.0, 0.5)},
             {"well_R": R_REF, "field_values": (0.0, 1e-3)},
+            {"well_R": R_REF, "box_half_width": 12.5},
+            {"well_R": R_REF, "box_half_width": 13.0},
+            {"well_R": R_REF, "num_points": math.nan},
+            {"well_R": R_REF, "num_points": math.inf},
+            {"well_R": R_REF, "num_states": math.nan},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -105,7 +129,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         config = GridOracleConfig(well_R=well_R)
-        x, diag, off, *_ = grid_oracle._grid(config)
+        x, diag, off = base_grid(config)
         start = grid_oracle._continuum_ground(config, x)
         e0, psi0 = grid_oracle._even_ground(diag, off, start)
         _, vec = grid_oracle._solve_band(diag, off, 0)
@@ -120,7 +144,7 @@ class TestSpectrum:
         # stays there; the factorisation below it fails, so the pair is
         # refused instead of returned as the ground state.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        _, diag, off, *_ = grid_oracle._grid(config)
+        _, diag, off = base_grid(config)
         centre = diag.size // 2
         block_diag = diag[centre:]
         block_off = off[centre:].copy()
@@ -142,8 +166,8 @@ class TestAlphaSum:
     def every_state(self):
         """The solve result and each grid state's share of the spectral sum."""
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = alpha_sum_over_states(config)
-        size = result.diagnostics["num_points_actual"]
+        result = oracle_study(config)
+        size = result.diagnostics["sum_num_points_actual"]
         spectrum = solve_spectrum(dataclasses.replace(config, num_states=size))
         assert spectrum.energies.size == size
         ground = spectrum.states[:, 0]
@@ -171,12 +195,12 @@ class TestAlphaSum:
         # H - E0 must be positive definite on the odd half-grid; a shift
         # past the first odd state breaks the Cholesky solve.
         monkeypatch.setattr(grid_oracle, "_rayleigh_refine", lambda *args: 1e3)
-        with pytest.raises(NumericalError):
-            alpha_sum_over_states(GridOracleConfig(well_R=R_REF, num_points=900))
+        with pytest.raises(NumericalError, match="not positive definite"):
+            oracle_study(GridOracleConfig(well_R=R_REF, num_points=900))
 
     def test_hard_wall_matches_conventional_sum(self):
         config = GridOracleConfig.hard_wall(num_points=1000)
-        result = alpha_sum_over_states(config)
+        result = oracle_study(config)
         reference = infinite_well_alpha(50).partial_alpha_prime
         assert result.alpha_sum == pytest.approx(reference, rel=2e-3)
 
@@ -184,39 +208,42 @@ class TestAlphaSum:
         # The published closed form at R = 9.037118 is 0.106382; the oracle
         # is exact, so the measured deviation (~1.5%) must stay inside 5%.
         config = GridOracleConfig(well_R=9.037118, num_points=900)
-        result = alpha_sum_over_states(config)
+        result = oracle_study(config)
         assert abs(result.alpha_sum - 0.106382) / 0.106382 < 0.05
 
 
 class TestCurvature:
     def test_two_routes_agree_at_matched_discretization(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        by_sum = alpha_sum_over_states(config)
-        by_curvature = alpha_from_curvature(config)
-        gap = abs(by_sum.alpha_sum - by_curvature.alpha_curvature)
-        assert gap / by_sum.alpha_sum < 5e-3
+        result = oracle_study(config)
+        gap = abs(result.alpha_sum - result.alpha_curvature)
+        assert gap / result.alpha_sum < 5e-3
 
     def test_zero_field_row_reproduces_ground_energy(self):
+        # The fit's zero-field point is the base grid's own ground energy.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = alpha_from_curvature(config)
-        fields = result.diagnostics["field_values"]
-        energies = result.diagnostics["ground_energies"]
-        assert energies[fields.index(0.0)] == result.ground_energy_dimless
+        result = oracle_study(config)
+        fields = result.diagnostics["curvature_field_values"]
+        energies = result.diagnostics["curvature_ground_energies"]
+        x, diag, off = base_grid(config)
+        e0, _ = grid_oracle._even_ground(diag, off, grid_oracle._continuum_ground(config, x))
+        assert energies[fields.index(0.0)] == e0
 
     def test_no_permanent_dipole(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = alpha_from_curvature(config)
+        result = oracle_study(config)
         # linear term of the fit ~ 0 relative to the curvature scale
-        assert abs(result.diagnostics["linear_coeff"]) <= 1e-6 * abs(
-            result.diagnostics["quadratic_coeff"]
+        assert abs(result.diagnostics["curvature_linear_coeff"]) <= 1e-6 * abs(
+            result.diagnostics["curvature_quadratic_coeff"]
         )
         # The route takes E(-eps') from the solve at +eps'; a direct solve at
         # -eps' checks that symmetry instead of assuming it.
-        x, diag, off, *_ = grid_oracle._grid(config)
+        x, diag, off = base_grid(config)
         eps = max(config.field_values)
         shifted = diag + eps * x
         _, vec = grid_oracle._solve_band(shifted, off, 0)
-        mirrored = result.diagnostics["ground_energies"][config.field_values.index(-eps)]
+        energies = result.diagnostics["curvature_ground_energies"]
+        mirrored = energies[config.field_values.index(-eps)]
         assert grid_oracle._rayleigh_refine(shifted, off, vec[:, 0]) == pytest.approx(
             mirrored, rel=1e-14, abs=0.0
         )
@@ -226,9 +253,9 @@ class TestCurvature:
     )
     def test_field_energies_match_bisection_reference(self, well_R):
         config = GridOracleConfig(well_R=well_R)
-        result = alpha_from_curvature(config)
-        x, diag, off, *_ = grid_oracle._grid(config)
-        for eps, energy in zip(config.field_values, result.diagnostics["ground_energies"]):
+        energies = oracle_study(config).diagnostics["curvature_ground_energies"]
+        x, diag, off = base_grid(config)
+        for eps, energy in zip(config.field_values, energies):
             if eps == 0.0:
                 continue
             shifted = diag - abs(eps) * x
@@ -243,16 +270,16 @@ class TestCurvature:
         # well, which the full bisection solve shows by where it peaks.
         state = ground_state_from_gamma((0.15 + 0.0025 * step) * math.pi)
         config = GridOracleConfig(well_R=state.R)
-        x, diag, off, *_ = grid_oracle._grid(config)
+        x, diag, off = base_grid(config)
         escaped = False
         for size in {abs(eps) for eps in config.field_values} - {0.0}:
             _, vec = grid_oracle._solve_band(diag - size * x, off, 0)
             escaped |= abs(x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
         if escaped:
             with pytest.raises(FieldTooLargeError):
-                alpha_from_curvature(config)
+                oracle_study(config)
         else:
-            assert alpha_from_curvature(config).alpha_curvature > 0.0
+            assert oracle_study(config).alpha_curvature > 0.0
 
     def test_study_shares_zero_field_energy(self):
         result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
@@ -262,8 +289,8 @@ class TestCurvature:
 
     def test_fit_residual_is_tiny_for_reference_row(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = alpha_from_curvature(config)
-        assert result.diagnostics["fit_residual_rel"] <= 1e-10
+        result = oracle_study(config)
+        assert result.diagnostics["curvature_fit_residual_rel"] <= 1e-10
 
     def test_shallow_well_with_large_fields_trips_guard(self):
         config = GridOracleConfig(
@@ -272,18 +299,26 @@ class TestCurvature:
             field_values=(-1e-2, -5e-3, 0.0, 5e-3, 1e-2),
         )
         with pytest.raises(FieldTooLargeError):
-            alpha_from_curvature(config)
+            oracle_study(config)
 
 
 class TestRefine:
     def test_observed_order_near_two(self):
         config = GridOracleConfig(well_R=R_REF, num_points=600)
-        result = refine(config, levels=2)
-        assert 1.5 <= result.diagnostics["observed_order"] <= 2.5
+        result = oracle_study(config, levels=2)
+        assert 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
+
+    def test_convergence_warning_points_at_caller(self):
+        # 500 points at gamma0 = 0.49 pi are pre-asymptotic (order ~1.07).
+        state = ground_state_from_gamma(0.49 * math.pi)
+        config = GridOracleConfig(well_R=state.R, num_points=500)
+        with pytest.warns(ConvergenceWarning, match="observed convergence order") as record:
+            oracle_study(config, levels=2)
+        assert record[0].filename == __file__
 
     def test_hard_wall_extrapolation_is_stable(self):
-        coarse = refine(GridOracleConfig.hard_wall(num_points=600), levels=2)
-        finer = refine(GridOracleConfig.hard_wall(num_points=1200), levels=2)
+        coarse = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)
+        finer = oracle_study(GridOracleConfig.hard_wall(num_points=1200), levels=2)
         assert coarse.richardson_alpha == pytest.approx(
             finer.richardson_alpha, abs=1e-4 * finer.richardson_alpha
         )
@@ -292,7 +327,7 @@ class TestRefine:
         # R = 49.008061 is the one Table-1 row where the closed form is
         # essentially exact; the extrapolated oracle lands within 2%.
         config = GridOracleConfig(well_R=49.008061, num_points=1200)
-        result = refine(config, levels=2)
+        result = oracle_study(config, levels=2)
         assert abs(result.richardson_alpha - 0.076129) / 0.076129 < 0.02
 
     @pytest.mark.parametrize("gamma_pi", [0.39, 0.41, 0.43, 0.45, 0.47, 0.49])
@@ -300,23 +335,41 @@ class TestRefine:
         # Order 2 holds; deep wells are only pre-asymptotic at two levels.
         state = ground_state_from_gamma(gamma_pi * math.pi)
         config = GridOracleConfig(well_R=state.R, num_points=1100)
-        result = refine(config, levels=4)
+        result = oracle_study(config, levels=4)
         assert result.richardson_alpha == pytest.approx(alpha_exact_prime(state), rel=1e-6)
 
     def test_rejects_single_level(self):
-        with pytest.raises(DomainError):
-            refine(GridOracleConfig.hard_wall(num_points=600), levels=1)
+        with pytest.raises(DomainError, match="need at least 2 grid doublings"):
+            oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=1)
+
+    @pytest.mark.parametrize("levels", [1, 2.5, 3.0])
+    def test_levels_are_checked_before_any_grid(self, monkeypatch, levels):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(grid_oracle, "_grid", no_grid)
+        with pytest.raises(DomainError, match="grid doublings|must be an integer"):
+            oracle_study(GridOracleConfig(well_R=0.529, num_points=600), levels=levels)
 
 
 class TestOracleResult:
     def test_positivity_enforced(self):
-        with pytest.raises(NumericalError):
-            OracleResult(alpha_sum=-1.0, alpha_curvature=None, ground_energy_dimless=0.0)
+        with pytest.raises(NumericalError, match="alpha_sum must be positive"):
+            OracleResult(
+                alpha_sum=-1.0, alpha_curvature=0.1, ground_energy_dimless=0.0,
+                richardson_alpha=0.1,
+            )
+        with pytest.raises(NumericalError, match="alpha_curvature must be positive"):
+            OracleResult(
+                alpha_sum=0.1, alpha_curvature=-1.0, ground_energy_dimless=0.0,
+                richardson_alpha=0.1,
+            )
 
     def test_route_mismatch_enforced(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="oracle routes disagree"):
             OracleResult(
-                alpha_sum=0.2, alpha_curvature=0.1, ground_energy_dimless=0.0
+                alpha_sum=0.2, alpha_curvature=0.1, ground_energy_dimless=0.0,
+                richardson_alpha=0.2,
             )
 
     def test_combined_study_fills_everything(self):
