@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
-from .well_spectrum import GroundState, psi0_eval
+from .well_spectrum import GroundState
 
 __all__ = [
     "HARD_WALL_ALPHA_COEFF",
@@ -106,22 +106,23 @@ def _phi_inner(gamma0: float, c_prime: float, x: float) -> float:
     return -(x * x * s / gamma0 + x * c / gamma0**2 + c_prime * s / gamma0)
 
 
-def _phi_outer(gamma0: float, beta0: float, ax: float) -> float:
-    # Right-region form (ax > 1); the left region is the odd mirror image.
-    return (
+def _phi_outer(gamma0: float, beta0: float, x: float) -> float:
+    # Outer form for |x| >= 1, odd in x: the left region mirrors the right.
+    ax = abs(x)
+    return math.copysign(
         math.cos(gamma0)
         * math.exp(-beta0 * (ax - 1.0))
-        * (ax * ax / beta0 + ax / beta0**2)
+        * (ax * ax / beta0 + ax / beta0**2),
+        x,
     )
 
 
 def phi_eval(phi: PhiReduced, x_over_a: float) -> float:
     """Evaluate the reduced phi'(x'); odd in x', boundary owned by the outer piece."""
     st = phi.state
-    ax = abs(x_over_a)
-    if ax < 1.0:
+    if abs(x_over_a) < 1.0:
         return _phi_inner(st.gamma0, phi.c_coefficient, x_over_a)
-    return math.copysign(_phi_outer(st.gamma0, st.beta0, ax), x_over_a)
+    return _phi_outer(st.gamma0, st.beta0, x_over_a)
 
 
 def phi_jump(phi: PhiReduced) -> float:
@@ -379,30 +380,42 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-def _panels(state: GroundState, region: str) -> list[tuple[float, float]]:
-    """(centre, half-width) of each quadrature panel of the chosen pieces.
+def _panel_sums(state: GroundState, k: int, n: int, region: str = "all") -> list[float]:
+    """Integral of psi0 x'^k phi' / N' over each panel, by the n-point rule.
 
-    The left outer panels mirror the right ones exactly, so even and odd
-    integrands keep their parity through the sum.
+    k = 1 gives alpha' / (N' N'), k = 0 the overlap <psi0|phi'> / N'.  Each
+    panel's region is known, so the kernel calls ``_phi_inner`` or
+    ``_phi_outer`` directly.  The left outer panels' nodes are the exact
+    negatives of the right ones', so for the even k = 1 integrand a left
+    panel's sum equals its mirror's bit for bit: it is computed once and
+    listed twice.  The odd k = 0 integrand is evaluated on both sides, so
+    the parity check sees each.
     """
-    panels: list[tuple[float, float]] = []
-    if region in ("all", "outer"):
-        edges = [1.0 + t / state.beta0 for t in _OUTER_PANEL_T]
+    g, b = state.gamma0, state.beta0
+    n_prime = math.sqrt(state.n_prime_sq)
+    rule = tuple(zip(*_gauss_legendre(n)))
+    sums: list[float] = []
+    if region != "inner":
+        n_cos = n_prime * math.cos(g)
+        edges = [1.0 + t / b for t in _OUTER_PANEL_T]
         for lo, hi in zip(edges, edges[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            panels += [(-mid, half), (mid, half)]
-    if region in ("all", "inner"):
-        panels.append((0.0, 1.0))
-    return panels
-
-
-def _gauss(f, panels: list[tuple[float, float]], n: int) -> list[float]:
-    """Integral of f over each panel by the n-point Gauss-Legendre rule."""
-    nodes, weights = _gauss_legendre(n)
-    return [
-        half * math.fsum([w * f(mid + half * x) for x, w in zip(nodes, weights)])
-        for mid, half in panels
-    ]
+            for centre in (mid,) if k else (-mid, mid):
+                terms = []
+                for node, w in rule:
+                    x = centre + half * node
+                    psi = n_cos * math.exp(-b * (abs(x) - 1.0))
+                    terms.append(w * ((psi * x if k else psi) * _phi_outer(g, b, x)))
+                total = half * math.fsum(terms)
+                sums += [total, total] if k else [total]
+    if region != "outer":
+        c_prime = default_c_prime(g)
+        terms = []
+        for x, w in rule:
+            psi = n_prime * math.cos(g * abs(x))
+            terms.append(w * ((psi * x if k else psi) * _phi_inner(g, c_prime, x)))
+        sums.append(math.fsum(terms))
+    return sums
 
 
 def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
@@ -411,18 +424,13 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
     Independent numerical route to alpha' (or to its outer / inner pieces
     via ``region``); agrees with the closed forms to better than 1e-8
     relative.  Raises NumericalError when the 16- and 10-point rules
-    differ by more than 1e-8 of the total.
+    differ by more than 1e-8 of the total.  The integrand is even, so each
+    left outer panel is counted as twice its right mirror.
     """
     if region not in ("all", "outer", "inner"):
         raise DomainError(f"region must be 'all', 'outer' or 'inner', got {region!r}")
-    phi = phi_reduced(state)
-
-    def integrand(x: float) -> float:
-        return psi0_eval(state, x) * x * phi_eval(phi, x)
-
-    panels = _panels(state, region)
-    high = _gauss(integrand, panels, _RULE_POINTS)
-    low = _gauss(integrand, panels, _ESTIMATE_POINTS)
+    high = _panel_sums(state, 1, _RULE_POINTS, region)
+    low = _panel_sums(state, 1, _ESTIMATE_POINTS, region)
     total = state.n_prime * math.fsum(high)
     err = state.n_prime * math.fsum(abs(h - lo) for h, lo in zip(high, low))
     if err > 1e-8 * max(abs(total), 1e-3):
@@ -435,9 +443,4 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
 
 def orthogonality(state: GroundState) -> float:
     """Overlap <psi0|phi'> by quadrature; vanishes by parity (psi0 even, phi' odd)."""
-    phi = phi_reduced(state)
-
-    def integrand(x: float) -> float:
-        return psi0_eval(state, x) * phi_eval(phi, x)
-
-    return math.fsum(_gauss(integrand, _panels(state, "all"), _RULE_POINTS))
+    return math.fsum(_panel_sums(state, 0, _RULE_POINTS))

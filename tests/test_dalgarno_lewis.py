@@ -420,12 +420,31 @@ class TestGaussLegendre:
         )
 
     def test_disagreeing_rules_raise(self, monkeypatch):
-        def kinked(phi, x):
-            return phi_eval(phi, x) + abs(x - 0.3)
+        inner = dalgarno_lewis._phi_inner
 
-        monkeypatch.setattr(dalgarno_lewis, "phi_eval", kinked)
+        def kinked(gamma0, c_prime, x):
+            return inner(gamma0, c_prime, x) + abs(x - 0.3)
+
+        monkeypatch.setattr(dalgarno_lewis, "_phi_inner", kinked)
         with pytest.raises(NumericalError, match="did not converge"):
             alpha_via_quadrature(state_039(), region="inner")
+
+    def test_even_integrand_is_evaluated_once_per_mirror_pair(self, monkeypatch):
+        # alpha' evaluates the right outer panels only, 4 panels x (16 + 10)
+        # nodes; the odd overlap evaluates both sides, 2 x 4 x 16 nodes.
+        calls = []
+        outer = dalgarno_lewis._phi_outer
+
+        def counting(*args):
+            calls.append(args)
+            return outer(*args)
+
+        monkeypatch.setattr(dalgarno_lewis, "_phi_outer", counting)
+        alpha_via_quadrature(state_039())
+        assert len(calls) == 104
+        calls.clear()
+        orthogonality(state_039())
+        assert len(calls) == 128
 
 
 class TestOrthogonality:
@@ -436,12 +455,24 @@ class TestOrthogonality:
 
     def test_even_contaminant_is_detected(self, monkeypatch):
         state = state_039()
+        inner = dalgarno_lewis._phi_inner
 
-        def contaminated(phi, x):
-            bump = x * x if abs(x) < 1.0 else 0.0
-            return phi_eval(phi, x) + bump
+        def contaminated(gamma0, c_prime, x):
+            return inner(gamma0, c_prime, x) + x * x
 
-        monkeypatch.setattr(dalgarno_lewis, "phi_eval", contaminated)
+        monkeypatch.setattr(dalgarno_lewis, "_phi_inner", contaminated)
+        assert orthogonality(state) > 1e-3
+
+    def test_even_outer_contaminant_is_detected(self, monkeypatch):
+        # The odd integrand's left outer panels must be evaluated, not
+        # folded onto the right ones, or this bump would cancel.
+        state = state_039()
+        outer = dalgarno_lewis._phi_outer
+
+        def contaminated(gamma0, beta0, x):
+            return outer(gamma0, beta0, x) + x * x
+
+        monkeypatch.setattr(dalgarno_lewis, "_phi_outer", contaminated)
         assert orthogonality(state) > 1e-3
 
 
