@@ -106,15 +106,12 @@ def _phi_inner(gamma0: float, c_prime: float, x: float) -> float:
     return -(x * x * s / gamma0 + x * c / gamma0**2 + c_prime * s / gamma0)
 
 
-def _phi_outer(gamma0: float, beta0: float, x: float) -> float:
+def _phi_outer(gamma0: float, beta0: float, x: float, env: float) -> float:
     # Outer form for |x| >= 1, odd in x: the left region mirrors the right.
+    # The envelope env = e^{-beta0 (|x| - 1)} is an argument, so quadrature
+    # can take it from its node in t = beta0 (|x| - 1), not from a rounded x.
     ax = abs(x)
-    return math.copysign(
-        math.cos(gamma0)
-        * math.exp(-beta0 * (ax - 1.0))
-        * (ax * ax / beta0 + ax / beta0**2),
-        x,
-    )
+    return math.copysign(math.cos(gamma0) * env * (ax * ax / beta0 + ax / beta0**2), x)
 
 
 def phi_eval(phi: PhiReduced, x_over_a: float) -> float:
@@ -122,7 +119,8 @@ def phi_eval(phi: PhiReduced, x_over_a: float) -> float:
     st = phi.state
     if abs(x_over_a) < 1.0:
         return _phi_inner(st.gamma0, phi.c_coefficient, x_over_a)
-    return _phi_outer(st.gamma0, st.beta0, x_over_a)
+    env = math.exp(-st.beta0 * (abs(x_over_a) - 1.0))
+    return _phi_outer(st.gamma0, st.beta0, x_over_a, env)
 
 
 def phi_jump(phi: PhiReduced) -> float:
@@ -132,7 +130,7 @@ def phi_jump(phi: PhiReduced) -> float:
     the jump is reported as a diagnostic only.
     """
     st = phi.state
-    return _phi_outer(st.gamma0, st.beta0, 1.0) - _phi_inner(
+    return _phi_outer(st.gamma0, st.beta0, 1.0, 1.0) - _phi_inner(
         st.gamma0, phi.c_coefficient, 1.0
     )
 
@@ -238,7 +236,7 @@ def _edge_match(state: GroundState) -> tuple[float, float]:
     g, b = state.gamma0, state.beta0
     s, c = math.sin(g), math.cos(g)
     # In-well particular part p = _phi_inner(g, 0, x) and outer part
-    # u = _phi_outer(g, b, x), with their slopes, at x' = 1.
+    # u = _phi_outer(g, b, x, env), with their slopes, at x' = 1.
     p1 = -(s / g + c / g**2)
     dp1 = -(s / g + c + c / g**2)
     u1 = c * (1.0 / b + 1.0 / b**2)
@@ -397,16 +395,17 @@ def _panel_sums(state: GroundState, k: int, n: int, region: str = "all") -> list
     sums: list[float] = []
     if region != "inner":
         n_cos = n_prime * math.cos(g)
-        edges = [1.0 + t / b for t in _OUTER_PANEL_T]
-        for lo, hi in zip(edges, edges[1:]):
+        for lo, hi in zip(_OUTER_PANEL_T, _OUTER_PANEL_T[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            for centre in (mid,) if k else (-mid, mid):
+            for side in (1.0,) if k else (-1.0, 1.0):
                 terms = []
                 for node, w in rule:
-                    x = centre + half * node
-                    psi = n_cos * math.exp(-b * (abs(x) - 1.0))
-                    terms.append(w * ((psi * x if k else psi) * _phi_outer(g, b, x)))
-                total = half * math.fsum(terms)
+                    t = mid + half * node
+                    env = math.exp(-t)
+                    x = side * (1.0 + t / b)
+                    psi = n_cos * env
+                    terms.append(w * ((psi * x if k else psi) * _phi_outer(g, b, x, env)))
+                total = half / b * math.fsum(terms)
                 sums += [total, total] if k else [total]
     if region != "outer":
         c_prime = default_c_prime(g)

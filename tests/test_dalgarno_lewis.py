@@ -396,12 +396,13 @@ class TestGaussLegendre:
                 assert abs(orthogonality(state)) <= 1e-10
 
     def test_regions_match_alpha1_and_alpha2(self):
-        # At pi/2 - 1e-9 the outer panels span 2.5e-8 in x', so the rounding
-        # of the nodes x' limits the outer piece to ~3e-8; alpha1' is 1e-18
-        # of the total there.  Below gamma0 ~ 0.02 the closed alpha2' itself
-        # loses 1e-12, because its bracket cancels 1/gamma0^5 terms; the
-        # inner piece is checked there against ALPHA2_QUAD instead.
-        for gamma in self.GRID[:-1]:
+        # The outer nodes and their envelope e^{-t} come from
+        # t = beta0 (|x'| - 1), not from a rounded x', so the outer piece
+        # holds 1e-12 up to pi/2 - 1e-9, where the panels span only 2.5e-8
+        # in x'.  Below gamma0 ~ 0.02 the closed alpha2' itself loses
+        # 1e-12, because its bracket cancels 1/gamma0^5 terms; the inner
+        # piece is checked there against ALPHA2_QUAD instead.
+        for gamma in self.GRID:
             state = ground_state_from_gamma(float(gamma))
             assert alpha_via_quadrature(state, region="outer") == pytest.approx(
                 alpha1_prime(state), rel=1e-12
@@ -469,8 +470,8 @@ class TestOrthogonality:
         state = state_039()
         outer = dalgarno_lewis._phi_outer
 
-        def contaminated(gamma0, beta0, x):
-            return outer(gamma0, beta0, x) + x * x
+        def contaminated(gamma0, beta0, x, env):
+            return outer(gamma0, beta0, x, env) + x * x
 
         monkeypatch.setattr(dalgarno_lewis, "_phi_outer", contaminated)
         assert orthogonality(state) > 1e-3
