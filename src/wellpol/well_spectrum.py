@@ -32,6 +32,7 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "GAMMA_MAX",
+    "GAMMA_MIN",
     "WellSpec",
     "GroundState",
     "normalization_sq",
@@ -43,6 +44,9 @@ __all__ = [
 # Largest inside phase accepted by direct evaluation; tan(gamma) overflows
 # double precision usefully beyond this point.
 GAMMA_MAX = 0.5 * math.pi - 1e-9
+# Smallest inside phase of any state: the closed-form alpha1' is built from
+# 1/beta0^5 ~ gamma0^-10, which overflows below gamma0 ~ 1.5e-31.
+GAMMA_MIN = 1e-30
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,11 @@ class GroundState:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma0 < 0.5 * math.pi):
             raise DomainError(f"gamma0 must lie in (0, pi/2), got {self.gamma0!r}")
+        if self.gamma0 < GAMMA_MIN:
+            raise DomainError(
+                f"gamma0 must be >= {GAMMA_MIN!r}, got {self.gamma0!r}; "
+                "the closed-form polarizability overflows below it"
+            )
         if not (self.beta0 > 0.0 and self.R > 0.0 and self.n_prime_sq > 0.0):
             raise DomainError("beta0, R and n_prime_sq must all be positive")
         # Quantisation residuals, each bounded relative to the terms it

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellpol.dalgarno_lewis import (
     alpha1_prime,
@@ -27,7 +28,7 @@ from wellpol.dalgarno_lewis import (
 from wellpol import dalgarno_lewis
 from wellpol.dalgarno_lewis import _edge_match
 from wellpol.errors import DomainError, NumericalError
-from wellpol.well_spectrum import GAMMA_MAX, ground_state_from_gamma
+from wellpol.well_spectrum import GAMMA_MAX, GAMMA_MIN, ground_state_from_gamma
 
 PI = math.pi
 
@@ -475,6 +476,33 @@ class TestOrthogonality:
 
         monkeypatch.setattr(dalgarno_lewis, "_phi_outer", contaminated)
         assert orthogonality(state) > 1e-3
+
+
+class TestQuadratureProperties:
+    """Quadrature against the closed forms over the whole gamma0 domain."""
+
+    # Plain floats cluster near the top of the range, so half the draws are
+    # log-uniform over the shallow wells.
+    GAMMAS = st.one_of(
+        st.floats(min_value=0.0, max_value=GAMMA_MAX, exclude_min=True),
+        st.floats(min_value=-32.0, max_value=0.0).map(lambda e: 10.0**e),
+    )
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(GAMMAS)
+    def test_quadrature_matches_closed_forms(self, gamma):
+        if gamma < GAMMA_MIN:
+            with pytest.raises(DomainError):
+                ground_state_from_gamma(gamma)
+            return
+        state = ground_state_from_gamma(gamma)
+        assert orthogonality(state) == 0.0
+        assert alpha_via_quadrature(state, region="outer") == pytest.approx(
+            alpha1_prime(state), rel=1e-12
+        )
+        assert alpha_via_quadrature(state) == pytest.approx(
+            breakdown(state).alpha_prime, rel=1e-12
+        )
 
 
 class TestSpecProperties:

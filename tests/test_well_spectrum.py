@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import (
     GAMMA_MAX,
+    GAMMA_MIN,
     GroundState,
     WellSpec,
     ground_state_from_R,
@@ -95,6 +96,16 @@ class TestGroundStateFromGamma:
     def test_rejects_out_of_interval(self, bad):
         with pytest.raises(DomainError):
             ground_state_from_gamma(bad)
+
+    def test_floor_is_refused_from_either_constructor(self):
+        # Below GAMMA_MIN the closed-form alpha1' divided by zero (1e-40)
+        # or returned inf (1e-31); both constructors now refuse the state.
+        assert ground_state_from_gamma(GAMMA_MIN).gamma0 == GAMMA_MIN
+        for gamma in (0.5 * GAMMA_MIN, 1e-31, 1e-40):
+            with pytest.raises(DomainError, match="overflows"):
+                ground_state_from_gamma(gamma)
+            with pytest.raises(DomainError, match="overflows"):
+                ground_state_from_R(gamma)
 
 
 class TestNormalization:
