@@ -379,15 +379,16 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _panel_sums(state: GroundState, k: int, n: int, region: str = "all") -> list[float]:
-    """Integral of psi0 x'^k phi' / N' over each panel, by the n-point rule.
+    """Integral of psi0 x'^k phi' over each panel, by the n-point rule.
 
-    k = 1 gives alpha' / (N' N'), k = 0 the overlap <psi0|phi'> / N'.  Each
-    panel's region is known, so the kernel calls ``_phi_inner`` or
-    ``_phi_outer`` directly.  The left outer panels' nodes are the exact
-    negatives of the right ones', so for the even k = 1 integrand a left
-    panel's sum equals its mirror's bit for bit: it is computed once and
-    listed twice.  The odd k = 0 integrand is evaluated on both sides, so
-    the parity check sees each.
+    The k = 1 panels sum to alpha' / N', the k = 0 panels to <psi0|phi'>.
+    Each panel's region is known, so the kernel calls ``_phi_inner`` or
+    ``_phi_outer`` directly.  The outer panels are mapped in
+    t = beta0 (|x'| - 1), and the envelope e^{-t} is taken at the t-node.
+    A left outer node is the exact negative of its right mirror, so for
+    the even k = 1 integrand a left panel's sum equals its mirror's bit for
+    bit: it is computed once and listed twice.  The odd k = 0 integrand is
+    evaluated on both sides, so the parity check sees each.
     """
     g, b = state.gamma0, state.beta0
     n_prime = math.sqrt(state.n_prime_sq)
