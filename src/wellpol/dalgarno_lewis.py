@@ -33,7 +33,11 @@ so the applied field eps never appears numerically.  ``alpha_via_quadrature``
 integrates <psi0| x |phi> directly as an independent route to the same
 number, and ``orthogonality`` checks <psi0|phi> = 0.  Both use fixed
 Gauss-Legendre panels written in ``math``, so this module, like every
-closed form here, needs neither numpy nor scipy.
+closed form here, needs neither numpy nor scipy.  One kernel sums both
+integrands panel by panel, with the outer panels mapped in
+t = beta0 (|x'| - 1).  The alpha' integrand is even, so each left outer
+panel is its right mirror counted twice; the odd overlap integrand is
+evaluated on both sides, so its parity check sees each.
 """
 
 from __future__ import annotations
@@ -117,10 +121,10 @@ def _phi_outer(gamma0: float, beta0: float, x: float, env: float) -> float:
 def phi_eval(phi: PhiReduced, x_over_a: float) -> float:
     """Evaluate the reduced phi'(x'); odd in x', boundary owned by the outer piece."""
     st = phi.state
-    if abs(x_over_a) < 1.0:
+    ax = abs(x_over_a)
+    if ax < 1.0:
         return _phi_inner(st.gamma0, phi.c_coefficient, x_over_a)
-    env = math.exp(-st.beta0 * (abs(x_over_a) - 1.0))
-    return _phi_outer(st.gamma0, st.beta0, x_over_a, env)
+    return _phi_outer(st.gamma0, st.beta0, x_over_a, math.exp(-st.beta0 * (ax - 1.0)))
 
 
 def phi_jump(phi: PhiReduced) -> float:
@@ -424,8 +428,11 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
     Independent numerical route to alpha' (or to its outer / inner pieces
     via ``region``); agrees with the closed forms to better than 1e-8
     relative.  Raises NumericalError when the 16- and 10-point rules
-    differ by more than 1e-8 of the total.  The integrand is even, so each
-    left outer panel is counted as twice its right mirror.
+    differ by more than 1e-8 of the total.  The outer panels are mapped in
+    t = beta0 (|x'| - 1), so near the hard wall, where they span only
+    ~40/beta0 in x', the nodes do not lose digits to a rounded x'.  The
+    integrand is even, so each left outer panel is counted as twice its
+    right mirror.
     """
     if region not in ("all", "outer", "inner"):
         raise DomainError(f"region must be 'all', 'outer' or 'inner', got {region!r}")
