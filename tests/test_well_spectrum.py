@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+
+from oracles import cos_root
 
 from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import (
@@ -36,6 +39,19 @@ BETA0_BISECT = {
     1e06: 999999.9999987663,
     1e09: 1000000000.0,
 }
+GAMMA0_BISECT = {
+    1e-08: 1e-08,
+    1e-06: 9.999999999995e-07,
+    1e-04: 9.999999950000001e-05,
+    1e-02: 0.009999500054159154,
+    0.3: 0.28767208525843313,
+    1.0: 0.7390851332151607,
+    3.0: 1.170120950002626,
+    10.0: 1.4275517787645942,
+    1e03: 1.569227099051814,
+    1e06: 1.5707947560001405,
+    1e09: 1.5707963252241004,
+}
 
 
 class TestGroundStateFromR:
@@ -57,9 +73,17 @@ class TestGroundStateFromR:
     @pytest.mark.parametrize("R", sorted(BETA0_BISECT))
     def test_beta0_against_bisection_oracle(self, R):
         # sqrt(R^2 - gamma0^2) cancels on shallow wells (82% off at 1e-8)
-        # and gamma0 tan(gamma0) is steep on deep ones (7.5e-8 off at 1e9).
+        # and gamma0 tan(gamma0) is steep on deep ones (7.5e-8 off at 1e9);
+        # R sin(gamma0) does neither.
         beta0 = ground_state_from_R(R).beta0
         assert beta0 == pytest.approx(BETA0_BISECT[R], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("R", sorted(GAMMA0_BISECT))
+    def test_gamma0_against_bisection_oracle(self, R):
+        gamma0 = ground_state_from_R(R).gamma0
+        assert gamma0 == pytest.approx(
+            GAMMA0_BISECT[R], rel=0.0, abs=math.ulp(GAMMA0_BISECT[R])
+        )
 
     def test_root_residual(self):
         for R in (0.05, 0.5, 3.617018, 9.037118, 49.008061):
@@ -73,6 +97,21 @@ class TestGroundStateFromR:
     def test_rejects_bad_strength(self, bad):
         with pytest.raises(DomainError):
             ground_state_from_R(bad)
+
+    def test_floor_strength_gives_floor_gamma(self):
+        # The true root R - R^3/2 rounds to R, so R = GAMMA_MIN is a state.
+        assert ground_state_from_R(GAMMA_MIN).gamma0 == GAMMA_MIN
+
+    @pytest.mark.parametrize("R", [1e-31, 5e-324])
+    def test_strength_below_floor_is_a_domain_error(self, R):
+        with pytest.raises(DomainError):
+            ground_state_from_R(R)
+
+    @pytest.mark.parametrize("R", [1.6e12, 1e13, 1e300])
+    def test_root_above_hard_wall_margin_is_refused(self, R):
+        # The root lies within 1e-12 of pi/2 from R ~ 1.57e12 on.
+        with pytest.raises(NumericalError):
+            ground_state_from_R(R)
 
 
 class TestGroundStateFromGamma:
@@ -168,14 +207,31 @@ class TestPsi0:
             assert abs(inner - (-state.beta0)) <= 1e-10
 
 
+class TestRootProperties:
+    """The root against a 32-digit mpmath root over the whole R domain."""
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(st.floats(min_value=-8.0, max_value=9.0).map(lambda e: 10.0**e))
+    def test_root_matches_mpmath(self, R):
+        # gamma0 is the rounded root or its neighbour.  beta0's worst
+        # measured error is 3.2e-16 over 10^4 log-uniform R.
+        state = ground_state_from_R(R)
+        gamma_ref, beta_ref = (float(v) for v in cos_root(R, dps=32))
+        assert state.gamma0 == pytest.approx(gamma_ref, rel=0.0, abs=math.ulp(gamma_ref))
+        assert state.beta0 == pytest.approx(beta_ref, rel=4e-16, abs=0.0)
+
+
 class TestInvariants:
     GAMMAS = [0.02 * PI + k * (0.479 * PI - 0.02 * PI) / 99 for k in range(100)]
 
     def test_round_trip_identity_on_gamma(self):
-        for gamma in self.GAMMAS:
+        # Log grid from 1e-8 to GAMMA_MAX: R(gamma0) and back within one ulp.
+        top = math.log10(GAMMA_MAX)
+        for k in range(2001):
+            gamma = min(10.0 ** (-8.0 + k * (top + 8.0) / 2000.0), GAMMA_MAX)
             state = ground_state_from_gamma(gamma)
             back = ground_state_from_R(state.R)
-            assert back.gamma0 == pytest.approx(gamma, abs=1e-10)
+            assert back.gamma0 == pytest.approx(gamma, rel=0.0, abs=math.ulp(gamma))
 
     def test_quantisation_residuals(self):
         for gamma in self.GAMMAS:
