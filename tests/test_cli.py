@@ -199,6 +199,15 @@ class TestSolve:
         assert diag["alpha_via_quadrature"] == pytest.approx(0.188326, abs=1e-6)
         assert math.isfinite(diag["phi_jump_at_edge"])
 
+    def test_shallow_well_in_well_columns(self, capsys):
+        # alpha2' -> pi^2/6 - 2/3 and alpha2_t' -> -2/3 as gamma0 -> 0; the
+        # cancelling closed form printed -0.53 and -2.33 here.
+        code, out = run(["solve", "--gamma", "1e-8", "--format", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["alpha2_prime"] == pytest.approx(math.pi**2 / 6 - 2 / 3, rel=1e-15)
+        assert row["alpha2_t_prime"] == pytest.approx(-2 / 3, rel=1e-15)
+
     def test_by_strength_matches_by_gamma(self, capsys):
         _, by_r = run(["solve", "--R", "3.617018", "--format", "json"], capsys)
         row = json.loads(by_r)["rows"][0]

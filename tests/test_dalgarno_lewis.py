@@ -43,6 +43,18 @@ ALPHA2_QUAD = {
     1e-4: 0.9782673870800409,
     1e-2: 0.9781363958355124,
 }
+# gamma0 (rad) -> (alpha2', alpha2_t') of the paper's closed form at 80 digits
+# and the same float gamma0.  0.05 and 0.07 straddle the series crossover.
+ALPHA2_SMALL = {
+    1e-02: (0.9781363958355124, -0.6666222243808198),
+    1e-04: (0.9782673870800409, -0.6666666622222223),
+    1e-06: (0.9782674001802496, -0.6666666666662222),
+    1e-08: (0.9782674001815597, -0.6666666666666666),
+    1e-10: (0.9782674001815598, -0.6666666666666666),
+    1e-15: (0.9782674001815598, -0.6666666666666666),
+    0.05: (0.9749987858841798, -0.6655569026931306),
+    0.07: (0.9718736014773484, -0.6644940564485649),
+}
 # gamma0/pi -> alpha' of the edge-matched phi' by 40-digit quadrature.
 ALPHA_EXACT_QUAD = {
     0.05: 3264330.310682011,
@@ -226,6 +238,27 @@ class TestAlpha2:
             ALPHA2T_QUAD_039PI, rel=1e-12
         )
 
+    @pytest.mark.parametrize("gamma", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-15])
+    def test_shallow_wells_against_80_digit_closed_form(self, gamma):
+        # The seven-term bracket cancels from ~gamma0^-5 down to ~gamma0^-2
+        # (alpha2' read -0.53 and alpha2_t' -2.33 at 1e-8); below the
+        # crossover its series is summed instead.  Worst measured: 3.3e-16.
+        state = ground_state_from_gamma(gamma)
+        a2, a2t = ALPHA2_SMALL[gamma]
+        assert alpha2_prime(state) == pytest.approx(a2, rel=1e-15, abs=0.0)
+        assert alpha2_t_prime(state) == pytest.approx(a2t, rel=1e-15, abs=0.0)
+        assert t_ratio(state) == pytest.approx((a2 - a2t) / a2, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.07])
+    def test_both_sides_of_series_crossover(self, gamma):
+        # Series below _ALPHA2_SERIES_BELOW, closed form above it.  The worst
+        # of the two forms on [0.02, 0.1] is 1.7e-13 relative to 80 digits.
+        assert (gamma < dalgarno_lewis._ALPHA2_SERIES_BELOW) == (gamma == 0.05)
+        state = ground_state_from_gamma(gamma)
+        a2, a2t = ALPHA2_SMALL[gamma]
+        assert alpha2_prime(state) == pytest.approx(a2, rel=2e-13, abs=0.0)
+        assert alpha2_t_prime(state) == pytest.approx(a2t, rel=2e-13, abs=0.0)
+
     def test_trial_hard_wall_limit(self):
         assert alpha2_prime_hard_wall(0.0) == pytest.approx(-0.1324176, abs=1e-7)
         assert alpha2_prime_hard_wall(0.0) == pytest.approx(
@@ -400,16 +433,13 @@ class TestGaussLegendre:
         # The outer nodes and their envelope e^{-t} come from
         # t = beta0 (|x'| - 1), not from a rounded x', so the outer piece
         # holds 1e-12 up to pi/2 - 1e-9, where the panels span only 2.5e-8
-        # in x'.  Below gamma0 ~ 0.02 the closed alpha2' itself loses
-        # 1e-12, because its bracket cancels 1/gamma0^5 terms; the inner
-        # piece is checked there against ALPHA2_QUAD instead.
+        # in x'.  The closed alpha2' sums its series on shallow wells, so the
+        # inner piece holds 1e-12 down to gamma0 = 1e-6.
         for gamma in self.GRID:
             state = ground_state_from_gamma(float(gamma))
             assert alpha_via_quadrature(state, region="outer") == pytest.approx(
                 alpha1_prime(state), rel=1e-12
             )
-        for gamma in self.GRID[2:]:
-            state = ground_state_from_gamma(float(gamma))
             assert alpha_via_quadrature(state, region="inner") == pytest.approx(
                 alpha2_prime(state), rel=1e-12
             )
