@@ -13,7 +13,9 @@ with g0 = gamma0, b0 = beta0, and f1, f2 rational-trigonometric
 coefficients that carry the homogeneous-correction constant C'.  The
 correction sin-wave added inside the well is fixed by matching the
 hard-wall limit, C' = -(pi/2)^2 / gamma0^2; the trial value alpha2_t'
-corresponds to C' = 0.
+corresponds to C' = 0.  On shallow wells the alpha2' bracket's terms cancel
+from ~gamma0^-5 down to ~gamma0^-2, so below gamma0 = 0.06 it is summed
+from its Taylor series instead.
 
 The module offers two closed forms for the total.  ``breakdown(state)
 .alpha_prime`` is the paper's printed heuristic: its C' is the hard-wall

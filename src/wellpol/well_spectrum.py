@@ -175,15 +175,15 @@ def _solve_gamma(R: float) -> float:
     increasing and convex and Newton started right of the root decreases
     monotonically onto it.  Iteration stops once a step is no longer
     positive or no longer decreases g.  The rounding of f is ~2 eps gamma0
-    and f' >= 1, so the returned root is within one ulp.
+    and f' >= 1, so the returned root is the correctly rounded one or a
+    float next to it.
     """
-    # Start just below min(R, pi/2), by the same margin the ground state
-    # has always kept from pi/2 (and from R, where the root sits ~R^3/2
-    # below it); f(start) < 0 means the root lies above the margin.
-    margin = 1e-12 if R > 0.5 * math.pi else min(1e-12, R**3 / 8.0)
-    g = min(R, 0.5 * math.pi) - margin
+    # f(R) = R (1 - cos R) >= 0, so R is a start right of the root.  Deep
+    # wells start 1e-12 below pi/2 instead; f < 0 there means the root lies
+    # within 1e-12 of pi/2 (R >~ 1.57e12), and that state is refused.
+    g = min(R, 0.5 * math.pi - 1e-12)
     if g - R * math.cos(g) < 0.0:
-        raise NumericalError(f"ground-state root for R = {R!r} lies above pi/2 - {margin!r}")
+        raise NumericalError(f"ground-state root for R = {R!r} lies above pi/2 - 1e-12")
     for _ in range(_NEWTON_STEPS):
         step = (g - R * math.cos(g)) / (1.0 + R * math.sin(g))
         if not (step > 0.0 and g - step < g):

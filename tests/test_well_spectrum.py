@@ -214,7 +214,7 @@ class TestRootProperties:
     @given(st.floats(min_value=-8.0, max_value=9.0).map(lambda e: 10.0**e))
     def test_root_matches_mpmath(self, R):
         # gamma0 is the rounded root or its neighbour.  beta0's worst
-        # measured error is 3.2e-16 over 10^4 log-uniform R.
+        # measured error is 3.1e-16 over 10^4 log-uniform R.
         state = ground_state_from_R(R)
         gamma_ref, beta_ref = (float(v) for v in cos_root(R, dps=32))
         assert state.gamma0 == pytest.approx(gamma_ref, rel=0.0, abs=math.ulp(gamma_ref))
