@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import conventional_sum, dalgarno_lewis, limits
 from .errors import DomainError, NumericalError
-from .well_spectrum import ground_state_from_R, ground_state_from_gamma
+from .well_spectrum import GroundState, ground_state_from_R, ground_state_from_gamma
 
 TABLE1_COLUMNS = (
     "gamma0_over_pi",
@@ -106,11 +106,10 @@ def _format_cell(column: str, value: float, precision: int) -> str:
     return format_fixed(value, precision)
 
 
-def _breakdown_row(gamma0: float) -> dict:
-    state = ground_state_from_gamma(gamma0)
+def _breakdown_row(state: GroundState) -> dict:
     bd = dalgarno_lewis.breakdown(state)
     return {
-        "gamma0_over_pi": gamma0 / math.pi,
+        "gamma0_over_pi": state.gamma0 / math.pi,
         "beta0": state.beta0,
         "R": state.R,
         "alpha1_prime": bd.alpha1_prime,
@@ -172,7 +171,7 @@ def _check(name: str, value: float, target: float, band: float) -> dict:
 
 def cmd_table(args) -> int:
     gammas_pi, columns = TABLES[args.command]
-    rows = [_breakdown_row(g * math.pi) for g in gammas_pi]
+    rows = [_breakdown_row(ground_state_from_gamma(g * math.pi)) for g in gammas_pi]
     _emit_table(rows, columns, args)
     return 0
 
@@ -184,7 +183,7 @@ def cmd_solve(args) -> int:
         state = ground_state_from_gamma(parse_angle(args.gamma))
     else:
         state = ground_state_from_R(args.R)
-    row = _breakdown_row(state.gamma0)
+    row = _breakdown_row(state)
     if args.format == "csv":
         _emit_table([row], SWEEP_COLUMNS, args)
         return 0
@@ -240,7 +239,7 @@ def cmd_sweep(args) -> int:
     for name, value in (("min", lo), ("max", hi)):
         if not 0.0 < value < 0.5 * math.pi:
             raise DomainError(f"sweep {name} must lie in (0, pi/2), got {value!r}")
-    rows = [_breakdown_row(gamma) for gamma in _sweep_gammas(lo, hi, step)]
+    rows = [_breakdown_row(ground_state_from_gamma(g)) for g in _sweep_gammas(lo, hi, step)]
     _emit_table(rows, SWEEP_COLUMNS, args)
     return 0
 

@@ -28,11 +28,12 @@ The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
 and makes Richardson extrapolation across grid doublings meaningful
 (``limits.extrapolate`` with ratio 1/4).
-Ground energies are refined with an extended-precision Rayleigh quotient so
-the curvature fit is not polluted by eigensolver noise.  ``oracle_study`` is
-the one entry point: it builds each of its grids once and finds one
-even-block ground state on each, for the Dalgarno-Lewis solve of that level;
-the base grid's also serves as the zero field of the curvature fit.
+Ground energies are Rayleigh quotients in an edge-difference form free of
+cancellation, so the curvature fit is not polluted by eigensolver noise.
+``oracle_study`` is the one entry point: it builds each of its grids once
+and finds one even-block ground state on each, for the Dalgarno-Lewis solve
+of that level; the base grid's also serves as the zero field of the
+curvature fit.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
 infinite-well configuration); responses then check out against the
@@ -47,8 +48,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solveh_banded
-from scipy.linalg.lapack import dgtsv, dpttrf
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpttrf, dptsv
 
 from .errors import ConvergenceWarning, DomainError, FieldTooLargeError, NumericalError
 from .limits import extrapolate
@@ -214,15 +215,18 @@ def _tridiag_matvec(diag, off, vec, minus=None):
 
 
 def _rayleigh_refine(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> float:
-    """Rayleigh quotient of an eigenvector in extended precision.
+    """Rayleigh quotient of an eigenvector in the edge-difference form.
 
-    Backward-stable tridiagonal solvers leave absolute eigenvalue noise of
-    order eps * ||T||, which is comparable to the Stark curvature signal on
-    fine grids; the long-double quotient removes it.
+    w.Tw = sum (-off_k) (w_{k+1} - w_k)^2 + sum (diag_k + off_{k-1} + off_k) w_k^2
+    exactly.  On the oracle's grids off = -m^2 < 0 and the on-site factor is
+    the potential, so no term of size |T| ~ 4 m^2 cancels as in w.(T w),
+    whose rounding in double is comparable to the Stark curvature signal.
     """
-    w = vec.astype(np.longdouble)
-    tw = _tridiag_matvec(diag.astype(np.longdouble), off.astype(np.longdouble), w)
-    return float((w @ tw) / (w @ w))
+    step = vec[1:] - vec[:-1]
+    onsite = diag.copy()
+    onsite[:-1] += off
+    onsite[1:] += off
+    return float((step @ (-off * step) + vec @ (onsite * vec)) / (vec @ vec))
 
 
 def _solve_band(diag, off, hi_index: int):
@@ -330,30 +334,25 @@ def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
     return _rayleigh_refine(diag, off, psi), psi
 
 
-
-
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     """alpha' from the discrete Dalgarno-Lewis solve, and the solve's residual.
 
     Equal to the transition sum over every state of the grid Hamiltonian;
-    the residual is the relative infinity-norm residual of the solve.
+    the residual is the relative infinity-norm residual of the solve.  phi
+    is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole problem.
+    That block holds only odd states, all above E_0', so H - E_0' is
+    positive definite there and LAPACK's L D L^T solve ``dptsv`` applies.
     """
-    # phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
-    # problem.  That block holds only odd states, all above E_0', so
-    # H - E_0' is positive definite there and Cholesky applies.
-    right = x > 0.0
-    b = (x * psi0)[right]
-    band = np.empty((2, b.size))
-    band[0, 0] = 0.0
-    band[0, 1:] = off[x.size - b.size:]
-    band[1] = diag[right] - e0
-    try:
-        phi = solveh_banded(band, b)
-    except LinAlgError as exc:
+    right = slice(x.size // 2 + 1, None)
+    b = x[right] * psi0[right]
+    d, e = diag[right] - e0, off[right]
+    phi, info = dptsv(d, e, b)[2:]
+    if info != 0:
         raise NumericalError(
-            f"H - E0 is not positive definite on the odd half-grid (n={x.size}): {exc}"
-        ) from exc
-    residual = _tridiag_matvec(band[1], band[0, 1:], phi, b)
+            f"H - E0 is not positive definite on the odd half-grid (n={x.size}): "
+            f"pivot {info} is not positive"
+        )
+    residual = _tridiag_matvec(d, e, phi, b)
     solve_residual = float(np.max(np.abs(residual)) / np.max(np.abs(b)))
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
     return 8.0 * float(b @ phi), solve_residual

@@ -196,6 +196,11 @@ def ground_state_from_R(R: float) -> GroundState:
     """Solve the quantisation conditions for a given well strength R."""
     if not (math.isfinite(R) and R > 0.0):
         raise DomainError(f"R must be finite and positive, got {R!r}")
+    if R < GAMMA_MIN:
+        raise DomainError(
+            f"R must be >= GAMMA_MIN = {GAMMA_MIN!r}, got {R!r}; gamma0 < R, and "
+            "the closed-form polarizability overflows below GAMMA_MIN"
+        )
     gamma0 = _solve_gamma(R)
     return _make_state(gamma0, R * math.sin(gamma0), R)
 

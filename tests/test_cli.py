@@ -12,6 +12,7 @@ import pytest
 
 import wellpol
 from wellpol.cli import format_mixed, main, parse_angle
+from wellpol.well_spectrum import ground_state_from_R
 
 TABLE1_GOLDEN = """\
 gamma0_over_pi,beta0,R,alpha1_prime,alpha2_prime,alpha_prime,alpha_apr_prime
@@ -212,6 +213,19 @@ class TestSolve:
         _, by_r = run(["solve", "--R", "3.617018", "--format", "json"], capsys)
         row = json.loads(by_r)["rows"][0]
         assert row["alpha_prime"] == pytest.approx(0.188326, abs=2e-6)
+
+    def test_by_strength_prints_the_solved_state(self, capsys):
+        # The row is the state solved from R.  Near the hard wall one ulp of
+        # gamma0 moves gamma0 tan(gamma0) by ~7e-8 relative, so a row rebuilt
+        # from gamma0 alone would print another R and beta0.
+        _, out = run(["solve", "--R", "1e9", "--format", "json"], capsys)
+        row = json.loads(out)["rows"][0]
+        assert row["R"] == 1e9
+        assert row["beta0"] == ground_state_from_R(1e9).beta0
+
+    def test_strength_below_floor_is_usage_error(self, capsys):
+        assert main(["solve", "--R", "1e-300"]) == 2
+        assert "R must be >= GAMMA_MIN = 1e-30" in capsys.readouterr().err
 
     def test_requires_exactly_one_selector(self, capsys):
         assert run(["solve"], capsys)[0] == 2

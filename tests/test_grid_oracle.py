@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,63 @@ class TestSpectrum:
         ground, first = result.states[:, 0], result.states[:, 1]
         assert np.max(np.abs(ground - ground[::-1])) <= 1e-8
         assert np.max(np.abs(first + first[::-1])) <= 1e-8
+
+
+def exact_quotient(diag, off, vec) -> Fraction:
+    """w.Tw / w.w of the stored arrays, exactly.
+
+    Every double is an integer multiple of 2**-1074, so the sums run over
+    Python integers in that unit, a rational only at the end.
+    """
+    unit = 2**1074
+    d, e, w = (
+        [p * (unit // q) for p, q in map(float.as_integer_ratio, a.tolist())]
+        for a in (diag, off, vec)
+    )
+    quad = sum(a * b * b for a, b in zip(d, w))
+    quad += 2 * sum(a * b * c for a, b, c in zip(e, w, w[1:]))
+    return Fraction(quad, sum(b * b for b in w) * unit)
+
+
+class TestRayleighQuotient:
+    @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061])
+    @pytest.mark.parametrize("case", ["base", "tilted", "finest"])
+    def test_within_four_ulp_of_exact_quotient(self, well_R, case):
+        # The edge-difference form cancels no term of size |T| ~ 4 m^2, so
+        # the ground energy is as good as the stored matrix and vector allow.
+        config = GridOracleConfig(well_R=well_R)
+        m = grid_oracle._multiplier(config) * (2**2 if case == "finest" else 1)  # levels=2
+        x, diag, off = grid_oracle._grid(config, m)
+        start = grid_oracle._continuum_ground(config, x)
+        if case == "tilted":
+            diag = diag - 1e-3 * x
+            vec = grid_oracle._lowest_vector(diag, off, start)
+        else:
+            _, vec = grid_oracle._even_ground(diag, off, start)
+        energy = grid_oracle._rayleigh_refine(diag, off, vec)
+        exact = exact_quotient(diag, off, vec)
+        assert abs(Fraction(energy) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061, "random"])
+    def test_identity_holds_for_any_vector(self, well_R):
+        # The form is an identity for every symmetric tridiagonal, not an
+        # approximation near eigenvectors: check it on random vectors, and
+        # on a random matrix whose off-diagonal takes both signs.
+        rng = np.random.default_rng(7)
+        if well_R == "random":
+            diag, off = rng.standard_normal(999), rng.standard_normal(998)
+        else:
+            _, diag, off = base_grid(GridOracleConfig(well_R=well_R))
+        for _ in range(5):
+            vec = rng.standard_normal(diag.size)
+            w = vec.astype(np.longdouble)
+            tw = grid_oracle._tridiag_matvec(
+                diag.astype(np.longdouble), off.astype(np.longdouble), w
+            )
+            reference = float((w @ tw) / (w @ w))
+            assert grid_oracle._rayleigh_refine(diag, off, vec) == pytest.approx(
+                reference, rel=1e-13, abs=0.0
+            )
 
 
 class TestAlphaSum:

@@ -102,9 +102,11 @@ class TestGroundStateFromR:
         # The true root R - R^3/2 rounds to R, so R = GAMMA_MIN is a state.
         assert ground_state_from_R(GAMMA_MIN).gamma0 == GAMMA_MIN
 
-    @pytest.mark.parametrize("R", [1e-31, 5e-324])
+    @pytest.mark.parametrize("R", [1e-31, 1e-300, 5e-324])
     def test_strength_below_floor_is_a_domain_error(self, R):
-        with pytest.raises(DomainError):
+        # gamma0 < R, so the state would fall below GAMMA_MIN; the refusal
+        # names that floor rather than a beta0 that underflowed to 0.
+        with pytest.raises(DomainError, match=r"R must be >= GAMMA_MIN = 1e-30"):
             ground_state_from_R(R)
 
     @pytest.mark.parametrize("R", [1.6e12, 1e13, 1e300])
