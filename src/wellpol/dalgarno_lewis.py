@@ -37,9 +37,12 @@ number, and ``orthogonality`` checks <psi0|phi> = 0.  Both use fixed
 Gauss-Legendre panels written in ``math``, so this module, like every
 closed form here, needs neither numpy nor scipy.  One kernel sums both
 integrands panel by panel, with the outer panels mapped in
-t = beta0 (|x'| - 1).  The alpha' integrand is even, so each left outer
-panel is its right mirror counted twice; the odd overlap integrand is
-evaluated on both sides, so its parity check sees each.
+t = beta0 (|x'| - 1).  The state-independent node data (t, e^{-t}, the
+weights and panel half-widths) are tabulated once per rule size on first
+use, and each panel is summed in one pass with phi' written out in place
+and its per-state constants hoisted.  The alpha' integrand is even, so
+each left outer panel is its right mirror counted twice; the odd overlap
+integrand is evaluated on both sides, so its parity check sees each.
 """
 
 from __future__ import annotations
@@ -114,8 +117,9 @@ def _phi_inner(gamma0: float, c_prime: float, x: float) -> float:
 
 def _phi_outer(gamma0: float, beta0: float, x: float, env: float) -> float:
     # Outer form for |x| >= 1, odd in x: the left region mirrors the right.
-    # The envelope env = e^{-beta0 (|x| - 1)} is an argument, so quadrature
-    # can take it from its node in t = beta0 (|x| - 1), not from a rounded x.
+    # The envelope env = e^{-beta0 (|x| - 1)} is an argument, so the
+    # quadrature kernel's copy of this form can be checked against it with
+    # e^{-t} taken at a node in t = beta0 (|x| - 1), not from a rounded x.
     ax = abs(x)
     return math.copysign(math.cos(gamma0) * env * (ax * ax / beta0 + ax / beta0**2), x)
 
@@ -400,43 +404,110 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
+@functools.cache
+def _panel_nodes(n: int):
+    """State-independent node tables of the n-point rule, built once per n.
+
+    Returns the outer panels, each as (half, ((w, t, e^{-t}), ...)) with
+    half the panel's half-width in t = beta0 (|x'| - 1), and the inner
+    rule as ((x', w), ...) on [-1, 1].
+    """
+    nodes, weights = _gauss_legendre(n)
+    outer = []
+    for lo, hi in zip(_OUTER_PANEL_T, _OUTER_PANEL_T[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        ts = [mid + half * node for node in nodes]
+        outer.append((half, tuple(zip(weights, ts, [math.exp(-t) for t in ts]))))
+    return tuple(outer), tuple(zip(nodes, weights))
+
+
+def _outer_panel(
+    nodes, k: int, side: float, n_cos: float, cos_g: float, b: float, b2: float
+) -> float:
+    """fsum of w psi0 x'^k phi' over one outer panel's (w, t, e^{-t}) nodes.
+
+    x' = side (1 + t/b), psi0 = n_cos e^{-t} and phi' is ``_phi_outer``
+    written out with cos(gamma0) = cos_g and beta0^2 = b2 hoisted; the
+    (side cos_g) factor gives phi' its sign as copysign does there.  The
+    k = 1 integrand is even, so it is taken on the right side only.
+    """
+    if k:
+        return math.fsum(
+            [
+                w * ((n_cos * e * x) * (cos_g * e * (x * x / b + x / b2)))
+                for w, t, e in nodes
+                for x in (1.0 + t / b,)
+            ]
+        )
+    side_cos = side * cos_g
+    return math.fsum(
+        [
+            w * ((n_cos * e) * (side_cos * e * (x * x / b + x / b2)))
+            for w, t, e in nodes
+            for x in (1.0 + t / b,)
+        ]
+    )
+
+
+def _inner_panel(nodes, k: int, n_prime: float, g: float, g2: float, c_prime: float) -> float:
+    """fsum of w psi0 x'^k phi' over the inner rule's (x', w) nodes.
+
+    phi' is ``_phi_inner`` written out with gamma0^2 = g2 hoisted, and
+    psi0 = n_prime cos(gamma0 |x'|) reuses its cos(gamma0 x'), cos being
+    even.
+    """
+    sin, cos = math.sin, math.cos
+    if k:
+        return math.fsum(
+            [
+                w * ((n_prime * c * x) * -(x * x * s / g + x * c / g2 + c_prime * s / g))
+                for x, w in nodes
+                for s, c in ((sin(g * x), cos(g * x)),)
+            ]
+        )
+    return math.fsum(
+        [
+            w * ((n_prime * c) * -(x * x * s / g + x * c / g2 + c_prime * s / g))
+            for x, w in nodes
+            for s, c in ((sin(g * x), cos(g * x)),)
+        ]
+    )
+
+
 def _panel_sums(state: GroundState, k: int, n: int, region: str = "all") -> list[float]:
     """Integral of psi0 x'^k phi' over each panel, by the n-point rule.
 
     The k = 1 panels sum to alpha' / N', the k = 0 panels to <psi0|phi'>.
-    Each panel's region is known, so the kernel calls ``_phi_inner`` or
-    ``_phi_outer`` directly.  The outer panels are mapped in
-    t = beta0 (|x'| - 1), and the envelope e^{-t} is taken at the t-node.
-    A left outer node is the exact negative of its right mirror, so for
-    the even k = 1 integrand a left panel's sum equals its mirror's bit for
-    bit: it is computed once and listed twice.  The odd k = 0 integrand is
-    evaluated on both sides, so the parity check sees each.
+    The nodes come from ``_panel_nodes``, so t, e^{-t} and the panel
+    half-widths are computed once per rule, and the per-state constants
+    are computed once per call; ``_outer_panel`` and ``_inner_panel`` then
+    sum each panel in one pass over its nodes, phi' written out in place
+    with the same floating-point operations as ``_phi_outer`` and
+    ``_phi_inner``.  The outer panels are mapped in t = beta0 (|x'| - 1),
+    and the envelope e^{-t} is taken at the t-node.  A left outer node is
+    the exact negative of its right mirror, so for the even k = 1
+    integrand a left panel's sum equals its mirror's bit for bit: it is
+    computed once and listed twice.  The odd k = 0 integrand is evaluated
+    on both sides, so the parity check sees each.
     """
     g, b = state.gamma0, state.beta0
     n_prime = math.sqrt(state.n_prime_sq)
-    rule = tuple(zip(*_gauss_legendre(n)))
+    outer, inner = _panel_nodes(n)
     sums: list[float] = []
     if region != "inner":
-        n_cos = n_prime * math.cos(g)
-        for lo, hi in zip(_OUTER_PANEL_T, _OUTER_PANEL_T[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            for side in (1.0,) if k else (-1.0, 1.0):
-                terms = []
-                for node, w in rule:
-                    t = mid + half * node
-                    env = math.exp(-t)
-                    x = side * (1.0 + t / b)
-                    psi = n_cos * env
-                    terms.append(w * ((psi * x if k else psi) * _phi_outer(g, b, x, env)))
-                total = half / b * math.fsum(terms)
-                sums += [total, total] if k else [total]
+        cos_g = math.cos(g)
+        n_cos, b2 = n_prime * cos_g, b**2
+        for half, nodes in outer:
+            if k:
+                total = half / b * _outer_panel(nodes, 1, 1.0, n_cos, cos_g, b, b2)
+                sums += [total, total]
+            else:
+                sums += [
+                    half / b * _outer_panel(nodes, 0, side, n_cos, cos_g, b, b2)
+                    for side in (-1.0, 1.0)
+                ]
     if region != "outer":
-        c_prime = default_c_prime(g)
-        terms = []
-        for x, w in rule:
-            psi = n_prime * math.cos(g * abs(x))
-            terms.append(w * ((psi * x if k else psi) * _phi_inner(g, c_prime, x)))
-        sums.append(math.fsum(terms))
+        sums.append(_inner_panel(inner, k, n_prime, g, g**2, default_c_prime(g)))
     return sums
 
 
@@ -448,7 +519,8 @@ def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
     relative.  Raises NumericalError when the 16- and 10-point rules
     differ by more than 1e-8 of the total.  The outer panels are mapped in
     t = beta0 (|x'| - 1), so near the hard wall, where they span only
-    ~40/beta0 in x', the nodes do not lose digits to a rounded x'.  The
+    ~40/beta0 in x', the nodes do not lose digits to a rounded x'.  Their
+    t-nodes and e^{-t} come from a table built once per rule size.  The
     integrand is even, so each left outer panel is counted as twice its
     right mirror.
     """

@@ -256,13 +256,20 @@ def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
 
 
 def _continuum_ground(config: GridOracleConfig, x: np.ndarray) -> np.ndarray:
-    """The continuum ground state at the nodes ``x``, not normalised."""
+    """The continuum ground state at the nodes x' >= 0 of the grid ``x``, not normalised.
+
+    The grid is mirror-symmetric node for node and the state is even, so
+    these nodes, ``x[x.size // 2:]`` in ascending order, carry it.  Each
+    branch is evaluated only on its own nodes: cos(gamma0 x') up to the
+    edge, the exponential tail beyond it.
+    """
+    half = x[x.size // 2 :]
     if config.ground is None:
-        return np.cos(0.5 * math.pi * x)
+        return np.cos(0.5 * math.pi * half)
     gamma0, beta0 = config.ground.gamma0, config.ground.beta0
-    ax = np.abs(x)
-    tail = math.cos(gamma0) * np.exp(-beta0 * np.maximum(ax - 1.0, 0.0))
-    return np.where(ax <= 1.0, np.cos(gamma0 * ax), tail)
+    edge = int(np.searchsorted(half, 1.0, side="right"))
+    tail = math.cos(gamma0) * np.exp(-beta0 * (half[edge:] - 1.0))
+    return np.concatenate((np.cos(gamma0 * half[:edge]), tail))
 
 
 def _lowest_vector(
@@ -318,7 +325,7 @@ def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
     The ground state is even, so the nodes x' >= 0 carry it.  On them the
     centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
     the block is symmetric tridiagonal, half the size of the grid.
-    ``start``, the continuum ground state on the whole grid, starts the
+    ``start``, the continuum ground state on those nodes, starts the
     block's inverse iteration.  The energy is the Rayleigh quotient of the
     rebuilt full vector: taken on the scaled block, the rounded sqrt(2)
     would move it by ~1e-13 relative.
@@ -326,7 +333,7 @@ def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
     centre = diag.size // 2
     block_off = off[centre:].copy()
     block_off[0] *= math.sqrt(2.0)
-    block_start = start[centre:].copy()
+    block_start = start.copy()
     block_start[1:] *= math.sqrt(2.0)
     vec = _lowest_vector(diag[centre:], block_off, block_start)
     half = vec[1:] / math.sqrt(2.0)
@@ -365,9 +372,10 @@ def _curvature(x, diag, off, start, fields: tuple[float, ...], e0: float) -> dic
     grid is mirror-symmetric node for node, so the matrix at -eps' is the
     exact reversal of the one at +eps' and has the same spectrum: one
     ground state per distinct |eps'| serves both signs.  Each starts from
-    ``start``, the continuum ground state; ``FieldTooLargeError`` is raised
-    when it is not the lowest state of the tilted box, i.e. the field has
-    pulled the box's ground state out of the well.
+    ``start``, the continuum ground state on the whole grid;
+    ``FieldTooLargeError`` is raised when it is not the lowest state of the
+    tilted box, i.e. the field has pulled the box's ground state out of the
+    well.
     """
     fields = np.asarray(fields)
     by_size = {0.0: e0}
@@ -426,7 +434,10 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
         alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
         if m == ms[0]:
             grid = {"num_points_actual": x.size, "box_half_width": L, "grid_spacing": 1.0 / m}
-            fit = _curvature(x, diag, off, start, config.field_values, e0)
+            # the field breaks the parity, so the curvature route starts
+            # from the continuum state mirrored onto the whole grid
+            whole = np.concatenate((start[:0:-1], start))
+            fit = _curvature(x, diag, off, whole, config.field_values, e0)
             diagnostics = {f"sum_{k}": v for k, v in grid.items()}
             diagnostics["sum_solve_residual"] = solve_residual
             diagnostics.update({f"curvature_{k}": v for k, v in {**grid, **fit}.items()})

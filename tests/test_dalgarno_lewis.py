@@ -69,6 +69,36 @@ def state_039():
     return ground_state_from_gamma(0.39 * PI)
 
 
+def add_to_inner_phi(monkeypatch, defect):
+    """Make the quadrature kernel integrate phi' + defect(x') on the inner panel.
+
+    ``_inner_panel`` sums w psi0 x'^k phi' over the nodes, so the defect
+    enters as that sum with defect(x') in place of phi'.
+    """
+    panel = dalgarno_lewis._inner_panel
+
+    def contaminated(nodes, k, n_prime, g, g2, c_prime):
+        extra = math.fsum(w * n_prime * math.cos(g * x) * x**k * defect(x) for x, w in nodes)
+        return panel(nodes, k, n_prime, g, g2, c_prime) + extra
+
+    monkeypatch.setattr(dalgarno_lewis, "_inner_panel", contaminated)
+
+
+def add_to_outer_phi(monkeypatch, defect):
+    """Make the quadrature kernel integrate phi' + defect(x') on every outer panel."""
+    panel = dalgarno_lewis._outer_panel
+
+    def contaminated(nodes, k, side, n_cos, cos_g, b, b2):
+        extra = math.fsum(
+            w * n_cos * e * x**k * defect(x)
+            for w, t, e in nodes
+            for x in (side * (1.0 + t / b),)
+        )
+        return panel(nodes, k, side, n_cos, cos_g, b, b2) + extra
+
+    monkeypatch.setattr(dalgarno_lewis, "_outer_panel", contaminated)
+
+
 class TestPhi:
     def test_vanishes_at_origin(self):
         phi = phi_reduced(state_039())
@@ -452,31 +482,104 @@ class TestGaussLegendre:
         )
 
     def test_disagreeing_rules_raise(self, monkeypatch):
-        inner = dalgarno_lewis._phi_inner
-
-        def kinked(gamma0, c_prime, x):
-            return inner(gamma0, c_prime, x) + abs(x - 0.3)
-
-        monkeypatch.setattr(dalgarno_lewis, "_phi_inner", kinked)
+        add_to_inner_phi(monkeypatch, lambda x: abs(x - 0.3))
         with pytest.raises(NumericalError, match="did not converge"):
             alpha_via_quadrature(state_039(), region="inner")
 
     def test_even_integrand_is_evaluated_once_per_mirror_pair(self, monkeypatch):
         # alpha' evaluates the right outer panels only, 4 panels x (16 + 10)
         # nodes; the odd overlap evaluates both sides, 2 x 4 x 16 nodes.
-        calls = []
-        outer = dalgarno_lewis._phi_outer
+        evaluated = []
+        outer = dalgarno_lewis._outer_panel
 
-        def counting(*args):
-            calls.append(args)
-            return outer(*args)
+        def counting(nodes, *args):
+            evaluated.extend(nodes)
+            return outer(nodes, *args)
 
-        monkeypatch.setattr(dalgarno_lewis, "_phi_outer", counting)
+        monkeypatch.setattr(dalgarno_lewis, "_outer_panel", counting)
         alpha_via_quadrature(state_039())
-        assert len(calls) == 104
-        calls.clear()
+        assert len(evaluated) == 104
+        evaluated.clear()
         orthogonality(state_039())
-        assert len(calls) == 128
+        assert len(evaluated) == 128
+
+
+# gamma0 -> float.hex of alpha_via_quadrature for the regions "all",
+# "outer" and "inner", and of orthogonality, as the node-by-node kernel
+# (one _phi_outer / _phi_inner call per node) computed them.
+QUADRATURE_HEX = {
+    1e-20: (
+        "0x1.c73892ecbfbf7p+531", "0x1.c73892ecbfbf7p+531", "0x1.f4df76f50ba51p-1", "0x0.0p+0"
+    ),
+    1e-08: (
+        "0x1.e62c4e38ff86fp+212", "0x1.e62c4e38ff86fp+212", "0x1.f4df76f50ba50p-1", "0x0.0p+0"
+    ),
+    0.0599: (
+        "0x1.bf676b55dcde7p+32", "0x1.bf676b54e3a1ep+32", "0x1.f279243d67309p-1", "0x0.0p+0"
+    ),
+    0.06: (
+        "0x1.b9775b1026f11p+32", "0x1.b9775b0f2db58p+32", "0x1.f27718443b511p-1", "0x0.0p+0"
+    ),
+    0.39 * PI: (
+        "0x1.81b1495a156c5p-3", "0x1.f15b7d8bdca8fp-7", "0x1.629b918157a1cp-3", "0x0.0p+0"
+    ),
+    0.49 * PI: (
+        "0x1.37d38cc75be18p-4", "0x1.c739adfeff0afp-22", "0x1.37d31af8f061cp-4", "0x0.0p+0"
+    ),
+    GAMMA_MAX: (
+        "0x1.1fa3f86d2ef1fp-4", "0x1.13d299a5b0afbp-121", "0x1.1fa3f86d2ef1fp-4", "0x0.0p+0"
+    ),
+}
+
+
+class TestQuadratureKernel:
+    """The one-pass panel kernel against the scalar phi' helpers."""
+
+    GRID = [1e-20, 1e-8, 1e-3, 0.0599, 0.06, *np.linspace(0.05, GAMMA_MAX, 41).tolist()]
+
+    @pytest.mark.parametrize("gamma", sorted(QUADRATURE_HEX))
+    def test_outputs_match_frozen_bits(self, gamma):
+        state = ground_state_from_gamma(gamma)
+        got = tuple(
+            alpha_via_quadrature(state, region=region).hex()
+            for region in ("all", "outer", "inner")
+        ) + (orthogonality(state).hex(),)
+        assert got == QUADRATURE_HEX[gamma]
+
+    @pytest.mark.parametrize(
+        "n", [dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS]
+    )
+    def test_phi_at_every_node_matches_scalar_helpers(self, n):
+        # Each node is summed alone with unit weight and normalisation, so
+        # the kernel returns its integrand psi0 x'^k phi' there, which must
+        # equal the one built on _phi_outer / _phi_inner bit for bit.  With
+        # e^{-t} replaced by 1 the outer psi0 is 1, so the outer kernel's
+        # phi' itself is compared as well.
+        outer, inner = dalgarno_lewis._panel_nodes(n)
+        for gamma in self.GRID:
+            state = ground_state_from_gamma(gamma)
+            g, b = state.gamma0, state.beta0
+            cos_g, c_prime = math.cos(g), default_c_prime(g)
+            # The even k = 1 integrand is taken on the right side only.
+            cases = ((0, -1.0), (0, 1.0), (1, 1.0))
+            for _, nodes in outer:
+                for _, t, e in nodes:
+                    for env in (e, 1.0):
+                        for k, side in cases:
+                            x = side * (1.0 + t / b)
+                            phi = dalgarno_lewis._phi_outer(g, b, x, env)
+                            got = dalgarno_lewis._outer_panel(
+                                ((1.0, t, env),), k, side, 1.0, cos_g, b, b**2
+                            )
+                            want = 1.0 * ((env * x if k else env) * phi)
+                            assert got.hex() == want.hex(), (gamma, t, env, k, side)
+            for x, _ in inner:
+                phi = dalgarno_lewis._phi_inner(g, c_prime, x)
+                psi = math.cos(g * abs(x))
+                for k in (0, 1):
+                    got = dalgarno_lewis._inner_panel(((x, 1.0),), k, 1.0, g, g**2, c_prime)
+                    want = 1.0 * ((psi * x if k else psi) * phi)
+                    assert got.hex() == want.hex(), (gamma, x, k)
 
 
 class TestOrthogonality:
@@ -487,24 +590,14 @@ class TestOrthogonality:
 
     def test_even_contaminant_is_detected(self, monkeypatch):
         state = state_039()
-        inner = dalgarno_lewis._phi_inner
-
-        def contaminated(gamma0, c_prime, x):
-            return inner(gamma0, c_prime, x) + x * x
-
-        monkeypatch.setattr(dalgarno_lewis, "_phi_inner", contaminated)
+        add_to_inner_phi(monkeypatch, lambda x: x * x)
         assert orthogonality(state) > 1e-3
 
     def test_even_outer_contaminant_is_detected(self, monkeypatch):
         # The odd integrand's left outer panels must be evaluated, not
         # folded onto the right ones, or this bump would cancel.
         state = state_039()
-        outer = dalgarno_lewis._phi_outer
-
-        def contaminated(gamma0, beta0, x, env):
-            return outer(gamma0, beta0, x, env) + x * x
-
-        monkeypatch.setattr(dalgarno_lewis, "_phi_outer", contaminated)
+        add_to_outer_phi(monkeypatch, lambda x: x * x)
         assert orthogonality(state) > 1e-3
 
 

@@ -140,6 +140,25 @@ class TestSpectrum:
         )
         assert np.max(np.abs(psi0 - vec[:, 0])) <= 1e-12
 
+    @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_continuum_start_matches_two_branch_formula(self, well_R, level):
+        # Evaluated branch by branch on the nodes x' >= 0, the start equals
+        # both branches taken on the whole grid and selected by |x'| <= 1.
+        config = GridOracleConfig(well_R=well_R)
+        x, _, _ = grid_oracle._grid(config, grid_oracle._multiplier(config) * 2**level)
+        ax = np.abs(x)
+        if well_R is None:
+            whole = np.cos(0.5 * math.pi * x)
+        else:
+            g, b = config.ground.gamma0, config.ground.beta0
+            tail = math.cos(g) * np.exp(-b * np.maximum(ax - 1.0, 0.0))
+            whole = np.where(ax <= 1.0, np.cos(g * ax), tail)
+        start = grid_oracle._continuum_ground(config, x)
+        assert np.array_equal(x[x.size // 2 :], ax[x.size // 2 :])
+        assert np.array_equal(start, whole[x.size // 2 :])
+        assert np.array_equal(np.concatenate((start[:0:-1], start)), whole)
+
     def test_excited_start_is_not_certified(self):
         # Started on the even block's first excited state, inverse iteration
         # stays there; the factorisation below it fails, so the pair is
@@ -190,7 +209,7 @@ class TestRayleighQuotient:
         start = grid_oracle._continuum_ground(config, x)
         if case == "tilted":
             diag = diag - 1e-3 * x
-            vec = grid_oracle._lowest_vector(diag, off, start)
+            vec = grid_oracle._lowest_vector(diag, off, np.concatenate((start[:0:-1], start)))
         else:
             _, vec = grid_oracle._even_ground(diag, off, start)
         energy = grid_oracle._rayleigh_refine(diag, off, vec)
@@ -358,6 +377,49 @@ class TestCurvature:
         )
         with pytest.raises(FieldTooLargeError):
             oracle_study(config)
+
+
+# well_R -> float.hex of (alpha_sum, alpha_curvature, richardson_alpha,
+# ground_energy_dimless) of oracle_study at 600 points and levels=2, as the
+# continuum start evaluated on the whole grid gave them.
+STUDY_HEX = {
+    None: (
+        "0x1.1fa4cf038157dp-4",
+        "0x1.1fa4d17e75e2ep-4",
+        "0x1.1fa3f860c4175p-4",
+        "0x1.3bd39da29fe9ep+1",
+    ),
+    R_REF: (
+        "0x1.af48a9b395714p-3",
+        "0x1.af48a5134fcd0p-3",
+        "0x1.afae8584d16dcp-3",
+        "-0x1.7290f64de850ep+3",
+    ),
+    ground_state_from_gamma(0.2 * math.pi).R: (
+        "0x1.0d83dc0d1f922p+5",
+        "0x1.0d9a102c40974p+5",
+        "0x1.0b830178095bap+5",
+        "-0x1.a980539241938p-3",
+    ),
+}
+
+
+class TestPinnedStudy:
+    @pytest.mark.parametrize("well_R", list(STUDY_HEX))
+    def test_study_outputs_match_pinned_bits(self, well_R):
+        config = (
+            GridOracleConfig.hard_wall(num_points=600)
+            if well_R is None
+            else GridOracleConfig(well_R=well_R, num_points=600)
+        )
+        result = oracle_study(config, levels=2)
+        got = (
+            result.alpha_sum,
+            result.alpha_curvature,
+            result.richardson_alpha,
+            result.ground_energy_dimless,
+        )
+        assert tuple(v.hex() for v in got) == STUDY_HEX[well_R]
 
 
 class TestRefine:
