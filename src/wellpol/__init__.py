@@ -2,33 +2,15 @@
 
 Closed-form polarizabilities from the ground state alone, limit-case
 validations, an analytic hard-wall transition sum, and a brute-force
-grid-diagonalization oracle.  The oracle's names live in
-``wellpol.grid_oracle`` and are not re-exported here, so that
-``import wellpol`` loads neither numpy nor scipy.
+grid-diagonalization oracle.  This package re-exports only the ground-state
+solvers, the ``breakdown`` of the closed forms, the dimensionful
+``WellSpec`` adapter and the error classes; everything else is imported
+from its module (``wellpol.dalgarno_lewis``, ``wellpol.limits``, ...).
+The oracle lives in ``wellpol.grid_oracle``, so ``import wellpol`` loads
+neither numpy nor scipy.
 """
 
-from .conventional_sum import (
-    InfiniteWellSum,
-    calibrate_C,
-    infinite_well_alpha,
-    infinite_well_term,
-)
-from .dalgarno_lewis import (
-    PhiReduced,
-    PolarizabilityBreakdown,
-    alpha1_prime,
-    alpha2_prime,
-    alpha2_prime_hard_wall,
-    alpha2_t_prime,
-    alpha_apr_prime,
-    alpha_via_quadrature,
-    breakdown,
-    orthogonality,
-    phi_eval,
-    phi_jump,
-    phi_reduced,
-    t_ratio,
-)
+from .dalgarno_lewis import breakdown
 from .errors import (
     ConfigurationError,
     ConvergenceWarning,
@@ -36,19 +18,18 @@ from .errors import (
     FieldTooLargeError,
     NumericalError,
 )
-from .limits import (
-    DeltaLimitSequence,
-    InfiniteWellLimitReport,
-    delta_limit,
-    infinite_well_limit,
-)
-from .well_spectrum import (
-    GroundState,
-    WellSpec,
-    ground_state_from_R,
-    ground_state_from_gamma,
-    normalization_sq,
-    psi0_eval,
-)
+from .well_spectrum import WellSpec, ground_state_from_R, ground_state_from_gamma
+
+__all__ = [
+    "breakdown",
+    "ground_state_from_R",
+    "ground_state_from_gamma",
+    "WellSpec",
+    "ConfigurationError",
+    "ConvergenceWarning",
+    "DomainError",
+    "FieldTooLargeError",
+    "NumericalError",
+]
 
 __version__ = "0.1.0"

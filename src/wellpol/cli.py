@@ -129,6 +129,13 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, meta: dict, rows: list[dict], diagnostics: dict) -> None:
+    """The one JSON document shape: meta (command first), rows, diagnostics."""
+    payload = {"meta": {"command": args.command, **meta}, "rows": rows,
+               "diagnostics": diagnostics}
+    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+
+
 def _emit_table(rows: list[dict], columns: Sequence[str], args) -> None:
     if args.format == "csv":
         lines = [",".join(columns)]
@@ -138,22 +145,13 @@ def _emit_table(rows: list[dict], columns: Sequence[str], args) -> None:
             )
         _emit("\n".join(lines) + "\n", args.output)
     else:
-        payload = {
-            "meta": {"command": args.command, "columns": list(columns)},
-            "rows": [{col: row[col] for col in columns} for row in rows],
-            "diagnostics": {},
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit_json(args, {"columns": list(columns)},
+                   [{col: row[col] for col in columns} for row in rows], {})
 
 
 def _emit_report(args, inputs: dict, rows: list[dict], diagnostics: dict,
                  checks: list[dict]) -> int:
-    payload = {
-        "meta": {"command": args.command, "inputs": inputs},
-        "rows": rows,
-        "diagnostics": {**diagnostics, "checks": checks},
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    _emit_json(args, {"inputs": inputs}, rows, {**diagnostics, "checks": checks})
     return 0 if all(c["passed"] for c in checks) else 1
 
 
@@ -195,16 +193,8 @@ def cmd_solve(args) -> int:
         "orthogonality": dalgarno_lewis.orthogonality(state),
         "alpha_via_quadrature": dalgarno_lewis.alpha_via_quadrature(state),
     }
-    payload = {
-        "meta": {
-            "command": "solve",
-            "inputs": {"gamma": args.gamma, "R": args.R},
-            "columns": list(SWEEP_COLUMNS),
-        },
-        "rows": [{col: row[col] for col in SWEEP_COLUMNS}],
-        "diagnostics": diagnostics,
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    meta = {"inputs": {"gamma": args.gamma, "R": args.R}, "columns": list(SWEEP_COLUMNS)}
+    _emit_json(args, meta, [{col: row[col] for col in SWEEP_COLUMNS}], diagnostics)
     return 0
 
 
@@ -413,25 +403,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in TABLES:
         p = sub.add_parser(name, help=f"reproduce reference {name}")
+        p.set_defaults(run=cmd_table)
         _add_output_options(p)
 
     p = sub.add_parser("solve", help="solve one well")
+    p.set_defaults(run=cmd_solve)
     p.add_argument("--gamma", default=None, help="inside phase, e.g. 0.39pi")
     p.add_argument("--R", type=float, default=None, help="well strength")
     _add_output_options(p)
 
     p = sub.add_parser("sweep", help="breakdown rows over a gamma0 range")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--min", required=True, help="lower gamma0, e.g. 0.39pi")
     p.add_argument("--max", required=True, help="upper gamma0, e.g. 0.49pi")
     p.add_argument("--step", required=True, help="gamma0 step, e.g. 0.02pi")
     _add_output_options(p)
 
     p = sub.add_parser("limits", help="delta or hard-wall limit study")
+    p.set_defaults(run=cmd_limits)
     p.add_argument("--mode", choices=("delta", "infinite"), required=True)
     p.add_argument("--steps", type=int, default=12, help="delta-limit halvings")
     _add_report_options(p)
 
     p = sub.add_parser("oracle", help="grid-diagonalization cross-check")
+    p.set_defaults(run=cmd_oracle)
     p.add_argument("--R", type=float, default=None, help="well strength")
     p.add_argument("--hard-wall", action="store_true", help="hard-wall box instead")
     p.add_argument("--num-points", type=int, default=2000)
@@ -440,27 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report_options(p)
 
     p = sub.add_parser("calibrate", help="hard-wall C' calibration report")
+    p.set_defaults(run=cmd_calibrate)
     p.add_argument("--num-terms", type=int, default=50)
     _add_report_options(p)
 
     return parser
 
 
-_DISPATCH = {
-    "table1": cmd_table,
-    "table2": cmd_table,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "limits": cmd_limits,
-    "oracle": cmd_oracle,
-    "calibrate": cmd_calibrate,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,8 @@ homogeneous terms inside and outside and fixes both by continuity of phi'
 and dphi'/dx' at |x'| = 1; it is the exact polarizability of the finite
 well and agrees with the grid oracle to its grid accuracy.  The heuristic
 undershoots it by ~12% at gamma0 = 0.39 pi, shrinking to ~0.01% at 0.49 pi.
+Both pieces of phi' solve their response equations for any homogeneous
+coefficients, so the two closed forms differ only in those coefficients.
 
 All phi evaluations here are in the reduced convention
 
@@ -41,7 +43,8 @@ t = beta0 (|x'| - 1).  The state-independent node data (t, e^{-t}, the
 weights and panel half-widths) are tabulated once per rule size on first
 use, and each panel is summed in one pass with phi' written out in place
 and its per-state constants hoisted.  The alpha' integrand is even, so
-each left outer panel is its right mirror counted twice; the odd overlap
+each left outer panel is its right mirror counted twice and the inner
+nodes x' < 0 are their mirrors x' > 0 at doubled weight; the odd overlap
 integrand is evaluated on both sides, so its parity check sees each.
 """
 
@@ -60,17 +63,13 @@ __all__ = [
     "PolarizabilityBreakdown",
     "default_c_prime",
     "phi_reduced",
-    "phi_eval",
     "phi_jump",
-    "ode_residual_outer",
-    "ode_residual_inner",
     "alpha1_prime",
     "alpha2_prime",
     "alpha2_t_prime",
     "alpha_exact_prime",
     "alpha2_prime_hard_wall",
     "alpha_apr_prime",
-    "t_ratio",
     "breakdown",
     "alpha_via_quadrature",
     "orthogonality",
@@ -102,11 +101,9 @@ class PhiReduced:
             )
 
 
-def phi_reduced(state: GroundState, c_prime: float | None = None) -> PhiReduced:
-    """Build phi' for a state; ``c_prime`` overrides the default C'."""
-    if c_prime is None:
-        c_prime = default_c_prime(state.gamma0)
-    return PhiReduced(state=state, c_coefficient=c_prime)
+def phi_reduced(state: GroundState) -> PhiReduced:
+    """Build the paper's phi' for a state, with the default C'."""
+    return PhiReduced(state=state, c_coefficient=default_c_prime(state.gamma0))
 
 
 def _phi_inner(gamma0: float, c_prime: float, x: float) -> float:
@@ -124,15 +121,6 @@ def _phi_outer(gamma0: float, beta0: float, x: float, env: float) -> float:
     return math.copysign(math.cos(gamma0) * env * (ax * ax / beta0 + ax / beta0**2), x)
 
 
-def phi_eval(phi: PhiReduced, x_over_a: float) -> float:
-    """Evaluate the reduced phi'(x'); odd in x', boundary owned by the outer piece."""
-    st = phi.state
-    ax = abs(x_over_a)
-    if ax < 1.0:
-        return _phi_inner(st.gamma0, phi.c_coefficient, x_over_a)
-    return _phi_outer(st.gamma0, st.beta0, x_over_a, math.exp(-st.beta0 * (ax - 1.0)))
-
-
 def phi_jump(phi: PhiReduced) -> float:
     """Discontinuity phi'(1+) - phi'(1-) at the well edge.
 
@@ -143,51 +131,6 @@ def phi_jump(phi: PhiReduced) -> float:
     return _phi_outer(st.gamma0, st.beta0, 1.0, 1.0) - _phi_inner(
         st.gamma0, phi.c_coefficient, 1.0
     )
-
-
-def ode_residual_outer(phi: PhiReduced, x_over_a: float) -> float:
-    """Residual of the outer-region response equation at x', |x'| > 1.
-
-    Evaluates [-beta0^2 + d^2/dx'^2] phi' + 4 x' cos(gamma0) e^{-beta0(|x'|-1)}
-    with the second derivative coded term by term (not pre-cancelled), so a
-    wrong phi' or forcing term shows up as a nonzero value.
-    """
-    st = phi.state
-    ax = abs(x_over_a)
-    if ax <= 1.0:
-        raise DomainError(f"outer residual needs |x'| > 1, got {x_over_a!r}")
-    g, b = st.gamma0, st.beta0
-    env = math.exp(-b * (ax - 1.0))
-    u0 = ax * ax / b + ax / b**2
-    u1 = 2.0 * ax / b + 1.0 / b**2
-    u2 = 2.0 / b
-    second = math.cos(g) * env * (u2 - 2.0 * b * u1 + b * b * u0)
-    value = math.cos(g) * env * u0
-    resid = second - b * b * value + 4.0 * ax * math.cos(g) * env
-    return math.copysign(resid, x_over_a)
-
-
-def ode_residual_inner(phi: PhiReduced, x_over_a: float) -> float:
-    """Residual of the in-well response equation at x', |x'| < 1.
-
-    Evaluates [gamma0^2 + d^2/dx'^2] phi' + 4 x' cos(gamma0 x').  The
-    homogeneous sin-wave carried by ``c_coefficient`` drops out for any C'.
-    """
-    st = phi.state
-    if abs(x_over_a) >= 1.0:
-        raise DomainError(f"inner residual needs |x'| < 1, got {x_over_a!r}")
-    g = st.gamma0
-    x = x_over_a
-    s = math.sin(g * x)
-    c = math.cos(g * x)
-    cp = phi.c_coefficient
-    # d^2/dx^2 of -(x^2 s/g + x c/g^2 + C' s/g), term by term
-    second = -(
-        (2.0 * s / g + 4.0 * x * c - g * x * x * s)
-        + (-2.0 * s / g - x * c)
-        + (-cp * g * s)
-    )
-    return second + g * g * _phi_inner(g, cp, x) + 4.0 * x * c
 
 
 def alpha1_prime(state: GroundState) -> float:
@@ -250,6 +193,14 @@ def alpha2_t_prime(state: GroundState) -> float:
     return alpha2_prime(state, c_prime=0.0)
 
 
+# Below this gamma0 the factor cos(gamma0) - sin(gamma0)/gamma0 ~ -gamma0^2/3
+# of the edge-match B is summed from its series, since its two terms cancel.
+# Against 50-digit mpmath on gamma0 in [0.02, 0.6] a crossover anywhere in
+# [0.225, 0.25] gives the smallest worst error of the two forms, 7.6e-15
+# (the closed form just above it); the series keeps 1.9e-15 below it.
+_EDGE_SERIES_BELOW = 0.225
+
+
 def _edge_match(state: GroundState) -> tuple[float, float]:
     """Coefficients (C, B) that make phi' and dphi'/dx' continuous at x' = 1.
 
@@ -261,18 +212,22 @@ def _edge_match(state: GroundState) -> tuple[float, float]:
     """
     g, b = state.gamma0, state.beta0
     s, c = math.sin(g), math.cos(g)
-    # In-well particular part p = _phi_inner(g, 0, x) and outer part
-    # u = _phi_outer(g, b, x, env), with their slopes, at x' = 1.
-    p1 = -(s / g + c / g**2)
-    dp1 = -(s / g + c + c / g**2)
-    u1 = c * (1.0 / b + 1.0 / b**2)
-    du1 = c * (-1.0 + 1.0 / b + 1.0 / b**2)
-    # -(s/g) C - B = u1 - p1  and  -c C + b B = du1 - dp1, by Cramer's rule.
-    r1, r2 = u1 - p1, du1 - dp1
+    # With the particular parts p = _phi_inner(g, 0, x) and
+    # u = _phi_outer(g, b, x, env) at x' = 1, matching gives
+    # -(s/g) C - B = u - p = r1 and -c C + b B = u' - p' = r2.  As
+    # u - u' = p - p' = cos(gamma0), r2 = r1 exactly, and Cramer's rule
+    # reduces to C = r1 (1 + b) / det and B = r1 (c - s/g) / det.  B's full
+    # numerator -(s/g) r2 + c r1 cancels: below gamma0 ~ 1e-8 no digit is left.
+    r1 = c * (1.0 / b + 1.0 / b**2) + s / g + c / g**2
     det = -(b * s / g + c)
-    c_coef = (b * r1 + r2) / det
-    b_coef = (-(s / g) * r2 + c * r1) / det
-    return c_coef, b_coef
+    if g < _EDGE_SERIES_BELOW:
+        # sum_{k>=1} (-1)^k 2k g^(2k) / (2k+1)!; the next term is O(g^12).
+        g2 = g * g
+        c_minus_sinc = -g2 * (1.0 / 3.0 - g2 * (1.0 / 30.0 - g2 * (
+            1.0 / 840.0 - g2 * (1.0 / 45360.0 - g2 / 3991680.0))))
+    else:
+        c_minus_sinc = c - s / g
+    return r1 * (1.0 + b) / det, r1 * c_minus_sinc / det
 
 
 def alpha_exact_prime(state: GroundState) -> float:
@@ -321,17 +276,6 @@ def alpha_apr_prime(R: float) -> float:
     if not (math.isfinite(R) and R > 0.0):
         raise DomainError(f"R must be finite and positive, got {R!r}")
     return HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / R) ** 4
-
-
-def t_ratio(state: GroundState, c_prime: float | None = None) -> float:
-    """Fractional share of alpha2' contributed by the homogeneous correction.
-
-    T = (alpha2' - alpha2_t') / alpha2'.  Independent of N'^2.
-    """
-    a2 = alpha2_prime(state, c_prime=c_prime)
-    if a2 == 0.0:
-        raise DomainError("t_ratio undefined: alpha2' vanishes for this state")
-    return (a2 - alpha2_t_prime(state)) / a2
 
 
 @dataclass(frozen=True)
@@ -409,8 +353,10 @@ def _panel_nodes(n: int):
     """State-independent node tables of the n-point rule, built once per n.
 
     Returns the outer panels, each as (half, ((w, t, e^{-t}), ...)) with
-    half the panel's half-width in t = beta0 (|x'| - 1), and the inner
-    rule as ((x', w), ...) on [-1, 1].
+    half the panel's half-width in t = beta0 (|x'| - 1), the inner rule as
+    ((x', w), ...) on [-1, 1], and its nodes x' > 0 with doubled weights,
+    ((x', 2 w), ...), on which an even integrand is summed once per mirror
+    pair.
     """
     nodes, weights = _gauss_legendre(n)
     outer = []
@@ -418,7 +364,8 @@ def _panel_nodes(n: int):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         ts = [mid + half * node for node in nodes]
         outer.append((half, tuple(zip(weights, ts, [math.exp(-t) for t in ts]))))
-    return tuple(outer), tuple(zip(nodes, weights))
+    inner = tuple(zip(nodes, weights))
+    return tuple(outer), inner, tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
 
 
 def _outer_panel(
@@ -450,11 +397,12 @@ def _outer_panel(
 
 
 def _inner_panel(nodes, k: int, n_prime: float, g: float, g2: float, c_prime: float) -> float:
-    """fsum of w psi0 x'^k phi' over the inner rule's (x', w) nodes.
+    """fsum of w psi0 x'^k phi' over (x', w) nodes of the inner rule.
 
     phi' is ``_phi_inner`` written out with gamma0^2 = g2 hoisted, and
     psi0 = n_prime cos(gamma0 |x'|) reuses its cos(gamma0 x'), cos being
-    even.
+    even.  The k = 1 integrand is even, so it is given the nodes x' > 0
+    with doubled weights.
     """
     sin, cos = math.sin, math.cos
     if k:
@@ -474,10 +422,11 @@ def _inner_panel(nodes, k: int, n_prime: float, g: float, g2: float, c_prime: fl
     )
 
 
-def _panel_sums(state: GroundState, k: int, n: int, region: str = "all") -> list[float]:
+def _panel_sums(state: GroundState, k: int, n: int) -> list[float]:
     """Integral of psi0 x'^k phi' over each panel, by the n-point rule.
 
     The k = 1 panels sum to alpha' / N', the k = 0 panels to <psi0|phi'>.
+    The last entry is the inner panel, the others the outer panels.
     The nodes come from ``_panel_nodes``, so t, e^{-t} and the panel
     half-widths are computed once per rule, and the per-state constants
     are computed once per call; ``_outer_panel`` and ``_inner_panel`` then
@@ -487,53 +436,52 @@ def _panel_sums(state: GroundState, k: int, n: int, region: str = "all") -> list
     and the envelope e^{-t} is taken at the t-node.  A left outer node is
     the exact negative of its right mirror, so for the even k = 1
     integrand a left panel's sum equals its mirror's bit for bit: it is
-    computed once and listed twice.  The odd k = 0 integrand is evaluated
-    on both sides, so the parity check sees each.
+    computed once and listed twice.  Likewise the inner nodes come in
+    exact +-pairs with equal weights, so the k = 1 inner sum takes the
+    positive nodes with doubled weights, bit for bit the sum over all.
+    The odd k = 0 integrand is evaluated on both sides, so the parity
+    check sees each.
     """
     g, b = state.gamma0, state.beta0
     n_prime = math.sqrt(state.n_prime_sq)
-    outer, inner = _panel_nodes(n)
+    outer, inner, inner_right = _panel_nodes(n)
+    cos_g = math.cos(g)
+    n_cos, b2 = n_prime * cos_g, b**2
     sums: list[float] = []
-    if region != "inner":
-        cos_g = math.cos(g)
-        n_cos, b2 = n_prime * cos_g, b**2
-        for half, nodes in outer:
-            if k:
-                total = half / b * _outer_panel(nodes, 1, 1.0, n_cos, cos_g, b, b2)
-                sums += [total, total]
-            else:
-                sums += [
-                    half / b * _outer_panel(nodes, 0, side, n_cos, cos_g, b, b2)
-                    for side in (-1.0, 1.0)
-                ]
-    if region != "outer":
-        sums.append(_inner_panel(inner, k, n_prime, g, g**2, default_c_prime(g)))
+    for half, nodes in outer:
+        if k:
+            total = half / b * _outer_panel(nodes, 1, 1.0, n_cos, cos_g, b, b2)
+            sums += [total, total]
+        else:
+            sums += [
+                half / b * _outer_panel(nodes, 0, side, n_cos, cos_g, b, b2)
+                for side in (-1.0, 1.0)
+            ]
+    nodes = inner_right if k else inner
+    sums.append(_inner_panel(nodes, k, n_prime, g, g**2, default_c_prime(g)))
     return sums
 
 
-def alpha_via_quadrature(state: GroundState, region: str = "all") -> float:
+def alpha_via_quadrature(state: GroundState) -> float:
     """Polarizability from direct integration of <psi0| x |phi>.
 
-    Independent numerical route to alpha' (or to its outer / inner pieces
-    via ``region``); agrees with the closed forms to better than 1e-8
-    relative.  Raises NumericalError when the 16- and 10-point rules
+    Independent numerical route to alpha'; agrees with the closed forms to
+    better than 1e-8 relative.  Raises NumericalError when the 16- and 10-point rules
     differ by more than 1e-8 of the total.  The outer panels are mapped in
     t = beta0 (|x'| - 1), so near the hard wall, where they span only
     ~40/beta0 in x', the nodes do not lose digits to a rounded x'.  Their
     t-nodes and e^{-t} come from a table built once per rule size.  The
     integrand is even, so each left outer panel is counted as twice its
-    right mirror.
+    right mirror, and each negative inner node as its positive mirror.
     """
-    if region not in ("all", "outer", "inner"):
-        raise DomainError(f"region must be 'all', 'outer' or 'inner', got {region!r}")
-    high = _panel_sums(state, 1, _RULE_POINTS, region)
-    low = _panel_sums(state, 1, _ESTIMATE_POINTS, region)
+    high = _panel_sums(state, 1, _RULE_POINTS)
+    low = _panel_sums(state, 1, _ESTIMATE_POINTS)
     total = state.n_prime * math.fsum(high)
     err = state.n_prime * math.fsum(abs(h - lo) for h, lo in zip(high, low))
     if err > 1e-8 * max(abs(total), 1e-3):
         raise NumericalError(
             f"quadrature did not converge: value {total!r}, error estimate {err!r}, "
-            f"gamma0 {state.gamma0!r}, region {region!r}"
+            f"gamma0 {state.gamma0!r}"
         )
     return total
 

@@ -42,7 +42,6 @@ __all__ = [
     "normalization_sq",
     "ground_state_from_R",
     "ground_state_from_gamma",
-    "psi0_eval",
 ]
 
 # Largest inside phase accepted by direct evaluation; tan(gamma) overflows
@@ -215,14 +214,3 @@ def ground_state_from_gamma(gamma0: float) -> GroundState:
     beta0 = gamma0 * math.tan(gamma0)
     return _make_state(gamma0, beta0, math.hypot(gamma0, beta0))
 
-
-def psi0_eval(state: GroundState, x_over_a: float) -> float:
-    """Reduced ground-state wavefunction psi0 * sqrt(a) at x' = x/a.
-
-    Even in x'; continuous across the well edge by construction.
-    """
-    n_prime = math.sqrt(state.n_prime_sq)
-    ax = abs(x_over_a)
-    if ax <= 1.0:
-        return n_prime * math.cos(state.gamma0 * ax)
-    return n_prime * math.cos(state.gamma0) * math.exp(-state.beta0 * (ax - 1.0))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import conftest
+import symbolic
 from wellpol import cli
 from wellpol.conventional_sum import calibrate_C, infinite_well_alpha, infinite_well_term
 from wellpol.dalgarno_lewis import (
@@ -28,10 +29,8 @@ from wellpol.dalgarno_lewis import (
     alpha_exact_prime,
     alpha_via_quadrature,
     breakdown,
-    ode_residual_inner,
-    ode_residual_outer,
+    default_c_prime,
     orthogonality,
-    phi_reduced,
 )
 from wellpol.grid_oracle import GridOracleConfig, oracle_study
 from wellpol.limits import delta_limit, infinite_well_limit
@@ -207,16 +206,20 @@ def test_criterion_8_property_suite():
     for gamma in np.linspace(0.1 * PI, 0.49 * PI, 52)[1:-1]:
         if abs(orthogonality(ground_state_from_gamma(float(gamma)))) > 1e-10:
             failures.append(f"orthogonality at {gamma / PI:.3f}pi")
-    # ODE residuals
+    # ODE residuals: identically 0 for the symbolic phi' (free C and B),
+    # and the package's phi' pieces are that phi' to 1e-14 relative
+    if symbolic.residuals() != (0, 0):
+        failures.append(f"symbolic residuals {symbolic.residuals()}")
     for gamma_pi in (0.12, 0.25, 0.39, 0.47):
         state = ground_state_from_gamma(gamma_pi * PI)
-        phi = phi_reduced(state)
+        g, b = state.gamma0, state.beta0
         for x in np.linspace(0.05, 0.95, 20):
-            if abs(ode_residual_inner(phi, float(x))) > 1e-9:
-                failures.append(f"inner residual at ({gamma_pi}pi, {x:.2f})")
+            if symbolic.phi_inner_error(g, default_c_prime(g), float(x)) > 1e-14:
+                failures.append(f"inner phi' at ({gamma_pi}pi, {x:.2f})")
         for x in np.linspace(1.05, 4.0, 20):
-            if abs(ode_residual_outer(phi, float(x))) > 1e-9:
-                failures.append(f"outer residual at ({gamma_pi}pi, {x:.2f})")
+            env = math.exp(-b * (float(x) - 1.0))
+            if symbolic.phi_outer_error(g, b, float(x), env) > 1e-14:
+                failures.append(f"outer phi' at ({gamma_pi}pi, {x:.2f})")
     # transcendental residuals
     for gamma in np.linspace(0.15 * PI, 0.49 * PI, 60):
         state = ground_state_from_gamma(float(gamma))

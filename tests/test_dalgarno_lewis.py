@@ -1,4 +1,8 @@
-"""Closed-form polarizability tests: published values, frozen oracles, ODE checks."""
+"""Closed-form polarizability tests: published values, frozen oracles, ODE checks.
+
+The exact proof that phi' solves the response equations, and the tie-in of
+``_phi_inner`` / ``_phi_outer`` to it, live in ``test_symbolic.py``.
+"""
 
 import math
 import warnings
@@ -7,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symbolic
 from wellpol.dalgarno_lewis import (
+    PhiReduced,
     alpha1_prime,
     alpha2_prime,
     alpha2_prime_hard_wall,
@@ -17,16 +23,12 @@ from wellpol.dalgarno_lewis import (
     alpha_via_quadrature,
     breakdown,
     default_c_prime,
-    ode_residual_inner,
-    ode_residual_outer,
     orthogonality,
-    phi_eval,
     phi_jump,
     phi_reduced,
-    t_ratio,
 )
 from wellpol import dalgarno_lewis
-from wellpol.dalgarno_lewis import _edge_match
+from wellpol.dalgarno_lewis import _edge_match, _phi_inner, _phi_outer
 from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import GAMMA_MAX, GAMMA_MIN, ground_state_from_gamma
 
@@ -69,6 +71,16 @@ def state_039():
     return ground_state_from_gamma(0.39 * PI)
 
 
+def quadrature_pieces(state):
+    """alpha' by the 16-point quadrature, split into its outer and inner pieces.
+
+    ``_panel_sums`` lists the inner panel last, so these are the sums
+    ``alpha_via_quadrature`` adds up, restricted to each region.
+    """
+    sums = dalgarno_lewis._panel_sums(state, 1, dalgarno_lewis._RULE_POINTS)
+    return state.n_prime * math.fsum(sums[:-1]), state.n_prime * math.fsum(sums[-1:])
+
+
 def add_to_inner_phi(monkeypatch, defect):
     """Make the quadrature kernel integrate phi' + defect(x') on the inner panel.
 
@@ -99,19 +111,26 @@ def add_to_outer_phi(monkeypatch, defect):
     monkeypatch.setattr(dalgarno_lewis, "_outer_panel", contaminated)
 
 
+def phi_039(x):
+    """The paper's phi'(x') at gamma0 = 0.39 pi: ``_phi_inner`` in the well,
+    ``_phi_outer`` with env = e^{-beta0 (|x'| - 1)} outside it."""
+    state = state_039()
+    g, b = state.gamma0, state.beta0
+    if abs(x) < 1.0:
+        return _phi_inner(g, default_c_prime(g), x)
+    return _phi_outer(g, b, x, math.exp(-b * (abs(x) - 1.0)))
+
+
 class TestPhi:
     def test_vanishes_at_origin(self):
-        phi = phi_reduced(state_039())
-        assert phi_eval(phi, 0.0) == 0.0
+        assert phi_039(0.0) == 0.0
 
     @pytest.mark.parametrize("x", [0.5, 1.5, 3.0])
     def test_odd_parity(self, x):
-        phi = phi_reduced(state_039())
-        assert phi_eval(phi, x) + phi_eval(phi, -x) == 0.0
+        assert phi_039(x) + phi_039(-x) == 0.0
 
     def test_outer_value_against_frozen_oracle(self):
-        phi = phi_reduced(state_039())
-        assert phi_eval(phi, 2.0) == pytest.approx(PHI_OUTER_X2_039PI, rel=1e-13)
+        assert phi_039(2.0) == pytest.approx(PHI_OUTER_X2_039PI, rel=1e-13)
 
     def test_default_c_prime(self):
         state = state_039()
@@ -121,16 +140,14 @@ class TestPhi:
 
     def test_rejects_positive_c(self):
         with pytest.raises(DomainError):
-            phi_reduced(state_039(), c_prime=0.5)
+            PhiReduced(state=state_039(), c_coefficient=0.5)
 
     def test_jump_is_reported_not_hidden(self):
         # The piecewise phi' is discontinuous at the edge by construction.
         phi = phi_reduced(state_039())
         jump = phi_jump(phi)
         assert math.isfinite(jump)
-        assert jump == pytest.approx(
-            phi_eval(phi, 1.0 + 0.0) - phi_eval(phi, 1.0 - 1e-15), abs=1e-12
-        )
+        assert jump == pytest.approx(phi_039(1.0) - phi_039(1.0 - 1e-15), abs=1e-12)
 
 
 def _phi_longdouble(state, c_prime, x):
@@ -163,14 +180,19 @@ def _fd_second(f, x, h=2e-3):
 class TestOdeResiduals:
     @pytest.mark.parametrize("gamma_pi", [0.1, 0.39, 0.47])
     def test_analytic_residuals_vanish(self, gamma_pi):
+        # Both residuals are identically 0 (symbolic proof), and the package's
+        # phi' pieces are those expressions to 1e-14 relative at these points.
+        assert symbolic.residuals() == (0, 0)
         state = ground_state_from_gamma(gamma_pi * PI)
-        phi = phi_reduced(state)
+        g, b = state.gamma0, state.beta0
+        c_prime = default_c_prime(g)
         for x in np.linspace(0.05, 0.95, 20):
-            assert abs(ode_residual_inner(phi, float(x))) <= 1e-9
-            assert abs(ode_residual_inner(phi, -float(x))) <= 1e-9
+            assert symbolic.phi_inner_error(g, c_prime, float(x)) <= 1e-14
+            assert symbolic.phi_inner_error(g, c_prime, -float(x)) <= 1e-14
         for x in np.linspace(1.05, 4.0, 20):
-            assert abs(ode_residual_outer(phi, float(x))) <= 1e-9
-            assert abs(ode_residual_outer(phi, -float(x))) <= 1e-9
+            env = math.exp(-b * (float(x) - 1.0))
+            assert symbolic.phi_outer_error(g, b, float(x), env) <= 1e-14
+            assert _phi_outer(g, b, -float(x), env) == -_phi_outer(g, b, float(x), env)
 
     @pytest.mark.parametrize("gamma_pi,x", [(0.39, 1.5), (0.47, 3.0)])
     def test_outer_residual_by_finite_differences(self, gamma_pi, x):
@@ -204,10 +226,12 @@ class TestOdeResiduals:
             assert abs(resid) <= 1e-9
 
     def test_any_c_satisfies_inner_equation(self):
-        state = state_039()
-        perturbed = phi_reduced(state, c_prime=-1.0)
+        # The inner residual is proven 0 with C a free symbol of phi'_in.
+        assert symbolic.C in symbolic.phi_inner().free_symbols
+        assert symbolic.residuals()[0] == 0
+        g = state_039().gamma0
         for x in (0.2, 0.5, 0.8):
-            assert abs(ode_residual_inner(perturbed, x)) <= 1e-9
+            assert symbolic.phi_inner_error(g, -1.0, x) <= 1e-14
 
     def test_wrong_quadratic_coefficient_is_detected(self):
         # Sensitivity probe: scaling the x^2 coefficient of the outer piece
@@ -230,13 +254,6 @@ class TestOdeResiduals:
             + 4.0 * x * math.cos(g) * math.exp(-b * (x - 1.0))
         )
         assert abs(resid) > 1e-3
-
-    def test_domain_guards(self):
-        phi = phi_reduced(state_039())
-        with pytest.raises(DomainError):
-            ode_residual_outer(phi, 0.5)
-        with pytest.raises(DomainError):
-            ode_residual_inner(phi, 1.5)
 
 
 class TestAlpha1:
@@ -277,7 +294,7 @@ class TestAlpha2:
         a2, a2t = ALPHA2_SMALL[gamma]
         assert alpha2_prime(state) == pytest.approx(a2, rel=1e-15, abs=0.0)
         assert alpha2_t_prime(state) == pytest.approx(a2t, rel=1e-15, abs=0.0)
-        assert t_ratio(state) == pytest.approx((a2 - a2t) / a2, rel=1e-14, abs=0.0)
+        assert breakdown(state).t_ratio == pytest.approx((a2 - a2t) / a2, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.05, 0.07])
     def test_both_sides_of_series_crossover(self, gamma):
@@ -368,11 +385,10 @@ class TestAlphaApr:
 
 class TestTRatio:
     def test_published_values(self):
-        assert t_ratio(state_039()) == pytest.approx(2.52, abs=0.01)
-        assert t_ratio(ground_state_from_gamma(0.47 * PI)) == pytest.approx(2.84, abs=0.01)
-
-    def test_zero_when_correction_removed(self):
-        assert t_ratio(state_039(), c_prime=0.0) == 0.0
+        assert breakdown(state_039()).t_ratio == pytest.approx(2.52, abs=0.01)
+        assert breakdown(ground_state_from_gamma(0.47 * PI)).t_ratio == pytest.approx(
+            2.84, abs=0.01
+        )
 
     def test_equals_bracket_ratio(self):
         # T is a ratio of brackets, so the normalisation N'^2 cancels.
@@ -381,7 +397,7 @@ class TestTRatio:
         p = (PI / 2) ** 2
         numer = -p * math.cos(2 * g) / (2 * g**4) + p * math.sin(2 * g) / (4 * g**5)
         denom = alpha2_prime(state) / state.n_prime_sq
-        assert t_ratio(state) == pytest.approx(numer / denom, rel=1e-12)
+        assert breakdown(state).t_ratio == pytest.approx(numer / denom, rel=1e-12)
 
 
 class TestBreakdown:
@@ -412,9 +428,7 @@ class TestQuadratureRoute:
         assert alpha_via_quadrature(state_039()) == pytest.approx(0.188326, abs=1e-6)
 
     def test_outer_only_matches_alpha1(self):
-        assert alpha_via_quadrature(state_039(), region="outer") == pytest.approx(
-            0.015178, abs=1e-6
-        )
+        assert quadrature_pieces(state_039())[0] == pytest.approx(0.015178, abs=1e-6)
 
     def test_self_consistency_at_045(self):
         state = ground_state_from_gamma(0.45 * PI)
@@ -423,13 +437,7 @@ class TestQuadratureRoute:
 
     def test_inner_region_matches_alpha2(self):
         state = state_039()
-        assert alpha_via_quadrature(state, region="inner") == pytest.approx(
-            alpha2_prime(state), rel=1e-9
-        )
-
-    def test_rejects_unknown_region(self):
-        with pytest.raises(DomainError):
-            alpha_via_quadrature(state_039(), region="everywhere")
+        assert quadrature_pieces(state)[1] == pytest.approx(alpha2_prime(state), rel=1e-9)
 
 
 class TestGaussLegendre:
@@ -467,46 +475,51 @@ class TestGaussLegendre:
         # inner piece holds 1e-12 down to gamma0 = 1e-6.
         for gamma in self.GRID:
             state = ground_state_from_gamma(float(gamma))
-            assert alpha_via_quadrature(state, region="outer") == pytest.approx(
-                alpha1_prime(state), rel=1e-12
-            )
-            assert alpha_via_quadrature(state, region="inner") == pytest.approx(
-                alpha2_prime(state), rel=1e-12
-            )
+            outer, inner = quadrature_pieces(state)
+            assert outer == pytest.approx(alpha1_prime(state), rel=1e-12)
+            assert inner == pytest.approx(alpha2_prime(state), rel=1e-12)
 
     @pytest.mark.parametrize("gamma", sorted(ALPHA2_QUAD))
     def test_inner_region_matches_frozen_quadrature_on_shallow_wells(self, gamma):
         state = ground_state_from_gamma(gamma)
-        assert alpha_via_quadrature(state, region="inner") == pytest.approx(
-            ALPHA2_QUAD[gamma], rel=1e-12
-        )
+        assert quadrature_pieces(state)[1] == pytest.approx(ALPHA2_QUAD[gamma], rel=1e-12)
 
     def test_disagreeing_rules_raise(self, monkeypatch):
         add_to_inner_phi(monkeypatch, lambda x: abs(x - 0.3))
         with pytest.raises(NumericalError, match="did not converge"):
-            alpha_via_quadrature(state_039(), region="inner")
+            alpha_via_quadrature(state_039())
 
     def test_even_integrand_is_evaluated_once_per_mirror_pair(self, monkeypatch):
         # alpha' evaluates the right outer panels only, 4 panels x (16 + 10)
-        # nodes; the odd overlap evaluates both sides, 2 x 4 x 16 nodes.
-        evaluated = []
-        outer = dalgarno_lewis._outer_panel
+        # nodes, and the inner nodes x' > 0 only, 8 + 5; the odd overlap
+        # evaluates both sides, 2 x 4 x 16 outer and all 16 inner nodes.
+        evaluated = {"outer": [], "inner": []}
 
-        def counting(nodes, *args):
-            evaluated.extend(nodes)
-            return outer(nodes, *args)
+        def counting(region):
+            panel = getattr(dalgarno_lewis, f"_{region}_panel")
 
-        monkeypatch.setattr(dalgarno_lewis, "_outer_panel", counting)
+            def count(nodes, *args):
+                evaluated[region].extend(nodes)
+                return panel(nodes, *args)
+
+            monkeypatch.setattr(dalgarno_lewis, f"_{region}_panel", count)
+
+        counting("outer")
+        counting("inner")
         alpha_via_quadrature(state_039())
-        assert len(evaluated) == 104
-        evaluated.clear()
+        assert len(evaluated["outer"]) == 104
+        assert len(evaluated["inner"]) == 13
+        assert all(x > 0.0 for x, _ in evaluated["inner"])
+        evaluated["outer"].clear()
+        evaluated["inner"].clear()
         orthogonality(state_039())
-        assert len(evaluated) == 128
+        assert len(evaluated["outer"]) == 128
+        assert len(evaluated["inner"]) == 16
 
 
-# gamma0 -> float.hex of alpha_via_quadrature for the regions "all",
-# "outer" and "inner", and of orthogonality, as the node-by-node kernel
-# (one _phi_outer / _phi_inner call per node) computed them.
+# gamma0 -> float.hex of alpha_via_quadrature, of its outer and inner
+# pieces (``quadrature_pieces``) and of orthogonality, as the node-by-node
+# kernel (one _phi_outer / _phi_inner call per node) computed them.
 QUADRATURE_HEX = {
     1e-20: (
         "0x1.c73892ecbfbf7p+531", "0x1.c73892ecbfbf7p+531", "0x1.f4df76f50ba51p-1", "0x0.0p+0"
@@ -541,9 +554,10 @@ class TestQuadratureKernel:
     def test_outputs_match_frozen_bits(self, gamma):
         state = ground_state_from_gamma(gamma)
         got = tuple(
-            alpha_via_quadrature(state, region=region).hex()
-            for region in ("all", "outer", "inner")
-        ) + (orthogonality(state).hex(),)
+            value.hex()
+            for value in (alpha_via_quadrature(state), *quadrature_pieces(state),
+                          orthogonality(state))
+        )
         assert got == QUADRATURE_HEX[gamma]
 
     @pytest.mark.parametrize(
@@ -554,8 +568,12 @@ class TestQuadratureKernel:
         # the kernel returns its integrand psi0 x'^k phi' there, which must
         # equal the one built on _phi_outer / _phi_inner bit for bit.  With
         # e^{-t} replaced by 1 the outer psi0 is 1, so the outer kernel's
-        # phi' itself is compared as well.
-        outer, inner = dalgarno_lewis._panel_nodes(n)
+        # phi' itself is compared as well.  The k = 1 inner term of -x' must
+        # equal that of x' bit for bit, so that summing the nodes x' > 0
+        # with doubled weights gives the sum over all of them.
+        outer, inner, inner_right = dalgarno_lewis._panel_nodes(n)
+        assert inner_right == tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
+        assert len(inner_right) == n // 2
         for gamma in self.GRID:
             state = ground_state_from_gamma(gamma)
             g, b = state.gamma0, state.beta0
@@ -580,6 +598,8 @@ class TestQuadratureKernel:
                     got = dalgarno_lewis._inner_panel(((x, 1.0),), k, 1.0, g, g**2, c_prime)
                     want = 1.0 * ((psi * x if k else psi) * phi)
                     assert got.hex() == want.hex(), (gamma, x, k)
+                mirror = dalgarno_lewis._inner_panel(((-x, 1.0),), 1, 1.0, g, g**2, c_prime)
+                assert mirror.hex() == got.hex(), (gamma, x)
 
 
 class TestOrthogonality:
@@ -620,9 +640,7 @@ class TestQuadratureProperties:
             return
         state = ground_state_from_gamma(gamma)
         assert orthogonality(state) == 0.0
-        assert alpha_via_quadrature(state, region="outer") == pytest.approx(
-            alpha1_prime(state), rel=1e-12
-        )
+        assert quadrature_pieces(state)[0] == pytest.approx(alpha1_prime(state), rel=1e-12)
         assert alpha_via_quadrature(state) == pytest.approx(
             breakdown(state).alpha_prime, rel=1e-12
         )

@@ -17,7 +17,6 @@ from wellpol.well_spectrum import (
     ground_state_from_R,
     ground_state_from_gamma,
     normalization_sq,
-    psi0_eval,
 )
 
 PI = math.pi
@@ -173,32 +172,24 @@ class TestNormalization:
 
 
 class TestPsi0:
-    def test_center_value(self):
-        state = ground_state_from_gamma(0.39 * PI)
-        assert psi0_eval(state, 0.0) == math.sqrt(state.n_prime_sq)
-
-    def test_continuity_at_edge(self):
-        state = ground_state_from_gamma(0.39 * PI)
-        inside = psi0_eval(state, 1.0 - 1e-12)
-        outside = psi0_eval(state, 1.0 + 1e-12)
-        edge = math.sqrt(state.n_prime_sq) * math.cos(state.gamma0)
-        assert inside == pytest.approx(edge, rel=1e-10)
-        assert outside == pytest.approx(edge, rel=1e-10)
-
     @pytest.mark.parametrize("gamma_pi", [0.15, 0.39, 0.49])
     def test_unit_norm_by_quadrature(self, gamma_pi):
+        # psi0 * sqrt(a) = N' cos(gamma0 x') in the well and
+        # N' cos(gamma0) e^{-beta0 (|x'| - 1)} outside it, even in x'.
         state = ground_state_from_gamma(gamma_pi * PI)
-        cut = 1.0 + 40.0 / state.beta0
+        n_prime, g, b = state.n_prime, state.gamma0, state.beta0
+
+        def psi0(x):
+            if abs(x) <= 1.0:
+                return n_prime * math.cos(g * x)
+            return n_prime * math.cos(g) * math.exp(-b * (abs(x) - 1.0))
+
+        cut = 1.0 + 40.0 / b
         norm = math.fsum(
-            quad(lambda x: psi0_eval(state, x) ** 2, lo, hi, epsabs=1e-12, limit=200)[0]
+            quad(lambda x: psi0(x) ** 2, lo, hi, epsabs=1e-12, limit=200)[0]
             for lo, hi in ((-cut, -1.0), (-1.0, 1.0), (1.0, cut))
         )
         assert norm == pytest.approx(1.0, abs=1e-9)
-
-    def test_even_parity(self):
-        state = ground_state_from_gamma(0.43 * PI)
-        for x in (0.2, 0.8, 1.0, 1.7, 5.0):
-            assert psi0_eval(state, x) == psi0_eval(state, -x)
 
     def test_log_derivative_continuity(self):
         # Inner slope -gamma0 tan(gamma0) equals outer slope -beta0: this is
