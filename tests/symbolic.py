@@ -13,8 +13,11 @@ so x' < -1 mirrors x' > 1).  The residuals of the response equations
     (d^2/dx'^2 - b^2) phi'_out + 4 x' cos(g) E
 
 and the edge-matched (C, B), the solution of the value-and-slope system at
-x' = 1, are derived once per session.  Evaluators lambdified for mpmath
-give the reference values of the package's floats.
+x' = 1, are derived once per session, as are the in-well bracket
+2 int_0^1 cos(g x') x' phi'_in dx' (alpha2' / N'^2) and the Taylor series
+of the bracket and of cos g - sin g / g that the package sums on shallow
+wells.  Evaluators lambdified for mpmath give the reference values of the
+package's floats.
 """
 
 import functools
@@ -66,6 +69,51 @@ def edge_match() -> tuple[sp.Expr, sp.Expr]:
     matrix, rhs = sp.linear_eq_to_matrix(system, [C, B])
     c_coef, b_coef = matrix.LUsolve(rhs)
     return c_coef, b_coef
+
+
+@functools.cache
+def alpha2_bracket() -> sp.Expr:
+    """2 int_0^1 cos(g x') x' phi'_in dx', affine in C."""
+    return 2 * sp.integrate(sp.cos(g * x) * x * phi_inner(), (x, 0, 1))
+
+
+@functools.cache
+def alpha2_bracket_series() -> sp.Expr:
+    """The bracket's Laurent series in g, truncated before O(g^8)."""
+    return sp.expand(sp.series(alpha2_bracket(), g, 0, 8).removeO())
+
+
+@functools.cache
+def cos_minus_sinc_series() -> sp.Expr:
+    """cos g - sin g / g, truncated before O(g^12)."""
+    return sp.series(sp.cos(g) - sp.sin(g) / g, g, 0, 12).removeO()
+
+
+@functools.cache
+def _series_evaluators():
+    return (
+        sp.lambdify((g, C), alpha2_bracket(), "mpmath"),
+        sp.lambdify((g, C), alpha2_bracket_series(), "mpmath"),
+        sp.lambdify(g, cos_minus_sinc_series(), "mpmath"),
+    )
+
+
+def alpha2_bracket_ref(gamma0: float, c_prime: float) -> mpf:
+    """The bracket at ``DPS`` digits, at exactly the given floats."""
+    with mp.workdps(DPS):
+        return +_series_evaluators()[0](mpf(gamma0), mpf(c_prime))
+
+
+def alpha2_bracket_series_ref(gamma0: float, c_prime: float) -> mpf:
+    """The bracket's truncated series at ``DPS`` digits, at the given floats."""
+    with mp.workdps(DPS):
+        return +_series_evaluators()[1](mpf(gamma0), mpf(c_prime))
+
+
+def cos_minus_sinc_series_ref(gamma0: float) -> mpf:
+    """The truncated series of cos g - sin g / g at ``DPS`` digits."""
+    with mp.workdps(DPS):
+        return +_series_evaluators()[2](mpf(gamma0))
 
 
 @functools.cache

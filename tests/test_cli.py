@@ -277,13 +277,28 @@ class TestReports:
         assert checks["sum_vs_curvature_rel"]["passed"]
         assert not checks["oracle_vs_closed_form_rel"]["passed"]
 
+    @pytest.mark.parametrize("R", ["0.721698", "0.620477", "0.528884"])
+    def test_oracle_passes_on_table2_rows(self, capsys, R):
+        # The probe fields shrink with beta0^3 on these weak wells, so the
+        # curvature route agrees with the sum route to ~3e-6 (measured).
+        code, out = run(["oracle", "--R", R], capsys)
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["diagnostics"]["checks"]}
+        assert checks["sum_vs_curvature_rel"]["value"] <= 1e-5
+        assert checks["oracle_vs_closed_form_rel"]["passed"]
+
     def test_oracle_requires_one_target(self, capsys):
         assert run(["oracle"], capsys)[0] == 2
         assert run(["oracle", "--R", "4.0", "--hard-wall"], capsys)[0] == 2
 
-    def test_oracle_checks_levels_before_solving(self, capsys):
-        # R = 0.529 is too weak for the default probe fields, so a study
-        # that started would fail with a numerical error (exit 3).
+    def test_oracle_checks_levels_before_solving(self, capsys, monkeypatch):
+        # A study that started would build a grid, and this one raises.
+        from wellpol import grid_oracle
+
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(grid_oracle, "_grid", no_grid)
         code = main(["oracle", "--R", "0.529", "--levels", "1"])
         captured = capsys.readouterr()
         assert code == 2

@@ -465,7 +465,7 @@ class TestGaussLegendre:
                 state = ground_state_from_gamma(float(gamma))
                 closed = breakdown(state).alpha_prime
                 assert alpha_via_quadrature(state) == pytest.approx(closed, rel=1e-12)
-                assert abs(orthogonality(state)) <= 1e-10
+                assert orthogonality(state) == 0.0
 
     def test_regions_match_alpha1_and_alpha2(self):
         # The outer nodes and their envelope e^{-t} come from
@@ -605,8 +605,9 @@ class TestQuadratureKernel:
 class TestOrthogonality:
     @pytest.mark.parametrize("gamma_pi", [0.39, 0.47])
     def test_vanishes_by_parity(self, gamma_pi):
+        # Exactly: each node's term is the exact negative of its mirror's.
         state = ground_state_from_gamma(gamma_pi * PI)
-        assert abs(orthogonality(state)) <= 1e-10
+        assert orthogonality(state) == 0.0
 
     def test_even_contaminant_is_detected(self, monkeypatch):
         state = state_039()
@@ -651,7 +652,7 @@ class TestSpecProperties:
 
     def test_parity_orthogonality_grid(self):
         for gamma in self.GAMMAS:
-            assert abs(orthogonality(ground_state_from_gamma(float(gamma)))) <= 1e-10
+            assert orthogonality(ground_state_from_gamma(float(gamma))) == 0.0
 
     def test_closed_form_vs_quadrature_grid(self):
         for gamma in self.GAMMAS:

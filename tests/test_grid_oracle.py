@@ -26,6 +26,19 @@ class TestConfig:
     def test_defaults_resolve_box(self):
         config = GridOracleConfig(well_R=R_REF, num_points=800)
         assert config.box_half_width == 13
+        # ceil(1 + 40/beta0) with no floor: beta0 = 49 needs only 2
+        assert GridOracleConfig(well_R=49.008061).box_half_width == 2
+
+    @pytest.mark.parametrize("gamma_pi", [0.05, 0.15, 0.2, 0.39, 0.49])
+    def test_probe_fields_scale_with_binding(self, gamma_pi):
+        # Wells with beta0 < 1 probe at beta0^3 times the hard wall's fields,
+        # which stay symmetric about 0 and are the hard wall's from beta0 = 1 up.
+        config = GridOracleConfig(well_R=ground_state_from_gamma(gamma_pi * math.pi).R)
+        hard = GridOracleConfig.hard_wall().field_values
+        assert hard == (-1e-3, -5e-4, 0.0, 5e-4, 1e-3)
+        scale = min(1.0, config.ground.beta0**3)
+        assert config.field_values == tuple(scale * v for v in hard)
+        assert config.field_values == tuple(-v for v in reversed(config.field_values))
 
     def test_hard_wall_forces_unit_box(self):
         config = GridOracleConfig.hard_wall(num_points=600)
@@ -97,14 +110,14 @@ class TestConfig:
             {"well_R": -1.0},
             {"well_R": R_REF, "box_half_width": 1},
             {"well_R": 0.6, "box_half_width": 12},  # tail needs ~113
-            {"well_R": R_REF, "field_values": (0.0, 1e-3, 2e-3)},
-            {"well_R": R_REF, "field_values": (-0.5, 0.0, 0.5)},
-            {"well_R": R_REF, "field_values": (0.0, 1e-3)},
             {"well_R": R_REF, "box_half_width": 12.5},
             {"well_R": R_REF, "box_half_width": 13.0},
             {"well_R": R_REF, "num_points": math.nan},
             {"well_R": R_REF, "num_points": math.inf},
             {"well_R": R_REF, "num_states": math.nan},
+            {"well_R": 0.0},
+            {"well_R": math.nan},
+            {"well_R": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -370,18 +383,21 @@ class TestCurvature:
         assert result.diagnostics["curvature_fit_residual_rel"] <= 1e-10
 
     def test_shallow_well_with_large_fields_trips_guard(self):
-        config = GridOracleConfig(
-            well_R=0.6,
-            num_points=500,
-            field_values=(-1e-2, -5e-3, 0.0, 5e-3, 1e-2),
-        )
+        # Fields of +-1e-2, unscaled, pull the ground state of this weak
+        # well out of the box's well.
+        config = GridOracleConfig(well_R=0.6, num_points=500)
+        x, diag, off = base_grid(config)
+        start = grid_oracle._continuum_ground(config, x)
+        e0, _ = grid_oracle._even_ground(diag, off, start)
+        whole = np.concatenate((start[:0:-1], start))
         with pytest.raises(FieldTooLargeError):
-            oracle_study(config)
+            grid_oracle._curvature(x, diag, off, whole, (-1e-2, -5e-3, 0.0, 5e-3, 1e-2), e0)
 
 
 # well_R -> float.hex of (alpha_sum, alpha_curvature, richardson_alpha,
 # ground_energy_dimless) of oracle_study at 600 points and levels=2, as the
-# continuum start evaluated on the whole grid gave them.
+# continuum start evaluated on the whole grid gave them; at 0.2 pi
+# (beta0 < 1) alpha_curvature is from the probe fields scaled by beta0^3.
 STUDY_HEX = {
     None: (
         "0x1.1fa4cf038157dp-4",
@@ -397,7 +413,7 @@ STUDY_HEX = {
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
         "0x1.0d83dc0d1f922p+5",
-        "0x1.0d9a102c40974p+5",
+        "0x1.0d840f5b54897p+5",
         "0x1.0b830178095bap+5",
         "-0x1.a980539241938p-3",
     ),
@@ -429,9 +445,10 @@ class TestRefine:
         assert 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
 
     def test_convergence_warning_points_at_caller(self):
-        # 500 points at gamma0 = 0.49 pi are pre-asymptotic (order ~1.07).
+        # 500 points on a half-width-12 box at gamma0 = 0.49 pi are
+        # pre-asymptotic (order ~1.07); the derived box of 2 is not.
         state = ground_state_from_gamma(0.49 * math.pi)
-        config = GridOracleConfig(well_R=state.R, num_points=500)
+        config = GridOracleConfig(well_R=state.R, box_half_width=12, num_points=500)
         with pytest.warns(ConvergenceWarning, match="observed convergence order") as record:
             oracle_study(config, levels=2)
         assert record[0].filename == __file__
@@ -470,6 +487,24 @@ class TestRefine:
         monkeypatch.setattr(grid_oracle, "_grid", no_grid)
         with pytest.raises(DomainError, match="grid doublings|must be an integer"):
             oracle_study(GridOracleConfig(well_R=0.529, num_points=600), levels=levels)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", range(23))
+def test_both_routes_match_closed_form_across_well_range(k):
+    # gamma0 = 0.05 pi ... 0.49 pi at the default 2000 points: the derived box
+    # and probe fields keep both routes working down to the weak wells.
+    # Measured: route gap <= 3.2e-6 up to 0.47 pi and 1.2e-4 at 0.49 pi;
+    # Richardson 9.7e-7 off at 0.05 pi and <= 1.2e-8 from 0.19 pi up.
+    gamma_pi = 0.05 + 0.02 * k
+    state = ground_state_from_gamma(gamma_pi * math.pi)
+    result = oracle_study(GridOracleConfig(well_R=state.R), levels=2)
+    route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
+    assert route_gap <= (1e-5 if gamma_pi < 0.48 else 5e-4)
+    exact = alpha_exact_prime(state)
+    assert result.richardson_alpha == pytest.approx(
+        exact, rel=2e-8 if gamma_pi > 0.18 else 2e-6, abs=0.0
+    )
 
 
 class TestOracleResult:

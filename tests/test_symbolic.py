@@ -3,7 +3,9 @@
 The proof is symbolic (``tests/symbolic.py``): both residuals expand to
 exactly 0 with the homogeneous coefficients C and B left free.  The tie-in then
 evaluates the same expressions with mpmath at exactly the floats that
-``_phi_inner``, ``_phi_outer`` and ``_edge_match`` receive.
+``_phi_inner``, ``_phi_outer`` and ``_edge_match`` receive.  The shallow-well
+series that ``_alpha2_bracket`` and ``_cos_minus_sinc`` sum are derived
+there too, and pinned as exact rationals.
 """
 
 import math
@@ -97,3 +99,63 @@ class TestEdgeMatch:
         c_ref, b_ref = symbolic.edge_match_ref(state.gamma0, state.beta0)
         assert float(abs((c_coef - c_ref) / c_ref)) <= 1e-15
         assert float(abs((b_coef - b_ref) / b_ref)) <= 1e-13
+
+
+# Both sides of each series crossover: log-spaced below it up to its last
+# float, linear from it to 1.5 rad for the closed in-well bracket.
+ALPHA2_CROSSOVER = dalgarno_lewis._ALPHA2_SERIES_BELOW
+BELOW_ALPHA2 = [float(v) for v in np.geomspace(1e-12, ALPHA2_CROSSOVER, 40)[:-1]] + [
+    math.nextafter(ALPHA2_CROSSOVER, 0.0)
+]
+ABOVE_ALPHA2 = [float(v) for v in np.linspace(ALPHA2_CROSSOVER, 1.5, 40)]
+BELOW_EDGE = [float(v) for v in np.geomspace(1e-12, CROSSOVER, 40)[:-1]] + [
+    math.nextafter(CROSSOVER, 0.0)
+]
+C_PRIMES = {"trial": lambda g: 0.0, "hard_wall": lambda g: -1.0,
+            "paper": dalgarno_lewis.default_c_prime}
+
+
+class TestSeries:
+    def test_alpha2_bracket_series_coefficients(self):
+        # 2 int_0^1 cos(g x') x' phi'_in dx' to O(g^8), affine in C.
+        g, c = symbolic.g, symbolic.C
+        r = sp.Rational
+        expected = (
+            -r(2, 3) / g**2 + r(2, 21) * g**2 - r(8, 405) * g**4 + r(2, 1155) * g**6
+            + c * (-r(2, 3) + r(4, 15) * g**2 - r(4, 105) * g**4 + r(8, 2835) * g**6)
+        )
+        assert sp.expand(symbolic.alpha2_bracket_series() - expected) == 0
+
+    def test_cos_minus_sinc_series_coefficients(self):
+        # sum_{k=1..5} (-1)^k 2k g^(2k) / (2k+1)!, the terms _cos_minus_sinc sums.
+        g = symbolic.g
+        expected = sum(
+            (-1) ** k * 2 * k * g ** (2 * k) / sp.factorial(2 * k + 1) for k in range(1, 6)
+        )
+        assert sp.expand(symbolic.cos_minus_sinc_series() - expected) == 0
+
+    @pytest.mark.parametrize("c_name", list(C_PRIMES))
+    def test_alpha2_series_branch_matches_truncated_series(self, c_name):
+        # Measured worst 3.3e-16.
+        for gamma in BELOW_ALPHA2:
+            c_prime = C_PRIMES[c_name](gamma)
+            ref = symbolic.alpha2_bracket_series_ref(gamma, c_prime)
+            got = dalgarno_lewis._alpha2_bracket(gamma, c_prime)
+            assert float(abs((got - ref) / ref)) <= 1e-15, gamma
+
+    @pytest.mark.parametrize("c_name", list(C_PRIMES))
+    def test_alpha2_closed_branch_matches_integral(self, c_name):
+        # The seven closed terms cancel most just above the crossover;
+        # measured worst 6.9e-14.
+        for gamma in ABOVE_ALPHA2:
+            c_prime = C_PRIMES[c_name](gamma)
+            ref = symbolic.alpha2_bracket_ref(gamma, c_prime)
+            got = dalgarno_lewis._alpha2_bracket(gamma, c_prime)
+            assert float(abs((got - ref) / ref)) <= 1e-13, gamma
+
+    def test_edge_series_factor_matches_truncated_series(self):
+        # Measured worst 2.0e-16.
+        for gamma in BELOW_EDGE:
+            ref = symbolic.cos_minus_sinc_series_ref(gamma)
+            got = dalgarno_lewis._cos_minus_sinc(gamma)
+            assert float(abs((got - ref) / ref)) <= 1e-15, gamma
