@@ -303,7 +303,7 @@ def cmd_oracle(args) -> int:
         )
     result = grid_oracle.oracle_study(config, levels=args.levels)
     route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
-    checks = [_check("sum_vs_curvature_rel", route_gap, 0.0, 5e-3)]
+    checks = [_check("sum_vs_curvature_rel", route_gap, 0.0, grid_oracle._ROUTE_AGREEMENT)]
     rows = [
         {
             "alpha_sum": result.alpha_sum,

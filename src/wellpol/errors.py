@@ -14,15 +14,13 @@ class NumericalError(RuntimeError):
 
 
 class FieldTooLargeError(NumericalError):
-    """Quadratic fit of the Stark-shifted ground energy is contaminated.
+    """The Stark probe fields are too large for the curvature route.
 
-    Raised when the non-quadratic fit residual exceeds 1e-8 of the fitted
-    curvature coefficient, which happens when the probe fields are too
-    large for the quadratic response regime (or too small to rise above
-    eigenvalue noise).  Also raised when the ground state found in the well
-    at a probe field is not the lowest state of the tilted box: the field
-    has pulled the box's ground state out of the well, towards the wall on
-    the low side.
+    Raised when the ground state found in the well at a probe field is not
+    the lowest state of the tilted box (the field has pulled the box's
+    ground state out of the well, towards the wall on the low side), and
+    when the two Stark quotients -4 (E(eps') - E0) / eps'^2 differ by more
+    than 1e-4 relative, i.e. the eps'^4 term is no longer small.
     """
 
 

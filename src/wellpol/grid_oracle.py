@@ -11,11 +11,12 @@ the grid.  The polarizability then comes out two independent ways:
                           alpha' = 4 <x' psi0|phi>, which is the spectral
                           sum 4 sum_n |<n|x'|0>|^2 / (E_n' - E_0') over every
                           grid state, without building one excited state
-  * field curvature       E_0'(eps') = E_0' - (alpha'/4) eps'^2, quadratic fit;
-                          the matrix at -eps' is the exact mirror image of
-                          the one at +eps', so one full-grid ground state per
-                          |eps'| serves both signs, and E_0' is the even
-                          block's
+  * field curvature       Stark quotients -4 (E_0'(eps') - E_0') / eps'^2 =
+                          alpha' + O(eps'^2) at two field sizes, taken to
+                          eps' -> 0; the matrix at -eps' is the exact mirror
+                          image of the one at +eps', so one full-grid ground
+                          state per size serves both signs, and E_0' is the
+                          even block's
 
 Every ground state comes from shifted inverse iteration started at the
 continuum ground state sampled on the nodes, one O(n) tridiagonal solve per
@@ -27,13 +28,13 @@ reference.
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
 and makes Richardson extrapolation across grid doublings meaningful
-(``limits.extrapolate`` with ratio 1/4).
-Ground energies are Rayleigh quotients in an edge-difference form free of
-cancellation, so the curvature fit is not polluted by eigensolver noise.
+(``limits.extrapolate`` with ratio 1/4).  Every ground energy is one
+Rayleigh quotient from the well bottom, free of cancellation, so the Stark
+shifts are not polluted by rounding.
 ``oracle_study`` is the one entry point: it builds each of its grids once
 and finds one even-block ground state on each, for the Dalgarno-Lewis solve
 of that level; the base grid's also serves as the zero field of the
-curvature fit.
+curvature route.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
 infinite-well configuration); responses then check out against the
@@ -63,12 +64,15 @@ __all__ = [
     "oracle_study",
 ]
 
-# Stark probe fields eps' of the curvature route, scaled per well on construction.
-_PROBE_FIELDS = (-1e-3, -5e-4, 0.0, 5e-4, 1e-3)
+# Stark probe field sizes eps' (larger first; -eps' mirrors +eps'), scaled per well.
+_PROBE_FIELDS = (1e-3, 5e-4)
 
 # Relative agreement required between the two oracle routes at matched
 # discretization before a combined result is considered sane.
-_ROUTE_AGREEMENT = 5e-3
+_ROUTE_AGREEMENT = 1e-6
+
+# Largest eps'^4 share |q1 - q2| / |q2| of the two Stark quotients.
+_QUARTIC_SHARE = 1e-4
 
 # Inverse-iteration steps allowed before a ground state counts as lost.
 _MAX_INVERSE_STEPS = 30
@@ -158,12 +162,9 @@ class OracleResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.alpha_sum > 0.0:
-            raise NumericalError(f"alpha_sum must be positive, got {self.alpha_sum!r}")
-        if not self.alpha_curvature > 0.0:
-            raise NumericalError(
-                f"alpha_curvature must be positive, got {self.alpha_curvature!r}"
-            )
+        for name in ("alpha_sum", "alpha_curvature"):
+            if not getattr(self, name) > 0.0:
+                raise NumericalError(f"{name} must be positive, got {getattr(self, name)!r}")
         gap = abs(self.alpha_sum - self.alpha_curvature) / self.alpha_sum
         if gap > _ROUTE_AGREEMENT:
             raise NumericalError(
@@ -177,20 +178,20 @@ def _multiplier(config: GridOracleConfig) -> int:
 
 
 def _grid(config: GridOracleConfig, m: int):
-    """Abscissae, diagonal and off-diagonal of the aligned grid, m nodes per unit length."""
+    """Abscissae, well-bottom potential, diagonal and off-diagonal, m nodes per unit length.
+
+    v = V' + R^2 is exact: 0 inside, R^2 outside, R^2/2 on the edge nodes.
+    """
     L = config.box_half_width
     n = 2 * L * m - 1
     k = np.arange(1, n + 1) - L * m
     x = k / float(m)
-    if config.well_R is None:
-        v = np.zeros(n)
-    else:
-        r_sq = config.well_R**2
-        v = np.where(np.abs(k) < m, -r_sq, 0.0)
-        v[np.abs(k) == m] = -0.5 * r_sq  # edge nodes take the mean of the jump
-    diag = 2.0 * m * m + v
+    r_sq = (config.well_R or 0.0) ** 2
+    v = np.where(np.abs(k) < m, 0.0, r_sq)
+    v[np.abs(k) == m] = 0.5 * r_sq
+    diag = 2.0 * m * m + (v - r_sq)
     off = np.full(n - 1, -float(m) * m)
-    return x, diag, off
+    return x, v, diag, off
 
 
 def _tridiag_matvec(diag, off, vec, minus=None):
@@ -201,19 +202,17 @@ def _tridiag_matvec(diag, off, vec, minus=None):
     return out
 
 
-def _rayleigh_refine(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> float:
-    """Rayleigh quotient of an eigenvector in the edge-difference form.
+def _rayleigh_quotient(off: np.ndarray, onsite: np.ndarray, vec: np.ndarray) -> float:
+    """Energy above the well bottom, w.Tw / w.w, of T = (2 m^2 + ``onsite``, off = -m^2).
 
-    w.Tw = sum (-off_k) (w_{k+1} - w_k)^2 + sum (diag_k + off_{k-1} + off_k) w_k^2
-    exactly.  On the oracle's grids off = -m^2 < 0 and the on-site factor is
-    the potential, so no term of size |T| ~ 4 m^2 cancels as in w.(T w),
-    whose rounding in double is comparable to the Stark curvature signal.
+    ``onsite`` is the exact potential above the well bottom, minus eps' x' on
+    a tilted grid.  w.Tw = m^2 [sum (w_{k+1} - w_k)^2 + w_0^2 + w_{n-1}^2]
+    + sum onsite_k w_k^2 exactly, the end terms being the hard walls, so no
+    term of size 4 m^2 or R^2 cancels, as it would in w.(T w) or from E' = 0.
     """
     step = vec[1:] - vec[:-1]
-    onsite = diag.copy()
-    onsite[:-1] += off
-    onsite[1:] += off
-    return float((step @ (-off * step) + vec @ (onsite * vec)) / (vec @ vec))
+    kinetic = step @ step + vec[0] ** 2 + vec[-1] ** 2
+    return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec))
 
 
 def _solve_band(diag, off, hi_index: int):
@@ -234,7 +233,7 @@ def _solve_band(diag, off, hi_index: int):
 def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
     """Lowest ``num_states`` eigenpairs of the discretized Hamiltonian."""
     m = _multiplier(config)
-    x, diag, off = _grid(config, m)
+    x, _, diag, off = _grid(config, m)
     hi = min(config.num_states, x.size) - 1
     lam, vec = _solve_band(diag, off, hi)
     return SpectrumResult(
@@ -306,8 +305,8 @@ def _lowest_vector(
     return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
 
 
-def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
-    """Ground energy and unit eigenvector of the grid from its even block.
+def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.ndarray):
+    """Well-bottom ground energy and unit eigenvector of the grid from its even block.
 
     The ground state is even, so the nodes x' >= 0 carry it.  On them the
     centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
@@ -325,7 +324,7 @@ def _even_ground(diag: np.ndarray, off: np.ndarray, start: np.ndarray):
     vec = _lowest_vector(diag[centre:], block_off, block_start)
     half = vec[1:] / math.sqrt(2.0)
     psi = np.concatenate((half[::-1], vec[:1], half))
-    return _rayleigh_refine(diag, off, psi), psi
+    return _rayleigh_quotient(off, v, psi), psi
 
 
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
@@ -352,43 +351,37 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     return 8.0 * float(b @ phi), solve_residual
 
 
-def _curvature(x, diag, off, start, fields: tuple[float, ...], e0: float) -> dict:
-    """Quadratic fit of the ground energy over the probe ``fields``.
+def _curvature(x, v, diag, off, start, fields: tuple[float, ...], e0: float):
+    """alpha' from the Stark quotients at the two probe sizes, and their record.
 
-    ``e0`` is the zero-field energy, from the even block of the grid.  The
-    grid is mirror-symmetric node for node, so the matrix at -eps' is the
-    exact reversal of the one at +eps' and has the same spectrum: one
-    ground state per distinct |eps'| serves both signs.  Each starts from
-    ``start``, the continuum ground state on the whole grid;
-    ``FieldTooLargeError`` is raised when it is not the lowest state of the
-    tilted box, i.e. the field has pulled the box's ground state out of the
-    well.
+    At each size eps' (larger first) q = -4 (E(eps') - e0) / eps'^2 =
+    alpha' + O(eps'^2), with e0 the even block's zero-field energy, so
+    ``extrapolate`` at ratio (eps2/eps1)^2 takes them to zero field.  The
+    matrix at -eps' is the mirror image of the one at +eps', so one ground
+    state per size serves both signs.  The field breaks the parity, so each
+    starts from ``start``, the continuum state on the nodes x' >= 0,
+    mirrored onto the whole grid.  ``FieldTooLargeError``: the state is not
+    the lowest of the tilted box (the field pulled it out of the well), or
+    the eps'^4 share |q1 - q2| / |q2| exceeds ``_QUARTIC_SHARE``.
     """
-    fields = np.asarray(fields)
-    by_size = {0.0: e0}
-    for size in np.abs(fields):
-        if size not in by_size:
-            shifted = diag - size * x
-            vec = _lowest_vector(shifted, off, start, FieldTooLargeError)
-            by_size[size] = _rayleigh_refine(shifted, off, vec)
-    energies = np.array([by_size[size] for size in np.abs(fields)])
-    coeffs = np.polyfit(fields, energies, 2)
-    fit = np.polyval(coeffs, fields)
-    residual = float(np.max(np.abs(fit - energies)))
-    curvature = float(coeffs[0])
-    rel_residual = residual / max(abs(curvature), 1e-300)
-    if rel_residual > 1e-8:
+    whole = np.concatenate((start[:0:-1], start))
+    quotients = []
+    for size in fields:
+        tilt = size * x
+        vec = _lowest_vector(diag - tilt, off, whole, FieldTooLargeError)
+        energy = _rayleigh_quotient(off, v - tilt, vec)
+        quotients.append(-4.0 * (energy - e0) / size**2)
+    share = abs(quotients[0] - quotients[1]) / abs(quotients[1])
+    if not share <= _QUARTIC_SHARE:
         raise FieldTooLargeError(
-            f"non-quadratic fit residual {residual:.3e} is {rel_residual:.3e} of the "
-            f"curvature coefficient {curvature:.3e}; shrink the probe fields"
+            f"Stark quotients differ by {share:.1e} relative, above {_QUARTIC_SHARE:g}: "
+            f"the eps'^4 term is not small at fields {fields[0]:.1e} and {fields[1]:.1e}"
         )
-    return {
-        "field_values": tuple(float(v) for v in fields),
-        "ground_energies": tuple(float(v) for v in energies),
-        "fit_residual": residual,
-        "fit_residual_rel": rel_residual,
-        "linear_coeff": float(coeffs[1]),
-        "quadratic_coeff": curvature,
+    alpha = extrapolate(quotients, ratio=(fields[1] / fields[0]) ** 2)
+    return alpha, {
+        "curvature_field_values": fields,
+        "curvature_stark_quotients": tuple(quotients),
+        "curvature_quartic_share": share,
     }
 
 
@@ -397,37 +390,38 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
 
     Each grid gives one even-block ground state and one Dalgarno-Lewis
     solve.  On the base grid, ``alpha_sum`` is that solve and its ground
-    energy is the zero-field point of the curvature fit, which gives
+    energy is the zero-field point of the Stark quotients, which give
     ``alpha_curvature``.  ``richardson_alpha`` extrapolates the solves of
-    all levels, assuming the second-order convergence of the three-point
-    stencil; the observed order is reported, with a warning outside
-    [1.5, 2.5].  With the box sized to the tail, even gamma0 = 0.49 pi is
-    near that order from 1100 points (successive-difference ratios 3.98
-    and 3.99 against the asymptotic 4), and two doublings leave the
-    extrapolated value within 3e-8 (relative) of ``alpha_exact_prime`` on
-    every Table-1 row; ``levels=4`` leaves 3e-10.
+    all levels by Romberg's table, assuming the even-power error expansion
+    of the three-point stencil; the observed order is reported, with a
+    warning outside [1.5, 2.5].  With the box sized to the tail, even
+    gamma0 = 0.49 pi is near that order from 1100 points (successive-
+    difference ratios 3.98 and 3.99 against the asymptotic 4), and two
+    doublings leave the extrapolated value within 2e-10 (relative) of
+    ``alpha_exact_prime`` on every Table-1 row.
     """
     if not isinstance(levels, int):
         raise DomainError(f"levels must be an integer, got {levels!r}")
     if levels < 2:
         raise DomainError(f"need at least 2 grid doublings, got {levels!r}")
-    L = config.box_half_width
     ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
     alphas, e0s, sizes = [], [], []
     for m in ms:
-        x, diag, off = _grid(config, m)
+        x, v, diag, off = _grid(config, m)
         start = _continuum_ground(config, x)
-        e0, psi0 = _even_ground(diag, off, start)
+        bottom, psi0 = _even_ground(v, diag, off, start)
+        e0 = bottom - (config.well_R or 0.0) ** 2
         alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
         if m == ms[0]:
-            grid = {"num_points_actual": x.size, "box_half_width": L, "grid_spacing": 1.0 / m}
-            # the field breaks the parity, so the curvature route starts
-            # from the continuum state mirrored onto the whole grid
-            whole = np.concatenate((start[:0:-1], start))
-            fit = _curvature(x, diag, off, whole, config.field_values, e0)
-            diagnostics = {f"sum_{k}": v for k, v in grid.items()}
-            diagnostics["sum_solve_residual"] = solve_residual
-            diagnostics.update({f"curvature_{k}": v for k, v in {**grid, **fit}.items()})
+            fields = config.field_values
+            alpha_curvature, stark = _curvature(x, v, diag, off, start, fields, bottom)
+            diagnostics = {
+                "grid_num_points_actual": x.size,
+                "grid_box_half_width": config.box_half_width,
+                "grid_spacing": 1.0 / m,
+                "sum_solve_residual": solve_residual,
+                **stark,
+            }
         alphas.append(alpha)
         e0s.append(e0)
         sizes.append(x.size)
@@ -441,7 +435,6 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
             stacklevel=2,
         )
     diagnostics.update(
-        refine_box_half_width=L,
         refine_grid_multipliers=ms,
         refine_grid_sizes=tuple(sizes),
         refine_alpha_per_level=tuple(alphas),
@@ -450,7 +443,7 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     )
     return OracleResult(
         alpha_sum=alphas[0],
-        alpha_curvature=-4.0 * fit["quadratic_coeff"],
+        alpha_curvature=alpha_curvature,
         ground_energy_dimless=e0s[0],
         richardson_alpha=extrapolate(alphas, ratio=0.25),
         diagnostics=diagnostics,

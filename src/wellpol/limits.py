@@ -70,23 +70,29 @@ _HARD_WALL_EPSILONS = (1e-3, 1e-5, 1e-7)
 
 
 def extrapolate(values: Sequence[float], ratio: float | None = None) -> float:
-    """Limit of a sequence whose successive differences shrink by ``ratio``.
+    """Limit of a sequence whose error shrinks by ``ratio`` from one value to the next.
 
-    Returns values[-1] + d_last * r / (1 - r), the sum of the geometric tail
-    of differences.  With no ``ratio`` given, r is measured as
-    d_last / d_prev from the last three values; a measured r that is zero,
-    not finite, or of magnitude >= 0.95 (no geometric decay to exploit)
-    returns values[-1] unchanged.
+    With ``ratio`` given this is Romberg's table: the error is a series in
+    ratio, ratio^2, ... per step (h^2, h^4, ... under grid halving at 1/4),
+    and each column eliminates the next power r, taking neighbours a, b to
+    b + (b - a) r / (1 - r).  With no ``ratio``, r is measured as
+    d_last / d_prev from the last three values and the one step is taken
+    on the last two; a measured r that is zero, not finite, or of magnitude
+    >= 0.95 (no geometric decay to exploit) returns values[-1] unchanged.
     """
-    d_last = values[-1] - values[-2]
     if ratio is None:
-        d_prev = values[-2] - values[-3]
+        d_last, d_prev = values[-1] - values[-2], values[-2] - values[-3]
         if d_prev == 0.0 or not math.isfinite(d_last / d_prev):
             return values[-1]
         ratio = d_last / d_prev
         if not 0.0 < abs(ratio) < 0.95:
             return values[-1]
-    return values[-1] + d_last * ratio / (1.0 - ratio)
+        values = values[-2:]
+    column, r = list(values), ratio
+    while len(column) > 1:
+        column = [b + (b - a) * r / (1.0 - r) for a, b in zip(column, column[1:])]
+        r *= ratio
+    return column[0]
 
 
 def delta_limit(steps: int = 12) -> DeltaLimitSequence:
@@ -140,8 +146,8 @@ def infinite_well_limit() -> InfiniteWellLimitReport:
         a2.append(alpha2_prime(state))
         a2t.append(alpha2_t_prime(state))
 
-    # The leading error is linear in eps, so successive differences shrink
-    # with the epsilons themselves.
+    # The error is a series in eps, so successive values shrink its terms
+    # by powers of the epsilons' own ratio.
     ratio = eps[-1] / eps[-2]
     return InfiniteWellLimitReport(
         epsilons=eps,

@@ -18,8 +18,16 @@ R_REF = 3.617018  # gamma0 = 0.39 pi row
 
 
 def base_grid(config):
-    """Abscissae, diagonal and off-diagonal of the study's base grid."""
+    """Abscissae, well-bottom potential, diagonal and off-diagonal of the study's base grid."""
     return grid_oracle._grid(config, grid_oracle._multiplier(config))
+
+
+def bottom_ground(config):
+    """The base grid, its ground energy above the well bottom and the continuum start."""
+    x, v, diag, off = base_grid(config)
+    start = grid_oracle._continuum_ground(config, x)
+    bottom, _ = grid_oracle._even_ground(v, diag, off, start)
+    return (x, v, diag, off), bottom, start
 
 
 class TestConfig:
@@ -31,14 +39,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("gamma_pi", [0.05, 0.15, 0.2, 0.39, 0.49])
     def test_probe_fields_scale_with_binding(self, gamma_pi):
-        # Wells with beta0 < 1 probe at beta0^3 times the hard wall's fields,
-        # which stay symmetric about 0 and are the hard wall's from beta0 = 1 up.
+        # Wells with beta0 < 1 probe at beta0^3 times the hard wall's two
+        # field sizes, larger first, and at the hard wall's from beta0 = 1 up.
         config = GridOracleConfig(well_R=ground_state_from_gamma(gamma_pi * math.pi).R)
         hard = GridOracleConfig.hard_wall().field_values
-        assert hard == (-1e-3, -5e-4, 0.0, 5e-4, 1e-3)
+        assert hard == (1e-3, 5e-4)
         scale = min(1.0, config.ground.beta0**3)
         assert config.field_values == tuple(scale * v for v in hard)
-        assert config.field_values == tuple(-v for v in reversed(config.field_values))
 
     def test_hard_wall_forces_unit_box(self):
         config = GridOracleConfig.hard_wall(num_points=600)
@@ -61,7 +68,7 @@ class TestConfig:
     def test_study_makes_five_eigensolves(self, monkeypatch):
         # One even block per refinement level (the base grid's serves the
         # sum route and the zero field too) and one full-grid ground state
-        # per distinct |eps'|, each by inverse iteration: no bisection.
+        # per probe field size, each by inverse iteration: no bisection.
         bisections, ground_states = [], []
         eigh = grid_oracle.eigh_tridiagonal
         lowest = grid_oracle._lowest_vector
@@ -143,13 +150,13 @@ class TestSpectrum:
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         config = GridOracleConfig(well_R=well_R)
-        x, diag, off = base_grid(config)
+        x, v, diag, off = base_grid(config)
         start = grid_oracle._continuum_ground(config, x)
-        e0, psi0 = grid_oracle._even_ground(diag, off, start)
+        e0, psi0 = grid_oracle._even_ground(v, diag, off, start)
         _, vec = grid_oracle._solve_band(diag, off, 0)
         assert psi0.size == diag.size
         assert e0 == pytest.approx(
-            grid_oracle._rayleigh_refine(diag, off, vec[:, 0]), rel=1e-15, abs=0.0
+            grid_oracle._rayleigh_quotient(off, v, vec[:, 0]), rel=1e-15, abs=0.0
         )
         assert np.max(np.abs(psi0 - vec[:, 0])) <= 1e-12
 
@@ -159,7 +166,7 @@ class TestSpectrum:
         # Evaluated branch by branch on the nodes x' >= 0, the start equals
         # both branches taken on the whole grid and selected by |x'| <= 1.
         config = GridOracleConfig(well_R=well_R)
-        x, _, _ = grid_oracle._grid(config, grid_oracle._multiplier(config) * 2**level)
+        x = grid_oracle._grid(config, grid_oracle._multiplier(config) * 2**level)[0]
         ax = np.abs(x)
         if well_R is None:
             whole = np.cos(0.5 * math.pi * x)
@@ -177,7 +184,7 @@ class TestSpectrum:
         # stays there; the factorisation below it fails, so the pair is
         # refused instead of returned as the ground state.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        _, diag, off = base_grid(config)
+        _, _, diag, off = base_grid(config)
         centre = diag.size // 2
         block_diag = diag[centre:]
         block_off = off[centre:].copy()
@@ -194,61 +201,72 @@ class TestSpectrum:
         assert np.max(np.abs(first + first[::-1])) <= 1e-8
 
 
-def exact_quotient(diag, off, vec) -> Fraction:
-    """w.Tw / w.w of the stored arrays, exactly.
+def exact_quotient(off, onsite, vec) -> Fraction:
+    """w.Tw / w.w of the well-bottom matrix T, diagonal 2 m^2 + onsite, exactly.
 
     Every double is an integer multiple of 2**-1074, so the sums run over
     Python integers in that unit, a rational only at the end.
     """
     unit = 2**1074
-    d, e, w = (
+    e, u, w = (
         [p * (unit // q) for p, q in map(float.as_integer_ratio, a.tolist())]
-        for a in (diag, off, vec)
+        for a in (off, onsite, vec)
     )
-    quad = sum(a * b * b for a, b in zip(d, w))
+    quad = sum((b - 2 * e[0]) * c * c for b, c in zip(u, w))
     quad += 2 * sum(a * b * c for a, b, c in zip(e, w, w[1:]))
-    return Fraction(quad, sum(b * b for b in w) * unit)
+    return Fraction(quad, sum(c * c for c in w) * unit)
 
 
 class TestRayleighQuotient:
     @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061])
     @pytest.mark.parametrize("case", ["base", "tilted", "finest"])
     def test_within_four_ulp_of_exact_quotient(self, well_R, case):
-        # The edge-difference form cancels no term of size |T| ~ 4 m^2, so
-        # the ground energy is as good as the stored matrix and vector allow.
+        # The edge-difference form from the well bottom cancels no term of
+        # size 4 m^2 or R^2, so the ground energy is as good as the stored
+        # matrix and vector allow.
         config = GridOracleConfig(well_R=well_R)
         m = grid_oracle._multiplier(config) * (2**2 if case == "finest" else 1)  # levels=2
-        x, diag, off = grid_oracle._grid(config, m)
+        x, v, diag, off = grid_oracle._grid(config, m)
         start = grid_oracle._continuum_ground(config, x)
         if case == "tilted":
-            diag = diag - 1e-3 * x
-            vec = grid_oracle._lowest_vector(diag, off, np.concatenate((start[:0:-1], start)))
+            tilt = 1e-3 * x
+            v = v - tilt
+            vec = grid_oracle._lowest_vector(
+                diag - tilt, off, np.concatenate((start[:0:-1], start))
+            )
         else:
-            _, vec = grid_oracle._even_ground(diag, off, start)
-        energy = grid_oracle._rayleigh_refine(diag, off, vec)
-        exact = exact_quotient(diag, off, vec)
+            _, vec = grid_oracle._even_ground(v, diag, off, start)
+        energy = grid_oracle._rayleigh_quotient(off, v, vec)
+        exact = exact_quotient(off, v, vec)
         assert abs(Fraction(energy) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
-    @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061, "random"])
+    @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061])
     def test_identity_holds_for_any_vector(self, well_R):
-        # The form is an identity for every symmetric tridiagonal, not an
-        # approximation near eigenvectors: check it on random vectors, and
-        # on a random matrix whose off-diagonal takes both signs.
+        # The form is an identity for the oracle's grids, not an
+        # approximation near eigenvectors: check it on random vectors
+        # against w.(T w) of the well-bottom matrix in long double.
         rng = np.random.default_rng(7)
-        if well_R == "random":
-            diag, off = rng.standard_normal(999), rng.standard_normal(998)
-        else:
-            _, diag, off = base_grid(GridOracleConfig(well_R=well_R))
+        _, v, _, off = base_grid(GridOracleConfig(well_R=well_R))
+        bottom = (v - 2.0 * off[0]).astype(np.longdouble)
         for _ in range(5):
-            vec = rng.standard_normal(diag.size)
+            vec = rng.standard_normal(v.size)
             w = vec.astype(np.longdouble)
-            tw = grid_oracle._tridiag_matvec(
-                diag.astype(np.longdouble), off.astype(np.longdouble), w
-            )
+            tw = grid_oracle._tridiag_matvec(bottom, off.astype(np.longdouble), w)
             reference = float((w @ tw) / (w @ w))
-            assert grid_oracle._rayleigh_refine(diag, off, vec) == pytest.approx(
+            assert grid_oracle._rayleigh_quotient(off, v, vec) == pytest.approx(
                 reference, rel=1e-13, abs=0.0
             )
+
+    def test_diagonal_is_potential_below_the_bottom(self):
+        # diag = 2 m^2 + (v - R^2) is bit for bit the stencil plus V'.
+        m = grid_oracle._multiplier(GridOracleConfig(well_R=R_REF))
+        x, v, diag, off = base_grid(GridOracleConfig(well_R=R_REF))
+        r_sq = R_REF**2
+        inside = np.where(np.abs(x) < 1.0, -r_sq, 0.0)
+        inside[np.abs(np.abs(x) - 1.0) < 0.5 / m] = -0.5 * r_sq
+        assert np.array_equal(diag, 2.0 * m * m + inside)
+        assert np.array_equal(off, np.full(x.size - 1, -float(m * m)))
+        assert set(v.tolist()) == {0.0, 0.5 * r_sq, r_sq}
 
 
 class TestAlphaSum:
@@ -257,7 +275,7 @@ class TestAlphaSum:
         """The solve result and each grid state's share of the spectral sum."""
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        size = result.diagnostics["sum_num_points_actual"]
+        size = result.diagnostics["grid_num_points_actual"]
         spectrum = solve_spectrum(dataclasses.replace(config, num_states=size))
         assert spectrum.energies.size == size
         ground = spectrum.states[:, 0]
@@ -284,7 +302,7 @@ class TestAlphaSum:
     def test_shift_above_odd_states_raises(self, monkeypatch):
         # H - E0 must be positive definite on the odd half-grid; a shift
         # past the first odd state breaks the Cholesky solve.
-        monkeypatch.setattr(grid_oracle, "_rayleigh_refine", lambda *args: 1e3)
+        monkeypatch.setattr(grid_oracle, "_rayleigh_quotient", lambda *args: 1e3 + R_REF**2)
         with pytest.raises(NumericalError, match="not positive definite"):
             oracle_study(GridOracleConfig(well_R=R_REF, num_points=900))
 
@@ -302,120 +320,158 @@ class TestAlphaSum:
         assert abs(result.alpha_sum - 0.106382) / 0.106382 < 0.05
 
 
+def field_energy(grid, size, sign=1.0):
+    """Ground energy above the well bottom of the base grid at field sign * size, by bisection."""
+    x, v, diag, off = grid
+    tilt = sign * size * x
+    _, vec = grid_oracle._solve_band(diag - tilt, off, 0)
+    return grid_oracle._rayleigh_quotient(off, v - tilt, vec[:, 0])
+
+
+def energies_from_quotients(result, bottom):
+    """E(eps') = E0 - q eps'^2 / 4 at each probe size, from the study's Stark quotients."""
+    fields = result.diagnostics["curvature_field_values"]
+    quotients = result.diagnostics["curvature_stark_quotients"]
+    return [bottom - q * eps**2 / 4.0 for eps, q in zip(fields, quotients)]
+
+
 class TestCurvature:
     def test_two_routes_agree_at_matched_discretization(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
         gap = abs(result.alpha_sum - result.alpha_curvature)
-        assert gap / result.alpha_sum < 5e-3
+        assert gap / result.alpha_sum < 1e-6
 
     def test_zero_field_row_reproduces_ground_energy(self):
-        # The fit's zero-field point is the base grid's own ground energy.
+        # The quotients' zero-field point is the base grid's own ground
+        # energy: rebuilt from it and the field solves, they come out
+        # bit for bit.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        fields = result.diagnostics["curvature_field_values"]
-        energies = result.diagnostics["curvature_ground_energies"]
-        x, diag, off = base_grid(config)
-        e0, _ = grid_oracle._even_ground(diag, off, grid_oracle._continuum_ground(config, x))
-        assert energies[fields.index(0.0)] == e0
+        (x, v, diag, off), bottom, start = bottom_ground(config)
+        whole = np.concatenate((start[:0:-1], start))
+        quotients = []
+        for eps in config.field_values:
+            vec = grid_oracle._lowest_vector(diag - eps * x, off, whole)
+            energy = grid_oracle._rayleigh_quotient(off, v - eps * x, vec)
+            quotients.append(-4.0 * (energy - bottom) / eps**2)
+        assert result.diagnostics["curvature_stark_quotients"] == tuple(quotients)
 
     def test_no_permanent_dipole(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        # linear term of the fit ~ 0 relative to the curvature scale
-        assert abs(result.diagnostics["curvature_linear_coeff"]) <= 1e-6 * abs(
-            result.diagnostics["curvature_quadratic_coeff"]
-        )
         # The route takes E(-eps') from the solve at +eps'; a direct solve at
         # -eps' checks that symmetry instead of assuming it.
-        x, diag, off = base_grid(config)
-        eps = max(config.field_values)
-        shifted = diag + eps * x
-        _, vec = grid_oracle._solve_band(shifted, off, 0)
-        energies = result.diagnostics["curvature_ground_energies"]
-        mirrored = energies[config.field_values.index(-eps)]
-        assert grid_oracle._rayleigh_refine(shifted, off, vec[:, 0]) == pytest.approx(
-            mirrored, rel=1e-14, abs=0.0
-        )
+        config = GridOracleConfig(well_R=R_REF, num_points=900)
+        result = oracle_study(config)
+        grid, bottom, _ = bottom_ground(config)
+        eps = config.field_values[0]
+        mirrored = energies_from_quotients(result, bottom)[0]
+        direct = field_energy(grid, eps, sign=-1.0)
+        assert direct == pytest.approx(mirrored, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "well_R", [None, ground_state_from_gamma(0.2 * math.pi).R, R_REF, 49.008061]
     )
     def test_field_energies_match_bisection_reference(self, well_R):
         config = GridOracleConfig(well_R=well_R)
-        energies = oracle_study(config).diagnostics["curvature_ground_energies"]
-        x, diag, off = base_grid(config)
+        result = oracle_study(config)
+        grid, bottom, _ = bottom_ground(config)
+        energies = energies_from_quotients(result, bottom)
         for eps, energy in zip(config.field_values, energies):
-            if eps == 0.0:
-                continue
-            shifted = diag - abs(eps) * x
-            _, vec = grid_oracle._solve_band(shifted, off, 0)
-            reference = grid_oracle._rayleigh_refine(shifted, off, vec[:, 0])
+            reference = field_energy(grid, eps)
             assert energy == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("step", range(17))
     def test_field_guard_matches_bisection_reference(self, step):
-        # gamma0 = 0.15 pi ... 0.19 pi: the route must refuse the field
-        # exactly where the grid's lowest state at some |eps'| has left the
-        # well, which the full bisection solve shows by where it peaks.
+        # gamma0 = 0.15 pi ... 0.19 pi at the unscaled probe fields, which
+        # are too large for all of these weak wells: the certificate must
+        # refuse them exactly where the grid's lowest state at some field
+        # has left the well, which the full bisection solve shows by where
+        # it peaks; on the other wells the eps'^4 share refuses them.
         state = ground_state_from_gamma((0.15 + 0.0025 * step) * math.pi)
         config = GridOracleConfig(well_R=state.R)
-        x, diag, off = base_grid(config)
+        (x, v, diag, off), bottom, start = bottom_ground(config)
+        fields = grid_oracle._PROBE_FIELDS
         escaped = False
-        for size in {abs(eps) for eps in config.field_values} - {0.0}:
+        for size in fields:
             _, vec = grid_oracle._solve_band(diag - size * x, off, 0)
             escaped |= abs(x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
-        if escaped:
-            with pytest.raises(FieldTooLargeError):
-                oracle_study(config)
-        else:
-            assert oracle_study(config).alpha_curvature > 0.0
+        reason = "has a state more than" if escaped else "eps'\\^4 term"
+        with pytest.raises(FieldTooLargeError, match=reason):
+            grid_oracle._curvature(x, v, diag, off, start, fields, bottom)
 
-    def test_study_shares_zero_field_energy(self):
+    def test_study_shares_zero_field_energy(self, monkeypatch):
+        # The curvature route's zero field is the sum route's ground energy,
+        # measured from the well bottom.
+        seen = []
+        curvature = grid_oracle._curvature
+
+        def recording(*args):
+            seen.append(args[-1])
+            return curvature(*args)
+
+        monkeypatch.setattr(grid_oracle, "_curvature", recording)
         result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
-        fields = result.diagnostics["curvature_field_values"]
-        energies = result.diagnostics["curvature_ground_energies"]
-        assert energies[fields.index(0.0)] == result.ground_energy_dimless
+        assert len(seen) == 1
+        assert seen[0] - R_REF**2 == result.ground_energy_dimless
 
-    def test_fit_residual_is_tiny_for_reference_row(self):
+    def test_quartic_share_is_tiny_for_reference_row(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        assert result.diagnostics["curvature_fit_residual_rel"] <= 1e-10
+        assert result.diagnostics["curvature_quartic_share"] <= 1e-6
 
     def test_shallow_well_with_large_fields_trips_guard(self):
         # Fields of +-1e-2, unscaled, pull the ground state of this weak
         # well out of the box's well.
         config = GridOracleConfig(well_R=0.6, num_points=500)
-        x, diag, off = base_grid(config)
+        (x, v, diag, off), bottom, start = bottom_ground(config)
+        with pytest.raises(FieldTooLargeError, match="has a state more than"):
+            grid_oracle._curvature(x, v, diag, off, start, (1e-2, 5e-3), bottom)
+
+    def test_quartic_term_trips_guard(self):
+        # At fields 0.3 and 0.15 the ground state stays in this well, so the
+        # certificate holds, but the eps'^4 term is 3.2e-4 of the shift.
+        config = GridOracleConfig(well_R=R_REF)
+        (x, v, diag, off), bottom, start = bottom_ground(config)
+        with pytest.raises(FieldTooLargeError, match="eps'\\^4 term") as info:
+            grid_oracle._curvature(x, v, diag, off, start, (0.3, 0.15), bottom)
+        assert "3.2e-04 relative" in str(info.value)
+
+    @pytest.mark.parametrize("well_R", [1e3, 1e4])
+    def test_deep_wells_reach_route_agreement(self, well_R):
+        # E' ~ -R^2 here, so quotients taken from E' = 0 would lose the
+        # Stark shift to its rounding; from the well bottom both routes agree.
+        config = GridOracleConfig(well_R=well_R)
+        x, v, diag, off = base_grid(config)
         start = grid_oracle._continuum_ground(config, x)
-        e0, _ = grid_oracle._even_ground(diag, off, start)
-        whole = np.concatenate((start[:0:-1], start))
-        with pytest.raises(FieldTooLargeError):
-            grid_oracle._curvature(x, diag, off, whole, (-1e-2, -5e-3, 0.0, 5e-3, 1e-2), e0)
+        bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
+        alpha, _ = grid_oracle._curvature(x, v, diag, off, start, config.field_values, bottom)
+        alpha_sum, _ = grid_oracle._dalgarno_lewis(x, diag, off, bottom - well_R**2, psi0)
+        assert alpha == pytest.approx(alpha_sum, rel=1e-6, abs=0.0)
 
 
 # well_R -> float.hex of (alpha_sum, alpha_curvature, richardson_alpha,
-# ground_energy_dimless) of oracle_study at 600 points and levels=2, as the
-# continuum start evaluated on the whole grid gave them; at 0.2 pi
-# (beta0 < 1) alpha_curvature is from the probe fields scaled by beta0^3.
+# ground_energy_dimless) of oracle_study at 600 points and levels=2, with
+# every energy a quotient from the well bottom, alpha_curvature the Stark
+# quotients extrapolated to zero field and richardson_alpha Romberg's h^2
+# and h^4 steps; at 0.2 pi (beta0 < 1) the probe fields are scaled by beta0^3.
 STUDY_HEX = {
     None: (
         "0x1.1fa4cf038157dp-4",
-        "0x1.1fa4d17e75e2ep-4",
-        "0x1.1fa3f860c4175p-4",
-        "0x1.3bd39da29fe9ep+1",
+        "0x1.1fa4c71748000p-4",
+        "0x1.1fa3f860c300ap-4",
+        "0x1.3bd39da29fe9cp+1",
     ),
     R_REF: (
         "0x1.af48a9b395714p-3",
-        "0x1.af48a5134fcd0p-3",
-        "0x1.afae8584d16dcp-3",
-        "-0x1.7290f64de850ep+3",
+        "0x1.af48a8c47f2abp-3",
+        "0x1.afae858ff25f0p-3",
+        "-0x1.7290f64de8509p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
         "0x1.0d83dc0d1f922p+5",
-        "0x1.0d840f5b54897p+5",
-        "0x1.0b830178095bap+5",
-        "-0x1.a980539241938p-3",
+        "0x1.0d83dc1247bf0p+5",
+        "0x1.0b830fa377e0dp+5",
+        "-0x1.a98053924194cp-3",
     ),
 }
 
@@ -494,16 +550,16 @@ class TestRefine:
 def test_both_routes_match_closed_form_across_well_range(k):
     # gamma0 = 0.05 pi ... 0.49 pi at the default 2000 points: the derived box
     # and probe fields keep both routes working down to the weak wells.
-    # Measured: route gap <= 3.2e-6 up to 0.47 pi and 1.2e-4 at 0.49 pi;
-    # Richardson 9.7e-7 off at 0.05 pi and <= 1.2e-8 from 0.19 pi up.
+    # Measured: route gap <= 2.6e-7 (at 0.49 pi); Romberg 7.2e-9 off at
+    # 0.05 pi and <= 6.5e-11 from 0.19 pi up.
     gamma_pi = 0.05 + 0.02 * k
     state = ground_state_from_gamma(gamma_pi * math.pi)
     result = oracle_study(GridOracleConfig(well_R=state.R), levels=2)
     route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
-    assert route_gap <= (1e-5 if gamma_pi < 0.48 else 5e-4)
+    assert route_gap <= 1e-6
     exact = alpha_exact_prime(state)
     assert result.richardson_alpha == pytest.approx(
-        exact, rel=2e-8 if gamma_pi > 0.18 else 2e-6, abs=0.0
+        exact, rel=2e-10 if gamma_pi > 0.18 else 2e-8, abs=0.0
     )
 
 
@@ -527,11 +583,23 @@ class TestOracleResult:
                 richardson_alpha=0.2,
             )
 
+    @pytest.mark.parametrize("gap,raises", [(5e-7, False), (2e-6, True)])
+    def test_route_agreement_is_one_part_per_million(self, gap, raises):
+        kwargs = dict(
+            alpha_sum=1.0, alpha_curvature=1.0 + gap, ground_energy_dimless=0.0,
+            richardson_alpha=1.0,
+        )
+        if raises:
+            with pytest.raises(NumericalError, match="oracle routes disagree"):
+                OracleResult(**kwargs)
+        else:
+            assert OracleResult(**kwargs).alpha_curvature == 1.0 + gap
+
     def test_combined_study_fills_everything(self):
         result = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)
         assert result.alpha_sum > 0
         assert result.alpha_curvature > 0
         assert result.richardson_alpha > 0
         assert "sum_solve_residual" in result.diagnostics
-        assert "curvature_fit_residual" in result.diagnostics
+        assert "curvature_quartic_share" in result.diagnostics
         assert "refine_observed_order" in result.diagnostics

@@ -21,6 +21,12 @@ class TestExtrapolate:
         # every term and step is a dyadic fraction, so the limit is exact
         assert extrapolate(geometric(0.5, 0.25), ratio=0.25) == 0.5
 
+    def test_given_ratio_removes_h2_and_h4_terms_exactly(self):
+        # Three grid halvings of limit + h^2 + 3 h^4 (ratio 1/4 per halving):
+        # Romberg's table removes both terms, every step a dyadic fraction.
+        values = [1.0 + 0.25**k + 3.0 * 0.0625**k for k in range(3)]
+        assert extrapolate(values, ratio=0.25) == 1.0
+
     def test_given_small_ratio(self):
         assert extrapolate(geometric(2.0, 1e-2), ratio=1e-2) == pytest.approx(
             2.0, rel=1e-15
@@ -108,8 +114,10 @@ class TestInfiniteWellLimit:
 
     def test_limits_match_closed_forms_tightly(self):
         report = infinite_well_limit()
-        assert report.alpha2_limit == pytest.approx(HARD_WALL_ALPHA_EXACT, abs=5e-10)
-        assert report.alpha2_t_limit == pytest.approx(HARD_WALL_ALPHA2T_EXACT, abs=5e-10)
+        # Romberg's table removes the eps and eps^2 terms: measured 2.4e-15
+        # and 2.1e-16 relative.
+        assert report.alpha2_limit == pytest.approx(HARD_WALL_ALPHA_EXACT, rel=1e-14)
+        assert report.alpha2_t_limit == pytest.approx(HARD_WALL_ALPHA2T_EXACT, rel=1e-14)
 
     @pytest.mark.parametrize("column", ["alpha2", "alpha2_t"])
     def test_smallest_epsilon_lies_between_value_and_limit(self, column):
