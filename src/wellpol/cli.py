@@ -7,13 +7,15 @@ Commands
     solve      one well, selected by --gamma or --R
     sweep      breakdown rows over a gamma0 range
     limits     delta-potential or hard-wall limit study (JSON report)
-    oracle     grid-diagonalization cross-check (JSON report)
+    oracle     grid-diagonalization cross-check (JSON report); --num-points
+               is its one accuracy dial
     calibrate  hard-wall C' calibration round trip (JSON report)
 
 Angles accept either radians or multiples of pi ("0.39pi").  Tables and
-sweeps emit CSV (paper-style fixed/scientific formatting) or JSON (full-
-precision floats); report commands always emit JSON with a `checks` block
-and exit nonzero when a check band fails.  Output is byte-deterministic.
+sweeps emit CSV (the paper's six decimals, scientific outside [1e-4, 10)) or
+JSON (full-precision floats); report commands always emit JSON with a
+`checks` block and exit nonzero when a check band fails.  A report's
+`inputs` holds only the options the user sets.  Output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -62,6 +64,10 @@ _MIXED_COLUMNS = frozenset(
      "alpha_apr_prime", "t_ratio"}
 )
 
+# Terms of the hard-wall transition sum that calibrate reports and the
+# hard-wall oracle is checked against.
+BOX_TERMS = 50
+
 # Most rows one sweep may ask for; a finer step is refused before any row
 # is solved, since the rows are built in memory before printing.
 MAX_SWEEP_ROWS = 100_000
@@ -82,8 +88,8 @@ def parse_angle(text: str) -> float:
         raise DomainError(f"cannot parse angle {text!r}") from exc
 
 
-def format_fixed(value: float, precision: int = 6) -> str:
-    return f"{value:.{precision}f}"
+def format_fixed(value: float) -> str:
+    return f"{value:.6f}"
 
 
 def format_scientific(value: float) -> str:
@@ -91,19 +97,19 @@ def format_scientific(value: float) -> str:
     return f"{mantissa}E{int(exponent):+d}"
 
 
-def format_mixed(value: float, precision: int = 6) -> str:
+def format_mixed(value: float) -> str:
     """Fixed six decimals, except scientific for |v| >= 10 or 0 < |v| < 1e-4."""
     if value != 0.0 and (abs(value) >= 10.0 or abs(value) < 1e-4):
         return format_scientific(value)
-    return format_fixed(value, precision)
+    return format_fixed(value)
 
 
-def _format_cell(column: str, value: float, precision: int) -> str:
+def _format_cell(column: str, value: float) -> str:
     if isinstance(value, float) and math.isnan(value):
         return "nan"
     if column in _MIXED_COLUMNS:
-        return format_mixed(value, precision)
-    return format_fixed(value, precision)
+        return format_mixed(value)
+    return format_fixed(value)
 
 
 def _breakdown_row(state: GroundState) -> dict:
@@ -140,9 +146,7 @@ def _emit_table(rows: list[dict], columns: Sequence[str], args) -> None:
     if args.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(
-                ",".join(_format_cell(col, row[col], args.precision) for col in columns)
-            )
+            lines.append(",".join(_format_cell(col, row[col]) for col in columns))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit_json(args, {"columns": list(columns)},
@@ -156,6 +160,7 @@ def _emit_report(args, inputs: dict, rows: list[dict], diagnostics: dict,
 
 
 def _check(name: str, value: float, target: float, band: float) -> dict:
+    """The one shape of a report check: passed when |value - target| <= band."""
     deviation = value - target
     return {
         "name": name,
@@ -236,7 +241,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_limits(args) -> int:
     if args.mode == "delta":
-        seq = limits.delta_limit(steps=args.steps)
+        seq = limits.delta_limit()
         rows = [
             {
                 "half_width": a,
@@ -256,8 +261,7 @@ def cmd_limits(args) -> int:
             "alpha1_extrapolated": seq.alpha1_extrapolated,
             "alpha2_extrapolated": seq.alpha2_extrapolated,
         }
-        return _emit_report(args, {"mode": "delta", "steps": args.steps}, rows,
-                            diagnostics, checks)
+        return _emit_report(args, {"mode": "delta"}, rows, diagnostics, checks)
     report = limits.infinite_well_limit()
     rows = [
         {
@@ -296,12 +300,8 @@ def cmd_oracle(args) -> int:
     if args.hard_wall:
         config = grid_oracle.GridOracleConfig.hard_wall(num_points=args.num_points)
     else:
-        config = grid_oracle.GridOracleConfig(
-            well_R=args.R,
-            box_half_width=args.box_half_width,
-            num_points=args.num_points,
-        )
-    result = grid_oracle.oracle_study(config, levels=args.levels)
+        config = grid_oracle.GridOracleConfig(well_R=args.R, num_points=args.num_points)
+    result = grid_oracle.oracle_study(config)
     route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
     checks = [_check("sum_vs_curvature_rel", route_gap, 0.0, grid_oracle._ROUTE_AGREEMENT)]
     rows = [
@@ -314,7 +314,7 @@ def cmd_oracle(args) -> int:
     ]
     diagnostics = dict(result.diagnostics)
     if args.hard_wall:
-        reference = conventional_sum.infinite_well_alpha(50).partial_alpha_prime
+        reference = conventional_sum.infinite_well_alpha(BOX_TERMS).partial_alpha_prime
         gap = abs(result.richardson_alpha - reference) / reference
         diagnostics["conventional_sum_reference"] = reference
         checks.append(_check("hard_wall_vs_conventional_rel", gap, 0.0, 2e-3))
@@ -323,34 +323,20 @@ def cmd_oracle(args) -> int:
         deviation = (result.richardson_alpha - closed) / closed
         rows[0]["closed_form_alpha_prime"] = closed
         rows[0]["relative_deviation_from_closed_form"] = deviation
-        checks.append(
-            {
-                "name": "oracle_vs_closed_form_rel",
-                "value": abs(deviation),
-                "target": 0.0,
-                "band": 5e-2,
-                "deviation": deviation,
-                "passed": bool(abs(deviation) <= 5e-2),
-            }
-        )
-    inputs = {
-        "R": args.R,
-        "hard_wall": args.hard_wall,
-        "num_points": args.num_points,
-        "levels": args.levels,
-    }
+        checks.append(_check("oracle_vs_closed_form_rel", deviation, 0.0, 5e-2))
+    inputs = {"R": args.R, "hard_wall": args.hard_wall, "num_points": args.num_points}
     return _emit_report(args, inputs, rows, diagnostics, checks)
 
 
 def cmd_calibrate(args) -> int:
     one_term = conventional_sum.infinite_well_term(2)
-    converged = conventional_sum.infinite_well_alpha(args.num_terms)
+    converged = conventional_sum.infinite_well_alpha(BOX_TERMS)
     hard_wall_value = dalgarno_lewis.alpha2_prime_hard_wall(-1.0)
     c_round_trip = conventional_sum.calibrate_C(hard_wall_value)
     c_from_one_term = conventional_sum.calibrate_C(one_term)
     rows = [
         {"name": "one_term_alpha_prime", "value": one_term},
-        {"name": f"converged_alpha_prime_{args.num_terms}_terms",
+        {"name": f"converged_alpha_prime_{BOX_TERMS}_terms",
          "value": converged.partial_alpha_prime},
         {"name": "hard_wall_alpha_prime_c_minus_1", "value": hard_wall_value},
         {"name": "c_prime_from_hard_wall_value", "value": c_round_trip},
@@ -358,36 +344,15 @@ def cmd_calibrate(args) -> int:
     ]
     checks = [
         _check("c_round_trip", c_round_trip, -1.0, 1e-9),
-        {
-            "name": "one_term_in_band",
-            "value": one_term,
-            "target": 0.070135,
-            "band": "[0.07012, 0.07015]",
-            "deviation": 0.0,
-            "passed": bool(0.07012 <= one_term <= 0.07015),
-        },
+        _check("one_term_in_band", one_term, 0.070135, 1.5e-5),
         _check("hard_wall_vs_one_term", hard_wall_value - one_term, 0.0, 2e-4),
     ]
-    diagnostics = {"num_terms": args.num_terms}
-    return _emit_report(args, {"num_terms": args.num_terms}, rows, diagnostics, checks)
-
-
-def _precision(text: str) -> int:
-    """Decimal places for --precision; a negative count is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _emit_report(args, {}, rows, {"num_terms": BOX_TERMS}, checks)
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default=None, help="output path (default stdout)")
-    parser.add_argument("--precision", type=_precision, default=6,
-                        help="decimal places for fixed-point columns")
 
 
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
@@ -422,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", help="delta or hard-wall limit study")
     p.set_defaults(run=cmd_limits)
     p.add_argument("--mode", choices=("delta", "infinite"), required=True)
-    p.add_argument("--steps", type=int, default=12, help="delta-limit halvings")
     _add_report_options(p)
 
     p = sub.add_parser("oracle", help="grid-diagonalization cross-check")
@@ -430,13 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=None, help="well strength")
     p.add_argument("--hard-wall", action="store_true", help="hard-wall box instead")
     p.add_argument("--num-points", type=int, default=2000)
-    p.add_argument("--levels", type=int, default=2, help="grid doublings for refinement")
-    p.add_argument("--box-half-width", type=int, default=None)
     _add_report_options(p)
 
     p = sub.add_parser("calibrate", help="hard-wall C' calibration report")
     p.set_defaults(run=cmd_calibrate)
-    p.add_argument("--num-terms", type=int, default=50)
     _add_report_options(p)
 
     return parser

@@ -74,6 +74,12 @@ _ROUTE_AGREEMENT = 1e-6
 # Largest eps'^4 share |q1 - q2| / |q2| of the two Stark quotients.
 _QUARTIC_SHARE = 1e-4
 
+# Largest h * beta0 of the base grid, the decay of psi0 per grid step.  At
+# 0.2-0.4 the observed order is 1.96-1.99 and Romberg's value is within
+# 1.2e-8 of alpha_exact_prime for R = 100, 300 and 1e3; at 0.6 the order
+# is 1.91, at 2 (R = 1e3 at 2000 points) 1.31.
+_MAX_H_BETA0 = 0.4
+
 # Inverse-iteration steps allowed before a ground state counts as lost.
 _MAX_INVERSE_STEPS = 30
 _EPS = float(np.finfo(float).eps)
@@ -90,19 +96,21 @@ class GridOracleConfig:
 
     ``well_R`` is the dimensionless well strength; None selects the
     hard-wall box of half-width 1.  ``box_half_width`` and ``field_values``
-    are resolved on construction, from the one bound-state solve: the box is
-    1 for the hard wall and ceil(1 + 40/beta0) for a well when none is given,
-    where psi0 has fallen to e^-40 of its edge value; the probe fields are
+    are derived on construction, from the one bound-state solve: the box is
+    1 for the hard wall and ceil(1 + 40/beta0) for a well, where psi0 has
+    fallen to e^-40 of its edge value; the probe fields are
     ``_PROBE_FIELDS`` times min(1, beta0^3).  That solve is kept as
     ``ground`` (None for the hard wall); it starts the grid's ground-state
     iterations.  ``num_points`` is a request: the actual grid is snapped up
-    to the nearest size whose nodes hit the well edges.
+    to the nearest size whose nodes hit the well edges.  A well whose base
+    grid has h * beta0 above ``_MAX_H_BETA0`` is refused, naming the
+    smallest ``num_points`` that resolves its tail.
     """
 
     well_R: Optional[float]
-    box_half_width: Optional[int] = None
     num_points: int = 2000
     num_states: int = 200
+    box_half_width: int = field(init=False)
     field_values: tuple[float, ...] = field(init=False)
     ground: Optional[GroundState] = field(init=False, repr=False, compare=False)
 
@@ -110,8 +118,6 @@ class GridOracleConfig:
         _require_int("num_points", self.num_points, 500)
         _require_int("num_states", self.num_states, 50)
         if self.well_R is None:
-            if self.box_half_width not in (None, 1):
-                raise DomainError("hard-wall configuration fixes the box half-width to 1")
             object.__setattr__(self, "box_half_width", 1)
             object.__setattr__(self, "field_values", _PROBE_FIELDS)
             object.__setattr__(self, "ground", None)
@@ -120,15 +126,14 @@ class GridOracleConfig:
             raise DomainError(f"well_R must be positive, got {self.well_R!r}")
         object.__setattr__(self, "ground", ground_state_from_R(self.well_R))
         beta0 = self.ground.beta0
-        if self.box_half_width is None:
-            object.__setattr__(self, "box_half_width", math.ceil(1.0 + 40.0 / beta0))
-        else:
-            _require_int("box half-width", self.box_half_width, 2)
-            if self.box_half_width < 1.0 + 30.0 / beta0:
-                raise DomainError(
-                    f"box half-width {self.box_half_width} does not contain the "
-                    f"bound-state tail; need >= 1 + 30/beta0 = {1.0 + 30.0 / beta0:.2f}"
-                )
+        object.__setattr__(self, "box_half_width", math.ceil(1.0 + 40.0 / beta0))
+        m, m_min = _multiplier(self), math.ceil(beta0 / _MAX_H_BETA0)
+        if m < m_min:
+            raise DomainError(
+                f"h*beta0 = {beta0 / m:.3g} on the base grid exceeds {_MAX_H_BETA0:g}: the "
+                f"grid is too coarse for the bound-state tail; num_points >= "
+                f"{2 * self.box_half_width * (m_min - 1)} meets the bound"
+            )
         # The field drops by ~eps'/beta0 across the tail, which must stay
         # small against the binding beta0^2, or the tilted box's ground
         # state leaves the well.

@@ -149,7 +149,7 @@ def test_criterion_3_infinite_well_limit():
 
 
 def test_criterion_4_delta_limit():
-    result = delta_limit(steps=12)
+    result = delta_limit()
     ok1 = abs(result.alpha1_extrapolated - 1.25) <= 1e-3
     ok2 = abs(result.alpha2_extrapolated) <= 1e-3
     report("4  [delta limit]", ok1 and ok2,
@@ -348,7 +348,7 @@ def test_criterion_10_cli_determinism(capsys):
         ["table2"],
         ["solve", "--gamma", "0.39pi", "--format", "json"],
         ["sweep", "--min", "0.39pi", "--max", "0.49pi", "--step", "0.02pi"],
-        ["limits", "--mode", "delta", "--steps", "8"],
+        ["limits", "--mode", "delta"],
         ["limits", "--mode", "infinite"],
         ["oracle", "--hard-wall", "--num-points", "500"],
         ["oracle", "--R", "3.617018", "--num-points", "500"],

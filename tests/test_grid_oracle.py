@@ -115,10 +115,10 @@ class TestConfig:
             {"well_R": R_REF, "num_points": 100},
             {"well_R": R_REF, "num_states": 10},
             {"well_R": -1.0},
-            {"well_R": R_REF, "box_half_width": 1},
-            {"well_R": 0.6, "box_half_width": 12},  # tail needs ~113
-            {"well_R": R_REF, "box_half_width": 12.5},
-            {"well_R": R_REF, "box_half_width": 13.0},
+            {"well_R": 100.0},  # h * beta0 = 0.497 on the base grid
+            {"well_R": 300.0},  # 1.5
+            {"well_R": 1e5},
+            {"well_R": 1e7},
             {"well_R": R_REF, "num_points": math.nan},
             {"well_R": R_REF, "num_points": math.inf},
             {"well_R": R_REF, "num_states": math.nan},
@@ -131,11 +131,29 @@ class TestConfig:
         with pytest.raises(DomainError):
             GridOracleConfig(**{"num_points": 800, **kwargs})
 
+    @pytest.mark.parametrize(
+        "well_R, h_beta0, needed",
+        [(1e3, "2", 9996), (1e4, "20", 99996), (1e9, "2e+06", 9999999996)],
+    )
+    def test_refuses_grid_too_coarse_for_tail(self, well_R, h_beta0, needed):
+        # At the default 2000 points the box is 2 and h = 1/501; the message
+        # names h * beta0 and the smallest num_points that meets the bound.
+        with pytest.raises(DomainError) as info:
+            GridOracleConfig(well_R=well_R)
+        assert str(info.value) == (
+            f"h*beta0 = {h_beta0} on the base grid exceeds 0.4: the grid is too "
+            f"coarse for the bound-state tail; num_points >= {needed} meets the bound"
+        )
+        config = GridOracleConfig(well_R=well_R, num_points=needed)
+        assert config.ground.beta0 / grid_oracle._multiplier(config) <= 0.4
+        with pytest.raises(DomainError, match="h\\*beta0"):
+            GridOracleConfig(well_R=well_R, num_points=needed - 1)
+
 
 class TestSpectrum:
     def test_ground_energy_matches_bound_state(self):
-        # Stated check: request ~4000 points on a half-width-12 box.
-        config = GridOracleConfig(well_R=R_REF, box_half_width=12, num_points=4000)
+        # Stated check: request ~4000 points on the derived half-width-13 box.
+        config = GridOracleConfig(well_R=R_REF, num_points=4000)
         result = solve_spectrum(config)
         beta0 = ground_state_from_R(R_REF).beta0
         assert result.energies[0] == pytest.approx(-beta0**2, rel=1e-3)
@@ -440,7 +458,9 @@ class TestCurvature:
     def test_deep_wells_reach_route_agreement(self, well_R):
         # E' ~ -R^2 here, so quotients taken from E' = 0 would lose the
         # Stark shift to its rounding; from the well bottom both routes agree.
-        config = GridOracleConfig(well_R=well_R)
+        # The grid is the coarsest whose h * beta0 meets the bound.
+        m = math.ceil(ground_state_from_R(well_R).beta0 / grid_oracle._MAX_H_BETA0)
+        config = GridOracleConfig(well_R=well_R, num_points=4 * (m - 1))
         x, v, diag, off = base_grid(config)
         start = grid_oracle._continuum_ground(config, x)
         bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
@@ -501,10 +521,9 @@ class TestRefine:
         assert 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
 
     def test_convergence_warning_points_at_caller(self):
-        # 500 points on a half-width-12 box at gamma0 = 0.49 pi are
-        # pre-asymptotic (order ~1.07); the derived box of 2 is not.
-        state = ground_state_from_gamma(0.49 * math.pi)
-        config = GridOracleConfig(well_R=state.R, box_half_width=12, num_points=500)
+        # At the default 2000 points this well's levels agree to 3.6e-9,
+        # but their successive differences read as order 3.14 (measured).
+        config = GridOracleConfig(well_R=2.244924107558891)
         with pytest.warns(ConvergenceWarning, match="observed convergence order") as record:
             oracle_study(config, levels=2)
         assert record[0].filename == __file__

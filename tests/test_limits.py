@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from wellpol.errors import ConfigurationError, DomainError
 from wellpol.limits import delta_limit, extrapolate, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_R
 
@@ -32,61 +31,48 @@ class TestExtrapolate:
             2.0, rel=1e-15
         )
 
-    @pytest.mark.parametrize("limit,ratio", [(0.5, 0.25), (2.0, 1e-2), (-3.0, -0.5)])
-    def test_measured_ratio_gives_same_limit(self, limit, ratio):
-        assert extrapolate(geometric(limit, ratio)) == pytest.approx(limit, rel=1e-14)
-
-    @pytest.mark.parametrize(
-        "values",
-        [
-            [1.0, 1.0, 2.0],  # d_prev == 0
-            [1.0, 2.0, 2.0],  # measured ratio 0
-            [0.0, 1.0, 1.96],  # ratio 0.96
-            [0.0, 1.0, 2.0],  # ratio 1: no decay
-            [0.0, 1.0, 0.0],  # ratio -1: oscillates without decay
-            [0.0, 5e-324, 1e300],  # ratio overflows
-        ],
-    )
-    def test_fallbacks_return_last_value(self, values):
-        assert extrapolate(values) == values[-1]
 
 
 class TestDeltaLimit:
     def test_extrapolated_alpha1_is_five_fourths(self):
-        seq = delta_limit(steps=12)
+        seq = delta_limit()
         assert seq.alpha1_extrapolated == pytest.approx(1.25, abs=1e-3)
 
     def test_extrapolated_alpha2_vanishes(self):
-        seq = delta_limit(steps=12)
+        seq = delta_limit()
         assert abs(seq.alpha2_extrapolated) <= 1e-3
 
-    def test_minimum_step_budget_still_converges(self):
-        seq = delta_limit(steps=8)
-        assert seq.alpha1_extrapolated == pytest.approx(1.25, abs=1e-3)
-        assert abs(seq.alpha2_extrapolated) <= 1e-3
+    def test_romberg_at_half_reaches_rounding(self):
+        # Every scaled column is a power series in a, which halves per step:
+        # Romberg's table at ratio 1/2 over the 12 halvings leaves
+        # alpha1 - 5/4 = -4.4e-16 and alpha2 = -1.7e-18 (measured).
+        seq = delta_limit()
+        assert seq.steps == 12
+        assert abs(seq.alpha1_extrapolated - 1.25) <= 1e-14
+        assert abs(seq.alpha2_extrapolated) <= 1e-15
 
     def test_product_of_width_and_depth_constant(self):
-        seq = delta_limit(steps=10)
+        seq = delta_limit()
         products = [a * v for a, v in zip(seq.a_values, seq.v0_values)]
         for p in products:
             assert p == pytest.approx(products[0], rel=1e-12)
 
     def test_alpha1_converges_monotonically(self):
-        seq = delta_limit(steps=12)
+        seq = delta_limit()
         errors = [abs(v - 1.25) for v in seq.alpha1_scaled[-5:]]
         for earlier, later in zip(errors, errors[1:]):
             assert later < earlier
 
     def test_convergence_ratio_bounded(self):
         # Error should shrink by at least 0.6 per halving (observed ~0.25).
-        seq = delta_limit(steps=12)
+        seq = delta_limit()
         errors = [abs(v - 1.25) for v in seq.alpha1_scaled[-5:]]
         for earlier, later in zip(errors, errors[1:]):
             assert later / earlier <= 0.6
 
     def test_boundary_weight_tends_to_decay_constant(self):
         # N'^2 cos^2(gamma0) / beta0 -> 1 along the collapsing sequence.
-        seq = delta_limit(steps=12)
+        seq = delta_limit()
         checks = []
         for a, v in zip(seq.a_values, seq.v0_values):
             state = ground_state_from_R(math.sqrt(2.0 * a * a * v))
@@ -95,14 +81,6 @@ class TestDeltaLimit:
             )
         assert checks == sorted(checks)
         assert checks[-1] == pytest.approx(1.0, abs=5e-3)
-
-    def test_rejects_too_few_steps(self):
-        with pytest.raises(DomainError):
-            delta_limit(steps=7)
-
-    def test_rejects_step_underflow(self):
-        with pytest.raises(ConfigurationError):
-            delta_limit(steps=41)
 
 
 class TestInfiniteWellLimit:

@@ -2,17 +2,19 @@
 
 The package re-exports what the README's examples import, plus the error
 classes; everything else is imported from its module.  The oracle's grid
-and probe fields and the limit studies' starting points are derived or
-fixed, so their signatures are pinned: a removed knob cannot come back
-unnoticed.
+and probe fields and the limit studies' starting points and step counts are
+derived or fixed, so their signatures are pinned, and so are the CLI's
+options: a removed knob cannot come back unnoticed.
 """
 
+import argparse
 import inspect
 
 import pytest
 
 import wellpol
 from wellpol import dalgarno_lewis, grid_oracle, limits, well_spectrum
+from wellpol.cli import build_parser
 
 PACKAGE = {
     "breakdown",
@@ -65,17 +67,26 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 7 settable values in all.
+# (name, default) of every parameter; 5 settable values in all.
 SIGNATURES = {
     "GridOracleConfig": [
         ("well_R", inspect.Parameter.empty),
-        ("box_half_width", None),
         ("num_points", 2000),
         ("num_states", 200),
     ],
     "GridOracleConfig.hard_wall": [("num_points", 2000), ("num_states", 200)],
-    "delta_limit": [("steps", 12)],
+    "delta_limit": [],
     "infinite_well_limit": [],
+}
+# Option strings of each subcommand, --help aside; 20 in all.
+CLI_OPTIONS = {
+    "table1": ["--format", "--output"],
+    "table2": ["--format", "--output"],
+    "solve": ["--gamma", "--R", "--format", "--output"],
+    "sweep": ["--min", "--max", "--step", "--format", "--output"],
+    "limits": ["--mode", "--output"],
+    "oracle": ["--R", "--hard-wall", "--num-points", "--output"],
+    "calibrate": ["--output"],
 }
 CALLABLES = {
     "GridOracleConfig": grid_oracle.GridOracleConfig,
@@ -113,3 +124,15 @@ def test_star_import_gives_exactly_the_package_names():
 def test_settable_values_are_pinned(name):
     params = inspect.signature(CALLABLES[name]).parameters.values()
     assert [(p.name, p.default) for p in params] == SIGNATURES[name]
+
+
+def test_cli_options_are_pinned():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [o for action in sub._actions for o in action.option_strings
+               if o not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert options == CLI_OPTIONS
+    assert sum(map(len, options.values())) == 20
