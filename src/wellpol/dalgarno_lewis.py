@@ -36,16 +36,16 @@ All phi evaluations here are in the reduced convention
 so the applied field eps never appears numerically.  ``alpha_via_quadrature``
 integrates <psi0| x |phi> directly as an independent route to the same
 number, and ``orthogonality`` checks <psi0|phi> = 0.  Both use fixed
-Gauss-Legendre panels written in ``math``, so this module, like every
-closed form here, needs neither numpy nor scipy.  One kernel sums both
-integrands panel by panel, with the outer panels mapped in
-t = beta0 (|x'| - 1).  The state-independent node data (t, e^{-t}, the
-weights and panel half-widths) are tabulated once per rule size on first
-use, and each panel is summed in one pass with phi' written out in place
-and its per-state constants hoisted.  The alpha' integrand is even, so
-each left outer panel is its right mirror counted twice and the inner
-nodes x' < 0 are their mirrors x' > 0 at doubled weight; the odd overlap
-integrand is evaluated on both sides, so its parity check sees each.
+Gauss rules written in ``math``, so this module, like every closed form
+here, needs neither numpy nor scipy.  Outside the well the integrands are
+e^{-2t} times a cubic in t = beta0 (|x'| - 1), which a two-point
+Gauss-Laguerre rule integrates exactly; inside, a Gauss-Legendre rule
+tabulated once per size gives the value and an error estimate.  Each
+piece is summed in one pass with phi' written out in place and its
+per-state constants hoisted.  The alpha' integrand is even, so the left
+outer side is its right mirror counted twice and the inner nodes x' < 0
+are their mirrors x' > 0 at doubled weight; the odd overlap integrand is
+evaluated on both sides, so its parity check sees each.
 """
 
 from __future__ import annotations
@@ -126,6 +126,15 @@ def phi_jump(phi: PhiReduced) -> float:
 
     The piecewise phi' is built without imposing continuity at |x'| = 1;
     the jump is reported as a diagnostic only.
+
+    Accuracy: the jump is a sum of five terms, cos(gamma0) (1/beta0 +
+    1/beta0^2) + sin(gamma0)/gamma0 + cos(gamma0)/gamma0^2 +
+    C' sin(gamma0)/gamma0, and its error is at most 1e-15 times the sum of
+    their magnitudes.  They cancel in two places.  Next to the hard wall
+    1 + C' -> 0, so the relative error grows as 1e-15 / (pi/2 - gamma0):
+    1.4e-15 at 0.49 pi, 5.1e-13 at pi/2 - 1e-3 and 5.2e-7 at pi/2 - 1e-9
+    (against 40 digits at the same floats).  At gamma0 = 0.289 pi the jump
+    changes sign, so no relative bound holds near there.
     """
     st = phi.state
     return _phi_outer(st.gamma0, st.beta0, 1.0, 1.0) - _phi_inner(
@@ -315,14 +324,20 @@ def breakdown(state: GroundState) -> PolarizabilityBreakdown:
 
 
 # Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23, 221 (1969)) for the
-# quadrature cross-checks.  The integrands are smooth on each piece, so a
-# fixed rule on fixed panels suffices: the 16-point rule gives the value and
-# the 10-point rule on the same panels the error estimate.
+# inner piece |x'| < 1 of the quadrature cross-checks.  Its integrand is
+# smooth, so a fixed rule suffices: the 16-point rule gives the value and
+# the 10-point rule the error estimate.
 _RULE_POINTS = 16
 _ESTIMATE_POINTS = 10
-# Outer panel edges in t = beta0 (|x'| - 1).  The integrands fall like
-# e^{-2t}, so the tail cut at t = 40 is ~e^{-80} ~ 1.8e-35 of the peak.
-_OUTER_PANEL_T = (0.0, 2.0, 6.0, 14.0, 40.0)
+# The two-point Gauss-Laguerre rule (s, w) for int_0^inf e^{-s} f(s) ds: its
+# nodes are the roots 2 -+ sqrt(2) of L_2, and it is exact for f of degree
+# <= 3.  Outside the well psi0 and phi' each carry e^{-t}, t = beta0 (|x'| - 1),
+# so in s = 2t the integrand psi0 x'^k phi' is e^{-s} times a polynomial of
+# degree k + 2 <= 3 and the rule integrates it exactly.
+_LAGUERRE = (
+    (2.0 - math.sqrt(2.0), (2.0 + math.sqrt(2.0)) / 4.0),
+    (2.0 + math.sqrt(2.0), (2.0 - math.sqrt(2.0)) / 4.0),
+)
 
 
 @functools.cache
@@ -353,48 +368,31 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 @functools.cache
 def _panel_nodes(n: int):
-    """State-independent node tables of the n-point rule, built once per n.
+    """The n-point inner rule, built once per n.
 
-    Returns the outer panels, each as (half, ((w, t, e^{-t}), ...)) with
-    half the panel's half-width in t = beta0 (|x'| - 1), the inner rule as
-    ((x', w), ...) on [-1, 1], and its nodes x' > 0 with doubled weights,
-    ((x', 2 w), ...), on which an even integrand is summed once per mirror
-    pair.
+    Returns the rule as ((x', w), ...) on [-1, 1], and its nodes x' > 0
+    with doubled weights, ((x', 2 w), ...), on which an even integrand is
+    summed once per mirror pair.
     """
-    nodes, weights = _gauss_legendre(n)
-    outer = []
-    for lo, hi in zip(_OUTER_PANEL_T, _OUTER_PANEL_T[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ts = [mid + half * node for node in nodes]
-        outer.append((half, tuple(zip(weights, ts, [math.exp(-t) for t in ts]))))
-    inner = tuple(zip(nodes, weights))
-    return tuple(outer), inner, tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
+    inner = tuple(zip(*_gauss_legendre(n)))
+    return inner, tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
 
 
-def _outer_panel(
-    nodes, k: int, side: float, n_cos: float, cos_g: float, b: float, b2: float
-) -> float:
-    """fsum of w psi0 x'^k phi' over one outer panel's (w, t, e^{-t}) nodes.
+def _outer_panel(k: int, side: float, n_cos: float, cos_g: float, b: float, b2: float) -> float:
+    """fsum of w e^{2t} psi0 x'^k phi' over the ``_LAGUERRE`` nodes s = 2t.
 
-    x' = side (1 + t/b), psi0 = n_cos e^{-t} and phi' is ``_phi_outer``
-    written out with cos(gamma0) = cos_g and beta0^2 = b2 hoisted; the
-    (side cos_g) factor gives phi' its sign as copysign does there.  The
-    k = 1 integrand is even, so it is taken on the right side only.
+    x' = side (1 + t/b).  e^{t} psi0 = n_cos, and e^{t} phi' is
+    ``_phi_outer`` at env = 1, written out with cos(gamma0) = cos_g and
+    beta0^2 = b2 hoisted; the (side cos_g) factor gives phi' its sign as
+    copysign does there.  The k = 1 integrand is even, so it is taken on
+    the right side only, where x'^k phi' needs no sign.
     """
-    if k:
-        return math.fsum(
-            [
-                w * ((n_cos * e * x) * (cos_g * e * (x * x / b + x / b2)))
-                for w, t, e in nodes
-                for x in (1.0 + t / b,)
-            ]
-        )
     side_cos = side * cos_g
     return math.fsum(
         [
-            w * ((n_cos * e) * (side_cos * e * (x * x / b + x / b2)))
-            for w, t, e in nodes
-            for x in (1.0 + t / b,)
+            w * ((n_cos * x if k else n_cos) * (side_cos * (x * x / b + x / b2)))
+            for s, w in _LAGUERRE
+            for x in (1.0 + 0.5 * s / b,)
         ]
     )
 
@@ -408,79 +406,60 @@ def _inner_panel(nodes, k: int, n_prime: float, g: float, g2: float, c_prime: fl
     with doubled weights.
     """
     sin, cos = math.sin, math.cos
-    if k:
-        return math.fsum(
-            [
-                w * ((n_prime * c * x) * -(x * x * s / g + x * c / g2 + c_prime * s / g))
-                for x, w in nodes
-                for s, c in ((sin(g * x), cos(g * x)),)
-            ]
-        )
     return math.fsum(
         [
-            w * ((n_prime * c) * -(x * x * s / g + x * c / g2 + c_prime * s / g))
+            w * ((n_prime * c * x if k else n_prime * c)
+                 * -(x * x * s / g + x * c / g2 + c_prime * s / g))
             for x, w in nodes
             for s, c in ((sin(g * x), cos(g * x)),)
         ]
     )
 
 
-def _panel_sums(state: GroundState, k: int, n: int) -> list[float]:
-    """Integral of psi0 x'^k phi' over each panel, by the n-point rule.
+def _outer_sums(state: GroundState, k: int) -> list[float]:
+    """Integrals of psi0 x'^k phi' over x' < -1 and x' > 1, exactly.
 
-    The k = 1 panels sum to alpha' / N', the k = 0 panels to <psi0|phi'>.
-    The last entry is the inner panel, the others the outer panels.
-    The nodes come from ``_panel_nodes``, so t, e^{-t} and the panel
-    half-widths are computed once per rule, and the per-state constants
-    are computed once per call; ``_outer_panel`` and ``_inner_panel`` then
-    sum each panel in one pass over its nodes, phi' written out in place
-    with the same floating-point operations as ``_phi_outer`` and
-    ``_phi_inner``.  The outer panels are mapped in t = beta0 (|x'| - 1),
-    and the envelope e^{-t} is taken at the t-node.  A left outer node is
-    the exact negative of its right mirror, so for the even k = 1
-    integrand a left panel's sum equals its mirror's bit for bit: it is
-    computed once and listed twice.  Likewise the inner nodes come in
-    exact +-pairs with equal weights, so the k = 1 inner sum takes the
-    positive nodes with doubled weights, bit for bit the sum over all.
-    The odd k = 0 integrand is evaluated on both sides, so the parity
-    check sees each.
+    With dx' = ds / (2 beta0) each side is 1/(2 beta0) times the
+    ``_LAGUERRE`` sum of ``_outer_panel``.  A left node is the exact
+    negative of its right mirror, so for the even k = 1 integrand the left
+    side's sum equals the right's bit for bit: it is computed once and
+    listed twice.  The odd k = 0 integrand is evaluated on both sides, so
+    the parity check sees each.
     """
-    g, b = state.gamma0, state.beta0
-    n_prime = math.sqrt(state.n_prime_sq)
-    outer, inner, inner_right = _panel_nodes(n)
-    cos_g = math.cos(g)
-    n_cos, b2 = n_prime * cos_g, b**2
-    sums: list[float] = []
-    for half, nodes in outer:
-        if k:
-            total = half / b * _outer_panel(nodes, 1, 1.0, n_cos, cos_g, b, b2)
-            sums += [total, total]
-        else:
-            sums += [
-                half / b * _outer_panel(nodes, 0, side, n_cos, cos_g, b, b2)
-                for side in (-1.0, 1.0)
-            ]
+    b = state.beta0
+    cos_g = math.cos(state.gamma0)
+    n_cos = math.sqrt(state.n_prime_sq) * cos_g
+    sides = (1.0,) if k else (-1.0, 1.0)
+    sums = [0.5 / b * _outer_panel(k, side, n_cos, cos_g, b, b**2) for side in sides]
+    return 2 * sums if k else sums
+
+
+def _inner_sum(state: GroundState, k: int, n: int) -> float:
+    """Integral of psi0 x'^k phi' over |x'| < 1, by the n-point rule.
+
+    The inner nodes come in exact +-pairs with equal weights, so the even
+    k = 1 integrand takes the positive nodes with doubled weights, bit for
+    bit the sum over all; the odd k = 0 integrand is evaluated on both.
+    """
+    g = state.gamma0
+    inner, inner_right = _panel_nodes(n)
     nodes = inner_right if k else inner
-    sums.append(_inner_panel(nodes, k, n_prime, g, g**2, default_c_prime(g)))
-    return sums
+    return _inner_panel(nodes, k, math.sqrt(state.n_prime_sq), g, g**2, default_c_prime(g))
 
 
 def alpha_via_quadrature(state: GroundState) -> float:
     """Polarizability from direct integration of <psi0| x |phi>.
 
     Independent numerical route to alpha'; agrees with the closed forms to
-    better than 1e-8 relative.  Raises NumericalError when the 16- and 10-point rules
-    differ by more than 1e-8 of the total.  The outer panels are mapped in
-    t = beta0 (|x'| - 1), so near the hard wall, where they span only
-    ~40/beta0 in x', the nodes do not lose digits to a rounded x'.  Their
-    t-nodes and e^{-t} come from a table built once per rule size.  The
-    integrand is even, so each left outer panel is counted as twice its
-    right mirror, and each negative inner node as its positive mirror.
+    better than 1e-8 relative.  The outer piece is exact (``_LAGUERRE``),
+    and the inner piece is the 16-point rule's; NumericalError is raised
+    when the 16- and 10-point rules differ there by more than 1e-8 of the
+    total.  The outer nodes are mapped in t = beta0 (|x'| - 1), so near
+    the hard wall they do not lose digits to a rounded x'.
     """
-    high = _panel_sums(state, 1, _RULE_POINTS)
-    low = _panel_sums(state, 1, _ESTIMATE_POINTS)
-    total = state.n_prime * math.fsum(high)
-    err = state.n_prime * math.fsum(abs(h - lo) for h, lo in zip(high, low))
+    inner = _inner_sum(state, 1, _RULE_POINTS)
+    total = state.n_prime * math.fsum([*_outer_sums(state, 1), inner])
+    err = state.n_prime * abs(inner - _inner_sum(state, 1, _ESTIMATE_POINTS))
     if err > 1e-8 * max(abs(total), 1e-3):
         raise NumericalError(
             f"quadrature did not converge: value {total!r}, error estimate {err!r}, "
@@ -495,4 +474,4 @@ def orthogonality(state: GroundState) -> float:
     The value is exactly 0.0: each node's term is the exact negative of its
     mirror's, so a nonzero value means phi' has lost its parity.
     """
-    return math.fsum(_panel_sums(state, 0, _RULE_POINTS))
+    return math.fsum([*_outer_sums(state, 0), _inner_sum(state, 0, _RULE_POINTS)])

@@ -40,7 +40,6 @@ __all__ = [
 class DeltaLimitSequence:
     """Per-step record of the collapsing-well study plus extrapolated limits."""
 
-    steps: int
     a_values: tuple[float, ...]
     v0_values: tuple[float, ...]
     alpha1_scaled: tuple[float, ...]
@@ -111,7 +110,6 @@ def delta_limit() -> DeltaLimitSequence:
         s2_vals.append(spec.polarizability_unit * alpha2_prime(state) * scale)
 
     return DeltaLimitSequence(
-        steps=_DELTA_HALVINGS,
         a_values=tuple(a_vals),
         v0_values=tuple(v_vals),
         alpha1_scaled=tuple(s1_vals),

@@ -13,7 +13,10 @@ so x' < -1 mirrors x' > 1).  The residuals of the response equations
     (d^2/dx'^2 - b^2) phi'_out + 4 x' cos(g) E
 
 and the edge-matched (C, B), the solution of the value-and-slope system at
-x' = 1, are derived once per session, as are the in-well bracket
+x' = 1, are derived once per session.  So are the edge jump of the paper's
+phi' (B = 0, C = -(pi/2)^2 / g^2), the outer integrand e^{2t} psi0 x'^k
+phi'_out in t = b (x' - 1) with psi0 = N cos(g) E, the forbidden-region
+alpha1' = 2 N int_1^oo psi0 x' phi'_out dx' (B = 0), the in-well bracket
 2 int_0^1 cos(g x') x' phi'_in dx' (alpha2' / N'^2) and the Taylor series
 of the bracket and of cos g - sin g / g that the package sums on shallow
 wells.  Evaluators lambdified for mpmath give the reference values of the
@@ -28,11 +31,15 @@ from mpmath import mp, mpf
 from wellpol.dalgarno_lewis import _phi_inner, _phi_outer
 
 x, g, b, C, B, E = sp.symbols("x gamma0 beta0 C B E", real=True)
+t, N = sp.symbols("t N", positive=True)
 
 DPS = 40
 # The solved B is a sum whose terms cancel on shallow wells, losing about
 # 2 |log10 gamma0| digits (24 at gamma0 = 1e-12), so (C, B) get more.
 EDGE_DPS = 60
+# alpha1' is a sum of positive terms; 60 digits put the reference's own
+# rounding far below the few ulp it checks.
+ALPHA1_DPS = 60
 
 INNER_FORCING = 4 * x * sp.cos(g * x)
 OUTER_FORCING = 4 * x * sp.cos(g) * sp.exp(-b * (x - 1))
@@ -71,6 +78,31 @@ def edge_match() -> tuple[sp.Expr, sp.Expr]:
     return c_coef, b_coef
 
 
+def outer_integrand(k: int) -> sp.Expr:
+    """e^{2t} psi0 x'^k phi'_out at x' = 1 + t/b, expanded, B free.
+
+    psi0 = N cos(g) e^{-b (x' - 1)} is the ground state outside the well,
+    so psi0 x'^k phi'_out is e^{-2t} times this.
+    """
+    psi0 = N * sp.cos(g) * sp.exp(-b * (x - 1))
+    integrand = sp.exp(2 * t) * (psi0 * x**k * phi_outer()).subs(x, 1 + t / b)
+    return sp.expand(sp.powsimp(sp.expand(integrand)))
+
+
+@functools.cache
+def alpha1() -> sp.Expr:
+    """2 N int_1^oo psi0 x' phi'_out dx' at B = 0, with dx' = dt/b."""
+    tail = sp.integrate(sp.exp(-2 * t) * outer_integrand(1).subs(B, 0), (t, 0, sp.oo))
+    return 2 * N * tail / b
+
+
+@functools.cache
+def phi_jump() -> sp.Expr:
+    """phi'(1+) - phi'(1-) at B = 0 and the paper's C' = -(pi/2)^2 / g^2, expanded."""
+    inner = phi_inner().subs(C, -((sp.pi / 2) ** 2) / g**2)
+    return sp.expand((phi_outer().subs(B, 0) - inner).subs(x, 1))
+
+
 @functools.cache
 def alpha2_bracket() -> sp.Expr:
     """2 int_0^1 cos(g x') x' phi'_in dx', affine in C."""
@@ -98,6 +130,17 @@ def _series_evaluators():
     )
 
 
+@functools.cache
+def _alpha1_evaluator():
+    return sp.lambdify((g, b, N), alpha1(), "mpmath")
+
+
+def alpha1_ref(gamma0: float, beta0: float, n_prime_sq: float) -> mpf:
+    """alpha1' at ``ALPHA1_DPS`` digits, at exactly the given floats."""
+    with mp.workdps(ALPHA1_DPS):
+        return +_alpha1_evaluator()(mpf(gamma0), mpf(beta0), mp.sqrt(mpf(n_prime_sq)))
+
+
 def alpha2_bracket_ref(gamma0: float, c_prime: float) -> mpf:
     """The bracket at ``DPS`` digits, at exactly the given floats."""
     with mp.workdps(DPS):
@@ -121,7 +164,10 @@ def _evaluators():
     inner = sp.lambdify((g, C, x), phi_inner(), "mpmath")
     outer = sp.lambdify((g, b, x, E), phi_outer(E).subs(B, 0), "mpmath")
     c_coef, b_coef = edge_match()
-    return inner, outer, sp.lambdify((g, b), [c_coef, b_coef], "mpmath")
+    jump_terms = sp.Add.make_args(phi_jump())
+    return (inner, outer, sp.lambdify((g, b), [c_coef, b_coef], "mpmath"),
+            sp.lambdify((g, b), [sp.Add(*jump_terms), sp.Add(*map(sp.Abs, jump_terms))],
+                        "mpmath"))
 
 
 def phi_inner_ref(gamma0: float, c_prime: float, x_over_a: float) -> mpf:
@@ -141,6 +187,16 @@ def edge_match_ref(gamma0: float, beta0: float) -> tuple[mpf, mpf]:
     with mp.workdps(EDGE_DPS):
         c_coef, b_coef = _evaluators()[2](mpf(gamma0), mpf(beta0))
         return +c_coef, +b_coef
+
+
+def phi_jump_ref(gamma0: float, beta0: float) -> tuple[mpf, mpf]:
+    """``phi_jump()`` and the sum of its terms' magnitudes, at ``DPS`` digits.
+
+    Evaluated at exactly the given floats, with pi exact.
+    """
+    with mp.workdps(DPS):
+        jump, scale = _evaluators()[3](mpf(gamma0), mpf(beta0))
+        return +jump, +scale
 
 
 def phi_inner_error(gamma0: float, c_prime: float, x_over_a: float) -> float:

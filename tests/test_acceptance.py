@@ -362,11 +362,11 @@ def test_criterion_10_cli_determinism(capsys):
         out_b = capsys.readouterr().out
         if out_a != out_b or code_a != code_b:
             failures.append(" ".join(argv))
-        if argv[0] in ("table1", "table2", "solve", "sweep", "calibrate") and code_a != 0:
+        if code_a != 0:
             failures.append(f"{' '.join(argv)} exited {code_a}")
         json_like = argv[0] in ("limits", "oracle", "calibrate") or "json" in argv
         if json_like:
             json.loads(out_a)  # must stay parseable
     report("10 [CLI determinism]", not failures,
-           f"{len(commands)} commands run twice, byte-identical output")
+           f"{len(commands)} commands run twice, byte-identical output, each exit 0")
     assert not failures, failures

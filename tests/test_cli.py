@@ -257,17 +257,23 @@ class TestReports:
         assert set(payload["meta"]["inputs"]) == {"R", "hard_wall", "num_points"}
 
     def test_oracle_reports_honest_deviation_for_shallow_well(self, capsys):
-        # The exact (grid) polarizability exceeds the closed-form value by
-        # ~12% at R = 3.617018, so the 5% agreement band fails and the run
-        # exits nonzero while reporting the measured deviation.
+        # The grid polarizability exceeds the paper's heuristic alpha' by
+        # ~12% at R = 3.617018.  The run gates on alpha_exact_prime at 1e-5
+        # and exits 0, and reports the heuristic's deviation without
+        # gating on it.
         code, out = run(["oracle", "--R", "3.617018", "--num-points", "600"], capsys)
-        assert code == 1
+        assert code == 0
         payload = json.loads(out)
         row = payload["rows"][0]
         assert row["relative_deviation_from_closed_form"] == pytest.approx(0.119, abs=0.01)
         checks = {c["name"]: c for c in payload["diagnostics"]["checks"]}
+        assert set(checks) == {"sum_vs_curvature_rel", "oracle_vs_exact_rel"}
         assert checks["sum_vs_curvature_rel"]["passed"]
-        assert not checks["oracle_vs_closed_form_rel"]["passed"]
+        exact = checks["oracle_vs_exact_rel"]
+        assert exact["passed"] and exact["band"] == 1e-5
+        assert exact["value"] == pytest.approx(
+            row["richardson_alpha"] / row["alpha_exact_prime"] - 1.0, abs=1e-15
+        )
 
     @pytest.mark.parametrize("R", ["0.721698", "0.620477", "0.528884"])
     def test_oracle_passes_on_table2_rows(self, capsys, R):
@@ -277,7 +283,7 @@ class TestReports:
         assert code == 0
         checks = {c["name"]: c for c in json.loads(out)["diagnostics"]["checks"]}
         assert checks["sum_vs_curvature_rel"]["value"] <= 1e-7
-        assert checks["oracle_vs_closed_form_rel"]["passed"]
+        assert checks["oracle_vs_exact_rel"]["passed"]
 
     def test_oracle_requires_one_target(self, capsys):
         assert run(["oracle"], capsys)[0] == 2
@@ -400,6 +406,6 @@ class TestLazyImports:
         argv = ["oracle", "--R", "3.617018", "--num-points", "500"]
         code, out = run(argv, capsys)
         child = self.python("-m", "wellpol.cli", *argv)
-        assert code == 1
-        assert child.returncode == 1, child.stderr
+        assert code == 0
+        assert child.returncode == 0, child.stderr
         assert child.stdout == out

@@ -72,13 +72,14 @@ def state_039():
 
 
 def quadrature_pieces(state):
-    """alpha' by the 16-point quadrature, split into its outer and inner pieces.
+    """alpha' by the quadrature, split into its outer and inner pieces.
 
-    ``_panel_sums`` lists the inner panel last, so these are the sums
-    ``alpha_via_quadrature`` adds up, restricted to each region.
+    These are the sums ``alpha_via_quadrature`` adds up, restricted to each
+    region: the exact outer rule and the 16-point inner rule.
     """
-    sums = dalgarno_lewis._panel_sums(state, 1, dalgarno_lewis._RULE_POINTS)
-    return state.n_prime * math.fsum(sums[:-1]), state.n_prime * math.fsum(sums[-1:])
+    outer = math.fsum(dalgarno_lewis._outer_sums(state, 1))
+    inner = dalgarno_lewis._inner_sum(state, 1, dalgarno_lewis._RULE_POINTS)
+    return state.n_prime * outer, state.n_prime * inner
 
 
 def add_to_inner_phi(monkeypatch, defect):
@@ -97,16 +98,21 @@ def add_to_inner_phi(monkeypatch, defect):
 
 
 def add_to_outer_phi(monkeypatch, defect):
-    """Make the quadrature kernel integrate phi' + defect(x') on every outer panel."""
+    """Make the quadrature kernel integrate phi' + defect(x') outside the well.
+
+    ``_outer_panel`` sums w e^{2t} psi0 x'^k phi' over the Gauss-Laguerre
+    nodes s = 2t, with e^{t} psi0 = n_cos, so the defect enters as that sum
+    with e^{t} defect(x') in place of e^{t} phi'.
+    """
     panel = dalgarno_lewis._outer_panel
 
-    def contaminated(nodes, k, side, n_cos, cos_g, b, b2):
+    def contaminated(k, side, n_cos, cos_g, b, b2):
         extra = math.fsum(
-            w * n_cos * e * x**k * defect(x)
-            for w, t, e in nodes
-            for x in (side * (1.0 + t / b),)
+            w * n_cos * math.exp(0.5 * s) * x**k * defect(x)
+            for s, w in dalgarno_lewis._LAGUERRE
+            for x in (side * (1.0 + 0.5 * s / b),)
         )
-        return panel(nodes, k, side, n_cos, cos_g, b, b2) + extra
+        return panel(k, side, n_cos, cos_g, b, b2) + extra
 
     monkeypatch.setattr(dalgarno_lewis, "_outer_panel", contaminated)
 
@@ -441,7 +447,9 @@ class TestQuadratureRoute:
 
 
 class TestGaussLegendre:
-    """The fixed Gauss-Legendre panels behind both quadrature routes."""
+    """The fixed Gauss rules behind both quadrature routes: Gauss-Legendre
+    inside the well, two-point Gauss-Laguerre in s = 2 beta0 (|x'| - 1)
+    outside it."""
 
     # gamma0 from near the delta limit to near the hard wall.
     GRID = np.linspace(1e-6, GAMMA_MAX, 101)
@@ -458,6 +466,17 @@ class TestGaussLegendre:
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert moment == pytest.approx(exact, abs=2e-15), k
 
+    def test_laguerre_rule_is_exact_for_cubics(self):
+        # int_0^inf e^{-s} s^k ds = k!, and the nodes are the roots of
+        # L_2(s) = (s^2 - 4 s + 2) / 2.
+        rule = dalgarno_lewis._LAGUERRE
+        assert len(rule) == 2
+        for k in range(4):
+            moment = math.fsum(w * s**k for s, w in rule)
+            assert moment == pytest.approx(math.factorial(k), rel=1e-15, abs=0.0), k
+        for s, _ in rule:
+            assert abs(s * s - 4.0 * s + 2.0) <= 2e-15
+
     def test_total_matches_closed_form_without_warning_on_whole_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,11 +487,11 @@ class TestGaussLegendre:
                 assert orthogonality(state) == 0.0
 
     def test_regions_match_alpha1_and_alpha2(self):
-        # The outer nodes and their envelope e^{-t} come from
-        # t = beta0 (|x'| - 1), not from a rounded x', so the outer piece
-        # holds 1e-12 up to pi/2 - 1e-9, where the panels span only 2.5e-8
-        # in x'.  The closed alpha2' sums its series on shallow wells, so the
-        # inner piece holds 1e-12 down to gamma0 = 1e-6.
+        # The outer nodes come from t = beta0 (|x'| - 1), not from a
+        # rounded x', so the outer piece holds 1e-12 up to pi/2 - 1e-9,
+        # where the nodes lie within 1.1e-9 of the edge in x'.  The closed
+        # alpha2' sums its series on shallow wells, so the inner piece
+        # holds 1e-12 down to gamma0 = 1e-6.
         for gamma in self.GRID:
             state = ground_state_from_gamma(float(gamma))
             outer, inner = quadrature_pieces(state)
@@ -490,63 +509,69 @@ class TestGaussLegendre:
             alpha_via_quadrature(state_039())
 
     def test_even_integrand_is_evaluated_once_per_mirror_pair(self, monkeypatch):
-        # alpha' evaluates the right outer panels only, 4 panels x (16 + 10)
-        # nodes, and the inner nodes x' > 0 only, 8 + 5; the odd overlap
-        # evaluates both sides, 2 x 4 x 16 outer and all 16 inner nodes.
+        # alpha' evaluates the exact outer rule once, on the right side
+        # only (2 nodes), and the inner nodes x' > 0 only, 8 + 5; the odd
+        # overlap evaluates both outer sides, 2 x 2 nodes, and all 16 inner
+        # nodes.
         evaluated = {"outer": [], "inner": []}
 
-        def counting(region):
-            panel = getattr(dalgarno_lewis, f"_{region}_panel")
+        class CountingRule(tuple):
+            def __iter__(self):
+                for node in super().__iter__():
+                    evaluated["outer"].append(node)
+                    yield node
 
-            def count(nodes, *args):
-                evaluated[region].extend(nodes)
-                return panel(nodes, *args)
+        monkeypatch.setattr(
+            dalgarno_lewis, "_LAGUERRE", CountingRule(dalgarno_lewis._LAGUERRE)
+        )
+        panel = dalgarno_lewis._inner_panel
 
-            monkeypatch.setattr(dalgarno_lewis, f"_{region}_panel", count)
+        def count(nodes, *args):
+            evaluated["inner"].extend(nodes)
+            return panel(nodes, *args)
 
-        counting("outer")
-        counting("inner")
+        monkeypatch.setattr(dalgarno_lewis, "_inner_panel", count)
         alpha_via_quadrature(state_039())
-        assert len(evaluated["outer"]) == 104
+        assert len(evaluated["outer"]) == 2
         assert len(evaluated["inner"]) == 13
         assert all(x > 0.0 for x, _ in evaluated["inner"])
         evaluated["outer"].clear()
         evaluated["inner"].clear()
         orthogonality(state_039())
-        assert len(evaluated["outer"]) == 128
+        assert len(evaluated["outer"]) == 4
         assert len(evaluated["inner"]) == 16
 
 
 # gamma0 -> float.hex of alpha_via_quadrature, of its outer and inner
-# pieces (``quadrature_pieces``) and of orthogonality, as the node-by-node
-# kernel (one _phi_outer / _phi_inner call per node) computed them.
+# pieces (``quadrature_pieces``) and of orthogonality.  The inner entries
+# are those of the node-by-node kernel (one _phi_inner call per node).
 QUADRATURE_HEX = {
     1e-20: (
-        "0x1.c73892ecbfbf7p+531", "0x1.c73892ecbfbf7p+531", "0x1.f4df76f50ba51p-1", "0x0.0p+0"
+        "0x1.c73892ecbfbf3p+531", "0x1.c73892ecbfbf3p+531", "0x1.f4df76f50ba51p-1", "0x0.0p+0"
     ),
     1e-08: (
-        "0x1.e62c4e38ff86fp+212", "0x1.e62c4e38ff86fp+212", "0x1.f4df76f50ba50p-1", "0x0.0p+0"
+        "0x1.e62c4e38ff86ap+212", "0x1.e62c4e38ff86ap+212", "0x1.f4df76f50ba50p-1", "0x0.0p+0"
     ),
     0.0599: (
-        "0x1.bf676b55dcde7p+32", "0x1.bf676b54e3a1ep+32", "0x1.f279243d67309p-1", "0x0.0p+0"
+        "0x1.bf676b55dcde3p+32", "0x1.bf676b54e3a19p+32", "0x1.f279243d67309p-1", "0x0.0p+0"
     ),
     0.06: (
-        "0x1.b9775b1026f11p+32", "0x1.b9775b0f2db58p+32", "0x1.f27718443b511p-1", "0x0.0p+0"
+        "0x1.b9775b1026f0fp+32", "0x1.b9775b0f2db56p+32", "0x1.f27718443b511p-1", "0x0.0p+0"
     ),
     0.39 * PI: (
         "0x1.81b1495a156c5p-3", "0x1.f15b7d8bdca8fp-7", "0x1.629b918157a1cp-3", "0x0.0p+0"
     ),
     0.49 * PI: (
-        "0x1.37d38cc75be18p-4", "0x1.c739adfeff0afp-22", "0x1.37d31af8f061cp-4", "0x0.0p+0"
+        "0x1.37d38cc75be18p-4", "0x1.c739adfeff0b0p-22", "0x1.37d31af8f061cp-4", "0x0.0p+0"
     ),
     GAMMA_MAX: (
-        "0x1.1fa3f86d2ef1fp-4", "0x1.13d299a5b0afbp-121", "0x1.1fa3f86d2ef1fp-4", "0x0.0p+0"
+        "0x1.1fa3f86d2ef1fp-4", "0x1.13d299a5b0afcp-121", "0x1.1fa3f86d2ef1fp-4", "0x0.0p+0"
     ),
 }
 
 
 class TestQuadratureKernel:
-    """The one-pass panel kernel against the scalar phi' helpers."""
+    """The one-pass kernel against the scalar phi' helpers."""
 
     GRID = [1e-20, 1e-8, 1e-3, 0.0599, 0.06, *np.linspace(0.05, GAMMA_MAX, 41).tolist()]
 
@@ -563,34 +588,32 @@ class TestQuadratureKernel:
     @pytest.mark.parametrize(
         "n", [dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS]
     )
-    def test_phi_at_every_node_matches_scalar_helpers(self, n):
+    def test_phi_at_every_node_matches_scalar_helpers(self, n, monkeypatch):
         # Each node is summed alone with unit weight and normalisation, so
-        # the kernel returns its integrand psi0 x'^k phi' there, which must
-        # equal the one built on _phi_outer / _phi_inner bit for bit.  With
-        # e^{-t} replaced by 1 the outer psi0 is 1, so the outer kernel's
-        # phi' itself is compared as well.  The k = 1 inner term of -x' must
-        # equal that of x' bit for bit, so that summing the nodes x' > 0
-        # with doubled weights gives the sum over all of them.
-        outer, inner, inner_right = dalgarno_lewis._panel_nodes(n)
+        # the kernel returns its integrand there, which must equal the one
+        # built on _phi_outer / _phi_inner bit for bit.  Outside, that is
+        # e^{2t} psi0 x'^k phi' with e^{t} psi0 = 1, so the outer kernel's
+        # e^{t} phi' is _phi_outer at env = 1.  The k = 1 inner term of -x'
+        # must equal that of x' bit for bit, so that summing the nodes
+        # x' > 0 with doubled weights gives the sum over all of them.
+        inner, inner_right = dalgarno_lewis._panel_nodes(n)
         assert inner_right == tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
         assert len(inner_right) == n // 2
+        rule = dalgarno_lewis._LAGUERRE
         for gamma in self.GRID:
             state = ground_state_from_gamma(gamma)
             g, b = state.gamma0, state.beta0
             cos_g, c_prime = math.cos(g), default_c_prime(g)
             # The even k = 1 integrand is taken on the right side only.
             cases = ((0, -1.0), (0, 1.0), (1, 1.0))
-            for _, nodes in outer:
-                for _, t, e in nodes:
-                    for env in (e, 1.0):
-                        for k, side in cases:
-                            x = side * (1.0 + t / b)
-                            phi = dalgarno_lewis._phi_outer(g, b, x, env)
-                            got = dalgarno_lewis._outer_panel(
-                                ((1.0, t, env),), k, side, 1.0, cos_g, b, b**2
-                            )
-                            want = 1.0 * ((env * x if k else env) * phi)
-                            assert got.hex() == want.hex(), (gamma, t, env, k, side)
+            for s, _ in rule:
+                monkeypatch.setattr(dalgarno_lewis, "_LAGUERRE", ((s, 1.0),))
+                for k, side in cases:
+                    x = side * (1.0 + 0.5 * s / b)
+                    phi = dalgarno_lewis._phi_outer(g, b, x, 1.0)
+                    got = dalgarno_lewis._outer_panel(k, side, 1.0, cos_g, b, b**2)
+                    want = 1.0 * ((x if k else 1.0) * phi)
+                    assert got.hex() == want.hex(), (gamma, s, k, side)
             for x, _ in inner:
                 phi = dalgarno_lewis._phi_inner(g, c_prime, x)
                 psi = math.cos(g * abs(x))

@@ -47,7 +47,7 @@ class TestDeltaLimit:
         # Romberg's table at ratio 1/2 over the 12 halvings leaves
         # alpha1 - 5/4 = -4.4e-16 and alpha2 = -1.7e-18 (measured).
         seq = delta_limit()
-        assert seq.steps == 12
+        assert len(seq.a_values) == 12
         assert abs(seq.alpha1_extrapolated - 1.25) <= 1e-14
         assert abs(seq.alpha2_extrapolated) <= 1e-15
 

@@ -3,9 +3,11 @@
 The proof is symbolic (``tests/symbolic.py``): both residuals expand to
 exactly 0 with the homogeneous coefficients C and B left free.  The tie-in then
 evaluates the same expressions with mpmath at exactly the floats that
-``_phi_inner``, ``_phi_outer`` and ``_edge_match`` receive.  The shallow-well
-series that ``_alpha2_bracket`` and ``_cos_minus_sinc`` sum are derived
-there too, and pinned as exact rationals.
+``_phi_inner``, ``_phi_outer``, ``_edge_match`` and ``phi_jump`` receive.
+Outside the well the quadrature integrand is shown to be e^{-2t} times a
+cubic in t, which the two-point Gauss-Laguerre rule integrates exactly.
+The shallow-well series that ``_alpha2_bracket`` and ``_cos_minus_sinc``
+sum are derived there too, and pinned as exact rationals.
 """
 
 import math
@@ -28,13 +30,24 @@ GAMMAS = [float(v) for v in np.geomspace(1e-12, GAMMA_MAX, 40)] + [
 ]
 
 
+# Panels in t = beta0 (|x'| - 1) whose Gauss-Legendre nodes spread the
+# outer sample points over [0, 40], beyond the rule's own two nodes.
+PANEL_T = (0.0, 2.0, 6.0, 14.0, 40.0)
+
+
 def nodes_and_t():
-    """The inner nodes |x'| < 1 and the outer t-nodes of both rules, t in [0, 40]."""
-    xs, ts = [], [0.0, 40.0]
+    """The inner nodes |x'| < 1 of both rules, and outer sample points in t.
+
+    The outer points are t = 0 and 40, the Gauss-Laguerre nodes t = s/2,
+    and both Gauss-Legendre rules' nodes on each panel of ``PANEL_T``.
+    """
+    xs, ts = [], [0.0, 40.0] + [0.5 * s for s, _ in dalgarno_lewis._LAGUERRE]
     for n in (dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS):
-        outer, inner, _ = dalgarno_lewis._panel_nodes(n)
-        xs += [x for x, _ in inner]
-        ts += [t for _, nodes in outer for _, t, _ in nodes]
+        nodes, _ = dalgarno_lewis._gauss_legendre(n)
+        xs += nodes
+        for lo, hi in zip(PANEL_T, PANEL_T[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            ts += [mid + half * node for node in nodes]
     return xs, ts
 
 
@@ -85,6 +98,71 @@ class TestPhiTieIn:
             assert dalgarno_lewis._phi_outer(g, b, -x, env) == -dalgarno_lewis._phi_outer(
                 g, b, x, env
             )
+
+
+class TestPhiJump:
+    """``phi_jump`` against 40 digits at the same floats, to its stated accuracy."""
+
+    # 0.9080463980363837 is the last float below the jump's sign change.
+    GRID = GAMMAS + [float(v) for v in np.linspace(0.05, GAMMA_MAX, 80)] + [
+        0.9080463980363837
+    ]
+
+    def test_error_is_bounded_by_its_terms(self):
+        # Measured worst 2.5e-16 times the sum of the terms' magnitudes.
+        for gamma in self.GRID:
+            state = ground_state_from_gamma(gamma)
+            got = dalgarno_lewis.phi_jump(dalgarno_lewis.phi_reduced(state))
+            ref, scale = symbolic.phi_jump_ref(state.gamma0, state.beta0)
+            assert abs(got - ref) <= 1e-15 * scale, gamma
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [0.4 * math.pi, 0.49 * math.pi, 0.5 * math.pi - 1e-3, 0.5 * math.pi - 1e-6, GAMMA_MAX],
+    )
+    def test_relative_error_next_to_hard_wall(self, gamma):
+        # 1 + C' cancels.  Measured 1.4e-15 at 0.49 pi, 5.1e-13 at
+        # pi/2 - 1e-3, 2.7e-10 at pi/2 - 1e-6 and 5.2e-7 at pi/2 - 1e-9.
+        state = ground_state_from_gamma(gamma)
+        got = dalgarno_lewis.phi_jump(dalgarno_lewis.phi_reduced(state))
+        ref, _ = symbolic.phi_jump_ref(state.gamma0, state.beta0)
+        assert float(abs((got - ref) / ref)) <= 1e-15 / (0.5 * math.pi - gamma)
+
+
+class TestOuterRule:
+    """The two-point Gauss-Laguerre rule integrates the outer piece exactly."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_outer_integrand_is_a_cubic_in_t(self, k):
+        # No exponential is left in e^{2t} psi0 x'^k phi'_out, for any B,
+        # and its degree in t is k + 2 <= 3, which the rule's two nodes
+        # integrate exactly.
+        expr = symbolic.outer_integrand(k)
+        assert not expr.has(sp.exp)
+        assert symbolic.B in expr.free_symbols
+        assert sp.Poly(expr, symbolic.t).degree() == k + 2
+
+    def test_alpha1_is_the_outer_integral(self):
+        # The closed form alpha1_prime sums, derived from the integral.
+        n, g, b = symbolic.N, symbolic.g, symbolic.b
+        r = sp.Rational
+        bracket = 1 / b**2 + r(5, 2) / b**3 + r(5, 2) / b**4 + r(5, 4) / b**5
+        assert sp.simplify(symbolic.alpha1() - n**2 * sp.cos(g) ** 2 * bracket) == 0
+
+    def test_outer_piece_matches_60_digit_alpha1(self):
+        # The outer piece of alpha_via_quadrature at the state's own floats.
+        # Measured worst 7.0e-16.
+        gammas = [float(v) for v in np.geomspace(1e-20, 1.0, 60)] + [
+            float(v) for v in np.linspace(1.0, GAMMA_MAX, 40)
+        ] + [0.5 * math.pi - 10.0**-e for e in range(3, 9)]
+        assert gammas[0] == 1e-20 and gammas[-7] == GAMMA_MAX
+        worst = 0.0
+        for gamma in gammas:
+            state = ground_state_from_gamma(gamma)
+            outer = state.n_prime * math.fsum(dalgarno_lewis._outer_sums(state, 1))
+            ref = symbolic.alpha1_ref(state.gamma0, state.beta0, state.n_prime_sq)
+            worst = max(worst, float(abs((outer - ref) / ref)))
+        assert worst <= 2e-15, worst
 
 
 class TestEdgeMatch:
