@@ -7,12 +7,12 @@ solvers, the ``breakdown`` of the closed forms, the dimensionful
 ``WellSpec`` adapter and the error classes; everything else is imported
 from its module (``wellpol.dalgarno_lewis``, ``wellpol.limits``, ...).
 The oracle lives in ``wellpol.grid_oracle``, so ``import wellpol`` loads
-neither numpy nor scipy.
+neither numpy nor scipy.  Result types take only their independent inputs
+and derive the rest (N'^2, alpha', the extrapolated limits) on construction.
 """
 
 from .dalgarno_lewis import breakdown
 from .errors import (
-    ConfigurationError,
     ConvergenceWarning,
     DomainError,
     FieldTooLargeError,
@@ -25,7 +25,6 @@ __all__ = [
     "ground_state_from_R",
     "ground_state_from_gamma",
     "WellSpec",
-    "ConfigurationError",
     "ConvergenceWarning",
     "DomainError",
     "FieldTooLargeError",

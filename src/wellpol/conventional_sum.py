@@ -17,7 +17,7 @@ calibration reproduced by :func:`calibrate_C`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dalgarno_lewis import alpha2_prime_hard_wall
 from .errors import DomainError, NumericalError
@@ -27,11 +27,11 @@ __all__ = ["InfiniteWellSum", "infinite_well_term", "infinite_well_alpha", "cali
 
 @dataclass(frozen=True)
 class InfiniteWellSum:
-    """Partial sum of the box transition series for alpha'."""
+    """Partial sum of the box transition series for alpha'; the sum is derived."""
 
-    num_terms: int
-    partial_alpha_prime: float
     term_values: tuple[float, ...]
+    num_terms: int = field(init=False)
+    partial_alpha_prime: float = field(init=False)
 
     def __post_init__(self) -> None:
         if any(t <= 0.0 for t in self.term_values):
@@ -39,10 +39,8 @@ class InfiniteWellSum:
         for earlier, later in zip(self.term_values, self.term_values[1:]):
             if later >= earlier:
                 raise NumericalError("term values must be strictly decreasing")
-        if abs(self.partial_alpha_prime - math.fsum(self.term_values)) > 1e-15 * max(
-            1.0, self.partial_alpha_prime
-        ):
-            raise NumericalError("partial sum inconsistent with its terms")
+        object.__setattr__(self, "num_terms", len(self.term_values))
+        object.__setattr__(self, "partial_alpha_prime", math.fsum(self.term_values))
 
 
 def infinite_well_term(n: int) -> float:
@@ -64,12 +62,7 @@ def infinite_well_alpha(num_terms: int) -> InfiniteWellSum:
     """Sum the first ``num_terms`` contributing (even-n) transitions."""
     if num_terms < 1:
         raise DomainError(f"num_terms must be >= 1, got {num_terms!r}")
-    terms = tuple(infinite_well_term(2 * k) for k in range(1, num_terms + 1))
-    return InfiniteWellSum(
-        num_terms=num_terms,
-        partial_alpha_prime=math.fsum(terms),
-        term_values=terms,
-    )
+    return InfiniteWellSum(tuple(infinite_well_term(2 * k) for k in range(1, num_terms + 1)))
 
 
 def calibrate_C(target_alpha_prime: float) -> float:

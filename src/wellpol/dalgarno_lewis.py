@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericalError
 from .well_spectrum import GroundState
@@ -292,34 +292,31 @@ def alpha_apr_prime(R: float) -> float:
 
 @dataclass(frozen=True)
 class PolarizabilityBreakdown:
-    """All reduced polarizabilities of one well, in units of g."""
+    """All reduced polarizabilities of one well, in units of g; alpha' and T are derived."""
 
     alpha1_prime: float
     alpha2_prime: float
     alpha2_t_prime: float
-    alpha_prime: float
     alpha_apr_prime: float
-    t_ratio: float
+    alpha_prime: float = field(init=False)
+    t_ratio: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.alpha1_prime < 0.0:
             raise NumericalError("alpha1' must be nonnegative")
-        if self.alpha_prime != self.alpha1_prime + self.alpha2_prime:
-            raise NumericalError("alpha' must equal alpha1' + alpha2' exactly")
+        a2 = self.alpha2_prime
+        object.__setattr__(self, "alpha_prime", self.alpha1_prime + a2)
+        t_ratio = (a2 - self.alpha2_t_prime) / a2 if a2 != 0.0 else math.nan
+        object.__setattr__(self, "t_ratio", t_ratio)
 
 
 def breakdown(state: GroundState) -> PolarizabilityBreakdown:
     """Assemble every closed-form polarizability for one state."""
-    a1 = alpha1_prime(state)
-    a2 = alpha2_prime(state)
-    a2t = alpha2_t_prime(state)
     return PolarizabilityBreakdown(
-        alpha1_prime=a1,
-        alpha2_prime=a2,
-        alpha2_t_prime=a2t,
-        alpha_prime=a1 + a2,
+        alpha1_prime=alpha1_prime(state),
+        alpha2_prime=alpha2_prime(state),
+        alpha2_t_prime=alpha2_t_prime(state),
         alpha_apr_prime=alpha_apr_prime(state.R),
-        t_ratio=(a2 - a2t) / a2 if a2 != 0.0 else math.nan,
     )
 
 

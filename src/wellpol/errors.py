@@ -1,12 +1,11 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Every error is a DomainError (the CLI exits 2) or a NumericalError (exit 3).
+"""
 
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
-
-
-class ConfigurationError(DomainError):
-    """A run configuration is structurally invalid (e.g. step underflow)."""
 
 
 class NumericalError(RuntimeError):

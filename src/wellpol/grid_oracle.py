@@ -158,13 +158,14 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Oracle polarizabilities plus convergence metadata."""
+    """Oracle polarizabilities plus convergence metadata; ``route_gap`` is derived."""
 
     alpha_sum: float
     alpha_curvature: float
     ground_energy_dimless: float
     richardson_alpha: float
     diagnostics: dict = field(default_factory=dict)
+    route_gap: float = field(init=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha_sum", "alpha_curvature"):
@@ -175,6 +176,7 @@ class OracleResult:
             raise NumericalError(
                 f"oracle routes disagree by {gap:.2e} at matched discretization"
             )
+        object.__setattr__(self, "route_gap", gap)
 
 
 def _multiplier(config: GridOracleConfig) -> int:

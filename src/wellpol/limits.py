@@ -3,9 +3,10 @@
 Delta limit: halve the half-width while doubling the depth (a V0 fixed), so
 the well collapses onto an attractive delta of fixed strength.  Scaled by
 hbar^2 k0^4 / (m q^2), the forbidden-region polarizability tends to 5/4 and
-the in-well one to zero.  With a V0 = 1/2 fixed, R^2 = 2 a^2 V0 = a; gamma0
-is odd in R and beta0 and N'^2 are even, so each scaled value is a power
-series in a, which halves at every step: ratio 1/2.
+the in-well one to zero.  With hbar = m = q = 1 and a V0 = 1/2, R = sqrt(a),
+and g k0^4 = a^4 (beta0/a)^4 scales a reduced polarizability by beta0^4.
+gamma0 is odd in R and beta0 and N'^2 are even, so each scaled value is a
+power series in a, which halves at every step: ratio 1/2.
 
 Hard-wall limit: push the inside phase gamma0 -> pi/2.  There alpha1' -> 0,
 alpha2' -> 0.0702247 and the bare trial value -> -0.1324176; the module
@@ -20,12 +21,11 @@ ratio each study knows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dalgarno_lewis import alpha1_prime, alpha2_prime, alpha2_t_prime
-from .errors import ConfigurationError
-from .well_spectrum import WellSpec, ground_state_from_gamma
+from .well_spectrum import ground_state_from_R, ground_state_from_gamma
 
 __all__ = [
     "extrapolate",
@@ -38,33 +38,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeltaLimitSequence:
-    """Per-step record of the collapsing-well study plus extrapolated limits."""
+    """Per-step record of the collapsing-well study; depths and limits are derived."""
 
     a_values: tuple[float, ...]
-    v0_values: tuple[float, ...]
     alpha1_scaled: tuple[float, ...]
     alpha2_scaled: tuple[float, ...]
-    alpha1_extrapolated: float
-    alpha2_extrapolated: float
+    v0_values: tuple[float, ...] = field(init=False)
+    alpha1_extrapolated: float = field(init=False)
+    alpha2_extrapolated: float = field(init=False)
 
     def __post_init__(self) -> None:
-        products = [a * v for a, v in zip(self.a_values, self.v0_values)]
-        ref = products[0]
-        if any(abs(p - ref) > 1e-12 * abs(ref) for p in products):
-            raise ConfigurationError("a * V0 drifted along the delta-limit sequence")
+        object.__setattr__(self, "v0_values", tuple(0.5 / a for a in self.a_values))
+        object.__setattr__(self, "alpha1_extrapolated", extrapolate(self.alpha1_scaled, 0.5))
+        object.__setattr__(self, "alpha2_extrapolated", extrapolate(self.alpha2_scaled, 0.5))
 
 
 @dataclass(frozen=True)
 class InfiniteWellLimitReport:
-    """Hard-wall limit evaluations at gamma0 = pi/2 - eps and their eps -> 0 limits."""
+    """Hard-wall evaluations at gamma0 = pi/2 - eps; their eps -> 0 limits are derived."""
 
     epsilons: tuple[float, ...]
     alpha1_values: tuple[float, ...]
     alpha2_values: tuple[float, ...]
     alpha2_t_values: tuple[float, ...]
-    alpha1_limit: float
-    alpha2_limit: float
-    alpha2_t_limit: float
+    alpha1_limit: float = field(init=False)
+    alpha2_limit: float = field(init=False)
+    alpha2_t_limit: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        # The error is a series in eps, so successive values shrink its terms
+        # by powers of the epsilons' own ratio.
+        ratio = self.epsilons[-1] / self.epsilons[-2]
+        object.__setattr__(self, "alpha1_limit", extrapolate(self.alpha1_values, ratio))
+        object.__setattr__(self, "alpha2_limit", extrapolate(self.alpha2_values, ratio))
+        object.__setattr__(self, "alpha2_t_limit", extrapolate(self.alpha2_t_values, ratio))
 
 
 # Decreasing offsets eps of gamma0 = pi/2 - eps for the hard-wall limit.
@@ -96,26 +103,12 @@ def delta_limit() -> DeltaLimitSequence:
     The well starts at half-width a = 1 and depth V0 = 1/2 (R = 1) and is
     halved in width and doubled in depth ``_DELTA_HALVINGS`` times.
     """
-    a_vals, v_vals, s1_vals, s2_vals = [], [], [], []
-    for i in range(_DELTA_HALVINGS):
-        a = 1.0 / 2.0**i
-        v0 = 0.5 * 2.0**i
-        spec = WellSpec(half_width=a, depth=v0, mass=1.0, charge=1.0, hbar=1.0)
-        state = spec.ground_state()
-        k0 = state.beta0 / a
-        scale = k0**4  # hbar^2 k0^4 / (m q^2) in natural units
-        a_vals.append(a)
-        v_vals.append(v0)
-        s1_vals.append(spec.polarizability_unit * alpha1_prime(state) * scale)
-        s2_vals.append(spec.polarizability_unit * alpha2_prime(state) * scale)
-
+    a_vals = tuple(1.0 / 2.0**i for i in range(_DELTA_HALVINGS))
+    states = [ground_state_from_R(math.sqrt(a)) for a in a_vals]
     return DeltaLimitSequence(
-        a_values=tuple(a_vals),
-        v0_values=tuple(v_vals),
-        alpha1_scaled=tuple(s1_vals),
-        alpha2_scaled=tuple(s2_vals),
-        alpha1_extrapolated=extrapolate(s1_vals, 0.5),
-        alpha2_extrapolated=extrapolate(s2_vals, 0.5),
+        a_values=a_vals,
+        alpha1_scaled=tuple(alpha1_prime(s) * s.beta0**4 for s in states),
+        alpha2_scaled=tuple(alpha2_prime(s) * s.beta0**4 for s in states),
     )
 
 
@@ -125,23 +118,10 @@ def infinite_well_limit() -> InfiniteWellLimitReport:
     eps runs over ``_HARD_WALL_EPSILONS``; its smallest value keeps tan
     gamma0 well conditioned.
     """
-    eps = _HARD_WALL_EPSILONS
-    a1, a2, a2t = [], [], []
-    for e in eps:
-        state = ground_state_from_gamma(0.5 * math.pi - e)
-        a1.append(alpha1_prime(state))
-        a2.append(alpha2_prime(state))
-        a2t.append(alpha2_t_prime(state))
-
-    # The error is a series in eps, so successive values shrink its terms
-    # by powers of the epsilons' own ratio.
-    ratio = eps[-1] / eps[-2]
+    states = [ground_state_from_gamma(0.5 * math.pi - e) for e in _HARD_WALL_EPSILONS]
     return InfiniteWellLimitReport(
-        epsilons=eps,
-        alpha1_values=tuple(a1),
-        alpha2_values=tuple(a2),
-        alpha2_t_values=tuple(a2t),
-        alpha1_limit=extrapolate(a1, ratio),
-        alpha2_limit=extrapolate(a2, ratio),
-        alpha2_t_limit=extrapolate(a2t, ratio),
+        epsilons=_HARD_WALL_EPSILONS,
+        alpha1_values=tuple(map(alpha1_prime, states)),
+        alpha2_values=tuple(map(alpha2_prime, states)),
+        alpha2_t_values=tuple(map(alpha2_t_prime, states)),
     )

@@ -30,7 +30,7 @@ an adapter at the boundary of the otherwise dimensionless computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericalError
 
@@ -93,14 +93,14 @@ class WellSpec:
 class GroundState:
     """Solved even-parity ground state in dimensionless form.
 
-    ``energy_dimless`` is E0 * 2 m a^2 / hbar^2 = -beta0^2.
+    ``n_prime_sq`` and ``energy_dimless`` = E0 * 2 m a^2 / hbar^2 = -beta0^2 are derived.
     """
 
     gamma0: float
     beta0: float
     R: float
-    n_prime_sq: float
-    energy_dimless: float
+    n_prime_sq: float = field(init=False)
+    energy_dimless: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma0 < 0.5 * math.pi):
@@ -110,8 +110,8 @@ class GroundState:
                 f"gamma0 must be >= {GAMMA_MIN!r}, got {self.gamma0!r}; "
                 "the closed-form polarizability overflows below it"
             )
-        if not (self.beta0 > 0.0 and self.R > 0.0 and self.n_prime_sq > 0.0):
-            raise DomainError("beta0, R and n_prime_sq must all be positive")
+        if not (self.beta0 > 0.0 and self.R > 0.0):
+            raise DomainError("beta0 and R must both be positive")
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
         # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated
@@ -129,11 +129,8 @@ class GroundState:
         r13 = self.gamma0**2 + self.beta0**2 - self.R**2
         if abs(r13) > 1e-10 * (self.gamma0**2 + self.beta0**2 + self.R**2):
             raise NumericalError(f"strength residual gamma^2+beta^2-R^2 = {r13!r}")
-        n2 = normalization_sq(self.gamma0, self.beta0)
-        if abs(self.n_prime_sq - n2) > 1e-12 * n2:
-            raise NumericalError("n_prime_sq inconsistent with gamma0, beta0")
-        if self.energy_dimless != -self.beta0**2:
-            raise NumericalError("energy_dimless must equal -beta0^2 exactly")
+        object.__setattr__(self, "n_prime_sq", normalization_sq(self.gamma0, self.beta0))
+        object.__setattr__(self, "energy_dimless", -self.beta0**2)
 
     @property
     def n_prime(self) -> float:
@@ -154,16 +151,6 @@ def normalization_sq(gamma0: float, beta0: float) -> float:
         1.0
         + math.sin(gamma0) * math.cos(gamma0) / gamma0
         + math.cos(gamma0) ** 2 / beta0
-    )
-
-
-def _make_state(gamma0: float, beta0: float, R: float) -> GroundState:
-    return GroundState(
-        gamma0=gamma0,
-        beta0=beta0,
-        R=R,
-        n_prime_sq=normalization_sq(gamma0, beta0),
-        energy_dimless=-beta0**2,
     )
 
 
@@ -201,7 +188,7 @@ def ground_state_from_R(R: float) -> GroundState:
             "the closed-form polarizability overflows below GAMMA_MIN"
         )
     gamma0 = _solve_gamma(R)
-    return _make_state(gamma0, R * math.sin(gamma0), R)
+    return GroundState(gamma0, R * math.sin(gamma0), R)
 
 
 def ground_state_from_gamma(gamma0: float) -> GroundState:
@@ -212,5 +199,5 @@ def ground_state_from_gamma(gamma0: float) -> GroundState:
             "use the limits module to approach the infinite-well edge"
         )
     beta0 = gamma0 * math.tan(gamma0)
-    return _make_state(gamma0, beta0, math.hypot(gamma0, beta0))
+    return GroundState(gamma0, beta0, math.hypot(gamma0, beta0))
 

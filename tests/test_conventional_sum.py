@@ -66,9 +66,8 @@ class TestPartialSums:
         result = infinite_well_alpha(10)
         for earlier, later in zip(result.term_values, result.term_values[1:]):
             assert later < earlier
-        assert result.partial_alpha_prime == pytest.approx(
-            math.fsum(result.term_values), rel=1e-15
-        )
+        assert result.num_terms == len(result.term_values) == 10
+        assert result.partial_alpha_prime == math.fsum(result.term_values)
 
     def test_rejects_empty_sum(self):
         with pytest.raises(DomainError):

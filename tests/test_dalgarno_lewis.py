@@ -425,8 +425,12 @@ class TestBreakdown:
         assert bd.alpha_prime == pytest.approx(0.152993, abs=1e-6)
 
     def test_sum_is_exact(self):
-        bd = breakdown(state_039())
-        assert bd.alpha_prime == bd.alpha1_prime + bd.alpha2_prime
+        # Series branch, shallow and deep closed-form rows, bit for bit.
+        for gamma in (1e-8, 0.05, 0.19 * PI, 0.39 * PI, 0.49 * PI):
+            bd = breakdown(ground_state_from_gamma(gamma))
+            assert bd.alpha_prime == bd.alpha1_prime + bd.alpha2_prime
+            a2, a2t = bd.alpha2_prime, bd.alpha2_t_prime
+            assert bd.t_ratio == (a2 - a2t) / a2
 
 
 class TestQuadratureRoute:

@@ -574,8 +574,8 @@ def test_both_routes_match_closed_form_across_well_range(k):
     gamma_pi = 0.05 + 0.02 * k
     state = ground_state_from_gamma(gamma_pi * math.pi)
     result = oracle_study(GridOracleConfig(well_R=state.R), levels=2)
-    route_gap = abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
-    assert route_gap <= 1e-6
+    assert result.route_gap == abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
+    assert result.route_gap <= 1e-6
     exact = alpha_exact_prime(state)
     assert result.richardson_alpha == pytest.approx(
         exact, rel=2e-10 if gamma_pi > 0.18 else 2e-8, abs=0.0
@@ -612,7 +612,9 @@ class TestOracleResult:
             with pytest.raises(NumericalError, match="oracle routes disagree"):
                 OracleResult(**kwargs)
         else:
-            assert OracleResult(**kwargs).alpha_curvature == 1.0 + gap
+            result = OracleResult(**kwargs)
+            assert result.alpha_curvature == 1.0 + gap
+            assert result.route_gap == (1.0 + gap) - 1.0
 
     def test_combined_study_fills_everything(self):
         result = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)

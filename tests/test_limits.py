@@ -52,10 +52,9 @@ class TestDeltaLimit:
         assert abs(seq.alpha2_extrapolated) <= 1e-15
 
     def test_product_of_width_and_depth_constant(self):
+        # Powers of two: a V0 = 1/2 holds exactly at every step.
         seq = delta_limit()
-        products = [a * v for a, v in zip(seq.a_values, seq.v0_values)]
-        for p in products:
-            assert p == pytest.approx(products[0], rel=1e-12)
+        assert [a * v for a, v in zip(seq.a_values, seq.v0_values)] == [0.5] * 12
 
     def test_alpha1_converges_monotonically(self):
         seq = delta_limit()

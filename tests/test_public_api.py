@@ -3,8 +3,9 @@
 The package re-exports what the README's examples import, plus the error
 classes; everything else is imported from its module.  The oracle's grid
 and probe fields and the limit studies' starting points and step counts are
-derived or fixed, so their signatures are pinned, and so are the CLI's
-options: a removed knob cannot come back unnoticed.
+derived or fixed, and the result types take only their independent inputs,
+so their signatures are pinned, and so are the CLI's options: a removed
+knob or a derived field cannot come back unnoticed.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import inspect
 import pytest
 
 import wellpol
-from wellpol import dalgarno_lewis, grid_oracle, limits, well_spectrum
+from wellpol import conventional_sum, dalgarno_lewis, grid_oracle, limits, well_spectrum
 from wellpol.cli import build_parser
 
 PACKAGE = {
@@ -21,7 +22,6 @@ PACKAGE = {
     "ground_state_from_R",
     "ground_state_from_gamma",
     "WellSpec",
-    "ConfigurationError",
     "ConvergenceWarning",
     "DomainError",
     "FieldTooLargeError",
@@ -67,16 +67,37 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 5 settable values in all.
+# (name, default) of every parameter; 20 settable values in all, 15 of
+# them the result types' independent inputs.
+REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
     "GridOracleConfig": [
-        ("well_R", inspect.Parameter.empty),
+        ("well_R", REQUIRED),
         ("num_points", 2000),
         ("num_states", 200),
     ],
     "GridOracleConfig.hard_wall": [("num_points", 2000), ("num_states", 200)],
     "delta_limit": [],
     "infinite_well_limit": [],
+    "GroundState": [("gamma0", REQUIRED), ("beta0", REQUIRED), ("R", REQUIRED)],
+    "PolarizabilityBreakdown": [
+        ("alpha1_prime", REQUIRED),
+        ("alpha2_prime", REQUIRED),
+        ("alpha2_t_prime", REQUIRED),
+        ("alpha_apr_prime", REQUIRED),
+    ],
+    "DeltaLimitSequence": [
+        ("a_values", REQUIRED),
+        ("alpha1_scaled", REQUIRED),
+        ("alpha2_scaled", REQUIRED),
+    ],
+    "InfiniteWellLimitReport": [
+        ("epsilons", REQUIRED),
+        ("alpha1_values", REQUIRED),
+        ("alpha2_values", REQUIRED),
+        ("alpha2_t_values", REQUIRED),
+    ],
+    "InfiniteWellSum": [("term_values", REQUIRED)],
 }
 # Option strings of each subcommand, --help aside; 20 in all.
 CLI_OPTIONS = {
@@ -93,6 +114,11 @@ CALLABLES = {
     "GridOracleConfig.hard_wall": grid_oracle.GridOracleConfig.hard_wall,
     "delta_limit": limits.delta_limit,
     "infinite_well_limit": limits.infinite_well_limit,
+    "GroundState": well_spectrum.GroundState,
+    "PolarizabilityBreakdown": dalgarno_lewis.PolarizabilityBreakdown,
+    "DeltaLimitSequence": limits.DeltaLimitSequence,
+    "InfiniteWellLimitReport": limits.InfiniteWellLimitReport,
+    "InfiniteWellSum": conventional_sum.InfiniteWellSum,
 }
 
 
@@ -124,6 +150,10 @@ def test_star_import_gives_exactly_the_package_names():
 def test_settable_values_are_pinned(name):
     params = inspect.signature(CALLABLES[name]).parameters.values()
     assert [(p.name, p.default) for p in params] == SIGNATURES[name]
+
+
+def test_settable_value_count():
+    assert sum(map(len, SIGNATURES.values())) == 20
 
 
 def test_cli_options_are_pinned():

@@ -237,9 +237,9 @@ class TestInvariants:
         assert state.energy_dimless == -state.beta0**2
 
     def test_direct_construction_is_validated(self):
-        with pytest.raises(Exception):
-            GroundState(gamma0=1.0, beta0=2.0, R=5.0, n_prime_sq=0.5,
-                        energy_dimless=-4.0)
+        # 1 * tan(1) = 1.56, not 2: the quantisation residual refuses it.
+        with pytest.raises(NumericalError, match="quantisation residual"):
+            GroundState(gamma0=1.0, beta0=2.0, R=5.0)
 
     def test_shallow_well_residual_is_relative(self):
         # At R = 1e-8 every quantisation term is ~1e-16, so an absolute
@@ -247,25 +247,24 @@ class TestInvariants:
         gamma0 = ground_state_from_R(1e-8).gamma0
         beta0 = 1.82e-16
         with pytest.raises(NumericalError):
-            GroundState(
-                gamma0=gamma0,
-                beta0=beta0,
-                R=1e-8,
-                n_prime_sq=normalization_sq(gamma0, beta0),
-                energy_dimless=-beta0**2,
-            )
+            GroundState(gamma0=gamma0, beta0=beta0, R=1e-8)
 
     def test_solved_states_pass_relative_residuals(self):
         # Dense log grids over the whole domain: R in [1e-8, 1e9], and
         # gamma0 from 1e-8 up to GAMMA_MAX, with the last decades below
-        # pi/2 sampled by their distance to it.
-        for k in range(1701):
-            ground_state_from_R(10.0 ** (-8.0 + k / 100.0))
+        # pi/2 sampled by their distance to it.  Each state's derived
+        # fields are the defining expressions, bit for bit.
         top = math.log10(GAMMA_MAX)
-        for k in range(1001):
-            ground_state_from_gamma(10.0 ** (-8.0 + k * (top + 8.0) / 1000.0))
-        for k in range(901):
-            ground_state_from_gamma(GAMMA_MAX - 10.0 ** (-9.0 + k / 100.0))
+        states = (
+            [ground_state_from_R(10.0 ** (-8.0 + k / 100.0)) for k in range(1701)]
+            + [ground_state_from_gamma(10.0 ** (-8.0 + k * (top + 8.0) / 1000.0))
+               for k in range(1001)]
+            + [ground_state_from_gamma(GAMMA_MAX - 10.0 ** (-9.0 + k / 100.0))
+               for k in range(901)]
+        )
+        for state in states:
+            assert state.n_prime_sq == normalization_sq(state.gamma0, state.beta0)
+            assert state.energy_dimless == -state.beta0**2
 
 
 class TestWellSpec:
