@@ -12,12 +12,7 @@ and derive the rest (N'^2, alpha', the extrapolated limits) on construction.
 """
 
 from .dalgarno_lewis import breakdown
-from .errors import (
-    ConvergenceWarning,
-    DomainError,
-    FieldTooLargeError,
-    NumericalError,
-)
+from .errors import ConvergenceWarning, DomainError, NumericalError
 from .well_spectrum import WellSpec, ground_state_from_R, ground_state_from_gamma
 
 __all__ = [
@@ -27,7 +22,6 @@ __all__ = [
     "WellSpec",
     "ConvergenceWarning",
     "DomainError",
-    "FieldTooLargeError",
     "NumericalError",
 ]
 

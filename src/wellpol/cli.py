@@ -110,18 +110,23 @@ def _format_cell(column: str, value: float) -> str:
 
 
 def _breakdown_row(state: GroundState) -> dict:
-    bd = dalgarno_lewis.breakdown(state)
+    """The state columns, then the breakdown's fields under their own names."""
     return {
         "gamma0_over_pi": state.gamma0 / math.pi,
         "beta0": state.beta0,
         "R": state.R,
-        "alpha1_prime": bd.alpha1_prime,
-        "alpha2_prime": bd.alpha2_prime,
-        "alpha2_t_prime": bd.alpha2_t_prime,
-        "alpha_prime": bd.alpha_prime,
-        "alpha_apr_prime": bd.alpha_apr_prime,
-        "t_ratio": bd.t_ratio,
+        **vars(dalgarno_lewis.breakdown(state)),
     }
+
+
+def _fields(result, *names: str) -> dict:
+    """The named fields of a result, in the order given."""
+    return {name: getattr(result, name) for name in names}
+
+
+def _rows(**columns: Sequence) -> list[dict]:
+    """One row per index, from equal-length value sequences named by their column."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -239,51 +244,23 @@ def cmd_sweep(args) -> int:
 def cmd_limits(args) -> int:
     if args.mode == "delta":
         seq = limits.delta_limit()
-        rows = [
-            {
-                "half_width": a,
-                "depth": v,
-                "alpha1_scaled": s1,
-                "alpha2_scaled": s2,
-            }
-            for a, v, s1, s2 in zip(
-                seq.a_values, seq.v0_values, seq.alpha1_scaled, seq.alpha2_scaled
-            )
-        ]
+        rows = _rows(half_width=seq.a_values, depth=seq.v0_values,
+                     alpha1_scaled=seq.alpha1_scaled, alpha2_scaled=seq.alpha2_scaled)
         checks = [
             _check("delta_alpha1_scaled", seq.alpha1_extrapolated, 1.25, 1e-3),
             _check("delta_alpha2_scaled", seq.alpha2_extrapolated, 0.0, 1e-3),
         ]
-        diagnostics = {
-            "alpha1_extrapolated": seq.alpha1_extrapolated,
-            "alpha2_extrapolated": seq.alpha2_extrapolated,
-        }
+        diagnostics = _fields(seq, "alpha1_extrapolated", "alpha2_extrapolated")
         return _emit_report(args, {"mode": "delta"}, rows, diagnostics, checks)
     report = limits.infinite_well_limit()
-    rows = [
-        {
-            "epsilon": e,
-            "alpha1_prime": a1,
-            "alpha2_prime": a2,
-            "alpha2_t_prime": a2t,
-        }
-        for e, a1, a2, a2t in zip(
-            report.epsilons,
-            report.alpha1_values,
-            report.alpha2_values,
-            report.alpha2_t_values,
-        )
-    ]
+    rows = _rows(epsilon=report.epsilons, alpha1_prime=report.alpha1_values,
+                 alpha2_prime=report.alpha2_values, alpha2_t_prime=report.alpha2_t_values)
     checks = [
         _check("hard_wall_alpha1", report.alpha1_limit, 0.0, 1e-7),
         _check("hard_wall_alpha2", report.alpha2_limit, 0.0702247, 1e-6),
         _check("hard_wall_alpha2_t", report.alpha2_t_limit, -0.1324176, 1e-6),
     ]
-    diagnostics = {
-        "alpha1_limit": report.alpha1_limit,
-        "alpha2_limit": report.alpha2_limit,
-        "alpha2_t_limit": report.alpha2_t_limit,
-    }
+    diagnostics = _fields(report, "alpha1_limit", "alpha2_limit", "alpha2_t_limit")
     return _emit_report(args, {"mode": "infinite"}, rows, diagnostics, checks)
 
 
@@ -300,17 +277,11 @@ def cmd_oracle(args) -> int:
         config = grid_oracle.GridOracleConfig(well_R=args.R, num_points=args.num_points)
     result = grid_oracle.oracle_study(config)
     checks = [_check("sum_vs_curvature_rel", result.route_gap, 0.0, grid_oracle._ROUTE_AGREEMENT)]
-    rows = [
-        {
-            "alpha_sum": result.alpha_sum,
-            "alpha_curvature": result.alpha_curvature,
-            "richardson_alpha": result.richardson_alpha,
-            "ground_energy_dimless": result.ground_energy_dimless,
-        }
-    ]
+    rows = [_fields(result, "alpha_sum", "alpha_curvature", "richardson_alpha",
+                    "ground_energy_dimless")]
     diagnostics = dict(result.diagnostics)
     if args.hard_wall:
-        reference = conventional_sum.infinite_well_alpha(BOX_TERMS).partial_alpha_prime
+        reference = conventional_sum.infinite_well_alpha(BOX_TERMS)
         gap = abs(result.richardson_alpha - reference) / reference
         diagnostics["conventional_sum_reference"] = reference
         checks.append(_check("hard_wall_vs_conventional_rel", gap, 0.0, 2e-3))
@@ -339,8 +310,7 @@ def cmd_calibrate(args) -> int:
     c_from_one_term = conventional_sum.calibrate_C(one_term)
     rows = [
         {"name": "one_term_alpha_prime", "value": one_term},
-        {"name": f"converged_alpha_prime_{BOX_TERMS}_terms",
-         "value": converged.partial_alpha_prime},
+        {"name": f"converged_alpha_prime_{BOX_TERMS}_terms", "value": converged},
         {"name": "hard_wall_alpha_prime_c_minus_1", "value": hard_wall_value},
         {"name": "c_prime_from_hard_wall_value", "value": c_round_trip},
         {"name": "c_prime_from_one_term", "value": c_from_one_term},

@@ -89,21 +89,18 @@ def default_c_prime(gamma0: float) -> float:
 
 @dataclass(frozen=True)
 class PhiReduced:
-    """Piecewise reduced dipole-response function phi'(x')."""
+    """Piecewise reduced dipole-response function phi'(x'); its C' is ``default_c_prime``."""
 
     state: GroundState
-    c_coefficient: float
+    c_coefficient: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.c_coefficient) or self.c_coefficient > 0.0:
-            raise DomainError(
-                f"c_coefficient must be finite and <= 0, got {self.c_coefficient!r}"
-            )
+        object.__setattr__(self, "c_coefficient", default_c_prime(self.state.gamma0))
 
 
 def phi_reduced(state: GroundState) -> PhiReduced:
-    """Build the paper's phi' for a state, with the default C'."""
-    return PhiReduced(state=state, c_coefficient=default_c_prime(state.gamma0))
+    """Build the paper's phi' for a state."""
+    return PhiReduced(state)
 
 
 def _phi_inner(gamma0: float, c_prime: float, x: float) -> float:

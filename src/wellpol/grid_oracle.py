@@ -52,7 +52,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf, dptsv
 
-from .errors import ConvergenceWarning, DomainError, FieldTooLargeError, NumericalError
+from .errors import ConvergenceWarning, DomainError, NumericalError
 from .limits import extrapolate
 from .well_spectrum import GroundState, ground_state_from_R
 
@@ -96,12 +96,12 @@ class GridOracleConfig:
 
     ``well_R`` is the dimensionless well strength; None selects the
     hard-wall box of half-width 1.  ``box_half_width`` and ``field_values``
-    are derived on construction, from the one bound-state solve: the box is
-    1 for the hard wall and ceil(1 + 40/beta0) for a well, where psi0 has
-    fallen to e^-40 of its edge value; the probe fields are
-    ``_PROBE_FIELDS`` times min(1, beta0^3).  That solve is kept as
-    ``ground`` (None for the hard wall); it starts the grid's ground-state
-    iterations.  ``num_points`` is a request: the actual grid is snapped up
+    are derived on construction from the one bound-state solve, which also
+    checks ``well_R``: the box is 1 for the hard wall and ceil(1 + 40/beta0)
+    for a well, where psi0 has fallen to e^-40 of its edge value; the probe
+    fields are ``_PROBE_FIELDS`` times min(1, beta0^3).  That solve is kept
+    as ``ground`` (None for the hard wall); it starts the grid's
+    ground-state iterations.  ``num_points`` is a request: the actual grid is snapped up
     to the nearest size whose nodes hit the well edges.  A well whose base
     grid has h * beta0 above ``_MAX_H_BETA0`` is refused, naming the
     smallest ``num_points`` that resolves its tail.
@@ -122,8 +122,6 @@ class GridOracleConfig:
             object.__setattr__(self, "field_values", _PROBE_FIELDS)
             object.__setattr__(self, "ground", None)
             return
-        if not (math.isfinite(self.well_R) and self.well_R > 0.0):
-            raise DomainError(f"well_R must be positive, got {self.well_R!r}")
         object.__setattr__(self, "ground", ground_state_from_R(self.well_R))
         beta0 = self.ground.beta0
         object.__setattr__(self, "box_half_width", math.ceil(1.0 + 40.0 / beta0))
@@ -265,9 +263,7 @@ def _continuum_ground(config: GridOracleConfig, x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cos(gamma0 * half[:edge]), tail))
 
 
-def _lowest_vector(
-    diag, off, start, not_lowest: type[NumericalError] = NumericalError
-) -> np.ndarray:
+def _lowest_vector(diag, off, start) -> np.ndarray:
     """Unit eigenvector of the lowest eigenvalue of the tridiagonal T = (diag, off).
 
     Shifted inverse iteration from ``start``: each step solves
@@ -277,7 +273,7 @@ def _lowest_vector(
     Once |r| <= 4 eps |T| the iteration takes one more step.  The pair is
     the lowest if T - (rho - delta) factors as L D L^T with D > 0, which by
     Sylvester's law of inertia leaves no eigenvalue below rho - delta,
-    delta = max(4|r|, 1e3 eps |T|); ``not_lowest`` is raised otherwise.
+    delta = max(4|r|, 1e3 eps |T|); NumericalError is raised otherwise.
     """
     row = np.abs(diag)
     row[:-1] += np.abs(off)
@@ -303,7 +299,7 @@ def _lowest_vector(
         )
     delta = max(4.0 * res, 1e3 * scale)
     if dpttrf(diag - (rho - delta), off)[2] != 0:
-        raise not_lowest(
+        raise NumericalError(
             f"inverse iteration from the continuum ground state settled at "
             f"E' = {rho:.6e}, but the grid (n={diag.size}) has a state more than "
             f"{delta:.1e} below it"
@@ -367,20 +363,20 @@ def _curvature(x, v, diag, off, start, fields: tuple[float, ...], e0: float):
     matrix at -eps' is the mirror image of the one at +eps', so one ground
     state per size serves both signs.  The field breaks the parity, so each
     starts from ``start``, the continuum state on the nodes x' >= 0,
-    mirrored onto the whole grid.  ``FieldTooLargeError``: the state is not
-    the lowest of the tilted box (the field pulled it out of the well), or
-    the eps'^4 share |q1 - q2| / |q2| exceeds ``_QUARTIC_SHARE``.
+    mirrored onto the whole grid.  NumericalError: the state is not the
+    lowest of the tilted box (the field pulled it out of the well), or the
+    eps'^4 share |q1 - q2| / |q2| exceeds ``_QUARTIC_SHARE``.
     """
     whole = np.concatenate((start[:0:-1], start))
     quotients = []
     for size in fields:
         tilt = size * x
-        vec = _lowest_vector(diag - tilt, off, whole, FieldTooLargeError)
+        vec = _lowest_vector(diag - tilt, off, whole)
         energy = _rayleigh_quotient(off, v - tilt, vec)
         quotients.append(-4.0 * (energy - e0) / size**2)
     share = abs(quotients[0] - quotients[1]) / abs(quotients[1])
     if not share <= _QUARTIC_SHARE:
-        raise FieldTooLargeError(
+        raise NumericalError(
             f"Stark quotients differ by {share:.1e} relative, above {_QUARTIC_SHARE:g}: "
             f"the eps'^4 term is not small at fields {fields[0]:.1e} and {fields[1]:.1e}"
         )

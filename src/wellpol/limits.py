@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dalgarno_lewis import alpha1_prime, alpha2_prime, alpha2_t_prime
+from .errors import DomainError
 from .well_spectrum import ground_state_from_R, ground_state_from_gamma
 
 __all__ = [
@@ -66,6 +67,8 @@ class InfiniteWellLimitReport:
     alpha2_t_limit: float = field(init=False)
 
     def __post_init__(self) -> None:
+        if len(self.epsilons) < 2:
+            raise DomainError(f"need at least two epsilons, got {self.epsilons!r}")
         # The error is a series in eps, so successive values shrink its terms
         # by powers of the epsilons' own ratio.
         ratio = self.epsilons[-1] / self.epsilons[-2]
@@ -88,8 +91,12 @@ def extrapolate(values: Sequence[float], ratio: float) -> float:
 
     Romberg's table (h^2, h^4, ... under grid halving at ratio 1/4): each
     column eliminates the next power r of the ratio, taking neighbours a, b
-    to b + (b - a) r / (1 - r).
+    to b + (b - a) r / (1 - r).  DomainError unless ``values`` is non-empty
+    and 0 < ratio < 1.
     """
+    if len(values) == 0 or not 0.0 < ratio < 1.0:
+        raise DomainError(f"extrapolate needs values and 0 < ratio < 1, got "
+                          f"{len(values)} values at ratio {ratio!r}")
     column, r = list(values), ratio
     while len(column) > 1:
         column = [b + (b - a) * r / (1.0 - r) for a, b in zip(column, column[1:])]

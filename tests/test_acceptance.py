@@ -288,7 +288,7 @@ def test_criterion_9a_oracle_route_agreement(oracle_data):
 
 
 def test_criterion_9b_hard_wall_vs_conventional(oracle_data):
-    reference = infinite_well_alpha(50).partial_alpha_prime
+    reference = infinite_well_alpha(50)
     gap = abs(oracle_data["hard_richardson"] - reference) / reference
     ok = gap <= 2e-3
     report("9b [hard-wall oracle vs transition sum <= 0.2%]", ok,

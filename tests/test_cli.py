@@ -289,6 +289,15 @@ class TestReports:
         assert run(["oracle"], capsys)[0] == 2
         assert run(["oracle", "--R", "4.0", "--hard-wall"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("R", ["-1", "0", "nan"])
+    def test_oracle_refuses_nonpositive_R(self, capsys, R):
+        # The ground-state solve checks R, before any grid is built.
+        code = main(["oracle", "--R", R])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: R must be finite and positive, got ")
+
     @pytest.mark.parametrize("R", ["1e3", "1e4", "1e9"])
     def test_oracle_refuses_grid_too_coarse_for_tail(self, capsys, R):
         code = main(["oracle", "--R", R])

@@ -45,29 +45,25 @@ class TestTerms:
 class TestPartialSums:
     def test_one_term_value(self):
         result = infinite_well_alpha(1)
-        assert result.partial_alpha_prime == pytest.approx(0.07013, abs=1e-5)
-        converged = infinite_well_alpha(50).partial_alpha_prime
-        assert result.partial_alpha_prime / converged >= 0.99
+        assert result == pytest.approx(0.07013, abs=1e-5)
+        assert result / infinite_well_alpha(50) >= 0.99
 
     def test_converged_sum_hits_hard_wall_value(self):
         # The complete transition series resums to the closed-form box
         # polarizability; 50 terms decay as n^-8 and are fully converged.
-        result = infinite_well_alpha(50)
-        assert result.partial_alpha_prime == pytest.approx(
-            HARD_WALL_ALPHA_EXACT, rel=1e-12
-        )
+        assert infinite_well_alpha(50) == pytest.approx(HARD_WALL_ALPHA_EXACT, rel=1e-12)
 
     def test_monotone_increasing_partial_sums(self):
-        values = [infinite_well_alpha(n).partial_alpha_prime for n in range(1, 12)]
+        values = [infinite_well_alpha(n) for n in range(1, 12)]
         for earlier, later in zip(values, values[1:]):
             assert later > earlier
 
     def test_term_values_strictly_decreasing(self):
-        result = infinite_well_alpha(10)
-        for earlier, later in zip(result.term_values, result.term_values[1:]):
+        terms = [infinite_well_term(2 * k) for k in range(1, 11)]
+        assert all(t > 0.0 for t in terms)
+        for earlier, later in zip(terms, terms[1:]):
             assert later < earlier
-        assert result.num_terms == len(result.term_values) == 10
-        assert result.partial_alpha_prime == math.fsum(result.term_values)
+        assert infinite_well_alpha(10) == math.fsum(terms)
 
     def test_rejects_empty_sum(self):
         with pytest.raises(DomainError):

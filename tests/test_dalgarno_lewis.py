@@ -144,9 +144,10 @@ class TestPhi:
             -((PI / 2) ** 2) / state.gamma0**2, rel=1e-15
         )
 
-    def test_rejects_positive_c(self):
-        with pytest.raises(DomainError):
-            PhiReduced(state=state_039(), c_coefficient=0.5)
+    @pytest.mark.parametrize("gamma0", [GAMMA_MIN, 1e-8, 0.39 * PI, GAMMA_MAX])
+    def test_c_coefficient_is_default_c_prime(self, gamma0):
+        state = ground_state_from_gamma(gamma0)
+        assert PhiReduced(state).c_coefficient == default_c_prime(gamma0)
 
     def test_jump_is_reported_not_hidden(self):
         # The piecewise phi' is discontinuous at the edge by construction.

@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from wellpol.limits import delta_limit, extrapolate, infinite_well_limit
+from wellpol.errors import DomainError
+from wellpol.limits import (
+    DeltaLimitSequence,
+    InfiniteWellLimitReport,
+    delta_limit,
+    extrapolate,
+    infinite_well_limit,
+)
 from wellpol.well_spectrum import ground_state_from_R
 
 HARD_WALL_ALPHA_EXACT = 0.07022473357056967
@@ -31,6 +38,18 @@ class TestExtrapolate:
             2.0, rel=1e-15
         )
 
+    def test_rejects_empty_values(self):
+        with pytest.raises(DomainError, match="got 0 values"):
+            extrapolate([], ratio=0.5)
+
+    @pytest.mark.parametrize("ratio", [1.0, 2.0, 0.0, -0.5, math.nan])
+    def test_rejects_ratio_outside_open_unit_interval(self, ratio):
+        # ratio 1 would divide by zero, and [1, 2] at ratio 2 would give 0.0
+        with pytest.raises(DomainError, match="got 2 values at ratio"):
+            extrapolate([1.0, 2.0], ratio)
+
+    def test_single_value_is_its_own_limit(self):
+        assert extrapolate([3.0], ratio=0.5) == 3.0
 
 
 class TestDeltaLimit:
@@ -82,7 +101,18 @@ class TestDeltaLimit:
         assert checks[-1] == pytest.approx(1.0, abs=5e-3)
 
 
+    def test_empty_sequence_is_refused(self):
+        with pytest.raises(DomainError, match="got 0 values"):
+            DeltaLimitSequence((), (), ())
+
+
 class TestInfiniteWellLimit:
+    @pytest.mark.parametrize("epsilons", [(), (1e-3,)])
+    def test_fewer_than_two_epsilons_are_refused(self, epsilons):
+        values = (1.0,) * len(epsilons)
+        with pytest.raises(DomainError, match="at least two epsilons"):
+            InfiniteWellLimitReport(epsilons, values, values, values)
+
     def test_limits_at_default_epsilons(self):
         report = infinite_well_limit()
         assert abs(report.alpha1_limit) <= 1e-7

@@ -24,7 +24,6 @@ PACKAGE = {
     "WellSpec",
     "ConvergenceWarning",
     "DomainError",
-    "FieldTooLargeError",
     "NumericalError",
 }
 DALGARNO_LEWIS = {
@@ -60,6 +59,7 @@ GRID_ORACLE = {
     "solve_spectrum",
     "oracle_study",
 }
+CONVENTIONAL_SUM = {"infinite_well_term", "infinite_well_alpha", "calibrate_C"}
 LIMITS = {
     "extrapolate",
     "DeltaLimitSequence",
@@ -97,7 +97,7 @@ SIGNATURES = {
         ("alpha2_values", REQUIRED),
         ("alpha2_t_values", REQUIRED),
     ],
-    "InfiniteWellSum": [("term_values", REQUIRED)],
+    "PhiReduced": [("state", REQUIRED)],
 }
 # Option strings of each subcommand, --help aside; 20 in all.
 CLI_OPTIONS = {
@@ -118,7 +118,7 @@ CALLABLES = {
     "PolarizabilityBreakdown": dalgarno_lewis.PolarizabilityBreakdown,
     "DeltaLimitSequence": limits.DeltaLimitSequence,
     "InfiniteWellLimitReport": limits.InfiniteWellLimitReport,
-    "InfiniteWellSum": conventional_sum.InfiniteWellSum,
+    "PhiReduced": dalgarno_lewis.PhiReduced,
 }
 
 
@@ -130,8 +130,10 @@ CALLABLES = {
         (well_spectrum, WELL_SPECTRUM),
         (grid_oracle, GRID_ORACLE),
         (limits, LIMITS),
+        (conventional_sum, CONVENTIONAL_SUM),
     ],
-    ids=["wellpol", "dalgarno_lewis", "well_spectrum", "grid_oracle", "limits"],
+    ids=["wellpol", "dalgarno_lewis", "well_spectrum", "grid_oracle", "limits",
+         "conventional_sum"],
 )
 def test_all_is_pinned_and_resolves(module, names):
     assert len(module.__all__) == len(set(module.__all__))
