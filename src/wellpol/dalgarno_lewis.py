@@ -24,10 +24,14 @@ phi' jumps at the edge (``phi_jump``) and it is pinned to the published
 tables, not to the true polarizability.  ``alpha_exact_prime`` adds the
 homogeneous terms inside and outside and fixes both by continuity of phi'
 and dphi'/dx' at |x'| = 1; it is the exact polarizability of the finite
-well and agrees with the grid oracle to its grid accuracy.  The heuristic
-undershoots it by ~12% at gamma0 = 0.39 pi, shrinking to ~0.01% at 0.49 pi.
-Both pieces of phi' solve their response equations for any homogeneous
-coefficients, so the two closed forms differ only in those coefficients.
+well and agrees with the grid oracle to its grid accuracy.  The matched
+in-well coefficient is C = -(1 + 1/beta0)^2, and with it the total is one
+expression in gamma0, summed to within 2e-15 (see its docstring).  The
+paper's C' meets C only at the hard wall: -6.93 against -12.01 at
+0.19 pi.  The heuristic undershoots the exact alpha' by ~12% at
+gamma0 = 0.39 pi, shrinking to ~0.01% at 0.49 pi.  Both pieces of phi'
+solve their response equations for any homogeneous coefficients, so the
+two closed forms differ only in those coefficients.
 
 All phi evaluations here are in the reduced convention
 
@@ -199,46 +203,6 @@ def alpha2_t_prime(state: GroundState) -> float:
     return alpha2_prime(state, c_prime=0.0)
 
 
-# Below this gamma0 the factor cos(gamma0) - sin(gamma0)/gamma0 ~ -gamma0^2/3
-# of the edge-match B is summed from its series, since its two terms cancel.
-# Against 50-digit mpmath on gamma0 in [0.02, 0.6] a crossover anywhere in
-# [0.225, 0.25] gives the smallest worst error of the two forms, 7.6e-15
-# (the closed form just above it); the series keeps 1.9e-15 below it.
-_EDGE_SERIES_BELOW = 0.225
-
-
-def _cos_minus_sinc(g: float) -> float:
-    """cos(g) - sin(g)/g, from its series below ``_EDGE_SERIES_BELOW``."""
-    if g < _EDGE_SERIES_BELOW:
-        # sum_{k>=1} (-1)^k 2k g^(2k) / (2k+1)!; the next term is O(g^12).
-        g2 = g * g
-        return -g2 * (1.0 / 3.0 - g2 * (1.0 / 30.0 - g2 * (
-            1.0 / 840.0 - g2 * (1.0 / 45360.0 - g2 / 3991680.0))))
-    return math.cos(g) - math.sin(g) / g
-
-
-def _edge_match(state: GroundState) -> tuple[float, float]:
-    """Coefficients (C, B) that make phi' and dphi'/dx' continuous at x' = 1.
-
-    C multiplies the in-well homogeneous term -sin(gamma0 x')/gamma0 (the
-    slot of ``_phi_inner``'s c_prime) and B the outer homogeneous term
-    sign(x') e^{-beta0(|x'|-1)}.  Matching value and slope at the edge is a
-    2x2 linear system; its determinant -(beta0 sin/gamma0 + cos) never
-    vanishes on (0, pi/2).
-    """
-    g, b = state.gamma0, state.beta0
-    s, c = math.sin(g), math.cos(g)
-    # With the particular parts p = _phi_inner(g, 0, x) and
-    # u = _phi_outer(g, b, x, env) at x' = 1, matching gives
-    # -(s/g) C - B = u - p = r1 and -c C + b B = u' - p' = r2.  As
-    # u - u' = p - p' = cos(gamma0), r2 = r1 exactly, and Cramer's rule
-    # reduces to C = r1 (1 + b) / det and B = r1 (c - s/g) / det.  B's full
-    # numerator -(s/g) r2 + c r1 cancels: below gamma0 ~ 1e-8 no digit is left.
-    r1 = c * (1.0 / b + 1.0 / b**2) + s / g + c / g**2
-    det = -(b * s / g + c)
-    return r1 * (1.0 + b) / det, r1 * _cos_minus_sinc(g) / det
-
-
 def alpha_exact_prime(state: GroundState) -> float:
     """Polarizability of the edge-matched Dalgarno-Lewis solution, in units of g.
 
@@ -246,21 +210,28 @@ def alpha_exact_prime(state: GroundState) -> float:
     hard-wall calibration and whose phi' jumps at the edge (``phi_jump``),
     this adds homogeneous terms inside and outside the well and fixes both
     coefficients by continuity of phi' and dphi'/dx' at |x'| = 1, so phi'
-    solves the response equation on the whole line.  alpha' is affine in
-    those coefficients, so the value stays closed-form: alpha1' plus
-    alpha2' at the matched C, plus the outer homogeneous term's overlap
-    2 N'^2 B cos(gamma0) [1/(2 beta0) + 1/(4 beta0^2)].
+    solves the response equation on the whole line; the in-well coefficient
+    is then C = -(1 + 1/beta0)^2.  With beta0 = gamma0 tan(gamma0),
+    s = sin(gamma0) and c = cos(gamma0) the total collapses to
+
+        alpha' = [15 c^5/s^4 - 9 c/s^2 + 24 c (1 - gamma0^2)
+                  + 12 gamma0^2 c/s^2 + gamma0 (15 - 42 c^2 + 51 c^4)/s^3
+                  - 4 gamma0^3 s] / (12 gamma0^4 (gamma0 s + c)).
+
+    The leading term carries the shallow end, alpha' beta0^4 -> 5/4, and
+    the hard wall gives 20/pi^4 - 4/(3 pi^2), so no branch is needed.
+    Accuracy: within 2e-15 relative of the expression at 80 digits on
+    [GAMMA_MIN, GAMMA_MAX].
     """
-    c_coef, b_coef = _edge_match(state)
-    b = state.beta0
-    outer_homogeneous = (
-        2.0
-        * state.n_prime_sq
-        * b_coef
-        * math.cos(state.gamma0)
-        * (1.0 / (2.0 * b) + 1.0 / (4.0 * b**2))
+    g = state.gamma0
+    s, c = math.sin(g), math.cos(g)
+    g2, c2, s2 = g * g, c * c, s * s
+    numerator = math.fsum(
+        [15.0 * c2 * c2 * c / (s2 * s2), -9.0 * c / s2, 24.0 * c * (1.0 - g2),
+         12.0 * g2 * c / s2, g * (15.0 - 42.0 * c2 + 51.0 * c2 * c2) / (s2 * s),
+         -4.0 * g2 * g * s]
     )
-    return alpha1_prime(state) + alpha2_prime(state, c_prime=c_coef) + outer_homogeneous
+    return numerator / (12.0 * g2 * g2 * (g * s + c))
 
 
 def alpha2_prime_hard_wall(c_prime: float = -1.0) -> float:

@@ -17,10 +17,12 @@ x' = 1, are derived once per session.  So are the edge jump of the paper's
 phi' (B = 0, C = -(pi/2)^2 / g^2), the outer integrand e^{2t} psi0 x'^k
 phi'_out in t = b (x' - 1) with psi0 = N cos(g) E, the forbidden-region
 alpha1' = 2 N int_1^oo psi0 x' phi'_out dx' (B = 0), the in-well bracket
-2 int_0^1 cos(g x') x' phi'_in dx' (alpha2' / N'^2) and the Taylor series
-of the bracket and of cos g - sin g / g that the package sums on shallow
-wells.  Evaluators lambdified for mpmath give the reference values of the
-package's floats.
+2 int_0^1 cos(g x') x' phi'_in dx' (alpha2' / N'^2) and its Taylor series
+that the package sums on shallow wells.  The outer integrals are sums of
+the moments int_0^oo t^k e^{-2t} dt = k!/2^{k+1}.  The edge-matched alpha'
+is composed from these pieces, for comparison with the closed form in g
+that ``alpha_exact_prime`` sums.  Evaluators lambdified for mpmath give
+the reference values of the package's floats.
 """
 
 import functools
@@ -89,11 +91,21 @@ def outer_integrand(k: int) -> sp.Expr:
     return sp.expand(sp.powsimp(sp.expand(integrand)))
 
 
+def laplace_moments(poly: sp.Expr) -> sp.Expr:
+    """int_0^oo e^{-2t} poly(t) dt, by the moments int_0^oo t^k e^{-2t} dt = k!/2^{k+1}."""
+    return sp.Add(*(coeff * sp.factorial(k) / 2 ** (k + 1)
+                    for (k,), coeff in sp.Poly(poly, t).terms()))
+
+
+def outer_alpha() -> sp.Expr:
+    """2 N int_1^oo psi0 x' phi'_out dx', B free, with dx' = dt/b."""
+    return 2 * N * laplace_moments(outer_integrand(1)) / b
+
+
 @functools.cache
 def alpha1() -> sp.Expr:
-    """2 N int_1^oo psi0 x' phi'_out dx' at B = 0, with dx' = dt/b."""
-    tail = sp.integrate(sp.exp(-2 * t) * outer_integrand(1).subs(B, 0), (t, 0, sp.oo))
-    return 2 * N * tail / b
+    """The forbidden-region alpha1': ``outer_alpha`` at B = 0."""
+    return outer_alpha().subs(B, 0)
 
 
 @functools.cache
@@ -116,9 +128,23 @@ def alpha2_bracket_series() -> sp.Expr:
 
 
 @functools.cache
-def cos_minus_sinc_series() -> sp.Expr:
-    """cos g - sin g / g, truncated before O(g^12)."""
-    return sp.series(sp.cos(g) - sp.sin(g) / g, g, 0, 12).removeO()
+def alpha_exact_composed() -> sp.Expr:
+    """The edge-matched alpha': N^2 times the bracket plus ``outer_alpha``, at (C, B).
+
+    A function of g, b and N, for any b and N; it is the exact
+    polarizability at b = g tan g and N^2 = g sin g / (g sin g + cos g).
+    """
+    c_coef, b_coef = edge_match()
+    return (N**2 * alpha2_bracket() + outer_alpha()).subs({C: c_coef, B: b_coef})
+
+
+def alpha_exact_closed() -> sp.Expr:
+    """The closed form in g that ``alpha_exact_prime`` sums, term for term."""
+    s, c = sp.sin(g), sp.cos(g)
+    numerator = (15 * c**5 / s**4 - 9 * c / s**2 + 24 * c * (1 - g**2)
+                 + 12 * g**2 * c / s**2 + g * (15 - 42 * c**2 + 51 * c**4) / s**3
+                 - 4 * g**3 * s)
+    return numerator / (12 * g**4 * (g * s + c))
 
 
 @functools.cache
@@ -126,7 +152,6 @@ def _series_evaluators():
     return (
         sp.lambdify((g, C), alpha2_bracket(), "mpmath"),
         sp.lambdify((g, C), alpha2_bracket_series(), "mpmath"),
-        sp.lambdify(g, cos_minus_sinc_series(), "mpmath"),
     )
 
 
@@ -153,10 +178,32 @@ def alpha2_bracket_series_ref(gamma0: float, c_prime: float) -> mpf:
         return +_series_evaluators()[1](mpf(gamma0), mpf(c_prime))
 
 
-def cos_minus_sinc_series_ref(gamma0: float) -> mpf:
-    """The truncated series of cos g - sin g / g at ``DPS`` digits."""
-    with mp.workdps(DPS):
-        return +_series_evaluators()[2](mpf(gamma0))
+@functools.cache
+def _alpha_exact_composed_evaluator():
+    return sp.lambdify((g, b, N), alpha_exact_composed(), "mpmath")
+
+
+@functools.cache
+def _alpha_exact_closed_evaluator():
+    return sp.lambdify(g, alpha_exact_closed(), "mpmath")
+
+
+def alpha_exact_composed_ref(gamma0: float) -> mpf:
+    """``alpha_exact_composed`` at ``EDGE_DPS`` digits, at exactly the given float.
+
+    b = g tan g and N is the ground state's, both at the same precision.
+    """
+    with mp.workdps(EDGE_DPS):
+        gm = mpf(gamma0)
+        s, c = mp.sin(gm), mp.cos(gm)
+        n = mp.sqrt(gm * s / (gm * s + c))
+        return +_alpha_exact_composed_evaluator()(gm, gm * s / c, n)
+
+
+def alpha_exact_closed_ref(gamma0: float, dps: int = EDGE_DPS) -> mpf:
+    """``alpha_exact_closed`` at ``dps`` digits, at exactly the given float."""
+    with mp.workdps(dps):
+        return +_alpha_exact_closed_evaluator()(mpf(gamma0))
 
 
 @functools.cache
@@ -182,8 +229,8 @@ def phi_outer_ref(gamma0: float, beta0: float, x_over_a: float, env: float) -> m
         return _evaluators()[1](mpf(gamma0), mpf(beta0), mpf(x_over_a), mpf(env))
 
 
-def edge_match_ref(gamma0: float, beta0: float) -> tuple[mpf, mpf]:
-    """The edge-matched (C, B) at ``EDGE_DPS`` digits, at exactly the given floats."""
+def edge_match_ref(gamma0, beta0) -> tuple[mpf, mpf]:
+    """The edge-matched (C, B) at ``EDGE_DPS`` digits, at exactly the given values."""
     with mp.workdps(EDGE_DPS):
         c_coef, b_coef = _evaluators()[2](mpf(gamma0), mpf(beta0))
         return +c_coef, +b_coef

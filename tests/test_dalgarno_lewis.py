@@ -28,7 +28,7 @@ from wellpol.dalgarno_lewis import (
     phi_reduced,
 )
 from wellpol import dalgarno_lewis
-from wellpol.dalgarno_lewis import _edge_match, _phi_inner, _phi_outer
+from wellpol.dalgarno_lewis import _phi_inner, _phi_outer
 from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import GAMMA_MAX, GAMMA_MIN, ground_state_from_gamma
 
@@ -57,7 +57,8 @@ ALPHA2_SMALL = {
     0.05: (0.9749987858841798, -0.6655569026931306),
     0.07: (0.9718736014773484, -0.6644940564485649),
 }
-# gamma0/pi -> alpha' of the edge-matched phi' by 40-digit quadrature.
+# gamma0/pi -> alpha' of the edge-matched phi' by 40-digit quadrature, with
+# (C, B) matched by mp.diff, so sharing no algebra with alpha_exact_prime.
 ALPHA_EXACT_QUAD = {
     0.05: 3264330.310682011,
     0.19: 52.03576695106389,
@@ -320,20 +321,48 @@ class TestAlpha2:
         )
 
 
+def edge_coefficients(state):
+    """The edge-matched (C, B): C = -(1 + 1/beta0)^2, B from the 60-digit solve."""
+    return -((1.0 + 1.0 / state.beta0) ** 2), float(
+        symbolic.edge_match_ref(state.gamma0, state.beta0)[1]
+    )
+
+
 class TestAlphaExact:
     @pytest.mark.parametrize("gamma_pi", sorted(ALPHA_EXACT_QUAD))
     def test_against_frozen_quadrature_oracle(self, gamma_pi):
+        # Measured worst 6.7e-16.
         state = ground_state_from_gamma(gamma_pi * PI)
         assert alpha_exact_prime(state) == pytest.approx(
-            ALPHA_EXACT_QUAD[gamma_pi], rel=1e-9
+            ALPHA_EXACT_QUAD[gamma_pi], rel=1e-14
         )
+
+    def test_within_stated_tolerance_of_80_digits(self):
+        # The docstring's 2e-15, on a log grid over the whole domain and a
+        # linear one over the deep wells.  Measured worst 1.1e-15.
+        gammas = [float(v) for v in np.geomspace(GAMMA_MIN, GAMMA_MAX, 500)] + [
+            float(v) for v in np.linspace(0.05, GAMMA_MAX, 400)
+        ]
+        worst = 0.0
+        for gamma in gammas:
+            ref = symbolic.alpha_exact_closed_ref(gamma, dps=80)
+            got = alpha_exact_prime(ground_state_from_gamma(gamma))
+            worst = max(worst, float(abs((got - ref) / ref)))
+        assert worst <= 2e-15, worst
+
+    @pytest.mark.parametrize("gamma", [GAMMA_MIN, 1e-12, 1e-8, 1e-4])
+    def test_shallow_limit(self, gamma):
+        # alpha' -> 5/(4 beta0^4) with no shallow-well branch.  Measured
+        # 2.2e-16 at each.
+        state = ground_state_from_gamma(gamma)
+        assert alpha_exact_prime(state) * state.beta0**4 == pytest.approx(1.25, abs=1e-15)
 
     @pytest.mark.parametrize("gamma_pi", [0.05, 0.39, 0.49])
     def test_phi_and_slope_continuous_at_edge(self, gamma_pi):
         # Each piece is analytic through x' = 1, so both one-sided slopes
         # come from central differences in extended precision.
         state = ground_state_from_gamma(gamma_pi * PI)
-        c_coef, b_coef = _edge_match(state)
+        c_coef, b_coef = edge_coefficients(state)
         ld = np.longdouble
         gl, bl = ld(state.gamma0), ld(state.beta0)
 
@@ -365,7 +394,7 @@ class TestAlphaExact:
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
     def test_hard_wall_limit(self, eps):
         state = ground_state_from_gamma(0.5 * PI - eps)
-        c_coef, b_coef = _edge_match(state)
+        c_coef, b_coef = edge_coefficients(state)
         assert abs(c_coef + 1.0) <= 2.0 * eps
         assert abs(b_coef) <= eps
         assert alpha_exact_prime(state) == pytest.approx(

@@ -3,11 +3,13 @@
 The proof is symbolic (``tests/symbolic.py``): both residuals expand to
 exactly 0 with the homogeneous coefficients C and B left free.  The tie-in then
 evaluates the same expressions with mpmath at exactly the floats that
-``_phi_inner``, ``_phi_outer``, ``_edge_match`` and ``phi_jump`` receive.
+``_phi_inner``, ``_phi_outer`` and ``phi_jump`` receive.
 Outside the well the quadrature integrand is shown to be e^{-2t} times a
 cubic in t, which the two-point Gauss-Laguerre rule integrates exactly.
-The shallow-well series that ``_alpha2_bracket`` and ``_cos_minus_sinc``
-sum are derived there too, and pinned as exact rationals.
+The edge-matched (C, B) reduce to closed forms in beta0 and gamma0, and the
+alpha' composed from them is the closed form that ``alpha_exact_prime``
+sums.  The shallow-well series that ``_alpha2_bracket`` sums is derived
+there too, and pinned as exact rationals.
 """
 
 import math
@@ -15,19 +17,14 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from mpmath import mp, mpf
 
 import symbolic
 from wellpol import dalgarno_lewis
 from wellpol.well_spectrum import GAMMA_MAX, ground_state_from_gamma
 
-# gamma0 log-uniform from 1e-12 to GAMMA_MAX, and the floats around the
-# crossover of _edge_match's series.
-CROSSOVER = dalgarno_lewis._EDGE_SERIES_BELOW
-GAMMAS = [float(v) for v in np.geomspace(1e-12, GAMMA_MAX, 40)] + [
-    math.nextafter(CROSSOVER, 0.0),
-    CROSSOVER,
-    math.nextafter(CROSSOVER, 1.0),
-]
+# gamma0 log-uniform from 1e-12 to GAMMA_MAX.
+GAMMAS = [float(v) for v in np.geomspace(1e-12, GAMMA_MAX, 40)]
 
 
 # Panels in t = beta0 (|x'| - 1) whose Gauss-Legendre nodes spread the
@@ -74,13 +71,14 @@ class TestPhiTieIn:
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_inner_matches_symbolic(self, gamma):
-        # The paper's C', the trial C' = 0 and the edge-matched C.  Worst
-        # measured 5.3e-15, at x' = 0.974 next to the hard wall.
+        # The paper's C', the trial C' = 0 and the edge-matched
+        # C = -(1 + 1/beta0)^2.  Worst measured 5.3e-15, at x' = 0.974 next
+        # to the hard wall.
         state = ground_state_from_gamma(gamma)
         g = state.gamma0
         xs, _ = nodes_and_t()
         for c_prime in (dalgarno_lewis.default_c_prime(g), 0.0,
-                        dalgarno_lewis._edge_match(state)[0]):
+                        -((1.0 + 1.0 / state.beta0) ** 2)):
             worst = max(symbolic.phi_inner_error(g, c_prime, x) for x in xs)
             assert worst <= 1e-14, (c_prime, worst)
 
@@ -147,7 +145,7 @@ class TestOuterRule:
         n, g, b = symbolic.N, symbolic.g, symbolic.b
         r = sp.Rational
         bracket = 1 / b**2 + r(5, 2) / b**3 + r(5, 2) / b**4 + r(5, 4) / b**5
-        assert sp.simplify(symbolic.alpha1() - n**2 * sp.cos(g) ** 2 * bracket) == 0
+        assert sp.expand(symbolic.alpha1() - n**2 * sp.cos(g) ** 2 * bracket) == 0
 
     def test_outer_piece_matches_60_digit_alpha1(self):
         # The outer piece of alpha_via_quadrature at the state's own floats.
@@ -166,29 +164,39 @@ class TestOuterRule:
 
 
 class TestEdgeMatch:
+    """The edge-matched (C, B) and alpha' in closed form, at ``EDGE_DPS`` digits."""
+
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_coefficients_match_symbolic_solve(self, gamma):
-        # B's Cramer numerator -(s/g) r2 + c r1 cancels on shallow wells
-        # (every digit lost below gamma0 ~ 1e-8); the reduced form with the
-        # series for cos - sin/g holds it.  Worst measured: C 3.6e-16,
-        # B 2.3e-15.
-        state = ground_state_from_gamma(gamma)
-        c_coef, b_coef = dalgarno_lewis._edge_match(state)
-        c_ref, b_ref = symbolic.edge_match_ref(state.gamma0, state.beta0)
-        assert float(abs((c_coef - c_ref) / c_ref)) <= 1e-15
-        assert float(abs((b_coef - b_ref) / b_ref)) <= 1e-13
+        # With beta0 = gamma0 tan(gamma0) the solve reduces to
+        # C = -(1 + 1/beta0)^2 and B = (1 + beta0)(sin g/g - cos g)/beta0^2.
+        # B's terms cancel on shallow wells on both sides, about
+        # 2 |log10 gamma0| digits.  Worst measured: C 3.1e-61, B 8.2e-38.
+        with mp.workdps(symbolic.EDGE_DPS):
+            g = mpf(gamma)
+            s, c = mp.sin(g), mp.cos(g)
+            b = g * s / c
+            c_ref, b_ref = symbolic.edge_match_ref(g, b)
+            assert abs(c_ref / -((1 + 1 / b) ** 2) - 1) <= 1e-58
+            assert abs(b_ref / ((1 + b) * (s / g - c) / b**2) - 1) <= 1e-35
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_composed_alpha_is_the_closed_form(self, gamma):
+        # N'^2 times the bracket plus the outer tail, both at the solved
+        # (C, B), against the expression alpha_exact_prime sums.  Worst
+        # measured 7.8e-61.
+        with mp.workdps(symbolic.EDGE_DPS):
+            composed = symbolic.alpha_exact_composed_ref(gamma)
+            assert abs(composed / symbolic.alpha_exact_closed_ref(gamma) - 1) <= 1e-58
 
 
-# Both sides of each series crossover: log-spaced below it up to its last
+# Both sides of the series crossover: log-spaced below it up to its last
 # float, linear from it to 1.5 rad for the closed in-well bracket.
 ALPHA2_CROSSOVER = dalgarno_lewis._ALPHA2_SERIES_BELOW
 BELOW_ALPHA2 = [float(v) for v in np.geomspace(1e-12, ALPHA2_CROSSOVER, 40)[:-1]] + [
     math.nextafter(ALPHA2_CROSSOVER, 0.0)
 ]
 ABOVE_ALPHA2 = [float(v) for v in np.linspace(ALPHA2_CROSSOVER, 1.5, 40)]
-BELOW_EDGE = [float(v) for v in np.geomspace(1e-12, CROSSOVER, 40)[:-1]] + [
-    math.nextafter(CROSSOVER, 0.0)
-]
 C_PRIMES = {"trial": lambda g: 0.0, "hard_wall": lambda g: -1.0,
             "paper": dalgarno_lewis.default_c_prime}
 
@@ -203,14 +211,6 @@ class TestSeries:
             + c * (-r(2, 3) + r(4, 15) * g**2 - r(4, 105) * g**4 + r(8, 2835) * g**6)
         )
         assert sp.expand(symbolic.alpha2_bracket_series() - expected) == 0
-
-    def test_cos_minus_sinc_series_coefficients(self):
-        # sum_{k=1..5} (-1)^k 2k g^(2k) / (2k+1)!, the terms _cos_minus_sinc sums.
-        g = symbolic.g
-        expected = sum(
-            (-1) ** k * 2 * k * g ** (2 * k) / sp.factorial(2 * k + 1) for k in range(1, 6)
-        )
-        assert sp.expand(symbolic.cos_minus_sinc_series() - expected) == 0
 
     @pytest.mark.parametrize("c_name", list(C_PRIMES))
     def test_alpha2_series_branch_matches_truncated_series(self, c_name):
@@ -230,10 +230,3 @@ class TestSeries:
             ref = symbolic.alpha2_bracket_ref(gamma, c_prime)
             got = dalgarno_lewis._alpha2_bracket(gamma, c_prime)
             assert float(abs((got - ref) / ref)) <= 1e-13, gamma
-
-    def test_edge_series_factor_matches_truncated_series(self):
-        # Measured worst 2.0e-16.
-        for gamma in BELOW_EDGE:
-            ref = symbolic.cos_minus_sinc_series_ref(gamma)
-            got = dalgarno_lewis._cos_minus_sinc(gamma)
-            assert float(abs((got - ref) / ref)) <= 1e-15, gamma

@@ -4,7 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from mpmath import mp
 
 from oracles import cos_root
 
@@ -180,15 +180,16 @@ class TestPsi0:
         n_prime, g, b = state.n_prime, state.gamma0, state.beta0
 
         def psi0(x):
-            if abs(x) <= 1.0:
-                return n_prime * math.cos(g * x)
-            return n_prime * math.cos(g) * math.exp(-b * (abs(x) - 1.0))
+            if abs(x) <= 1:
+                return n_prime * mp.cos(g * x)
+            return n_prime * mp.cos(g) * mp.exp(-b * (abs(x) - 1))
 
         cut = 1.0 + 40.0 / b
-        norm = math.fsum(
-            quad(lambda x: psi0(x) ** 2, lo, hi, epsabs=1e-12, limit=200)[0]
-            for lo, hi in ((-cut, -1.0), (-1.0, 1.0), (1.0, cut))
-        )
+        with mp.workdps(15):
+            norm = math.fsum(
+                float(mp.quad(lambda x: psi0(x) ** 2, [lo, hi]))
+                for lo, hi in ((-cut, -1.0), (-1.0, 1.0), (1.0, cut))
+            )
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_log_derivative_continuity(self):
