@@ -9,6 +9,8 @@ from its module (``wellpol.dalgarno_lewis``, ``wellpol.limits``, ...).
 The oracle lives in ``wellpol.grid_oracle``, so ``import wellpol`` loads
 neither numpy nor scipy.  Result types take only their independent inputs
 and derive the rest (N'^2, alpha', the extrapolated limits) on construction.
+They are read-only records over ``__slots__``, so ``import wellpol`` loads
+neither ``dataclasses`` nor ``inspect`` either.
 """
 
 from .dalgarno_lewis import breakdown

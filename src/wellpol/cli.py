@@ -115,7 +115,7 @@ def _breakdown_row(state: GroundState) -> dict:
         "gamma0_over_pi": state.gamma0 / math.pi,
         "beta0": state.beta0,
         "R": state.R,
-        **vars(dalgarno_lewis.breakdown(state)),
+        **_fields(dalgarno_lewis.breakdown(state), *SWEEP_COLUMNS[3:]),
     }
 
 

@@ -56,10 +56,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericalError
-from .well_spectrum import GroundState
+from .well_spectrum import GroundState, _Record
 
 __all__ = [
     "HARD_WALL_ALPHA_COEFF",
@@ -91,14 +90,13 @@ def default_c_prime(gamma0: float) -> float:
     return -_QUARTER_PI_SQ / gamma0**2
 
 
-@dataclass(frozen=True)
-class PhiReduced:
+class PhiReduced(_Record):
     """Piecewise reduced dipole-response function phi'(x'); its C' is ``default_c_prime``."""
 
-    state: GroundState
-    c_coefficient: float = field(init=False)
+    __slots__ = ("state", "c_coefficient")
 
-    def __post_init__(self) -> None:
+    def __init__(self, state: GroundState) -> None:
+        object.__setattr__(self, "state", state)
         object.__setattr__(self, "c_coefficient", default_c_prime(self.state.gamma0))
 
 
@@ -258,18 +256,18 @@ def alpha_apr_prime(R: float) -> float:
     return HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / R) ** 4
 
 
-@dataclass(frozen=True)
-class PolarizabilityBreakdown:
+class PolarizabilityBreakdown(_Record):
     """All reduced polarizabilities of one well, in units of g; alpha' and T are derived."""
 
-    alpha1_prime: float
-    alpha2_prime: float
-    alpha2_t_prime: float
-    alpha_apr_prime: float
-    alpha_prime: float = field(init=False)
-    t_ratio: float = field(init=False)
+    __slots__ = ("alpha1_prime", "alpha2_prime", "alpha2_t_prime", "alpha_apr_prime",
+                 "alpha_prime", "t_ratio")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha1_prime: float, alpha2_prime: float, alpha2_t_prime: float,
+                 alpha_apr_prime: float) -> None:
+        object.__setattr__(self, "alpha1_prime", alpha1_prime)
+        object.__setattr__(self, "alpha2_prime", alpha2_prime)
+        object.__setattr__(self, "alpha2_t_prime", alpha2_t_prime)
+        object.__setattr__(self, "alpha_apr_prime", alpha_apr_prime)
         if self.alpha1_prime < 0.0:
             raise NumericalError("alpha1' must be nonnegative")
         a2 = self.alpha2_prime

@@ -21,12 +21,11 @@ ratio each study knows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .dalgarno_lewis import alpha1_prime, alpha2_prime, alpha2_t_prime
 from .errors import DomainError
-from .well_spectrum import ground_state_from_R, ground_state_from_gamma
+from .well_spectrum import _Record, ground_state_from_R, ground_state_from_gamma
 
 __all__ = [
     "extrapolate",
@@ -37,36 +36,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DeltaLimitSequence:
+class DeltaLimitSequence(_Record):
     """Per-step record of the collapsing-well study; depths and limits are derived."""
 
-    a_values: tuple[float, ...]
-    alpha1_scaled: tuple[float, ...]
-    alpha2_scaled: tuple[float, ...]
-    v0_values: tuple[float, ...] = field(init=False)
-    alpha1_extrapolated: float = field(init=False)
-    alpha2_extrapolated: float = field(init=False)
+    __slots__ = ("a_values", "alpha1_scaled", "alpha2_scaled", "v0_values",
+                 "alpha1_extrapolated", "alpha2_extrapolated")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a_values: tuple[float, ...], alpha1_scaled: tuple[float, ...],
+                 alpha2_scaled: tuple[float, ...]) -> None:
+        object.__setattr__(self, "a_values", a_values)
+        object.__setattr__(self, "alpha1_scaled", alpha1_scaled)
+        object.__setattr__(self, "alpha2_scaled", alpha2_scaled)
         object.__setattr__(self, "v0_values", tuple(0.5 / a for a in self.a_values))
         object.__setattr__(self, "alpha1_extrapolated", extrapolate(self.alpha1_scaled, 0.5))
         object.__setattr__(self, "alpha2_extrapolated", extrapolate(self.alpha2_scaled, 0.5))
 
 
-@dataclass(frozen=True)
-class InfiniteWellLimitReport:
+class InfiniteWellLimitReport(_Record):
     """Hard-wall evaluations at gamma0 = pi/2 - eps; their eps -> 0 limits are derived."""
 
-    epsilons: tuple[float, ...]
-    alpha1_values: tuple[float, ...]
-    alpha2_values: tuple[float, ...]
-    alpha2_t_values: tuple[float, ...]
-    alpha1_limit: float = field(init=False)
-    alpha2_limit: float = field(init=False)
-    alpha2_t_limit: float = field(init=False)
+    __slots__ = ("epsilons", "alpha1_values", "alpha2_values", "alpha2_t_values",
+                 "alpha1_limit", "alpha2_limit", "alpha2_t_limit")
 
-    def __post_init__(self) -> None:
+    def __init__(self, epsilons: tuple[float, ...], alpha1_values: tuple[float, ...],
+                 alpha2_values: tuple[float, ...], alpha2_t_values: tuple[float, ...]) -> None:
+        object.__setattr__(self, "epsilons", epsilons)
+        object.__setattr__(self, "alpha1_values", alpha1_values)
+        object.__setattr__(self, "alpha2_values", alpha2_values)
+        object.__setattr__(self, "alpha2_t_values", alpha2_t_values)
         if len(self.epsilons) < 2:
             raise DomainError(f"need at least two epsilons, got {self.epsilons!r}")
         # The error is a series in eps, so successive values shrink its terms

@@ -30,7 +30,6 @@ an adapter at the boundary of the otherwise dimensionless computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import DomainError, NumericalError
 
@@ -55,17 +54,53 @@ GAMMA_MIN = 1e-30
 _NEWTON_STEPS = 40
 
 
-@dataclass(frozen=True)
-class WellSpec:
+class _Record:
+    """Read-only record in place of a frozen dataclass, without importing ``dataclasses``.
+
+    ``__init__`` sets each field in ``__slots__`` once; repr, == and hash run over them all.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild the record from its inputs, which are the
+        # leading slots; restoring each slot would hit the refused setattr.
+        return type(self), self._values()[: self.__init__.__code__.co_argcount - 1]
+
+
+class WellSpec(_Record):
     """Dimensionful well parameters: half-width a, depth V0, mass, charge, hbar."""
 
-    half_width: float
-    depth: float
-    mass: float
-    charge: float
-    hbar: float = 1.0
+    __slots__ = ("half_width", "depth", "mass", "charge", "hbar")
 
-    def __post_init__(self) -> None:
+    def __init__(self, half_width: float, depth: float, mass: float, charge: float,
+                 hbar: float = 1.0) -> None:
+        object.__setattr__(self, "half_width", half_width)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "charge", charge)
+        object.__setattr__(self, "hbar", hbar)
         for name in ("half_width", "depth", "mass", "hbar"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -89,20 +124,18 @@ class WellSpec:
         return ground_state_from_R(self.strength_R)
 
 
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(_Record):
     """Solved even-parity ground state in dimensionless form.
 
     ``n_prime_sq`` and ``energy_dimless`` = E0 * 2 m a^2 / hbar^2 = -beta0^2 are derived.
     """
 
-    gamma0: float
-    beta0: float
-    R: float
-    n_prime_sq: float = field(init=False)
-    energy_dimless: float = field(init=False)
+    __slots__ = ("gamma0", "beta0", "R", "n_prime_sq", "energy_dimless")
 
-    def __post_init__(self) -> None:
+    def __init__(self, gamma0: float, beta0: float, R: float) -> None:
+        object.__setattr__(self, "gamma0", gamma0)
+        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "R", R)
         if not (0.0 < self.gamma0 < 0.5 * math.pi):
             raise DomainError(f"gamma0 must lie in (0, pi/2), got {self.gamma0!r}")
         if self.gamma0 < GAMMA_MIN:

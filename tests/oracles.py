@@ -5,13 +5,18 @@ the package code: plain bisection for the quantisation root, direct mpmath
 quadrature for integrals, and textbook box matrix elements.  Running this
 module prints all frozen constants so they can be regenerated; property
 tests call ``cos_root`` live.
+
+Each oracle sets its own working precision, ``DPS`` digits unless it takes
+a ``dps``; importing the module leaves mpmath's global precision alone, so
+a reference's digits do not depend on which test module was imported first.
 """
 
 from mpmath import mp, mpf, pi, sin, cos, tan, exp, sqrt, quad
 
-mp.dps = 40
+DPS = 40
 
 
+@mp.workdps(DPS)
 def bisect_gamma(R) -> mpf:
     """Ground-state root of g*tan(g) = sqrt(R^2 - g^2) by pure bisection."""
     R = mpf(R)
@@ -64,11 +69,16 @@ def alpha2_closed_form(gamma, c_prime=None, dps=80) -> mpf:
 
 
 def nprime_sq(gamma) -> mpf:
+    """N'^2 at the caller's precision.
+
+    That is ``DPS`` digits from the oracles here, ``dps`` inside ``alpha2_closed_form``.
+    """
     g = mpf(gamma)
     b = g * tan(g)
     return 1 / (1 + sin(g) * cos(g) / g + cos(g) ** 2 / b)
 
 
+@mp.workdps(DPS)
 def phi_outer_reduced(gamma, x) -> mpf:
     g = mpf(gamma)
     b = g * tan(g)
@@ -76,6 +86,7 @@ def phi_outer_reduced(gamma, x) -> mpf:
     return cos(g) * exp(-b * (x - 1)) * (x * x / b + x / b**2)
 
 
+@mp.workdps(DPS)
 def alpha2_by_quadrature(gamma, c_prime=0) -> mpf:
     """In-well polarizability of phi' with homogeneous coefficient C' via direct integration.
 
@@ -91,6 +102,7 @@ def alpha2_by_quadrature(gamma, c_prime=0) -> mpf:
     return nprime_sq(g) * 2 * quad(lambda x: cos(g * x) * x * phi(x), [0, 1])
 
 
+@mp.workdps(DPS)
 def edge_matched_phi(gamma):
     """Right-half pieces (inner, outer) of the edge-matched response phi'.
 
@@ -121,6 +133,7 @@ def edge_matched_phi(gamma):
     return (lambda x: inner(x, C)), (lambda x: outer(x, B))
 
 
+@mp.workdps(DPS)
 def alpha_edge_matched_by_quadrature(gamma) -> mpf:
     """Polarizability 2 N'^2 int_0^inf psi0 x phi' dx of the edge-matched phi'."""
     g = mpf(gamma)
@@ -131,6 +144,7 @@ def alpha_edge_matched_by_quadrature(gamma) -> mpf:
     return nprime_sq(g) * 2 * (inside + outside)
 
 
+@mp.workdps(DPS)
 def box_dipole_element(n: int) -> mpf:
     """|<1|x'|n>| for the unit-half-width hard-wall box, by quadrature."""
 
@@ -141,6 +155,7 @@ def box_dipole_element(n: int) -> mpf:
     return abs(quad(lambda x: psi(1, x) * x * psi(n, x), [-1, 1]))
 
 
+@mp.workdps(DPS)
 def box_term(n: int) -> mpf:
     """Transition contribution 4 |x_1n|^2 / (E_n - E_1) from quadrature elements."""
     gap = (n * n - 1) * pi * pi / 4
@@ -150,30 +165,31 @@ def box_term(n: int) -> mpf:
 if __name__ == "__main__":
     import math
 
-    g4 = bisect_gamma(4)
-    print(f"R4_GAMMA0 = {float(g4)!r}")
-    print(f"R4_BETA0 = {float(sqrt(mpf(16) - g4 * g4))!r}")
-    for R in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9):
-        g = bisect_gamma(R)
-        print(f"BETA0_BISECT[{R!r}] = {float(sqrt(mpf(R) ** 2 - g * g))!r}")
-        print(f"GAMMA0_BISECT[{R!r}] = {float(g)!r}")
-    g39 = mpf(0.39 * math.pi)
-    print(f"NPRIME_SQ_039PI = {float(nprime_sq(g39))!r}")
-    print(f"PHI_OUTER_X2_039PI = {float(phi_outer_reduced(g39, 2))!r}")
-    print(f"ALPHA2T_QUAD_039PI = {float(alpha2_by_quadrature(g39))!r}")
-    for gamma in ("1e-6", "1e-4", "1e-2"):
-        g = mpf(float(gamma))
-        value = alpha2_by_quadrature(g, -(pi / 2) ** 2 / g**2)
-        print(f"ALPHA2_QUAD[{gamma}] = {float(value)!r}")
-    for gamma in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-15, 0.05, 0.07):
-        pair = (float(alpha2_closed_form(gamma)), float(alpha2_closed_form(gamma, 0)))
-        print(f"ALPHA2_SMALL[{gamma!r}] = {pair!r}")
-    print(f"BOX_X12 = {float(box_dipole_element(2))!r}")
-    print(f"BOX_X14 = {float(box_dipole_element(4))!r}")
-    print(f"BOX_TERM2 = {float(box_term(2))!r}")
-    print(f"BOX_TERM4 = {float(box_term(4))!r}")
-    for gamma_pi in ("0.05", "0.19", "0.39", "0.47", "0.499"):
-        value = alpha_edge_matched_by_quadrature(mpf(float(gamma_pi) * math.pi))
-        print(f"ALPHA_EXACT_QUAD[{gamma_pi}] = {float(value)!r}")
-    print(f"HARD_WALL_ALPHA_EXACT = {float(20 / pi**4 - 4 / (3 * pi**2))!r}")
-    print(f"HARD_WALL_ALPHA2T_EXACT = {float(20 / pi**4 - 4 / (3 * pi**2) - 2 / pi**2)!r}")
+    with mp.workdps(DPS):
+        g4 = bisect_gamma(4)
+        print(f"R4_GAMMA0 = {float(g4)!r}")
+        print(f"R4_BETA0 = {float(sqrt(mpf(16) - g4 * g4))!r}")
+        for R in (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9):
+            g = bisect_gamma(R)
+            print(f"BETA0_BISECT[{R!r}] = {float(sqrt(mpf(R) ** 2 - g * g))!r}")
+            print(f"GAMMA0_BISECT[{R!r}] = {float(g)!r}")
+        g39 = mpf(0.39 * math.pi)
+        print(f"NPRIME_SQ_039PI = {float(nprime_sq(g39))!r}")
+        print(f"PHI_OUTER_X2_039PI = {float(phi_outer_reduced(g39, 2))!r}")
+        print(f"ALPHA2T_QUAD_039PI = {float(alpha2_by_quadrature(g39))!r}")
+        for gamma in ("1e-6", "1e-4", "1e-2"):
+            g = mpf(float(gamma))
+            value = alpha2_by_quadrature(g, -(pi / 2) ** 2 / g**2)
+            print(f"ALPHA2_QUAD[{gamma}] = {float(value)!r}")
+        for gamma in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-15, 0.05, 0.07):
+            pair = (float(alpha2_closed_form(gamma)), float(alpha2_closed_form(gamma, 0)))
+            print(f"ALPHA2_SMALL[{gamma!r}] = {pair!r}")
+        print(f"BOX_X12 = {float(box_dipole_element(2))!r}")
+        print(f"BOX_X14 = {float(box_dipole_element(4))!r}")
+        print(f"BOX_TERM2 = {float(box_term(2))!r}")
+        print(f"BOX_TERM4 = {float(box_term(4))!r}")
+        for gamma_pi in ("0.05", "0.19", "0.39", "0.47", "0.499"):
+            value = alpha_edge_matched_by_quadrature(mpf(float(gamma_pi) * math.pi))
+            print(f"ALPHA_EXACT_QUAD[{gamma_pi}] = {float(value)!r}")
+        print(f"HARD_WALL_ALPHA_EXACT = {float(20 / pi**4 - 4 / (3 * pi**2))!r}")
+        print(f"HARD_WALL_ALPHA2T_EXACT = {float(20 / pi**4 - 4 / (3 * pi**2) - 2 / pi**2)!r}")

@@ -29,6 +29,7 @@ import functools
 
 import sympy as sp
 from mpmath import mp, mpf
+from sympy.simplify.fu import TR8
 
 from wellpol.dalgarno_lewis import _phi_inner, _phi_outer
 
@@ -91,10 +92,27 @@ def outer_integrand(k: int) -> sp.Expr:
     return sp.expand(sp.powsimp(sp.expand(integrand)))
 
 
+def by_moments(poly: sp.Expr, var: sp.Symbol, moment) -> sp.Expr:
+    """The sum of coeff * moment(k) over the terms coeff var^k of ``poly``."""
+    return sp.Add(*(coeff * moment(k) for (k,), coeff in sp.Poly(poly, var).terms()))
+
+
 def laplace_moments(poly: sp.Expr) -> sp.Expr:
     """int_0^oo e^{-2t} poly(t) dt, by the moments int_0^oo t^k e^{-2t} dt = k!/2^{k+1}."""
-    return sp.Add(*(coeff * sp.factorial(k) / 2 ** (k + 1)
-                    for (k,), coeff in sp.Poly(poly, t).terms()))
+    return by_moments(poly, t, lambda k: sp.factorial(k) / 2 ** (k + 1))
+
+
+@functools.cache
+def trig_moment(n: int, kind) -> sp.Expr:
+    """int_0^1 x'^n kind(2 g x') dx' for ``kind`` sp.cos or sp.sin, by parts on n.
+
+    With w = 2g, C_n = (sin w - n S_{n-1}) / w and S_n = (n C_{n-1} - cos w) / w,
+    from C_0 = sin(w) / w and S_0 = (1 - cos w) / w.
+    """
+    w = 2 * g
+    if kind is sp.cos:
+        return (sp.sin(w) - (n * trig_moment(n - 1, sp.sin) if n else 0)) / w
+    return ((n * trig_moment(n - 1, sp.cos) if n else 1) - sp.cos(w)) / w
 
 
 def outer_alpha() -> sp.Expr:
@@ -117,8 +135,20 @@ def phi_jump() -> sp.Expr:
 
 @functools.cache
 def alpha2_bracket() -> sp.Expr:
-    """2 int_0^1 cos(g x') x' phi'_in dx', affine in C."""
-    return 2 * sp.integrate(sp.cos(g * x) * x * phi_inner(), (x, 0, 1))
+    """2 int_0^1 cos(g x') x' phi'_in dx', affine in C.
+
+    With its products of sines and cosines of g x' turned into sums, the
+    integrand is a polynomial in x' plus polynomials times cos(2 g x') and
+    sin(2 g x'), integrated term by term by the moments 1/(n + 1) and
+    ``trig_moment``.  The sum is expanded, which makes its series cheap.
+    """
+    integrand = sp.expand(TR8(sp.expand(sp.cos(g * x) * x * phi_inner())))
+    total = 0
+    for kind in (sp.cos, sp.sin):
+        poly = integrand.coeff(kind(2 * g * x))
+        integrand = sp.expand(integrand - poly * kind(2 * g * x))
+        total += by_moments(poly, x, lambda n: trig_moment(n, kind))
+    return sp.expand(2 * (total + by_moments(integrand, x, lambda n: sp.Rational(1, n + 1))))
 
 
 @functools.cache

@@ -392,6 +392,18 @@ class TestLazyImports:
     def test_import_loads_neither_numpy_nor_scipy(self):
         assert self.loaded_heavy_modules("import wellpol") == "[]"
 
+    @pytest.mark.parametrize("module", ["wellpol", "wellpol.cli"])
+    def test_import_loads_neither_dataclasses_nor_inspect(self, module):
+        # Only what the import itself adds counts, not what site loaded.
+        child = self.python(
+            "-c",
+            "import sys\nbefore = set(sys.modules)\n"
+            f"import {module}\n"
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip().splitlines()[-1] == "[]"
+
     def test_table1_loads_neither_numpy_nor_scipy(self):
         code = "import wellpol.cli\nassert wellpol.cli.main(['table1']) == 0"
         assert self.loaded_heavy_modules(code) == "[]"

@@ -212,6 +212,18 @@ class TestSeries:
         )
         assert sp.expand(symbolic.alpha2_bracket_series() - expected) == 0
 
+    @pytest.mark.parametrize("gamma", [0.01, 0.3, 1.1])
+    def test_alpha2_bracket_is_the_integral(self, gamma):
+        # The bracket summed from the moments against mpmath's quadrature of
+        # its defining integral, at the same 40 digits.
+        with mp.workdps(symbolic.DPS):
+            g = mpf(gamma)
+            for c_prime in (0.0, -2.5):
+                ref = 2 * mp.quad(lambda x: mp.cos(g * x) * x * symbolic.phi_inner_ref(
+                    gamma, c_prime, x), [0, 1])
+                got = symbolic.alpha2_bracket_ref(gamma, c_prime)
+                assert abs(got / ref - 1) <= 1e-30, c_prime
+
     @pytest.mark.parametrize("c_name", list(C_PRIMES))
     def test_alpha2_series_branch_matches_truncated_series(self, c_name):
         # Measured worst 3.3e-16.

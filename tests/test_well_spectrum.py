@@ -1,11 +1,13 @@
 """Ground-state solver tests: published rows, frozen oracles, invariants."""
 
+import importlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import oracles
 from oracles import cos_root
 
 from wellpol.errors import DomainError, NumericalError
@@ -213,6 +215,14 @@ class TestRootProperties:
         gamma_ref, beta_ref = (float(v) for v in cos_root(R, dps=32))
         assert state.gamma0 == pytest.approx(gamma_ref, rel=0.0, abs=math.ulp(gamma_ref))
         assert state.beta0 == pytest.approx(beta_ref, rel=4e-16, abs=0.0)
+
+
+def test_importing_the_oracles_leaves_mpmath_precision_alone():
+    # Each oracle sets its own precision, so the digits of a reference taken
+    # outside a workdps block do not depend on which module was imported first.
+    with mp.workdps(23):
+        importlib.reload(oracles)
+        assert mp.dps == 23
 
 
 class TestInvariants:
