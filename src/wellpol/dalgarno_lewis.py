@@ -96,8 +96,9 @@ class PhiReduced(_Record):
     __slots__ = ("state", "c_coefficient")
 
     def __init__(self, state: GroundState) -> None:
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "c_coefficient", default_c_prime(self.state.gamma0))
+        set_state, set_c = self._setters
+        set_state(self, state)
+        set_c(self, default_c_prime(state.gamma0))
 
 
 def phi_reduced(state: GroundState) -> PhiReduced:
@@ -158,30 +159,33 @@ def alpha1_prime(state: GroundState) -> float:
 _ALPHA2_SERIES_BELOW = 0.06
 
 
-def _alpha2_bracket(gamma0: float, c_prime: float) -> float:
+def _alpha2_brackets(gamma0: float, c_prime: float) -> tuple[float, float]:
+    """The in-well bracket at ``c_prime`` and at C' = 0, from one evaluation.
+
+    The C' = 0 bracket drops the C' terms, which are +-0.0 there, so each
+    is bit for bit the bracket evaluated at its own C' (fsum rounds exactly).
+    """
     g = gamma0
     if g < _ALPHA2_SERIES_BELOW:
         # Affine in C'; the next terms are O(gamma0^8) and O(C' gamma0^8).
         g2 = g * g
-        return (
-            -2.0 / (3.0 * g2)
-            + g2 * (2.0 / 21.0 + g2 * (-8.0 / 405.0 + g2 * 2.0 / 1155.0))
-            + c_prime * (-2.0 / 3.0 + g2 * (4.0 / 15.0 + g2 * (-4.0 / 105.0 + g2 * 8.0 / 2835.0)))
-        )
+        bare = -2.0 / (3.0 * g2) + g2 * (2.0 / 21.0 + g2 * (-8.0 / 405.0 + g2 * 2.0 / 1155.0))
+        slope = -2.0 / 3.0 + g2 * (4.0 / 15.0 + g2 * (-4.0 / 105.0 + g2 * 8.0 / 2835.0))
+        return bare + c_prime * slope, bare
     # Compensated summation: near gamma0 = pi/2 the cos(2 gamma0) terms
     # nearly cancel and six-decimal table reproduction needs the headroom.
     c2g = math.cos(2.0 * g)
     s2g = math.sin(2.0 * g)
-    return math.fsum(
-        [
-            -1.0 / (3.0 * g**2),
-            c2g / (2.0 * g**2),
-            -5.0 * c2g / (4.0 * g**4),
-            c_prime * c2g / (2.0 * g**2),
-            -5.0 * s2g / (4.0 * g**3),
-            5.0 * s2g / (8.0 * g**5),
-            -c_prime * s2g / (4.0 * g**3),
-        ]
+    bare = [
+        -1.0 / (3.0 * g**2),
+        c2g / (2.0 * g**2),
+        -5.0 * c2g / (4.0 * g**4),
+        -5.0 * s2g / (4.0 * g**3),
+        5.0 * s2g / (8.0 * g**5),
+    ]
+    return (
+        math.fsum([*bare, c_prime * c2g / (2.0 * g**2), -c_prime * s2g / (4.0 * g**3)]),
+        math.fsum(bare),
     )
 
 
@@ -193,7 +197,7 @@ def alpha2_prime(state: GroundState, c_prime: float | None = None) -> float:
     """
     if c_prime is None:
         c_prime = default_c_prime(state.gamma0)
-    return state.n_prime_sq * _alpha2_bracket(state.gamma0, c_prime)
+    return state.n_prime_sq * _alpha2_brackets(state.gamma0, c_prime)[0]
 
 
 def alpha2_t_prime(state: GroundState) -> float:
@@ -264,26 +268,29 @@ class PolarizabilityBreakdown(_Record):
 
     def __init__(self, alpha1_prime: float, alpha2_prime: float, alpha2_t_prime: float,
                  alpha_apr_prime: float) -> None:
-        object.__setattr__(self, "alpha1_prime", alpha1_prime)
-        object.__setattr__(self, "alpha2_prime", alpha2_prime)
-        object.__setattr__(self, "alpha2_t_prime", alpha2_t_prime)
-        object.__setattr__(self, "alpha_apr_prime", alpha_apr_prime)
-        if self.alpha1_prime < 0.0:
+        if alpha1_prime < 0.0:
             raise NumericalError("alpha1' must be nonnegative")
-        a2 = self.alpha2_prime
-        object.__setattr__(self, "alpha_prime", self.alpha1_prime + a2)
-        t_ratio = (a2 - self.alpha2_t_prime) / a2 if a2 != 0.0 else math.nan
-        object.__setattr__(self, "t_ratio", t_ratio)
+        a2 = alpha2_prime
+        set_a1, set_a2, set_a2t, set_apr, set_alpha, set_t = self._setters
+        set_a1(self, alpha1_prime)
+        set_a2(self, a2)
+        set_a2t(self, alpha2_t_prime)
+        set_apr(self, alpha_apr_prime)
+        set_alpha(self, alpha1_prime + a2)
+        set_t(self, (a2 - alpha2_t_prime) / a2 if a2 != 0.0 else math.nan)
 
 
 def breakdown(state: GroundState) -> PolarizabilityBreakdown:
-    """Assemble every closed-form polarizability for one state."""
-    return PolarizabilityBreakdown(
-        alpha1_prime=alpha1_prime(state),
-        alpha2_prime=alpha2_prime(state),
-        alpha2_t_prime=alpha2_t_prime(state),
-        alpha_apr_prime=alpha_apr_prime(state.R),
-    )
+    """Assemble every closed-form polarizability for one state.
+
+    One evaluation of the in-well bracket serves both alpha2' (the default
+    C') and alpha2_t' (C' = 0), bit for bit the values of ``alpha2_prime``
+    and ``alpha2_t_prime``.
+    """
+    a1 = alpha1_prime(state)
+    bracket, bare = _alpha2_brackets(state.gamma0, default_c_prime(state.gamma0))
+    n_sq = state.n_prime_sq
+    return PolarizabilityBreakdown(a1, n_sq * bracket, n_sq * bare, alpha_apr_prime(state.R))
 
 
 # Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23, 221 (1969)) for the

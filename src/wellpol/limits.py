@@ -44,12 +44,13 @@ class DeltaLimitSequence(_Record):
 
     def __init__(self, a_values: tuple[float, ...], alpha1_scaled: tuple[float, ...],
                  alpha2_scaled: tuple[float, ...]) -> None:
-        object.__setattr__(self, "a_values", a_values)
-        object.__setattr__(self, "alpha1_scaled", alpha1_scaled)
-        object.__setattr__(self, "alpha2_scaled", alpha2_scaled)
-        object.__setattr__(self, "v0_values", tuple(0.5 / a for a in self.a_values))
-        object.__setattr__(self, "alpha1_extrapolated", extrapolate(self.alpha1_scaled, 0.5))
-        object.__setattr__(self, "alpha2_extrapolated", extrapolate(self.alpha2_scaled, 0.5))
+        set_a, set_a1, set_a2, set_v0, set_a1_limit, set_a2_limit = self._setters
+        set_a(self, a_values)
+        set_a1(self, alpha1_scaled)
+        set_a2(self, alpha2_scaled)
+        set_v0(self, tuple(0.5 / a for a in a_values))
+        set_a1_limit(self, extrapolate(alpha1_scaled, 0.5))
+        set_a2_limit(self, extrapolate(alpha2_scaled, 0.5))
 
 
 class InfiniteWellLimitReport(_Record):
@@ -60,18 +61,20 @@ class InfiniteWellLimitReport(_Record):
 
     def __init__(self, epsilons: tuple[float, ...], alpha1_values: tuple[float, ...],
                  alpha2_values: tuple[float, ...], alpha2_t_values: tuple[float, ...]) -> None:
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "alpha1_values", alpha1_values)
-        object.__setattr__(self, "alpha2_values", alpha2_values)
-        object.__setattr__(self, "alpha2_t_values", alpha2_t_values)
-        if len(self.epsilons) < 2:
-            raise DomainError(f"need at least two epsilons, got {self.epsilons!r}")
+        (set_eps, set_a1, set_a2, set_a2t,
+         set_a1_limit, set_a2_limit, set_a2t_limit) = self._setters
+        set_eps(self, epsilons)
+        set_a1(self, alpha1_values)
+        set_a2(self, alpha2_values)
+        set_a2t(self, alpha2_t_values)
+        if len(epsilons) < 2:
+            raise DomainError(f"need at least two epsilons, got {epsilons!r}")
         # The error is a series in eps, so successive values shrink its terms
         # by powers of the epsilons' own ratio.
-        ratio = self.epsilons[-1] / self.epsilons[-2]
-        object.__setattr__(self, "alpha1_limit", extrapolate(self.alpha1_values, ratio))
-        object.__setattr__(self, "alpha2_limit", extrapolate(self.alpha2_values, ratio))
-        object.__setattr__(self, "alpha2_t_limit", extrapolate(self.alpha2_t_values, ratio))
+        ratio = epsilons[-1] / epsilons[-2]
+        set_a1_limit(self, extrapolate(alpha1_values, ratio))
+        set_a2_limit(self, extrapolate(alpha2_values, ratio))
+        set_a2t_limit(self, extrapolate(alpha2_t_values, ratio))
 
 
 # Decreasing offsets eps of gamma0 = pi/2 - eps for the hard-wall limit.

@@ -57,10 +57,16 @@ _NEWTON_STEPS = 40
 class _Record:
     """Read-only record in place of a frozen dataclass, without importing ``dataclasses``.
 
-    ``__init__`` sets each field in ``__slots__`` once; repr, == and hash run over them all.
+    ``__init__`` sets each field in ``__slots__`` once, through ``_setters``; repr, == and
+    hash run over them all.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # Each slot's own setter, in slot order, bound once per class: it writes past
+        # the refused __setattr__ without object.__setattr__'s lookup by name.
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -96,11 +102,12 @@ class WellSpec(_Record):
 
     def __init__(self, half_width: float, depth: float, mass: float, charge: float,
                  hbar: float = 1.0) -> None:
-        object.__setattr__(self, "half_width", half_width)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "charge", charge)
-        object.__setattr__(self, "hbar", hbar)
+        set_a, set_v0, set_m, set_q, set_hbar = self._setters
+        set_a(self, half_width)
+        set_v0(self, depth)
+        set_m(self, mass)
+        set_q(self, charge)
+        set_hbar(self, hbar)
         for name in ("half_width", "depth", "mass", "hbar"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -133,18 +140,17 @@ class GroundState(_Record):
     __slots__ = ("gamma0", "beta0", "R", "n_prime_sq", "energy_dimless")
 
     def __init__(self, gamma0: float, beta0: float, R: float) -> None:
-        object.__setattr__(self, "gamma0", gamma0)
-        object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "R", R)
-        if not (0.0 < self.gamma0 < 0.5 * math.pi):
-            raise DomainError(f"gamma0 must lie in (0, pi/2), got {self.gamma0!r}")
-        if self.gamma0 < GAMMA_MIN:
+        if not (0.0 < gamma0 < 0.5 * math.pi):
+            raise DomainError(f"gamma0 must lie in (0, pi/2), got {gamma0!r}")
+        if gamma0 < GAMMA_MIN:
             raise DomainError(
-                f"gamma0 must be >= {GAMMA_MIN!r}, got {self.gamma0!r}; "
+                f"gamma0 must be >= {GAMMA_MIN!r}, got {gamma0!r}; "
                 "the closed-form polarizability overflows below it"
             )
-        if not (self.beta0 > 0.0 and self.R > 0.0):
+        if not (beta0 > 0.0 and R > 0.0):
             raise DomainError("beta0 and R must both be positive")
+        if not math.isfinite(beta0):
+            raise DomainError(f"beta0 must be finite and positive, got {beta0!r}")
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
         # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated
@@ -153,21 +159,31 @@ class GroundState(_Record):
         # term of its bound allows.  For a state solved from R, where
         # beta0 = R sin(gamma0), this residual is sin(gamma0) times the
         # root solve's g - R cos(g).
-        sin_part = self.gamma0 * math.sin(self.gamma0)
-        cos_part = self.beta0 * math.cos(self.gamma0)
+        s, c = math.sin(gamma0), math.cos(gamma0)
+        sin_part = gamma0 * s
+        cos_part = beta0 * c
         r12 = sin_part - cos_part
-        bound12 = 1e-10 * (sin_part + cos_part) + 4.0 * (1.0 + self.beta0) * math.ulp(self.gamma0)
+        bound12 = 1e-10 * (sin_part + cos_part) + 4.0 * (1.0 + beta0) * math.ulp(gamma0)
         if abs(r12) > bound12:
             raise NumericalError(f"quantisation residual gamma*tan(gamma)-beta = {r12!r}")
-        r13 = self.gamma0**2 + self.beta0**2 - self.R**2
-        if abs(r13) > 1e-10 * (self.gamma0**2 + self.beta0**2 + self.R**2):
+        r13 = gamma0**2 + beta0**2 - R**2
+        if abs(r13) > 1e-10 * (gamma0**2 + beta0**2 + R**2):
             raise NumericalError(f"strength residual gamma^2+beta^2-R^2 = {r13!r}")
-        object.__setattr__(self, "n_prime_sq", normalization_sq(self.gamma0, self.beta0))
-        object.__setattr__(self, "energy_dimless", -self.beta0**2)
+        set_gamma0, set_beta0, set_R, set_n_prime_sq, set_energy = self._setters
+        set_gamma0(self, gamma0)
+        set_beta0(self, beta0)
+        set_R(self, R)
+        set_n_prime_sq(self, _n_prime_sq(gamma0, beta0, s, c))
+        set_energy(self, -beta0**2)
 
     @property
     def n_prime(self) -> float:
         return math.sqrt(self.n_prime_sq)
+
+
+def _n_prime_sq(gamma0: float, beta0: float, s: float, c: float) -> float:
+    """N'^2 from gamma0, beta0 and s = sin(gamma0), c = cos(gamma0), unchecked."""
+    return 1.0 / (1.0 + s * c / gamma0 + c**2 / beta0)
 
 
 def normalization_sq(gamma0: float, beta0: float) -> float:
@@ -177,14 +193,10 @@ def normalization_sq(gamma0: float, beta0: float) -> float:
     regular there and evaluates to 1.
     """
     if beta0 <= 0.0 or not math.isfinite(beta0):
-        raise DomainError(f"beta0 must be positive, got {beta0!r}")
+        raise DomainError(f"beta0 must be finite and positive, got {beta0!r}")
     if not (0.0 < gamma0 <= 0.5 * math.pi):
         raise DomainError(f"gamma0 must lie in (0, pi/2], got {gamma0!r}")
-    return 1.0 / (
-        1.0
-        + math.sin(gamma0) * math.cos(gamma0) / gamma0
-        + math.cos(gamma0) ** 2 / beta0
-    )
+    return _n_prime_sq(gamma0, beta0, math.sin(gamma0), math.cos(gamma0))
 
 
 def _solve_gamma(R: float) -> float:

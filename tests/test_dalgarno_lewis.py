@@ -462,6 +462,22 @@ class TestBreakdown:
             a2, a2t = bd.alpha2_prime, bd.alpha2_t_prime
             assert bd.t_ratio == (a2 - a2t) / a2
 
+    def test_fields_equal_the_public_functions_bit_for_bit(self):
+        # breakdown shares one bracket evaluation between C' and C' = 0; any
+        # change in the order of its operations would show here.
+        cross = dalgarno_lewis._ALPHA2_SERIES_BELOW
+        gammas = [float(v) for v in np.geomspace(GAMMA_MIN, GAMMA_MAX, 400)] + [
+            math.nextafter(cross, 0.0), cross, math.nextafter(cross, 1.0),
+            *(g * PI for g in (0.39, 0.41, 0.43, 0.45, 0.47, 0.49)),
+        ]
+        for gamma in gammas:
+            state = ground_state_from_gamma(gamma)
+            bd = breakdown(state)
+            assert bd.alpha1_prime == alpha1_prime(state), gamma
+            assert bd.alpha2_prime == alpha2_prime(state), gamma
+            assert bd.alpha2_t_prime == alpha2_prime(state, 0.0), gamma
+            assert bd.alpha_apr_prime == alpha_apr_prime(state.R), gamma
+
 
 class TestQuadratureRoute:
     def test_total_matches_published(self):

@@ -172,6 +172,16 @@ class TestNormalization:
         with pytest.raises(DomainError):
             normalization_sq(1.0, 0.0)
 
+    def test_rejects_non_finite_beta(self):
+        # An infinite beta0 passes both quantisation residuals (each is
+        # compared with an infinite bound), so the finite check refuses it.
+        with pytest.raises(DomainError, match="finite and positive"):
+            normalization_sq(1.0, math.inf)
+        with pytest.raises(DomainError, match="finite and positive"):
+            GroundState(1.0, math.inf, math.inf)
+        with pytest.raises(DomainError):
+            GroundState(1.0, math.nan, math.nan)
+
 
 class TestPsi0:
     @pytest.mark.parametrize("gamma_pi", [0.15, 0.39, 0.49])
