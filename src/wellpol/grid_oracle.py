@@ -18,12 +18,16 @@ the grid.  The polarizability then comes out two independent ways:
                           state per size serves both signs, and E_0' is the
                           even block's
 
-Every ground state comes from shifted inverse iteration started at the
-continuum ground state sampled on the nodes, one O(n) tridiagonal solve per
-step, and is certified as the lowest state by one positive-definite
-factorisation below it (Sylvester's law of inertia).  No ground state needs
-a bisection eigensolver; ``solve_spectrum`` keeps one as the full-spectrum
-reference.
+Every ground state comes from shifted inverse iteration, one O(n)
+tridiagonal solve per step, started at the grid's own state, and is
+certified as the lowest state by one positive-definite factorisation below
+it (Sylvester's law of inertia).  The even block starts at its exact
+eigenvector, the continuum ground state with gamma0 and beta0 replaced by
+the grid's own phases (``_grid_phases``), so one solve settles it.  A tilted
+grid starts at psi0 + eps' phi, with phi the discrete Dalgarno-Lewis
+solution, the first-order Stark state, so the start is off by O(eps'^2).
+No ground state needs a bisection eigensolver; ``solve_spectrum`` keeps one
+as the full-spectrum reference.
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
@@ -82,6 +86,9 @@ _MAX_H_BETA0 = 0.4
 
 # Inverse-iteration steps allowed before a ground state counts as lost.
 _MAX_INVERSE_STEPS = 30
+# Cap on Newton steps for the grid's phases; on gamma0 in [1e-6, pi/2 - 1e-9]
+# and m from 1 to 1e5 the root settles after five at most.
+_PHASE_STEPS = 40
 _EPS = float(np.finfo(float).eps)
 
 
@@ -100,11 +107,11 @@ class GridOracleConfig:
     checks ``well_R``: the box is 1 for the hard wall and ceil(1 + 40/beta0)
     for a well, where psi0 has fallen to e^-40 of its edge value; the probe
     fields are ``_PROBE_FIELDS`` times min(1, beta0^3).  That solve is kept
-    as ``ground`` (None for the hard wall); it starts the grid's
-    ground-state iterations.  ``num_points`` is a request: the actual grid is snapped up
-    to the nearest size whose nodes hit the well edges.  A well whose base
-    grid has h * beta0 above ``_MAX_H_BETA0`` is refused, naming the
-    smallest ``num_points`` that resolves its tail.
+    as ``ground`` (None for the hard wall); its gamma0 starts the root of
+    each grid's own phases.  ``num_points`` is a request: the actual grid is
+    snapped up to the nearest size whose nodes hit the well edges.  A well
+    whose base grid has h * beta0 above ``_MAX_H_BETA0`` is refused, naming
+    the smallest ``num_points`` that resolves its tail.
     """
 
     well_R: Optional[float]
@@ -246,21 +253,70 @@ def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
     )
 
 
-def _continuum_ground(config: GridOracleConfig, x: np.ndarray) -> np.ndarray:
-    """The continuum ground state at the nodes x' >= 0 of the grid ``x``, not normalised.
+def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
+    """The grid's gamma0 and beta0: (u, nu) = (m theta, m mu) of its even bound state.
 
-    The grid is mirror-symmetric node for node and the state is even, so
-    these nodes, ``x[x.size // 2:]`` in ascending order, carry it.  Each
-    branch is evaluated only on its own nodes: cos(gamma0 x') up to the
-    edge, the exponential tail beyond it.
+    On the grid of m nodes per unit length, cos(k theta) up to the edge node
+    k = m and cos(m theta) e^{-mu (k - m)} beyond it solve the rows inside and
+    beyond the well at one energy if sin^2(theta/2) + sinh^2(mu/2) = (R/2m)^2,
+    and the edge row, at half the depth, if sin(theta) tan(m theta) =
+    sinh(mu).  Together these read
+
+        m sin(theta) = R P cos(u),   m sinh(mu) = R P sin(u),
+        P = sqrt((R/2m)^2 + cos(theta)),
+
+    the discrete gamma0 = R cos(gamma0), beta0 = R sin(gamma0); as m grows,
+    u -> gamma0 and nu -> beta0.  u is the root of
+    G(u) = R P C - 1, C = cos(u) / (m sin(theta)), on (0, pi/2) by Newton's
+    method.  There G decreases, since P and C do, and it is convex: P is
+    concave, but in (P C)'' = P''C + 2 P'C' + P C'' the last two terms
+    outweigh the first (at m = 1 term by term, for m >= 2 through
+    theta cot(theta) >= 1 - (2 theta/pi)^2).  So Newton started left of the
+    root increases monotonically onto it.  gamma0 is such a start:
+    G(gamma0) > 0 reads P > sin(x)/x at x = gamma0/m, which holds as
+    R > gamma0 and x^2/4 + cos(x) > (sin(x)/x)^2 on (0, pi/2].  Iteration
+    stops once a step is no longer negative or no longer increases u.  Near
+    the root G is ~eps off and |G'| ~ (1 + beta0)/u, so u is within a few
+    ulp, and nu, taken from its own condition, is too: sin(u) damps the
+    rounding of u.
+    """
+    ratio = ground.R / m
+    rho_sq = 0.25 * ratio * ratio
+    u = ground.gamma0
+    for _ in range(_PHASE_STEPS):
+        s, c = math.sin(u / m), math.cos(u / m)
+        p = math.sqrt(rho_sq + c)
+        cos_u, sin_u = math.cos(u), math.sin(u)
+        g = ratio * p * cos_u / s - 1.0
+        slope = -ratio * (0.5 * cos_u / p + p * (m * sin_u * s + cos_u * c) / (s * s)) / m
+        step = g / slope
+        if not (step < 0.0 and u - step > u):
+            return u, m * math.asinh(ratio * p * sin_u)
+        u -= step
+    raise NumericalError(
+        f"grid phases for R = {ground.R!r} at m = {m} did not settle in {_PHASE_STEPS} steps"
+    )
+
+
+def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
+    """The grid's own even ground state at the nodes x' >= 0 of ``x``, not normalised.
+
+    The continuum ground state with the grid's phases (u, nu) from
+    ``_grid_phases`` in place of gamma0 and beta0: cos(u x') up to the edge,
+    cos(u) e^{-nu (x' - 1)} beyond it, each branch on its own nodes.  On the
+    nodes ``x[x.size // 2:]``, in ascending order, it is an eigenvector of the
+    grid's even block to rounding, save that the box wall cuts the tail at
+    ~e^-40 of its edge value.  The hard wall is the same formula with
+    u = pi/2 and no node beyond the edge: cos(pi x'/2) vanishes at its wall.
     """
     half = x[x.size // 2 :]
     if config.ground is None:
-        return np.cos(0.5 * math.pi * half)
-    gamma0, beta0 = config.ground.gamma0, config.ground.beta0
+        u, nu = 0.5 * math.pi, 0.0
+    else:
+        u, nu = _grid_phases(config.ground, m)
     edge = int(np.searchsorted(half, 1.0, side="right"))
-    tail = math.cos(gamma0) * np.exp(-beta0 * (half[edge:] - 1.0))
-    return np.concatenate((np.cos(gamma0 * half[:edge]), tail))
+    tail = math.cos(u) * np.exp(-nu * (half[edge:] - 1.0))
+    return np.concatenate((np.cos(u * half[:edge]), tail))
 
 
 def _lowest_vector(diag, off, start) -> np.ndarray:
@@ -300,7 +356,7 @@ def _lowest_vector(diag, off, start) -> np.ndarray:
     delta = max(4.0 * res, 1e3 * scale)
     if dpttrf(diag - (rho - delta), off)[2] != 0:
         raise NumericalError(
-            f"inverse iteration from the continuum ground state settled at "
+            f"inverse iteration from its start settled at "
             f"E' = {rho:.6e}, but the grid (n={diag.size}) has a state more than "
             f"{delta:.1e} below it"
         )
@@ -314,10 +370,10 @@ def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.nda
     The ground state is even, so the nodes x' >= 0 carry it.  On them the
     centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
     the block is symmetric tridiagonal, half the size of the grid.
-    ``start``, the continuum ground state on those nodes, starts the
-    block's inverse iteration.  The energy is the Rayleigh quotient of the
-    rebuilt full vector: taken on the scaled block, the rounded sqrt(2)
-    would move it by ~1e-13 relative.
+    ``start``, the grid's own ground state on those nodes (``_grid_ground``),
+    starts the block's inverse iteration, which one solve settles.  The
+    energy is the Rayleigh quotient of the rebuilt full vector: taken on the
+    scaled block, the rounded sqrt(2) would move it by ~1e-13 relative.
     """
     centre = diag.size // 2
     block_off = off[centre:].copy()
@@ -331,13 +387,14 @@ def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.nda
 
 
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
-    """alpha' from the discrete Dalgarno-Lewis solve, and the solve's residual.
+    """alpha' from the discrete Dalgarno-Lewis solve, the solve's residual, and phi.
 
-    Equal to the transition sum over every state of the grid Hamiltonian;
-    the residual is the relative infinity-norm residual of the solve.  phi
-    is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole problem.
-    That block holds only odd states, all above E_0', so H - E_0' is
-    positive definite there and LAPACK's L D L^T solve ``dptsv`` applies.
+    alpha' equals the transition sum over every state of the grid
+    Hamiltonian; the residual is the relative infinity-norm residual of the
+    solve.  phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
+    problem; phi is returned on them.  That block holds only odd states,
+    all above E_0', so H - E_0' is positive definite there and LAPACK's
+    L D L^T solve ``dptsv`` applies.
     """
     right = slice(x.size // 2 + 1, None)
     b = x[right] * psi0[right]
@@ -351,10 +408,10 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     residual = _tridiag_matvec(d, e, phi, b)
     solve_residual = float(np.max(np.abs(residual)) / np.max(np.abs(b)))
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
-    return 8.0 * float(b @ phi), solve_residual
+    return 8.0 * float(b @ phi), solve_residual, phi
 
 
-def _curvature(x, v, diag, off, start, fields: tuple[float, ...], e0: float):
+def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float):
     """alpha' from the Stark quotients at the two probe sizes, and their record.
 
     At each size eps' (larger first) q = -4 (E(eps') - e0) / eps'^2 =
@@ -362,16 +419,19 @@ def _curvature(x, v, diag, off, start, fields: tuple[float, ...], e0: float):
     ``extrapolate`` at ratio (eps2/eps1)^2 takes them to zero field.  The
     matrix at -eps' is the mirror image of the one at +eps', so one ground
     state per size serves both signs.  The field breaks the parity, so each
-    starts from ``start``, the continuum state on the nodes x' >= 0,
-    mirrored onto the whole grid.  NumericalError: the state is not the
-    lowest of the tilted box (the field pulled it out of the well), or the
-    eps'^4 share |q1 - q2| / |q2| exceeds ``_QUARTIC_SHARE``.
+    is solved on the whole grid, started at psi0 + eps' phi: ``psi0`` is the
+    zero-field ground state and ``phi``, the Dalgarno-Lewis solution on the
+    nodes x' > 0 extended oddly, solves (H - E0) phi = x' psi0, so it is the
+    first-order Stark state and the start is off by O(eps'^2).
+    NumericalError: the state is not the lowest of the tilted box (the field
+    pulled it out of the well), or the eps'^4 share |q1 - q2| / |q2| exceeds
+    ``_QUARTIC_SHARE``.
     """
-    whole = np.concatenate((start[:0:-1], start))
+    stark = np.concatenate((-phi[::-1], [0.0], phi))
     quotients = []
     for size in fields:
         tilt = size * x
-        vec = _lowest_vector(diag - tilt, off, whole)
+        vec = _lowest_vector(diag - tilt, off, psi0 + size * stark)
         energy = _rayleigh_quotient(off, v - tilt, vec)
         quotients.append(-4.0 * (energy - e0) / size**2)
     share = abs(quotients[0] - quotients[1]) / abs(quotients[1])
@@ -411,13 +471,12 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     alphas, e0s, sizes = [], [], []
     for m in ms:
         x, v, diag, off = _grid(config, m)
-        start = _continuum_ground(config, x)
-        bottom, psi0 = _even_ground(v, diag, off, start)
+        bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
         e0 = bottom - (config.well_R or 0.0) ** 2
-        alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
+        alpha, solve_residual, phi = _dalgarno_lewis(x, diag, off, e0, psi0)
         if m == ms[0]:
             fields = config.field_values
-            alpha_curvature, stark = _curvature(x, v, diag, off, start, fields, bottom)
+            alpha_curvature, stark = _curvature(x, v, diag, off, psi0, phi, fields, bottom)
             diagnostics = {
                 "grid_num_points_actual": x.size,
                 "grid_box_half_width": config.box_half_width,

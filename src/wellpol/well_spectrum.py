@@ -149,8 +149,14 @@ class GroundState(_Record):
             )
         if not (beta0 > 0.0 and R > 0.0):
             raise DomainError("beta0 and R must both be positive")
-        if not math.isfinite(beta0):
-            raise DomainError(f"beta0 must be finite and positive, got {beta0!r}")
+        # The residuals below square both: an infinite one would meet its
+        # infinite bound, and a square past the float range raises OverflowError.
+        if not beta0 * beta0 < math.inf:
+            raise DomainError(
+                f"beta0 must be finite and positive with a finite square, got {beta0!r}"
+            )
+        if not R * R < math.inf:
+            raise DomainError(f"R must be finite and positive with a finite square, got {R!r}")
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
         # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated

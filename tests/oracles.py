@@ -11,7 +11,7 @@ a ``dps``; importing the module leaves mpmath's global precision alone, so
 a reference's digits do not depend on which test module was imported first.
 """
 
-from mpmath import mp, mpf, pi, sin, cos, tan, exp, sqrt, quad
+from mpmath import mp, mpf, pi, sin, cos, tan, exp, sqrt, quad, acos, asin, asinh, sinh
 
 DPS = 40
 
@@ -48,6 +48,30 @@ def cos_root(R, dps=40) -> tuple[mpf, mpf]:
                 lo = mid
         gamma = (lo + hi) / 2
         return gamma, sqrt(R * R - gamma * gamma)
+
+
+def grid_phases(R, m: int, dps=40) -> tuple[mpf, mpf]:
+    """(m theta, m mu) of the even bound state of the three-point grid, at ``dps`` digits.
+
+    The grid has m nodes per unit length, the edge node taking half the well
+    depth; its state is cos(k theta) up to the edge node k = m and
+    cos(m theta) e^{-mu (k - m)} beyond.  The rows inside and beyond the well
+    hold at one energy on the circle sin(theta/2) = rho cos(p),
+    sinh(mu/2) = rho sin(p), rho = R/2m, and the edge row
+    sin(theta) sin(m theta) = sinh(mu) cos(m theta) fixes p.  Its residual
+    is positive where m theta reaches pi/2 (or mu = 0) and negative at
+    p = pi/2; the Anderson-Bjorck bracketing solver keeps that bracket.
+    """
+    with mp.workdps(dps):
+        rho = mpf(R) / (2 * m)
+
+        def edge_row(p):
+            theta, mu = 2 * asin(rho * cos(p)), 2 * asinh(rho * sin(p))
+            return sin(theta) * sin(m * theta) - sinh(mu) * cos(m * theta)
+
+        lo = acos(min(1, sin(pi / (4 * m)) / rho))
+        p = mp.findroot(edge_row, (lo, pi / 2), solver="anderson")
+        return 2 * m * asin(rho * cos(p)), 2 * m * asinh(rho * sin(p))
 
 
 def alpha2_closed_form(gamma, c_prime=None, dps=80) -> mpf:

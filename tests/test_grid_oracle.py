@@ -4,8 +4,11 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+
+import oracles
 
 from wellpol.conventional_sum import infinite_well_alpha
 from wellpol.dalgarno_lewis import alpha_exact_prime
@@ -22,12 +25,34 @@ def base_grid(config):
     return grid_oracle._grid(config, grid_oracle._multiplier(config))
 
 
+def grid_start(config, level=0):
+    """A grid of the study and the grid's own ground state on its nodes x' >= 0."""
+    m = grid_oracle._multiplier(config) * 2**level
+    x, v, diag, off = grid_oracle._grid(config, m)
+    return (x, v, diag, off), grid_oracle._grid_ground(config, x, m)
+
+
 def bottom_ground(config):
-    """The base grid, its ground energy above the well bottom and the continuum start."""
-    x, v, diag, off = base_grid(config)
-    start = grid_oracle._continuum_ground(config, x)
-    bottom, _ = grid_oracle._even_ground(v, diag, off, start)
-    return (x, v, diag, off), bottom, start
+    """The base grid, its ground energy above the well bottom, psi0, and phi on x' > 0.
+
+    phi is the Dalgarno-Lewis solution that, extended oddly, starts each tilted grid
+    at psi0 + eps' phi.
+    """
+    (x, v, diag, off), start = grid_start(config)
+    bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
+    e0 = bottom - (config.well_R or 0.0) ** 2
+    _, _, phi = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
+    return (x, v, diag, off), bottom, psi0, phi
+
+
+# gamma0 = 0.05 pi ... 0.49 pi, the well range of the oracle's accuracy test.
+WELL_RANGE = [ground_state_from_gamma((0.05 + 0.02 * k) * math.pi) for k in range(23)]
+
+
+def deep_config(well_R):
+    """The coarsest grid whose h * beta0 meets the bound: 4 (m - 1) points on the box of 2."""
+    m = math.ceil(ground_state_from_R(well_R).beta0 / grid_oracle._MAX_H_BETA0)
+    return GridOracleConfig(well_R=well_R, num_points=4 * (m - 1))
 
 
 class TestConfig:
@@ -86,6 +111,38 @@ class TestConfig:
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
         assert len(bisections) == 0
         assert len(ground_states) == 5
+
+    @pytest.mark.parametrize(
+        "well_R", [None, R_REF, ground_state_from_gamma(0.2 * math.pi).R, 49.008061, 1e3]
+    )
+    def test_each_ground_state_takes_few_solves(self, monkeypatch, well_R):
+        # Started at the grid's own state, every even block takes exactly one
+        # shifted solve (the one step after the stop); each tilted grid,
+        # started at psi0 + eps' phi, takes at most three.
+        solves, sizes = [], []
+        lowest, solve = grid_oracle._lowest_vector, grid_oracle.dgtsv
+
+        def counting_lowest(diag, off, start):
+            sizes.append(diag.size)
+            solves.append(0)
+            return lowest(diag, off, start)
+
+        def counting_solve(*args):
+            solves[-1] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
+        monkeypatch.setattr(grid_oracle, "dgtsv", counting_solve)
+        if well_R is None:
+            config = GridOracleConfig.hard_wall()
+        else:
+            config = deep_config(well_R) if well_R >= 1e3 else GridOracleConfig(well_R=well_R)
+        result = oracle_study(config, levels=2)
+        blocks = [n // 2 + 1 for n in result.diagnostics["refine_grid_sizes"]]
+        tilted = result.diagnostics["grid_num_points_actual"]
+        assert sizes == [blocks[0], tilted, tilted, blocks[1], blocks[2]]
+        assert [solves[0], solves[3], solves[4]] == [1, 1, 1]
+        assert max(solves[1:3]) <= 3
 
     def test_study_builds_each_grid_once(self, monkeypatch):
         # levels + 1 grids, the base one shared by both routes; the five
@@ -168,8 +225,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         config = GridOracleConfig(well_R=well_R)
-        x, v, diag, off = base_grid(config)
-        start = grid_oracle._continuum_ground(config, x)
+        (x, v, diag, off), start = grid_start(config)
         e0, psi0 = grid_oracle._even_ground(v, diag, off, start)
         _, vec = grid_oracle._solve_band(diag, off, 0)
         assert psi0.size == diag.size
@@ -181,18 +237,21 @@ class TestSpectrum:
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     @pytest.mark.parametrize("level", [0, 2])
     def test_continuum_start_matches_two_branch_formula(self, well_R, level):
-        # Evaluated branch by branch on the nodes x' >= 0, the start equals
-        # both branches taken on the whole grid and selected by |x'| <= 1.
+        # The start is the continuum formula at the grid's phases (u, nu) in
+        # place of (gamma0, beta0).  Evaluated branch by branch on the nodes
+        # x' >= 0, it equals both branches taken on the whole grid and
+        # selected by |x'| <= 1; on the hard wall it is cos(pi x'/2) bit for bit.
         config = GridOracleConfig(well_R=well_R)
-        x = grid_oracle._grid(config, grid_oracle._multiplier(config) * 2**level)[0]
+        m = grid_oracle._multiplier(config) * 2**level
+        x = grid_oracle._grid(config, m)[0]
         ax = np.abs(x)
         if well_R is None:
             whole = np.cos(0.5 * math.pi * x)
         else:
-            g, b = config.ground.gamma0, config.ground.beta0
-            tail = math.cos(g) * np.exp(-b * np.maximum(ax - 1.0, 0.0))
-            whole = np.where(ax <= 1.0, np.cos(g * ax), tail)
-        start = grid_oracle._continuum_ground(config, x)
+            u, nu = grid_oracle._grid_phases(config.ground, m)
+            tail = math.cos(u) * np.exp(-nu * np.maximum(ax - 1.0, 0.0))
+            whole = np.where(ax <= 1.0, np.cos(u * ax), tail)
+        start = grid_oracle._grid_ground(config, x, m)
         assert np.array_equal(x[x.size // 2 :], ax[x.size // 2 :])
         assert np.array_equal(start, whole[x.size // 2 :])
         assert np.array_equal(np.concatenate((start[:0:-1], start)), whole)
@@ -219,6 +278,58 @@ class TestSpectrum:
         assert np.max(np.abs(first + first[::-1])) <= 1e-8
 
 
+def ulps_off(value: float, reference) -> float:
+    return float(abs(mpmath.mpf(value) - reference)) / math.ulp(value)
+
+
+class TestGridStart:
+    @pytest.mark.parametrize(
+        "state", WELL_RANGE + [ground_state_from_R(1e4)], ids=lambda s: f"R={s.R:.6g}"
+    )
+    def test_phases_match_high_precision_root(self, state):
+        # At m = 1 and at the three levels of the study at 2000 points (at
+        # the coarsest admissible grid for R = 1e4), (m theta, m mu) is the
+        # 40-digit root of the grid's own rows within a few ulp.
+        config = GridOracleConfig(well_R=state.R) if state.R < 1e3 else deep_config(state.R)
+        m0 = grid_oracle._multiplier(config)
+        for m in (1, m0, 2 * m0, 4 * m0):
+            u, nu = grid_oracle._grid_phases(state, m)
+            u_ref, nu_ref = oracles.grid_phases(state.R, m)
+            assert ulps_off(u, u_ref) <= 4.0
+            assert ulps_off(nu, nu_ref) <= 4.0
+
+    @pytest.mark.parametrize("gamma_pi", [0.05, 0.2, 0.39, 0.49])
+    def test_phases_reach_gamma0_and_beta0_at_order_two(self, gamma_pi):
+        # The three-point stencil's error is O(h^2): each doubling of m
+        # cuts m theta - gamma0 and m mu - beta0 by ~4 (measured 3.995-4.009).
+        state = ground_state_from_gamma(gamma_pi * math.pi)
+        m0 = grid_oracle._multiplier(GridOracleConfig(well_R=state.R))
+        phases = [grid_oracle._grid_phases(state, m0 * 2**j) for j in range(4)]
+        for (u1, nu1), (u2, nu2) in zip(phases, phases[1:]):
+            assert (u1 - state.gamma0) / (u2 - state.gamma0) == pytest.approx(4.0, abs=0.05)
+            assert (nu1 - state.beta0) / (nu2 - state.beta0) == pytest.approx(4.0, abs=0.05)
+
+    @pytest.mark.parametrize("state", WELL_RANGE, ids=lambda s: f"R={s.R:.6g}")
+    def test_start_passes_the_inverse_iteration_stop(self, state):
+        # On the even block of every level, the start s already has
+        # |T s - rho s| <= 4 eps |T|_inf |s|, the stop of _lowest_vector.
+        config = GridOracleConfig(well_R=state.R)
+        for level in range(3):
+            (_, _, diag, off), start = grid_start(config, level)
+            centre = diag.size // 2
+            block_diag, block_off = diag[centre:], off[centre:].copy()
+            block_off[0] *= math.sqrt(2.0)
+            s = start.copy()
+            s[1:] *= math.sqrt(2.0)
+            ts = grid_oracle._tridiag_matvec(block_diag, block_off, s)
+            rho = (s @ ts) / (s @ s)
+            row = np.abs(block_diag)
+            row[:-1] += np.abs(block_off)
+            row[1:] += np.abs(block_off)
+            bound = 4.0 * grid_oracle._EPS * np.max(row) * np.linalg.norm(s)
+            assert np.linalg.norm(ts - rho * s) <= bound
+
+
 def exact_quotient(off, onsite, vec) -> Fraction:
     """w.Tw / w.w of the well-bottom matrix T, diagonal 2 m^2 + onsite, exactly.
 
@@ -243,9 +354,7 @@ class TestRayleighQuotient:
         # size 4 m^2 or R^2, so the ground energy is as good as the stored
         # matrix and vector allow.
         config = GridOracleConfig(well_R=well_R)
-        m = grid_oracle._multiplier(config) * (2**2 if case == "finest" else 1)  # levels=2
-        x, v, diag, off = grid_oracle._grid(config, m)
-        start = grid_oracle._continuum_ground(config, x)
+        (x, v, diag, off), start = grid_start(config, 2 if case == "finest" else 0)  # levels=2
         if case == "tilted":
             tilt = 1e-3 * x
             v = v - tilt
@@ -362,15 +471,15 @@ class TestCurvature:
 
     def test_zero_field_row_reproduces_ground_energy(self):
         # The quotients' zero-field point is the base grid's own ground
-        # energy: rebuilt from it and the field solves, they come out
-        # bit for bit.
+        # energy: rebuilt from it and the field solves, each started at
+        # psi0 + eps' phi, they come out bit for bit.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        (x, v, diag, off), bottom, start = bottom_ground(config)
-        whole = np.concatenate((start[:0:-1], start))
+        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
+        stark = np.concatenate((-phi[::-1], [0.0], phi))
         quotients = []
         for eps in config.field_values:
-            vec = grid_oracle._lowest_vector(diag - eps * x, off, whole)
+            vec = grid_oracle._lowest_vector(diag - eps * x, off, psi0 + eps * stark)
             energy = grid_oracle._rayleigh_quotient(off, v - eps * x, vec)
             quotients.append(-4.0 * (energy - bottom) / eps**2)
         assert result.diagnostics["curvature_stark_quotients"] == tuple(quotients)
@@ -380,7 +489,7 @@ class TestCurvature:
         # -eps' checks that symmetry instead of assuming it.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        grid, bottom, _ = bottom_ground(config)
+        grid, bottom, _, _ = bottom_ground(config)
         eps = config.field_values[0]
         mirrored = energies_from_quotients(result, bottom)[0]
         direct = field_energy(grid, eps, sign=-1.0)
@@ -392,7 +501,7 @@ class TestCurvature:
     def test_field_energies_match_bisection_reference(self, well_R):
         config = GridOracleConfig(well_R=well_R)
         result = oracle_study(config)
-        grid, bottom, _ = bottom_ground(config)
+        grid, bottom, _, _ = bottom_ground(config)
         energies = energies_from_quotients(result, bottom)
         for eps, energy in zip(config.field_values, energies):
             reference = field_energy(grid, eps)
@@ -407,7 +516,7 @@ class TestCurvature:
         # it peaks; on the other wells the eps'^4 share refuses them.
         state = ground_state_from_gamma((0.15 + 0.0025 * step) * math.pi)
         config = GridOracleConfig(well_R=state.R)
-        (x, v, diag, off), bottom, start = bottom_ground(config)
+        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
         fields = grid_oracle._PROBE_FIELDS
         escaped = False
         for size in fields:
@@ -415,7 +524,7 @@ class TestCurvature:
             escaped |= abs(x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
         reason = "has a state more than" if escaped else "eps'\\^4 term"
         with pytest.raises(NumericalError, match=reason):
-            grid_oracle._curvature(x, v, diag, off, start, fields, bottom)
+            grid_oracle._curvature(x, v, diag, off, psi0, phi, fields, bottom)
 
     def test_study_shares_zero_field_energy(self, monkeypatch):
         # The curvature route's zero field is the sum route's ground energy,
@@ -441,17 +550,17 @@ class TestCurvature:
         # Fields of +-1e-2, unscaled, pull the ground state of this weak
         # well out of the box's well.
         config = GridOracleConfig(well_R=0.6, num_points=500)
-        (x, v, diag, off), bottom, start = bottom_ground(config)
+        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
         with pytest.raises(NumericalError, match="has a state more than"):
-            grid_oracle._curvature(x, v, diag, off, start, (1e-2, 5e-3), bottom)
+            grid_oracle._curvature(x, v, diag, off, psi0, phi, (1e-2, 5e-3), bottom)
 
     def test_quartic_term_trips_guard(self):
         # At fields 0.3 and 0.15 the ground state stays in this well, so the
         # certificate holds, but the eps'^4 term is 3.2e-4 of the shift.
         config = GridOracleConfig(well_R=R_REF)
-        (x, v, diag, off), bottom, start = bottom_ground(config)
+        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
         with pytest.raises(NumericalError, match="eps'\\^4 term") as info:
-            grid_oracle._curvature(x, v, diag, off, start, (0.3, 0.15), bottom)
+            grid_oracle._curvature(x, v, diag, off, psi0, phi, (0.3, 0.15), bottom)
         assert "3.2e-04 relative" in str(info.value)
 
     @pytest.mark.parametrize("well_R", [1e3, 1e4])
@@ -459,13 +568,11 @@ class TestCurvature:
         # E' ~ -R^2 here, so quotients taken from E' = 0 would lose the
         # Stark shift to its rounding; from the well bottom both routes agree.
         # The grid is the coarsest whose h * beta0 meets the bound.
-        m = math.ceil(ground_state_from_R(well_R).beta0 / grid_oracle._MAX_H_BETA0)
-        config = GridOracleConfig(well_R=well_R, num_points=4 * (m - 1))
-        x, v, diag, off = base_grid(config)
-        start = grid_oracle._continuum_ground(config, x)
+        config = deep_config(well_R)
+        (x, v, diag, off), start = grid_start(config)
         bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
-        alpha, _ = grid_oracle._curvature(x, v, diag, off, start, config.field_values, bottom)
-        alpha_sum, _ = grid_oracle._dalgarno_lewis(x, diag, off, bottom - well_R**2, psi0)
+        alpha_sum, _, phi = grid_oracle._dalgarno_lewis(x, diag, off, bottom - well_R**2, psi0)
+        alpha, _ = grid_oracle._curvature(x, v, diag, off, psi0, phi, config.field_values, bottom)
         assert alpha == pytest.approx(alpha_sum, rel=1e-6, abs=0.0)
 
 
@@ -474,23 +581,25 @@ class TestCurvature:
 # every energy a quotient from the well bottom, alpha_curvature the Stark
 # quotients extrapolated to zero field and richardson_alpha Romberg's h^2
 # and h^4 steps; at 0.2 pi (beta0 < 1) the probe fields are scaled by beta0^3.
+# Each even block starts at the grid's own state, each tilted grid at
+# psi0 + eps' phi.
 STUDY_HEX = {
     None: (
         "0x1.1fa4cf038157dp-4",
-        "0x1.1fa4c71748000p-4",
+        "0x1.1fa4c9a252aabp-4",
         "0x1.1fa3f860c300ap-4",
         "0x1.3bd39da29fe9cp+1",
     ),
     R_REF: (
-        "0x1.af48a9b395714p-3",
-        "0x1.af48a8c47f2abp-3",
-        "0x1.afae858ff25f0p-3",
-        "-0x1.7290f64de8509p+3",
+        "0x1.af48a9b395742p-3",
+        "0x1.af48a9f5ac2abp-3",
+        "0x1.afae858ff2450p-3",
+        "-0x1.7290f64de8508p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
-        "0x1.0d83dc0d1f922p+5",
-        "0x1.0d83dc1247bf0p+5",
-        "0x1.0b830fa377e0dp+5",
+        "0x1.0d83dc0d1f958p+5",
+        "0x1.0d83dc1015b96p+5",
+        "0x1.0b830fa377a46p+5",
         "-0x1.a98053924194cp-3",
     ),
 }

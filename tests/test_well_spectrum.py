@@ -182,6 +182,19 @@ class TestNormalization:
         with pytest.raises(DomainError):
             GroundState(1.0, math.nan, math.nan)
 
+    @pytest.mark.parametrize("R", [math.inf, 1e300])
+    def test_rejects_R_without_a_finite_square(self, R):
+        # R = inf met its infinite strength bound and constructed; R = 1e300
+        # raised OverflowError from R**2.
+        with pytest.raises(DomainError, match="R must be finite and positive"):
+            GroundState(1.0, math.tan(1.0), R)
+
+    def test_rejects_beta_without_a_finite_square(self):
+        # Next to pi/2, beta0 = 1e300 meets the tan residual's ulp allowance
+        # and raised OverflowError from beta0**2.
+        with pytest.raises(DomainError, match="beta0 must be finite and positive"):
+            GroundState(math.nextafter(0.5 * math.pi, 0.0), 1e300, 1.0)
+
 
 class TestPsi0:
     @pytest.mark.parametrize("gamma_pi", [0.15, 0.39, 0.49])
