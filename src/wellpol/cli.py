@@ -131,8 +131,11 @@ def _rows(**columns: Sequence) -> list[dict]:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

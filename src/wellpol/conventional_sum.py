@@ -23,6 +23,7 @@ import math
 
 from .dalgarno_lewis import alpha2_prime_hard_wall
 from .errors import DomainError
+from .well_spectrum import _require_int
 
 __all__ = ["infinite_well_term", "infinite_well_alpha", "calibrate_C"]
 
@@ -33,8 +34,7 @@ def infinite_well_term(n: int) -> float:
     Odd n vanishes by parity (those excited states share the ground state's
     parity, so the dipole matrix element is zero).
     """
-    if n < 2:
-        raise DomainError(f"transition index must be >= 2, got {n!r}")
+    _require_int("transition index", n, 2)
     if n % 2 == 1:
         return 0.0
     x1n = 16.0 * n / (math.pi**2 * (n * n - 1) ** 2)
@@ -44,8 +44,7 @@ def infinite_well_term(n: int) -> float:
 
 def infinite_well_alpha(num_terms: int) -> float:
     """alpha' summed over the first ``num_terms`` contributing (even-n) transitions."""
-    if num_terms < 1:
-        raise DomainError(f"num_terms must be >= 1, got {num_terms!r}")
+    _require_int("num_terms", num_terms, 1)
     return math.fsum(infinite_well_term(2 * k) for k in range(1, num_terms + 1))
 
 

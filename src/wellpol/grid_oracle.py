@@ -26,8 +26,6 @@ eigenvector, the continuum ground state with gamma0 and beta0 replaced by
 the grid's own phases (``_grid_phases``), so one solve settles it.  A tilted
 grid starts at psi0 + eps' phi, with phi the discrete Dalgarno-Lewis
 solution, the first-order Stark state, so the start is off by O(eps'^2).
-No ground state needs a bisection eigensolver; ``solve_spectrum`` keeps one
-as the full-spectrum reference.
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
@@ -53,20 +51,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dpttrf, dptsv
 
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .limits import extrapolate
-from .well_spectrum import GroundState, ground_state_from_R
+from .well_spectrum import GroundState, _require_int, ground_state_from_R
 
-__all__ = [
-    "GridOracleConfig",
-    "SpectrumResult",
-    "OracleResult",
-    "solve_spectrum",
-    "oracle_study",
-]
+__all__ = ["GridOracleConfig", "OracleResult", "oracle_study"]
 
 # Stark probe field sizes eps' (larger first; -eps' mirrors +eps'), scaled per well.
 _PROBE_FIELDS = (1e-3, 5e-4)
@@ -92,11 +83,6 @@ _PHASE_STEPS = 40
 _EPS = float(np.finfo(float).eps)
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    if not (isinstance(value, int) and value >= minimum):
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class GridOracleConfig:
     """Discretization and study parameters for one oracle run.
@@ -116,14 +102,12 @@ class GridOracleConfig:
 
     well_R: Optional[float]
     num_points: int = 2000
-    num_states: int = 200
     box_half_width: int = field(init=False)
     field_values: tuple[float, ...] = field(init=False)
     ground: Optional[GroundState] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_int("num_points", self.num_points, 500)
-        _require_int("num_states", self.num_states, 50)
         if self.well_R is None:
             object.__setattr__(self, "box_half_width", 1)
             object.__setattr__(self, "field_values", _PROBE_FIELDS)
@@ -147,18 +131,13 @@ class GridOracleConfig:
 
     @classmethod
     def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
-        return cls(well_R=None, num_points=num_points, num_states=num_states)
+        """The hard-wall box of half-width 1.
 
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Lowest eigenpairs of the discretized Hamiltonian on its grid."""
-
-    x: np.ndarray
-    h: float
-    box_half_width: int
-    energies: np.ndarray
-    states: np.ndarray  # column n is the n-th eigenvector, unit 2-norm
+        ``num_states`` is checked and unused; ROADMAP item 4 removes it with
+        the benchmark caller that still passes it.
+        """
+        _require_int("num_states", num_states, 50)
+        return cls(well_R=None, num_points=num_points)
 
 
 @dataclass(frozen=True)
@@ -225,32 +204,6 @@ def _rayleigh_quotient(off: np.ndarray, onsite: np.ndarray, vec: np.ndarray) -> 
     step = vec[1:] - vec[:-1]
     kinetic = step @ step + vec[0] ** 2 + vec[-1] ** 2
     return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec))
-
-
-def _solve_band(diag, off, hi_index: int):
-    try:
-        lam, vec = eigh_tridiagonal(diag, off, select="i", select_range=(0, hi_index))
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise NumericalError(
-            f"tridiagonal eigensolver failed (n={diag.size}): {exc}"
-        ) from exc
-    # Deterministic sign convention: largest-magnitude component positive.
-    for j in range(vec.shape[1]):
-        col = vec[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            vec[:, j] = -col
-    return lam, vec
-
-
-def solve_spectrum(config: GridOracleConfig) -> SpectrumResult:
-    """Lowest ``num_states`` eigenpairs of the discretized Hamiltonian."""
-    m = _multiplier(config)
-    x, _, diag, off = _grid(config, m)
-    hi = min(config.num_states, x.size) - 1
-    lam, vec = _solve_band(diag, off, hi)
-    return SpectrumResult(
-        x=x, h=1.0 / m, box_half_width=config.box_half_width, energies=lam, states=vec
-    )
 
 
 def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:

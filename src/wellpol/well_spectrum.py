@@ -38,7 +38,6 @@ __all__ = [
     "GAMMA_MIN",
     "WellSpec",
     "GroundState",
-    "normalization_sq",
     "ground_state_from_R",
     "ground_state_from_gamma",
 ]
@@ -52,6 +51,12 @@ GAMMA_MIN = 1e-30
 # Cap on Newton steps in the root solve; on R in [1e-8, 1e9] it stops after
 # one step in the median and five at most.
 _NEWTON_STEPS = 40
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    """Refuse with DomainError any ``value`` that is not an int of at least ``minimum``."""
+    if not (isinstance(value, int) and value >= minimum):
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class _Record:
@@ -175,34 +180,17 @@ class GroundState(_Record):
         r13 = gamma0**2 + beta0**2 - R**2
         if abs(r13) > 1e-10 * (gamma0**2 + beta0**2 + R**2):
             raise NumericalError(f"strength residual gamma^2+beta^2-R^2 = {r13!r}")
-        set_gamma0, set_beta0, set_R, set_n_prime_sq, set_energy = self._setters
+        set_gamma0, set_beta0, set_R, set_norm_sq, set_energy = self._setters
         set_gamma0(self, gamma0)
         set_beta0(self, beta0)
         set_R(self, R)
-        set_n_prime_sq(self, _n_prime_sq(gamma0, beta0, s, c))
+        # N'^2 of the module docstring.
+        set_norm_sq(self, 1.0 / (1.0 + s * c / gamma0 + c**2 / beta0))
         set_energy(self, -beta0**2)
 
     @property
     def n_prime(self) -> float:
         return math.sqrt(self.n_prime_sq)
-
-
-def _n_prime_sq(gamma0: float, beta0: float, s: float, c: float) -> float:
-    """N'^2 from gamma0, beta0 and s = sin(gamma0), c = cos(gamma0), unchecked."""
-    return 1.0 / (1.0 + s * c / gamma0 + c**2 / beta0)
-
-
-def normalization_sq(gamma0: float, beta0: float) -> float:
-    """Squared reduced normalisation N'^2 = a N^2 of the ground state.
-
-    Unlike the solvers, this accepts gamma0 = pi/2: the expression stays
-    regular there and evaluates to 1.
-    """
-    if beta0 <= 0.0 or not math.isfinite(beta0):
-        raise DomainError(f"beta0 must be finite and positive, got {beta0!r}")
-    if not (0.0 < gamma0 <= 0.5 * math.pi):
-        raise DomainError(f"gamma0 must lie in (0, pi/2], got {gamma0!r}")
-    return _n_prime_sq(gamma0, beta0, math.sin(gamma0), math.cos(gamma0))
 
 
 def _solve_gamma(R: float) -> float:

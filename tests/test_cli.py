@@ -1,5 +1,6 @@
 """Command-line surface: golden tables, sweep semantics, reports, determinism."""
 
+import errno
 import json
 import math
 import os
@@ -359,6 +360,18 @@ class TestDeterminism:
         assert code == 0
         _, stdout_version = run(["table1"], capsys)
         assert target.read_text() == stdout_version
+
+    @pytest.mark.parametrize("command", ["table1", "calibrate"])
+    def test_unwritable_output_is_a_usage_error(self, command, capsys, tmp_path):
+        # A table and a report: exit 2 with one line on stderr, as for any bad
+        # input, instead of a FileNotFoundError traceback; nothing on stdout.
+        target = tmp_path / "missing" / "out"
+        code = main([command, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: {os.strerror(errno.ENOENT)}\n"
+        assert not target.parent.exists()
 
 
 class TestLazyImports:

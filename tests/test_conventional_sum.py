@@ -41,6 +41,12 @@ class TestTerms:
         with pytest.raises(DomainError):
             infinite_well_term(0)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, math.nan])
+    def test_rejects_non_integer_index(self, n):
+        # 2.5 returned 0.0066764 for a transition that does not exist.
+        with pytest.raises(DomainError, match="must be an integer"):
+            infinite_well_term(n)
+
 
 class TestPartialSums:
     def test_one_term_value(self):
@@ -68,6 +74,12 @@ class TestPartialSums:
     def test_rejects_empty_sum(self):
         with pytest.raises(DomainError):
             infinite_well_alpha(0)
+
+    @pytest.mark.parametrize("num_terms", [2.5, 4.0, math.nan])
+    def test_rejects_non_integer_count(self, num_terms):
+        # 2.5 raised TypeError from range().
+        with pytest.raises(DomainError, match="must be an integer"):
+            infinite_well_alpha(num_terms)
 
 
 class TestCalibration:

@@ -1,12 +1,12 @@
 """Grid oracle tests: spectra, both alpha routes, refinement."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 import oracles
 
@@ -14,7 +14,7 @@ from wellpol.conventional_sum import infinite_well_alpha
 from wellpol.dalgarno_lewis import alpha_exact_prime
 from wellpol import grid_oracle
 from wellpol.errors import ConvergenceWarning, DomainError, NumericalError
-from wellpol.grid_oracle import GridOracleConfig, OracleResult, oracle_study, solve_spectrum
+from wellpol.grid_oracle import GridOracleConfig, OracleResult, oracle_study
 from wellpol.well_spectrum import ground_state_from_R, ground_state_from_gamma
 
 R_REF = 3.617018  # gamma0 = 0.39 pi row
@@ -23,6 +23,21 @@ R_REF = 3.617018  # gamma0 = 0.39 pi row
 def base_grid(config):
     """Abscissae, well-bottom potential, diagonal and off-diagonal of the study's base grid."""
     return grid_oracle._grid(config, grid_oracle._multiplier(config))
+
+
+def lowest_pairs(diag, off, count):
+    """The ``count`` lowest eigenvalues and unit eigenvectors of the tridiagonal (diag, off).
+
+    The full-spectrum reference, by scipy's bisection and inverse iteration;
+    the package ships no spectrum solver.  Each column takes the oracle's
+    sign convention: its largest-magnitude component is positive.
+    """
+    energies, states = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+    for j in range(count):
+        col = states[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            states[:, j] = -col
+    return energies, states
 
 
 def grid_start(config, level=0):
@@ -93,23 +108,18 @@ class TestConfig:
     def test_study_makes_five_eigensolves(self, monkeypatch):
         # One even block per refinement level (the base grid's serves the
         # sum route and the zero field too) and one full-grid ground state
-        # per probe field size, each by inverse iteration: no bisection.
-        bisections, ground_states = [], []
-        eigh = grid_oracle.eigh_tridiagonal
+        # per probe field size, each by inverse iteration: the module has no
+        # bisection eigensolver to call.
+        ground_states = []
         lowest = grid_oracle._lowest_vector
-
-        def counting_eigh(*args, **kwargs):
-            bisections.append(args)
-            return eigh(*args, **kwargs)
 
         def counting_lowest(*args, **kwargs):
             ground_states.append(args)
             return lowest(*args, **kwargs)
 
-        monkeypatch.setattr(grid_oracle, "eigh_tridiagonal", counting_eigh)
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
-        assert len(bisections) == 0
+        assert not hasattr(grid_oracle, "eigh_tridiagonal")
         assert len(ground_states) == 5
 
     @pytest.mark.parametrize(
@@ -170,7 +180,7 @@ class TestConfig:
         "kwargs",
         [
             {"well_R": R_REF, "num_points": 100},
-            {"well_R": R_REF, "num_states": 10},
+            {"num_states": 10},
             {"well_R": -1.0},
             {"well_R": 100.0},  # h * beta0 = 0.497 on the base grid
             {"well_R": 300.0},  # 1.5
@@ -178,15 +188,21 @@ class TestConfig:
             {"well_R": 1e7},
             {"well_R": R_REF, "num_points": math.nan},
             {"well_R": R_REF, "num_points": math.inf},
-            {"well_R": R_REF, "num_states": math.nan},
+            {"num_states": math.nan},
             {"well_R": 0.0},
             {"well_R": math.nan},
             {"well_R": math.inf},
         ],
     )
     def test_rejects_invalid(self, kwargs):
+        # Cases without a well_R go to the hard wall, which still checks the
+        # num_states it no longer uses.
+        make = GridOracleConfig if "well_R" in kwargs else GridOracleConfig.hard_wall
         with pytest.raises(DomainError):
-            GridOracleConfig(**{"num_points": 800, **kwargs})
+            make(**{"num_points": 800, **kwargs})
+
+    def test_hard_wall_ignores_num_states(self):
+        assert GridOracleConfig.hard_wall(num_states=50) == GridOracleConfig.hard_wall()
 
     @pytest.mark.parametrize(
         "well_R, h_beta0, needed",
@@ -211,23 +227,25 @@ class TestSpectrum:
     def test_ground_energy_matches_bound_state(self):
         # Stated check: request ~4000 points on the derived half-width-13 box.
         config = GridOracleConfig(well_R=R_REF, num_points=4000)
-        result = solve_spectrum(config)
+        _, _, diag, off = base_grid(config)
+        energies, _ = lowest_pairs(diag, off, 1)
         beta0 = ground_state_from_R(R_REF).beta0
-        assert result.energies[0] == pytest.approx(-beta0**2, rel=1e-3)
+        assert energies[0] == pytest.approx(-beta0**2, rel=1e-3)
 
     def test_hard_wall_quadratic_ladder(self):
         config = GridOracleConfig.hard_wall(num_points=1000)
-        result = solve_spectrum(config)
+        _, _, diag, off = base_grid(config)
+        energies, _ = lowest_pairs(diag, off, 7)
         base = math.pi**2 / 4.0
         for n in range(1, 8):
-            assert result.energies[n - 1] == pytest.approx(n * n * base, rel=1e-4)
+            assert energies[n - 1] == pytest.approx(n * n * base, rel=1e-4)
 
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         config = GridOracleConfig(well_R=well_R)
         (x, v, diag, off), start = grid_start(config)
         e0, psi0 = grid_oracle._even_ground(v, diag, off, start)
-        _, vec = grid_oracle._solve_band(diag, off, 0)
+        _, vec = lowest_pairs(diag, off, 1)
         assert psi0.size == diag.size
         assert e0 == pytest.approx(
             grid_oracle._rayleigh_quotient(off, v, vec[:, 0]), rel=1e-15, abs=0.0
@@ -266,14 +284,15 @@ class TestSpectrum:
         block_diag = diag[centre:]
         block_off = off[centre:].copy()
         block_off[0] *= math.sqrt(2.0)
-        _, vec = grid_oracle._solve_band(block_diag, block_off, 1)
+        _, vec = lowest_pairs(block_diag, block_off, 2)
         with pytest.raises(NumericalError, match="has a state more than"):
             grid_oracle._lowest_vector(block_diag, block_off, vec[:, 1])
 
     def test_parity_of_lowest_states(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = solve_spectrum(config)
-        ground, first = result.states[:, 0], result.states[:, 1]
+        _, _, diag, off = base_grid(config)
+        _, states = lowest_pairs(diag, off, 2)
+        ground, first = states[:, 0], states[:, 1]
         assert np.max(np.abs(ground - ground[::-1])) <= 1e-8
         assert np.max(np.abs(first + first[::-1])) <= 1e-8
 
@@ -403,11 +422,12 @@ class TestAlphaSum:
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
         size = result.diagnostics["grid_num_points_actual"]
-        spectrum = solve_spectrum(dataclasses.replace(config, num_states=size))
-        assert spectrum.energies.size == size
-        ground = spectrum.states[:, 0]
-        elements = spectrum.states[:, 1:].T @ (spectrum.x * ground)
-        gaps = spectrum.energies[1:] - spectrum.energies[0]
+        x, _, diag, off = base_grid(config)
+        energies, states = lowest_pairs(diag, off, x.size)
+        assert energies.size == size
+        ground = states[:, 0]
+        elements = states[:, 1:].T @ (x * ground)
+        gaps = energies[1:] - energies[0]
         return result, elements, 4.0 * elements**2 / gaps
 
     def test_solve_equals_sum_over_every_grid_state(self, every_state):
@@ -451,7 +471,7 @@ def field_energy(grid, size, sign=1.0):
     """Ground energy above the well bottom of the base grid at field sign * size, by bisection."""
     x, v, diag, off = grid
     tilt = sign * size * x
-    _, vec = grid_oracle._solve_band(diag - tilt, off, 0)
+    _, vec = lowest_pairs(diag - tilt, off, 1)
     return grid_oracle._rayleigh_quotient(off, v - tilt, vec[:, 0])
 
 
@@ -520,7 +540,7 @@ class TestCurvature:
         fields = grid_oracle._PROBE_FIELDS
         escaped = False
         for size in fields:
-            _, vec = grid_oracle._solve_band(diag - size * x, off, 0)
+            _, vec = lowest_pairs(diag - size * x, off, 1)
             escaped |= abs(x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
         reason = "has a state more than" if escaped else "eps'\\^4 term"
         with pytest.raises(NumericalError, match=reason):

@@ -48,17 +48,10 @@ WELL_SPECTRUM = {
     "GAMMA_MIN",
     "WellSpec",
     "GroundState",
-    "normalization_sq",
     "ground_state_from_R",
     "ground_state_from_gamma",
 }
-GRID_ORACLE = {
-    "GridOracleConfig",
-    "SpectrumResult",
-    "OracleResult",
-    "solve_spectrum",
-    "oracle_study",
-}
+GRID_ORACLE = {"GridOracleConfig", "OracleResult", "oracle_study"}
 CONVENTIONAL_SUM = {"infinite_well_term", "infinite_well_alpha", "calibrate_C"}
 LIMITS = {
     "extrapolate",
@@ -67,15 +60,12 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 20 settable values in all, 15 of
-# them the result types' independent inputs.
+# (name, default) of every parameter; 19 settable values in all, 15 of
+# them the result types' independent inputs.  hard_wall's num_states is
+# checked but unused (ROADMAP item 4 removes it).
 REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
-    "GridOracleConfig": [
-        ("well_R", REQUIRED),
-        ("num_points", 2000),
-        ("num_states", 200),
-    ],
+    "GridOracleConfig": [("well_R", REQUIRED), ("num_points", 2000)],
     "GridOracleConfig.hard_wall": [("num_points", 2000), ("num_states", 200)],
     "delta_limit": [],
     "infinite_well_limit": [],
@@ -155,7 +145,7 @@ def test_settable_values_are_pinned(name):
 
 
 def test_settable_value_count():
-    assert sum(map(len, SIGNATURES.values())) == 20
+    assert sum(map(len, SIGNATURES.values())) == 19
 
 
 def test_cli_options_are_pinned():

@@ -18,7 +18,6 @@ from wellpol.well_spectrum import (
     WellSpec,
     ground_state_from_R,
     ground_state_from_gamma,
-    normalization_sq,
 )
 
 PI = math.pi
@@ -151,10 +150,6 @@ class TestGroundStateFromGamma:
 
 
 class TestNormalization:
-    def test_hard_wall_edge_is_unity(self):
-        assert normalization_sq(0.5 * PI, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert normalization_sq(0.5 * PI, 123.4) == pytest.approx(1.0, rel=1e-12)
-
     def test_frozen_high_precision_value(self):
         state = ground_state_from_gamma(0.39 * PI)
         assert state.n_prime_sq == pytest.approx(NPRIME_SQ_039PI, rel=1e-14)
@@ -170,13 +165,11 @@ class TestNormalization:
 
     def test_rejects_zero_beta(self):
         with pytest.raises(DomainError):
-            normalization_sq(1.0, 0.0)
+            GroundState(1.0, 0.0, 1.0)
 
     def test_rejects_non_finite_beta(self):
         # An infinite beta0 passes both quantisation residuals (each is
         # compared with an infinite bound), so the finite check refuses it.
-        with pytest.raises(DomainError, match="finite and positive"):
-            normalization_sq(1.0, math.inf)
         with pytest.raises(DomainError, match="finite and positive"):
             GroundState(1.0, math.inf, math.inf)
         with pytest.raises(DomainError):
@@ -286,8 +279,10 @@ class TestInvariants:
     def test_solved_states_pass_relative_residuals(self):
         # Dense log grids over the whole domain: R in [1e-8, 1e9], and
         # gamma0 from 1e-8 up to GAMMA_MAX, with the last decades below
-        # pi/2 sampled by their distance to it.  Each state's derived
-        # fields are the defining expressions, bit for bit.
+        # pi/2 sampled by their distance to it.  Each state's N'^2 is its
+        # expression at 40 digits on the state's own gamma0 and beta0 to
+        # within 1e-15 relative (measured 3.2e-16), and its energy is -beta0^2
+        # bit for bit.
         top = math.log10(GAMMA_MAX)
         states = (
             [ground_state_from_R(10.0 ** (-8.0 + k / 100.0)) for k in range(1701)]
@@ -296,9 +291,12 @@ class TestInvariants:
             + [ground_state_from_gamma(GAMMA_MAX - 10.0 ** (-9.0 + k / 100.0))
                for k in range(901)]
         )
-        for state in states:
-            assert state.n_prime_sq == normalization_sq(state.gamma0, state.beta0)
-            assert state.energy_dimless == -state.beta0**2
+        with mp.workdps(40):
+            for state in states:
+                g, b = mp.mpf(state.gamma0), mp.mpf(state.beta0)
+                exact = 1 / (1 + mp.sin(g) * mp.cos(g) / g + mp.cos(g) ** 2 / b)
+                assert abs(state.n_prime_sq - exact) <= 1e-15 * exact
+                assert state.energy_dimless == -state.beta0**2
 
 
 class TestWellSpec:
