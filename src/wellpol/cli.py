@@ -129,22 +129,11 @@ def _rows(**columns: Sequence) -> list[dict]:
     return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {output}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_json(args, meta: dict, rows: list[dict], diagnostics: dict) -> None:
     """The one JSON document shape: meta (command first), rows, diagnostics."""
     payload = {"meta": {"command": args.command, **meta}, "rows": rows,
                "diagnostics": diagnostics}
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    args.stream.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_table(rows: list[dict], columns: Sequence[str], args) -> None:
@@ -152,7 +141,7 @@ def _emit_table(rows: list[dict], columns: Sequence[str], args) -> None:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_format_cell(col, row[col]) for col in columns))
-        _emit("\n".join(lines) + "\n", args.output)
+        args.stream.write("\n".join(lines) + "\n")
     else:
         _emit_json(args, {"columns": list(columns)},
                    [{col: row[col] for col in columns} for row in rows], {})
@@ -380,9 +369,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; exit 2 on bad input, 3 on a numerical failure.
+
+    ``--output`` is opened before the command computes anything, so an
+    unwritable path fails at once; a command that fails later leaves it
+    truncated.
+    """
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        if not args.output:
+            args.stream = sys.stdout
+            return args.run(args)
+        try:
+            with open(args.output, "w", encoding="utf-8") as args.stream:
+                return args.run(args)
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,10 +18,10 @@ the grid.  The polarizability then comes out two independent ways:
                           state per size serves both signs, and E_0' is the
                           even block's
 
-Every ground state comes from shifted inverse iteration, one O(n)
-tridiagonal solve per step, started at the grid's own state, and is
-certified as the lowest state by one positive-definite factorisation below
-it (Sylvester's law of inertia).  The even block starts at its exact
+Every ground state comes from inverse iteration started at the grid's own
+state, one O(n) positive-definite L D L^T solve per step, shifted below
+the state; the last step's factorisation certifies it as the lowest
+(Sylvester's law of inertia).  The even block starts at its exact
 eigenvector, the continuum ground state with gamma0 and beta0 replaced by
 the grid's own phases (``_grid_phases``), so one solve settles it.  A tilted
 grid starts at psi0 + eps' phi, with phi the discrete Dalgarno-Lewis
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dptsv
+from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .limits import extrapolate
@@ -276,45 +276,40 @@ def _lowest_vector(diag, off, start) -> np.ndarray:
     """Unit eigenvector of the lowest eigenvalue of the tridiagonal T = (diag, off).
 
     Shifted inverse iteration from ``start``: each step solves
-    (T - sigma) w = v by LU with partial pivoting, where sigma = rho - 2|r|
-    sits below the Rayleigh quotient rho of v and r = T v - rho v.  The
-    solve is indefinite on purpose: a state below sigma does not stop it.
-    Once |r| <= 4 eps |T| the iteration takes one more step.  The pair is
-    the lowest if T - (rho - delta) factors as L D L^T with D > 0, which by
-    Sylvester's law of inertia leaves no eigenvalue below rho - delta,
-    delta = max(4|r|, 1e3 eps |T|); NumericalError is raised otherwise.
+    (T - sigma) w = v by the L D L^T factorisation ``dptsv``, where
+    sigma = rho - delta sits below the Rayleigh quotient rho of v, with
+    r = T v - rho v and delta = max(2|r|, 1e3 eps |T|); the floor keeps
+    rounding from failing the factorisation at the ground state itself.
+    Once |r| <= 4 eps |T| the iteration takes one more step.  That step's
+    factorisation, with D > 0, is the certificate: by Sylvester's law of
+    inertia T has no eigenvalue below rho - delta.  A factorisation that
+    fails, at any step, raises NumericalError, as does a residual still
+    above the stop after ``_MAX_INVERSE_STEPS`` steps.
     """
     row = np.abs(diag)
     row[:-1] += np.abs(off)
     row[1:] += np.abs(off)
     scale = _EPS * float(np.max(row))
     vec = start / np.linalg.norm(start)
-    converged = False
     for _ in range(_MAX_INVERSE_STEPS):
         tv = _tridiag_matvec(diag, off, vec)
         rho = float(vec @ tv)
         res = float(np.linalg.norm(tv - rho * vec))
-        if converged:
-            break
-        converged = res <= 4.0 * scale
-        _, _, _, w, info = dgtsv(off, diag - (rho - 2.0 * res), off, vec)
+        delta = max(2.0 * res, 1e3 * scale)
+        w, info = dptsv(diag - (rho - delta), off, vec)[2:]
         if info != 0:
-            raise NumericalError(f"shifted tridiagonal solve is singular (n={diag.size})")
+            raise NumericalError(
+                f"inverse iteration at E' = {rho:.6e}: the grid (n={diag.size}) has a "
+                f"state more than {delta:.1e} below it"
+            )
         vec = w / np.linalg.norm(w)
-    else:
-        raise NumericalError(
-            f"inverse iteration left residual {res:.2e} after {_MAX_INVERSE_STEPS} "
-            f"steps (n={diag.size})"
-        )
-    delta = max(4.0 * res, 1e3 * scale)
-    if dpttrf(diag - (rho - delta), off)[2] != 0:
-        raise NumericalError(
-            f"inverse iteration from its start settled at "
-            f"E' = {rho:.6e}, but the grid (n={diag.size}) has a state more than "
-            f"{delta:.1e} below it"
-        )
-    # Deterministic sign convention: largest-magnitude component positive.
-    return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
+        if res <= 4.0 * scale:
+            # Deterministic sign convention: largest-magnitude component positive.
+            return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
+    raise NumericalError(
+        f"inverse iteration left residual {res:.2e} after {_MAX_INVERSE_STEPS} "
+        f"steps (n={diag.size})"
+    )
 
 
 def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.ndarray):
@@ -347,7 +342,7 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     solve.  phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
     problem; phi is returned on them.  That block holds only odd states,
     all above E_0', so H - E_0' is positive definite there and LAPACK's
-    L D L^T solve ``dptsv`` applies.
+    L D L^T solve ``dptsv`` applies, the one that inverse iteration uses.
     """
     right = slice(x.size // 2 + 1, None)
     b = x[right] * psi0[right]

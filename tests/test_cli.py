@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import wellpol
+from wellpol import cli
 from wellpol.cli import format_mixed, main, parse_angle
 from wellpol.well_spectrum import ground_state_from_R
 
@@ -362,9 +363,15 @@ class TestDeterminism:
         assert target.read_text() == stdout_version
 
     @pytest.mark.parametrize("command", ["table1", "calibrate"])
-    def test_unwritable_output_is_a_usage_error(self, command, capsys, tmp_path):
+    def test_unwritable_output_is_a_usage_error(self, command, capsys, monkeypatch, tmp_path):
         # A table and a report: exit 2 with one line on stderr, as for any bad
         # input, instead of a FileNotFoundError traceback; nothing on stdout.
+        # The path is opened before the command computes anything.
+        def refuse(args):
+            pytest.fail(f"{args.command} ran before its --output was opened")
+
+        for name in ("cmd_table", "cmd_calibrate"):
+            monkeypatch.setattr(cli, name, refuse)
         target = tmp_path / "missing" / "out"
         code = main([command, "--output", str(target)])
         captured = capsys.readouterr()

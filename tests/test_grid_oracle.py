@@ -120,6 +120,8 @@ class TestConfig:
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
         assert not hasattr(grid_oracle, "eigh_tridiagonal")
+        assert not hasattr(grid_oracle, "dgtsv")
+        assert not hasattr(grid_oracle, "dpttrf")
         assert len(ground_states) == 5
 
     @pytest.mark.parametrize(
@@ -128,21 +130,27 @@ class TestConfig:
     def test_each_ground_state_takes_few_solves(self, monkeypatch, well_R):
         # Started at the grid's own state, every even block takes exactly one
         # shifted solve (the one step after the stop); each tilted grid,
-        # started at psi0 + eps' phi, takes at most three.
-        solves, sizes = [], []
-        lowest, solve = grid_oracle._lowest_vector, grid_oracle.dgtsv
+        # started at psi0 + eps' phi, takes at most three.  Only the dptsv
+        # calls inside _lowest_vector count, not the Dalgarno-Lewis solve's.
+        solves, sizes, inside = [], [], []
+        lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
         def counting_lowest(diag, off, start):
             sizes.append(diag.size)
             solves.append(0)
-            return lowest(diag, off, start)
+            inside.append(True)
+            try:
+                return lowest(diag, off, start)
+            finally:
+                inside.pop()
 
         def counting_solve(*args):
-            solves[-1] += 1
+            if inside:
+                solves[-1] += 1
             return solve(*args)
 
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
-        monkeypatch.setattr(grid_oracle, "dgtsv", counting_solve)
+        monkeypatch.setattr(grid_oracle, "dptsv", counting_solve)
         if well_R is None:
             config = GridOracleConfig.hard_wall()
         else:
@@ -273,6 +281,42 @@ class TestSpectrum:
         assert np.array_equal(x[x.size // 2 :], ax[x.size // 2 :])
         assert np.array_equal(start, whole[x.size // 2 :])
         assert np.array_equal(np.concatenate((start[:0:-1], start)), whole)
+
+    @pytest.mark.parametrize("well_R", [None, R_REF])
+    def test_last_factorisation_certifies_even_ground(self, monkeypatch, well_R):
+        # The last L D L^T solve is the certificate: its shift lies below the
+        # even block's lowest eigenvalue, and below the returned state's
+        # Rayleigh quotient by at most 1e3 eps |T|_inf plus the residual of
+        # the vector that step was given.
+        blocks, solves = [], []
+        lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
+
+        def recording_lowest(diag, off, start):
+            blocks.append((diag, off, lowest(diag, off, start)))
+            return blocks[-1][2]
+
+        def recording_solve(d, e, b):
+            solves.append((d, b))
+            return solve(d, e, b)
+
+        config = GridOracleConfig(well_R=well_R)
+        (_, v, diag, off), start = grid_start(config)
+        monkeypatch.setattr(grid_oracle, "_lowest_vector", recording_lowest)
+        monkeypatch.setattr(grid_oracle, "dptsv", recording_solve)
+        grid_oracle._even_ground(v, diag, off, start)
+        ((block_diag, block_off, vec),) = blocks
+        shifted, last = solves[-1]
+        sigma = float(np.median(block_diag - shifted))
+        lowest_energy = lowest_pairs(block_diag, block_off, 1)[0][0]
+        row = np.abs(block_diag)
+        row[:-1] += np.abs(block_off)
+        row[1:] += np.abs(block_off)
+        floor = 1e3 * np.finfo(float).eps * float(np.max(row))
+        t_last = grid_oracle._tridiag_matvec(block_diag, block_off, last)
+        residual = float(np.linalg.norm(t_last - (last @ t_last) * last))
+        rho = float(vec @ grid_oracle._tridiag_matvec(block_diag, block_off, vec))
+        assert sigma < lowest_energy
+        assert 0.0 < rho - sigma <= floor + residual
 
     def test_excited_start_is_not_certified(self):
         # Started on the even block's first excited state, inverse iteration
@@ -605,22 +649,22 @@ class TestCurvature:
 # psi0 + eps' phi.
 STUDY_HEX = {
     None: (
-        "0x1.1fa4cf038157dp-4",
-        "0x1.1fa4c9a252aabp-4",
-        "0x1.1fa3f860c300ap-4",
-        "0x1.3bd39da29fe9cp+1",
+        "0x1.1fa4cf0381543p-4",
+        "0x1.1fa4cc2d5d555p-4",
+        "0x1.1fa3f860c3bf8p-4",
+        "0x1.3bd39da29fe9dp+1",
     ),
     R_REF: (
-        "0x1.af48a9b395742p-3",
-        "0x1.af48a9f5ac2abp-3",
-        "0x1.afae858ff2450p-3",
-        "-0x1.7290f64de8508p+3",
+        "0x1.af48a9b395722p-3",
+        "0x1.af48a8c47f2abp-3",
+        "0x1.afae858ff233dp-3",
+        "-0x1.7290f64de8509p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
-        "0x1.0d83dc0d1f958p+5",
-        "0x1.0d83dc1015b96p+5",
-        "0x1.0b830fa377a46p+5",
-        "-0x1.a98053924194cp-3",
+        "0x1.0d83dc0d1f956p+5",
+        "0x1.0d83dc112ebc3p+5",
+        "0x1.0b830fa377a20p+5",
+        "-0x1.a98053924194ap-3",
     ),
 }
 
