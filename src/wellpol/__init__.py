@@ -7,10 +7,10 @@ solvers, the ``breakdown`` of the closed forms, the dimensionful
 ``WellSpec`` adapter and the error classes; everything else is imported
 from its module (``wellpol.dalgarno_lewis``, ``wellpol.limits``, ...).
 The oracle lives in ``wellpol.grid_oracle``, so ``import wellpol`` loads
-neither numpy nor scipy.  Result types take only their independent inputs
-and derive the rest (N'^2, alpha', the extrapolated limits) on construction.
-They are read-only records over ``__slots__``, so ``import wellpol`` loads
-neither ``dataclasses`` nor ``inspect`` either.
+neither numpy nor scipy.  ``breakdown`` alone gives alpha1', alpha2',
+alpha2_t' and alpha_apr'.  Result types, the oracle's included, take only
+their independent inputs, derive the rest (N'^2, alpha', the limits) and
+are read-only records over ``__slots__``: no module imports ``dataclasses``.
 """
 
 from .dalgarno_lewis import breakdown

@@ -15,7 +15,9 @@ correction sin-wave added inside the well is fixed by matching the
 hard-wall limit, C' = -(pi/2)^2 / gamma0^2; the trial value alpha2_t'
 corresponds to C' = 0.  On shallow wells the alpha2' bracket's terms cancel
 from ~gamma0^-5 down to ~gamma0^-2, so below gamma0 = 0.06 it is summed
-from its Taylor series instead.
+from its Taylor series instead.  ``breakdown(state)`` alone gives these
+pieces: it returns alpha1', alpha2', alpha2_t' and the wider-well
+approximation alpha_apr' = 0.0702247 (1 + 1/R)^4 in one record.
 
 The module offers two closed forms for the total.  ``breakdown(state)
 .alpha_prime`` is the paper's printed heuristic: its C' is the hard-wall
@@ -57,22 +59,17 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .well_spectrum import GroundState, _Record
 
 __all__ = [
-    "HARD_WALL_ALPHA_COEFF",
     "PhiReduced",
     "PolarizabilityBreakdown",
     "default_c_prime",
     "phi_reduced",
     "phi_jump",
-    "alpha1_prime",
-    "alpha2_prime",
-    "alpha2_t_prime",
     "alpha_exact_prime",
     "alpha2_prime_hard_wall",
-    "alpha_apr_prime",
     "breakdown",
     "alpha_via_quadrature",
     "orthogonality",
@@ -82,7 +79,7 @@ _QUARTER_PI_SQ = (0.5 * math.pi) ** 2
 
 # Published hard-wall polarizability coefficient used by the wider-well
 # approximation alpha_apr' = coeff * (1 + 1/R)^4.
-HARD_WALL_ALPHA_COEFF = 0.0702247
+_HARD_WALL_ALPHA_COEFF = 0.0702247
 
 
 def default_c_prime(gamma0: float) -> float:
@@ -142,15 +139,6 @@ def phi_jump(phi: PhiReduced) -> float:
     )
 
 
-def alpha1_prime(state: GroundState) -> float:
-    """Forbidden-region polarizability contribution, in units of g."""
-    b = state.beta0
-    bracket = math.fsum(
-        [1.0 / b**2, 5.0 / (2.0 * b**3), 5.0 / (2.0 * b**4), 5.0 / (4.0 * b**5)]
-    )
-    return state.n_prime_sq * math.cos(state.gamma0) ** 2 * bracket
-
-
 # Below this gamma0 the in-well bracket is summed from its Taylor series:
 # the seven closed-form terms run from ~gamma0^-5 to ~gamma0^-2 and cancel,
 # losing ~1e-12 at gamma0 = 1e-2 and every digit below ~1e-8.  Against
@@ -187,22 +175,6 @@ def _alpha2_brackets(gamma0: float, c_prime: float) -> tuple[float, float]:
         math.fsum([*bare, c_prime * c2g / (2.0 * g**2), -c_prime * s2g / (4.0 * g**3)]),
         math.fsum(bare),
     )
-
-
-def alpha2_prime(state: GroundState, c_prime: float | None = None) -> float:
-    """In-well polarizability contribution, in units of g.
-
-    ``c_prime`` overrides the homogeneous-correction coefficient; the
-    default is C' = -(pi/2)^2 / gamma0^2.
-    """
-    if c_prime is None:
-        c_prime = default_c_prime(state.gamma0)
-    return state.n_prime_sq * _alpha2_brackets(state.gamma0, c_prime)[0]
-
-
-def alpha2_t_prime(state: GroundState) -> float:
-    """In-well contribution of the bare trial solution (C' = 0)."""
-    return alpha2_prime(state, c_prime=0.0)
 
 
 def alpha_exact_prime(state: GroundState) -> float:
@@ -253,13 +225,6 @@ def alpha2_prime_hard_wall(c_prime: float = -1.0) -> float:
     )
 
 
-def alpha_apr_prime(R: float) -> float:
-    """Wider-hard-wall approximation: 0.0702247 (1 + 1/R)^4."""
-    if not (math.isfinite(R) and R > 0.0):
-        raise DomainError(f"R must be finite and positive, got {R!r}")
-    return HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / R) ** 4
-
-
 class PolarizabilityBreakdown(_Record):
     """All reduced polarizabilities of one well, in units of g; alpha' and T are derived."""
 
@@ -281,16 +246,17 @@ class PolarizabilityBreakdown(_Record):
 
 
 def breakdown(state: GroundState) -> PolarizabilityBreakdown:
-    """Assemble every closed-form polarizability for one state.
+    """Every closed-form polarizability of one state, in units of g.
 
-    One evaluation of the in-well bracket serves both alpha2' (the default
-    C') and alpha2_t' (C' = 0), bit for bit the values of ``alpha2_prime``
-    and ``alpha2_t_prime``.
+    alpha1' is the forbidden-region piece and alpha_apr' the wider hard wall
+    0.0702247 (1 + 1/R)^4.  One evaluation of the in-well bracket serves
+    both alpha2' (the default C') and alpha2_t' (C' = 0).
     """
-    a1 = alpha1_prime(state)
-    bracket, bare = _alpha2_brackets(state.gamma0, default_c_prime(state.gamma0))
-    n_sq = state.n_prime_sq
-    return PolarizabilityBreakdown(a1, n_sq * bracket, n_sq * bare, alpha_apr_prime(state.R))
+    g, b, n_sq = state.gamma0, state.beta0, state.n_prime_sq
+    outer = math.fsum([1.0 / b**2, 5.0 / (2.0 * b**3), 5.0 / (2.0 * b**4), 5.0 / (4.0 * b**5)])
+    bracket, bare = _alpha2_brackets(g, default_c_prime(g))
+    return PolarizabilityBreakdown(n_sq * math.cos(g) ** 2 * outer, n_sq * bracket, n_sq * bare,
+                                   _HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / state.R) ** 4)
 
 
 # Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23, 221 (1969)) for the

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,7 +54,7 @@ from scipy.linalg.lapack import dptsv
 
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .limits import extrapolate
-from .well_spectrum import GroundState, _require_int, ground_state_from_R
+from .well_spectrum import GroundState, _Record, _require_int, ground_state_from_R
 
 __all__ = ["GridOracleConfig", "OracleResult", "oracle_study"]
 
@@ -83,8 +82,7 @@ _PHASE_STEPS = 40
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class GridOracleConfig:
+class GridOracleConfig(_Record):
     """Discretization and study parameters for one oracle run.
 
     ``well_R`` is the dimensionless well strength; None selects the
@@ -100,26 +98,27 @@ class GridOracleConfig:
     the smallest ``num_points`` that resolves its tail.
     """
 
-    well_R: Optional[float]
-    num_points: int = 2000
-    box_half_width: int = field(init=False)
-    field_values: tuple[float, ...] = field(init=False)
-    ground: Optional[GroundState] = field(init=False, repr=False, compare=False)
+    __slots__ = ("well_R", "num_points", "box_half_width", "field_values", "ground")
 
-    def __post_init__(self) -> None:
-        _require_int("num_points", self.num_points, 500)
-        if self.well_R is None:
-            object.__setattr__(self, "box_half_width", 1)
-            object.__setattr__(self, "field_values", _PROBE_FIELDS)
-            object.__setattr__(self, "ground", None)
+    def __init__(self, well_R: Optional[float], num_points: int = 2000) -> None:
+        _require_int("num_points", num_points, 500)
+        set_R, set_points, set_box, set_fields, set_ground = self._setters
+        set_R(self, well_R)
+        set_points(self, num_points)
+        if well_R is None:
+            set_box(self, 1)
+            set_fields(self, _PROBE_FIELDS)
+            set_ground(self, None)
             return
-        object.__setattr__(self, "ground", ground_state_from_R(self.well_R))
-        beta0 = self.ground.beta0
-        object.__setattr__(self, "box_half_width", math.ceil(1.0 + 40.0 / beta0))
+        ground = ground_state_from_R(well_R)
+        set_ground(self, ground)
+        beta0 = ground.beta0
+        set_box(self, math.ceil(1.0 + 40.0 / beta0))
         m, m_min = _multiplier(self), math.ceil(beta0 / _MAX_H_BETA0)
         if m < m_min:
+            # repr, so a value just over the bound never prints as the bound.
             raise DomainError(
-                f"h*beta0 = {beta0 / m:.3g} on the base grid exceeds {_MAX_H_BETA0:g}: the "
+                f"h*beta0 = {beta0 / m!r} on the base grid exceeds {_MAX_H_BETA0:g}: the "
                 f"grid is too coarse for the bound-state tail; num_points >= "
                 f"{2 * self.box_half_width * (m_min - 1)} meets the bound"
             )
@@ -127,7 +126,7 @@ class GridOracleConfig:
         # small against the binding beta0^2, or the tilted box's ground
         # state leaves the well.
         scale = min(1.0, beta0**3)
-        object.__setattr__(self, "field_values", tuple(scale * v for v in _PROBE_FIELDS))
+        set_fields(self, tuple(scale * v for v in _PROBE_FIELDS))
 
     @classmethod
     def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
@@ -140,27 +139,29 @@ class GridOracleConfig:
         return cls(well_R=None, num_points=num_points)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Record):
     """Oracle polarizabilities plus convergence metadata; ``route_gap`` is derived."""
 
-    alpha_sum: float
-    alpha_curvature: float
-    ground_energy_dimless: float
-    richardson_alpha: float
-    diagnostics: dict = field(default_factory=dict)
-    route_gap: float = field(init=False)
+    __slots__ = ("alpha_sum", "alpha_curvature", "ground_energy_dimless", "richardson_alpha",
+                 "diagnostics", "route_gap")
 
-    def __post_init__(self) -> None:
-        for name in ("alpha_sum", "alpha_curvature"):
-            if not getattr(self, name) > 0.0:
-                raise NumericalError(f"{name} must be positive, got {getattr(self, name)!r}")
-        gap = abs(self.alpha_sum - self.alpha_curvature) / self.alpha_sum
+    def __init__(self, alpha_sum: float, alpha_curvature: float, ground_energy_dimless: float,
+                 richardson_alpha: float, diagnostics: Optional[dict] = None) -> None:
+        for name, value in (("alpha_sum", alpha_sum), ("alpha_curvature", alpha_curvature)):
+            if not value > 0.0:
+                raise NumericalError(f"{name} must be positive, got {value!r}")
+        gap = abs(alpha_sum - alpha_curvature) / alpha_sum
         if gap > _ROUTE_AGREEMENT:
             raise NumericalError(
                 f"oracle routes disagree by {gap:.2e} at matched discretization"
             )
-        object.__setattr__(self, "route_gap", gap)
+        set_sum, set_curv, set_e0, set_rich, set_diag, set_gap = self._setters
+        set_sum(self, alpha_sum)
+        set_curv(self, alpha_curvature)
+        set_e0(self, ground_energy_dimless)
+        set_rich(self, richardson_alpha)
+        set_diag(self, {} if diagnostics is None else diagnostics)
+        set_gap(self, gap)
 
 
 def _multiplier(config: GridOracleConfig) -> int:

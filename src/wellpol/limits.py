@@ -13,9 +13,9 @@ alpha2' -> 0.0702247 and the bare trial value -> -0.1324176; the module
 evaluates at pi/2 - eps for a decreasing eps sequence and extrapolates
 eps -> 0.
 
-Both studies, and the grid oracle's refinement over grid doublings, reach
-their limits through the one helper ``extrapolate``, Romberg's table at the
-ratio each study knows.
+Both studies read their values off ``breakdown``.  They, and the grid
+oracle's refinement over grid doublings, reach their limits through the one
+helper ``extrapolate``, Romberg's table at the ratio each study knows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .dalgarno_lewis import alpha1_prime, alpha2_prime, alpha2_t_prime
+from .dalgarno_lewis import breakdown
 from .errors import DomainError
 from .well_spectrum import _Record, ground_state_from_R, ground_state_from_gamma
 
@@ -112,10 +112,11 @@ def delta_limit() -> DeltaLimitSequence:
     """
     a_vals = tuple(1.0 / 2.0**i for i in range(_DELTA_HALVINGS))
     states = [ground_state_from_R(math.sqrt(a)) for a in a_vals]
+    rows = [(breakdown(s), s.beta0**4) for s in states]
     return DeltaLimitSequence(
         a_values=a_vals,
-        alpha1_scaled=tuple(alpha1_prime(s) * s.beta0**4 for s in states),
-        alpha2_scaled=tuple(alpha2_prime(s) * s.beta0**4 for s in states),
+        alpha1_scaled=tuple(bd.alpha1_prime * scale for bd, scale in rows),
+        alpha2_scaled=tuple(bd.alpha2_prime * scale for bd, scale in rows),
     )
 
 
@@ -125,10 +126,10 @@ def infinite_well_limit() -> InfiniteWellLimitReport:
     eps runs over ``_HARD_WALL_EPSILONS``; its smallest value keeps tan
     gamma0 well conditioned.
     """
-    states = [ground_state_from_gamma(0.5 * math.pi - e) for e in _HARD_WALL_EPSILONS]
+    rows = [breakdown(ground_state_from_gamma(0.5 * math.pi - e)) for e in _HARD_WALL_EPSILONS]
     return InfiniteWellLimitReport(
         epsilons=_HARD_WALL_EPSILONS,
-        alpha1_values=tuple(map(alpha1_prime, states)),
-        alpha2_values=tuple(map(alpha2_prime, states)),
-        alpha2_t_values=tuple(map(alpha2_t_prime, states)),
+        alpha1_values=tuple(bd.alpha1_prime for bd in rows),
+        alpha2_values=tuple(bd.alpha2_prime for bd in rows),
+        alpha2_t_values=tuple(bd.alpha2_t_prime for bd in rows),
     )

@@ -14,11 +14,7 @@ from hypothesis import given, settings, strategies as st
 import symbolic
 from wellpol.dalgarno_lewis import (
     PhiReduced,
-    alpha1_prime,
-    alpha2_prime,
     alpha2_prime_hard_wall,
-    alpha2_t_prime,
-    alpha_apr_prime,
     alpha_exact_prime,
     alpha_via_quadrature,
     breakdown,
@@ -30,7 +26,12 @@ from wellpol.dalgarno_lewis import (
 from wellpol import dalgarno_lewis
 from wellpol.dalgarno_lewis import _phi_inner, _phi_outer
 from wellpol.errors import DomainError, NumericalError
-from wellpol.well_spectrum import GAMMA_MAX, GAMMA_MIN, ground_state_from_gamma
+from wellpol.well_spectrum import (
+    GAMMA_MAX,
+    GAMMA_MIN,
+    ground_state_from_R,
+    ground_state_from_gamma,
+)
 
 PI = math.pi
 
@@ -65,6 +66,57 @@ ALPHA_EXACT_QUAD = {
     0.39: 0.21078209657111063,
     0.47: 0.09011594491287633,
     0.499: 0.07078935661439263,
+}
+
+# gamma0 (rad) -> .hex() of breakdown's (alpha1', alpha2', alpha2_t', alpha_apr'),
+# frozen from the separate public functions it replaced: the domain's ends,
+# the series crossover and its neighbouring floats, and the Table-1 rows.
+_CROSS = dalgarno_lewis._ALPHA2_SERIES_BELOW
+BREAKDOWN_HEX = {
+    GAMMA_MIN: (
+        "0x1.7fec216198dd9p+797", "0x1.f4df76f50ba4fp-1",
+        "-0x1.5555555555555p-1", "0x1.bd90c5496a5eap+394",
+    ),
+    math.nextafter(_CROSS, 0.0): (
+        "0x1.b9775b0f2db5ep+32", "0x1.f27718443b331p-1",
+        "-0x1.5483fbe925555p-1", "0x1.a8a7d35968d52p+12",
+    ),
+    _CROSS: (
+        "0x1.b9775b0f2db55p+32", "0x1.f27718443b768p-1",
+        "-0x1.5483fbe925513p-1", "0x1.a8a7d35968d4dp+12",
+    ),
+    math.nextafter(_CROSS, 1.0): (
+        "0x1.b9775b0f2db4dp+32", "0x1.f27718443b942p-1",
+        "-0x1.5483fbe92533bp-1", "0x1.a8a7d35968d4dp+12",
+    ),
+    0.39 * PI: (
+        "0x1.f15b7d8bdca8fp-7", "0x1.629b918157a1ap-3",
+        "-0x1.0d40da1dcc020p-2", "0x1.7dd2fe43e859dp-3",
+    ),
+    0.41 * PI: (
+        "0x1.6921646383b98p-8", "0x1.2e0b3a3f907aap-3",
+        "-0x1.e621854e1a469p-3", "0x1.3b126de4db52dp-3",
+    ),
+    0.43 * PI: (
+        "0x1.b3ff1814f136ap-10", "0x1.005e82eed09a0p-3",
+        "-0x1.b33e393cb7e52p-3", "0x1.05bd55011e9bfp-3",
+    ),
+    0.45 * PI: (
+        "0x1.7c59fafb295dcp-12", "0x1.b240f3b719616p-4",
+        "-0x1.8204565306ef8p-3", "0x1.b5b084986267ep-4",
+    ),
+    0.47 * PI: (
+        "0x1.4efe80fe3913cp-15", "0x1.6fa204313ca7bp-4",
+        "-0x1.529b71f35e975p-3", "0x1.7048fe159ccfdp-4",
+    ),
+    0.49 * PI: (
+        "0x1.c739adfeff0adp-22", "0x1.37d31af8f0618p-4",
+        "-0x1.252669d42f3d8p-3", "0x1.37d882c202714p-4",
+    ),
+    GAMMA_MAX: (
+        "0x1.13d299a5b0afcp-121", "0x1.1fa3f86d2ef1ep-4",
+        "-0x1.0f30f9fd4ff91p-3", "0x1.1fa3ef6a3b3c8p-4",
+    ),
 }
 
 
@@ -266,19 +318,19 @@ class TestOdeResiduals:
 
 class TestAlpha1:
     def test_published_values(self):
-        assert alpha1_prime(state_039()) == pytest.approx(0.015178, abs=1e-6)
-        assert alpha1_prime(ground_state_from_gamma(0.45 * PI)) == pytest.approx(
+        assert breakdown(state_039()).alpha1_prime == pytest.approx(0.015178, abs=1e-6)
+        assert breakdown(ground_state_from_gamma(0.45 * PI)).alpha1_prime == pytest.approx(
             0.000363, abs=1e-6
         )
 
     def test_hard_wall_limit_vanishes(self):
-        assert alpha1_prime(ground_state_from_gamma(GAMMA_MAX)) <= 1e-12
+        assert breakdown(ground_state_from_gamma(GAMMA_MAX)).alpha1_prime <= 1e-12
 
 
 class TestAlpha2:
     def test_published_values(self):
-        assert alpha2_prime(state_039()) == pytest.approx(0.173148, abs=1e-6)
-        assert alpha2_prime(ground_state_from_gamma(0.49 * PI)) == pytest.approx(
+        assert breakdown(state_039()).alpha2_prime == pytest.approx(0.173148, abs=1e-6)
+        assert breakdown(ground_state_from_gamma(0.49 * PI)).alpha2_prime == pytest.approx(
             0.076129, abs=1e-6
         )
 
@@ -289,7 +341,7 @@ class TestAlpha2:
         )
 
     def test_trial_value_against_frozen_quadrature_oracle(self):
-        assert alpha2_t_prime(state_039()) == pytest.approx(
+        assert breakdown(state_039()).alpha2_t_prime == pytest.approx(
             ALPHA2T_QUAD_039PI, rel=1e-12
         )
 
@@ -298,21 +350,21 @@ class TestAlpha2:
         # The seven-term bracket cancels from ~gamma0^-5 down to ~gamma0^-2
         # (alpha2' read -0.53 and alpha2_t' -2.33 at 1e-8); below the
         # crossover its series is summed instead.  Worst measured: 3.3e-16.
-        state = ground_state_from_gamma(gamma)
+        bd = breakdown(ground_state_from_gamma(gamma))
         a2, a2t = ALPHA2_SMALL[gamma]
-        assert alpha2_prime(state) == pytest.approx(a2, rel=1e-15, abs=0.0)
-        assert alpha2_t_prime(state) == pytest.approx(a2t, rel=1e-15, abs=0.0)
-        assert breakdown(state).t_ratio == pytest.approx((a2 - a2t) / a2, rel=1e-14, abs=0.0)
+        assert bd.alpha2_prime == pytest.approx(a2, rel=1e-15, abs=0.0)
+        assert bd.alpha2_t_prime == pytest.approx(a2t, rel=1e-15, abs=0.0)
+        assert bd.t_ratio == pytest.approx((a2 - a2t) / a2, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.05, 0.07])
     def test_both_sides_of_series_crossover(self, gamma):
         # Series below _ALPHA2_SERIES_BELOW, closed form above it.  The worst
         # of the two forms on [0.02, 0.1] is 1.7e-13 relative to 80 digits.
         assert (gamma < dalgarno_lewis._ALPHA2_SERIES_BELOW) == (gamma == 0.05)
-        state = ground_state_from_gamma(gamma)
+        bd = breakdown(ground_state_from_gamma(gamma))
         a2, a2t = ALPHA2_SMALL[gamma]
-        assert alpha2_prime(state) == pytest.approx(a2, rel=2e-13, abs=0.0)
-        assert alpha2_t_prime(state) == pytest.approx(a2t, rel=2e-13, abs=0.0)
+        assert bd.alpha2_prime == pytest.approx(a2, rel=2e-13, abs=0.0)
+        assert bd.alpha2_t_prime == pytest.approx(a2t, rel=2e-13, abs=0.0)
 
     def test_trial_hard_wall_limit(self):
         assert alpha2_prime_hard_wall(0.0) == pytest.approx(-0.1324176, abs=1e-7)
@@ -402,21 +454,20 @@ class TestAlphaExact:
         )
 
 
+def alpha_apr(R):
+    return breakdown(ground_state_from_R(R)).alpha_apr_prime
+
+
 class TestAlphaApr:
     def test_published_values(self):
-        assert alpha_apr_prime(3.617018) == pytest.approx(0.186438, abs=1e-6)
+        assert alpha_apr(3.617018) == pytest.approx(0.186438, abs=1e-6)
         # The published table lists this row's R as 15.589884, which is
         # inconsistent with gamma0^2 + beta0^2 = R^2 (and with the same
         # row's alpha_apr'); the consistent strength is 15.689884.
-        assert alpha_apr_prime(15.689884) == pytest.approx(0.089913, abs=1e-6)
+        assert alpha_apr(15.689884) == pytest.approx(0.089913, abs=1e-6)
 
     def test_limit_at_large_strength(self):
-        assert alpha_apr_prime(1e12) == pytest.approx(0.0702247, abs=1e-10)
-
-    @pytest.mark.parametrize("bad", [0.0, -3.0, math.inf])
-    def test_rejects_bad_strength(self, bad):
-        with pytest.raises(DomainError):
-            alpha_apr_prime(bad)
+        assert alpha_apr(1e12) == pytest.approx(0.0702247, abs=1e-10)
 
 
 class TestTRatio:
@@ -432,7 +483,7 @@ class TestTRatio:
         g = state.gamma0
         p = (PI / 2) ** 2
         numer = -p * math.cos(2 * g) / (2 * g**4) + p * math.sin(2 * g) / (4 * g**5)
-        denom = alpha2_prime(state) / state.n_prime_sq
+        denom = breakdown(state).alpha2_prime / state.n_prime_sq
         assert breakdown(state).t_ratio == pytest.approx(numer / denom, rel=1e-12)
 
 
@@ -462,21 +513,13 @@ class TestBreakdown:
             a2, a2t = bd.alpha2_prime, bd.alpha2_t_prime
             assert bd.t_ratio == (a2 - a2t) / a2
 
-    def test_fields_equal_the_public_functions_bit_for_bit(self):
+    @pytest.mark.parametrize("gamma", sorted(BREAKDOWN_HEX))
+    def test_inputs_match_frozen_bits(self, gamma):
         # breakdown shares one bracket evaluation between C' and C' = 0; any
         # change in the order of its operations would show here.
-        cross = dalgarno_lewis._ALPHA2_SERIES_BELOW
-        gammas = [float(v) for v in np.geomspace(GAMMA_MIN, GAMMA_MAX, 400)] + [
-            math.nextafter(cross, 0.0), cross, math.nextafter(cross, 1.0),
-            *(g * PI for g in (0.39, 0.41, 0.43, 0.45, 0.47, 0.49)),
-        ]
-        for gamma in gammas:
-            state = ground_state_from_gamma(gamma)
-            bd = breakdown(state)
-            assert bd.alpha1_prime == alpha1_prime(state), gamma
-            assert bd.alpha2_prime == alpha2_prime(state), gamma
-            assert bd.alpha2_t_prime == alpha2_prime(state, 0.0), gamma
-            assert bd.alpha_apr_prime == alpha_apr_prime(state.R), gamma
+        bd = breakdown(ground_state_from_gamma(gamma))
+        got = (bd.alpha1_prime, bd.alpha2_prime, bd.alpha2_t_prime, bd.alpha_apr_prime)
+        assert tuple(v.hex() for v in got) == BREAKDOWN_HEX[gamma]
 
 
 class TestQuadratureRoute:
@@ -493,7 +536,9 @@ class TestQuadratureRoute:
 
     def test_inner_region_matches_alpha2(self):
         state = state_039()
-        assert quadrature_pieces(state)[1] == pytest.approx(alpha2_prime(state), rel=1e-9)
+        assert quadrature_pieces(state)[1] == pytest.approx(
+            breakdown(state).alpha2_prime, rel=1e-9
+        )
 
 
 class TestGaussLegendre:
@@ -545,8 +590,9 @@ class TestGaussLegendre:
         for gamma in self.GRID:
             state = ground_state_from_gamma(float(gamma))
             outer, inner = quadrature_pieces(state)
-            assert outer == pytest.approx(alpha1_prime(state), rel=1e-12)
-            assert inner == pytest.approx(alpha2_prime(state), rel=1e-12)
+            bd = breakdown(state)
+            assert outer == pytest.approx(bd.alpha1_prime, rel=1e-12)
+            assert inner == pytest.approx(bd.alpha2_prime, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", sorted(ALPHA2_QUAD))
     def test_inner_region_matches_frozen_quadrature_on_shallow_wells(self, gamma):
@@ -714,10 +760,9 @@ class TestQuadratureProperties:
             return
         state = ground_state_from_gamma(gamma)
         assert orthogonality(state) == 0.0
-        assert quadrature_pieces(state)[0] == pytest.approx(alpha1_prime(state), rel=1e-12)
-        assert alpha_via_quadrature(state) == pytest.approx(
-            breakdown(state).alpha_prime, rel=1e-12
-        )
+        bd = breakdown(state)
+        assert quadrature_pieces(state)[0] == pytest.approx(bd.alpha1_prime, rel=1e-12)
+        assert alpha_via_quadrature(state) == pytest.approx(bd.alpha_prime, rel=1e-12)
 
 
 class TestSpecProperties:
@@ -747,6 +792,6 @@ class TestSpecProperties:
             assert hi > lo  # smaller gamma -> smaller R -> larger alpha
 
     def test_near_hard_wall_values(self):
-        state = ground_state_from_gamma(0.5 * PI - 1e-7)
-        assert alpha1_prime(state) <= 1e-7
-        assert alpha2_prime(state) == pytest.approx(HARD_WALL_ALPHA_EXACT, abs=5e-8)
+        bd = breakdown(ground_state_from_gamma(0.5 * PI - 1e-7))
+        assert bd.alpha1_prime <= 1e-7
+        assert bd.alpha2_prime == pytest.approx(HARD_WALL_ALPHA_EXACT, abs=5e-8)

@@ -214,7 +214,13 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "well_R, h_beta0, needed",
-        [(1e3, "2", 9996), (1e4, "20", 99996), (1e9, "2e+06", 9999999996)],
+        [
+            (1e3, "1.996005526471852", 9996),
+            (1e4, "19.960079594120987", 99996),
+            (1e9, "1996007.9840319362", 9999999996),
+        ],
+        # The ids give h*beta0 to three digits.
+        ids=lambda v: f"{float(v):.3g}" if isinstance(v, str) else None,
     )
     def test_refuses_grid_too_coarse_for_tail(self, well_R, h_beta0, needed):
         # At the default 2000 points the box is 2 and h = 1/501; the message
@@ -229,6 +235,14 @@ class TestConfig:
         assert config.ground.beta0 / grid_oracle._multiplier(config) <= 0.4
         with pytest.raises(DomainError, match="h\\*beta0"):
             GridOracleConfig(well_R=well_R, num_points=needed - 1)
+
+    def test_refusal_never_prints_the_bound(self):
+        # One size below the deep well's bound, h*beta0 = 0.40016 once
+        # printed to three digits as "0.4 ... exceeds 0.4".
+        with pytest.raises(DomainError) as info:
+            GridOracleConfig(well_R=1e3, num_points=9992)
+        printed = str(info.value).split("h*beta0 = ")[1].split(" ")[0]
+        assert float(printed) > 0.4
 
 
 class TestSpectrum:

@@ -26,19 +26,16 @@ PACKAGE = {
     "DomainError",
     "NumericalError",
 }
+# 10 names; the pieces alpha1', alpha2', alpha2_t' and alpha_apr' come only
+# from ``breakdown``.
 DALGARNO_LEWIS = {
-    "HARD_WALL_ALPHA_COEFF",
     "PhiReduced",
     "PolarizabilityBreakdown",
     "default_c_prime",
     "phi_reduced",
     "phi_jump",
-    "alpha1_prime",
-    "alpha2_prime",
-    "alpha2_t_prime",
     "alpha_exact_prime",
     "alpha2_prime_hard_wall",
-    "alpha_apr_prime",
     "breakdown",
     "alpha_via_quadrature",
     "orthogonality",

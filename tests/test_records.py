@@ -1,21 +1,27 @@
 """The result types behave as read-only value records.
 
-One instance of each of the six types on the ``import wellpol`` path is
-built twice from the same inputs.  Every field is read-only, equal inputs
-give equal records with equal hashes, records of different types never
-compare equal, ``copy``, ``deepcopy`` and a pickle round trip at every
-protocol give back an equal record, and ``repr`` lists every field in
-declaration order, derived fields included, in the ``Type(name=value, ...)``
-format.
+One instance of each of the six types on the ``import wellpol`` path, and
+of the grid oracle's config and result, is built twice from the same
+inputs.  Every field is read-only, equal inputs give equal records with
+equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
+different types never compare equal, ``copy``, ``deepcopy`` and a pickle
+round trip at every protocol give back an equal record, and ``repr`` lists
+every field in declaration order, derived fields included, in the
+``Type(name=value, ...)`` format.  They are all ``_Record``s, so no module
+of the package imports ``dataclasses``.
 """
 
+import ast
 import copy
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
+import wellpol
 from wellpol.dalgarno_lewis import PhiReduced, PolarizabilityBreakdown
+from wellpol.grid_oracle import GridOracleConfig, OracleResult
 from wellpol.limits import DeltaLimitSequence, InfiniteWellLimitReport
 from wellpol.well_spectrum import GroundState, WellSpec
 
@@ -29,7 +35,7 @@ def _state():
     return GroundState(1.0, math.tan(1.0), math.hypot(1.0, math.tan(1.0)))
 
 
-# name -> (factory, repr frozen from the frozen-dataclass implementation)
+# name -> (factory, frozen repr)
 RECORDS = {
     "WellSpec": (
         lambda: WellSpec(0.5, 2.0, 1.0, -1.0),
@@ -58,6 +64,18 @@ RECORDS = {
         "alpha1_limit=0.2474747474747475, alpha2_limit=0.7474747474747475, "
         "alpha2_t_limit=0.12373737373737374)",
     ),
+    "GridOracleConfig": (
+        lambda: GridOracleConfig(well_R=2.0, num_points=500),
+        "GridOracleConfig(well_R=2.0, num_points=500, box_half_width=25, "
+        "field_values=(0.001, 0.0005), ground=GroundState(gamma0=1.0298665293222589, "
+        "beta0=1.714460536665025, R=2.0, n_prime_sq=0.6316026751935779, "
+        "energy_dimless=-2.9393749317817255))",
+    ),
+    "OracleResult": (
+        lambda: OracleResult(0.5, 0.5, -1.0, 0.5, {"grid_spacing": 0.25}),
+        "OracleResult(alpha_sum=0.5, alpha_curvature=0.5, ground_energy_dimless=-1.0, "
+        "richardson_alpha=0.5, diagnostics={'grid_spacing': 0.25}, route_gap=0.0)",
+    ),
 }
 # The first field of each type, which every instance has.
 FIRST_FIELD = {
@@ -67,7 +85,19 @@ FIRST_FIELD = {
     "PolarizabilityBreakdown": "alpha1_prime",
     "DeltaLimitSequence": "a_values",
     "InfiniteWellLimitReport": "epsilons",
+    "GridOracleConfig": "well_R",
+    "OracleResult": "alpha_sum",
 }
+# Records with a dict field, which has no hash.
+UNHASHABLE = {"OracleResult"}
+
+
+def assert_equal_hashes(name, first, second):
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(first)
+    else:
+        assert hash(first) == hash(second)
 
 
 @pytest.fixture(params=list(RECORDS))
@@ -94,7 +124,7 @@ def test_equal_inputs_give_equal_records_and_hashes(name):
     assert first is not second
     assert first == second
     assert not first != second
-    assert hash(first) == hash(second)
+    assert_equal_hashes(name, first, second)
 
 
 def test_records_of_different_types_are_unequal(name):
@@ -120,10 +150,28 @@ def test_copies_are_equal(name, duplicate):
     clone = duplicate(record)
     assert type(clone) is type(record)
     assert clone == record
-    assert hash(clone) == hash(record)
+    assert_equal_hashes(name, clone, record)
     assert repr(clone) == repr(record)
 
 
 def test_repr_is_frozen(name):
     factory, expected = RECORDS[name]
     assert repr(factory()) == expected
+
+
+def test_results_without_diagnostics_have_their_own_dict():
+    first, second = OracleResult(0.5, 0.5, -1.0, 0.5), OracleResult(0.5, 0.5, -1.0, 0.5)
+    assert first.diagnostics == {}
+    assert first.diagnostics is not second.diagnostics
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(Path(wellpol.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name

@@ -141,7 +141,7 @@ class TestOuterRule:
         assert sp.Poly(expr, symbolic.t).degree() == k + 2
 
     def test_alpha1_is_the_outer_integral(self):
-        # The closed form alpha1_prime sums, derived from the integral.
+        # The closed form breakdown sums for alpha1', derived from the integral.
         n, g, b = symbolic.N, symbolic.g, symbolic.b
         r = sp.Rational
         bracket = 1 / b**2 + r(5, 2) / b**3 + r(5, 2) / b**4 + r(5, 4) / b**5
