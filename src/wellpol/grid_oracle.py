@@ -176,11 +176,13 @@ def _grid(config: GridOracleConfig, m: int):
     """
     L = config.box_half_width
     n = 2 * L * m - 1
-    k = np.arange(1, n + 1) - L * m
-    x = k / float(m)
+    x = np.arange(1 - L * m, L * m, dtype=float) / m
     r_sq = (config.well_R or 0.0) ** 2
-    v = np.where(np.abs(k) < m, 0.0, r_sq)
-    v[np.abs(k) == m] = 0.5 * r_sq
+    centre = L * m - 1
+    v = np.full(n, r_sq)
+    v[centre - m + 1 : centre + m] = 0.0
+    if L > 1:  # the hard wall's box ends at the edges; it has no edge nodes
+        v[centre - m] = v[centre + m] = 0.5 * r_sq
     diag = 2.0 * m * m + (v - r_sq)
     off = np.full(n - 1, -float(m) * m)
     return x, v, diag, off
@@ -268,9 +270,12 @@ def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
         u, nu = 0.5 * math.pi, 0.0
     else:
         u, nu = _grid_phases(config.ground, m)
-    edge = int(np.searchsorted(half, 1.0, side="right"))
-    tail = math.cos(u) * np.exp(-nu * (half[edge:] - 1.0))
-    return np.concatenate((np.cos(u * half[:edge]), tail))
+    edge = min(m + 1, half.size)  # the nodes 0 ... m, of which the hard wall lacks m
+    start = np.empty(half.size)
+    np.cos(u * half[:edge], out=start[:edge])
+    np.exp(-nu * (half[edge:] - 1.0), out=start[edge:])
+    start[edge:] *= math.cos(u)
+    return start
 
 
 def _lowest_vector(diag, off, start) -> np.ndarray:
@@ -288,14 +293,17 @@ def _lowest_vector(diag, off, start) -> np.ndarray:
     above the stop after ``_MAX_INVERSE_STEPS`` steps.
     """
     row = np.abs(diag)
-    row[:-1] += np.abs(off)
-    row[1:] += np.abs(off)
-    scale = _EPS * float(np.max(row))
-    vec = start / np.linalg.norm(start)
+    abs_off = np.abs(off)
+    row[:-1] += abs_off
+    row[1:] += abs_off
+    scale = _EPS * float(row.max())
+    # sqrt(v @ v) is np.linalg.norm(v) of a 1-D double array bit for bit.
+    vec = start / math.sqrt(start @ start)
     for _ in range(_MAX_INVERSE_STEPS):
         tv = _tridiag_matvec(diag, off, vec)
         rho = float(vec @ tv)
-        res = float(np.linalg.norm(tv - rho * vec))
+        tv -= rho * vec
+        res = math.sqrt(tv @ tv)
         delta = max(2.0 * res, 1e3 * scale)
         w, info = dptsv(diag - (rho - delta), off, vec)[2:]
         if info != 0:
@@ -303,7 +311,8 @@ def _lowest_vector(diag, off, start) -> np.ndarray:
                 f"inverse iteration at E' = {rho:.6e}: the grid (n={diag.size}) has a "
                 f"state more than {delta:.1e} below it"
             )
-        vec = w / np.linalg.norm(w)
+        w /= math.sqrt(w @ w)
+        vec = w
         if res <= 4.0 * scale:
             # Deterministic sign convention: largest-magnitude component positive.
             return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
@@ -320,30 +329,34 @@ def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.nda
     centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
     the block is symmetric tridiagonal, half the size of the grid.
     ``start``, the grid's own ground state on those nodes (``_grid_ground``),
-    starts the block's inverse iteration, which one solve settles.  The
+    starts the block's inverse iteration, which one solve settles; it is
+    scaled in place, so the caller passes an array of its own.  The
     energy is the Rayleigh quotient of the rebuilt full vector: taken on the
     scaled block, the rounded sqrt(2) would move it by ~1e-13 relative.
     """
     centre = diag.size // 2
     block_off = off[centre:].copy()
     block_off[0] *= math.sqrt(2.0)
-    block_start = start.copy()
-    block_start[1:] *= math.sqrt(2.0)
-    vec = _lowest_vector(diag[centre:], block_off, block_start)
-    half = vec[1:] / math.sqrt(2.0)
-    psi = np.concatenate((half[::-1], vec[:1], half))
+    start[1:] *= math.sqrt(2.0)
+    vec = _lowest_vector(diag[centre:], block_off, start)
+    psi = np.empty(diag.size)
+    np.divide(vec[1:], math.sqrt(2.0), out=psi[centre + 1 :])
+    psi[centre] = vec[0]
+    psi[:centre] = psi[:centre:-1]
     return _rayleigh_quotient(off, v, psi), psi
 
 
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
-    """alpha' from the discrete Dalgarno-Lewis solve, the solve's residual, and phi.
+    """alpha' from the discrete Dalgarno-Lewis solve, its residual on demand, and phi.
 
     alpha' equals the transition sum over every state of the grid
-    Hamiltonian; the residual is the relative infinity-norm residual of the
-    solve.  phi is odd, so phi(0) = 0 and the nodes x' > 0 carry the whole
-    problem; phi is returned on them.  That block holds only odd states,
-    all above E_0', so H - E_0' is positive definite there and LAPACK's
-    L D L^T solve ``dptsv`` applies, the one that inverse iteration uses.
+    Hamiltonian.  The second value takes no argument and returns the
+    relative infinity-norm residual of the solve; ``oracle_study`` reports
+    the base grid's and asks no finer level for its own.  phi is odd, so
+    phi(0) = 0 and the nodes x' > 0 carry the whole problem; phi is
+    returned on them.  That block holds only odd states, all above E_0', so
+    H - E_0' is positive definite there and LAPACK's L D L^T solve
+    ``dptsv`` applies, the one that inverse iteration uses.
     """
     right = slice(x.size // 2 + 1, None)
     b = x[right] * psi0[right]
@@ -354,8 +367,11 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
             f"H - E0 is not positive definite on the odd half-grid (n={x.size}): "
             f"pivot {info} is not positive"
         )
-    residual = _tridiag_matvec(d, e, phi, b)
-    solve_residual = float(np.max(np.abs(residual)) / np.max(np.abs(b)))
+
+    def solve_residual() -> float:
+        residual = _tridiag_matvec(d, e, phi, b)
+        return float(np.max(np.abs(residual)) / np.max(np.abs(b)))
+
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
     return 8.0 * float(b @ phi), solve_residual, phi
 
@@ -401,8 +417,9 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     """Both oracle routes on the base grid, and the sum route over ``levels`` doublings.
 
     Each grid gives one even-block ground state and one Dalgarno-Lewis
-    solve.  On the base grid, ``alpha_sum`` is that solve and its ground
-    energy is the zero-field point of the Stark quotients, which give
+    solve.  On the base grid, ``alpha_sum`` is that solve, whose residual
+    is the one reported (``sum_solve_residual``), and its ground energy is
+    the zero-field point of the Stark quotients, which give
     ``alpha_curvature``.  ``richardson_alpha`` extrapolates the solves of
     all levels by Romberg's table, assuming the even-power error expansion
     of the three-point stencil; the observed order is reported, with a
@@ -430,7 +447,7 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
                 "grid_num_points_actual": x.size,
                 "grid_box_half_width": config.box_half_width,
                 "grid_spacing": 1.0 / m,
-                "sum_solve_residual": solve_residual,
+                "sum_solve_residual": solve_residual(),
                 **stark,
             }
         alphas.append(alpha)

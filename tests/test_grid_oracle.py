@@ -184,6 +184,36 @@ class TestConfig:
         assert len(set(grids)) == 3
         assert len(ground_states) == 5
 
+    def test_study_reports_every_residual_it_computes(self, monkeypatch):
+        # Outside inverse iteration, one Dalgarno-Lewis solve per level and
+        # one residual, the base grid's, the only one the study reports.
+        outside = {"_tridiag_matvec": 0, "dptsv": 0}
+        inside = []
+        lowest = grid_oracle._lowest_vector
+
+        def counting_lowest(*args):
+            inside.append(True)
+            try:
+                return lowest(*args)
+            finally:
+                inside.pop()
+
+        def counting(name):
+            original = getattr(grid_oracle, name)
+
+            def counted(*args):
+                if not inside:
+                    outside[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in outside:
+            monkeypatch.setattr(grid_oracle, name, counting(name))
+        monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
+        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        assert outside == {"_tridiag_matvec": 1, "dptsv": 3}
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -504,6 +534,32 @@ class TestAlphaSum:
         result, _, contributions = every_state
         assert float(np.sum(contributions[-10:])) < 1e-10 * result.alpha_sum
 
+    @pytest.mark.parametrize(
+        "well_R", [None, R_REF, 1.0, 49.008061, 1e3] + [s.R for s in WELL_RANGE]
+    )
+    def test_every_level_solve_is_backward_stable(self, well_R):
+        # The study reports only the base grid's residual, so each level's
+        # is checked here: |(T - E0) phi - b| <= 4 eps |T - E0| |phi| in the
+        # infinity norm, relative to |b| (worst measured: 0.23 of the bound,
+        # at gamma0 = 0.41 pi on the finest grid).
+        if well_R is None:
+            config = GridOracleConfig.hard_wall()
+        else:
+            config = deep_config(well_R) if well_R >= 1e3 else GridOracleConfig(well_R=well_R)
+        for level in range(3):  # levels=2
+            (x, v, diag, off), start = grid_start(config, level)
+            bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
+            e0 = bottom - (well_R or 0.0) ** 2
+            _, solve_residual, phi = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
+            right = slice(x.size // 2 + 1, None)
+            d, e = diag[right] - e0, off[right]
+            row = np.abs(d)
+            row[:-1] += np.abs(e)
+            row[1:] += np.abs(e)
+            b = x[right] * psi0[right]
+            scale = np.max(row) * np.max(np.abs(phi)) / np.max(np.abs(b))
+            assert solve_residual() <= 4.0 * grid_oracle._EPS * scale
+
     def test_shift_above_odd_states_raises(self, monkeypatch):
         # H - E0 must be positive definite on the odd half-grid; a shift
         # past the first odd state breaks the Cholesky solve.
@@ -683,15 +739,62 @@ STUDY_HEX = {
 }
 
 
+# well_R -> float.hex of the diagnostics of the same studies: the base
+# grid's solve residual, each level's alpha' and ground energy, the observed
+# order and the two Stark quotients with their eps'^4 share.
+DIAGNOSTIC_HEX = {
+    None: {
+        "sum_solve_residual": "0x1.236b2e0f73b65p-38",
+        "refine_alpha_per_level": (
+            "0x1.1fa4cf0381543p-4", "0x1.1fa42e097fdecp-4", "0x1.1fa405caf392fp-4",
+        ),
+        "refine_ground_energy_per_level": (
+            "0x1.3bd39da29fe9dp+1", "0x1.3bd3c0dd92babp+1", "0x1.3bd3c9ac4fecbp+1",
+        ),
+        "refine_observed_order": "0x1.ffff9280a2318p+0",
+        "curvature_stark_quotients": ("0x1.1fa4ceb868000p-4", "0x1.1fa4ccd020000p-4"),
+        "curvature_quartic_share": "0x1.b290b92fefc69p-24",
+    },
+    R_REF: {
+        "sum_solve_residual": "0x1.858caa850c912p-45",
+        "refine_alpha_per_level": (
+            "0x1.af48a9b395722p-3", "0x1.af950e133645fp-3", "0x1.afa827a868ec8p-3",
+        ),
+        "refine_ground_energy_per_level": (
+            "-0x1.7290f64de8509p+3", "-0x1.7299e7b255057p+3", "-0x1.729c25e0b2c58p+3",
+        ),
+        "refine_observed_order": "0x1.fff6892aa01c2p+0",
+        "curvature_stark_quotients": ("0x1.af48a98ff2800p-3", "0x1.af48a8f75c000p-3"),
+        "curvature_quartic_share": "0x1.6a4a5913a8245p-26",
+    },
+    ground_state_from_gamma(0.2 * math.pi).R: {
+        "sum_solve_residual": "0x1.bc4f9431ab846p-47",
+        "refine_alpha_per_level": (
+            "0x1.0d83dc0d1f956p+5", "0x1.0c0298b4b3856p+5", "0x1.0ba2e74733b94p+5",
+        ),
+        "refine_ground_energy_per_level": (
+            "-0x1.a98053924194ap-3", "-0x1.aa774a095c1fcp-3", "-0x1.aab5096894fa8p-3",
+        ),
+        "refine_observed_order": "0x1.01329fd32287bp+1",
+        "curvature_stark_quotients": ("0x1.0d840a764a107p+5", "0x1.0d83e7aa75914p+5"),
+        "curvature_quartic_share": "0x1.086911110936cp-19",
+    },
+}
+
+
+def pinned_study(well_R):
+    config = (
+        GridOracleConfig.hard_wall(num_points=600)
+        if well_R is None
+        else GridOracleConfig(well_R=well_R, num_points=600)
+    )
+    return oracle_study(config, levels=2)
+
+
 class TestPinnedStudy:
     @pytest.mark.parametrize("well_R", list(STUDY_HEX))
     def test_study_outputs_match_pinned_bits(self, well_R):
-        config = (
-            GridOracleConfig.hard_wall(num_points=600)
-            if well_R is None
-            else GridOracleConfig(well_R=well_R, num_points=600)
-        )
-        result = oracle_study(config, levels=2)
+        result = pinned_study(well_R)
         got = (
             result.alpha_sum,
             result.alpha_curvature,
@@ -699,6 +802,15 @@ class TestPinnedStudy:
             result.ground_energy_dimless,
         )
         assert tuple(v.hex() for v in got) == STUDY_HEX[well_R]
+
+    @pytest.mark.parametrize("well_R", list(DIAGNOSTIC_HEX))
+    def test_study_diagnostics_match_pinned_bits(self, well_R):
+        diagnostics = pinned_study(well_R).diagnostics
+        got = {}
+        for name in DIAGNOSTIC_HEX[well_R]:
+            value = diagnostics[name]
+            got[name] = tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
+        assert got == DIAGNOSTIC_HEX[well_R]
 
 
 class TestRefine:
