@@ -39,19 +39,22 @@ All phi evaluations here are in the reduced convention
 
     phi = (m q eps a^3 N / (2 hbar^2)) * phi'(x/a),
 
-so the applied field eps never appears numerically.  ``alpha_via_quadrature``
-integrates <psi0| x |phi> directly as an independent route to the same
-number, and ``orthogonality`` checks <psi0|phi> = 0.  Both use fixed
-Gauss rules written in ``math``, so this module, like every closed form
-here, needs neither numpy nor scipy.  Outside the well the integrands are
-e^{-2t} times a cubic in t = beta0 (|x'| - 1), which a two-point
-Gauss-Laguerre rule integrates exactly; inside, a Gauss-Legendre rule
-tabulated once per size gives the value and an error estimate.  Each
-piece is summed in one pass with phi' written out in place and its
-per-state constants hoisted.  The alpha' integrand is even, so the left
-outer side is its right mirror counted twice and the inner nodes x' < 0
-are their mirrors x' > 0 at doubled weight; the odd overlap integrand is
-evaluated on both sides, so its parity check sees each.
+so the applied field eps never appears numerically.  phi' is fixed by the
+state, its C' being ``default_c_prime(gamma0)``, so no record wraps it:
+``phi_jump`` and the quadratures take the ``GroundState``.
+``alpha_via_quadrature`` integrates <psi0| x |phi> directly as an
+independent route to the same number, and ``orthogonality`` checks
+<psi0|phi> = 0.  Both use fixed Gauss rules written in ``math``, so this
+module, like every closed form here, needs neither numpy nor scipy.
+Outside the well the integrands are e^{-2t} times a cubic in t = beta0
+(|x'| - 1), which a two-point Gauss-Laguerre rule integrates exactly;
+inside, a Gauss-Legendre rule tabulated once per size gives the value and
+an error estimate.  Each piece is summed in one pass with phi' written out
+in place and its per-state constants hoisted.  The alpha' integrand is
+even, so the left outer side is its right mirror counted twice and the
+inner nodes x' < 0 are their mirrors x' > 0 at doubled weight; the odd
+overlap integrand is evaluated on both sides, so its parity check sees
+each.
 """
 
 from __future__ import annotations
@@ -63,10 +66,8 @@ from .errors import NumericalError
 from .well_spectrum import GroundState, _Record
 
 __all__ = [
-    "PhiReduced",
     "PolarizabilityBreakdown",
     "default_c_prime",
-    "phi_reduced",
     "phi_jump",
     "alpha_exact_prime",
     "alpha2_prime_hard_wall",
@@ -87,20 +88,13 @@ def default_c_prime(gamma0: float) -> float:
     return -_QUARTER_PI_SQ / gamma0**2
 
 
-class PhiReduced(_Record):
-    """Piecewise reduced dipole-response function phi'(x'); its C' is ``default_c_prime``."""
+def phi_reduced(state: GroundState) -> GroundState:
+    """The state itself: phi' is fixed by it, so ``phi_jump`` takes the state.
 
-    __slots__ = ("state", "c_coefficient")
-
-    def __init__(self, state: GroundState) -> None:
-        set_state, set_c = self._setters
-        set_state(self, state)
-        set_c(self, default_c_prime(state.gamma0))
-
-
-def phi_reduced(state: GroundState) -> PhiReduced:
-    """Build the paper's phi' for a state."""
-    return PhiReduced(state)
+    Kept only for the benchmark's ``phi_jump(phi_reduced(state))``; it goes
+    with ROADMAP item 4.
+    """
+    return state
 
 
 def _phi_inner(gamma0: float, c_prime: float, x: float) -> float:
@@ -118,8 +112,8 @@ def _phi_outer(gamma0: float, beta0: float, x: float, env: float) -> float:
     return math.copysign(math.cos(gamma0) * env * (ax * ax / beta0 + ax / beta0**2), x)
 
 
-def phi_jump(phi: PhiReduced) -> float:
-    """Discontinuity phi'(1+) - phi'(1-) at the well edge.
+def phi_jump(state: GroundState) -> float:
+    """Discontinuity phi'(1+) - phi'(1-) at the well edge, C' = ``default_c_prime``.
 
     The piecewise phi' is built without imposing continuity at |x'| = 1;
     the jump is reported as a diagnostic only.
@@ -133,10 +127,8 @@ def phi_jump(phi: PhiReduced) -> float:
     (against 40 digits at the same floats).  At gamma0 = 0.289 pi the jump
     changes sign, so no relative bound holds near there.
     """
-    st = phi.state
-    return _phi_outer(st.gamma0, st.beta0, 1.0, 1.0) - _phi_inner(
-        st.gamma0, phi.c_coefficient, 1.0
-    )
+    g = state.gamma0
+    return _phi_outer(g, state.beta0, 1.0, 1.0) - _phi_inner(g, default_c_prime(g), 1.0)
 
 
 # Below this gamma0 the in-well bracket is summed from its Taylor series:

@@ -74,6 +74,14 @@ _QUARTIC_SHARE = 1e-4
 # is 1.91, at 2 (R = 1e3 at 2000 points) 1.31.
 _MAX_H_BETA0 = 0.4
 
+# Most nodes the finest level may hold; a study that needs more is refused
+# before any grid is built.  The box is ceil(1 + 40/beta0), so the count
+# grows as 1/beta0 on shallow wells: R = 1e-5 would need 3.2e12.  Near
+# the budget, R = 0.009 (3.95e6 nodes) peaks at 407 MB RSS; the largest
+# grid that the tests and the benchmark use, R = 1e4 on its coarsest
+# accepted grid, has ~4e5.
+_MAX_GRID_NODES = 2**22
+
 # Inverse-iteration steps allowed before a ground state counts as lost.
 _MAX_INVERSE_STEPS = 30
 # Cap on Newton steps for the grid's phases; on gamma0 in [1e-6, pi/2 - 1e-9]
@@ -130,10 +138,10 @@ class GridOracleConfig(_Record):
 
     @classmethod
     def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
-        """The hard-wall box of half-width 1.
+        """The hard-wall box of half-width 1, ``cls(well_R=None, num_points)``.
 
-        ``num_states`` is checked and unused; ROADMAP item 4 removes it with
-        the benchmark caller that still passes it.
+        Kept only for the benchmark's callers, which pass ``num_states``;
+        it is checked and unused, and ROADMAP item 4 removes both.
         """
         _require_int("num_states", num_states, 50)
         return cls(well_R=None, num_points=num_points)
@@ -427,13 +435,20 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     gamma0 = 0.49 pi is near that order from 1100 points (successive-
     difference ratios 3.98 and 3.99 against the asymptotic 4), and two
     doublings leave the extrapolated value within 2e-10 (relative) of
-    ``alpha_exact_prime`` on every Table-1 row.
+    ``alpha_exact_prime`` on every Table-1 row.  A finest level of more
+    than ``_MAX_GRID_NODES`` nodes raises DomainError before any grid.
     """
     if not isinstance(levels, int):
         raise DomainError(f"levels must be an integer, got {levels!r}")
     if levels < 2:
         raise DomainError(f"need at least 2 grid doublings, got {levels!r}")
     ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
+    nodes = 2 * config.box_half_width * ms[-1] - 1
+    if nodes > _MAX_GRID_NODES:
+        raise DomainError(
+            f"the finest grid would have {nodes} nodes on a box of half-width "
+            f"{config.box_half_width}, more than the budget of {_MAX_GRID_NODES}"
+        )
     alphas, e0s, sizes = [], [], []
     for m in ms:
         x, v, diag, off = _grid(config, m)

@@ -290,8 +290,8 @@ def test_criterion_9a_oracle_route_agreement(oracle_data):
 def test_criterion_9b_hard_wall_vs_conventional(oracle_data):
     reference = infinite_well_alpha(50)
     gap = abs(oracle_data["hard_richardson"] - reference) / reference
-    ok = gap <= 2e-3
-    report("9b [hard-wall oracle vs transition sum <= 0.2%]", ok,
+    ok = gap <= 1e-5
+    report("9b [hard-wall oracle vs transition sum <= 1e-5]", ok,
            f"extrapolated {oracle_data['hard_richardson']:.9f} vs "
            f"{reference:.9f}, gap {gap:.2e}")
     assert ok, gap

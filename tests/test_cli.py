@@ -257,6 +257,8 @@ class TestReports:
         payload = json.loads(out)
         assert all(c["passed"] for c in payload["diagnostics"]["checks"])
         assert set(payload["meta"]["inputs"]) == {"R", "hard_wall", "num_points"}
+        checks = {c["name"]: c for c in payload["diagnostics"]["checks"]}
+        assert checks["hard_wall_vs_conventional_rel"]["band"] == 1e-5
 
     def test_oracle_reports_honest_deviation_for_shallow_well(self, capsys):
         # The grid polarizability exceeds the paper's heuristic alpha' by
@@ -299,6 +301,15 @@ class TestReports:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: R must be finite and positive, got ")
+
+    def test_oracle_refuses_shallow_well_before_any_grid(self, capsys):
+        # Its box would need 3.2e12 nodes; a MemoryError would exit 1, the
+        # code of a failed check.
+        code = main(["oracle", "--R", "1e-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "would have 3200000000223 nodes" in captured.err
 
     @pytest.mark.parametrize("R", ["1e3", "1e4", "1e9"])
     def test_oracle_refuses_grid_too_coarse_for_tail(self, capsys, R):

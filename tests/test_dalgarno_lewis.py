@@ -4,6 +4,7 @@ The exact proof that phi' solves the response equations, and the tie-in of
 ``_phi_inner`` / ``_phi_outer`` to it, live in ``test_symbolic.py``.
 """
 
+import hashlib
 import math
 import warnings
 
@@ -13,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import symbolic
 from wellpol.dalgarno_lewis import (
-    PhiReduced,
     alpha2_prime_hard_wall,
     alpha_exact_prime,
     alpha_via_quadrature,
@@ -38,6 +38,9 @@ PI = math.pi
 # Frozen from tests/oracles.py.
 PHI_OUTER_X2_039PI = 0.015191082987919545
 ALPHA2T_QUAD_039PI = -0.26294270331254843
+# TestPhi.test_jump_matches_pinned_bits: taken before C' moved from a
+# record field to phi_jump itself, so the move is pinned bit for bit.
+PHI_JUMP_SHA256 = "a50d863291d83e7d8af57ec289fc85cee3e498cad43139f63a58bcef499b52bd"
 HARD_WALL_ALPHA_EXACT = 0.07022473357056967
 HARD_WALL_ALPHA2T_EXACT = -0.13241763371410586
 # gamma0 (rad) -> alpha2' of the paper's phi' by 40-digit quadrature.
@@ -199,15 +202,34 @@ class TestPhi:
 
     @pytest.mark.parametrize("gamma0", [GAMMA_MIN, 1e-8, 0.39 * PI, GAMMA_MAX])
     def test_c_coefficient_is_default_c_prime(self, gamma0):
+        # phi_jump takes the state alone: its phi' has the paper's C'.
         state = ground_state_from_gamma(gamma0)
-        assert PhiReduced(state).c_coefficient == default_c_prime(gamma0)
+        g = state.gamma0
+        inner = _phi_inner(g, default_c_prime(g), 1.0)
+        assert phi_jump(state) == _phi_outer(g, state.beta0, 1.0, 1.0) - inner
+
+    def test_phi_reduced_is_the_state(self):
+        # The benchmark's phi_jump(phi_reduced(state)) is phi_jump(state).
+        state = state_039()
+        assert phi_reduced(state) is state
 
     def test_jump_is_reported_not_hidden(self):
         # The piecewise phi' is discontinuous at the edge by construction.
-        phi = phi_reduced(state_039())
-        jump = phi_jump(phi)
+        jump = phi_jump(state_039())
         assert math.isfinite(jump)
         assert jump == pytest.approx(phi_039(1.0) - phi_039(1.0 - 1e-15), abs=1e-12)
+
+    def test_jump_matches_pinned_bits(self):
+        # sha256 of the float.hex of phi_jump at 1000 log-spaced gamma0 in
+        # [1e-30, 1] and 1000 evenly spaced up to GAMMA_MAX, 400 times the
+        # five states the golden files cover.
+        gammas = [10.0 ** (-30.0 + 30.0 * k / 999) for k in range(1000)]
+        gammas += [GAMMA_MAX * k / 1000 for k in range(1, 1001)]
+        digest = hashlib.sha256()
+        for gamma0 in gammas:
+            state = ground_state_from_gamma(gamma0)
+            digest.update(phi_jump(phi_reduced(state)).hex().encode())
+        assert digest.hexdigest() == PHI_JUMP_SHA256
 
 
 def _phi_longdouble(state, c_prime, x):
@@ -441,7 +463,7 @@ class TestAlphaExact:
         assert abs(float(outer(ld(1))) - value_in) <= 1e-12 * scale
         assert abs(slope(outer) - slope(inner)) <= 1e-8 * scale
         # Sensitivity: the paper's C' leaves a jump far above these bands.
-        assert abs(phi_jump(phi_reduced(state))) > 1e-4 * scale
+        assert abs(phi_jump(state)) > 1e-4 * scale
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
     def test_hard_wall_limit(self, eps):

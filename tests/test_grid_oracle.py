@@ -716,7 +716,10 @@ class TestCurvature:
 # quotients extrapolated to zero field and richardson_alpha Romberg's h^2
 # and h^4 steps; at 0.2 pi (beta0 < 1) the probe fields are scaled by beta0^3.
 # Each even block starts at the grid's own state, each tilted grid at
-# psi0 + eps' phi.
+# psi0 + eps' phi.  Bit pins hold only on grids below about 1e4 nodes:
+# above that a threaded BLAS sums the dot products in another order, and
+# CHANGES.md records a 12,871-node level whose last bits change with
+# OPENBLAS_NUM_THREADS.  At 600 points the finest level has under 1e4.
 STUDY_HEX = {
     None: (
         "0x1.1fa4cf0381543p-4",
@@ -861,6 +864,31 @@ class TestRefine:
         monkeypatch.setattr(grid_oracle, "_grid", no_grid)
         with pytest.raises(DomainError, match="grid doublings|must be an integer"):
             oracle_study(GridOracleConfig(well_R=0.529, num_points=600), levels=levels)
+
+    @pytest.mark.parametrize("well_R, nodes", [(1e-5, 3200000000223), (1e-3, 320000223)])
+    def test_shallow_wells_are_refused_before_any_grid(self, monkeypatch, well_R, nodes):
+        # The box is ceil(1 + 40/beta0), so its node count grows as 1/beta0.
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(grid_oracle, "_grid", no_grid)
+        with pytest.raises(DomainError, match=f"would have {nodes} nodes .* budget of 4194304"):
+            oracle_study(GridOracleConfig(well_R=well_R))
+
+    def test_node_budget_admits_its_bound(self, monkeypatch):
+        # The hard wall's finest level has 8 m - 1 nodes, m = ceil((num_points + 1) / 2).
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(grid_oracle, "_grid", built)
+        assert grid_oracle._MAX_GRID_NODES == 2**22
+        with pytest.raises(Built):
+            oracle_study(GridOracleConfig(well_R=None, num_points=2**20 - 1))
+        with pytest.raises(DomainError, match="would have 4194311 nodes"):
+            oracle_study(GridOracleConfig(well_R=None, num_points=2**20))
 
 
 @pytest.mark.filterwarnings("error")

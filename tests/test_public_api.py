@@ -26,13 +26,11 @@ PACKAGE = {
     "DomainError",
     "NumericalError",
 }
-# 10 names; the pieces alpha1', alpha2', alpha2_t' and alpha_apr' come only
-# from ``breakdown``.
+# 8 names; the pieces alpha1', alpha2', alpha2_t' and alpha_apr' come only
+# from ``breakdown``, and phi_jump takes the state, phi' being fixed by it.
 DALGARNO_LEWIS = {
-    "PhiReduced",
     "PolarizabilityBreakdown",
     "default_c_prime",
-    "phi_reduced",
     "phi_jump",
     "alpha_exact_prime",
     "alpha2_prime_hard_wall",
@@ -57,7 +55,7 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 19 settable values in all, 15 of
+# (name, default) of every parameter; 18 settable values in all, 14 of
 # them the result types' independent inputs.  hard_wall's num_states is
 # checked but unused (ROADMAP item 4 removes it).
 REQUIRED = inspect.Parameter.empty
@@ -84,7 +82,6 @@ SIGNATURES = {
         ("alpha2_values", REQUIRED),
         ("alpha2_t_values", REQUIRED),
     ],
-    "PhiReduced": [("state", REQUIRED)],
 }
 # Option strings of each subcommand, --help aside; 20 in all.
 CLI_OPTIONS = {
@@ -105,7 +102,6 @@ CALLABLES = {
     "PolarizabilityBreakdown": dalgarno_lewis.PolarizabilityBreakdown,
     "DeltaLimitSequence": limits.DeltaLimitSequence,
     "InfiniteWellLimitReport": limits.InfiniteWellLimitReport,
-    "PhiReduced": dalgarno_lewis.PhiReduced,
 }
 
 
@@ -142,7 +138,7 @@ def test_settable_values_are_pinned(name):
 
 
 def test_settable_value_count():
-    assert sum(map(len, SIGNATURES.values())) == 19
+    assert sum(map(len, SIGNATURES.values())) == 18
 
 
 def test_cli_options_are_pinned():

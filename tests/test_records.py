@@ -1,6 +1,6 @@
 """The result types behave as read-only value records.
 
-One instance of each of the six types on the ``import wellpol`` path, and
+One instance of each of the five types on the ``import wellpol`` path, and
 of the grid oracle's config and result, is built twice from the same
 inputs.  Every field is read-only, equal inputs give equal records with
 equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import wellpol
-from wellpol.dalgarno_lewis import PhiReduced, PolarizabilityBreakdown
+from wellpol.dalgarno_lewis import PolarizabilityBreakdown
 from wellpol.grid_oracle import GridOracleConfig, OracleResult
 from wellpol.limits import DeltaLimitSequence, InfiniteWellLimitReport
 from wellpol.well_spectrum import GroundState, WellSpec
@@ -42,10 +42,6 @@ RECORDS = {
         "WellSpec(half_width=0.5, depth=2.0, mass=1.0, charge=-1.0, hbar=1.0)",
     ),
     "GroundState": (_state, STATE_REPR),
-    "PhiReduced": (
-        lambda: PhiReduced(_state()),
-        f"PhiReduced(state={STATE_REPR}, c_coefficient=-2.4674011002723395)",
-    ),
     "PolarizabilityBreakdown": (
         lambda: PolarizabilityBreakdown(0.25, 0.5, 0.125, 1.0),
         "PolarizabilityBreakdown(alpha1_prime=0.25, alpha2_prime=0.5, alpha2_t_prime=0.125, "
@@ -81,7 +77,6 @@ RECORDS = {
 FIRST_FIELD = {
     "WellSpec": "half_width",
     "GroundState": "gamma0",
-    "PhiReduced": "state",
     "PolarizabilityBreakdown": "alpha1_prime",
     "DeltaLimitSequence": "a_values",
     "InfiniteWellLimitReport": "epsilons",
