@@ -3,9 +3,9 @@
 The dimensionless Hamiltonian -d^2/dx'^2 - R^2 * [|x'| < 1] (energies in
 hbar^2 / (2 m a^2)) is discretized with the three-point stencil on a hard-
 wall box [-L, L] as a symmetric tridiagonal matrix.  The grid is mirror-
-symmetric node for node, so the zero-field ground state is exactly even and
-its eigenpair comes from the even block (nodes x' >= 0), half the size of
-the grid.  The polarizability then comes out two independent ways:
+symmetric node for node, so each level is built on its nodes x' >= 0 only:
+they carry the exactly even zero-field ground state, as the even block.
+The polarizability then comes out two independent ways:
 
   * Dalgarno-Lewis solve  (H - E_0') phi = x' psi0 on the odd half-grid,
                           alpha' = 4 <x' psi0|phi>, which is the spectral
@@ -13,19 +13,21 @@ the grid.  The polarizability then comes out two independent ways:
                           grid state, without building one excited state
   * field curvature       Stark quotients -4 (E_0'(eps') - E_0') / eps'^2 =
                           alpha' + O(eps'^2) at two field sizes, taken to
-                          eps' -> 0; the matrix at -eps' is the exact mirror
-                          image of the one at +eps', so one full-grid ground
-                          state per size serves both signs, and E_0' is the
-                          even block's
+                          eps' -> 0 on the base grid mirrored into the whole
+                          box; the matrix at -eps' is the mirror image of
+                          the one at +eps', so one ground state per size
+                          serves both signs, and E_0' is the even block's
 
 Every ground state comes from inverse iteration started at the grid's own
-state, one O(n) positive-definite L D L^T solve per step, shifted below
-the state; the last step's factorisation certifies it as the lowest
-(Sylvester's law of inertia).  The even block starts at its exact
-eigenvector, the continuum ground state with gamma0 and beta0 replaced by
-the grid's own phases (``_grid_phases``), so one solve settles it.  A tilted
-grid starts at psi0 + eps' phi, with phi the discrete Dalgarno-Lewis
-solution, the first-order Stark state, so the start is off by O(eps'^2).
+state, one O(n) positive-definite L D L^T solve per step shifted below the
+state, its stop scaled by the bound |T|_2 <= 4 m^2 + |eps'| L that the
+grid's construction gives.  The vector that passes the stop is returned,
+certified as the lowest (Sylvester's law of inertia) by one more
+factorisation, with no right-hand side.  The even block starts at its exact
+eigenvector, the continuum ground state at the grid's own phases
+(``_grid_phases``), so it takes no solve; a tilted grid starts at
+psi0 + eps' phi, phi the discrete Dalgarno-Lewis solution and first-order
+Stark state, so its start is off by O(eps'^2).
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
@@ -77,9 +79,9 @@ _MAX_H_BETA0 = 0.4
 # Most nodes the finest level may hold; a study that needs more is refused
 # before any grid is built.  The box is ceil(1 + 40/beta0), so the count
 # grows as 1/beta0 on shallow wells: R = 1e-5 would need 3.2e12.  Near
-# the budget, R = 0.009 (3.95e6 nodes) peaks at 407 MB RSS; the largest
-# grid that the tests and the benchmark use, R = 1e4 on its coarsest
-# accepted grid, has ~4e5.
+# the budget, the three levels of R = 0.009 (3.95e6 nodes on the finest)
+# peak at 283 MB RSS; the largest grid that the tests and the benchmark
+# use, R = 1e4 on its coarsest accepted grid, has ~4e5.
 _MAX_GRID_NODES = 2**22
 
 # Inverse-iteration steps allowed before a ground state counts as lost.
@@ -178,21 +180,21 @@ def _multiplier(config: GridOracleConfig) -> int:
 
 
 def _grid(config: GridOracleConfig, m: int):
-    """Abscissae, well-bottom potential, diagonal and off-diagonal, m nodes per unit length.
+    """Abscissae, well-bottom potential, diagonal and off-diagonal on the nodes x' >= 0.
 
-    v = V' + R^2 is exact: 0 inside, R^2 outside, R^2/2 on the edge nodes.
+    These are x' = k/m, k = 0 ... L m - 1, of the 2 L m - 1 nodes of [-L, L].
+    v = V' + R^2 is exact: 0 inside, R^2 outside, R^2/2 on the edge node.
+    R^2 < 4 m^2 on every admitted grid (h beta0 <= 0.4), so |T|_2 <= 4 m^2.
     """
     L = config.box_half_width
-    n = 2 * L * m - 1
-    x = np.arange(1 - L * m, L * m, dtype=float) / m
+    x = np.arange(L * m, dtype=float) / m
     r_sq = (config.well_R or 0.0) ** 2
-    centre = L * m - 1
-    v = np.full(n, r_sq)
-    v[centre - m + 1 : centre + m] = 0.0
+    v = np.full(x.size, r_sq)
+    v[:m] = 0.0
     if L > 1:  # the hard wall's box ends at the edges; it has no edge nodes
-        v[centre - m] = v[centre + m] = 0.5 * r_sq
+        v[m] = 0.5 * r_sq
     diag = 2.0 * m * m + (v - r_sq)
-    off = np.full(n - 1, -float(m) * m)
+    off = np.full(x.size - 1, -float(m) * m)
     return x, v, diag, off
 
 
@@ -204,15 +206,22 @@ def _tridiag_matvec(diag, off, vec, minus=None):
     return out
 
 
-def _rayleigh_quotient(off: np.ndarray, onsite: np.ndarray, vec: np.ndarray) -> float:
+def _rayleigh_quotient(off, onsite, vec, even: bool = False) -> float:
     """Energy above the well bottom, w.Tw / w.w, of T = (2 m^2 + ``onsite``, off = -m^2).
 
     ``onsite`` is the exact potential above the well bottom, minus eps' x' on
     a tilted grid.  w.Tw = m^2 [sum (w_{k+1} - w_k)^2 + w_0^2 + w_{n-1}^2]
     + sum onsite_k w_k^2 exactly, the end terms being the hard walls, so no
     term of size 4 m^2 or R^2 cancels, as it would in w.(T w) or from E' = 0.
+    With ``even``, ``vec`` is an even state on the nodes x' >= 0 from the
+    centre, where ``onsite`` is 0: its mirror image weighs them (1, 2, 2, ...),
+    here halved to (1/2, 1, 1, ...) with the one wall at x' = L.
     """
     step = vec[1:] - vec[:-1]
+    if even:
+        centre = 0.5 * vec[0] ** 2
+        kinetic = step @ step + vec[-1] ** 2
+        return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec - centre))
     kinetic = step @ step + vec[0] ** 2 + vec[-1] ** 2
     return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec))
 
@@ -263,48 +272,41 @@ def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
 
 
 def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
-    """The grid's own even ground state at the nodes x' >= 0 of ``x``, not normalised.
+    """The grid's own even ground state at the nodes ``x`` (x' >= 0), not normalised.
 
     The continuum ground state with the grid's phases (u, nu) from
     ``_grid_phases`` in place of gamma0 and beta0: cos(u x') up to the edge,
-    cos(u) e^{-nu (x' - 1)} beyond it, each branch on its own nodes.  On the
-    nodes ``x[x.size // 2:]``, in ascending order, it is an eigenvector of the
-    grid's even block to rounding, save that the box wall cuts the tail at
-    ~e^-40 of its edge value.  The hard wall is the same formula with
+    cos(u) e^{-nu (x' - 1)} beyond it, each branch on its own nodes.  It is
+    positive, and the even block's eigenvector to rounding but for the tail
+    cut at ~e^-40 of its edge value.  The hard wall is the same formula with
     u = pi/2 and no node beyond the edge: cos(pi x'/2) vanishes at its wall.
     """
-    half = x[x.size // 2 :]
     if config.ground is None:
         u, nu = 0.5 * math.pi, 0.0
     else:
         u, nu = _grid_phases(config.ground, m)
-    edge = min(m + 1, half.size)  # the nodes 0 ... m, of which the hard wall lacks m
-    start = np.empty(half.size)
-    np.cos(u * half[:edge], out=start[:edge])
-    np.exp(-nu * (half[edge:] - 1.0), out=start[edge:])
+    edge = min(m + 1, x.size)  # the nodes 0 ... m, of which the hard wall lacks m
+    start = np.empty(x.size)
+    np.cos(u * x[:edge], out=start[:edge])
+    np.exp(-nu * (x[edge:] - 1.0), out=start[edge:])
     start[edge:] *= math.cos(u)
     return start
 
 
-def _lowest_vector(diag, off, start) -> np.ndarray:
+def _lowest_vector(diag, off, start, norm: float) -> np.ndarray:
     """Unit eigenvector of the lowest eigenvalue of the tridiagonal T = (diag, off).
 
-    Shifted inverse iteration from ``start``: each step solves
-    (T - sigma) w = v by the L D L^T factorisation ``dptsv``, where
-    sigma = rho - delta sits below the Rayleigh quotient rho of v, with
-    r = T v - rho v and delta = max(2|r|, 1e3 eps |T|); the floor keeps
-    rounding from failing the factorisation at the ground state itself.
-    Once |r| <= 4 eps |T| the iteration takes one more step.  That step's
-    factorisation, with D > 0, is the certificate: by Sylvester's law of
-    inertia T has no eigenvalue below rho - delta.  A factorisation that
-    fails, at any step, raises NumericalError, as does a residual still
-    above the stop after ``_MAX_INVERSE_STEPS`` steps.
+    Shifted inverse iteration from ``start``, ``norm`` a bound on |T|_2: for
+    the unit vector v with quotient rho and residual r = T v - rho v, the
+    shift is sigma = rho - delta, delta = max(2|r|, 1e3 eps ``norm``), whose
+    floor keeps rounding from failing the factorisation at the ground state.
+    While |r| > 4 eps ``norm``, each step solves (T - sigma) w = v by the
+    L D L^T factorisation ``dptsv``; then T - sigma is factorised with no
+    right-hand side and v is returned: D > 0 certifies, by Sylvester's law
+    of inertia, that T has no eigenvalue below sigma.  NumericalError: a
+    factorisation fails, or ``_MAX_INVERSE_STEPS`` steps leave r above the stop.
     """
-    row = np.abs(diag)
-    abs_off = np.abs(off)
-    row[:-1] += abs_off
-    row[1:] += abs_off
-    scale = _EPS * float(row.max())
+    scale = _EPS * norm
     # sqrt(v @ v) is np.linalg.norm(v) of a 1-D double array bit for bit.
     vec = start / math.sqrt(start @ start)
     for _ in range(_MAX_INVERSE_STEPS):
@@ -313,17 +315,16 @@ def _lowest_vector(diag, off, start) -> np.ndarray:
         tv -= rho * vec
         res = math.sqrt(tv @ tv)
         delta = max(2.0 * res, 1e3 * scale)
-        w, info = dptsv(diag - (rho - delta), off, vec)[2:]
+        done = res <= 4.0 * scale
+        w, info = dptsv(diag - (rho - delta), off, np.empty((vec.size, 0)) if done else vec)[2:]
         if info != 0:
             raise NumericalError(
                 f"inverse iteration at E' = {rho:.6e}: the grid (n={diag.size}) has a "
                 f"state more than {delta:.1e} below it"
             )
-        w /= math.sqrt(w @ w)
-        vec = w
-        if res <= 4.0 * scale:
-            # Deterministic sign convention: largest-magnitude component positive.
-            return -vec if vec[int(np.argmax(np.abs(vec)))] < 0.0 else vec
+        if done:
+            return vec
+        vec = w / math.sqrt(w @ w)
     raise NumericalError(
         f"inverse iteration left residual {res:.2e} after {_MAX_INVERSE_STEPS} "
         f"steps (n={diag.size})"
@@ -331,27 +332,22 @@ def _lowest_vector(diag, off, start) -> np.ndarray:
 
 
 def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.ndarray):
-    """Well-bottom ground energy and unit eigenvector of the grid from its even block.
+    """Well-bottom ground energy and unit eigenvector of the grid on its nodes x' >= 0.
 
-    The ground state is even, so the nodes x' >= 0 carry it.  On them the
-    centre row reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2)
-    the block is symmetric tridiagonal, half the size of the grid.
-    ``start``, the grid's own ground state on those nodes (``_grid_ground``),
-    starts the block's inverse iteration, which one solve settles; it is
-    scaled in place, so the caller passes an array of its own.  The
-    energy is the Rayleigh quotient of the rebuilt full vector: taken on the
-    scaled block, the rounded sqrt(2) would move it by ~1e-13 relative.
+    The ground state is even, so these nodes carry it.  Their centre row
+    reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2) the block is
+    symmetric tridiagonal, with the grid's even eigenvalues, so 4 m^2 bounds
+    it.  ``start`` (``_grid_ground``, scaled in place, so the caller passes
+    an array of its own) is its eigenvector to rounding: one residual and
+    one factorisation settle it.  The energy is the even quotient of the
+    unscaled vector: on the block, the rounded sqrt(2) would move it ~1e-13.
     """
-    centre = diag.size // 2
-    block_off = off[centre:].copy()
+    block_off = off.copy()
     block_off[0] *= math.sqrt(2.0)
     start[1:] *= math.sqrt(2.0)
-    vec = _lowest_vector(diag[centre:], block_off, start)
-    psi = np.empty(diag.size)
-    np.divide(vec[1:], math.sqrt(2.0), out=psi[centre + 1 :])
-    psi[centre] = vec[0]
-    psi[:centre] = psi[:centre:-1]
-    return _rayleigh_quotient(off, v, psi), psi
+    psi = _lowest_vector(diag, block_off, start, -4.0 * off[0])
+    psi[1:] /= math.sqrt(2.0)
+    return _rayleigh_quotient(off, v, psi, even=True), psi
 
 
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
@@ -366,13 +362,12 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     H - E_0' is positive definite there and LAPACK's L D L^T solve
     ``dptsv`` applies, the one that inverse iteration uses.
     """
-    right = slice(x.size // 2 + 1, None)
-    b = x[right] * psi0[right]
-    d, e = diag[right] - e0, off[right]
+    b = x[1:] * psi0[1:]
+    d, e = diag[1:] - e0, off[1:]
     phi, info = dptsv(d, e, b)[2:]
     if info != 0:
         raise NumericalError(
-            f"H - E0 is not positive definite on the odd half-grid (n={x.size}): "
+            f"H - E0 is not positive definite on the odd half-grid (n={d.size}): "
             f"pivot {info} is not positive"
         )
 
@@ -392,19 +387,24 @@ def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float)
     ``extrapolate`` at ratio (eps2/eps1)^2 takes them to zero field.  The
     matrix at -eps' is the mirror image of the one at +eps', so one ground
     state per size serves both signs.  The field breaks the parity, so each
-    is solved on the whole grid, started at psi0 + eps' phi: ``psi0`` is the
-    zero-field ground state and ``phi``, the Dalgarno-Lewis solution on the
-    nodes x' > 0 extended oddly, solves (H - E0) phi = x' psi0, so it is the
-    first-order Stark state and the start is off by O(eps'^2).
+    is solved on the whole grid, which only this route builds, mirroring the
+    base grid's nodes x' >= 0; there |T|_2 <= 4 m^2 + eps' max|x'|.  Each is
+    started at psi0 + eps' phi, with ``phi``, the Dalgarno-Lewis solution
+    on the nodes x' > 0 extended oddly, the first-order Stark state, so the
+    start is off by O(eps'^2).
     NumericalError: the state is not the lowest of the tilted box (the field
     pulled it out of the well), or the eps'^4 share |q1 - q2| / |q2| exceeds
     ``_QUARTIC_SHARE``.
     """
+    x = np.concatenate((-x[:0:-1], x))
+    v, diag, psi0 = (np.concatenate((a[:0:-1], a)) for a in (v, diag, psi0))
+    off = np.concatenate((off, off))
     stark = np.concatenate((-phi[::-1], [0.0], phi))
     quotients = []
     for size in fields:
         tilt = size * x
-        vec = _lowest_vector(diag - tilt, off, psi0 + size * stark)
+        norm = -4.0 * off[0] + size * x[-1]
+        vec = _lowest_vector(diag - tilt, off, psi0 + size * stark, norm)
         energy = _rayleigh_quotient(off, v - tilt, vec)
         quotients.append(-4.0 * (energy - e0) / size**2)
     share = abs(quotients[0] - quotients[1]) / abs(quotients[1])
@@ -452,6 +452,7 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     alphas, e0s, sizes = [], [], []
     for m in ms:
         x, v, diag, off = _grid(config, m)
+        sizes.append(2 * x.size - 1)
         bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
         e0 = bottom - (config.well_R or 0.0) ** 2
         alpha, solve_residual, phi = _dalgarno_lewis(x, diag, off, e0, psi0)
@@ -459,7 +460,7 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
             fields = config.field_values
             alpha_curvature, stark = _curvature(x, v, diag, off, psi0, phi, fields, bottom)
             diagnostics = {
-                "grid_num_points_actual": x.size,
+                "grid_num_points_actual": sizes[0],
                 "grid_box_half_width": config.box_half_width,
                 "grid_spacing": 1.0 / m,
                 "sum_solve_residual": solve_residual(),
@@ -467,7 +468,6 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
             }
         alphas.append(alpha)
         e0s.append(e0)
-        sizes.append(x.size)
     d_prev = alphas[-2] - alphas[-3]
     d_last = alphas[-1] - alphas[-2]
     observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan

@@ -21,16 +21,34 @@ R_REF = 3.617018  # gamma0 = 0.39 pi row
 
 
 def base_grid(config):
-    """Abscissae, well-bottom potential, diagonal and off-diagonal of the study's base grid."""
+    """Abscissae, potential, diagonal and off-diagonal of the base grid's nodes x' >= 0."""
     return grid_oracle._grid(config, grid_oracle._multiplier(config))
+
+
+def mirror(half, sign=1.0):
+    """The whole-box array of one given on the nodes x' >= 0: its mirror image, then itself."""
+    return np.concatenate((sign * half[:0:-1], half))
+
+
+def full_grid(config, level=0):
+    """Abscissae, well-bottom potential, diagonal and off-diagonal of the whole box [-L, L]."""
+    x, v, diag, off = grid_oracle._grid(config, grid_oracle._multiplier(config) * 2**level)
+    return mirror(x, -1.0), mirror(v), mirror(diag), np.concatenate((off, off))
+
+
+def even_block(diag, off):
+    """The symmetric even block of a half grid: psi(0) scaled by 1/sqrt(2)."""
+    block_off = off.copy()
+    block_off[0] *= math.sqrt(2.0)
+    return diag, block_off
 
 
 def lowest_pairs(diag, off, count):
     """The ``count`` lowest eigenvalues and unit eigenvectors of the tridiagonal (diag, off).
 
     The full-spectrum reference, by scipy's bisection and inverse iteration;
-    the package ships no spectrum solver.  Each column takes the oracle's
-    sign convention: its largest-magnitude component is positive.
+    the package ships no spectrum solver.  Each column is signed so that its
+    largest-magnitude component is positive, as the oracle's ground state is.
     """
     energies, states = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
     for j in range(count):
@@ -41,14 +59,14 @@ def lowest_pairs(diag, off, count):
 
 
 def grid_start(config, level=0):
-    """A grid of the study and the grid's own ground state on its nodes x' >= 0."""
+    """A grid of the study on its nodes x' >= 0 and the grid's own ground state there."""
     m = grid_oracle._multiplier(config) * 2**level
     x, v, diag, off = grid_oracle._grid(config, m)
     return (x, v, diag, off), grid_oracle._grid_ground(config, x, m)
 
 
 def bottom_ground(config):
-    """The base grid, its ground energy above the well bottom, psi0, and phi on x' > 0.
+    """The base grid and psi0 on x' >= 0, its energy above the well bottom, and phi on x' > 0.
 
     phi is the Dalgarno-Lewis solution that, extended oddly, starts each tilted grid
     at psi0 + eps' phi.
@@ -125,29 +143,32 @@ class TestConfig:
         assert len(ground_states) == 5
 
     @pytest.mark.parametrize(
-        "well_R", [None, R_REF, ground_state_from_gamma(0.2 * math.pi).R, 49.008061, 1e3]
+        "well_R",
+        [None, R_REF, ground_state_from_gamma(0.2 * math.pi).R, 49.008061, 1e3, 1e4]
+        + [s.R for s in WELL_RANGE],
     )
     def test_each_ground_state_takes_few_solves(self, monkeypatch, well_R):
-        # Started at the grid's own state, every even block takes exactly one
-        # shifted solve (the one step after the stop); each tilted grid,
-        # started at psi0 + eps' phi, takes at most three.  Only the dptsv
-        # calls inside _lowest_vector count, not the Dalgarno-Lewis solve's.
-        solves, sizes, inside = [], [], []
+        # Every inverse iteration ends in exactly one factorisation with no
+        # right-hand side.  Started at the grid's own state, an even block
+        # makes no solve before it; a tilted grid, started at psi0 + eps' phi,
+        # makes at most two.  Only the dptsv calls inside _lowest_vector
+        # count, not the Dalgarno-Lewis solve's.
+        calls, sizes, inside = [], [], []
         lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
-        def counting_lowest(diag, off, start):
+        def counting_lowest(diag, off, start, norm):
             sizes.append(diag.size)
-            solves.append(0)
+            calls.append([])
             inside.append(True)
             try:
-                return lowest(diag, off, start)
+                return lowest(diag, off, start, norm)
             finally:
                 inside.pop()
 
-        def counting_solve(*args):
+        def counting_solve(d, e, b):
             if inside:
-                solves[-1] += 1
-            return solve(*args)
+                calls[-1].append(b.shape[1] if b.ndim == 2 else 1)
+            return solve(d, e, b)
 
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", counting_solve)
@@ -159,8 +180,12 @@ class TestConfig:
         blocks = [n // 2 + 1 for n in result.diagnostics["refine_grid_sizes"]]
         tilted = result.diagnostics["grid_num_points_actual"]
         assert sizes == [blocks[0], tilted, tilted, blocks[1], blocks[2]]
-        assert [solves[0], solves[3], solves[4]] == [1, 1, 1]
-        assert max(solves[1:3]) <= 3
+        factorisations = [columns.count(0) for columns in calls]
+        solves = [len(columns) - columns.count(0) for columns in calls]
+        assert factorisations == [1] * 5
+        assert [columns[-1] for columns in calls] == [0] * 5
+        assert [solves[0], solves[3], solves[4]] == [0, 0, 0]
+        assert max(solves[1:3]) <= 2
 
     def test_study_builds_each_grid_once(self, monkeypatch):
         # levels + 1 grids, the base one shared by both routes; the five
@@ -279,14 +304,14 @@ class TestSpectrum:
     def test_ground_energy_matches_bound_state(self):
         # Stated check: request ~4000 points on the derived half-width-13 box.
         config = GridOracleConfig(well_R=R_REF, num_points=4000)
-        _, _, diag, off = base_grid(config)
+        _, _, diag, off = full_grid(config)
         energies, _ = lowest_pairs(diag, off, 1)
         beta0 = ground_state_from_R(R_REF).beta0
         assert energies[0] == pytest.approx(-beta0**2, rel=1e-3)
 
     def test_hard_wall_quadratic_ladder(self):
         config = GridOracleConfig.hard_wall(num_points=1000)
-        _, _, diag, off = base_grid(config)
+        _, _, diag, off = full_grid(config)
         energies, _ = lowest_pairs(diag, off, 7)
         base = math.pi**2 / 4.0
         for n in range(1, 8):
@@ -294,15 +319,17 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
+        # The half grid's pair, mirrored, is the whole box's ground pair.
         config = GridOracleConfig(well_R=well_R)
         (x, v, diag, off), start = grid_start(config)
         e0, psi0 = grid_oracle._even_ground(v, diag, off, start)
-        _, vec = lowest_pairs(diag, off, 1)
-        assert psi0.size == diag.size
+        _, full_v, full_diag, full_off = full_grid(config)
+        _, vec = lowest_pairs(full_diag, full_off, 1)
+        assert psi0.size == x.size == (full_diag.size + 1) // 2
         assert e0 == pytest.approx(
-            grid_oracle._rayleigh_quotient(off, v, vec[:, 0]), rel=1e-15, abs=0.0
+            grid_oracle._rayleigh_quotient(full_off, full_v, vec[:, 0]), rel=1e-15, abs=0.0
         )
-        assert np.max(np.abs(psi0 - vec[:, 0])) <= 1e-12
+        assert np.max(np.abs(mirror(psi0) - vec[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     @pytest.mark.parametrize("level", [0, 2])
@@ -314,53 +341,61 @@ class TestSpectrum:
         config = GridOracleConfig(well_R=well_R)
         m = grid_oracle._multiplier(config) * 2**level
         x = grid_oracle._grid(config, m)[0]
-        ax = np.abs(x)
+        ax = np.abs(mirror(x, -1.0))
         if well_R is None:
-            whole = np.cos(0.5 * math.pi * x)
+            whole = np.cos(0.5 * math.pi * ax)
         else:
             u, nu = grid_oracle._grid_phases(config.ground, m)
             tail = math.cos(u) * np.exp(-nu * np.maximum(ax - 1.0, 0.0))
             whole = np.where(ax <= 1.0, np.cos(u * ax), tail)
         start = grid_oracle._grid_ground(config, x, m)
-        assert np.array_equal(x[x.size // 2 :], ax[x.size // 2 :])
-        assert np.array_equal(start, whole[x.size // 2 :])
-        assert np.array_equal(np.concatenate((start[:0:-1], start)), whole)
+        assert np.array_equal(start, whole[x.size - 1 :])
+        assert np.array_equal(mirror(start), whole)
+        assert np.all(start > 0.0)
 
     @pytest.mark.parametrize("well_R", [None, R_REF])
     def test_last_factorisation_certifies_even_ground(self, monkeypatch, well_R):
-        # The last L D L^T solve is the certificate: its shift lies below the
-        # even block's lowest eigenvalue, and below the returned state's
-        # Rayleigh quotient by at most 1e3 eps |T|_inf plus the residual of
-        # the vector that step was given.
-        blocks, solves = [], []
+        # The last dptsv call factorises T - sigma with no right-hand side,
+        # and the vector it certifies is the one returned: sigma lies below
+        # T's lowest eigenvalue, the returned vector's own residual passes
+        # the stop 4 eps (4 m^2 + |eps'| L), and its quotient rho exceeds
+        # sigma by at most 1e3 eps (4 m^2 + |eps'| L) plus twice that
+        # residual.  Checked on the even block and on the tilted grid of the
+        # larger probe field.
+        records = []
         lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
-        def recording_lowest(diag, off, start):
-            blocks.append((diag, off, lowest(diag, off, start)))
-            return blocks[-1][2]
+        def recording_lowest(diag, off, start, norm):
+            records.append((diag, off, []))
+            vec = lowest(diag, off, start, norm)
+            records[-1] += (vec.copy(),)  # _even_ground rescales it in place
+            return vec
 
         def recording_solve(d, e, b):
-            solves.append((d, b))
+            records[-1][2].append((d, b))
             return solve(d, e, b)
 
         config = GridOracleConfig(well_R=well_R)
-        (_, v, diag, off), start = grid_start(config)
+        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
+        _, start = grid_start(config)
         monkeypatch.setattr(grid_oracle, "_lowest_vector", recording_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", recording_solve)
         grid_oracle._even_ground(v, diag, off, start)
-        ((block_diag, block_off, vec),) = blocks
-        shifted, last = solves[-1]
-        sigma = float(np.median(block_diag - shifted))
-        lowest_energy = lowest_pairs(block_diag, block_off, 1)[0][0]
-        row = np.abs(block_diag)
-        row[:-1] += np.abs(block_off)
-        row[1:] += np.abs(block_off)
-        floor = 1e3 * np.finfo(float).eps * float(np.max(row))
-        t_last = grid_oracle._tridiag_matvec(block_diag, block_off, last)
-        residual = float(np.linalg.norm(t_last - (last @ t_last) * last))
-        rho = float(vec @ grid_oracle._tridiag_matvec(block_diag, block_off, vec))
-        assert sigma < lowest_energy
-        assert 0.0 < rho - sigma <= floor + residual
+        grid_oracle._curvature(x, v, diag, off, psi0, phi, config.field_values, bottom)
+        m = grid_oracle._multiplier(config)
+        for field, (block_diag, block_off, solves, vec) in zip(
+            (0.0, config.field_values[0]), records
+        ):
+            shifted, last = solves[-1]
+            assert last.shape == (vec.size, 0)
+            sigma = float(np.median(block_diag - shifted))
+            assert sigma < lowest_pairs(block_diag, block_off, 1)[0][0]
+            bound = 4.0 * m * m + field * config.box_half_width
+            t_vec = grid_oracle._tridiag_matvec(block_diag, block_off, vec)
+            rho = float(vec @ t_vec)
+            residual = float(np.linalg.norm(t_vec - rho * vec))
+            assert residual <= 4.0 * grid_oracle._EPS * bound
+            assert 0.0 < rho - sigma <= 1e3 * grid_oracle._EPS * bound + 2.0 * residual
 
     def test_excited_start_is_not_certified(self):
         # Started on the even block's first excited state, inverse iteration
@@ -368,17 +403,14 @@ class TestSpectrum:
         # refused instead of returned as the ground state.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         _, _, diag, off = base_grid(config)
-        centre = diag.size // 2
-        block_diag = diag[centre:]
-        block_off = off[centre:].copy()
-        block_off[0] *= math.sqrt(2.0)
+        block_diag, block_off = even_block(diag, off)
         _, vec = lowest_pairs(block_diag, block_off, 2)
         with pytest.raises(NumericalError, match="has a state more than"):
-            grid_oracle._lowest_vector(block_diag, block_off, vec[:, 1])
+            grid_oracle._lowest_vector(block_diag, block_off, vec[:, 1], -4.0 * off[0])
 
     def test_parity_of_lowest_states(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
-        _, _, diag, off = base_grid(config)
+        _, _, diag, off = full_grid(config)
         _, states = lowest_pairs(diag, off, 2)
         ground, first = states[:, 0], states[:, 1]
         assert np.max(np.abs(ground - ground[::-1])) <= 1e-8
@@ -419,22 +451,57 @@ class TestGridStart:
     @pytest.mark.parametrize("state", WELL_RANGE, ids=lambda s: f"R={s.R:.6g}")
     def test_start_passes_the_inverse_iteration_stop(self, state):
         # On the even block of every level, the start s already has
-        # |T s - rho s| <= 4 eps |T|_inf |s|, the stop of _lowest_vector.
+        # |T s - rho s| <= 4 eps 4 m^2 |s|, the stop of _lowest_vector.
         config = GridOracleConfig(well_R=state.R)
         for level in range(3):
             (_, _, diag, off), start = grid_start(config, level)
-            centre = diag.size // 2
-            block_diag, block_off = diag[centre:], off[centre:].copy()
-            block_off[0] *= math.sqrt(2.0)
+            block_diag, block_off = even_block(diag, off)
             s = start.copy()
             s[1:] *= math.sqrt(2.0)
             ts = grid_oracle._tridiag_matvec(block_diag, block_off, s)
             rho = (s @ ts) / (s @ s)
-            row = np.abs(block_diag)
-            row[:-1] += np.abs(block_off)
-            row[1:] += np.abs(block_off)
-            bound = 4.0 * grid_oracle._EPS * np.max(row) * np.linalg.norm(s)
+            m = grid_oracle._multiplier(config) * 2**level
+            bound = 4.0 * grid_oracle._EPS * 4.0 * m * m * np.linalg.norm(s)
             assert np.linalg.norm(ts - rho * s) <= bound
+
+    @pytest.mark.parametrize(
+        "state",
+        [None] + WELL_RANGE + [ground_state_from_R(1e3), ground_state_from_R(1e4)],
+        ids=lambda s: "hard-wall" if s is None else f"R={s.R:.6g}",
+    )
+    def test_grid_norm_bound(self, state):
+        # The stop and the shift's floor take |T|_2 <= 4 m^2 + |eps'| L from
+        # the grid's construction: on every level R^2 < 4 m^2, and the bound
+        # holds for the largest |eigenvalue| of the whole grid, of the
+        # sqrt(2)-scaled even block and of both tilted grids.  psi0 is
+        # positive up to the well edge and nowhere negative (on the deep
+        # wells the tail e^-beta0 underflows to 0), so no sign convention is
+        # needed.  R = 1e3 and 1e4 are on their coarsest admitted grids
+        # (9996 and 99999 points).
+        if state is None:
+            config = GridOracleConfig.hard_wall()
+        elif state.R < 1e3:
+            config = GridOracleConfig(well_R=state.R)
+        else:
+            config = GridOracleConfig(well_R=state.R, num_points={1e3: 9996, 1e4: 99999}[state.R])
+        L = config.box_half_width
+        for level in range(3):  # levels=2
+            m = grid_oracle._multiplier(config) * 2**level
+            assert (config.well_R or 0.0) ** 2 < 4 * m * m
+            (_, v, diag, off), start = grid_start(config, level)
+            x, _, full_diag, full_off = full_grid(config, level)
+            matrices = [(full_diag, full_off, 4.0 * m * m), (*even_block(diag, off), 4.0 * m * m)]
+            for size in config.field_values:
+                matrices.append((full_diag - size * x, full_off, 4.0 * m * m + size * L))
+            for d, e, bound in matrices:
+                # Sturm counts by bisection: no eigenvalue beyond +-bound.
+                for outside in ((-math.inf, -bound), (bound, math.inf)):
+                    assert eigh_tridiagonal(
+                        d, e, eigvals_only=True, select="v", select_range=outside
+                    ).size == 0
+            _, psi0 = grid_oracle._even_ground(v, diag, off, start)
+            assert np.all(psi0[: m + 1] > 0.0)
+            assert np.all(psi0 >= 0.0)
 
 
 def exact_quotient(off, onsite, vec) -> Fraction:
@@ -459,19 +526,23 @@ class TestRayleighQuotient:
     def test_within_four_ulp_of_exact_quotient(self, well_R, case):
         # The edge-difference form from the well bottom cancels no term of
         # size 4 m^2 or R^2, so the ground energy is as good as the stored
-        # matrix and vector allow.
+        # matrix and vector allow.  The even block's energy, taken on the
+        # nodes x' >= 0, is checked against the exact quotient of the whole
+        # box's mirrored vector.
         config = GridOracleConfig(well_R=well_R)
-        (x, v, diag, off), start = grid_start(config, 2 if case == "finest" else 0)  # levels=2
+        level = 2 if case == "finest" else 0  # levels=2
+        (_, v, diag, off), start = grid_start(config, level)
+        x, full_v, full_diag, full_off = full_grid(config, level)
         if case == "tilted":
             tilt = 1e-3 * x
-            v = v - tilt
-            vec = grid_oracle._lowest_vector(
-                diag - tilt, off, np.concatenate((start[:0:-1], start))
-            )
+            full_v = full_v - tilt
+            norm = -4.0 * off[0] + 1e-3 * x[-1]
+            vec = grid_oracle._lowest_vector(full_diag - tilt, full_off, mirror(start), norm)
+            energy = grid_oracle._rayleigh_quotient(full_off, full_v, vec)
         else:
-            _, vec = grid_oracle._even_ground(v, diag, off, start)
-        energy = grid_oracle._rayleigh_quotient(off, v, vec)
-        exact = exact_quotient(off, v, vec)
+            energy, psi0 = grid_oracle._even_ground(v, diag, off, start)
+            vec = mirror(psi0)
+        exact = exact_quotient(full_off, full_v, vec)
         assert abs(Fraction(energy) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
     @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061])
@@ -479,8 +550,12 @@ class TestRayleighQuotient:
         # The form is an identity for the oracle's grids, not an
         # approximation near eigenvectors: check it on random vectors
         # against w.(T w) of the well-bottom matrix in long double.
+        # The even form of a vector on the nodes x' >= 0 is the whole form
+        # of its mirror image.
         rng = np.random.default_rng(7)
-        _, v, _, off = base_grid(GridOracleConfig(well_R=well_R))
+        config = GridOracleConfig(well_R=well_R)
+        _, half_v, _, half_off = base_grid(config)
+        _, v, _, off = full_grid(config)
         bottom = (v - 2.0 * off[0]).astype(np.longdouble)
         for _ in range(5):
             vec = rng.standard_normal(v.size)
@@ -490,11 +565,20 @@ class TestRayleighQuotient:
             assert grid_oracle._rayleigh_quotient(off, v, vec) == pytest.approx(
                 reference, rel=1e-13, abs=0.0
             )
+            half = vec[half_v.size - 1 :]
+            w = mirror(half).astype(np.longdouble)
+            tw = grid_oracle._tridiag_matvec(bottom, off.astype(np.longdouble), w)
+            reference = float((w @ tw) / (w @ w))
+            even = grid_oracle._rayleigh_quotient(half_off, half_v, half, even=True)
+            assert even == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_diagonal_is_potential_below_the_bottom(self):
-        # diag = 2 m^2 + (v - R^2) is bit for bit the stencil plus V'.
-        m = grid_oracle._multiplier(GridOracleConfig(well_R=R_REF))
-        x, v, diag, off = base_grid(GridOracleConfig(well_R=R_REF))
+        # diag = 2 m^2 + (v - R^2) is bit for bit the stencil plus V', and the
+        # half grid mirrors into the whole box's nodes k/m, |k| < L m.
+        config = GridOracleConfig(well_R=R_REF)
+        m, L = grid_oracle._multiplier(config), config.box_half_width
+        x, v, diag, off = full_grid(config)
+        assert np.array_equal(x, np.arange(1 - L * m, L * m, dtype=float) / m)
         r_sq = R_REF**2
         inside = np.where(np.abs(x) < 1.0, -r_sq, 0.0)
         inside[np.abs(np.abs(x) - 1.0) < 0.5 / m] = -0.5 * r_sq
@@ -510,7 +594,7 @@ class TestAlphaSum:
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
         size = result.diagnostics["grid_num_points_actual"]
-        x, _, diag, off = base_grid(config)
+        x, _, diag, off = full_grid(config)
         energies, states = lowest_pairs(diag, off, x.size)
         assert energies.size == size
         ground = states[:, 0]
@@ -551,19 +635,20 @@ class TestAlphaSum:
             bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
             e0 = bottom - (well_R or 0.0) ** 2
             _, solve_residual, phi = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
-            right = slice(x.size // 2 + 1, None)
-            d, e = diag[right] - e0, off[right]
+            d, e = diag[1:] - e0, off[1:]  # the nodes x' > 0
             row = np.abs(d)
             row[:-1] += np.abs(e)
             row[1:] += np.abs(e)
-            b = x[right] * psi0[right]
+            b = x[1:] * psi0[1:]
             scale = np.max(row) * np.max(np.abs(phi)) / np.max(np.abs(b))
             assert solve_residual() <= 4.0 * grid_oracle._EPS * scale
 
     def test_shift_above_odd_states_raises(self, monkeypatch):
         # H - E0 must be positive definite on the odd half-grid; a shift
         # past the first odd state breaks the Cholesky solve.
-        monkeypatch.setattr(grid_oracle, "_rayleigh_quotient", lambda *args: 1e3 + R_REF**2)
+        monkeypatch.setattr(
+            grid_oracle, "_rayleigh_quotient", lambda *args, **kwargs: 1e3 + R_REF**2
+        )
         with pytest.raises(NumericalError, match="not positive definite"):
             oracle_study(GridOracleConfig(well_R=R_REF, num_points=900))
 
@@ -581,9 +666,9 @@ class TestAlphaSum:
         assert abs(result.alpha_sum - 0.106382) / 0.106382 < 0.05
 
 
-def field_energy(grid, size, sign=1.0):
-    """Ground energy above the well bottom of the base grid at field sign * size, by bisection."""
-    x, v, diag, off = grid
+def field_energy(config, size, sign=1.0):
+    """Ground energy above the well bottom of the whole base grid at field sign * size, by bisection."""
+    x, v, diag, off = full_grid(config)
     tilt = sign * size * x
     _, vec = lowest_pairs(diag - tilt, off, 1)
     return grid_oracle._rayleigh_quotient(off, v - tilt, vec[:, 0])
@@ -609,11 +694,14 @@ class TestCurvature:
         # psi0 + eps' phi, they come out bit for bit.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
+        _, bottom, psi0, phi = bottom_ground(config)
+        x, v, diag, off = full_grid(config)
         stark = np.concatenate((-phi[::-1], [0.0], phi))
         quotients = []
         for eps in config.field_values:
-            vec = grid_oracle._lowest_vector(diag - eps * x, off, psi0 + eps * stark)
+            start = mirror(psi0) + eps * stark
+            norm = -4.0 * off[0] + eps * x[-1]
+            vec = grid_oracle._lowest_vector(diag - eps * x, off, start, norm)
             energy = grid_oracle._rayleigh_quotient(off, v - eps * x, vec)
             quotients.append(-4.0 * (energy - bottom) / eps**2)
         assert result.diagnostics["curvature_stark_quotients"] == tuple(quotients)
@@ -623,10 +711,10 @@ class TestCurvature:
         # -eps' checks that symmetry instead of assuming it.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         result = oracle_study(config)
-        grid, bottom, _, _ = bottom_ground(config)
+        _, bottom, _, _ = bottom_ground(config)
         eps = config.field_values[0]
         mirrored = energies_from_quotients(result, bottom)[0]
-        direct = field_energy(grid, eps, sign=-1.0)
+        direct = field_energy(config, eps, sign=-1.0)
         assert direct == pytest.approx(mirrored, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
@@ -635,10 +723,10 @@ class TestCurvature:
     def test_field_energies_match_bisection_reference(self, well_R):
         config = GridOracleConfig(well_R=well_R)
         result = oracle_study(config)
-        grid, bottom, _, _ = bottom_ground(config)
+        _, bottom, _, _ = bottom_ground(config)
         energies = energies_from_quotients(result, bottom)
         for eps, energy in zip(config.field_values, energies):
-            reference = field_energy(grid, eps)
+            reference = field_energy(config, eps)
             assert energy == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("step", range(17))
@@ -653,9 +741,10 @@ class TestCurvature:
         (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
         fields = grid_oracle._PROBE_FIELDS
         escaped = False
+        full_x, _, full_diag, full_off = full_grid(config)
         for size in fields:
-            _, vec = lowest_pairs(diag - size * x, off, 1)
-            escaped |= abs(x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
+            _, vec = lowest_pairs(full_diag - size * full_x, full_off, 1)
+            escaped |= abs(full_x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
         reason = "has a state more than" if escaped else "eps'\\^4 term"
         with pytest.raises(NumericalError, match=reason):
             grid_oracle._curvature(x, v, diag, off, psi0, phi, fields, bottom)
@@ -715,29 +804,30 @@ class TestCurvature:
 # every energy a quotient from the well bottom, alpha_curvature the Stark
 # quotients extrapolated to zero field and richardson_alpha Romberg's h^2
 # and h^4 steps; at 0.2 pi (beta0 < 1) the probe fields are scaled by beta0^3.
-# Each even block starts at the grid's own state, each tilted grid at
-# psi0 + eps' phi.  Bit pins hold only on grids below about 1e4 nodes:
+# Each level is built on its nodes x' >= 0; each even block starts at the
+# grid's own state, each tilted grid at psi0 + eps' phi, and each ground
+# state is the vector whose residual passed the stop.  Bit pins hold only on grids below about 1e4 nodes:
 # above that a threaded BLAS sums the dot products in another order, and
 # CHANGES.md records a 12,871-node level whose last bits change with
 # OPENBLAS_NUM_THREADS.  At 600 points the finest level has under 1e4.
 STUDY_HEX = {
     None: (
-        "0x1.1fa4cf0381543p-4",
-        "0x1.1fa4cc2d5d555p-4",
-        "0x1.1fa3f860c3bf8p-4",
-        "0x1.3bd39da29fe9dp+1",
+        "0x1.1fa4cf0381476p-4",
+        "0x1.1fa4ce8fb7555p-4",
+        "0x1.1fa3f860c47ebp-4",
+        "0x1.3bd39da29fe9ep+1",
     ),
     R_REF: (
-        "0x1.af48a9b395722p-3",
-        "0x1.af48a8c47f2abp-3",
-        "0x1.afae858ff233dp-3",
-        "-0x1.7290f64de8509p+3",
+        "0x1.af48a9b395729p-3",
+        "0x1.af48ab455daabp-3",
+        "0x1.afae858ff22ffp-3",
+        "-0x1.7290f64de8508p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
-        "0x1.0d83dc0d1f956p+5",
-        "0x1.0d83dc112ebc3p+5",
-        "0x1.0b830fa377a20p+5",
-        "-0x1.a98053924194ap-3",
+        "0x1.0d83dc0d1f920p+5",
+        "0x1.0d83dc1247bf0p+5",
+        "0x1.0b830fa377c9ap+5",
+        "-0x1.a98053924194cp-3",
     ),
 }
 
@@ -747,40 +837,40 @@ STUDY_HEX = {
 # order and the two Stark quotients with their eps'^4 share.
 DIAGNOSTIC_HEX = {
     None: {
-        "sum_solve_residual": "0x1.236b2e0f73b65p-38",
+        "sum_solve_residual": "0x1.236b2e0f73becp-38",
         "refine_alpha_per_level": (
-            "0x1.1fa4cf0381543p-4", "0x1.1fa42e097fdecp-4", "0x1.1fa405caf392fp-4",
+            "0x1.1fa4cf0381476p-4", "0x1.1fa42e097fd20p-4", "0x1.1fa405caf4159p-4",
         ),
         "refine_ground_energy_per_level": (
-            "0x1.3bd39da29fe9dp+1", "0x1.3bd3c0dd92babp+1", "0x1.3bd3c9ac4fecbp+1",
+            "0x1.3bd39da29fe9ep+1", "0x1.3bd3c0dd92bacp+1", "0x1.3bd3c9ac4fecdp+1",
         ),
-        "refine_observed_order": "0x1.ffff9280a2318p+0",
-        "curvature_stark_quotients": ("0x1.1fa4ceb868000p-4", "0x1.1fa4ccd020000p-4"),
-        "curvature_quartic_share": "0x1.b290b92fefc69p-24",
+        "refine_observed_order": "0x1.ffff97a4452dap+0",
+        "curvature_stark_quotients": ("0x1.1fa4cf327a000p-4", "0x1.1fa4ceb868000p-4"),
+        "curvature_quartic_share": "0x1.b290b64e40c5cp-26",
     },
     R_REF: {
-        "sum_solve_residual": "0x1.858caa850c912p-45",
+        "sum_solve_residual": "0x1.858caa850c910p-45",
         "refine_alpha_per_level": (
-            "0x1.af48a9b395722p-3", "0x1.af950e133645fp-3", "0x1.afa827a868ec8p-3",
+            "0x1.af48a9b395729p-3", "0x1.af950e13363f0p-3", "0x1.afa827a868e7ap-3",
         ),
         "refine_ground_energy_per_level": (
-            "-0x1.7290f64de8509p+3", "-0x1.7299e7b255057p+3", "-0x1.729c25e0b2c58p+3",
+            "-0x1.7290f64de8508p+3", "-0x1.7299e7b255057p+3", "-0x1.729c25e0b2c58p+3",
         ),
-        "refine_observed_order": "0x1.fff6892aa01c2p+0",
-        "curvature_stark_quotients": ("0x1.af48a98ff2800p-3", "0x1.af48a8f75c000p-3"),
-        "curvature_quartic_share": "0x1.6a4a5913a8245p-26",
+        "refine_observed_order": "0x1.fff6892a54928p+0",
+        "curvature_stark_quotients": ("0x1.af48a9ae77000p-3", "0x1.af48aadfa4000p-3"),
+        "curvature_quartic_share": "0x1.6a4a57797cab5p-25",
     },
     ground_state_from_gamma(0.2 * math.pi).R: {
-        "sum_solve_residual": "0x1.bc4f9431ab846p-47",
+        "sum_solve_residual": "0x1.4d3baf2540a40p-46",
         "refine_alpha_per_level": (
-            "0x1.0d83dc0d1f956p+5", "0x1.0c0298b4b3856p+5", "0x1.0ba2e74733b94p+5",
+            "0x1.0d83dc0d1f920p+5", "0x1.0c0298b4b383ap+5", "0x1.0ba2e74733d4ap+5",
         ),
         "refine_ground_energy_per_level": (
-            "-0x1.a98053924194ap-3", "-0x1.aa774a095c1fcp-3", "-0x1.aab5096894fa8p-3",
+            "-0x1.a98053924194cp-3", "-0x1.aa774a095c200p-3", "-0x1.aab5096894fa6p-3",
         ),
-        "refine_observed_order": "0x1.01329fd32287bp+1",
-        "curvature_stark_quotients": ("0x1.0d840a764a107p+5", "0x1.0d83e7aa75914p+5"),
-        "curvature_quartic_share": "0x1.086911110936cp-19",
+        "refine_observed_order": "0x1.01329fd359f49p+1",
+        "curvature_stark_quotients": ("0x1.0d840a72ff080p+5", "0x1.0d83e7aa75914p+5"),
+        "curvature_quartic_share": "0x1.08500b0117c41p-19",
     },
 }
 
