@@ -41,6 +41,10 @@ ALPHA2T_QUAD_039PI = -0.26294270331254843
 # TestPhi.test_jump_matches_pinned_bits: taken before C' moved from a
 # record field to phi_jump itself, so the move is pinned bit for bit.
 PHI_JUMP_SHA256 = "a50d863291d83e7d8af57ec289fc85cee3e498cad43139f63a58bcef499b52bd"
+# TestBreakdown.test_fields_match_pinned_bits: taken while breakdown was a
+# function building its record from four numbers, so moving the work into
+# the record's constructor is pinned bit for bit.
+BREAKDOWN_SHA256 = "4665b12a40f8c0a989ed89fa62ed6f6a33720290e2463d2dd876e90fa73084dd"
 HARD_WALL_ALPHA_EXACT = 0.07022473357056967
 HARD_WALL_ALPHA2T_EXACT = -0.13241763371410586
 # gamma0 (rad) -> alpha2' of the paper's phi' by 40-digit quadrature.
@@ -542,6 +546,20 @@ class TestBreakdown:
         bd = breakdown(ground_state_from_gamma(gamma))
         got = (bd.alpha1_prime, bd.alpha2_prime, bd.alpha2_t_prime, bd.alpha_apr_prime)
         assert tuple(v.hex() for v in got) == BREAKDOWN_HEX[gamma]
+
+    def test_fields_match_pinned_bits(self):
+        # sha256 of the float.hex of the six value fields at 1000 log-spaced
+        # gamma0 in [1e-30, 1] and 1000 evenly spaced up to GAMMA_MAX: 997 of
+        # them take the series bracket and 1003 the closed form.
+        gammas = [10.0 ** (-30.0 + 30.0 * k / 999) for k in range(1000)]
+        gammas += [GAMMA_MAX * k / 1000 for k in range(1, 1001)]
+        digest = hashlib.sha256()
+        for gamma0 in gammas:
+            bd = breakdown(ground_state_from_gamma(gamma0))
+            for value in (bd.alpha1_prime, bd.alpha2_prime, bd.alpha2_t_prime,
+                          bd.alpha_apr_prime, bd.alpha_prime, bd.t_ratio):
+                digest.update(value.hex().encode())
+        assert digest.hexdigest() == BREAKDOWN_SHA256
 
 
 class TestQuadratureRoute:
