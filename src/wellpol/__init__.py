@@ -9,8 +9,8 @@ from its module (``wellpol.dalgarno_lewis``, ``wellpol.limits``, ...).
 The oracle lives in ``wellpol.grid_oracle``, so ``import wellpol`` loads
 neither numpy nor scipy.  ``breakdown`` alone gives alpha1', alpha2',
 alpha2_t' and alpha_apr'.  Result types, the oracle's included, take only
-their independent inputs, derive the rest (N'^2, alpha', the limits) and
-are read-only records over ``__slots__``: no module imports ``dataclasses``.
+their independent inputs (a breakdown its state, a limit study none), derive
+the rest, and are read-only ``__slots__`` records; none uses ``dataclasses``.
 """
 
 from .dalgarno_lewis import breakdown

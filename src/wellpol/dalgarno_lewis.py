@@ -15,9 +15,9 @@ correction sin-wave added inside the well is fixed by matching the
 hard-wall limit, C' = -(pi/2)^2 / gamma0^2; the trial value alpha2_t'
 corresponds to C' = 0.  On shallow wells the alpha2' bracket's terms cancel
 from ~gamma0^-5 down to ~gamma0^-2, so below gamma0 = 0.06 it is summed
-from its Taylor series instead.  ``breakdown(state)`` alone gives these
-pieces: it returns alpha1', alpha2', alpha2_t' and the wider-well
-approximation alpha_apr' = 0.0702247 (1 + 1/R)^4 in one record.
+from its Taylor series instead.  ``breakdown(state)``, the record type
+built from the state alone, gives these pieces: it holds the state, alpha1',
+alpha2', alpha2_t' and the wider-well alpha_apr' = 0.0702247 (1 + 1/R)^4.
 
 The module offers two closed forms for the total.  ``breakdown(state)
 .alpha_prime`` is the paper's printed heuristic: its C' is the hard-wall
@@ -218,37 +218,35 @@ def alpha2_prime_hard_wall(c_prime: float = -1.0) -> float:
 
 
 class PolarizabilityBreakdown(_Record):
-    """All reduced polarizabilities of one well, in units of g; alpha' and T are derived."""
-
-    __slots__ = ("alpha1_prime", "alpha2_prime", "alpha2_t_prime", "alpha_apr_prime",
-                 "alpha_prime", "t_ratio")
-
-    def __init__(self, alpha1_prime: float, alpha2_prime: float, alpha2_t_prime: float,
-                 alpha_apr_prime: float) -> None:
-        if alpha1_prime < 0.0:
-            raise NumericalError("alpha1' must be nonnegative")
-        a2 = alpha2_prime
-        set_a1, set_a2, set_a2t, set_apr, set_alpha, set_t = self._setters
-        set_a1(self, alpha1_prime)
-        set_a2(self, a2)
-        set_a2t(self, alpha2_t_prime)
-        set_apr(self, alpha_apr_prime)
-        set_alpha(self, alpha1_prime + a2)
-        set_t(self, (a2 - alpha2_t_prime) / a2 if a2 != 0.0 else math.nan)
-
-
-def breakdown(state: GroundState) -> PolarizabilityBreakdown:
-    """Every closed-form polarizability of one state, in units of g.
+    """Every closed-form polarizability of ``state``, its one input, in units of g.
 
     alpha1' is the forbidden-region piece and alpha_apr' the wider hard wall
     0.0702247 (1 + 1/R)^4.  One evaluation of the in-well bracket serves
-    both alpha2' (the default C') and alpha2_t' (C' = 0).
+    both alpha2' (the default C') and alpha2_t' (C' = 0); alpha' and T are
+    derived from them.
     """
-    g, b, n_sq = state.gamma0, state.beta0, state.n_prime_sq
-    outer = math.fsum([1.0 / b**2, 5.0 / (2.0 * b**3), 5.0 / (2.0 * b**4), 5.0 / (4.0 * b**5)])
-    bracket, bare = _alpha2_brackets(g, default_c_prime(g))
-    return PolarizabilityBreakdown(n_sq * math.cos(g) ** 2 * outer, n_sq * bracket, n_sq * bare,
-                                   _HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / state.R) ** 4)
+
+    __slots__ = ("state", "alpha1_prime", "alpha2_prime", "alpha2_t_prime", "alpha_apr_prime",
+                 "alpha_prime", "t_ratio")
+
+    def __init__(self, state: GroundState) -> None:
+        g, b, n_sq = state.gamma0, state.beta0, state.n_prime_sq
+        outer = math.fsum([1.0 / b**2, 5.0 / (2.0 * b**3), 5.0 / (2.0 * b**4), 5.0 / (4.0 * b**5)])
+        bracket, bare = _alpha2_brackets(g, default_c_prime(g))
+        a1, a2, a2t = n_sq * math.cos(g) ** 2 * outer, n_sq * bracket, n_sq * bare
+        if a1 < 0.0:
+            raise NumericalError("alpha1' must be nonnegative")
+        set_state, set_a1, set_a2, set_a2t, set_apr, set_alpha, set_t = self._setters
+        set_state(self, state)
+        set_a1(self, a1)
+        set_a2(self, a2)
+        set_a2t(self, a2t)
+        set_apr(self, _HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / state.R) ** 4)
+        set_alpha(self, a1 + a2)
+        set_t(self, (a2 - a2t) / a2 if a2 != 0.0 else math.nan)
+
+
+breakdown = PolarizabilityBreakdown
 
 
 # Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23, 221 (1969)) for the

@@ -126,11 +126,14 @@ class GridOracleConfig(_Record):
         set_box(self, math.ceil(1.0 + 40.0 / beta0))
         m, m_min = _multiplier(self), math.ceil(beta0 / _MAX_H_BETA0)
         if m < m_min:
+            nodes = 2 * self.box_half_width * m_min - 1
+            over = (f", but its {nodes} nodes exceed the budget of {_MAX_GRID_NODES}: no grid "
+                    f"within the budget resolves this well" if nodes > _MAX_GRID_NODES else "")
             # repr, so a value just over the bound never prints as the bound.
             raise DomainError(
                 f"h*beta0 = {beta0 / m!r} on the base grid exceeds {_MAX_H_BETA0:g}: the "
                 f"grid is too coarse for the bound-state tail; num_points >= "
-                f"{2 * self.box_half_width * (m_min - 1)} meets the bound"
+                f"{2 * self.box_half_width * (m_min - 1)} meets the bound{over}"
             )
         # The field drops by ~eps'/beta0 across the tail, which must stay
         # small against the binding beta0^2, or the tilted box's ground
@@ -355,12 +358,13 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
 
     alpha' equals the transition sum over every state of the grid
     Hamiltonian.  The second value takes no argument and returns the
-    relative infinity-norm residual of the solve; ``oracle_study`` reports
-    the base grid's and asks no finer level for its own.  phi is odd, so
-    phi(0) = 0 and the nodes x' > 0 carry the whole problem; phi is
-    returned on them.  That block holds only odd states, all above E_0', so
-    H - E_0' is positive definite there and LAPACK's L D L^T solve
-    ``dptsv`` applies, the one that inverse iteration uses.
+    solve's backward error |(T - E_0') phi - b| / ((4 m^2 + |E_0'|) |phi|)
+    in infinity norms, 4 m^2 + |E_0'| bounding |T - E_0'| on the grid;
+    ``oracle_study`` reports the base grid's.  phi is odd, so phi(0) = 0
+    and the nodes x' > 0 carry the whole problem; phi is returned on them.
+    That block holds only odd states, all above E_0', so H - E_0' is
+    positive definite there and LAPACK's L D L^T solve ``dptsv`` applies,
+    the one that inverse iteration uses.
     """
     b = x[1:] * psi0[1:]
     d, e = diag[1:] - e0, off[1:]
@@ -373,7 +377,7 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
 
     def solve_residual() -> float:
         residual = _tridiag_matvec(d, e, phi, b)
-        return float(np.max(np.abs(residual)) / np.max(np.abs(b)))
+        return float(np.max(np.abs(residual)) / ((-4.0 * e[0] + abs(e0)) * np.max(np.abs(phi))))
 
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
     return 8.0 * float(b @ phi), solve_residual, phi
@@ -438,10 +442,7 @@ def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
     ``alpha_exact_prime`` on every Table-1 row.  A finest level of more
     than ``_MAX_GRID_NODES`` nodes raises DomainError before any grid.
     """
-    if not isinstance(levels, int):
-        raise DomainError(f"levels must be an integer, got {levels!r}")
-    if levels < 2:
-        raise DomainError(f"need at least 2 grid doublings, got {levels!r}")
+    _require_int("levels", levels, 2)
     ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
     nodes = 2 * config.box_half_width * ms[-1] - 1
     if nodes > _MAX_GRID_NODES:

@@ -13,9 +13,12 @@ alpha2' -> 0.0702247 and the bare trial value -> -0.1324176; the module
 evaluates at pi/2 - eps for a decreasing eps sequence and extrapolates
 eps -> 0.
 
-Both studies read their values off ``breakdown``.  They, and the grid
-oracle's refinement over grid doublings, reach their limits through the one
-helper ``extrapolate``, Romberg's table at the ratio each study knows.
+Each study is a record that takes no input: ``delta_limit`` and
+``infinite_well_limit`` are the record types themselves, whose constructors
+run the studies from the module's constants.  Both read their values off
+``breakdown``.  They, and the grid oracle's refinement over grid doublings,
+reach their limits through the one helper ``extrapolate``, Romberg's table
+at the ratio each study knows.
 """
 
 from __future__ import annotations
@@ -37,44 +40,53 @@ __all__ = [
 
 
 class DeltaLimitSequence(_Record):
-    """Per-step record of the collapsing-well study; depths and limits are derived."""
+    """The collapsing-well sequence in natural units hbar = m = q = 1, and its limits.
+
+    The well starts at half-width a = 1 and depth V0 = 1/2 (R = 1) and is
+    halved in width and doubled in depth ``_DELTA_HALVINGS`` times.
+    """
 
     __slots__ = ("a_values", "alpha1_scaled", "alpha2_scaled", "v0_values",
                  "alpha1_extrapolated", "alpha2_extrapolated")
 
-    def __init__(self, a_values: tuple[float, ...], alpha1_scaled: tuple[float, ...],
-                 alpha2_scaled: tuple[float, ...]) -> None:
+    def __init__(self) -> None:
+        a_values = tuple(1.0 / 2.0**i for i in range(_DELTA_HALVINGS))
+        states = [ground_state_from_R(math.sqrt(a)) for a in a_values]
+        rows = [(breakdown(s), s.beta0**4) for s in states]
         set_a, set_a1, set_a2, set_v0, set_a1_limit, set_a2_limit = self._setters
         set_a(self, a_values)
-        set_a1(self, alpha1_scaled)
-        set_a2(self, alpha2_scaled)
+        set_a1(self, tuple(bd.alpha1_prime * scale for bd, scale in rows))
+        set_a2(self, tuple(bd.alpha2_prime * scale for bd, scale in rows))
         set_v0(self, tuple(0.5 / a for a in a_values))
-        set_a1_limit(self, extrapolate(alpha1_scaled, 0.5))
-        set_a2_limit(self, extrapolate(alpha2_scaled, 0.5))
+        set_a1_limit(self, extrapolate(self.alpha1_scaled, 0.5))
+        set_a2_limit(self, extrapolate(self.alpha2_scaled, 0.5))
 
 
 class InfiniteWellLimitReport(_Record):
-    """Hard-wall evaluations at gamma0 = pi/2 - eps; their eps -> 0 limits are derived."""
+    """The polarizabilities at gamma0 = pi/2 - eps, and their eps -> 0 limits.
+
+    eps runs over ``_HARD_WALL_EPSILONS``; its smallest value keeps tan
+    gamma0 well conditioned.
+    """
 
     __slots__ = ("epsilons", "alpha1_values", "alpha2_values", "alpha2_t_values",
                  "alpha1_limit", "alpha2_limit", "alpha2_t_limit")
 
-    def __init__(self, epsilons: tuple[float, ...], alpha1_values: tuple[float, ...],
-                 alpha2_values: tuple[float, ...], alpha2_t_values: tuple[float, ...]) -> None:
+    def __init__(self) -> None:
+        epsilons = _HARD_WALL_EPSILONS
+        rows = [breakdown(ground_state_from_gamma(0.5 * math.pi - e)) for e in epsilons]
         (set_eps, set_a1, set_a2, set_a2t,
          set_a1_limit, set_a2_limit, set_a2t_limit) = self._setters
         set_eps(self, epsilons)
-        set_a1(self, alpha1_values)
-        set_a2(self, alpha2_values)
-        set_a2t(self, alpha2_t_values)
-        if len(epsilons) < 2:
-            raise DomainError(f"need at least two epsilons, got {epsilons!r}")
+        set_a1(self, tuple(bd.alpha1_prime for bd in rows))
+        set_a2(self, tuple(bd.alpha2_prime for bd in rows))
+        set_a2t(self, tuple(bd.alpha2_t_prime for bd in rows))
         # The error is a series in eps, so successive values shrink its terms
         # by powers of the epsilons' own ratio.
         ratio = epsilons[-1] / epsilons[-2]
-        set_a1_limit(self, extrapolate(alpha1_values, ratio))
-        set_a2_limit(self, extrapolate(alpha2_values, ratio))
-        set_a2t_limit(self, extrapolate(alpha2_t_values, ratio))
+        set_a1_limit(self, extrapolate(self.alpha1_values, ratio))
+        set_a2_limit(self, extrapolate(self.alpha2_values, ratio))
+        set_a2t_limit(self, extrapolate(self.alpha2_t_values, ratio))
 
 
 # Decreasing offsets eps of gamma0 = pi/2 - eps for the hard-wall limit.
@@ -104,32 +116,5 @@ def extrapolate(values: Sequence[float], ratio: float) -> float:
     return column[0]
 
 
-def delta_limit() -> DeltaLimitSequence:
-    """Run the collapsing-well sequence in natural units hbar = m = q = 1.
-
-    The well starts at half-width a = 1 and depth V0 = 1/2 (R = 1) and is
-    halved in width and doubled in depth ``_DELTA_HALVINGS`` times.
-    """
-    a_vals = tuple(1.0 / 2.0**i for i in range(_DELTA_HALVINGS))
-    states = [ground_state_from_R(math.sqrt(a)) for a in a_vals]
-    rows = [(breakdown(s), s.beta0**4) for s in states]
-    return DeltaLimitSequence(
-        a_values=a_vals,
-        alpha1_scaled=tuple(bd.alpha1_prime * scale for bd, scale in rows),
-        alpha2_scaled=tuple(bd.alpha2_prime * scale for bd, scale in rows),
-    )
-
-
-def infinite_well_limit() -> InfiniteWellLimitReport:
-    """Evaluate the polarizabilities at gamma0 = pi/2 - eps and extrapolate.
-
-    eps runs over ``_HARD_WALL_EPSILONS``; its smallest value keeps tan
-    gamma0 well conditioned.
-    """
-    rows = [breakdown(ground_state_from_gamma(0.5 * math.pi - e)) for e in _HARD_WALL_EPSILONS]
-    return InfiniteWellLimitReport(
-        epsilons=_HARD_WALL_EPSILONS,
-        alpha1_values=tuple(bd.alpha1_prime for bd in rows),
-        alpha2_values=tuple(bd.alpha2_prime for bd in rows),
-        alpha2_t_values=tuple(bd.alpha2_t_prime for bd in rows),
-    )
+delta_limit = DeltaLimitSequence
+infinite_well_limit = InfiniteWellLimitReport

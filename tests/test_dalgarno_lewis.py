@@ -547,6 +547,10 @@ class TestBreakdown:
         got = (bd.alpha1_prime, bd.alpha2_prime, bd.alpha2_t_prime, bd.alpha_apr_prime)
         assert tuple(v.hex() for v in got) == BREAKDOWN_HEX[gamma]
 
+    def test_keeps_its_state(self):
+        state = state_039()
+        assert breakdown(state).state is state
+
     def test_fields_match_pinned_bits(self):
         # sha256 of the float.hex of the six value fields at 1000 log-spaced
         # gamma0 in [1e-30, 1] and 1000 evenly spaced up to GAMMA_MAX: 997 of

@@ -268,23 +268,28 @@ class TestConfig:
         assert GridOracleConfig.hard_wall(num_states=50) == GridOracleConfig.hard_wall()
 
     @pytest.mark.parametrize(
-        "well_R, h_beta0, needed",
+        "well_R, h_beta0, needed, over",
+        # The ids give well_R, h*beta0 to three digits and needed.
         [
-            (1e3, "1.996005526471852", 9996),
-            (1e4, "19.960079594120987", 99996),
-            (1e9, "1996007.9840319362", 9999999996),
+            pytest.param(1e3, "1.996005526471852", 9996, "", id="1000.0-2-9996"),
+            pytest.param(1e4, "19.960079594120987", 99996, "", id="10000.0-20-99996"),
+            pytest.param(
+                1e9, "1996007.9840319362", 9999999996,
+                ", but its 9999999999 nodes exceed the budget of 4194304: no grid within "
+                "the budget resolves this well",
+                id="1000000000.0-2e+06-9999999996",
+            ),
         ],
-        # The ids give h*beta0 to three digits.
-        ids=lambda v: f"{float(v):.3g}" if isinstance(v, str) else None,
     )
-    def test_refuses_grid_too_coarse_for_tail(self, well_R, h_beta0, needed):
+    def test_refuses_grid_too_coarse_for_tail(self, well_R, h_beta0, needed, over):
         # At the default 2000 points the box is 2 and h = 1/501; the message
-        # names h * beta0 and the smallest num_points that meets the bound.
+        # names h * beta0 and the smallest num_points that meets the bound,
+        # and says when that base grid alone is past the node budget.
         with pytest.raises(DomainError) as info:
             GridOracleConfig(well_R=well_R)
         assert str(info.value) == (
             f"h*beta0 = {h_beta0} on the base grid exceeds 0.4: the grid is too "
-            f"coarse for the bound-state tail; num_points >= {needed} meets the bound"
+            f"coarse for the bound-state tail; num_points >= {needed} meets the bound{over}"
         )
         config = GridOracleConfig(well_R=well_R, num_points=needed)
         assert config.ground.beta0 / grid_oracle._multiplier(config) <= 0.4
@@ -624,8 +629,10 @@ class TestAlphaSum:
     def test_every_level_solve_is_backward_stable(self, well_R):
         # The study reports only the base grid's residual, so each level's
         # is checked here: |(T - E0) phi - b| <= 4 eps |T - E0| |phi| in the
-        # infinity norm, relative to |b| (worst measured: 0.23 of the bound,
-        # at gamma0 = 0.41 pi on the finest grid).
+        # infinity norm (worst measured: 0.23 of the bound, at gamma0 =
+        # 0.41 pi on the finest grid).  The solve's own residual is scaled
+        # by the grid's bound 4 m^2 + |E0| on |T - E0|, so it is rescaled
+        # here by the matrix's own row sum.
         if well_R is None:
             config = GridOracleConfig.hard_wall()
         else:
@@ -639,9 +646,24 @@ class TestAlphaSum:
             row = np.abs(d)
             row[:-1] += np.abs(e)
             row[1:] += np.abs(e)
-            b = x[1:] * psi0[1:]
-            scale = np.max(row) * np.max(np.abs(phi)) / np.max(np.abs(b))
-            assert solve_residual() <= 4.0 * grid_oracle._EPS * scale
+            bound = -4.0 * off[0] + abs(e0)
+            assert solve_residual() <= 4.0 * grid_oracle._EPS * np.max(row) / bound
+
+    @pytest.mark.parametrize(
+        "well_R, num_points",
+        [(None, 2000), (R_REF, 2000), (1.0, 2000), (49.008061, 2000), (1e3, 9996),
+         (1e4, 99999)],
+    )
+    def test_reported_solve_residual_is_a_backward_error(self, well_R, num_points):
+        # |(T - E0) phi - b| / ((4 m^2 + |E0|) |phi|): a backward-stable solve
+        # reads a few eps on every grid, deep wells and fine grids included
+        # (measured 0.34-0.67 eps here).
+        if well_R is None:
+            config = GridOracleConfig.hard_wall(num_points=num_points)
+        else:
+            config = GridOracleConfig(well_R=well_R, num_points=num_points)
+        residual = oracle_study(config).diagnostics["sum_solve_residual"]
+        assert 0.0 < residual <= 4.0 * grid_oracle._EPS
 
     def test_shift_above_odd_states_raises(self, monkeypatch):
         # H - E0 must be positive definite on the odd half-grid; a shift
@@ -833,11 +855,12 @@ STUDY_HEX = {
 
 
 # well_R -> float.hex of the diagnostics of the same studies: the base
-# grid's solve residual, each level's alpha' and ground energy, the observed
-# order and the two Stark quotients with their eps'^4 share.
+# grid's solve residual (a backward error, scaled by 4 m^2 + |E0|), each
+# level's alpha' and ground energy, the observed order and the two Stark
+# quotients with their eps'^4 share.
 DIAGNOSTIC_HEX = {
     None: {
-        "sum_solve_residual": "0x1.236b2e0f73becp-38",
+        "sum_solve_residual": "0x1.834a2986b863bp-54",
         "refine_alpha_per_level": (
             "0x1.1fa4cf0381476p-4", "0x1.1fa42e097fd20p-4", "0x1.1fa405caf4159p-4",
         ),
@@ -849,7 +872,7 @@ DIAGNOSTIC_HEX = {
         "curvature_quartic_share": "0x1.b290b64e40c5cp-26",
     },
     R_REF: {
-        "sum_solve_residual": "0x1.858caa850c910p-45",
+        "sum_solve_residual": "0x1.70f912dfa4db9p-54",
         "refine_alpha_per_level": (
             "0x1.af48a9b395729p-3", "0x1.af950e13363f0p-3", "0x1.afa827a868e7ap-3",
         ),
@@ -861,7 +884,7 @@ DIAGNOSTIC_HEX = {
         "curvature_quartic_share": "0x1.6a4a57797cab5p-25",
     },
     ground_state_from_gamma(0.2 * math.pi).R: {
-        "sum_solve_residual": "0x1.4d3baf2540a40p-46",
+        "sum_solve_residual": "0x1.d70d196da498dp-54",
         "refine_alpha_per_level": (
             "0x1.0d83dc0d1f920p+5", "0x1.0c0298b4b383ap+5", "0x1.0ba2e74733d4ap+5",
         ),
@@ -943,7 +966,7 @@ class TestRefine:
         assert result.richardson_alpha == pytest.approx(alpha_exact_prime(state), rel=1e-6)
 
     def test_rejects_single_level(self):
-        with pytest.raises(DomainError, match="need at least 2 grid doublings"):
+        with pytest.raises(DomainError, match="levels must be an integer >= 2, got 1"):
             oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=1)
 
     @pytest.mark.parametrize("levels", [1, 2.5, 3.0])
@@ -952,7 +975,7 @@ class TestRefine:
             raise AssertionError("a grid was built")
 
         monkeypatch.setattr(grid_oracle, "_grid", no_grid)
-        with pytest.raises(DomainError, match="grid doublings|must be an integer"):
+        with pytest.raises(DomainError, match="levels must be an integer >= 2"):
             oracle_study(GridOracleConfig(well_R=0.529, num_points=600), levels=levels)
 
     @pytest.mark.parametrize("well_R, nodes", [(1e-5, 3200000000223), (1e-3, 320000223)])

@@ -5,13 +5,7 @@ import math
 import pytest
 
 from wellpol.errors import DomainError
-from wellpol.limits import (
-    DeltaLimitSequence,
-    InfiniteWellLimitReport,
-    delta_limit,
-    extrapolate,
-    infinite_well_limit,
-)
+from wellpol.limits import delta_limit, extrapolate, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_R
 
 HARD_WALL_ALPHA_EXACT = 0.07022473357056967
@@ -101,18 +95,7 @@ class TestDeltaLimit:
         assert checks[-1] == pytest.approx(1.0, abs=5e-3)
 
 
-    def test_empty_sequence_is_refused(self):
-        with pytest.raises(DomainError, match="got 0 values"):
-            DeltaLimitSequence((), (), ())
-
-
 class TestInfiniteWellLimit:
-    @pytest.mark.parametrize("epsilons", [(), (1e-3,)])
-    def test_fewer_than_two_epsilons_are_refused(self, epsilons):
-        values = (1.0,) * len(epsilons)
-        with pytest.raises(DomainError, match="at least two epsilons"):
-            InfiniteWellLimitReport(epsilons, values, values, values)
-
     def test_limits_at_default_epsilons(self):
         report = infinite_well_limit()
         assert abs(report.alpha1_limit) <= 1e-7

@@ -3,9 +3,10 @@
 The package re-exports what the README's examples import, plus the error
 classes; everything else is imported from its module.  The oracle's grid
 and probe fields and the limit studies' starting points and step counts are
-derived or fixed, and the result types take only their independent inputs,
-so their signatures are pinned, and so are the CLI's options: a removed
-knob or a derived field cannot come back unnoticed.
+derived or fixed, and the result types take only their independent inputs
+(a breakdown its state, a limit study nothing), so their signatures are
+pinned, and so are the CLI's options: a removed knob or a derived field
+cannot come back unnoticed.
 """
 
 import argparse
@@ -55,9 +56,10 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 18 settable values in all, 14 of
-# them the result types' independent inputs.  hard_wall's num_states is
-# checked but unused (ROADMAP item 4 removes it).
+# (name, default) of every parameter; 8 settable values in all, 4 of them
+# the result types' independent inputs: a breakdown takes its state, and a
+# limit study takes nothing.  hard_wall's num_states is checked but unused
+# (ROADMAP item 4 removes it).
 REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
     "GridOracleConfig": [("well_R", REQUIRED), ("num_points", 2000)],
@@ -65,23 +67,9 @@ SIGNATURES = {
     "delta_limit": [],
     "infinite_well_limit": [],
     "GroundState": [("gamma0", REQUIRED), ("beta0", REQUIRED), ("R", REQUIRED)],
-    "PolarizabilityBreakdown": [
-        ("alpha1_prime", REQUIRED),
-        ("alpha2_prime", REQUIRED),
-        ("alpha2_t_prime", REQUIRED),
-        ("alpha_apr_prime", REQUIRED),
-    ],
-    "DeltaLimitSequence": [
-        ("a_values", REQUIRED),
-        ("alpha1_scaled", REQUIRED),
-        ("alpha2_scaled", REQUIRED),
-    ],
-    "InfiniteWellLimitReport": [
-        ("epsilons", REQUIRED),
-        ("alpha1_values", REQUIRED),
-        ("alpha2_values", REQUIRED),
-        ("alpha2_t_values", REQUIRED),
-    ],
+    "PolarizabilityBreakdown": [("state", REQUIRED)],
+    "DeltaLimitSequence": [],
+    "InfiniteWellLimitReport": [],
 }
 # Option strings of each subcommand, --help aside; 20 in all.
 CLI_OPTIONS = {
@@ -138,7 +126,30 @@ def test_settable_values_are_pinned(name):
 
 
 def test_settable_value_count():
-    assert sum(map(len, SIGNATURES.values())) == 18
+    assert sum(map(len, SIGNATURES.values())) == 8
+
+
+def test_verbs_are_the_record_types():
+    # No wrapper function is left to build a record from values of its own.
+    assert dalgarno_lewis.breakdown is dalgarno_lewis.PolarizabilityBreakdown
+    assert limits.delta_limit is limits.DeltaLimitSequence
+    assert limits.infinite_well_limit is limits.InfiniteWellLimitReport
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dalgarno_lewis.PolarizabilityBreakdown(0.25, 0.5, 0.125, 1.0),
+        lambda: limits.DeltaLimitSequence((0.5, 0.25), (1.0, 1.125), (0.5, 0.25)),
+        lambda: limits.InfiniteWellLimitReport((0.01, 0.0001), (0.5, 0.25), (1.0, 0.75),
+                                               (0.25, 0.125)),
+    ],
+    ids=["PolarizabilityBreakdown", "DeltaLimitSequence", "InfiniteWellLimitReport"],
+)
+def test_records_refuse_their_derived_values_as_inputs(make):
+    # A breakdown or a limit study that no well has cannot be built.
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_cli_options_are_pinned():

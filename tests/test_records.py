@@ -2,7 +2,8 @@
 
 One instance of each of the five types on the ``import wellpol`` path, and
 of the grid oracle's config and result, is built twice from the same
-inputs.  Every field is read-only, equal inputs give equal records with
+inputs through its own constructor: a breakdown from its state, and each
+limit study from no input at all, running the study again.  Every field is read-only, equal inputs give equal records with
 equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
 different types never compare equal, ``copy``, ``deepcopy`` and a pickle
 round trip at every protocol give back an equal record, and ``repr`` lists
@@ -43,22 +44,35 @@ RECORDS = {
     ),
     "GroundState": (_state, STATE_REPR),
     "PolarizabilityBreakdown": (
-        lambda: PolarizabilityBreakdown(0.25, 0.5, 0.125, 1.0),
-        "PolarizabilityBreakdown(alpha1_prime=0.25, alpha2_prime=0.5, alpha2_t_prime=0.125, "
-        "alpha_apr_prime=1.0, alpha_prime=0.75, t_ratio=0.75)",
+        lambda: PolarizabilityBreakdown(_state()),
+        f"PolarizabilityBreakdown(state={STATE_REPR}, alpha1_prime=0.29074779315276555, "
+        "alpha2_prime=0.2952128562352164, alpha2_t_prime=-0.359013914299584, "
+        "alpha_apr_prime=0.39528811326486124, alpha_prime=0.585960649387982, "
+        "t_ratio=2.216118833298821)",
     ),
     "DeltaLimitSequence": (
-        lambda: DeltaLimitSequence((0.5, 0.25, 0.125), (1.0, 1.125, 1.1875), (0.5, 0.25, 0.125)),
-        "DeltaLimitSequence(a_values=(0.5, 0.25, 0.125), alpha1_scaled=(1.0, 1.125, 1.1875), "
-        "alpha2_scaled=(0.5, 0.25, 0.125), v0_values=(1.0, 2.0, 4.0), "
-        "alpha1_extrapolated=1.25, alpha2_extrapolated=0.0)",
+        DeltaLimitSequence,
+        "DeltaLimitSequence(a_values=(1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, "
+        "0.0078125, 0.00390625, 0.001953125, 0.0009765625, 0.00048828125), "
+        "alpha1_scaled=(1.4276427147455226, 1.3302281739024164, 1.2800425543084286, "
+        "1.259643381971196, 1.2527800617418234, 1.2507504648986072, 1.2501952625814767, "
+        "1.250049821366244, 1.2500125843608223, 1.2500031624302248, 1.2500007926635437, "
+        "1.2500001984237334), alpha2_scaled=(0.10181651386618175, 0.014905701726321772, "
+        "0.0016840622629258383, 0.00015244220022277665, 1.1783863071839562e-05, "
+        "8.261559733490853e-07, 5.482202526831821e-08, 3.532866266526528e-09, "
+        "2.242473278942218e-10, 1.4124925572626657e-11, 8.862584253268173e-13, "
+        "5.549945061193828e-14), v0_values=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, "
+        "128.0, 256.0, 512.0, 1024.0), alpha1_extrapolated=1.2499999999999996, "
+        "alpha2_extrapolated=-1.6744909137803203e-18)",
     ),
     "InfiniteWellLimitReport": (
-        lambda: InfiniteWellLimitReport((0.01, 0.0001), (0.5, 0.25), (1.0, 0.75), (0.25, 0.125)),
-        "InfiniteWellLimitReport(epsilons=(0.01, 0.0001), alpha1_values=(0.5, 0.25), "
-        "alpha2_values=(1.0, 0.75), alpha2_t_values=(0.25, 0.125), "
-        "alpha1_limit=0.2474747474747475, alpha2_limit=0.7474747474747475, "
-        "alpha2_t_limit=0.12373737373737374)",
+        InfiniteWellLimitReport,
+        "InfiniteWellLimitReport(epsilons=(0.001, 1e-05, 1e-07), "
+        "alpha1_values=(4.061893110386949e-13, 4.0529376517266896e-21, "
+        "4.052848268128545e-29), alpha2_values=(0.07040384417177212, "
+        "0.07022652185718686, 0.07022475145315407), alpha2_t_values=(-0.1327549638003077, "
+        "-0.13242100571459753, -0.13241766743398073), alpha1_limit=4.1029191445300156e-19, "
+        "alpha2_limit=0.07022473357056984, alpha2_t_limit=-0.13241763371410584)",
     ),
     "GridOracleConfig": (
         lambda: GridOracleConfig(well_R=2.0, num_points=500),
@@ -77,7 +91,7 @@ RECORDS = {
 FIRST_FIELD = {
     "WellSpec": "half_width",
     "GroundState": "gamma0",
-    "PolarizabilityBreakdown": "alpha1_prime",
+    "PolarizabilityBreakdown": "state",
     "DeltaLimitSequence": "a_values",
     "InfiniteWellLimitReport": "epsilons",
     "GridOracleConfig": "well_R",
