@@ -35,10 +35,10 @@ and makes Richardson extrapolation across grid doublings meaningful
 (``limits.extrapolate`` with ratio 1/4).  Every ground energy is one
 Rayleigh quotient from the well bottom, free of cancellation, so the Stark
 shifts are not polluted by rounding.
-``oracle_study`` is the one entry point: it builds each of its grids once
-and finds one even-block ground state on each, for the Dalgarno-Lewis solve
-of that level; the base grid's also serves as the zero field of the
-curvature route.
+``oracle_study``, the one entry point, is the result type ``OracleResult``:
+it builds each of its grids once and finds one even-block ground state on
+each, for the Dalgarno-Lewis solve of that level; the base grid's also
+serves as the zero field of the curvature route.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
 infinite-well configuration); responses then check out against the
@@ -150,31 +150,6 @@ class GridOracleConfig(_Record):
         """
         _require_int("num_states", num_states, 50)
         return cls(well_R=None, num_points=num_points)
-
-
-class OracleResult(_Record):
-    """Oracle polarizabilities plus convergence metadata; ``route_gap`` is derived."""
-
-    __slots__ = ("alpha_sum", "alpha_curvature", "ground_energy_dimless", "richardson_alpha",
-                 "diagnostics", "route_gap")
-
-    def __init__(self, alpha_sum: float, alpha_curvature: float, ground_energy_dimless: float,
-                 richardson_alpha: float, diagnostics: Optional[dict] = None) -> None:
-        for name, value in (("alpha_sum", alpha_sum), ("alpha_curvature", alpha_curvature)):
-            if not value > 0.0:
-                raise NumericalError(f"{name} must be positive, got {value!r}")
-        gap = abs(alpha_sum - alpha_curvature) / alpha_sum
-        if gap > _ROUTE_AGREEMENT:
-            raise NumericalError(
-                f"oracle routes disagree by {gap:.2e} at matched discretization"
-            )
-        set_sum, set_curv, set_e0, set_rich, set_diag, set_gap = self._setters
-        set_sum(self, alpha_sum)
-        set_curv(self, alpha_curvature)
-        set_e0(self, ground_energy_dimless)
-        set_rich(self, richardson_alpha)
-        set_diag(self, {} if diagnostics is None else diagnostics)
-        set_gap(self, gap)
 
 
 def _multiplier(config: GridOracleConfig) -> int:
@@ -425,70 +400,91 @@ def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float)
     }
 
 
-def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
+class OracleResult(_Record):
     """Both oracle routes on the base grid, and the sum route over ``levels`` doublings.
 
-    Each grid gives one even-block ground state and one Dalgarno-Lewis
-    solve.  On the base grid, ``alpha_sum`` is that solve, whose residual
-    is the one reported (``sum_solve_residual``), and its ground energy is
-    the zero-field point of the Stark quotients, which give
-    ``alpha_curvature``.  ``richardson_alpha`` extrapolates the solves of
-    all levels by Romberg's table, assuming the even-power error expansion
-    of the three-point stencil; the observed order is reported, with a
-    warning outside [1.5, 2.5].  With the box sized to the tail, even
-    gamma0 = 0.49 pi is near that order from 1100 points (successive-
-    difference ratios 3.98 and 3.99 against the asymptotic 4), and two
-    doublings leave the extrapolated value within 2e-10 (relative) of
-    ``alpha_exact_prime`` on every Table-1 row.  A finest level of more
-    than ``_MAX_GRID_NODES`` nodes raises DomainError before any grid.
+    ``oracle_study`` is this type.  It takes only the study's inputs and
+    derives the rest, so a copy or a pickle re-runs the study: seconds for a
+    grid near ``_MAX_GRID_NODES``.  Each grid gives one even-block ground state
+    and one Dalgarno-Lewis solve.  On the base grid, ``alpha_sum`` is that
+    solve, whose residual is the one reported (``sum_solve_residual``), and its
+    ground energy is the zero-field point of the Stark quotients, which give
+    ``alpha_curvature``; both must be positive, with a ``route_gap`` of at most
+    ``_ROUTE_AGREEMENT``.  ``richardson_alpha`` extrapolates the solves of all
+    levels by Romberg's table, assuming the even-power error expansion of the
+    three-point stencil; the observed order is reported, with a warning outside
+    [1.5, 2.5].  With the box sized to the tail, even gamma0 = 0.49 pi is near
+    that order from 1100 points (successive-difference ratios 3.98 and 3.99
+    against the asymptotic 4), and two doublings leave the extrapolated value
+    within 2e-10 (relative) of ``alpha_exact_prime`` on every Table-1 row.  A
+    finest level of more than ``_MAX_GRID_NODES`` nodes raises DomainError
+    before any grid.
     """
-    _require_int("levels", levels, 2)
-    ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
-    nodes = 2 * config.box_half_width * ms[-1] - 1
-    if nodes > _MAX_GRID_NODES:
-        raise DomainError(
-            f"the finest grid would have {nodes} nodes on a box of half-width "
-            f"{config.box_half_width}, more than the budget of {_MAX_GRID_NODES}"
+
+    __slots__ = ("config", "levels", "alpha_sum", "alpha_curvature", "ground_energy_dimless",
+                 "richardson_alpha", "diagnostics", "route_gap")
+
+    def __init__(self, config: GridOracleConfig, levels: int = 2) -> None:
+        _require_int("levels", levels, 2)
+        ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
+        nodes = 2 * config.box_half_width * ms[-1] - 1
+        if nodes > _MAX_GRID_NODES:
+            raise DomainError(
+                f"the finest grid would have {nodes} nodes on a box of half-width "
+                f"{config.box_half_width}, more than the budget of {_MAX_GRID_NODES}"
+            )
+        alphas, e0s, sizes = [], [], []
+        for m in ms:
+            x, v, diag, off = _grid(config, m)
+            sizes.append(2 * x.size - 1)
+            bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
+            e0 = bottom - (config.well_R or 0.0) ** 2
+            alpha, solve_residual, phi = _dalgarno_lewis(x, diag, off, e0, psi0)
+            if m == ms[0]:
+                fields = config.field_values
+                alpha_curvature, stark = _curvature(x, v, diag, off, psi0, phi, fields, bottom)
+                diagnostics = {
+                    "grid_num_points_actual": sizes[0],
+                    "grid_box_half_width": config.box_half_width,
+                    "grid_spacing": 1.0 / m,
+                    "sum_solve_residual": solve_residual(),
+                    **stark,
+                }
+            alphas.append(alpha)
+            e0s.append(e0)
+        d_prev = alphas[-2] - alphas[-3]
+        d_last = alphas[-1] - alphas[-2]
+        observed = (math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0
+                    else math.nan)
+        if not 1.5 <= observed <= 2.5:
+            warnings.warn(
+                f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
+                ConvergenceWarning,
+                stacklevel=2,
+            )
+        diagnostics.update(
+            refine_grid_multipliers=ms,
+            refine_grid_sizes=tuple(sizes),
+            refine_alpha_per_level=tuple(alphas),
+            refine_ground_energy_per_level=tuple(e0s),
+            refine_observed_order=observed,
         )
-    alphas, e0s, sizes = [], [], []
-    for m in ms:
-        x, v, diag, off = _grid(config, m)
-        sizes.append(2 * x.size - 1)
-        bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
-        e0 = bottom - (config.well_R or 0.0) ** 2
-        alpha, solve_residual, phi = _dalgarno_lewis(x, diag, off, e0, psi0)
-        if m == ms[0]:
-            fields = config.field_values
-            alpha_curvature, stark = _curvature(x, v, diag, off, psi0, phi, fields, bottom)
-            diagnostics = {
-                "grid_num_points_actual": sizes[0],
-                "grid_box_half_width": config.box_half_width,
-                "grid_spacing": 1.0 / m,
-                "sum_solve_residual": solve_residual(),
-                **stark,
-            }
-        alphas.append(alpha)
-        e0s.append(e0)
-    d_prev = alphas[-2] - alphas[-3]
-    d_last = alphas[-1] - alphas[-2]
-    observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan
-    if not 1.5 <= observed <= 2.5:
-        warnings.warn(
-            f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    diagnostics.update(
-        refine_grid_multipliers=ms,
-        refine_grid_sizes=tuple(sizes),
-        refine_alpha_per_level=tuple(alphas),
-        refine_ground_energy_per_level=tuple(e0s),
-        refine_observed_order=observed,
-    )
-    return OracleResult(
-        alpha_sum=alphas[0],
-        alpha_curvature=alpha_curvature,
-        ground_energy_dimless=e0s[0],
-        richardson_alpha=extrapolate(alphas, ratio=0.25),
-        diagnostics=diagnostics,
-    )
+        alpha_sum = alphas[0]
+        for name, value in (("alpha_sum", alpha_sum), ("alpha_curvature", alpha_curvature)):
+            if not value > 0.0:
+                raise NumericalError(f"{name} must be positive, got {value!r}")
+        gap = abs(alpha_sum - alpha_curvature) / alpha_sum
+        if gap > _ROUTE_AGREEMENT:
+            raise NumericalError(f"oracle routes disagree by {gap:.2e} at matched discretization")
+        set_cfg, set_levels, set_sum, set_curv, set_e0, set_rich, set_diag, set_gap = self._setters
+        set_cfg(self, config)
+        set_levels(self, levels)
+        set_sum(self, alpha_sum)
+        set_curv(self, alpha_curvature)
+        set_e0(self, e0s[0])
+        set_rich(self, extrapolate(alphas, ratio=0.25))
+        set_diag(self, diagnostics)
+        set_gap(self, gap)
+
+
+oracle_study = OracleResult

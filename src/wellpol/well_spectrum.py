@@ -54,8 +54,8 @@ _NEWTON_STEPS = 40
 
 
 def _require_int(name: str, value, minimum: int) -> None:
-    """Refuse with DomainError any ``value`` that is not an int of at least ``minimum``."""
-    if not (isinstance(value, int) and value >= minimum):
+    """Refuse with DomainError any ``value`` but an int, not a bool, of at least ``minimum``."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -205,10 +205,10 @@ def _solve_gamma(R: float) -> float:
     """
     # f(R) = R (1 - cos R) >= 0, so R is a start right of the root.  Deep
     # wells start 1e-12 below pi/2 instead; f < 0 there means the root lies
-    # within 1e-12 of pi/2 (R >~ 1.57e12), and that state is refused.
+    # within 1e-12 of pi/2, R above g / cos(g) ~ 1.57e12: bad input.
     g = min(R, 0.5 * math.pi - 1e-12)
     if g - R * math.cos(g) < 0.0:
-        raise NumericalError(f"ground-state root for R = {R!r} lies above pi/2 - 1e-12")
+        raise DomainError(f"R must be <= {g / math.cos(g):.3g}, the deepest well, got {R!r}")
     for _ in range(_NEWTON_STEPS):
         step = (g - R * math.cos(g)) / (1.0 + R * math.sin(g))
         if not (step > 0.0 and g - step < g):

@@ -221,6 +221,13 @@ class TestSolve:
         assert main(["solve", "--R", "1e-300"]) == 2
         assert "R must be >= GAMMA_MIN = 1e-30" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_strength_above_ceiling_is_usage_error(self, capsys, command):
+        assert main([command, "--R", "1e13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "R must be <= 1.57e+12" in captured.err
+
     def test_requires_exactly_one_selector(self, capsys):
         assert run(["solve"], capsys)[0] == 2
         assert run(["solve", "--gamma", "0.39pi", "--R", "4.0"], capsys)[0] == 2

@@ -1023,38 +1023,46 @@ def test_both_routes_match_closed_form_across_well_range(k):
 
 
 class TestOracleResult:
-    def test_positivity_enforced(self):
-        with pytest.raises(NumericalError, match="alpha_sum must be positive"):
-            OracleResult(
-                alpha_sum=-1.0, alpha_curvature=0.1, ground_energy_dimless=0.0,
-                richardson_alpha=0.1,
-            )
-        with pytest.raises(NumericalError, match="alpha_curvature must be positive"):
-            OracleResult(
-                alpha_sum=0.1, alpha_curvature=-1.0, ground_energy_dimless=0.0,
-                richardson_alpha=0.1,
-            )
+    """The result's gates, driven through a real 600-point study with one route's value set."""
 
-    def test_route_mismatch_enforced(self):
+    @staticmethod
+    def study(monkeypatch, curvature=None, sum_sign=1.0):
+        # ``curvature`` maps the base grid's alpha_sum to the alpha_curvature
+        # reported; ``sum_sign`` scales every level's solve, so the observed
+        # order, a ratio of differences, is unchanged.
+        sums, real_solve = [], grid_oracle._dalgarno_lewis
+
+        def solve(*args):
+            alpha, residual, phi = real_solve(*args)
+            sums.append(sum_sign * alpha)
+            return sums[-1], residual, phi
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grid_oracle, "_dalgarno_lewis", solve)
+            if curvature is not None:
+                patch.setattr(grid_oracle, "_curvature", lambda *a: (curvature(sums[0]), {}))
+            return OracleResult(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+
+    def test_positivity_enforced(self, monkeypatch):
+        with pytest.raises(NumericalError, match="alpha_sum must be positive"):
+            self.study(monkeypatch, sum_sign=-1.0)
+        with pytest.raises(NumericalError, match="alpha_curvature must be positive"):
+            self.study(monkeypatch, curvature=lambda alpha_sum: -1.0)
+
+    def test_route_mismatch_enforced(self, monkeypatch):
         with pytest.raises(NumericalError, match="oracle routes disagree"):
-            OracleResult(
-                alpha_sum=0.2, alpha_curvature=0.1, ground_energy_dimless=0.0,
-                richardson_alpha=0.2,
-            )
+            self.study(monkeypatch, curvature=lambda alpha_sum: 0.5 * alpha_sum)
 
     @pytest.mark.parametrize("gap,raises", [(5e-7, False), (2e-6, True)])
-    def test_route_agreement_is_one_part_per_million(self, gap, raises):
-        kwargs = dict(
-            alpha_sum=1.0, alpha_curvature=1.0 + gap, ground_energy_dimless=0.0,
-            richardson_alpha=1.0,
-        )
+    def test_route_agreement_is_one_part_per_million(self, monkeypatch, gap, raises):
+        curvature = lambda alpha_sum: alpha_sum * (1.0 + gap)  # noqa: E731
         if raises:
             with pytest.raises(NumericalError, match="oracle routes disagree"):
-                OracleResult(**kwargs)
+                self.study(monkeypatch, curvature)
         else:
-            result = OracleResult(**kwargs)
-            assert result.alpha_curvature == 1.0 + gap
-            assert result.route_gap == (1.0 + gap) - 1.0
+            result = self.study(monkeypatch, curvature)
+            assert result.alpha_curvature == result.alpha_sum * (1.0 + gap)
+            assert result.route_gap == pytest.approx(gap, rel=1e-9)
 
     def test_combined_study_fills_everything(self):
         result = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)

@@ -4,7 +4,8 @@ The package re-exports what the README's examples import, plus the error
 classes; everything else is imported from its module.  The oracle's grid
 and probe fields and the limit studies' starting points and step counts are
 derived or fixed, and the result types take only their independent inputs
-(a breakdown its state, a limit study nothing), so their signatures are
+(a breakdown its state, an oracle result its config and level count, a
+limit study nothing), so their signatures are
 pinned, and so are the CLI's options: a removed knob or a derived field
 cannot come back unnoticed.
 """
@@ -17,6 +18,7 @@ import pytest
 import wellpol
 from wellpol import conventional_sum, dalgarno_lewis, grid_oracle, limits, well_spectrum
 from wellpol.cli import build_parser
+from wellpol.errors import DomainError
 
 PACKAGE = {
     "breakdown",
@@ -56,9 +58,9 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 8 settable values in all, 4 of them
-# the result types' independent inputs: a breakdown takes its state, and a
-# limit study takes nothing.  hard_wall's num_states is checked but unused
+# (name, default) of every parameter; 10 settable values in all, 6 of them
+# the result types' independent inputs: a breakdown takes its state, an
+# oracle result its config and level count, and a limit study nothing.  hard_wall's num_states is checked but unused
 # (ROADMAP item 4 removes it).
 REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
@@ -70,6 +72,7 @@ SIGNATURES = {
     "PolarizabilityBreakdown": [("state", REQUIRED)],
     "DeltaLimitSequence": [],
     "InfiniteWellLimitReport": [],
+    "OracleResult": [("config", REQUIRED), ("levels", 2)],
 }
 # Option strings of each subcommand, --help aside; 20 in all.
 CLI_OPTIONS = {
@@ -90,6 +93,7 @@ CALLABLES = {
     "PolarizabilityBreakdown": dalgarno_lewis.PolarizabilityBreakdown,
     "DeltaLimitSequence": limits.DeltaLimitSequence,
     "InfiniteWellLimitReport": limits.InfiniteWellLimitReport,
+    "OracleResult": grid_oracle.OracleResult,
 }
 
 
@@ -126,7 +130,7 @@ def test_settable_values_are_pinned(name):
 
 
 def test_settable_value_count():
-    assert sum(map(len, SIGNATURES.values())) == 8
+    assert sum(map(len, SIGNATURES.values())) == 10
 
 
 def test_verbs_are_the_record_types():
@@ -134,6 +138,7 @@ def test_verbs_are_the_record_types():
     assert dalgarno_lewis.breakdown is dalgarno_lewis.PolarizabilityBreakdown
     assert limits.delta_limit is limits.DeltaLimitSequence
     assert limits.infinite_well_limit is limits.InfiniteWellLimitReport
+    assert grid_oracle.oracle_study is grid_oracle.OracleResult
 
 
 @pytest.mark.parametrize(
@@ -143,12 +148,32 @@ def test_verbs_are_the_record_types():
         lambda: limits.DeltaLimitSequence((0.5, 0.25), (1.0, 1.125), (0.5, 0.25)),
         lambda: limits.InfiniteWellLimitReport((0.01, 0.0001), (0.5, 0.25), (1.0, 0.75),
                                                (0.25, 0.125)),
+        lambda: grid_oracle.OracleResult(0.5, 0.5, -1.0, 0.5),
     ],
-    ids=["PolarizabilityBreakdown", "DeltaLimitSequence", "InfiniteWellLimitReport"],
+    ids=["PolarizabilityBreakdown", "DeltaLimitSequence", "InfiniteWellLimitReport",
+         "OracleResult"],
 )
 def test_records_refuse_their_derived_values_as_inputs(make):
-    # A breakdown or a limit study that no well has cannot be built.
+    # A breakdown, a limit study or an oracle result that no well has cannot be built.
     with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: grid_oracle.GridOracleConfig(None, num_points=True), "num_points"),
+        (lambda: grid_oracle.OracleResult(grid_oracle.GridOracleConfig.hard_wall(500),
+                                          levels=True), "levels"),
+        (lambda: conventional_sum.infinite_well_alpha(True), "num_terms"),
+        (lambda: conventional_sum.infinite_well_term(True), "transition index"),
+        (lambda: grid_oracle.GridOracleConfig.hard_wall(num_states=True), "num_states"),
+    ],
+    ids=["num_points", "levels", "num_terms", "transition_index", "num_states"],
+)
+def test_counts_refuse_true(make, name):
+    # bool is an int subclass, but True is not the count 1.
+    with pytest.raises(DomainError, match=f"^{name} must be an integer >= \\d+, got True$"):
         make()
 
 

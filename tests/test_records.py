@@ -2,9 +2,10 @@
 
 One instance of each of the five types on the ``import wellpol`` path, and
 of the grid oracle's config and result, is built twice from the same
-inputs through its own constructor: a breakdown from its state, and each
-limit study from no input at all, running the study again.  Every field is read-only, equal inputs give equal records with
-equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
+inputs through its own constructor: a breakdown from its state, an oracle
+result from its config, and each limit study from no input at all, running
+the study again.  Every field is read-only, equal inputs give equal records
+with equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
 different types never compare equal, ``copy``, ``deepcopy`` and a pickle
 round trip at every protocol give back an equal record, and ``repr`` lists
 every field in declaration order, derived fields included, in the
@@ -82,9 +83,20 @@ RECORDS = {
         "energy_dimless=-2.9393749317817255))",
     ),
     "OracleResult": (
-        lambda: OracleResult(0.5, 0.5, -1.0, 0.5, {"grid_spacing": 0.25}),
-        "OracleResult(alpha_sum=0.5, alpha_curvature=0.5, ground_energy_dimless=-1.0, "
-        "richardson_alpha=0.5, diagnostics={'grid_spacing': 0.25}, route_gap=0.0)",
+        lambda: OracleResult(GridOracleConfig.hard_wall(num_points=500)),
+        "OracleResult(config=GridOracleConfig(well_R=None, num_points=500, box_half_width=1, "
+        "field_values=(0.001, 0.0005), ground=None), levels=2, alpha_sum=0.07022588343619432, "
+        "alpha_curvature=0.07022586897183676, ground_energy_dimless=2.4673930474104253, "
+        "richardson_alpha=0.07022473357035522, diagnostics={'grid_num_points_actual': 501, "
+        "'grid_box_half_width': 1, 'grid_spacing': 0.00398406374501992, "
+        "'sum_solve_residual': 1.10282585702248e-16, 'curvature_field_values': (0.001, 0.0005), "
+        "'curvature_stark_quotients': (0.07022588555116727, 0.07022587311666939), "
+        "'curvature_quartic_share': 1.7706434002100286e-07, "
+        "'refine_grid_multipliers': (251, 502, 1004), 'refine_grid_sizes': (501, 1003, 2007), "
+        "'refine_alpha_per_level': (0.07022588343619432, 0.07022502103600135, "
+        "0.0702248054367159), 'refine_ground_energy_per_level': (2.4673930474104253, "
+        "2.4673990870548903, 2.4674005969678547), 'refine_observed_order': 2.0000051042384337}, "
+        "route_gap=2.059690366453093e-07)",
     ),
 }
 # The first field of each type, which every instance has.
@@ -95,7 +107,7 @@ FIRST_FIELD = {
     "DeltaLimitSequence": "a_values",
     "InfiniteWellLimitReport": "epsilons",
     "GridOracleConfig": "well_R",
-    "OracleResult": "alpha_sum",
+    "OracleResult": "config",
 }
 # Records with a dict field, which has no hash.
 UNHASHABLE = {"OracleResult"}
@@ -168,10 +180,11 @@ def test_repr_is_frozen(name):
     assert repr(factory()) == expected
 
 
-def test_results_without_diagnostics_have_their_own_dict():
-    first, second = OracleResult(0.5, 0.5, -1.0, 0.5), OracleResult(0.5, 0.5, -1.0, 0.5)
-    assert first.diagnostics == {}
-    assert first.diagnostics is not second.diagnostics
+def test_studies_never_share_a_diagnostics_dict():
+    first = OracleResult(GridOracleConfig.hard_wall(num_points=500))
+    for second in (OracleResult(first.config), copy.copy(first), copy.deepcopy(first)):
+        assert second.diagnostics == first.diagnostics
+        assert second.diagnostics is not first.diagnostics
 
 
 def test_no_module_imports_dataclasses():

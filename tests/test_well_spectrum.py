@@ -111,8 +111,8 @@ class TestGroundStateFromR:
 
     @pytest.mark.parametrize("R", [1.6e12, 1e13, 1e300])
     def test_root_above_hard_wall_margin_is_refused(self, R):
-        # The root lies within 1e-12 of pi/2 from R ~ 1.57e12 on.
-        with pytest.raises(NumericalError):
+        # The root lies within 1e-12 of pi/2 from R ~ 1.57e12 on: bad input.
+        with pytest.raises(DomainError, match=r"R must be <= 1\.57e\+12, .* got "):
             ground_state_from_R(R)
 
 
