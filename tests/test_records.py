@@ -197,3 +197,88 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in {m.split(".")[0] for m in modules}, path.name
+
+
+# Every field of each type, in declaration order.
+FIELDS = {
+    "WellSpec": ("half_width", "depth", "mass", "charge", "hbar"),
+    "GroundState": ("gamma0", "beta0", "R", "n_prime_sq", "energy_dimless"),
+    "PolarizabilityBreakdown": ("state", "alpha1_prime", "alpha2_prime", "alpha2_t_prime",
+                                "alpha_apr_prime", "alpha_prime", "t_ratio"),
+    "DeltaLimitSequence": ("a_values", "alpha1_scaled", "alpha2_scaled", "v0_values",
+                           "alpha1_extrapolated", "alpha2_extrapolated"),
+    "InfiniteWellLimitReport": ("epsilons", "alpha1_values", "alpha2_values",
+                                "alpha2_t_values", "alpha1_limit", "alpha2_limit",
+                                "alpha2_t_limit"),
+    "GridOracleConfig": ("well_R", "num_points", "box_half_width", "field_values", "ground"),
+    "OracleResult": ("config", "levels", "alpha_sum", "alpha_curvature",
+                     "ground_energy_dimless", "richardson_alpha", "diagnostics", "route_gap"),
+}
+# pickle.dumps(record, protocol=4) of each RECORDS factory, written by the
+# slot-based records that preceded the tuple-based ones.
+PARENT_PICKLES = {
+    "WellSpec": (
+        b'\x80\x04\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x15wellpol.well_spectrum\x94\x8c'
+        b'\x08WellSpec\x94\x93\x94(G?\xe0\x00\x00\x00\x00\x00\x00G@\x00\x00\x00\x00\x00'
+        b'\x00\x00G?\xf0\x00\x00\x00\x00\x00\x00G\xbf\xf0\x00\x00\x00\x00\x00\x00G?\xf0'
+        b'\x00\x00\x00\x00\x00\x00t\x94R\x94.'
+    ),
+    "GroundState": (
+        b'\x80\x04\x95H\x00\x00\x00\x00\x00\x00\x00\x8c\x15wellpol.well_spectrum\x94\x8c'
+        b'\x0bGroundState\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G?\xf8\xeb$\\\xbe\xe3'
+        b'\xa6G?\xfd\x9c\xf0\xf1%\xcc*\x87\x94R\x94.'
+    ),
+    "PolarizabilityBreakdown": (
+        b'\x80\x04\x95\x81\x00\x00\x00\x00\x00\x00\x00\x8c\x16wellpol.dalgarno_lewis\x94'
+        b'\x8c\x17PolarizabilityBreakdown\x94\x93\x94\x8c\x15wellpol.well_spectrum\x94'
+        b'\x8c\x0bGroundState\x94\x93\x94G?\xf0\x00\x00\x00\x00\x00\x00G?\xf8\xeb$\\\xbe'
+        b'\xe3\xa6G?\xfd\x9c\xf0\xf1%\xcc*\x87\x94R\x94\x85\x94R\x94.'
+    ),
+    "DeltaLimitSequence": (
+        b'\x80\x04\x95,\x00\x00\x00\x00\x00\x00\x00\x8c\x0ewellpol.limits\x94\x8c\x12Del'
+        b'taLimitSequence\x94\x93\x94)R\x94.'
+    ),
+    "InfiniteWellLimitReport": (
+        b'\x80\x04\x951\x00\x00\x00\x00\x00\x00\x00\x8c\x0ewellpol.limits\x94\x8c\x17Inf'
+        b'initeWellLimitReport\x94\x93\x94)R\x94.'
+    ),
+    "GridOracleConfig": (
+        b'\x80\x04\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x13wellpol.grid_oracle\x94\x8c'
+        b'\x10GridOracleConfig\x94\x93\x94G@\x00\x00\x00\x00\x00\x00\x00M\xf4\x01\x86'
+        b'\x94R\x94.'
+    ),
+    "OracleResult": (
+        b'\x80\x04\x95M\x00\x00\x00\x00\x00\x00\x00\x8c\x13wellpol.grid_oracle\x94\x8c'
+        b'\x0cOracleResult\x94\x93\x94h\x00\x8c\x10GridOracleConfig\x94\x93\x94NM\xf4'
+        b'\x01\x86\x94R\x94K\x02\x86\x94R\x94.'
+    ),
+}
+
+
+def test_no_record_has_a_dict(name):
+    record = RECORDS[name][0]()
+    assert not hasattr(record, "__dict__")
+
+
+def test_records_are_unequal_to_a_plain_tuple_of_their_fields(name):
+    record = RECORDS[name][0]()
+    values = tuple(getattr(record, field) for field in FIELDS[name])
+    assert repr(record) == f"{name}(" + ", ".join(
+        f"{field}={value!r}" for field, value in zip(FIELDS[name], values)) + ")"
+    assert record != values and values != record
+    assert not record == values and not values == record
+
+
+def test_records_are_unordered(name):
+    factory = RECORDS[name][0]
+    first, second = factory(), factory()
+    for compare in (lambda a, b: a < b, lambda a, b: a <= b,
+                    lambda a, b: a > b, lambda a, b: a >= b):
+        with pytest.raises(TypeError):
+            compare(first, second)
+
+
+def test_pickles_of_the_slot_records_still_load(name):
+    record, fresh = pickle.loads(PARENT_PICKLES[name]), RECORDS[name][0]()
+    assert type(record) is type(fresh)
+    assert record == fresh
