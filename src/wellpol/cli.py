@@ -299,13 +299,13 @@ def cmd_calibrate(args) -> int:
     return _emit_report(args, {}, rows, {"num_terms": BOX_TERMS}, checks)
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", default=None, help="output path (default stdout)")
-
-
 def _add_report_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="output path (default stdout)")
+
+
+def _add_output_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_report_options(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -226,24 +226,20 @@ class PolarizabilityBreakdown(_Record):
     derived from them.
     """
 
-    __slots__ = ("state", "alpha1_prime", "alpha2_prime", "alpha2_t_prime", "alpha_apr_prime",
-                 "alpha_prime", "t_ratio")
+    __slots__ = ()
+    _fields = ("state", "alpha1_prime", "alpha2_prime", "alpha2_t_prime", "alpha_apr_prime",
+               "alpha_prime", "t_ratio")
 
-    def __init__(self, state: GroundState) -> None:
+    def __new__(cls, state: GroundState) -> "PolarizabilityBreakdown":
         g, b, n_sq = state.gamma0, state.beta0, state.n_prime_sq
         outer = math.fsum([1.0 / b**2, 5.0 / (2.0 * b**3), 5.0 / (2.0 * b**4), 5.0 / (4.0 * b**5)])
         bracket, bare = _alpha2_brackets(g, default_c_prime(g))
         a1, a2, a2t = n_sq * math.cos(g) ** 2 * outer, n_sq * bracket, n_sq * bare
         if a1 < 0.0:
             raise NumericalError("alpha1' must be nonnegative")
-        set_state, set_a1, set_a2, set_a2t, set_apr, set_alpha, set_t = self._setters
-        set_state(self, state)
-        set_a1(self, a1)
-        set_a2(self, a2)
-        set_a2t(self, a2t)
-        set_apr(self, _HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / state.R) ** 4)
-        set_alpha(self, a1 + a2)
-        set_t(self, (a2 - a2t) / a2 if a2 != 0.0 else math.nan)
+        apr = _HARD_WALL_ALPHA_COEFF * (1.0 + 1.0 / state.R) ** 4
+        t_ratio = (a2 - a2t) / a2 if a2 != 0.0 else math.nan
+        return tuple.__new__(cls, (state, a1, a2, a2t, apr, a1 + a2, t_ratio))
 
 
 breakdown = PolarizabilityBreakdown

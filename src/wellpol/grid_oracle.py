@@ -108,22 +108,21 @@ class GridOracleConfig(_Record):
     the smallest ``num_points`` that resolves its tail.
     """
 
-    __slots__ = ("well_R", "num_points", "box_half_width", "field_values", "ground")
+    __slots__ = ()
+    _fields = ("well_R", "num_points", "box_half_width", "field_values", "ground")
 
-    def __init__(self, well_R: Optional[float], num_points: int = 2000) -> None:
+    def __new__(cls, well_R: Optional[float], num_points: int = 2000) -> "GridOracleConfig":
         _require_int("num_points", num_points, 500)
-        set_R, set_points, set_box, set_fields, set_ground = self._setters
-        set_R(self, well_R)
-        set_points(self, num_points)
         if well_R is None:
-            set_box(self, 1)
-            set_fields(self, _PROBE_FIELDS)
-            set_ground(self, None)
-            return
+            return tuple.__new__(cls, (None, num_points, 1, _PROBE_FIELDS, None))
         ground = ground_state_from_R(well_R)
-        set_ground(self, ground)
         beta0 = ground.beta0
-        set_box(self, math.ceil(1.0 + 40.0 / beta0))
+        # The field drops by ~eps'/beta0 across the tail, which must stay
+        # small against the binding beta0^2, or the tilted box's ground
+        # state leaves the well.
+        scale = min(1.0, beta0**3)
+        self = tuple.__new__(cls, (well_R, num_points, math.ceil(1.0 + 40.0 / beta0),
+                                   tuple(scale * v for v in _PROBE_FIELDS), ground))
         m, m_min = _multiplier(self), math.ceil(beta0 / _MAX_H_BETA0)
         if m < m_min:
             nodes = 2 * self.box_half_width * m_min - 1
@@ -135,11 +134,7 @@ class GridOracleConfig(_Record):
                 f"grid is too coarse for the bound-state tail; num_points >= "
                 f"{2 * self.box_half_width * (m_min - 1)} meets the bound{over}"
             )
-        # The field drops by ~eps'/beta0 across the tail, which must stay
-        # small against the binding beta0^2, or the tilted box's ground
-        # state leaves the well.
-        scale = min(1.0, beta0**3)
-        set_fields(self, tuple(scale * v for v in _PROBE_FIELDS))
+        return self
 
     @classmethod
     def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
@@ -421,10 +416,11 @@ class OracleResult(_Record):
     before any grid.
     """
 
-    __slots__ = ("config", "levels", "alpha_sum", "alpha_curvature", "ground_energy_dimless",
-                 "richardson_alpha", "diagnostics", "route_gap")
+    __slots__ = ()
+    _fields = ("config", "levels", "alpha_sum", "alpha_curvature", "ground_energy_dimless",
+               "richardson_alpha", "diagnostics", "route_gap")
 
-    def __init__(self, config: GridOracleConfig, levels: int = 2) -> None:
+    def __new__(cls, config: GridOracleConfig, levels: int = 2) -> "OracleResult":
         _require_int("levels", levels, 2)
         ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
         nodes = 2 * config.box_half_width * ms[-1] - 1
@@ -476,15 +472,8 @@ class OracleResult(_Record):
         gap = abs(alpha_sum - alpha_curvature) / alpha_sum
         if gap > _ROUTE_AGREEMENT:
             raise NumericalError(f"oracle routes disagree by {gap:.2e} at matched discretization")
-        set_cfg, set_levels, set_sum, set_curv, set_e0, set_rich, set_diag, set_gap = self._setters
-        set_cfg(self, config)
-        set_levels(self, levels)
-        set_sum(self, alpha_sum)
-        set_curv(self, alpha_curvature)
-        set_e0(self, e0s[0])
-        set_rich(self, extrapolate(alphas, ratio=0.25))
-        set_diag(self, diagnostics)
-        set_gap(self, gap)
+        return tuple.__new__(cls, (config, levels, alpha_sum, alpha_curvature, e0s[0],
+                                   extrapolate(alphas, ratio=0.25), diagnostics, gap))
 
 
 oracle_study = OracleResult

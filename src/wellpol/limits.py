@@ -46,20 +46,18 @@ class DeltaLimitSequence(_Record):
     halved in width and doubled in depth ``_DELTA_HALVINGS`` times.
     """
 
-    __slots__ = ("a_values", "alpha1_scaled", "alpha2_scaled", "v0_values",
-                 "alpha1_extrapolated", "alpha2_extrapolated")
+    __slots__ = ()
+    _fields = ("a_values", "alpha1_scaled", "alpha2_scaled", "v0_values",
+               "alpha1_extrapolated", "alpha2_extrapolated")
 
-    def __init__(self) -> None:
+    def __new__(cls) -> "DeltaLimitSequence":
         a_values = tuple(1.0 / 2.0**i for i in range(_DELTA_HALVINGS))
         states = [ground_state_from_R(math.sqrt(a)) for a in a_values]
         rows = [(breakdown(s), s.beta0**4) for s in states]
-        set_a, set_a1, set_a2, set_v0, set_a1_limit, set_a2_limit = self._setters
-        set_a(self, a_values)
-        set_a1(self, tuple(bd.alpha1_prime * scale for bd, scale in rows))
-        set_a2(self, tuple(bd.alpha2_prime * scale for bd, scale in rows))
-        set_v0(self, tuple(0.5 / a for a in a_values))
-        set_a1_limit(self, extrapolate(self.alpha1_scaled, 0.5))
-        set_a2_limit(self, extrapolate(self.alpha2_scaled, 0.5))
+        alpha1 = tuple(bd.alpha1_prime * scale for bd, scale in rows)
+        alpha2 = tuple(bd.alpha2_prime * scale for bd, scale in rows)
+        return tuple.__new__(cls, (a_values, alpha1, alpha2, tuple(0.5 / a for a in a_values),
+                                   extrapolate(alpha1, 0.5), extrapolate(alpha2, 0.5)))
 
 
 class InfiniteWellLimitReport(_Record):
@@ -69,24 +67,20 @@ class InfiniteWellLimitReport(_Record):
     gamma0 well conditioned.
     """
 
-    __slots__ = ("epsilons", "alpha1_values", "alpha2_values", "alpha2_t_values",
-                 "alpha1_limit", "alpha2_limit", "alpha2_t_limit")
+    __slots__ = ()
+    _fields = ("epsilons", "alpha1_values", "alpha2_values", "alpha2_t_values",
+               "alpha1_limit", "alpha2_limit", "alpha2_t_limit")
 
-    def __init__(self) -> None:
+    def __new__(cls) -> "InfiniteWellLimitReport":
         epsilons = _HARD_WALL_EPSILONS
         rows = [breakdown(ground_state_from_gamma(0.5 * math.pi - e)) for e in epsilons]
-        (set_eps, set_a1, set_a2, set_a2t,
-         set_a1_limit, set_a2_limit, set_a2t_limit) = self._setters
-        set_eps(self, epsilons)
-        set_a1(self, tuple(bd.alpha1_prime for bd in rows))
-        set_a2(self, tuple(bd.alpha2_prime for bd in rows))
-        set_a2t(self, tuple(bd.alpha2_t_prime for bd in rows))
+        columns = (tuple(bd.alpha1_prime for bd in rows), tuple(bd.alpha2_prime for bd in rows),
+                   tuple(bd.alpha2_t_prime for bd in rows))
         # The error is a series in eps, so successive values shrink its terms
         # by powers of the epsilons' own ratio.
         ratio = epsilons[-1] / epsilons[-2]
-        set_a1_limit(self, extrapolate(self.alpha1_values, ratio))
-        set_a2_limit(self, extrapolate(self.alpha2_values, ratio))
-        set_a2t_limit(self, extrapolate(self.alpha2_t_values, ratio))
+        return tuple.__new__(cls, (epsilons, *columns,
+                                   *(extrapolate(column, ratio) for column in columns)))
 
 
 # Decreasing offsets eps of gamma0 = pi/2 - eps for the hard-wall limit.

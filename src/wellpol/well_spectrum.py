@@ -30,6 +30,7 @@ an adapter at the boundary of the otherwise dimensionless computation.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError, NumericalError
 
@@ -59,68 +60,63 @@ def _require_int(name: str, value, minimum: int) -> None:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-class _Record:
+class _Record(tuple):
     """Read-only record in place of a frozen dataclass, without importing ``dataclasses``.
 
-    ``__init__`` sets each field in ``__slots__`` once, through ``_setters``; repr, == and
-    hash run over them all.
+    A tuple of the fields in ``_fields``, each read by a property, built whole by
+    ``__new__``; with ``__slots__ = ()`` in every subclass no record has a ``__dict__``.
+    Records index and iterate like tuples, but their fields are the interface.  A
+    record equals only a record of its own type, and records are not ordered.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # Each slot's own setter, in slot order, bound once per class: it writes past
-        # the refused __setattr__ without object.__setattr__'s lookup by name.
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(operator.itemgetter(i)))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        raise TypeError(f"{type(self).__qualname__} records are not ordered")
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __reduce__(self):
-        # copy and pickle rebuild the record from its inputs, which are the
-        # leading slots; restoring each slot would hit the refused setattr.
-        return type(self), self._values()[: self.__init__.__code__.co_argcount - 1]
+        # copy and pickle rebuild the record from its inputs, the leading fields.
+        return type(self), self[: self.__new__.__code__.co_argcount - 1]
 
 
 class WellSpec(_Record):
     """Dimensionful well parameters: half-width a, depth V0, mass, charge, hbar."""
 
-    __slots__ = ("half_width", "depth", "mass", "charge", "hbar")
+    __slots__ = ()
+    _fields = ("half_width", "depth", "mass", "charge", "hbar")
 
-    def __init__(self, half_width: float, depth: float, mass: float, charge: float,
-                 hbar: float = 1.0) -> None:
-        set_a, set_v0, set_m, set_q, set_hbar = self._setters
-        set_a(self, half_width)
-        set_v0(self, depth)
-        set_m(self, mass)
-        set_q(self, charge)
-        set_hbar(self, hbar)
-        for name in ("half_width", "depth", "mass", "hbar"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+    def __new__(cls, half_width: float, depth: float, mass: float, charge: float,
+                hbar: float = 1.0) -> "WellSpec":
+        self = tuple.__new__(cls, (half_width, depth, mass, charge, hbar))
+        for name, value in zip(cls._fields, self):
+            # bool is an int subclass, but True is not the number 1.
+            if type(value) is bool:
+                raise DomainError(f"WellSpec.{name} must be a real number, got {value!r}")
+            if name != "charge" and not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"WellSpec.{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.charge) and self.charge != 0.0):
-            raise DomainError(f"WellSpec.charge must be finite and nonzero, got {self.charge!r}")
+        if not (math.isfinite(charge) and charge != 0.0):
+            raise DomainError(f"WellSpec.charge must be finite and nonzero, got {charge!r}")
         if not math.isfinite(self.strength_R):
             raise DomainError("derived well strength R is not finite")
+        return self
 
     @property
     def strength_R(self) -> float:
@@ -142,9 +138,12 @@ class GroundState(_Record):
     ``n_prime_sq`` and ``energy_dimless`` = E0 * 2 m a^2 / hbar^2 = -beta0^2 are derived.
     """
 
-    __slots__ = ("gamma0", "beta0", "R", "n_prime_sq", "energy_dimless")
+    __slots__ = ()
+    _fields = ("gamma0", "beta0", "R", "n_prime_sq", "energy_dimless")
 
-    def __init__(self, gamma0: float, beta0: float, R: float) -> None:
+    def __new__(cls, gamma0: float, beta0: float, R: float) -> "GroundState":
+        if bool in (type(gamma0), type(beta0), type(R)):
+            raise DomainError(f"GroundState takes real numbers, got {(gamma0, beta0, R)!r}")
         if not (0.0 < gamma0 < 0.5 * math.pi):
             raise DomainError(f"gamma0 must lie in (0, pi/2), got {gamma0!r}")
         if gamma0 < GAMMA_MIN:
@@ -180,13 +179,9 @@ class GroundState(_Record):
         r13 = gamma0**2 + beta0**2 - R**2
         if abs(r13) > 1e-10 * (gamma0**2 + beta0**2 + R**2):
             raise NumericalError(f"strength residual gamma^2+beta^2-R^2 = {r13!r}")
-        set_gamma0, set_beta0, set_R, set_norm_sq, set_energy = self._setters
-        set_gamma0(self, gamma0)
-        set_beta0(self, beta0)
-        set_R(self, R)
         # N'^2 of the module docstring.
-        set_norm_sq(self, 1.0 / (1.0 + s * c / gamma0 + c**2 / beta0))
-        set_energy(self, -beta0**2)
+        n_prime_sq = 1.0 / (1.0 + s * c / gamma0 + c**2 / beta0)
+        return tuple.__new__(cls, (gamma0, beta0, R, n_prime_sq, -beta0**2))
 
     @property
     def n_prime(self) -> float:

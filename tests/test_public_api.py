@@ -12,6 +12,7 @@ cannot come back unnoticed.
 
 import argparse
 import inspect
+import math
 
 import pytest
 
@@ -174,6 +175,33 @@ def test_records_refuse_their_derived_values_as_inputs(make):
 def test_counts_refuse_true(make, name):
     # bool is an int subclass, but True is not the count 1.
     with pytest.raises(DomainError, match=f"^{name} must be an integer >= \\d+, got True$"):
+        make()
+
+
+# Inputs that each constructor accepts; gamma0 tan(gamma0) = 1 at X_TAN_X_ONE.
+X_TAN_X_ONE = 0.8603335890193797
+WELL = (0.5, 2.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: well_spectrum.ground_state_from_R(True),
+        lambda: well_spectrum.ground_state_from_gamma(True),
+        lambda: well_spectrum.GroundState(True, math.tan(1.0), math.hypot(1.0, math.tan(1.0))),
+        lambda: well_spectrum.GroundState(X_TAN_X_ONE, True, math.hypot(X_TAN_X_ONE, 1.0)),
+        lambda: well_spectrum.GroundState(*well_spectrum.ground_state_from_R(1.0)[:2], True),
+        lambda: grid_oracle.GridOracleConfig(well_R=True),
+    ] + [
+        lambda i=i: well_spectrum.WellSpec(*WELL[:i], True, *WELL[i + 1:])
+        for i in range(len(WELL))
+    ],
+    ids=["ground_state_from_R", "ground_state_from_gamma", "gamma0", "beta0", "R",
+         "well_R", "half_width", "depth", "mass", "charge", "hbar"],
+)
+def test_reals_refuse_true(make):
+    # True == 1, so each call would otherwise build a record that holds True.
+    with pytest.raises(DomainError, match="real number"):
         make()
 
 
