@@ -10,7 +10,7 @@ the error classes; everything else is imported from its module
 ``breakdown`` alone gives alpha1', alpha2', alpha2_t' and alpha_apr'.  Result
 types take only their independent inputs (a breakdown its state, an oracle
 result its config and level count, a limit study none), derive the rest, and
-are read-only ``__slots__`` records; none uses ``dataclasses``.
+are read-only records built on ``tuple``; none uses ``dataclasses``.
 """
 
 from .dalgarno_lewis import breakdown

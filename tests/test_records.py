@@ -9,8 +9,11 @@ with equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
 different types never compare equal, ``copy``, ``deepcopy`` and a pickle
 round trip at every protocol give back an equal record, and ``repr`` lists
 every field in declaration order, derived fields included, in the
-``Type(name=value, ...)`` format.  They are all ``_Record``s, so no module
-of the package imports ``dataclasses``.
+``Type(name=value, ...)`` format.  They are all ``_Record``s, tuples whose
+fields are properties, so no module of the package imports ``dataclasses``.
+No record has a ``__dict__``, equals a plain tuple of its fields or orders
+against another, and a pickle written by the slot-based records that came
+before still loads.
 """
 
 import ast
