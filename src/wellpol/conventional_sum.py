@@ -27,16 +27,27 @@ from .well_spectrum import _require_int
 
 __all__ = ["infinite_well_term", "infinite_well_alpha", "calibrate_C"]
 
+# Largest even transition index: the term ~4096 / (pi^6 n^8) is 2.4e-308
+# here and falls below the smallest normal float from n ~ 3.43e38.
+_MAX_EVEN_INDEX = 34 * 10**37
+
 
 def infinite_well_term(n: int) -> float:
     """Contribution of the 1 -> n box transition to alpha', in units of g.
 
     Odd n vanishes by parity (those excited states share the ground state's
-    parity, so the dipole matrix element is zero).
+    parity, so the dipole matrix element is zero).  An even n above 3.4e38
+    is refused: its term would not be a normal float.
     """
     _require_int("transition index", n, 2)
     if n % 2 == 1:
         return 0.0
+    # Compared as ints: n * n past ~1.3e154 would not convert to a float.
+    if n > _MAX_EVEN_INDEX:
+        raise DomainError(
+            f"an even transition index must be <= {_MAX_EVEN_INDEX:.2g}, "
+            "where the term nears the smallest normal float"
+        )
     x1n = 16.0 * n / (math.pi**2 * (n * n - 1) ** 2)
     gap = (n * n - 1) * math.pi**2 / 4.0
     return 4.0 * x1n * x1n / gap

@@ -49,12 +49,12 @@ module, like every closed form here, needs neither numpy nor scipy.
 Outside the well the integrands are e^{-2t} times a cubic in t = beta0
 (|x'| - 1), which a two-point Gauss-Laguerre rule integrates exactly;
 inside, a Gauss-Legendre rule tabulated once per size gives the value and
-an error estimate.  Each piece is summed in one pass with phi' written out
-in place and its per-state constants hoisted.  The alpha' integrand is
-even, so the left outer side is its right mirror counted twice and the
-inner nodes x' < 0 are their mirrors x' > 0 at doubled weight; the odd
-overlap integrand is evaluated on both sides, so its parity check sees
-each.
+an error estimate.  Each call hands its state to ``_quadrature``, which
+reads the state's fields and forms its constants once, and sums each piece
+in one pass with phi' written out in place.  The alpha' integrand is even,
+so the left outer side is its right mirror counted twice and the inner
+nodes x' < 0 are their mirrors x' > 0 at doubled weight; the odd overlap
+integrand is evaluated on both sides, so its parity check sees each.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import NumericalError
-from .well_spectrum import GroundState, _Record
+from .errors import DomainError, NumericalError
+from .well_spectrum import GAMMA_MIN, GroundState, _Record
 
 __all__ = [
     "PolarizabilityBreakdown",
@@ -84,7 +84,12 @@ _HARD_WALL_ALPHA_COEFF = 0.0702247
 
 
 def default_c_prime(gamma0: float) -> float:
-    """Homogeneous-correction coefficient C' = -(pi/2)^2 / gamma0^2."""
+    """Homogeneous-correction coefficient C' = -(pi/2)^2 / gamma0^2.
+
+    gamma0 must lie in [GAMMA_MIN, pi/2), the range of every ``GroundState``.
+    """
+    if not GAMMA_MIN <= gamma0 < 0.5 * math.pi:
+        raise DomainError(f"gamma0 must lie in [GAMMA_MIN, pi/2), got {gamma0!r}")
     return -_QUARTER_PI_SQ / gamma0**2
 
 
@@ -263,14 +268,16 @@ _LAGUERRE = (
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
+def _panel_nodes(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], n even, built once per n.
 
-    Newton iteration on P_n from cos(pi (i - 1/4) / (n + 1/2)); the nodes
-    come in exact +-pairs, so an odd integrand sums to zero.
+    Newton iteration on P_n from cos(pi (i - 1/4) / (n + 1/2)).  Returns the
+    rule as ((x', w), ...), its nodes in exact +-pairs so that an odd
+    integrand sums to zero, and its nodes x' > 0 with doubled weights,
+    ((x', 2 w), ...), on which an even integrand is summed once per mirror
+    pair.
     """
-    nodes: list[float] = []
-    weights: list[float] = []
+    inner: list[tuple[float, float]] = []
     for i in range(1, n // 2 + 1):
         x, dx = math.cos(math.pi * (i - 0.25) / (n + 0.5)), math.inf
         for _ in range(100):
@@ -283,21 +290,8 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             dx = p / dp
             x -= dx
         w = 2.0 / ((1.0 - x * x) * dp * dp)
-        nodes += [-x, x]
-        weights += [w, w]
-    return tuple(nodes), tuple(weights)
-
-
-@functools.cache
-def _panel_nodes(n: int):
-    """The n-point inner rule, built once per n.
-
-    Returns the rule as ((x', w), ...) on [-1, 1], and its nodes x' > 0
-    with doubled weights, ((x', 2 w), ...), on which an even integrand is
-    summed once per mirror pair.
-    """
-    inner = tuple(zip(*_gauss_legendre(n)))
-    return inner, tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
+        inner += [(-x, w), (x, w)]
+    return tuple(inner), tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
 
 
 def _outer_panel(k: int, side: float, n_cos: float, cos_g: float, b: float, b2: float) -> float:
@@ -338,35 +332,27 @@ def _inner_panel(nodes, k: int, n_prime: float, g: float, g2: float, c_prime: fl
     )
 
 
-def _outer_sums(state: GroundState, k: int) -> list[float]:
-    """Integrals of psi0 x'^k phi' over x' < -1 and x' > 1, exactly.
+def _quadrature(state: GroundState, k: int, rules: tuple[int, ...]):
+    """N' and the integrals of psi0 x'^k phi' outside and inside the well.
 
-    With dx' = ds / (2 beta0) each side is 1/(2 beta0) times the
-    ``_LAGUERRE`` sum of ``_outer_panel``.  A left node is the exact
-    negative of its right mirror, so for the even k = 1 integrand the left
-    side's sum equals the right's bit for bit: it is computed once and
-    listed twice.  The odd k = 0 integrand is evaluated on both sides, so
-    the parity check sees each.
+    Reads the state's fields and forms its constants once.  Returns N', the
+    integrals over x' < -1 and x' > 1, exact (with dx' = ds / (2 beta0) each
+    is 1/(2 beta0) times ``_outer_panel``), and one integral over |x'| < 1
+    per n-point inner rule in ``rules``.  A left outer node is the exact
+    negative of its right mirror and the inner nodes come in exact +-pairs
+    with equal weights, so the even k = 1 integrand lists its right outer
+    side twice and takes the inner nodes x' > 0 with doubled weights, bit
+    for bit the sums over all; the odd k = 0 integrand is evaluated on both
+    sides, so the parity check sees each.
     """
-    b = state.beta0
-    cos_g = math.cos(state.gamma0)
-    n_cos = math.sqrt(state.n_prime_sq) * cos_g
-    sides = (1.0,) if k else (-1.0, 1.0)
-    sums = [0.5 / b * _outer_panel(k, side, n_cos, cos_g, b, b**2) for side in sides]
-    return 2 * sums if k else sums
-
-
-def _inner_sum(state: GroundState, k: int, n: int) -> float:
-    """Integral of psi0 x'^k phi' over |x'| < 1, by the n-point rule.
-
-    The inner nodes come in exact +-pairs with equal weights, so the even
-    k = 1 integrand takes the positive nodes with doubled weights, bit for
-    bit the sum over all; the odd k = 0 integrand is evaluated on both.
-    """
-    g = state.gamma0
-    inner, inner_right = _panel_nodes(n)
-    nodes = inner_right if k else inner
-    return _inner_panel(nodes, k, math.sqrt(state.n_prime_sq), g, g**2, default_c_prime(g))
+    g, b = state.gamma0, state.beta0
+    n_prime, cos_g, g2, b2 = math.sqrt(state.n_prime_sq), math.cos(g), g**2, b**2
+    # C' is default_c_prime(g); every state's gamma0 is in its range.
+    c_prime, half_b, n_cos = -_QUARTER_PI_SQ / g2, 0.5 / b, n_prime * cos_g
+    right = half_b * _outer_panel(k, 1.0, n_cos, cos_g, b, b2)
+    left = right if k else half_b * _outer_panel(k, -1.0, n_cos, cos_g, b, b2)
+    inner = [_inner_panel(_panel_nodes(n)[k], k, n_prime, g, g2, c_prime) for n in rules]
+    return n_prime, [left, right], inner
 
 
 def alpha_via_quadrature(state: GroundState) -> float:
@@ -379,9 +365,9 @@ def alpha_via_quadrature(state: GroundState) -> float:
     total.  The outer nodes are mapped in t = beta0 (|x'| - 1), so near
     the hard wall they do not lose digits to a rounded x'.
     """
-    inner = _inner_sum(state, 1, _RULE_POINTS)
-    total = state.n_prime * math.fsum([*_outer_sums(state, 1), inner])
-    err = state.n_prime * abs(inner - _inner_sum(state, 1, _ESTIMATE_POINTS))
+    n_prime, outer, (inner, estimate) = _quadrature(state, 1, (_RULE_POINTS, _ESTIMATE_POINTS))
+    total = n_prime * math.fsum([*outer, inner])
+    err = n_prime * abs(inner - estimate)
     if err > 1e-8 * max(abs(total), 1e-3):
         raise NumericalError(
             f"quadrature did not converge: value {total!r}, error estimate {err!r}, "
@@ -396,4 +382,5 @@ def orthogonality(state: GroundState) -> float:
     The value is exactly 0.0: each node's term is the exact negative of its
     mirror's, so a nonzero value means phi' has lost its parity.
     """
-    return math.fsum([*_outer_sums(state, 0), _inner_sum(state, 0, _RULE_POINTS)])
+    _, outer, (inner,) = _quadrature(state, 0, (_RULE_POINTS,))
+    return math.fsum([*outer, inner])

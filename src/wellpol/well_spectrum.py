@@ -183,10 +183,6 @@ class GroundState(_Record):
         n_prime_sq = 1.0 / (1.0 + s * c / gamma0 + c**2 / beta0)
         return tuple.__new__(cls, (gamma0, beta0, R, n_prime_sq, -beta0**2))
 
-    @property
-    def n_prime(self) -> float:
-        return math.sqrt(self.n_prime_sq)
-
 
 def _solve_gamma(R: float) -> float:
     """Root of f(g) = g - R cos(g) on (0, min(R, pi/2)) by Newton's method.

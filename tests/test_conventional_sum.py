@@ -1,8 +1,10 @@
 """Hard-wall transition-sum tests and the C' calibration round trip."""
 
 import math
+import sys
 
 import pytest
+from mpmath import mp
 
 from wellpol.conventional_sum import (
     calibrate_C,
@@ -40,6 +42,27 @@ class TestTerms:
             infinite_well_term(1)
         with pytest.raises(DomainError):
             infinite_well_term(0)
+
+    @pytest.mark.parametrize(
+        "n", [2 * 10**39, 2 * 10**60, 2 * 10**77, 10**200], ids=["2e39", "2e60", "2e77", "1e200"]
+    )
+    def test_refuses_even_index_whose_term_is_not_a_normal_float(self, n):
+        # 2e39 returned a subnormal, 2e60 returned 0.0 and 2e77 raised
+        # OverflowError converting (n^2 - 1)^2 to a float.
+        with pytest.raises(DomainError, match=r"<= 3\.4e\+38"):
+            infinite_well_term(n)
+
+    def test_largest_indices_against_mpmath(self):
+        # The closed form 4096 n^2 / (pi^6 (n^2 - 1)^5) at 40 digits; an odd
+        # index past the bound still vanishes by parity.
+        for n in (2 * 10**38, 34 * 10**37):
+            with mp.workdps(40):
+                ref = float(4096 * mp.mpf(n) ** 2 / (mp.pi**6 * (mp.mpf(n) ** 2 - 1) ** 5))
+            assert infinite_well_term(n) == pytest.approx(ref, rel=1e-15, abs=0.0)
+            assert infinite_well_term(n) >= sys.float_info.min
+        assert ref == pytest.approx(2.385774407079709e-308, rel=1e-15)
+        assert infinite_well_term(2 * 10**38) == pytest.approx(1.6642583572733637e-306, rel=1e-15)
+        assert infinite_well_term(10**200 + 1) == 0.0
 
     @pytest.mark.parametrize("n", [2.5, 4.0, math.nan])
     def test_rejects_non_integer_index(self, n):

@@ -29,6 +29,7 @@ from wellpol.errors import DomainError, NumericalError
 from wellpol.well_spectrum import (
     GAMMA_MAX,
     GAMMA_MIN,
+    GroundState,
     ground_state_from_R,
     ground_state_from_gamma,
 )
@@ -137,9 +138,10 @@ def quadrature_pieces(state):
     These are the sums ``alpha_via_quadrature`` adds up, restricted to each
     region: the exact outer rule and the 16-point inner rule.
     """
-    outer = math.fsum(dalgarno_lewis._outer_sums(state, 1))
-    inner = dalgarno_lewis._inner_sum(state, 1, dalgarno_lewis._RULE_POINTS)
-    return state.n_prime * outer, state.n_prime * inner
+    n_prime, outer, (inner,) = dalgarno_lewis._quadrature(
+        state, 1, (dalgarno_lewis._RULE_POINTS,)
+    )
+    return n_prime * math.fsum(outer), n_prime * inner
 
 
 def add_to_inner_phi(monkeypatch, defect):
@@ -203,6 +205,12 @@ class TestPhi:
         assert default_c_prime(state.gamma0) == pytest.approx(
             -((PI / 2) ** 2) / state.gamma0**2, rel=1e-15
         )
+
+    @pytest.mark.parametrize("gamma0", [0.0, 1e-200, 1e-155, math.nan, 0.5 * PI])
+    def test_default_c_prime_refuses_gamma_outside_every_state(self, gamma0):
+        # 0.0 and 1e-200 raised ZeroDivisionError, and 1e-155 returned -inf.
+        with pytest.raises(DomainError, match=r"\[GAMMA_MIN, pi/2\)"):
+            default_c_prime(gamma0)
 
     @pytest.mark.parametrize("gamma0", [GAMMA_MIN, 1e-8, 0.39 * PI, GAMMA_MAX])
     def test_c_coefficient_is_default_c_prime(self, gamma0):
@@ -597,7 +605,7 @@ class TestGaussLegendre:
         "n", [dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS]
     )
     def test_rule_is_exact_for_polynomials_up_to_degree_2n_minus_1(self, n):
-        nodes, weights = dalgarno_lewis._gauss_legendre(n)
+        nodes, weights = zip(*dalgarno_lewis._panel_nodes(n)[0])
         assert len(nodes) == n
         assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
         for k in range(2 * n):
@@ -712,6 +720,23 @@ QUADRATURE_HEX = {
 
 class TestQuadratureKernel:
     """The one-pass kernel against the scalar phi' helpers."""
+
+    def test_each_call_reads_the_state_once(self, monkeypatch):
+        # Every per-state constant is derived from one read of gamma0,
+        # beta0 and n_prime_sq; each property of GroundState is counted.
+        state = state_039()
+        reads = []
+        for name, attr in list(vars(GroundState).items()):
+            if isinstance(attr, property):
+                def counted(record, name=name, get=attr.fget):
+                    reads.append(name)
+                    return get(record)
+
+                monkeypatch.setattr(GroundState, name, property(counted))
+        for call in (alpha_via_quadrature, orthogonality):
+            reads.clear()
+            call(state)
+            assert sorted(reads) == ["beta0", "gamma0", "n_prime_sq"], call.__name__
 
     GRID = [1e-20, 1e-8, 1e-3, 0.0599, 0.06, *np.linspace(0.05, GAMMA_MAX, 41).tolist()]
 

@@ -130,6 +130,13 @@ def test_settable_values_are_pinned(name):
     assert [(p.name, p.default) for p in params] == SIGNATURES[name]
 
 
+def test_ground_state_attributes_are_its_fields():
+    # N' = sqrt(n_prime_sq) is not a second attribute of the state.
+    state_type = well_spectrum.GroundState
+    public = {name for name in dir(state_type) if not name.startswith("_")}
+    assert public - set(dir(tuple)) == set(state_type._fields)
+
+
 def test_settable_value_count():
     assert sum(map(len, SIGNATURES.values())) == 10
 

@@ -40,7 +40,7 @@ def nodes_and_t():
     """
     xs, ts = [], [0.0, 40.0] + [0.5 * s for s, _ in dalgarno_lewis._LAGUERRE]
     for n in (dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS):
-        nodes, _ = dalgarno_lewis._gauss_legendre(n)
+        nodes = [x for x, _ in dalgarno_lewis._panel_nodes(n)[0]]
         xs += nodes
         for lo, hi in zip(PANEL_T, PANEL_T[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -157,7 +157,8 @@ class TestOuterRule:
         worst = 0.0
         for gamma in gammas:
             state = ground_state_from_gamma(gamma)
-            outer = state.n_prime * math.fsum(dalgarno_lewis._outer_sums(state, 1))
+            n_prime, outer, _ = dalgarno_lewis._quadrature(state, 1, ())
+            outer = n_prime * math.fsum(outer)
             ref = symbolic.alpha1_ref(state.gamma0, state.beta0, state.n_prime_sq)
             worst = max(worst, float(abs((outer - ref) / ref)))
         assert worst <= 2e-15, worst

@@ -195,7 +195,7 @@ class TestPsi0:
         # psi0 * sqrt(a) = N' cos(gamma0 x') in the well and
         # N' cos(gamma0) e^{-beta0 (|x'| - 1)} outside it, even in x'.
         state = ground_state_from_gamma(gamma_pi * PI)
-        n_prime, g, b = state.n_prime, state.gamma0, state.beta0
+        n_prime, g, b = math.sqrt(state.n_prime_sq), state.gamma0, state.beta0
 
         def psi0(x):
             if abs(x) <= 1:
