@@ -42,7 +42,7 @@ def infinite_well_term(n: int) -> float:
     _require_int("transition index", n, 2)
     if n % 2 == 1:
         return 0.0
-    # Compared as ints: n * n past ~1.3e154 would not convert to a float.
+    # Compared as ints: converting (n*n - 1)**2 to a float overflows from n ~ 1.2e77.
     if n > _MAX_EVEN_INDEX:
         raise DomainError(
             f"an even transition index must be <= {_MAX_EVEN_INDEX:.2g}, "

@@ -721,6 +721,8 @@ QUADRATURE_HEX = {
 class TestQuadratureKernel:
     """The one-pass kernel against the scalar phi' helpers."""
 
+    GRID = [1e-20, 1e-8, 1e-3, 0.0599, 0.06, *np.linspace(0.05, GAMMA_MAX, 41).tolist()]
+
     def test_each_call_reads_the_state_once(self, monkeypatch):
         # Every per-state constant is derived from one read of gamma0,
         # beta0 and n_prime_sq; each property of GroundState is counted.
@@ -737,8 +739,6 @@ class TestQuadratureKernel:
             reads.clear()
             call(state)
             assert sorted(reads) == ["beta0", "gamma0", "n_prime_sq"], call.__name__
-
-    GRID = [1e-20, 1e-8, 1e-3, 0.0599, 0.06, *np.linspace(0.05, GAMMA_MAX, 41).tolist()]
 
     @pytest.mark.parametrize("gamma", sorted(QUADRATURE_HEX))
     def test_outputs_match_frozen_bits(self, gamma):
