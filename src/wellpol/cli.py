@@ -189,13 +189,11 @@ def _sweep_gammas(lo: float, hi: float, step: float) -> list[float]:
     tol = 1e-9 * min(step, hi - lo) absorbs the rounding of a grid-aligned
     end; bounding it by the range keeps a reversed range (hi < lo) empty at
     any step.  A step wider than the range gives lo alone; so does an
-    infinite step, for which lo + 0 * step would be nan.  More than
-    MAX_SWEEP_ROWS angles raise DomainError.
+    infinite step, as lo is listed without forming lo + 0 * step, which
+    would be nan.  More than MAX_SWEEP_ROWS angles raise DomainError.
     """
-    if math.isinf(step):
-        return [lo] if lo <= hi else []
     end = hi + 1e-9 * min(step, hi - lo)
-    gammas: list[float] = []
+    gammas = [lo] if lo <= end else []
     while (gamma := lo + len(gammas) * step) <= end:
         if len(gammas) == MAX_SWEEP_ROWS:
             raise DomainError(

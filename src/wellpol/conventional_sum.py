@@ -31,6 +31,9 @@ __all__ = ["infinite_well_term", "infinite_well_alpha", "calibrate_C"]
 # here and falls below the smallest normal float from n ~ 3.43e38.
 _MAX_EVEN_INDEX = 34 * 10**37
 
+# Terms summed at most: the rest cannot move the rounded sum (tests/test_conventional_sum.py).
+_CONVERGED_TERMS = 200
+
 
 def infinite_well_term(n: int) -> float:
     """Contribution of the 1 -> n box transition to alpha', in units of g.
@@ -54,9 +57,10 @@ def infinite_well_term(n: int) -> float:
 
 
 def infinite_well_alpha(num_terms: int) -> float:
-    """alpha' summed over the first ``num_terms`` contributing (even-n) transitions."""
+    """alpha' over the first ``num_terms`` even-n transitions; fixed past ``_CONVERGED_TERMS``."""
     _require_int("num_terms", num_terms, 1)
-    return math.fsum(infinite_well_term(2 * k) for k in range(1, num_terms + 1))
+    count = min(num_terms, _CONVERGED_TERMS)
+    return math.fsum(infinite_well_term(2 * k) for k in range(1, count + 1))
 
 
 def calibrate_C(target_alpha_prime: float) -> float:

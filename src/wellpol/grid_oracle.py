@@ -148,8 +148,8 @@ class GridOracleConfig(_Record):
 
 
 def _multiplier(config: GridOracleConfig) -> int:
-    """Nodes per unit length of the base grid: the fewest that give ``num_points``."""
-    return math.ceil((config.num_points + 1) / (2 * config.box_half_width))
+    """Nodes per unit length of the base grid: the fewest that give ``num_points``, exactly."""
+    return -(-(config.num_points + 1) // (2 * config.box_half_width))
 
 
 def _grid(config: GridOracleConfig, m: int):
@@ -159,13 +159,11 @@ def _grid(config: GridOracleConfig, m: int):
     v = V' + R^2 is exact: 0 inside, R^2 outside, R^2/2 on the edge node.
     R^2 < 4 m^2 on every admitted grid (h beta0 <= 0.4), so |T|_2 <= 4 m^2.
     """
-    L = config.box_half_width
-    x = np.arange(L * m, dtype=float) / m
+    x = np.arange(config.box_half_width * m, dtype=float) / m
     r_sq = (config.well_R or 0.0) ** 2
     v = np.full(x.size, r_sq)
     v[:m] = 0.0
-    if L > 1:  # the hard wall's box ends at the edges; it has no edge nodes
-        v[m] = 0.5 * r_sq
+    v[m:m + 1] = 0.5 * r_sq  # the hard wall's box ends at its edges: no edge node
     diag = 2.0 * m * m + (v - r_sq)
     off = np.full(x.size - 1, -float(m) * m)
     return x, v, diag, off
@@ -254,11 +252,8 @@ def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
     cut at ~e^-40 of its edge value.  The hard wall is the same formula with
     u = pi/2 and no node beyond the edge: cos(pi x'/2) vanishes at its wall.
     """
-    if config.ground is None:
-        u, nu = 0.5 * math.pi, 0.0
-    else:
-        u, nu = _grid_phases(config.ground, m)
-    edge = min(m + 1, x.size)  # the nodes 0 ... m, of which the hard wall lacks m
+    u, nu = (0.5 * math.pi, 0.0) if config.ground is None else _grid_phases(config.ground, m)
+    edge = m + 1  # the nodes 0 ... m, of which the hard wall lacks m
     start = np.empty(x.size)
     np.cos(u * x[:edge], out=start[:edge])
     np.exp(-nu * (x[edge:] - 1.0), out=start[edge:])
@@ -354,7 +349,7 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
 
 
 def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float):
-    """alpha' from the Stark quotients at the two probe sizes, and their record.
+    """alpha' from the Stark quotients at the two probe sizes, the quotients, and their share.
 
     At each size eps' (larger first) q = -4 (E(eps') - e0) / eps'^2 =
     alpha' + O(eps'^2), with e0 the even block's zero-field energy, so
@@ -366,9 +361,9 @@ def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float)
     started at psi0 + eps' phi, with ``phi``, the Dalgarno-Lewis solution
     on the nodes x' > 0 extended oddly, the first-order Stark state, so the
     start is off by O(eps'^2).
+    The share is the eps'^4 term's, |q1 - q2| / |q2|.
     NumericalError: the state is not the lowest of the tilted box (the field
-    pulled it out of the well), or the eps'^4 share |q1 - q2| / |q2| exceeds
-    ``_QUARTIC_SHARE``.
+    pulled it out of the well), or the share exceeds ``_QUARTIC_SHARE``.
     """
     x = np.concatenate((-x[:0:-1], x))
     v, diag, psi0 = (np.concatenate((a[:0:-1], a)) for a in (v, diag, psi0))
@@ -387,12 +382,7 @@ def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float)
             f"Stark quotients differ by {share:.1e} relative, above {_QUARTIC_SHARE:g}: "
             f"the eps'^4 term is not small at fields {fields[0]:.1e} and {fields[1]:.1e}"
         )
-    alpha = extrapolate(quotients, ratio=(fields[1] / fields[0]) ** 2)
-    return alpha, {
-        "curvature_field_values": fields,
-        "curvature_stark_quotients": tuple(quotients),
-        "curvature_quartic_share": share,
-    }
+    return extrapolate(quotients, ratio=(fields[1] / fields[0]) ** 2), tuple(quotients), share
 
 
 class OracleResult(_Record):
@@ -411,9 +401,10 @@ class OracleResult(_Record):
     [1.5, 2.5].  With the box sized to the tail, even gamma0 = 0.49 pi is near
     that order from 1100 points (successive-difference ratios 3.98 and 3.99
     against the asymptotic 4), and two doublings leave the extrapolated value
-    within 2e-10 (relative) of ``alpha_exact_prime`` on every Table-1 row.  A
-    finest level of more than ``_MAX_GRID_NODES`` nodes raises DomainError
-    before any grid.
+    within 2e-10 (relative) of ``alpha_exact_prime`` on every Table-1 row.
+    The multipliers and node counts of every level are exact integers worked
+    out first, and a finest level of more than ``_MAX_GRID_NODES`` nodes, for
+    any ``num_points`` or ``levels``, raises DomainError before any grid.
     """
 
     __slots__ = ()
@@ -422,30 +413,28 @@ class OracleResult(_Record):
 
     def __new__(cls, config: GridOracleConfig, levels: int = 2) -> "OracleResult":
         _require_int("levels", levels, 2)
-        ms = tuple(_multiplier(config) * 2**level for level in range(levels + 1))
-        nodes = 2 * config.box_half_width * ms[-1] - 1
-        if nodes > _MAX_GRID_NODES:
+        L = config.box_half_width
+        # The base grid has at least num_points nodes and each level doubles
+        # them: past these caps the finest has over 4x the budget, not formed.
+        small = config.num_points <= _MAX_GRID_NODES and levels <= _MAX_GRID_NODES.bit_length()
+        ms = tuple(_multiplier(config) << level for level in range(levels + 1)) if small else ()
+        sizes = tuple(2 * L * m - 1 for m in ms)
+        if not small or sizes[-1] > _MAX_GRID_NODES:
+            nodes = sizes[-1] if small else f"over {4 * _MAX_GRID_NODES}"
             raise DomainError(
-                f"the finest grid would have {nodes} nodes on a box of half-width "
-                f"{config.box_half_width}, more than the budget of {_MAX_GRID_NODES}"
+                f"the finest grid would have {nodes} nodes on a box of half-width {L}, "
+                f"more than the budget of {_MAX_GRID_NODES}"
             )
-        alphas, e0s, sizes = [], [], []
+        alphas, e0s = [], []
         for m in ms:
             x, v, diag, off = _grid(config, m)
-            sizes.append(2 * x.size - 1)
             bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
             e0 = bottom - (config.well_R or 0.0) ** 2
             alpha, solve_residual, phi = _dalgarno_lewis(x, diag, off, e0, psi0)
             if m == ms[0]:
-                fields = config.field_values
-                alpha_curvature, stark = _curvature(x, v, diag, off, psi0, phi, fields, bottom)
-                diagnostics = {
-                    "grid_num_points_actual": sizes[0],
-                    "grid_box_half_width": config.box_half_width,
-                    "grid_spacing": 1.0 / m,
-                    "sum_solve_residual": solve_residual(),
-                    **stark,
-                }
+                alpha_curvature, quotients, share = _curvature(
+                    x, v, diag, off, psi0, phi, config.field_values, bottom)
+                residual = solve_residual()
             alphas.append(alpha)
             e0s.append(e0)
         d_prev = alphas[-2] - alphas[-3]
@@ -458,13 +447,20 @@ class OracleResult(_Record):
                 ConvergenceWarning,
                 stacklevel=2,
             )
-        diagnostics.update(
-            refine_grid_multipliers=ms,
-            refine_grid_sizes=tuple(sizes),
-            refine_alpha_per_level=tuple(alphas),
-            refine_ground_energy_per_level=tuple(e0s),
-            refine_observed_order=observed,
-        )
+        diagnostics = {
+            "grid_num_points_actual": sizes[0],
+            "grid_box_half_width": L,
+            "grid_spacing": 1.0 / ms[0],
+            "sum_solve_residual": residual,
+            "curvature_field_values": config.field_values,
+            "curvature_stark_quotients": quotients,
+            "curvature_quartic_share": share,
+            "refine_grid_multipliers": ms,
+            "refine_grid_sizes": sizes,
+            "refine_alpha_per_level": tuple(alphas),
+            "refine_ground_energy_per_level": tuple(e0s),
+            "refine_observed_order": observed,
+        }
         alpha_sum = alphas[0]
         for name, value in (("alpha_sum", alpha_sum), ("alpha_curvature", alpha_curvature)):
             if not value > 0.0:

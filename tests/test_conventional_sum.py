@@ -2,10 +2,12 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from wellpol import conventional_sum
 from wellpol.conventional_sum import (
     calibrate_C,
     infinite_well_alpha,
@@ -93,6 +95,41 @@ class TestPartialSums:
         for earlier, later in zip(terms, terms[1:]):
             assert later < earlier
         assert infinite_well_alpha(10) == math.fsum(terms)
+
+    def test_converged_terms_fix_the_double_for_every_larger_count(self):
+        # In exact arithmetic.  fsum rounds the exact sum S of the float terms
+        # once, and the terms are positive, so the sum over any larger count
+        # lies in [S, S + T], T a bound on the tail of the float terms; both
+        # ends rounding to one double (Fraction's float() rounds correctly)
+        # pins it for every count.  A float term is within ~1e-15 of
+        # 4096 n^2 / (pi^6 (n^2 - 1)^5), and 961 is 4e-4 below pi^6, so
+        # it is at most c / n^8 with n^2 - 1 >= (15/16) n^2 from n = 4;
+        # summed over n = 2k, k > N, that is at most c / (256 * 7 N^7).
+        count = conventional_sum._CONVERGED_TERMS
+        exact = sum(Fraction(infinite_well_term(2 * k)) for k in range(1, count + 1))
+        c = Fraction(4096) / (961 * Fraction(15, 16) ** 5)
+        for k in (*range(count + 1, count + 500), 10**6, 10**12, 10**30):
+            assert Fraction(infinite_well_term(2 * k)) <= c / Fraction(2 * k) ** 8
+        tail = c / (256 * 7 * count**7)
+        assert float(exact) == float(exact + tail) == infinite_well_alpha(count)
+        assert infinite_well_alpha(count).hex() == "0x1.1fa3f860e5020p-4"
+        # The CLI's count of 50 is short of it.
+        assert infinite_well_alpha(50).hex() == "0x1.1fa3f860e4f53p-4"
+
+    @pytest.mark.parametrize("num_terms", [201, 10**12, 10**40])
+    def test_larger_counts_sum_only_the_converged_terms(self, monkeypatch, num_terms):
+        # 10**6 terms took a second, and 10**40 reached the refused index.
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            if len(calls) > conventional_sum._CONVERGED_TERMS:
+                raise AssertionError("summed past the converged terms")
+            return infinite_well_term(n)
+
+        monkeypatch.setattr(conventional_sum, "infinite_well_term", counting)
+        assert infinite_well_alpha(num_terms).hex() == "0x1.1fa3f860e5020p-4"
+        assert len(calls) == conventional_sum._CONVERGED_TERMS
 
     def test_rejects_empty_sum(self):
         with pytest.raises(DomainError):

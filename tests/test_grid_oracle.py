@@ -1,6 +1,7 @@
 """Grid oracle tests: spectra, both alpha routes, refinement."""
 
 import math
+import types
 from fractions import Fraction
 
 import mpmath
@@ -817,7 +818,7 @@ class TestCurvature:
         (x, v, diag, off), start = grid_start(config)
         bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
         alpha_sum, _, phi = grid_oracle._dalgarno_lewis(x, diag, off, bottom - well_R**2, psi0)
-        alpha, _ = grid_oracle._curvature(x, v, diag, off, psi0, phi, config.field_values, bottom)
+        alpha, _, _ = grid_oracle._curvature(x, v, diag, off, psi0, phi, config.field_values, bottom)
         assert alpha == pytest.approx(alpha_sum, rel=1e-6, abs=0.0)
 
 
@@ -1003,6 +1004,57 @@ class TestRefine:
         with pytest.raises(DomainError, match="would have 4194311 nodes"):
             oracle_study(GridOracleConfig(well_R=None, num_points=2**20))
 
+    @pytest.mark.parametrize(
+        "well_R, num_points, levels",
+        [(None, 10**4000, 2), (R_REF, 10**400, 2), (R_REF, 2000, 10**6), (None, 2**22 + 1, 2),
+         (None, 500, 24)],
+        ids=["hard-wall-1e4000-points", "well-1e400-points", "1e6-levels", "points-cap",
+             "levels-cap"],
+    )
+    def test_any_size_is_refused_before_any_grid(self, monkeypatch, well_R, num_points, levels):
+        # A 4000-digit count died in OverflowError, 20,000 levels in
+        # ValueError printing the finest size; past the caps on num_points and
+        # levels that size is over four times the budget and is not formed.
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        config = GridOracleConfig(well_R=well_R, num_points=num_points)
+        base = 2 * config.box_half_width * grid_oracle._multiplier(config)
+        assert (base << levels) - 1 > 4 * grid_oracle._MAX_GRID_NODES
+        # A multiplier per level would take tens of gigabytes at 1e6 levels.
+        calls, multiplier = [], grid_oracle._multiplier
+
+        def once(config):
+            calls.append(config)
+            if len(calls) > 1:
+                pytest.fail("a second multiplier was formed")
+            return multiplier(config)
+
+        monkeypatch.setattr(grid_oracle, "_grid", no_grid)
+        monkeypatch.setattr(grid_oracle, "_multiplier", once)
+        with pytest.raises(DomainError, match="over 16777216 nodes .* budget of 4194304") as info:
+            oracle_study(config, levels=levels)
+        assert len(str(info.value)) < 300
+
+    def test_levels_below_the_cap_report_the_finest_size(self, monkeypatch):
+        # Just inside the levels cap the exact size is formed and named.
+        monkeypatch.setattr(grid_oracle, "_grid", lambda *args: pytest.fail("a grid was built"))
+        with pytest.raises(DomainError, match="would have 4211081215 nodes"):
+            oracle_study(GridOracleConfig(well_R=None, num_points=500), levels=23)
+
+    def test_multiplier_is_exact(self):
+        # The float form ceil((num_points + 1) / (2 L)) rounded 2^53 + 1 down.
+        config = GridOracleConfig(well_R=None, num_points=2**53)
+        assert grid_oracle._multiplier(config) == 2**52 + 1
+        assert math.ceil((config.num_points + 1) / 2) == 2**52
+        # Below 2^53 the two forms agree; checked on numpy arrays of every
+        # num_points from 500 to 1e6, for the hard wall and wider boxes.
+        points = np.arange(500, 10**6 + 1)
+        for half_width in (1, 2, 3, 13, 41, 1001, 3200000000001):
+            box = types.SimpleNamespace(num_points=points, box_half_width=half_width)
+            exact = grid_oracle._multiplier(box)
+            assert np.array_equal(exact, np.ceil((points + 1) / (2 * half_width)))
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k", range(23))
@@ -1040,7 +1092,7 @@ class TestOracleResult:
         with monkeypatch.context() as patch:
             patch.setattr(grid_oracle, "_dalgarno_lewis", solve)
             if curvature is not None:
-                patch.setattr(grid_oracle, "_curvature", lambda *a: (curvature(sums[0]), {}))
+                patch.setattr(grid_oracle, "_curvature", lambda *a: (curvature(sums[0]), (), 0.0))
             return OracleResult(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
 
     def test_positivity_enforced(self, monkeypatch):
