@@ -68,10 +68,15 @@ def calibrate_C(target_alpha_prime: float) -> float:
 
     alpha2' at the hard-wall limit is affine in C', so a two-point
     evaluation determines the line, of slope -2/pi^2, and the solve is
-    exact.  The converged conventional sum as a target returns C' = -1.
+    exact.  The converged conventional sum as a target returns C' = -1.  A
+    target whose C' is not a finite float (a non-finite one, or one beyond
+    ~3.6e307 in size) is refused.
     """
-    if not math.isfinite(target_alpha_prime):
-        raise DomainError(f"target must be finite, got {target_alpha_prime!r}")
     intercept = alpha2_prime_hard_wall(0.0)
     slope = alpha2_prime_hard_wall(1.0) - intercept
-    return (target_alpha_prime - intercept) / slope
+    c_prime = (target_alpha_prime - intercept) / slope
+    if not math.isfinite(c_prime):
+        raise DomainError(
+            f"target {target_alpha_prime!r} gives C' = {c_prime!r}, not a finite float"
+        )
+    return c_prime

@@ -1,44 +1,44 @@
-"""Brute-force polarizability oracle on a finite-difference grid.
+"""Brute-force polarizability oracle: a finite-difference grid, checked by a spectral solve.
 
 The dimensionless Hamiltonian -d^2/dx'^2 - R^2 * [|x'| < 1] (energies in
 hbar^2 / (2 m a^2)) is discretized with the three-point stencil on a hard-
 wall box [-L, L] as a symmetric tridiagonal matrix.  The grid is mirror-
 symmetric node for node, so each level is built on its nodes x' >= 0 only:
 they carry the exactly even zero-field ground state, as the even block.
-The polarizability then comes out two independent ways:
+The polarizability then comes out of one Dalgarno-Lewis equation
+(H - E_0') phi = x' psi0, alpha' = 4 <x' psi0|phi>, discretized two
+independent ways:
 
-  * Dalgarno-Lewis solve  (H - E_0') phi = x' psi0 on the odd half-grid,
-                          alpha' = 4 <x' psi0|phi>, which is the spectral
-                          sum 4 sum_n |<n|x'|0>|^2 / (E_n' - E_0') over every
-                          grid state, without building one excited state
-  * field curvature       Stark quotients -4 (E_0'(eps') - E_0') / eps'^2 =
-                          alpha' + O(eps'^2) at two field sizes, taken to
-                          eps' -> 0 on the base grid mirrored into the whole
-                          box; the matrix at -eps' is the mirror image of
-                          the one at +eps', so one ground state per size
-                          serves both signs, and E_0' is the even block's
+  * grid solve      on the odd half-grid of each level, which is the spectral
+                    sum 4 sum_n |<n|x'|0>|^2 / (E_n' - E_0') over every grid
+                    state, without building one excited state; taken to
+                    h -> 0 by Romberg's table over grid doublings
+  * spectral solve  a Galerkin solve on x' >= 0, by parity: 8 orthonormal
+                    Legendre polynomials of one parity on [0, 1] and 8
+                    Laguerre functions e^-t L_j(2t), t = beta0 (x' - 1),
+                    beyond, joined by one continuity constraint into 15
+                    unknowns (the hard wall: psi(1) = 0 and no outer part,
+                    7 unknowns); its matrices are exact closed forms, built
+                    once on first use (``_spectral_tables``)
 
-Every ground state comes from inverse iteration started at the grid's own
-state, one O(n) positive-definite L D L^T solve per step shifted below the
-state, its stop scaled by the bound |T|_2 <= 4 m^2 + |eps'| L that the
-grid's construction gives.  The vector that passes the stop is returned,
-certified as the lowest (Sylvester's law of inertia) by one more
-factorisation, with no right-hand side.  The even block starts at its exact
-eigenvector, the continuum ground state at the grid's own phases
-(``_grid_phases``), so it takes no solve; a tilted grid starts at
-psi0 + eps' phi, phi the discrete Dalgarno-Lewis solution and first-order
-Stark state, so its start is off by O(eps'^2).
+Every grid ground state comes from inverse iteration started at the grid's
+own state, one O(n) positive-definite L D L^T solve per step shifted below
+the state, its stop scaled by the bound |T|_2 <= 4 m^2 that the grid's
+construction gives.  The vector that passes the stop is returned, certified
+as the lowest (Sylvester's law of inertia) by one more factorisation, with
+no right-hand side.  The even block starts at its exact eigenvector, the
+continuum ground state at the grid's own phases (``_grid_phases``), so it
+takes no solve.
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
 and makes Richardson extrapolation across grid doublings meaningful
-(``limits.extrapolate`` with ratio 1/4).  Every ground energy is one
-Rayleigh quotient from the well bottom, free of cancellation, so the Stark
-shifts are not polluted by rounding.
+(``limits.extrapolate`` with ratio 1/4).  Every grid ground energy is one
+Rayleigh quotient from the well bottom, free of cancellation.
 ``oracle_study``, the one entry point, is the result type ``OracleResult``:
 it builds each of its grids once and finds one even-block ground state on
-each, for the Dalgarno-Lewis solve of that level; the base grid's also
-serves as the zero field of the curvature route.
+each, for the Dalgarno-Lewis solve of that level, and makes one spectral
+solve.
 
 A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
 infinite-well configuration); responses then check out against the
@@ -47,12 +47,13 @@ analytic transition sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dgesv, dposv, dptsv, dsygvx
 
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .limits import extrapolate
@@ -60,15 +61,14 @@ from .well_spectrum import GroundState, _Record, _require_int, ground_state_from
 
 __all__ = ["GridOracleConfig", "OracleResult", "oracle_study"]
 
-# Stark probe field sizes eps' (larger first; -eps' mirrors +eps'), scaled per well.
-_PROBE_FIELDS = (1e-3, 5e-4)
-
-# Relative agreement required between the two oracle routes at matched
-# discretization before a combined result is considered sane.
+# Relative agreement required between Romberg's grid value and the spectral
+# solve before a combined result is considered sane.
 _ROUTE_AGREEMENT = 1e-6
 
-# Largest eps'^4 share |q1 - q2| / |q2| of the two Stark quotients.
-_QUARTIC_SHARE = 1e-4
+# Legendre polynomials of one parity, and Laguerre functions, of the spectral
+# solve.  By 6 the value has settled; past ~12 rounding grows, as the
+# Legendre kinetic entries grow as n^4.
+_SPECTRAL_TERMS = 8
 
 # Largest h * beta0 of the base grid, the decay of psi0 per grid step.  At
 # 0.2-0.4 the observed order is 1.96-1.99 and Romberg's value is within
@@ -96,33 +96,29 @@ class GridOracleConfig(_Record):
     """Discretization and study parameters for one oracle run.
 
     ``well_R`` is the dimensionless well strength; None selects the
-    hard-wall box of half-width 1.  ``box_half_width`` and ``field_values``
-    are derived on construction from the one bound-state solve, which also
-    checks ``well_R``: the box is 1 for the hard wall and ceil(1 + 40/beta0)
-    for a well, where psi0 has fallen to e^-40 of its edge value; the probe
-    fields are ``_PROBE_FIELDS`` times min(1, beta0^3).  That solve is kept
-    as ``ground`` (None for the hard wall); its gamma0 starts the root of
-    each grid's own phases.  ``num_points`` is a request: the actual grid is
+    hard-wall box of half-width 1.  ``box_half_width`` is derived on
+    construction from the one bound-state solve, which also checks
+    ``well_R``: it is 1 for the hard wall and ceil(1 + 40/beta0) for a well,
+    where psi0 has fallen to e^-40 of its edge value.  That solve is kept as
+    ``ground`` (None for the hard wall); its gamma0 starts the root of each
+    grid's own phases, and its beta0 scales the spectral solve's Laguerre
+    functions.  ``num_points`` is a request of at most ``_MAX_GRID_NODES``,
+    which the base grid alone would otherwise exceed: the actual grid is
     snapped up to the nearest size whose nodes hit the well edges.  A well
     whose base grid has h * beta0 above ``_MAX_H_BETA0`` is refused, naming
     the smallest ``num_points`` that resolves its tail.
     """
 
     __slots__ = ()
-    _fields = ("well_R", "num_points", "box_half_width", "field_values", "ground")
+    _fields = ("well_R", "num_points", "box_half_width", "ground")
 
     def __new__(cls, well_R: Optional[float], num_points: int = 2000) -> "GridOracleConfig":
-        _require_int("num_points", num_points, 500)
+        _require_int("num_points", num_points, 500, _MAX_GRID_NODES)
         if well_R is None:
-            return tuple.__new__(cls, (None, num_points, 1, _PROBE_FIELDS, None))
+            return tuple.__new__(cls, (None, num_points, 1, None))
         ground = ground_state_from_R(well_R)
         beta0 = ground.beta0
-        # The field drops by ~eps'/beta0 across the tail, which must stay
-        # small against the binding beta0^2, or the tilted box's ground
-        # state leaves the well.
-        scale = min(1.0, beta0**3)
-        self = tuple.__new__(cls, (well_R, num_points, math.ceil(1.0 + 40.0 / beta0),
-                                   tuple(scale * v for v in _PROBE_FIELDS), ground))
+        self = tuple.__new__(cls, (well_R, num_points, math.ceil(1.0 + 40.0 / beta0), ground))
         m, m_min = _multiplier(self), math.ceil(beta0 / _MAX_H_BETA0)
         if m < m_min:
             nodes = 2 * self.box_half_width * m_min - 1
@@ -177,24 +173,20 @@ def _tridiag_matvec(diag, off, vec, minus=None):
     return out
 
 
-def _rayleigh_quotient(off, onsite, vec, even: bool = False) -> float:
-    """Energy above the well bottom, w.Tw / w.w, of T = (2 m^2 + ``onsite``, off = -m^2).
+def _rayleigh_quotient(off, onsite, vec) -> float:
+    """Energy above the well bottom, w.Tw / w.w, of the even state ``vec`` on the nodes x' >= 0.
 
-    ``onsite`` is the exact potential above the well bottom, minus eps' x' on
-    a tilted grid.  w.Tw = m^2 [sum (w_{k+1} - w_k)^2 + w_0^2 + w_{n-1}^2]
-    + sum onsite_k w_k^2 exactly, the end terms being the hard walls, so no
-    term of size 4 m^2 or R^2 cancels, as it would in w.(T w) or from E' = 0.
-    With ``even``, ``vec`` is an even state on the nodes x' >= 0 from the
-    centre, where ``onsite`` is 0: its mirror image weighs them (1, 2, 2, ...),
-    here halved to (1/2, 1, 1, ...) with the one wall at x' = L.
+    T = (2 m^2 + ``onsite``, off = -m^2) is the whole grid and ``onsite`` the
+    exact potential above the well bottom, 0 at the centre.  The mirror image
+    of ``vec`` weighs its nodes (1, 2, 2, ...), here halved to (1/2, 1, 1, ...),
+    so w.Tw = m^2 [sum (w_{k+1} - w_k)^2 + w_{n-1}^2] + sum onsite_k w_k^2
+    exactly, the end term being the hard wall at x' = L: no term of size
+    4 m^2 or R^2 cancels, as it would in w.(T w) or from E' = 0.
     """
     step = vec[1:] - vec[:-1]
-    if even:
-        centre = 0.5 * vec[0] ** 2
-        kinetic = step @ step + vec[-1] ** 2
-        return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec - centre))
-    kinetic = step @ step + vec[0] ** 2 + vec[-1] ** 2
-    return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec))
+    centre = 0.5 * vec[0] ** 2
+    kinetic = step @ step + vec[-1] ** 2
+    return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec - centre))
 
 
 def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
@@ -315,18 +307,18 @@ def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.nda
     start[1:] *= math.sqrt(2.0)
     psi = _lowest_vector(diag, block_off, start, -4.0 * off[0])
     psi[1:] /= math.sqrt(2.0)
-    return _rayleigh_quotient(off, v, psi, even=True), psi
+    return _rayleigh_quotient(off, v, psi), psi
 
 
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
-    """alpha' from the discrete Dalgarno-Lewis solve, its residual on demand, and phi.
+    """alpha' from the discrete Dalgarno-Lewis solve, and its residual on demand.
 
     alpha' equals the transition sum over every state of the grid
     Hamiltonian.  The second value takes no argument and returns the
     solve's backward error |(T - E_0') phi - b| / ((4 m^2 + |E_0'|) |phi|)
     in infinity norms, 4 m^2 + |E_0'| bounding |T - E_0'| on the grid;
     ``oracle_study`` reports the base grid's.  phi is odd, so phi(0) = 0
-    and the nodes x' > 0 carry the whole problem; phi is returned on them.
+    and the nodes x' > 0 carry the whole problem.
     That block holds only odd states, all above E_0', so H - E_0' is
     positive definite there and LAPACK's L D L^T solve ``dptsv`` applies,
     the one that inverse iteration uses.
@@ -345,66 +337,121 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
         return float(np.max(np.abs(residual)) / ((-4.0 * e[0] + abs(e0)) * np.max(np.abs(phi))))
 
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
-    return 8.0 * float(b @ phi), solve_residual, phi
+    return 8.0 * float(b @ phi), solve_residual
 
 
-def _curvature(x, v, diag, off, psi0, phi, fields: tuple[float, ...], e0: float):
-    """alpha' from the Stark quotients at the two probe sizes, the quotients, and their share.
+@functools.cache
+def _spectral_tables(hard_wall: bool):
+    """The spectral solve's matrices at unit R and beta0, built once per kind on first use.
 
-    At each size eps' (larger first) q = -4 (E(eps') - e0) / eps'^2 =
-    alpha' + O(eps'^2), with e0 the even block's zero-field energy, so
-    ``extrapolate`` at ratio (eps2/eps1)^2 takes them to zero field.  The
-    matrix at -eps' is the mirror image of the one at +eps', so one ground
-    state per size serves both signs.  The field breaks the parity, so each
-    is solved on the whole grid, which only this route builds, mirroring the
-    base grid's nodes x' >= 0; there |T|_2 <= 4 m^2 + eps' max|x'|.  Each is
-    started at psi0 + eps' phi, with ``phi``, the Dalgarno-Lewis solution
-    on the nodes x' > 0 extended oddly, the first-order Stark state, so the
-    start is off by O(eps'^2).
-    The share is the eps'^4 term's, |q1 - q2| / |q2|.
-    NumericalError: the state is not the lowest of the tilted box (the field
-    pulled it out of the well), or the share exceeds ``_QUARTIC_SHARE``.
+    Inside, q_a = sqrt(2a + 1) P_a(x'), a = p, p + 2, ... of parity p, is
+    orthonormal on [0, 1], with q_a(1) = sqrt(2a + 1) and, for k = min(a, b),
+
+        int q_a' q_b' = sqrt((2a + 1)(2b + 1)) k (k + 1) / 2     (a - b even),
+        int x' q_a q_b = (k + 1) / sqrt((2k + 1)(2k + 3))       (|a - b| = 1).
+
+    Beyond, l_j = sqrt(2) e^-t L_j(2t), t = s (x' - 1), has l_j(1) = sqrt(2) and
+
+        int l_i l_j = delta_ij / s,   int l_i' l_j' = s (4 min(i, j) + 2 - delta_ij),
+        int (x' - 1) l_i l_j = T_ij / s^2,  T = tridiag(-j/2, j + 1/2, -(j + 1)/2),
+
+    by the Laguerre recurrences and L_j' = -sum_{k<j} L_k; the hard wall has
+    no l_j.  Every entry is exact, so no quadrature is needed.  An orthonormal
+    basis Z of the coefficients continuous at x' = 1 (zero there on the hard
+    wall) projects each matrix.  Returned: K_in, K_out, M_in and M_out, each
+    Z^T A Z of both parities flattened into one row (s = 1), and the
+    odd-by-even dipole inside, from int l_i l_j and from T.
     """
-    x = np.concatenate((-x[:0:-1], x))
-    v, diag, psi0 = (np.concatenate((a[:0:-1], a)) for a in (v, diag, psi0))
-    off = np.concatenate((off, off))
-    stark = np.concatenate((-phi[::-1], [0.0], phi))
-    quotients = []
-    for size in fields:
-        tilt = size * x
-        norm = -4.0 * off[0] + size * x[-1]
-        vec = _lowest_vector(diag - tilt, off, psi0 + size * stark, norm)
-        energy = _rayleigh_quotient(off, v - tilt, vec)
-        quotients.append(-4.0 * (energy - e0) / size**2)
-    share = abs(quotients[0] - quotients[1]) / abs(quotients[1])
-    if not share <= _QUARTIC_SHARE:
+    n = _SPECTRAL_TERMS
+    j = np.arange(0 if hard_wall else n)
+
+    def split(inner=0.0, beyond=0.0):
+        full = np.zeros((n + j.size, n + j.size))
+        full[:n, :n], full[n:, n:] = inner, beyond
+        return full
+
+    even, odd = np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)
+    nulls, blocks = [], []
+    for a in (even, odd):
+        k = np.minimum.outer(a, a)
+        q_edge = np.sqrt(2.0 * a + 1.0)
+        edge = np.concatenate((q_edge, np.full(j.size, -math.sqrt(2.0))))
+        z = np.linalg.svd(edge[None, :])[2][1:].T
+        parts = (split(inner=np.outer(q_edge, q_edge) * k * (k + 1) / 2.0),
+                 split(beyond=4.0 * np.minimum.outer(j, j) + 2.0 - np.eye(j.size)),
+                 split(inner=np.eye(n)), split(beyond=np.eye(j.size)))
+        blocks.append(np.array([(z.T @ part @ z).ravel() for part in parts]))
+        nulls.append(z)
+    k = np.minimum.outer(odd, even)
+    inside = np.where(abs(np.subtract.outer(odd, even)) == 1,
+                      (k + 1) / np.sqrt((2.0 * k + 1) * (2.0 * k + 3)), 0.0)
+    moment = np.diag(j + 0.5) - 0.5 * (np.diag(j[1:], 1) + np.diag(j[1:], -1))
+    parts = (split(inner=inside), split(beyond=np.eye(j.size)), split(beyond=moment))
+    dipole = np.array([(nulls[1].T @ part @ nulls[0]).ravel() for part in parts])
+    blocks = np.concatenate(blocks, axis=1)
+    blocks.flags.writeable = dipole.flags.writeable = False  # shared by every study
+    return blocks, dipole
+
+
+def _spectral(config: GridOracleConfig) -> tuple[float, float]:
+    """alpha' and E_0' of the Legendre x Laguerre Galerkin solve.
+
+    With s = beta0 (1 and R = 0 on the hard wall) the Galerkin matrices are
+    H = K_in + s K_out - R^2 M_in, in the threshold frame, so a shallow
+    well's E_0' = -beta0^2 is not rounded against R^2, and
+    M = M_in + M_out / s, each parity from ``_spectral_tables``.  The even
+    block's lowest pair (LAPACK ``dsygvx``) is refined by one shifted solve,
+    (H - E M) c = M c (``dgesv``), whose Rayleigh quotient is E_0'.  Then
+    alpha' = 4 b^T (H_odd - E_0' M_odd)^-1 b, b the dipole image of the unit
+    ground state; that block holds only states above E_0', so the solve is
+    LAPACK's Cholesky solve ``dposv``.  NumericalError: a LAPACK call fails.
+    """
+    blocks, dipole = _spectral_tables(config.ground is None)
+    s, r_sq = (1.0, 0.0) if config.ground is None else (config.ground.beta0, config.well_R**2)
+    size = math.isqrt(dipole.shape[1])
+    weights = np.array(((1.0, s, -r_sq, 0.0), (0.0, 0.0, 1.0, 1.0 / s)))
+    (h_even, h_odd), (m_even, m_odd) = (weights @ blocks).reshape(2, 2, size, size)
+    x = (np.array((1.0, 1.0 / s, 1.0 / (s * s))) @ dipole).reshape(size, size)
+    energy, c, _, _, info = dsygvx(h_even, m_even, range="I", il=1, iu=1)
+    if info == 0:
+        c, info = dgesv(h_even - energy[0] * m_even, m_even @ c[:, 0])[2:]
+    if info != 0:
+        raise NumericalError(f"the spectral ground state failed: LAPACK info {info}")
+    m_c = m_even @ c
+    e0 = float(c @ (h_even @ c) / (c @ m_c))
+    b = (x @ c) / math.sqrt(c @ m_c)
+    phi, info = dposv(h_odd - e0 * m_odd, b)[1:]
+    if info != 0:
         raise NumericalError(
-            f"Stark quotients differ by {share:.1e} relative, above {_QUARTIC_SHARE:g}: "
-            f"the eps'^4 term is not small at fields {fields[0]:.1e} and {fields[1]:.1e}"
+            f"H - E0 is not positive definite on the odd spectral basis: pivot {info} is "
+            f"not positive"
         )
-    return extrapolate(quotients, ratio=(fields[1] / fields[0]) ** 2), tuple(quotients), share
+    return 4.0 * float(b @ phi), e0
 
 
 class OracleResult(_Record):
-    """Both oracle routes on the base grid, and the sum route over ``levels`` doublings.
+    """The grid's Dalgarno-Lewis solve over ``levels`` doublings, checked by the spectral solve.
 
     ``oracle_study`` is this type.  It takes only the study's inputs and
     derives the rest, so a copy or a pickle re-runs the study: seconds for a
     grid near ``_MAX_GRID_NODES``.  Each grid gives one even-block ground state
     and one Dalgarno-Lewis solve.  On the base grid, ``alpha_sum`` is that
-    solve, whose residual is the one reported (``sum_solve_residual``), and its
-    ground energy is the zero-field point of the Stark quotients, which give
-    ``alpha_curvature``; both must be positive, with a ``route_gap`` of at most
-    ``_ROUTE_AGREEMENT``.  ``richardson_alpha`` extrapolates the solves of all
-    levels by Romberg's table, assuming the even-power error expansion of the
-    three-point stencil; the observed order is reported, with a warning outside
-    [1.5, 2.5].  With the box sized to the tail, even gamma0 = 0.49 pi is near
-    that order from 1100 points (successive-difference ratios 3.98 and 3.99
-    against the asymptotic 4), and two doublings leave the extrapolated value
-    within 2e-10 (relative) of ``alpha_exact_prime`` on every Table-1 row.
+    solve, whose residual is the one reported (``sum_solve_residual``), and
+    ``ground_energy_dimless`` its ground energy.  ``richardson_alpha``
+    extrapolates the solves of all levels by Romberg's table, assuming the
+    even-power error expansion of the three-point stencil; the observed order
+    is reported, with a warning outside [1.5, 2.5].  With the box sized to the
+    tail, even gamma0 = 0.49 pi is near that order from 1100 points
+    (successive-difference ratios 3.98 and 3.99 against the asymptotic 4), and
+    two doublings leave the extrapolated value within 2e-10 (relative) of
+    ``alpha_exact_prime`` on every Table-1 row.  ``alpha_curvature``, named for
+    the Stark-curvature route it replaced, is the spectral solve, which has no
+    grid, so ``route_gap`` = |richardson_alpha - alpha_curvature| /
+    alpha_curvature reads the grid's discretisation error; it must be at most
+    ``_ROUTE_AGREEMENT``, and both alphas must be positive.
     The multipliers and node counts of every level are exact integers worked
     out first, and a finest level of more than ``_MAX_GRID_NODES`` nodes, for
-    any ``num_points`` or ``levels``, raises DomainError before any grid.
+    any ``levels``, raises DomainError before any grid.
     """
 
     __slots__ = ()
@@ -416,7 +463,7 @@ class OracleResult(_Record):
         L = config.box_half_width
         # The base grid has at least num_points nodes and each level doubles
         # them: past these caps the finest has over 4x the budget, not formed.
-        small = config.num_points <= _MAX_GRID_NODES and levels <= _MAX_GRID_NODES.bit_length()
+        small = levels <= _MAX_GRID_NODES.bit_length()
         ms = tuple(_multiplier(config) << level for level in range(levels + 1)) if small else ()
         sizes = tuple(2 * L * m - 1 for m in ms)
         if not small or sizes[-1] > _MAX_GRID_NODES:
@@ -430,13 +477,12 @@ class OracleResult(_Record):
             x, v, diag, off = _grid(config, m)
             bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
             e0 = bottom - (config.well_R or 0.0) ** 2
-            alpha, solve_residual, phi = _dalgarno_lewis(x, diag, off, e0, psi0)
+            alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
             if m == ms[0]:
-                alpha_curvature, quotients, share = _curvature(
-                    x, v, diag, off, psi0, phi, config.field_values, bottom)
                 residual = solve_residual()
             alphas.append(alpha)
             e0s.append(e0)
+        alpha_curvature, spectral_e0 = _spectral(config)
         d_prev = alphas[-2] - alphas[-3]
         d_last = alphas[-1] - alphas[-2]
         observed = (math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0
@@ -452,24 +498,25 @@ class OracleResult(_Record):
             "grid_box_half_width": L,
             "grid_spacing": 1.0 / ms[0],
             "sum_solve_residual": residual,
-            "curvature_field_values": config.field_values,
-            "curvature_stark_quotients": quotients,
-            "curvature_quartic_share": share,
+            "spectral_ground_energy": spectral_e0,
             "refine_grid_multipliers": ms,
             "refine_grid_sizes": sizes,
             "refine_alpha_per_level": tuple(alphas),
             "refine_ground_energy_per_level": tuple(e0s),
             "refine_observed_order": observed,
         }
-        alpha_sum = alphas[0]
+        alpha_sum, richardson = alphas[0], extrapolate(alphas, ratio=0.25)
         for name, value in (("alpha_sum", alpha_sum), ("alpha_curvature", alpha_curvature)):
             if not value > 0.0:
                 raise NumericalError(f"{name} must be positive, got {value!r}")
-        gap = abs(alpha_sum - alpha_curvature) / alpha_sum
+        gap = abs(richardson - alpha_curvature) / alpha_curvature
         if gap > _ROUTE_AGREEMENT:
-            raise NumericalError(f"oracle routes disagree by {gap:.2e} at matched discretization")
+            raise NumericalError(
+                f"oracle routes disagree by {gap:.2e}: Romberg's grid value against the "
+                f"spectral solve"
+            )
         return tuple.__new__(cls, (config, levels, alpha_sum, alpha_curvature, e0s[0],
-                                   extrapolate(alphas, ratio=0.25), diagnostics, gap))
+                                   richardson, diagnostics, gap))
 
 
 oracle_study = OracleResult

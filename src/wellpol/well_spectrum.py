@@ -54,10 +54,20 @@ GAMMA_MIN = 1e-30
 _NEWTON_STEPS = 40
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    """Refuse with DomainError any ``value`` but an int, not a bool, of at least ``minimum``."""
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= minimum):
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Refuse with DomainError any ``value`` but an int, not a bool, in [minimum, maximum].
+
+    An int past 100 digits is named by sign and bit length: Python prints none past 4,300.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        rule = f"an integer >= {minimum}"
+    elif maximum is not None and value > maximum:
+        rule = f"<= {maximum}"
+    else:
+        return
+    shown = (f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
+             if isinstance(value, int) and abs(value) >= 10**100 else repr(value))
+    raise DomainError(f"{name} must be {rule}, got {shown}")
 
 
 class _Record(tuple):

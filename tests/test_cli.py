@@ -278,8 +278,8 @@ class TestReports:
         row = payload["rows"][0]
         assert row["relative_deviation_from_closed_form"] == pytest.approx(0.119, abs=0.01)
         checks = {c["name"]: c for c in payload["diagnostics"]["checks"]}
-        assert set(checks) == {"sum_vs_curvature_rel", "oracle_vs_exact_rel"}
-        assert checks["sum_vs_curvature_rel"]["passed"]
+        assert set(checks) == {"richardson_vs_spectral_rel", "oracle_vs_exact_rel"}
+        assert checks["richardson_vs_spectral_rel"]["passed"]
         exact = checks["oracle_vs_exact_rel"]
         assert exact["passed"] and exact["band"] == 1e-5
         assert exact["value"] == pytest.approx(
@@ -288,12 +288,12 @@ class TestReports:
 
     @pytest.mark.parametrize("R", ["0.721698", "0.620477", "0.528884"])
     def test_oracle_passes_on_table2_rows(self, capsys, R):
-        # The probe fields shrink with beta0^3 on these weak wells, so the
-        # curvature route agrees with the sum route to ~9e-9 (measured).
+        # On these weak wells Romberg's grid value agrees with the spectral
+        # solve to ~1e-10 (measured).
         code, out = run(["oracle", "--R", R], capsys)
         assert code == 0
         checks = {c["name"]: c for c in json.loads(out)["diagnostics"]["checks"]}
-        assert checks["sum_vs_curvature_rel"]["value"] <= 1e-7
+        assert checks["richardson_vs_spectral_rel"]["value"] <= 1e-7
         assert checks["oracle_vs_exact_rel"]["passed"]
 
     def test_oracle_requires_one_target(self, capsys):
@@ -339,9 +339,7 @@ class TestReports:
             "grid_box_half_width",
             "grid_spacing",
             "sum_solve_residual",
-            "curvature_field_values",
-            "curvature_stark_quotients",
-            "curvature_quartic_share",
+            "spectral_ground_energy",
             "refine_grid_multipliers",
             "refine_grid_sizes",
             "refine_alpha_per_level",

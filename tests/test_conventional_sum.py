@@ -169,3 +169,14 @@ class TestCalibration:
     def test_rejects_non_finite_target(self):
         with pytest.raises(DomainError):
             calibrate_C(math.nan)
+
+    @pytest.mark.parametrize("target", [1e308, -1e308, 4e307])
+    def test_rejects_finite_target_whose_c_prime_overflows(self, target):
+        # C' = (target - intercept) / slope, slope = -2/pi^2: past ~3.6e307 the
+        # quotient is -inf or inf, once returned for a finite target.
+        with pytest.raises(DomainError, match="not a finite float"):
+            calibrate_C(target)
+
+    def test_largest_targets_give_finite_c_prime(self):
+        assert math.isfinite(calibrate_C(3.5e307))
+        assert math.isfinite(calibrate_C(-3.5e307))

@@ -1,6 +1,9 @@
-"""Grid oracle tests: spectra, both alpha routes, refinement."""
+"""Grid oracle tests: spectra, the grid and spectral alpha routes, refinement."""
 
 import math
+import os
+import subprocess
+import sys
 import types
 from fractions import Fraction
 
@@ -16,9 +19,11 @@ from wellpol.dalgarno_lewis import alpha_exact_prime
 from wellpol import grid_oracle
 from wellpol.errors import ConvergenceWarning, DomainError, NumericalError
 from wellpol.grid_oracle import GridOracleConfig, OracleResult, oracle_study
+from wellpol.limits import extrapolate
 from wellpol.well_spectrum import ground_state_from_R, ground_state_from_gamma
 
 R_REF = 3.617018  # gamma0 = 0.39 pi row
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def base_grid(config):
@@ -66,17 +71,15 @@ def grid_start(config, level=0):
     return (x, v, diag, off), grid_oracle._grid_ground(config, x, m)
 
 
-def bottom_ground(config):
-    """The base grid and psi0 on x' >= 0, its energy above the well bottom, and phi on x' > 0.
+def whole_quotient(off, onsite, vec):
+    """w.Tw / w.w of the whole-box well-bottom matrix T = (2 m^2 + onsite, off = -m^2).
 
-    phi is the Dalgarno-Lewis solution that, extended oddly, starts each tilted grid
-    at psi0 + eps' phi.
+    The edge-difference form of ``_rayleigh_quotient`` with both hard walls,
+    for a vector of the whole box.
     """
-    (x, v, diag, off), start = grid_start(config)
-    bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
-    e0 = bottom - (config.well_R or 0.0) ** 2
-    _, _, phi = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
-    return (x, v, diag, off), bottom, psi0, phi
+    step = vec[1:] - vec[:-1]
+    kinetic = step @ step + vec[0] ** 2 + vec[-1] ** 2
+    return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec))
 
 
 # gamma0 = 0.05 pi ... 0.49 pi, the well range of the oracle's accuracy test.
@@ -96,16 +99,6 @@ class TestConfig:
         # ceil(1 + 40/beta0) with no floor: beta0 = 49 needs only 2
         assert GridOracleConfig(well_R=49.008061).box_half_width == 2
 
-    @pytest.mark.parametrize("gamma_pi", [0.05, 0.15, 0.2, 0.39, 0.49])
-    def test_probe_fields_scale_with_binding(self, gamma_pi):
-        # Wells with beta0 < 1 probe at beta0^3 times the hard wall's two
-        # field sizes, larger first, and at the hard wall's from beta0 = 1 up.
-        config = GridOracleConfig(well_R=ground_state_from_gamma(gamma_pi * math.pi).R)
-        hard = GridOracleConfig.hard_wall().field_values
-        assert hard == (1e-3, 5e-4)
-        scale = min(1.0, config.ground.beta0**3)
-        assert config.field_values == tuple(scale * v for v in hard)
-
     def test_hard_wall_forces_unit_box(self):
         config = GridOracleConfig.hard_wall(num_points=600)
         assert config.box_half_width == 1
@@ -124,11 +117,10 @@ class TestConfig:
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
         assert calls == [R_REF]
 
-    def test_study_makes_five_eigensolves(self, monkeypatch):
-        # One even block per refinement level (the base grid's serves the
-        # sum route and the zero field too) and one full-grid ground state
-        # per probe field size, each by inverse iteration: the module has no
-        # bisection eigensolver to call.
+    def test_study_makes_one_eigensolve_per_level(self, monkeypatch):
+        # One even block per refinement level, by inverse iteration: the
+        # module has no bisection eigensolver to call, and the spectral
+        # solve needs no grid ground state.
         ground_states = []
         lowest = grid_oracle._lowest_vector
 
@@ -141,7 +133,7 @@ class TestConfig:
         assert not hasattr(grid_oracle, "eigh_tridiagonal")
         assert not hasattr(grid_oracle, "dgtsv")
         assert not hasattr(grid_oracle, "dpttrf")
-        assert len(ground_states) == 5
+        assert len(ground_states) == 3
 
     @pytest.mark.parametrize(
         "well_R",
@@ -151,9 +143,8 @@ class TestConfig:
     def test_each_ground_state_takes_few_solves(self, monkeypatch, well_R):
         # Every inverse iteration ends in exactly one factorisation with no
         # right-hand side.  Started at the grid's own state, an even block
-        # makes no solve before it; a tilted grid, started at psi0 + eps' phi,
-        # makes at most two.  Only the dptsv calls inside _lowest_vector
-        # count, not the Dalgarno-Lewis solve's.
+        # makes no solve before it.  Only the dptsv calls inside
+        # _lowest_vector count, not the Dalgarno-Lewis solve's.
         calls, sizes, inside = [], [], []
         lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
@@ -179,18 +170,11 @@ class TestConfig:
             config = deep_config(well_R) if well_R >= 1e3 else GridOracleConfig(well_R=well_R)
         result = oracle_study(config, levels=2)
         blocks = [n // 2 + 1 for n in result.diagnostics["refine_grid_sizes"]]
-        tilted = result.diagnostics["grid_num_points_actual"]
-        assert sizes == [blocks[0], tilted, tilted, blocks[1], blocks[2]]
-        factorisations = [columns.count(0) for columns in calls]
-        solves = [len(columns) - columns.count(0) for columns in calls]
-        assert factorisations == [1] * 5
-        assert [columns[-1] for columns in calls] == [0] * 5
-        assert [solves[0], solves[3], solves[4]] == [0, 0, 0]
-        assert max(solves[1:3]) <= 2
+        assert sizes == blocks
+        assert calls == [[0]] * 3
 
     def test_study_builds_each_grid_once(self, monkeypatch):
-        # levels + 1 grids, the base one shared by both routes; the five
-        # ground states above are solved on them.
+        # levels + 1 grids, one ground state solved on each.
         grids, ground_states = [], []
         build = grid_oracle._grid
         lowest = grid_oracle._lowest_vector
@@ -208,7 +192,7 @@ class TestConfig:
         oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
         assert len(grids) == 3
         assert len(set(grids)) == 3
-        assert len(ground_states) == 5
+        assert len(ground_states) == 3
 
     def test_study_reports_every_residual_it_computes(self, monkeypatch):
         # Outside inverse iteration, one Dalgarno-Lewis solve per level and
@@ -253,6 +237,8 @@ class TestConfig:
             {"well_R": R_REF, "num_points": math.nan},
             {"well_R": R_REF, "num_points": math.inf},
             {"num_states": math.nan},
+            {"num_points": 2**22 + 1},  # the base grid alone past the node budget
+            {"well_R": R_REF, "num_points": 10**5000},
             {"well_R": 0.0},
             {"well_R": math.nan},
             {"well_R": math.inf},
@@ -292,10 +278,25 @@ class TestConfig:
             f"h*beta0 = {h_beta0} on the base grid exceeds 0.4: the grid is too "
             f"coarse for the bound-state tail; num_points >= {needed} meets the bound{over}"
         )
+        if needed > grid_oracle._MAX_GRID_NODES:
+            with pytest.raises(DomainError, match="^num_points must be <= 4194304, got "):
+                GridOracleConfig(well_R=well_R, num_points=needed)
+            return
         config = GridOracleConfig(well_R=well_R, num_points=needed)
         assert config.ground.beta0 / grid_oracle._multiplier(config) <= 0.4
         with pytest.raises(DomainError, match="h\\*beta0"):
             GridOracleConfig(well_R=well_R, num_points=needed - 1)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_refuses_unprintable_point_counts(self, sign):
+        # Past Python's 4,300-digit limit on int-to-str, printing the count
+        # raised ValueError; it is named by its sign and bit length instead.
+        with pytest.raises(DomainError) as info:
+            GridOracleConfig(None, num_points=sign * 10**5000)
+        bits = (10**5000).bit_length()
+        sign_word = "positive" if sign > 0 else "negative"
+        assert str(info.value).endswith(f"got a {sign_word} int of {bits} bits")
+        assert len(str(info.value)) < 300
 
     def test_refusal_never_prints_the_bound(self):
         # One size below the deep well's bound, h*beta0 = 0.40016 once
@@ -332,9 +333,7 @@ class TestSpectrum:
         _, full_v, full_diag, full_off = full_grid(config)
         _, vec = lowest_pairs(full_diag, full_off, 1)
         assert psi0.size == x.size == (full_diag.size + 1) // 2
-        assert e0 == pytest.approx(
-            grid_oracle._rayleigh_quotient(full_off, full_v, vec[:, 0]), rel=1e-15, abs=0.0
-        )
+        assert e0 == pytest.approx(whole_quotient(full_off, full_v, vec[:, 0]), rel=1e-15, abs=0.0)
         assert np.max(np.abs(mirror(psi0) - vec[:, 0])) <= 1e-12
 
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
@@ -364,10 +363,8 @@ class TestSpectrum:
         # The last dptsv call factorises T - sigma with no right-hand side,
         # and the vector it certifies is the one returned: sigma lies below
         # T's lowest eigenvalue, the returned vector's own residual passes
-        # the stop 4 eps (4 m^2 + |eps'| L), and its quotient rho exceeds
-        # sigma by at most 1e3 eps (4 m^2 + |eps'| L) plus twice that
-        # residual.  Checked on the even block and on the tilted grid of the
-        # larger probe field.
+        # the stop 4 eps 4 m^2, and its quotient rho exceeds sigma by at
+        # most 1e3 eps 4 m^2 plus twice that residual.
         records = []
         lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
@@ -382,21 +379,18 @@ class TestSpectrum:
             return solve(d, e, b)
 
         config = GridOracleConfig(well_R=well_R)
-        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
-        _, start = grid_start(config)
+        (_, v, diag, off), start = grid_start(config)
         monkeypatch.setattr(grid_oracle, "_lowest_vector", recording_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", recording_solve)
         grid_oracle._even_ground(v, diag, off, start)
-        grid_oracle._curvature(x, v, diag, off, psi0, phi, config.field_values, bottom)
         m = grid_oracle._multiplier(config)
-        for field, (block_diag, block_off, solves, vec) in zip(
-            (0.0, config.field_values[0]), records
-        ):
+        assert len(records) == 1
+        for block_diag, block_off, solves, vec in records:
             shifted, last = solves[-1]
             assert last.shape == (vec.size, 0)
             sigma = float(np.median(block_diag - shifted))
             assert sigma < lowest_pairs(block_diag, block_off, 1)[0][0]
-            bound = 4.0 * m * m + field * config.box_half_width
+            bound = 4.0 * m * m
             t_vec = grid_oracle._tridiag_matvec(block_diag, block_off, vec)
             rho = float(vec @ t_vec)
             residual = float(np.linalg.norm(t_vec - rho * vec))
@@ -476,30 +470,26 @@ class TestGridStart:
         ids=lambda s: "hard-wall" if s is None else f"R={s.R:.6g}",
     )
     def test_grid_norm_bound(self, state):
-        # The stop and the shift's floor take |T|_2 <= 4 m^2 + |eps'| L from
-        # the grid's construction: on every level R^2 < 4 m^2, and the bound
-        # holds for the largest |eigenvalue| of the whole grid, of the
-        # sqrt(2)-scaled even block and of both tilted grids.  psi0 is
-        # positive up to the well edge and nowhere negative (on the deep
-        # wells the tail e^-beta0 underflows to 0), so no sign convention is
-        # needed.  R = 1e3 and 1e4 are on their coarsest admitted grids
-        # (9996 and 99999 points).
+        # The stop and the shift's floor take |T|_2 <= 4 m^2 from the grid's
+        # construction: on every level R^2 < 4 m^2, and the bound holds for
+        # the largest |eigenvalue| of the whole grid and of the
+        # sqrt(2)-scaled even block.  psi0 is positive up to the well edge
+        # and nowhere negative (on the deep wells the tail e^-beta0
+        # underflows to 0), so no sign convention is needed.  R = 1e3 and
+        # 1e4 are on their coarsest admitted grids (9996 and 99999 points).
         if state is None:
             config = GridOracleConfig.hard_wall()
         elif state.R < 1e3:
             config = GridOracleConfig(well_R=state.R)
         else:
             config = GridOracleConfig(well_R=state.R, num_points={1e3: 9996, 1e4: 99999}[state.R])
-        L = config.box_half_width
         for level in range(3):  # levels=2
             m = grid_oracle._multiplier(config) * 2**level
             assert (config.well_R or 0.0) ** 2 < 4 * m * m
             (_, v, diag, off), start = grid_start(config, level)
-            x, _, full_diag, full_off = full_grid(config, level)
-            matrices = [(full_diag, full_off, 4.0 * m * m), (*even_block(diag, off), 4.0 * m * m)]
-            for size in config.field_values:
-                matrices.append((full_diag - size * x, full_off, 4.0 * m * m + size * L))
-            for d, e, bound in matrices:
+            _, _, full_diag, full_off = full_grid(config, level)
+            bound = 4.0 * m * m
+            for d, e in ((full_diag, full_off), even_block(diag, off)):
                 # Sturm counts by bisection: no eigenvalue beyond +-bound.
                 for outside in ((-math.inf, -bound), (bound, math.inf)):
                     assert eigh_tridiagonal(
@@ -528,7 +518,7 @@ def exact_quotient(off, onsite, vec) -> Fraction:
 
 class TestRayleighQuotient:
     @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061])
-    @pytest.mark.parametrize("case", ["base", "tilted", "finest"])
+    @pytest.mark.parametrize("case", ["base", "finest"])
     def test_within_four_ulp_of_exact_quotient(self, well_R, case):
         # The edge-difference form from the well bottom cancels no term of
         # size 4 m^2 or R^2, so the ground energy is as good as the stored
@@ -538,16 +528,9 @@ class TestRayleighQuotient:
         config = GridOracleConfig(well_R=well_R)
         level = 2 if case == "finest" else 0  # levels=2
         (_, v, diag, off), start = grid_start(config, level)
-        x, full_v, full_diag, full_off = full_grid(config, level)
-        if case == "tilted":
-            tilt = 1e-3 * x
-            full_v = full_v - tilt
-            norm = -4.0 * off[0] + 1e-3 * x[-1]
-            vec = grid_oracle._lowest_vector(full_diag - tilt, full_off, mirror(start), norm)
-            energy = grid_oracle._rayleigh_quotient(full_off, full_v, vec)
-        else:
-            energy, psi0 = grid_oracle._even_ground(v, diag, off, start)
-            vec = mirror(psi0)
+        _, full_v, _, full_off = full_grid(config, level)
+        energy, psi0 = grid_oracle._even_ground(v, diag, off, start)
+        vec = mirror(psi0)
         exact = exact_quotient(full_off, full_v, vec)
         assert abs(Fraction(energy) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
@@ -557,7 +540,7 @@ class TestRayleighQuotient:
         # approximation near eigenvectors: check it on random vectors
         # against w.(T w) of the well-bottom matrix in long double.
         # The even form of a vector on the nodes x' >= 0 is the whole form
-        # of its mirror image.
+        # of its mirror image, and so is the tests' whole-box form.
         rng = np.random.default_rng(7)
         config = GridOracleConfig(well_R=well_R)
         _, half_v, _, half_off = base_grid(config)
@@ -568,14 +551,12 @@ class TestRayleighQuotient:
             w = vec.astype(np.longdouble)
             tw = grid_oracle._tridiag_matvec(bottom, off.astype(np.longdouble), w)
             reference = float((w @ tw) / (w @ w))
-            assert grid_oracle._rayleigh_quotient(off, v, vec) == pytest.approx(
-                reference, rel=1e-13, abs=0.0
-            )
+            assert whole_quotient(off, v, vec) == pytest.approx(reference, rel=1e-13, abs=0.0)
             half = vec[half_v.size - 1 :]
             w = mirror(half).astype(np.longdouble)
             tw = grid_oracle._tridiag_matvec(bottom, off.astype(np.longdouble), w)
             reference = float((w @ tw) / (w @ w))
-            even = grid_oracle._rayleigh_quotient(half_off, half_v, half, even=True)
+            even = grid_oracle._rayleigh_quotient(half_off, half_v, half)
             assert even == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_diagonal_is_potential_below_the_bottom(self):
@@ -642,7 +623,7 @@ class TestAlphaSum:
             (x, v, diag, off), start = grid_start(config, level)
             bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
             e0 = bottom - (well_R or 0.0) ** 2
-            _, solve_residual, phi = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
+            _, solve_residual = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
             d, e = diag[1:] - e0, off[1:]  # the nodes x' > 0
             row = np.abs(d)
             row[:-1] += np.abs(e)
@@ -689,166 +670,171 @@ class TestAlphaSum:
         assert abs(result.alpha_sum - 0.106382) / 0.106382 < 0.05
 
 
-def field_energy(config, size, sign=1.0):
-    """Ground energy above the well bottom of the whole base grid at field sign * size, by bisection."""
-    x, v, diag, off = full_grid(config)
-    tilt = sign * size * x
-    _, vec = lowest_pairs(diag - tilt, off, 1)
-    return grid_oracle._rayleigh_quotient(off, v - tilt, vec[:, 0])
+HARD_WALL_ALPHA = 20.0 / math.pi**4 - 4.0 / (3.0 * math.pi**2)
 
 
-def energies_from_quotients(result, bottom):
-    """E(eps') = E0 - q eps'^2 / 4 at each probe size, from the study's Stark quotients."""
-    fields = result.diagnostics["curvature_field_values"]
-    quotients = result.diagnostics["curvature_stark_quotients"]
-    return [bottom - q * eps**2 / 4.0 for eps, q in zip(fields, quotients)]
+def quadrature_tables(hard_wall):
+    """The spectral solve's unprojected matrices and edge rows, by Gauss quadrature.
+
+    Per parity: the inner and outer kinetic and mass matrices of
+    q_a = sqrt(2a + 1) P_a on [0, 1] and l_j = sqrt(2) e^-t L_j(2t) at s = 1,
+    and the row of values at x' = 1; then the odd-by-even dipole parts.  Built
+    from numpy.polynomial, which the package does not use.
+    """
+    n = grid_oracle._SPECTRAL_TERMS
+    outer = 0 if hard_wall else n
+    size = n + outer
+    x, wx = np.polynomial.legendre.leggauss(40)
+    x, wx = 0.5 * (x + 1.0), 0.5 * wx  # on [0, 1]
+    tau, wt = np.polynomial.laguerre.laggauss(40)  # int e^-tau f = int 2 e^-2t f(2t) dt
+
+    def legendre(a, der=0):
+        coef = np.polynomial.legendre.legder(np.eye(2 * n)[a], der)
+        return math.sqrt(2 * a + 1) * np.polynomial.legendre.legval(x, coef)
+
+    # l_j and dl_j/dt without their common factor sqrt(2) e^-t.
+    lag = [np.polynomial.laguerre.lagval(tau, np.eye(n)[k]) for k in range(outer)]
+    dlag = [-lag[k] + 2.0 * np.polynomial.laguerre.lagval(
+        tau, np.polynomial.laguerre.lagder(np.eye(n)[k])) for k in range(outer)]
+
+    def gram(f, g, weight=1.0, region="in"):
+        out = np.zeros((size, size))
+        if region == "in":
+            out[:n, :n] = [[wx @ (weight * a * b) for b in g] for a in f]
+        else:  # 2 int e^-2t f g dt = int e^-tau f g dtau
+            out[n:, n:] = [[wt @ (weight * a * b) for b in g] for a in f]
+        return out
+
+    tables = []
+    for parity in (0, 1):
+        degrees = range(parity, parity + 2 * n, 2)
+        q = [legendre(a) for a in degrees]
+        dq = [legendre(a, 1) for a in degrees]
+        edge = np.concatenate(([math.sqrt(2 * a + 1) for a in degrees], [-math.sqrt(2.0)] * outer))
+        tables.append(((gram(dq, dq), gram(dlag, dlag, region="out"), gram(q, q),
+                        gram(lag, lag, region="out")), edge, q))
+    (even, even_edge, q_even), (odd, odd_edge, q_odd) = tables
+    dipole = (gram(q_odd, q_even, x), gram(lag, lag, region="out"),
+              gram(lag, lag, 0.5 * tau, region="out"))
+    return even, even_edge, odd, odd_edge, dipole
 
 
-class TestCurvature:
-    def test_two_routes_agree_at_matched_discretization(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        gap = abs(result.alpha_sum - result.alpha_curvature)
-        assert gap / result.alpha_sum < 1e-6
+class TestSpectral:
+    """The second route: the Dalgarno-Lewis equation on the Legendre x Laguerre basis."""
 
-    def test_zero_field_row_reproduces_ground_energy(self):
-        # The quotients' zero-field point is the base grid's own ground
-        # energy: rebuilt from it and the field solves, each started at
-        # psi0 + eps' phi, they come out bit for bit.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        _, bottom, psi0, phi = bottom_ground(config)
-        x, v, diag, off = full_grid(config)
-        stark = np.concatenate((-phi[::-1], [0.0], phi))
-        quotients = []
-        for eps in config.field_values:
-            start = mirror(psi0) + eps * stark
-            norm = -4.0 * off[0] + eps * x[-1]
-            vec = grid_oracle._lowest_vector(diag - eps * x, off, start, norm)
-            energy = grid_oracle._rayleigh_quotient(off, v - eps * x, vec)
-            quotients.append(-4.0 * (energy - bottom) / eps**2)
-        assert result.diagnostics["curvature_stark_quotients"] == tuple(quotients)
-
-    def test_no_permanent_dipole(self):
-        # The route takes E(-eps') from the solve at +eps'; a direct solve at
-        # -eps' checks that symmetry instead of assuming it.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        _, bottom, _, _ = bottom_ground(config)
-        eps = config.field_values[0]
-        mirrored = energies_from_quotients(result, bottom)[0]
-        direct = field_energy(config, eps, sign=-1.0)
-        assert direct == pytest.approx(mirrored, rel=1e-14, abs=0.0)
+    def test_hard_wall_matches_exact_polarizability(self):
+        # 20/pi^4 - 4/(3 pi^2) exactly, measured 9e-15 off; E0 = pi^2/4 to 1.2e-14.
+        alpha, energy = grid_oracle._spectral(GridOracleConfig.hard_wall())
+        assert alpha == pytest.approx(HARD_WALL_ALPHA, rel=1e-12, abs=0.0)
+        assert energy == pytest.approx(math.pi**2 / 4.0, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
-        "well_R", [None, ground_state_from_gamma(0.2 * math.pi).R, R_REF, 49.008061]
+        "well_R, num_points, band",
+        # Measured 1.6e-9, 5.6e-10, 2.8e-11 and 2.4e-9: the shallow wells'
+        # E0 = -beta0^2 sits near the rounding of R^2, the deep wells lose
+        # ~R^2 eps, as the grid does.
+        [(0.01, 2000, 1e-8), (0.009, 2000, 1e-8), (1e3, 9996, 1e-9), (1e4, 99999, 1e-8)],
     )
-    def test_field_energies_match_bisection_reference(self, well_R):
-        config = GridOracleConfig(well_R=well_R)
+    def test_edges_of_the_oracle_domain(self, well_R, num_points, band):
+        # The spectral solve builds no grid, so it is cheap at both ends.
+        config = GridOracleConfig(well_R=well_R, num_points=num_points)
+        alpha, _ = grid_oracle._spectral(config)
+        assert alpha == pytest.approx(alpha_exact_prime(config.ground), rel=band, abs=0.0)
+
+    @pytest.mark.parametrize("hard_wall", [False, True], ids=["well", "hard-wall"])
+    def test_tables_match_quadrature(self, hard_wall):
+        # The closed forms against Gauss quadrature of the basis functions.
+        # Each table is Z^T A Z for an orthonormal basis Z of the continuous
+        # coefficients; another such basis Y gives a similar matrix, so their
+        # eigenvalues (singular values for the dipole) agree.
+        blocks, dipole = grid_oracle._spectral_tables(hard_wall)
+        even, even_edge, odd, odd_edge, parts = quadrature_tables(hard_wall)
+        size = even_edge.size - 1  # 15 unknowns per parity, 7 on the hard wall
+        assert size == (7 if hard_wall else 15)
+        y_even, y_odd = (np.linalg.svd(edge[None, :])[2][1:].T for edge in (even_edge, odd_edge))
+        tables = blocks.reshape(4, 2, size, size)
+        for parity, (full, y) in enumerate(((even, y_even), (odd, y_odd))):
+            for table, matrix in zip(tables[:, parity], full):
+                reference = np.linalg.eigvalsh(y.T @ matrix @ y)
+                assert np.allclose(np.linalg.eigvalsh(table), reference, rtol=1e-12, atol=1e-12)
+        for table, matrix in zip(dipole.reshape(3, size, size), parts):
+            reference = np.linalg.svd(y_odd.T @ matrix @ y_even, compute_uv=False)
+            assert np.allclose(np.linalg.svd(table, compute_uv=False), reference,
+                               rtol=1e-12, atol=1e-12)
+
+    def test_tables_are_built_once_per_kind(self):
+        grid_oracle._spectral_tables.cache_clear()
+        for well_R in (None, R_REF, None, 0.6):
+            oracle_study(GridOracleConfig(well_R=well_R, num_points=600))
+        info = grid_oracle._spectral_tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+    def test_import_builds_no_table_and_a_study_loads_no_module(self):
+        # In a fresh interpreter: the tables wait for the first study, and
+        # the study imports nothing that importing the module did not.
+        code = (
+            "import sys\n"
+            "import wellpol.grid_oracle as go\n"
+            "assert go._spectral_tables.cache_info().misses == 0\n"
+            "before = set(sys.modules)\n"
+            "go.oracle_study(go.GridOracleConfig(3.617018))\n"
+            "go.oracle_study(go.GridOracleConfig.hard_wall())\n"
+            "assert go._spectral_tables.cache_info().currsize == 2\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, check=True)
+        assert done.stdout == "[]\n"
+
+    def test_study_reports_the_spectral_state(self):
+        config = GridOracleConfig(well_R=R_REF, num_points=600)
         result = oracle_study(config)
-        _, bottom, _, _ = bottom_ground(config)
-        energies = energies_from_quotients(result, bottom)
-        for eps, energy in zip(config.field_values, energies):
-            reference = field_energy(config, eps)
-            assert energy == pytest.approx(reference, rel=1e-14, abs=0.0)
+        energy = result.diagnostics["spectral_ground_energy"]
+        assert energy == pytest.approx(-config.ground.beta0**2, rel=1e-11, abs=0.0)
+        assert result.alpha_curvature == grid_oracle._spectral(config)[0]
 
-    @pytest.mark.parametrize("step", range(17))
-    def test_field_guard_matches_bisection_reference(self, step):
-        # gamma0 = 0.15 pi ... 0.19 pi at the unscaled probe fields, which
-        # are too large for all of these weak wells: the certificate must
-        # refuse them exactly where the grid's lowest state at some field
-        # has left the well, which the full bisection solve shows by where
-        # it peaks; on the other wells the eps'^4 share refuses them.
-        state = ground_state_from_gamma((0.15 + 0.0025 * step) * math.pi)
-        config = GridOracleConfig(well_R=state.R)
-        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
-        fields = grid_oracle._PROBE_FIELDS
-        escaped = False
-        full_x, _, full_diag, full_off = full_grid(config)
-        for size in fields:
-            _, vec = lowest_pairs(full_diag - size * full_x, full_off, 1)
-            escaped |= abs(full_x[int(np.argmax(np.abs(vec[:, 0])))]) > 1.0
-        reason = "has a state more than" if escaped else "eps'\\^4 term"
-        with pytest.raises(NumericalError, match=reason):
-            grid_oracle._curvature(x, v, diag, off, psi0, phi, fields, bottom)
+    def test_excited_state_is_refused(self, monkeypatch):
+        # Given the second even state, above the lowest odd one, H - E0 on
+        # the odd basis is indefinite and its Cholesky solve fails.
+        eigen = grid_oracle.dsygvx
+        second = lambda *a, **k: eigen(*a, **{**k, "il": 2, "iu": 2})  # noqa: E731
+        monkeypatch.setattr(grid_oracle, "dsygvx", second)
+        with pytest.raises(NumericalError, match="not positive definite on the odd spectral"):
+            grid_oracle._spectral(GridOracleConfig(well_R=R_REF))
 
-    def test_study_shares_zero_field_energy(self, monkeypatch):
-        # The curvature route's zero field is the sum route's ground energy,
-        # measured from the well bottom.
-        seen = []
-        curvature = grid_oracle._curvature
-
-        def recording(*args):
-            seen.append(args[-1])
-            return curvature(*args)
-
-        monkeypatch.setattr(grid_oracle, "_curvature", recording)
-        result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
-        assert len(seen) == 1
-        assert seen[0] - R_REF**2 == result.ground_energy_dimless
-
-    def test_quartic_share_is_tiny_for_reference_row(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        assert result.diagnostics["curvature_quartic_share"] <= 1e-6
-
-    def test_shallow_well_with_large_fields_trips_guard(self):
-        # Fields of +-1e-2, unscaled, pull the ground state of this weak
-        # well out of the box's well.
-        config = GridOracleConfig(well_R=0.6, num_points=500)
-        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
-        with pytest.raises(NumericalError, match="has a state more than"):
-            grid_oracle._curvature(x, v, diag, off, psi0, phi, (1e-2, 5e-3), bottom)
-
-    def test_quartic_term_trips_guard(self):
-        # At fields 0.3 and 0.15 the ground state stays in this well, so the
-        # certificate holds, but the eps'^4 term is 3.2e-4 of the shift.
-        config = GridOracleConfig(well_R=R_REF)
-        (x, v, diag, off), bottom, psi0, phi = bottom_ground(config)
-        with pytest.raises(NumericalError, match="eps'\\^4 term") as info:
-            grid_oracle._curvature(x, v, diag, off, psi0, phi, (0.3, 0.15), bottom)
-        assert "3.2e-04 relative" in str(info.value)
-
-    @pytest.mark.parametrize("well_R", [1e3, 1e4])
-    def test_deep_wells_reach_route_agreement(self, well_R):
-        # E' ~ -R^2 here, so quotients taken from E' = 0 would lose the
-        # Stark shift to its rounding; from the well bottom both routes agree.
-        # The grid is the coarsest whose h * beta0 meets the bound.
-        config = deep_config(well_R)
-        (x, v, diag, off), start = grid_start(config)
-        bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
-        alpha_sum, _, phi = grid_oracle._dalgarno_lewis(x, diag, off, bottom - well_R**2, psi0)
-        alpha, _, _ = grid_oracle._curvature(x, v, diag, off, psi0, phi, config.field_values, bottom)
-        assert alpha == pytest.approx(alpha_sum, rel=1e-6, abs=0.0)
+    def test_failed_eigensolve_is_refused(self, monkeypatch):
+        eigen = grid_oracle.dsygvx
+        monkeypatch.setattr(grid_oracle, "dsygvx", lambda *a, **k: (*eigen(*a, **k)[:4], 3))
+        with pytest.raises(NumericalError, match="spectral ground state failed: LAPACK info 3"):
+            grid_oracle._spectral(GridOracleConfig.hard_wall())
 
 
 # well_R -> float.hex of (alpha_sum, alpha_curvature, richardson_alpha,
 # ground_energy_dimless) of oracle_study at 600 points and levels=2, with
-# every energy a quotient from the well bottom, alpha_curvature the Stark
-# quotients extrapolated to zero field and richardson_alpha Romberg's h^2
-# and h^4 steps; at 0.2 pi (beta0 < 1) the probe fields are scaled by beta0^3.
-# Each level is built on its nodes x' >= 0; each even block starts at the
-# grid's own state, each tilted grid at psi0 + eps' phi, and each ground
-# state is the vector whose residual passed the stop.  Bit pins hold only on grids below about 1e4 nodes:
+# every energy a quotient from the well bottom, alpha_curvature the spectral
+# solve and richardson_alpha Romberg's h^2 and h^4 steps.  Each level is
+# built on its nodes x' >= 0; each even block starts at the grid's own
+# state, and each ground state is the vector whose residual passed the
+# stop.  Bit pins of the grid hold only on grids below about 1e4 nodes:
 # above that a threaded BLAS sums the dot products in another order, and
 # CHANGES.md records a 12,871-node level whose last bits change with
 # OPENBLAS_NUM_THREADS.  At 600 points the finest level has under 1e4.
 STUDY_HEX = {
     None: (
         "0x1.1fa4cf0381476p-4",
-        "0x1.1fa4ce8fb7555p-4",
+        "0x1.1fa3f860e5051p-4",
         "0x1.1fa3f860c47ebp-4",
         "0x1.3bd39da29fe9ep+1",
     ),
     R_REF: (
         "0x1.af48a9b395729p-3",
-        "0x1.af48ab455daabp-3",
+        "0x1.afae858fd076fp-3",
         "0x1.afae858ff22ffp-3",
         "-0x1.7290f64de8508p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
         "0x1.0d83dc0d1f920p+5",
-        "0x1.0d83dc1247bf0p+5",
+        "0x1.0b830f853849dp+5",
         "0x1.0b830fa377c9ap+5",
         "-0x1.a98053924194cp-3",
     ),
@@ -857,8 +843,8 @@ STUDY_HEX = {
 
 # well_R -> float.hex of the diagnostics of the same studies: the base
 # grid's solve residual (a backward error, scaled by 4 m^2 + |E0|), each
-# level's alpha' and ground energy, the observed order and the two Stark
-# quotients with their eps'^4 share.
+# level's alpha' and ground energy, the observed order and the spectral
+# solve's ground energy.
 DIAGNOSTIC_HEX = {
     None: {
         "sum_solve_residual": "0x1.834a2986b863bp-54",
@@ -869,8 +855,7 @@ DIAGNOSTIC_HEX = {
             "0x1.3bd39da29fe9ep+1", "0x1.3bd3c0dd92bacp+1", "0x1.3bd3c9ac4fecdp+1",
         ),
         "refine_observed_order": "0x1.ffff97a4452dap+0",
-        "curvature_stark_quotients": ("0x1.1fa4cf327a000p-4", "0x1.1fa4ceb868000p-4"),
-        "curvature_quartic_share": "0x1.b290b64e40c5cp-26",
+        "spectral_ground_energy": "0x1.3bd3cc9be459cp+1",
     },
     R_REF: {
         "sum_solve_residual": "0x1.70f912dfa4db9p-54",
@@ -881,8 +866,7 @@ DIAGNOSTIC_HEX = {
             "-0x1.7290f64de8508p+3", "-0x1.7299e7b255057p+3", "-0x1.729c25e0b2c58p+3",
         ),
         "refine_observed_order": "0x1.fff6892a54928p+0",
-        "curvature_stark_quotients": ("0x1.af48a9ae77000p-3", "0x1.af48aadfa4000p-3"),
-        "curvature_quartic_share": "0x1.6a4a57797cab5p-25",
+        "spectral_ground_energy": "-0x1.729ce56f55f37p+3",
     },
     ground_state_from_gamma(0.2 * math.pi).R: {
         "sum_solve_residual": "0x1.d70d196da498dp-54",
@@ -893,8 +877,7 @@ DIAGNOSTIC_HEX = {
             "-0x1.a98053924194cp-3", "-0x1.aa774a095c200p-3", "-0x1.aab5096894fa6p-3",
         ),
         "refine_observed_order": "0x1.01329fd359f49p+1",
-        "curvature_stark_quotients": ("0x1.0d840a72ff080p+5", "0x1.0d83e7aa75914p+5"),
-        "curvature_quartic_share": "0x1.08500b0117c41p-19",
+        "spectral_ground_energy": "-0x1.aac99eb6296f6p-3",
     },
 }
 
@@ -1013,11 +996,18 @@ class TestRefine:
     )
     def test_any_size_is_refused_before_any_grid(self, monkeypatch, well_R, num_points, levels):
         # A 4000-digit count died in OverflowError, 20,000 levels in
-        # ValueError printing the finest size; past the caps on num_points and
-        # levels that size is over four times the budget and is not formed.
+        # ValueError printing the finest size.  A num_points past the budget
+        # is refused by the config, whose base grid alone would exceed it;
+        # past the cap on levels the finest size is over four times the
+        # budget and is not formed.
         def no_grid(*args):
             raise AssertionError("a grid was built")
 
+        if num_points > grid_oracle._MAX_GRID_NODES:
+            with pytest.raises(DomainError, match="^num_points must be <= 4194304, got") as info:
+                GridOracleConfig(well_R=well_R, num_points=num_points)
+            assert len(str(info.value)) < 300
+            return
         config = GridOracleConfig(well_R=well_R, num_points=num_points)
         base = 2 * config.box_half_width * grid_oracle._multiplier(config)
         assert (base << levels) - 1 > 4 * grid_oracle._MAX_GRID_NODES
@@ -1036,6 +1026,13 @@ class TestRefine:
             oracle_study(config, levels=levels)
         assert len(str(info.value)) < 300
 
+    def test_unprintable_levels_are_refused(self, monkeypatch):
+        # Past Python's 4,300-digit limit, printing the count raised ValueError.
+        monkeypatch.setattr(grid_oracle, "_grid", lambda *args: pytest.fail("a grid was built"))
+        with pytest.raises(DomainError) as info:
+            oracle_study(GridOracleConfig(well_R=None, num_points=500), levels=-(10**5000))
+        assert len(str(info.value)) < 300
+
     def test_levels_below_the_cap_report_the_finest_size(self, monkeypatch):
         # Just inside the levels cap the exact size is formed and named.
         monkeypatch.setattr(grid_oracle, "_grid", lambda *args: pytest.fail("a grid was built"))
@@ -1044,7 +1041,7 @@ class TestRefine:
 
     def test_multiplier_is_exact(self):
         # The float form ceil((num_points + 1) / (2 L)) rounded 2^53 + 1 down.
-        config = GridOracleConfig(well_R=None, num_points=2**53)
+        config = types.SimpleNamespace(num_points=2**53, box_half_width=1)
         assert grid_oracle._multiplier(config) == 2**52 + 1
         assert math.ceil((config.num_points + 1) / 2) == 2**52
         # Below 2^53 the two forms agree; checked on numpy arrays of every
@@ -1060,15 +1057,17 @@ class TestRefine:
 @pytest.mark.parametrize("k", range(23))
 def test_both_routes_match_closed_form_across_well_range(k):
     # gamma0 = 0.05 pi ... 0.49 pi at the default 2000 points: the derived box
-    # and probe fields keep both routes working down to the weak wells.
-    # Measured: route gap <= 2.6e-7 (at 0.49 pi); Romberg 7.2e-9 off at
-    # 0.05 pi and <= 6.5e-11 from 0.19 pi up.
+    # keeps both routes working down to the weak wells.  Measured: the
+    # spectral solve within 6.3e-12 of the closed form, so the route gap is
+    # Romberg's miss, 7.2e-9 at 0.05 pi and <= 6.5e-11 from 0.19 pi up.
     gamma_pi = 0.05 + 0.02 * k
     state = ground_state_from_gamma(gamma_pi * math.pi)
     result = oracle_study(GridOracleConfig(well_R=state.R), levels=2)
-    assert result.route_gap == abs(result.alpha_sum - result.alpha_curvature) / result.alpha_sum
+    gap = abs(result.richardson_alpha - result.alpha_curvature) / result.alpha_curvature
+    assert result.route_gap == gap
     assert result.route_gap <= 1e-6
     exact = alpha_exact_prime(state)
+    assert result.alpha_curvature == pytest.approx(exact, rel=1e-10, abs=0.0)
     assert result.richardson_alpha == pytest.approx(
         exact, rel=2e-10 if gamma_pi > 0.18 else 2e-8, abs=0.0
     )
@@ -1078,42 +1077,46 @@ class TestOracleResult:
     """The result's gates, driven through a real 600-point study with one route's value set."""
 
     @staticmethod
-    def study(monkeypatch, curvature=None, sum_sign=1.0):
-        # ``curvature`` maps the base grid's alpha_sum to the alpha_curvature
-        # reported; ``sum_sign`` scales every level's solve, so the observed
-        # order, a ratio of differences, is unchanged.
+    def study(monkeypatch, spectral=None, sum_sign=1.0):
+        # ``spectral`` maps Romberg's value of the levels' solves to the
+        # alpha_curvature reported; ``sum_sign`` scales every level's solve,
+        # so the observed order, a ratio of differences, is unchanged.
         sums, real_solve = [], grid_oracle._dalgarno_lewis
 
         def solve(*args):
-            alpha, residual, phi = real_solve(*args)
+            alpha, residual = real_solve(*args)
             sums.append(sum_sign * alpha)
-            return sums[-1], residual, phi
+            return sums[-1], residual
+
+        def spectral_value(config):
+            return spectral(extrapolate(sums, ratio=0.25)), 0.0
 
         with monkeypatch.context() as patch:
             patch.setattr(grid_oracle, "_dalgarno_lewis", solve)
-            if curvature is not None:
-                patch.setattr(grid_oracle, "_curvature", lambda *a: (curvature(sums[0]), (), 0.0))
+            if spectral is not None:
+                patch.setattr(grid_oracle, "_spectral", spectral_value)
             return OracleResult(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
 
     def test_positivity_enforced(self, monkeypatch):
         with pytest.raises(NumericalError, match="alpha_sum must be positive"):
             self.study(monkeypatch, sum_sign=-1.0)
         with pytest.raises(NumericalError, match="alpha_curvature must be positive"):
-            self.study(monkeypatch, curvature=lambda alpha_sum: -1.0)
+            self.study(monkeypatch, spectral=lambda richardson: -1.0)
 
     def test_route_mismatch_enforced(self, monkeypatch):
         with pytest.raises(NumericalError, match="oracle routes disagree"):
-            self.study(monkeypatch, curvature=lambda alpha_sum: 0.5 * alpha_sum)
+            self.study(monkeypatch, spectral=lambda richardson: 0.5 * richardson)
 
     @pytest.mark.parametrize("gap,raises", [(5e-7, False), (2e-6, True)])
     def test_route_agreement_is_one_part_per_million(self, monkeypatch, gap, raises):
-        curvature = lambda alpha_sum: alpha_sum * (1.0 + gap)  # noqa: E731
+        # The gap is relative to the spectral value: richardson / (1 - gap).
+        spectral = lambda richardson: richardson / (1.0 - gap)  # noqa: E731
         if raises:
             with pytest.raises(NumericalError, match="oracle routes disagree"):
-                self.study(monkeypatch, curvature)
+                self.study(monkeypatch, spectral)
         else:
-            result = self.study(monkeypatch, curvature)
-            assert result.alpha_curvature == result.alpha_sum * (1.0 + gap)
+            result = self.study(monkeypatch, spectral)
+            assert result.alpha_curvature == result.richardson_alpha / (1.0 - gap)
             assert result.route_gap == pytest.approx(gap, rel=1e-9)
 
     def test_combined_study_fills_everything(self):
@@ -1122,5 +1125,5 @@ class TestOracleResult:
         assert result.alpha_curvature > 0
         assert result.richardson_alpha > 0
         assert "sum_solve_residual" in result.diagnostics
-        assert "curvature_quartic_share" in result.diagnostics
+        assert "spectral_ground_energy" in result.diagnostics
         assert "refine_observed_order" in result.diagnostics

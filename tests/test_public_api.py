@@ -2,7 +2,7 @@
 
 The package re-exports what the README's examples import, plus the error
 classes; everything else is imported from its module.  The oracle's grid
-and probe fields and the limit studies' starting points and step counts are
+and spectral basis and the limit studies' starting points and step counts are
 derived or fixed, and the result types take only their independent inputs
 (a breakdown its state, an oracle result its config and level count, a
 limit study nothing), so their signatures are
@@ -183,6 +183,20 @@ def test_counts_refuse_true(make, name):
     # bool is an int subclass, but True is not the count 1.
     with pytest.raises(DomainError, match=f"^{name} must be an integer >= \\d+, got True$"):
         make()
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(-(10**99), str(-(10**99))), (-(10**100), "a negative int of 333 bits"),
+     (-(10**5000), "a negative int of 16610 bits")],
+    ids=["100-digits", "101-digits", "5001-digits"],
+)
+def test_refused_counts_print_by_size_past_100_digits(value, shown):
+    # Python refuses to print an int of more than 4,300 digits, so the
+    # refusal raised ValueError; past 100 digits it names sign and bit length.
+    with pytest.raises(DomainError) as info:
+        conventional_sum.infinite_well_alpha(value)
+    assert str(info.value) == f"num_terms must be an integer >= 1, got {shown}"
 
 
 # Inputs that each constructor accepts; gamma0 tan(gamma0) = 1 at X_TAN_X_ONE.

@@ -81,25 +81,23 @@ RECORDS = {
     "GridOracleConfig": (
         lambda: GridOracleConfig(well_R=2.0, num_points=500),
         "GridOracleConfig(well_R=2.0, num_points=500, box_half_width=25, "
-        "field_values=(0.001, 0.0005), ground=GroundState(gamma0=1.0298665293222589, "
+        "ground=GroundState(gamma0=1.0298665293222589, "
         "beta0=1.714460536665025, R=2.0, n_prime_sq=0.6316026751935779, "
         "energy_dimless=-2.9393749317817255))",
     ),
     "OracleResult": (
         lambda: OracleResult(GridOracleConfig.hard_wall(num_points=500)),
         "OracleResult(config=GridOracleConfig(well_R=None, num_points=500, box_half_width=1, "
-        "field_values=(0.001, 0.0005), ground=None), levels=2, alpha_sum=0.07022588343619432, "
-        "alpha_curvature=0.07022586897183676, ground_energy_dimless=2.4673930474104253, "
+        "ground=None), levels=2, alpha_sum=0.07022588343619432, "
+        "alpha_curvature=0.07022473357057037, ground_energy_dimless=2.4673930474104253, "
         "richardson_alpha=0.07022473357035522, diagnostics={'grid_num_points_actual': 501, "
         "'grid_box_half_width': 1, 'grid_spacing': 0.00398406374501992, "
-        "'sum_solve_residual': 1.10282585702248e-16, 'curvature_field_values': (0.001, 0.0005), "
-        "'curvature_stark_quotients': (0.07022588555116727, 0.07022587311666939), "
-        "'curvature_quartic_share': 1.7706434002100286e-07, "
+        "'sum_solve_residual': 1.10282585702248e-16, 'spectral_ground_energy': 2.46740110027231, "
         "'refine_grid_multipliers': (251, 502, 1004), 'refine_grid_sizes': (501, 1003, 2007), "
         "'refine_alpha_per_level': (0.07022588343619432, 0.07022502103600135, "
         "0.0702248054367159), 'refine_ground_energy_per_level': (2.4673930474104253, "
         "2.4673990870548903, 2.4674005969678547), 'refine_observed_order': 2.0000051042384337}, "
-        "route_gap=2.059690366453093e-07)",
+        "route_gap=3.0636975527766334e-12)",
     ),
 }
 # The first field of each type, which every instance has.
@@ -213,7 +211,7 @@ FIELDS = {
     "InfiniteWellLimitReport": ("epsilons", "alpha1_values", "alpha2_values",
                                 "alpha2_t_values", "alpha1_limit", "alpha2_limit",
                                 "alpha2_t_limit"),
-    "GridOracleConfig": ("well_R", "num_points", "box_half_width", "field_values", "ground"),
+    "GridOracleConfig": ("well_R", "num_points", "box_half_width", "ground"),
     "OracleResult": ("config", "levels", "alpha_sum", "alpha_curvature",
                      "ground_energy_dimless", "richardson_alpha", "diagnostics", "route_gap"),
 }
