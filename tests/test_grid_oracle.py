@@ -238,7 +238,6 @@ class TestConfig:
             {"well_R": R_REF, "num_points": math.inf},
             {"num_states": math.nan},
             {"num_points": 2**22 + 1},  # the base grid alone past the node budget
-            {"well_R": R_REF, "num_points": 10**5000},
             {"well_R": 0.0},
             {"well_R": math.nan},
             {"well_R": math.inf},
