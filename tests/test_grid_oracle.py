@@ -808,6 +808,116 @@ class TestSpectral:
             grid_oracle._spectral(GridOracleConfig.hard_wall())
 
 
+def probe_fields(config):
+    """Field sizes eps' of the tests' Stark reference, larger first.
+
+    1e-3 and 5e-4, scaled by beta0^3 on wells with beta0 < 1: there alpha'
+    grows as beta0^-4, and larger fields pull the ground state out of the well.
+    """
+    scale = 1.0 if config.ground is None else min(1.0, config.ground.beta0**3)
+    return (scale * 1e-3, scale * 5e-4)
+
+
+def field_energy(config, size, sign=1.0):
+    """Ground energy above the well bottom of the whole base grid at field sign * size, by bisection."""
+    x, v, diag, off = full_grid(config)
+    tilt = sign * size * x
+    _, vec = lowest_pairs(diag - tilt, off, 1)
+    return whole_quotient(off, v - tilt, vec[:, 0])
+
+
+def stark_quotients(config):
+    """q = -4 (E(eps') - E(0)) / eps'^2 at each probe size, = alpha' + O(eps'^2)."""
+    zero = field_energy(config, 0.0)
+    return [-4.0 * (field_energy(config, size) - zero) / size**2 for size in probe_fields(config)]
+
+
+class TestCurvature:
+    """alpha' as the Stark curvature of the grid's ground energy, E(eps') = E0 - alpha' eps'^2 / 4.
+
+    The package computes no field energy; the tests tilt the whole base grid
+    and take its ground state by bisection, so the curvature checks the
+    study's Dalgarno-Lewis solves from outside.
+    """
+
+    def test_two_routes_agree_at_matched_discretization(self):
+        # The grid solve and the grid's own Stark curvature, taken to zero
+        # field from the two probe sizes: measured 2.1e-8 apart.
+        config = GridOracleConfig(well_R=R_REF, num_points=900)
+        result = oracle_study(config)
+        fields = probe_fields(config)
+        curvature = extrapolate(stark_quotients(config), ratio=(fields[1] / fields[0]) ** 2)
+        gap = abs(result.alpha_sum - curvature)
+        assert gap / result.alpha_sum < 1e-6
+
+    def test_zero_field_row_reproduces_ground_energy(self):
+        # E(0) = (4 E(eps'/2) - E(eps')) / 3 + O(eps'^4) from the field
+        # energies alone is the study's ground energy.
+        config = GridOracleConfig(well_R=R_REF, num_points=900)
+        result = oracle_study(config)
+        large, small = (field_energy(config, size) for size in probe_fields(config))
+        intercept = (4.0 * small - large) / 3.0 - R_REF**2
+        assert intercept == pytest.approx(result.ground_energy_dimless, rel=1e-14, abs=0.0)
+
+    def test_no_permanent_dipole(self):
+        # The study takes the even ground state's response as the whole of
+        # alpha', so E(eps') has no linear term: direct solves at +eps' and
+        # -eps' check that symmetry instead of assuming it.
+        config = GridOracleConfig(well_R=R_REF, num_points=900)
+        eps = probe_fields(config)[0]
+        direct = field_energy(config, eps, sign=-1.0)
+        assert direct == pytest.approx(field_energy(config, eps), rel=1e-14, abs=0.0)
+        assert direct < field_energy(config, 0.0)
+
+    @pytest.mark.parametrize(
+        "well_R", [None, ground_state_from_gamma(0.2 * math.pi).R, R_REF, 49.008061]
+    )
+    def test_field_energies_match_bisection_reference(self, well_R):
+        # The study predicts E(eps') = E0 - alpha' eps'^2 / 4 + c eps'^4 on
+        # its base grid.  At eps' and eps'/2, (16 E(eps'/2) - E(eps')) / 15
+        # drops c and reads E0 - alpha' (eps'/2)^2 / 5: measured within
+        # 4e-16 of the bisection energies.
+        config = GridOracleConfig(well_R=well_R)
+        result = oracle_study(config)
+        (_, v, diag, off), start = grid_start(config)
+        bottom, _ = grid_oracle._even_ground(v, diag, off, start)
+        large, small = probe_fields(config)
+        reference = (16.0 * field_energy(config, small) - field_energy(config, large)) / 15.0
+        predicted = bottom - result.alpha_sum * small**2 / 5.0
+        assert predicted == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    def test_study_shares_zero_field_energy(self):
+        # The spectral solve finds its own E_0', at which it solves for
+        # alpha'; Romberg's table of the grid levels' ground energies
+        # reaches it (measured 2.2e-11 apart).
+        result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        per_level = result.diagnostics["refine_ground_energy_per_level"]
+        assert extrapolate(per_level, ratio=0.25) == pytest.approx(
+            result.diagnostics["spectral_ground_energy"], rel=1e-10, abs=0.0
+        )
+
+    def test_quartic_share_is_tiny_for_reference_row(self):
+        # The eps'^4 term's share of the probe fields' Stark shift, which
+        # the extrapolation above removes: measured 1.3e-8.
+        large, small = stark_quotients(GridOracleConfig(well_R=R_REF, num_points=900))
+        assert abs(large - small) / abs(small) <= 1e-6
+
+    @pytest.mark.parametrize("well_R", [1e3, 1e4])
+    def test_deep_wells_reach_route_agreement(self, well_R):
+        # E' ~ -R^2 here, so a spectral solve at E' rather than in the
+        # threshold frame would round E_0' = -beta0^2 against R^2; on the
+        # coarsest grid whose h * beta0 meets the bound, both routes agree
+        # (measured 4.7e-10 and 1.7e-7).
+        config = deep_config(well_R)
+        result = oracle_study(config)
+        beta0 = config.ground.beta0
+        assert result.diagnostics["spectral_ground_energy"] == pytest.approx(
+            -beta0**2, rel=1e-14, abs=0.0
+        )
+        assert result.route_gap <= grid_oracle._ROUTE_AGREEMENT
+        assert result.richardson_alpha == pytest.approx(result.alpha_curvature, rel=1e-6, abs=0.0)
+
+
 # well_R -> float.hex of (alpha_sum, alpha_curvature, richardson_alpha,
 # ground_energy_dimless) of oracle_study at 600 points and levels=2, with
 # every energy a quotient from the well bottom, alpha_curvature the spectral
