@@ -63,7 +63,7 @@ import functools
 import math
 
 from .errors import DomainError, NumericalError
-from .well_spectrum import GAMMA_MIN, GroundState, _Record
+from .well_spectrum import GAMMA_MIN, GroundState, _Record, _shown
 
 __all__ = [
     "PolarizabilityBreakdown",
@@ -89,7 +89,7 @@ def default_c_prime(gamma0: float) -> float:
     gamma0 must lie in [GAMMA_MIN, pi/2), the range of every ``GroundState``.
     """
     if not GAMMA_MIN <= gamma0 < 0.5 * math.pi:
-        raise DomainError(f"gamma0 must lie in [GAMMA_MIN, pi/2), got {gamma0!r}")
+        raise DomainError(f"gamma0 must lie in [GAMMA_MIN, pi/2), got {_shown(gamma0)}")
     return -_QUARTER_PI_SQ / gamma0**2
 
 

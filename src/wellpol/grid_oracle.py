@@ -21,14 +21,12 @@ independent ways:
                     7 unknowns); its matrices are exact closed forms, built
                     once on first use (``_spectral_tables``)
 
-Every grid ground state comes from inverse iteration started at the grid's
-own state, one O(n) positive-definite L D L^T solve per step shifted below
-the state, its stop scaled by the bound |T|_2 <= 4 m^2 that the grid's
-construction gives.  The vector that passes the stop is returned, certified
-as the lowest (Sylvester's law of inertia) by one more factorisation, with
-no right-hand side.  The even block starts at its exact eigenvector, the
-continuum ground state at the grid's own phases (``_grid_phases``), so it
-takes no solve.
+Every grid ground state is known in closed form: the continuum ground state
+at the grid's own phases (``_grid_phases``), the even block's eigenvector to
+rounding.  It is checked, not iterated: its residual must pass a stop scaled
+by the bound |T|_2 <= 4 m^2 that the grid's construction gives, and one
+O(n) positive-definite L D L^T factorisation shifted below it, with no
+right-hand side, certifies it as the lowest (Sylvester's law of inertia).
 
 The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
 take half the well depth), which keeps the eigenvalue error a clean O(h^2)
@@ -84,8 +82,6 @@ _MAX_H_BETA0 = 0.4
 # use, R = 1e4 on its coarsest accepted grid, has ~4e5.
 _MAX_GRID_NODES = 2**22
 
-# Inverse-iteration steps allowed before a ground state counts as lost.
-_MAX_INVERSE_STEPS = 30
 # Cap on Newton steps for the grid's phases; on gamma0 in [1e-6, pi/2 - 1e-9]
 # and m from 1 to 1e5 the root settles after five at most.
 _PHASE_STEPS = 40
@@ -256,39 +252,33 @@ def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
 def _lowest_vector(diag, off, start, norm: float) -> np.ndarray:
     """Unit eigenvector of the lowest eigenvalue of the tridiagonal T = (diag, off).
 
-    Shifted inverse iteration from ``start``, ``norm`` a bound on |T|_2: for
-    the unit vector v with quotient rho and residual r = T v - rho v, the
-    shift is sigma = rho - delta, delta = max(2|r|, 1e3 eps ``norm``), whose
-    floor keeps rounding from failing the factorisation at the ground state.
-    While |r| > 4 eps ``norm``, each step solves (T - sigma) w = v by the
-    L D L^T factorisation ``dptsv``; then T - sigma is factorised with no
-    right-hand side and v is returned: D > 0 certifies, by Sylvester's law
-    of inertia, that T has no eigenvalue below sigma.  NumericalError: a
-    factorisation fails, or ``_MAX_INVERSE_STEPS`` steps leave r above the stop.
+    ``start`` must be that eigenvector to rounding and ``norm`` a bound on
+    |T|_2: for the unit vector v along it, with quotient rho, the residual
+    r = T v - rho v must be within the stop 4 eps ``norm``.  T - sigma,
+    sigma = rho - 1e3 eps ``norm``, is then factorised by the L D L^T
+    factorisation ``dptsv`` with no right-hand side, and v is returned: D > 0
+    certifies, by Sylvester's law of inertia, that T has no eigenvalue below
+    sigma, and the one within |r| of rho lies above it.  The shift, 250
+    times the stop, keeps rounding from failing the factorisation at the
+    ground state.  NumericalError: r is above the stop, or the factorisation
+    fails.
     """
     scale = _EPS * norm
     # sqrt(v @ v) is np.linalg.norm(v) of a 1-D double array bit for bit.
     vec = start / math.sqrt(start @ start)
-    for _ in range(_MAX_INVERSE_STEPS):
-        tv = _tridiag_matvec(diag, off, vec)
-        rho = float(vec @ tv)
-        tv -= rho * vec
-        res = math.sqrt(tv @ tv)
-        delta = max(2.0 * res, 1e3 * scale)
-        done = res <= 4.0 * scale
-        w, info = dptsv(diag - (rho - delta), off, np.empty((vec.size, 0)) if done else vec)[2:]
-        if info != 0:
-            raise NumericalError(
-                f"inverse iteration at E' = {rho:.6e}: the grid (n={diag.size}) has a "
-                f"state more than {delta:.1e} below it"
-            )
-        if done:
-            return vec
-        vec = w / math.sqrt(w @ w)
-    raise NumericalError(
-        f"inverse iteration left residual {res:.2e} after {_MAX_INVERSE_STEPS} "
-        f"steps (n={diag.size})"
-    )
+    tv = _tridiag_matvec(diag, off, vec)
+    rho = float(vec @ tv)
+    tv -= rho * vec
+    res = math.sqrt(tv @ tv)
+    if res > 4.0 * scale:
+        raise NumericalError(f"the start's residual {res:.2e} exceeds the stop "
+                             f"{4.0 * scale:.2e} (n={diag.size})")
+    if dptsv(diag - (rho - 1e3 * scale), off, np.empty((vec.size, 0)))[3] != 0:
+        raise NumericalError(
+            f"the state at E' = {rho:.6e} is not the lowest: the grid (n={diag.size}) has a "
+            f"state more than {1e3 * scale:.1e} below it"
+        )
+    return vec
 
 
 def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.ndarray):
@@ -320,8 +310,7 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     ``oracle_study`` reports the base grid's.  phi is odd, so phi(0) = 0
     and the nodes x' > 0 carry the whole problem.
     That block holds only odd states, all above E_0', so H - E_0' is
-    positive definite there and LAPACK's L D L^T solve ``dptsv`` applies,
-    the one that inverse iteration uses.
+    positive definite there and LAPACK's L D L^T solve ``dptsv`` applies.
     """
     b = x[1:] * psi0[1:]
     d, e = diag[1:] - e0, off[1:]

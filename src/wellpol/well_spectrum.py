@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .errors import DomainError, NumericalError
 
@@ -54,20 +55,25 @@ GAMMA_MIN = 1e-30
 _NEWTON_STEPS = 40
 
 
-def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
-    """Refuse with DomainError any ``value`` but an int, not a bool, in [minimum, maximum].
+def _shown(value) -> str:
+    """``value`` as a refusal prints it: an int past 100 digits by sign and bit length.
 
-    An int past 100 digits is named by sign and bit length: Python prints none past 4,300.
+    Python prints no int past 4,300 digits; every other value is its repr.
     """
+    if isinstance(value, int) and abs(value) >= 10**100:
+        return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
+    return repr(value)
+
+
+def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Refuse with DomainError any ``value`` but an int, not a bool, in [minimum, maximum]."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         rule = f"an integer >= {minimum}"
     elif maximum is not None and value > maximum:
         rule = f"<= {maximum}"
     else:
         return
-    shown = (f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
-             if isinstance(value, int) and abs(value) >= 10**100 else repr(value))
-    raise DomainError(f"{name} must be {rule}, got {shown}")
+    raise DomainError(f"{name} must be {rule}, got {_shown(value)}")
 
 
 class _Record(tuple):
@@ -153,9 +159,9 @@ class GroundState(_Record):
 
     def __new__(cls, gamma0: float, beta0: float, R: float) -> "GroundState":
         if bool in (type(gamma0), type(beta0), type(R)):
-            raise DomainError(f"GroundState takes real numbers, got {(gamma0, beta0, R)!r}")
+            raise DomainError("GroundState takes real numbers, got a bool")
         if not (0.0 < gamma0 < 0.5 * math.pi):
-            raise DomainError(f"gamma0 must lie in (0, pi/2), got {gamma0!r}")
+            raise DomainError(f"gamma0 must lie in (0, pi/2), got {_shown(gamma0)}")
         if gamma0 < GAMMA_MIN:
             raise DomainError(
                 f"gamma0 must be >= {GAMMA_MIN!r}, got {gamma0!r}; "
@@ -163,14 +169,16 @@ class GroundState(_Record):
             )
         if not (beta0 > 0.0 and R > 0.0):
             raise DomainError("beta0 and R must both be positive")
-        # The residuals below square both: an infinite one would meet its
-        # infinite bound, and a square past the float range raises OverflowError.
-        if not beta0 * beta0 < math.inf:
+        # The residuals below square both: an infinite one would meet its infinite
+        # bound, and a square or an int past the float range raises OverflowError.
+        if not beta0 * beta0 <= sys.float_info.max:
             raise DomainError(
-                f"beta0 must be finite and positive with a finite square, got {beta0!r}"
+                f"beta0 must be finite and positive with a finite square, got {_shown(beta0)}"
             )
-        if not R * R < math.inf:
-            raise DomainError(f"R must be finite and positive with a finite square, got {R!r}")
+        if not R * R <= sys.float_info.max:
+            raise DomainError(
+                f"R must be finite and positive with a finite square, got {_shown(R)}"
+            )
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
         # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated
@@ -220,8 +228,9 @@ def _solve_gamma(R: float) -> float:
 
 def ground_state_from_R(R: float) -> GroundState:
     """Solve the quantisation conditions for a given well strength R."""
-    if not (math.isfinite(R) and R > 0.0):
-        raise DomainError(f"R must be finite and positive, got {R!r}")
+    # Comparisons, not math.isfinite: they refuse an int that no float holds.
+    if not 0.0 < R <= sys.float_info.max:
+        raise DomainError(f"R must be finite and positive, got {_shown(R)}")
     if R < GAMMA_MIN:
         raise DomainError(
             f"R must be >= GAMMA_MIN = {GAMMA_MIN!r}, got {R!r}; gamma0 < R, and "
@@ -233,9 +242,9 @@ def ground_state_from_R(R: float) -> GroundState:
 
 def ground_state_from_gamma(gamma0: float) -> GroundState:
     """Build the ground state directly from the inside phase gamma0."""
-    if not (math.isfinite(gamma0) and 0.0 < gamma0 <= GAMMA_MAX):
+    if not 0.0 < gamma0 <= GAMMA_MAX:
         raise DomainError(
-            f"gamma0 must lie in (0, pi/2 - 1e-9], got {gamma0!r}; "
+            f"gamma0 must lie in (0, pi/2 - 1e-9], got {_shown(gamma0)}; "
             "use the limits module to approach the infinite-well edge"
         )
     beta0 = gamma0 * math.tan(gamma0)

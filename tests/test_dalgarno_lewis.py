@@ -206,9 +206,13 @@ class TestPhi:
             -((PI / 2) ** 2) / state.gamma0**2, rel=1e-15
         )
 
-    @pytest.mark.parametrize("gamma0", [0.0, 1e-200, 1e-155, math.nan, 0.5 * PI])
+    @pytest.mark.parametrize(
+        "gamma0",
+        [0.0, 1e-200, 1e-155, math.nan, 0.5 * PI, pytest.param(-(10**5000), id="5001-digits")],
+    )
     def test_default_c_prime_refuses_gamma_outside_every_state(self, gamma0):
-        # 0.0 and 1e-200 raised ZeroDivisionError, and 1e-155 returned -inf.
+        # 0.0 and 1e-200 raised ZeroDivisionError, and 1e-155 returned -inf;
+        # printing an int of more than 4,300 digits raised ValueError.
         with pytest.raises(DomainError, match=r"\[GAMMA_MIN, pi/2\)"):
             default_c_prime(gamma0)
 

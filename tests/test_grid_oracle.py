@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -118,9 +119,9 @@ class TestConfig:
         assert calls == [R_REF]
 
     def test_study_makes_one_eigensolve_per_level(self, monkeypatch):
-        # One even block per refinement level, by inverse iteration: the
-        # module has no bisection eigensolver to call, and the spectral
-        # solve needs no grid ground state.
+        # One even block per refinement level, checked and certified by
+        # _lowest_vector: the module has no eigensolver to call, and the
+        # spectral solve needs no grid ground state.
         ground_states = []
         lowest = grid_oracle._lowest_vector
 
@@ -195,7 +196,7 @@ class TestConfig:
         assert len(ground_states) == 3
 
     def test_study_reports_every_residual_it_computes(self, monkeypatch):
-        # Outside inverse iteration, one Dalgarno-Lewis solve per level and
+        # Outside _lowest_vector, one Dalgarno-Lewis solve per level and
         # one residual, the base grid's, the only one the study reports.
         outside = {"_tridiag_matvec": 0, "dptsv": 0}
         inside = []
@@ -241,6 +242,7 @@ class TestConfig:
             {"well_R": 0.0},
             {"well_R": math.nan},
             {"well_R": math.inf},
+            {"well_R": 10**400},  # no float holds it: math.isfinite raised OverflowError
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -407,6 +409,23 @@ class TestSpectrum:
         with pytest.raises(NumericalError, match="has a state more than"):
             grid_oracle._lowest_vector(block_diag, block_off, vec[:, 1], -4.0 * off[0])
 
+    def test_continuum_start_is_refused_not_iterated(self, monkeypatch):
+        # The continuum gamma0 and beta0 in place of the grid's phases give a
+        # start O(h^2) off the grid's own state, far above the stop: the study
+        # refuses it, naming the residual, instead of iterating towards it.
+        monkeypatch.setattr(grid_oracle, "_grid_phases",
+                            lambda ground, m: (ground.gamma0, ground.beta0))
+        config = GridOracleConfig(well_R=R_REF)
+        stop = 4.0 * grid_oracle._EPS * 4.0 * grid_oracle._multiplier(config) ** 2
+        with pytest.raises(NumericalError, match="the start's residual") as info:
+            oracle_study(config, levels=2)
+        residual, shown_stop, n = re.fullmatch(
+            r"the start's residual (\S+) exceeds the stop (\S+) \(n=(\d+)\)", str(info.value)
+        ).groups()
+        assert float(residual) > 1e3 * stop
+        assert float(shown_stop) == pytest.approx(stop, rel=1e-2)
+        assert int(n) == config.num_points // 2 + 1
+
     def test_parity_of_lowest_states(self):
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         _, _, diag, off = full_grid(config)
@@ -447,11 +466,20 @@ class TestGridStart:
             assert (u1 - state.gamma0) / (u2 - state.gamma0) == pytest.approx(4.0, abs=0.05)
             assert (nu1 - state.beta0) / (nu2 - state.beta0) == pytest.approx(4.0, abs=0.05)
 
-    @pytest.mark.parametrize("state", WELL_RANGE, ids=lambda s: f"R={s.R:.6g}")
+    @pytest.mark.parametrize(
+        "state",
+        WELL_RANGE + [None, ground_state_from_R(1e3), ground_state_from_R(1e4)],
+        ids=lambda s: "hard-wall" if s is None else f"R={s.R:.6g}",
+    )
     def test_start_passes_the_inverse_iteration_stop(self, state):
         # On the even block of every level, the start s already has
-        # |T s - rho s| <= 4 eps 4 m^2 |s|, the stop of _lowest_vector.
-        config = GridOracleConfig(well_R=state.R)
+        # |T s - rho s| <= 4 eps 4 m^2 |s|, the stop of _lowest_vector, which
+        # refuses a start that misses it.  R = 1e3 and 1e4 are on their
+        # coarsest admitted grids, h beta0 up to the bound 0.4.
+        if state is None:
+            config = GridOracleConfig.hard_wall()
+        else:
+            config = deep_config(state.R) if state.R >= 1e3 else GridOracleConfig(well_R=state.R)
         for level in range(3):
             (_, _, diag, off), start = grid_start(config, level)
             block_diag, block_off = even_block(diag, off)

@@ -189,6 +189,37 @@ class TestNormalization:
             GroundState(math.nextafter(0.5 * math.pi, 0.0), 1e300, 1.0)
 
 
+BITS_400, BITS_5000 = "a positive int of 1329 bits", "a negative int of 16610 bits"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ground_state_from_R(10**400), f"R must be finite and positive, got {BITS_400}"),
+        (lambda: ground_state_from_gamma(10**400),
+         f"gamma0 must lie in (0, pi/2 - 1e-9], got {BITS_400}; use the limits module to "
+         f"approach the infinite-well edge"),
+        (lambda: GroundState(0.86, 10**400, 1.0),
+         f"beta0 must be finite and positive with a finite square, got {BITS_400}"),
+        (lambda: GroundState(0.86, 1.0, 10**400),
+         f"R must be finite and positive with a finite square, got {BITS_400}"),
+        (lambda: ground_state_from_R(-(10**5000)),
+         f"R must be finite and positive, got {BITS_5000}"),
+        (lambda: GroundState(-(10**5000), 0.5, 1.0),
+         f"gamma0 must lie in (0, pi/2), got {BITS_5000}"),
+    ],
+    ids=["ground_state_from_R", "ground_state_from_gamma", "beta0", "R",
+         "ground_state_from_R-5001-digits", "gamma0-5001-digits"],
+)
+def test_ints_past_the_float_range_are_refused(make, message):
+    # An int that no float holds raised OverflowError from math.isfinite or
+    # from float arithmetic, and printing one of more than 4,300 digits raised
+    # ValueError; each is bad input, printed by sign and bit length.
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
+
+
 class TestPsi0:
     @pytest.mark.parametrize("gamma_pi", [0.15, 0.39, 0.49])
     def test_unit_norm_by_quadrature(self, gamma_pi):
