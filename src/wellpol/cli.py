@@ -241,8 +241,8 @@ def cmd_limits(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # The only command that needs numpy and scipy.linalg; the others skip
-    # their import.
+    # The only command that needs numpy and scipy's LAPACK extension (loaded
+    # without the scipy package); the others skip their import.
     from . import grid_oracle
 
     if (args.R is None) == (not args.hard_wall):

@@ -23,7 +23,7 @@ import math
 
 from .dalgarno_lewis import alpha2_prime_hard_wall
 from .errors import DomainError
-from .well_spectrum import _require_int
+from .well_spectrum import _require_int, _require_real
 
 __all__ = ["infinite_well_term", "infinite_well_alpha", "calibrate_C"]
 
@@ -72,9 +72,10 @@ def calibrate_C(target_alpha_prime: float) -> float:
     target whose C' is not a finite float (a non-finite one, or one beyond
     ~3.6e307 in size) is refused.
     """
+    target = _require_real("target", target_alpha_prime)
     intercept = alpha2_prime_hard_wall(0.0)
     slope = alpha2_prime_hard_wall(1.0) - intercept
-    c_prime = (target_alpha_prime - intercept) / slope
+    c_prime = (target - intercept) / slope
     if not math.isfinite(c_prime):
         raise DomainError(
             f"target {target_alpha_prime!r} gives C' = {c_prime!r}, not a finite float"

@@ -63,7 +63,7 @@ import functools
 import math
 
 from .errors import DomainError, NumericalError
-from .well_spectrum import GAMMA_MIN, GroundState, _Record, _shown
+from .well_spectrum import GAMMA_MIN, GroundState, _Record, _require_real, _shown
 
 __all__ = [
     "PolarizabilityBreakdown",
@@ -211,6 +211,7 @@ def alpha2_prime_hard_wall(c_prime: float = -1.0) -> float:
     Affine in C'; C' = -1 gives the exact box polarizability
     20/pi^4 - 4/(3 pi^2), and C' = 0 gives the trial-solution limit.
     """
+    c_prime = _require_real("c_prime", c_prime)
     pi_sq = math.pi**2
     return math.fsum(
         [

@@ -46,12 +46,15 @@ analytic transition sum.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dposv, dptsv, dsygvx
 
 from .errors import ConvergenceWarning, DomainError, NumericalError
 from .limits import extrapolate
@@ -86,6 +89,43 @@ _MAX_GRID_NODES = 2**22
 # and m from 1 to 1e5 the root settles after five at most.
 _PHASE_STEPS = 40
 _EPS = float(np.finfo(float).eps)
+
+
+def _lapack_routines():
+    """``dgesv``, ``dposv``, ``dptsv`` and ``dsygvx`` from scipy's f2py LAPACK extension.
+
+    The extension is loaded from its file alone: importing it through
+    ``scipy.linalg`` runs that whole package, which costs a ``wellpol
+    oracle`` process more CPU and memory than numpy and the study together.
+    The public import remains for a layout where the file is missing or
+    will not load on its own (a wheel whose libraries only scipy's own
+    import sets up).
+    """
+    spec = importlib.util.find_spec("scipy")
+    folders = (spec.submodule_search_locations or ()) if spec is not None else ()
+    paths = [os.path.join(folder, "linalg", "_flapack" + suffix)
+             for folder in folders for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next(filter(os.path.isfile, paths), None)
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader("_flapack", path)
+        previous = sys.modules.get("_flapack")
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location("_flapack", path, loader=loader))
+            loader.exec_module(module)
+            return module.dgesv, module.dposv, module.dptsv, module.dsygvx
+        except ImportError:
+            pass
+        finally:
+            # A single-phase extension enters itself in sys.modules as it loads.
+            sys.modules.pop("_flapack", None)
+            if previous is not None:
+                sys.modules["_flapack"] = previous
+    from scipy.linalg.lapack import dgesv, dposv, dptsv, dsygvx
+    return dgesv, dposv, dptsv, dsygvx
+
+
+dgesv, dposv, dptsv, dsygvx = _lapack_routines()
 
 
 class GridOracleConfig(_Record):
@@ -273,7 +313,8 @@ def _lowest_vector(diag, off, start, norm: float) -> np.ndarray:
     if res > 4.0 * scale:
         raise NumericalError(f"the start's residual {res:.2e} exceeds the stop "
                              f"{4.0 * scale:.2e} (n={diag.size})")
-    if dptsv(diag - (rho - 1e3 * scale), off, np.empty((vec.size, 0)))[3] != 0:
+    # The shifted diagonal is a temporary of this call: dptsv factorises it in place.
+    if dptsv(diag - (rho - 1e3 * scale), off, np.empty((vec.size, 0)), overwrite_d=True)[3] != 0:
         raise NumericalError(
             f"the state at E' = {rho:.6e} is not the lowest: the grid (n={diag.size}) has a "
             f"state more than {1e3 * scale:.1e} below it"

@@ -76,6 +76,17 @@ def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> 
     raise DomainError(f"{name} must be {rule}, got {_shown(value)}")
 
 
+def _require_real(name: str, value) -> float:
+    """``value`` as a float; DomainError for a bool, or a number no float holds."""
+    # bool is an int subclass, but True is not the number 1.
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} must be within the float range, got {_shown(value)}") from None
+
+
 class _Record(tuple):
     """Read-only record in place of a frozen dataclass, without importing ``dataclasses``.
 
@@ -123,10 +134,8 @@ class WellSpec(_Record):
                 hbar: float = 1.0) -> "WellSpec":
         self = tuple.__new__(cls, (half_width, depth, mass, charge, hbar))
         for name, value in zip(cls._fields, self):
-            # bool is an int subclass, but True is not the number 1.
-            if type(value) is bool:
-                raise DomainError(f"WellSpec.{name} must be a real number, got {value!r}")
-            if name != "charge" and not (math.isfinite(value) and value > 0.0):
+            real = _require_real(f"WellSpec.{name}", value)
+            if name != "charge" and not (math.isfinite(real) and real > 0.0):
                 raise DomainError(f"WellSpec.{name} must be finite and positive, got {value!r}")
         if not (math.isfinite(charge) and charge != 0.0):
             raise DomainError(f"WellSpec.charge must be finite and nonzero, got {charge!r}")

@@ -398,7 +398,7 @@ class TestDeterminism:
 
 
 class TestLazyImports:
-    """numpy and scipy load only for the grid oracle.
+    """numpy and scipy load only for the grid oracle, and it loads no scipy module.
 
     Each check runs in a fresh interpreter, because this test process has
     loaded both already.
@@ -450,6 +450,18 @@ class TestLazyImports:
             "assert wellpol.cli.main(['solve', '--R', '3.617018', '--format', 'json']) == 0"
         )
         assert self.loaded_heavy_modules(code) == "[]"
+
+    def test_oracle_loads_no_scipy_module(self):
+        # grid_oracle loads scipy's LAPACK extension from its file, so neither
+        # its import nor a study imports scipy or scipy.linalg; numpy may load.
+        child = self.python(
+            "-c",
+            "import sys\nimport wellpol.grid_oracle\nimport wellpol.cli\n"
+            "assert wellpol.cli.main(['oracle', '--R', '3.617018', '--num-points', '500']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', '_flapack')))",
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip().splitlines()[-1] == "[]"
 
     def test_solve_json_command_matches_in_process_run(self, capsys):
         argv = ["solve", "--R", "3.617018", "--format", "json"]

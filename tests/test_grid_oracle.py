@@ -158,10 +158,10 @@ class TestConfig:
             finally:
                 inside.pop()
 
-        def counting_solve(d, e, b):
+        def counting_solve(d, e, b, **kwargs):
             if inside:
                 calls[-1].append(b.shape[1] if b.ndim == 2 else 1)
-            return solve(d, e, b)
+            return solve(d, e, b, **kwargs)
 
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", counting_solve)
@@ -212,10 +212,10 @@ class TestConfig:
         def counting(name):
             original = getattr(grid_oracle, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 if not inside:
                     outside[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
             return counted
 
@@ -375,9 +375,9 @@ class TestSpectrum:
             records[-1] += (vec.copy(),)  # _even_ground rescales it in place
             return vec
 
-        def recording_solve(d, e, b):
-            records[-1][2].append((d, b))
-            return solve(d, e, b)
+        def recording_solve(d, e, b, **kwargs):
+            records[-1][2].append((d.copy(), b))  # the factorisation overwrites d
+            return solve(d, e, b, **kwargs)
 
         config = GridOracleConfig(well_R=well_R)
         (_, v, diag, off), start = grid_start(config)
@@ -1264,3 +1264,89 @@ class TestOracleResult:
         assert "sum_solve_residual" in result.diagnostics
         assert "spectral_ground_energy" in result.diagnostics
         assert "refine_observed_order" in result.diagnostics
+
+
+# Runs in a fresh interpreter: solves a fixed tridiagonal SPD, dense SPD,
+# general and symmetric-definite pencil system with the four routines that
+# grid_oracle binds, before any scipy module is imported and again after
+# ``import scipy.linalg`` initialises the extension a second time under its
+# package name, and with scipy.linalg.lapack's own.  Prints whether each
+# set of outputs has the direct load's bytes.
+LAPACK_BITS = """
+import sys
+import numpy as np
+import wellpol.grid_oracle as go
+
+def outputs(dgesv, dposv, dptsv, dsygvx):
+    n = 7
+    k = np.arange(n, dtype=float)
+    general = np.sin(np.add.outer(3.0 * k, k * k) + 1.0)
+    spd = general @ general.T + n * np.eye(n)
+    rhs = np.cos(np.outer(k, (1.0, 2.0)))
+    runs = (dptsv(4.0 + np.sin(k), np.cos(k[1:]), rhs), dposv(spd, rhs), dgesv(general, rhs),
+            dsygvx(general + general.T, spd, range="I", il=1, iu=3))
+    return [np.asarray(value).tobytes() for run in runs for value in run]
+
+names = ("dgesv", "dposv", "dptsv", "dsygvx")
+bound = [getattr(go, name) for name in names]
+direct = outputs(*bound)
+assert not any(m.split(".")[0] in ("scipy", "_flapack") for m in sys.modules)
+from scipy.linalg import lapack
+assert not any(routine is getattr(lapack, name) for routine, name in zip(bound, names))
+print(outputs(*bound) == direct, outputs(*(getattr(lapack, name) for name in names)) == direct)
+"""
+
+# Runs in a fresh interpreter with the direct load made to fail, by a missing
+# file or by a load that raises ImportError, then runs the pinned R_REF study.
+LAPACK_FALLBACK = """
+import importlib.machinery
+import sys
+
+if sys.argv[1] == "missing":
+    importlib.machinery.EXTENSION_SUFFIXES = []
+else:
+    exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+
+    def failing(self, module):
+        if self.name == "_flapack":
+            raise ImportError("a library the extension needs is not on the search path")
+        return exec_module(self, module)
+
+    importlib.machinery.ExtensionFileLoader.exec_module = failing
+
+import wellpol.grid_oracle as go
+from scipy.linalg import lapack
+
+assert all(getattr(go, n) is getattr(lapack, n) for n in ("dgesv", "dposv", "dptsv", "dsygvx"))
+assert "_flapack" not in sys.modules
+result = go.oracle_study(go.GridOracleConfig(well_R=%r, num_points=600))
+print(*(value.hex() for value in (result.alpha_sum, result.alpha_curvature,
+                                  result.richardson_alpha)))
+""" % R_REF
+
+
+class TestLapackLoad:
+    """grid_oracle loads scipy's LAPACK extension from its file, not through scipy.linalg."""
+
+    @staticmethod
+    def python(*args):
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_bound_routines_match_scipy_bit_for_bit(self):
+        assert self.python("-c", LAPACK_BITS) == "True True\n"
+
+    def test_loaded_extension_is_not_registered(self):
+        from scipy.linalg import lapack
+
+        assert "_flapack" not in sys.modules
+        assert grid_oracle.dptsv is not lapack.dptsv
+
+    @pytest.mark.parametrize("failure", ["missing", "raises"])
+    def test_failed_load_falls_back_to_scipy_linalg(self, failure):
+        result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600))
+        direct = " ".join(value.hex() for value in (result.alpha_sum, result.alpha_curvature,
+                                                    result.richardson_alpha))
+        assert self.python("-c", LAPACK_FALLBACK, failure) == direct + "\n"

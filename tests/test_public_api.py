@@ -213,17 +213,46 @@ WELL = (0.5, 2.0, 1.0, -1.0, 1.0)
         lambda: well_spectrum.GroundState(X_TAN_X_ONE, True, math.hypot(X_TAN_X_ONE, 1.0)),
         lambda: well_spectrum.GroundState(*well_spectrum.ground_state_from_R(1.0)[:2], True),
         lambda: grid_oracle.GridOracleConfig(well_R=True),
+        lambda: limits.extrapolate([1.0, True], 0.25),
+        lambda: dalgarno_lewis.alpha2_prime_hard_wall(True),
+        lambda: conventional_sum.calibrate_C(True),
     ] + [
         lambda i=i: well_spectrum.WellSpec(*WELL[:i], True, *WELL[i + 1:])
         for i in range(len(WELL))
     ],
     ids=["ground_state_from_R", "ground_state_from_gamma", "gamma0", "beta0", "R",
-         "well_R", "half_width", "depth", "mass", "charge", "hbar"],
+         "well_R", "extrapolate", "alpha2_prime_hard_wall", "calibrate_C",
+         "half_width", "depth", "mass", "charge", "hbar"],
 )
 def test_reals_refuse_true(make):
-    # True == 1, so each call would otherwise build a record that holds True.
+    # True == 1, so each call would otherwise build a record that holds True
+    # or return the value at 1.
     with pytest.raises(DomainError, match="real number"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: well_spectrum.WellSpec(10**400, 1.0, 1.0, 1.0),
+         "WellSpec.half_width must be within the float range, got a positive int of 1329 bits"),
+        (lambda: well_spectrum.WellSpec(1.0, 1.0, 1.0, -(10**5000)),
+         "WellSpec.charge must be within the float range, got a negative int of 16610 bits"),
+        (lambda: limits.extrapolate([10**400, 1.0], 0.25),
+         "values[0] must be within the float range, got a positive int of 1329 bits"),
+        (lambda: dalgarno_lewis.alpha2_prime_hard_wall(10**400),
+         "c_prime must be within the float range, got a positive int of 1329 bits"),
+        (lambda: conventional_sum.calibrate_C(10**400),
+         "target must be within the float range, got a positive int of 1329 bits"),
+    ],
+    ids=["WellSpec", "WellSpec-5001-digits", "extrapolate", "alpha2_prime_hard_wall",
+         "calibrate_C"],
+)
+def test_reals_past_the_float_range_are_refused(make, message):
+    # Each raised OverflowError converting the int to a float.
+    with pytest.raises(DomainError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_cli_options_are_pinned():
