@@ -7,8 +7,8 @@ Commands
     solve      one well, selected by --gamma or --R
     sweep      breakdown rows over a gamma0 range
     limits     delta-potential or hard-wall limit study (JSON report)
-    oracle     grid-diagonalization cross-check (JSON report); --num-points
-               is its one accuracy dial
+    oracle     grid and spectral Dalgarno-Lewis cross-check (JSON report);
+               --num-points is its one accuracy dial
     calibrate  hard-wall C' calibration round trip (JSON report)
 
 Angles accept either radians or multiples of pi ("0.39pi").  Tables and
@@ -338,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("delta", "infinite"), required=True)
     _add_report_options(p)
 
-    p = sub.add_parser("oracle", help="grid-diagonalization cross-check")
+    p = sub.add_parser("oracle", help="grid and spectral Dalgarno-Lewis cross-check")
     p.set_defaults(run=cmd_oracle)
     p.add_argument("--R", type=float, default=None, help="well strength")
     p.add_argument("--hard-wall", action="store_true", help="hard-wall box instead")

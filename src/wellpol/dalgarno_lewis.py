@@ -210,8 +210,9 @@ def alpha2_prime_hard_wall(c_prime: float = -1.0) -> float:
 
     Affine in C'; C' = -1 gives the exact box polarizability
     20/pi^4 - 4/(3 pi^2), and C' = 0 gives the trial-solution limit.
+    DomainError: C' is not a finite real number.
     """
-    c_prime = _require_real("c_prime", c_prime)
+    c_prime = _require_real("c_prime", c_prime, finite=True)
     pi_sq = math.pi**2
     return math.fsum(
         [

@@ -18,29 +18,27 @@ independent ways:
                     Laguerre functions e^-t L_j(2t), t = beta0 (x' - 1),
                     beyond, joined by one continuity constraint into 15
                     unknowns (the hard wall: psi(1) = 0 and no outer part,
-                    7 unknowns); its matrices are exact closed forms, built
-                    once on first use (``_spectral_tables``)
+                    7 unknowns), from exact closed-form matrices
+                    (``_spectral_tables``)
 
-Every grid ground state is known in closed form: the continuum ground state
-at the grid's own phases (``_grid_phases``), the even block's eigenvector to
-rounding.  It is checked, not iterated: its residual must pass a stop scaled
-by the bound |T|_2 <= 4 m^2 that the grid's construction gives, and one
-O(n) positive-definite L D L^T factorisation shifted below it, with no
-right-hand side, certifies it as the lowest (Sylvester's law of inertia).
+No route calls an eigensolver: each finds its ground state by positive-
+definite factorisations (LAPACK ``dptsv``, ``dposv``) shifted below it,
+whose success certifies it as the lowest (Sylvester's law of inertia).  The
+grid's is the continuum ground state at the grid's own phases
+(``_grid_phases``), checked by a residual stop scaled by |T|_2 <= 4 m^2 and
+certified by one L D L^T factorisation with no right-hand side; the
+spectral one comes of inverse iteration at a shift just below the exact
+E_0'.
 
-The grid is always aligned so the well edges +-1 fall on nodes (edge nodes
-take half the well depth), which keeps the eigenvalue error a clean O(h^2)
-and makes Richardson extrapolation across grid doublings meaningful
-(``limits.extrapolate`` with ratio 1/4).  Every grid ground energy is one
-Rayleigh quotient from the well bottom, free of cancellation.
-``oracle_study``, the one entry point, is the result type ``OracleResult``:
-it builds each of its grids once and finds one even-block ground state on
-each, for the Dalgarno-Lewis solve of that level, and makes one spectral
-solve.
-
-A ``well_R`` of None selects the bare hard-wall box of half-width 1 (the
-infinite-well configuration); responses then check out against the
-analytic transition sum.
+The grid's well edges +-1 fall on nodes (edge nodes take half the well
+depth), which keeps the eigenvalue error a clean O(h^2) and makes Romberg's
+table across grid doublings (``limits.extrapolate``, ratio 1/4)
+meaningful.  Every grid ground energy is one Rayleigh quotient from the
+well bottom, free of cancellation.  ``oracle_study``, the one entry point,
+is the result type ``OracleResult``: one grid, ground state and solve per
+level, and one spectral solve.  A ``well_R`` of None selects the hard-wall
+box of half-width 1, whose responses check out against the analytic
+transition sum.
 """
 
 from __future__ import annotations
@@ -71,6 +69,13 @@ _ROUTE_AGREEMENT = 1e-6
 # Legendre kinetic entries grow as n^4.
 _SPECTRAL_TERMS = 8
 
+# The spectral ground state's shift below the exact E_0', as a fraction of
+# the gap scale min(beta0^2, 2 pi^2), and its solves from an all-ones start:
+# on 179 wells, R = 0.0088 ... 1e5, rounding fails 2 factorisations at 1e-8,
+# none at 1e-6; two solves leave the hard wall 6e-13 off, three 1.2e-14.
+_SPECTRAL_SHIFT = 1e-6
+_SPECTRAL_SOLVES = 3
+
 # Largest h * beta0 of the base grid, the decay of psi0 per grid step.  At
 # 0.2-0.4 the observed order is 1.96-1.99 and Romberg's value is within
 # 1.2e-8 of alpha_exact_prime for R = 100, 300 and 1e3; at 0.6 the order
@@ -92,7 +97,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _lapack_routines():
-    """``dgesv``, ``dposv``, ``dptsv`` and ``dsygvx`` from scipy's f2py LAPACK extension.
+    """``dposv`` and ``dptsv``, the oracle's two solves, from scipy's f2py LAPACK extension.
 
     The extension is loaded from its file alone: importing it through
     ``scipy.linalg`` runs that whole package, which costs a ``wellpol
@@ -113,7 +118,7 @@ def _lapack_routines():
             module = importlib.util.module_from_spec(
                 importlib.util.spec_from_file_location("_flapack", path, loader=loader))
             loader.exec_module(module)
-            return module.dgesv, module.dposv, module.dptsv, module.dsygvx
+            return module.dposv, module.dptsv
         except ImportError:
             pass
         finally:
@@ -121,11 +126,11 @@ def _lapack_routines():
             sys.modules.pop("_flapack", None)
             if previous is not None:
                 sys.modules["_flapack"] = previous
-    from scipy.linalg.lapack import dgesv, dposv, dptsv, dsygvx
-    return dgesv, dposv, dptsv, dsygvx
+    from scipy.linalg.lapack import dposv, dptsv
+    return dposv, dptsv
 
 
-dgesv, dposv, dptsv, dsygvx = _lapack_routines()
+dposv, dptsv = _lapack_routines()
 
 
 class GridOracleConfig(_Record):
@@ -170,11 +175,8 @@ class GridOracleConfig(_Record):
 
     @classmethod
     def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
-        """The hard-wall box of half-width 1, ``cls(well_R=None, num_points)``.
-
-        Kept only for the benchmark's callers, which pass ``num_states``;
-        it is checked and unused, and ROADMAP item 4 removes both.
-        """
+        """``cls(well_R=None, num_points)``, for the benchmark's callers: ``num_states`` is
+        checked and unused, and ROADMAP item 4 removes both."""
         _require_int("num_states", num_states, 50)
         return cls(well_R=None, num_points=num_points)
 
@@ -315,10 +317,8 @@ def _lowest_vector(diag, off, start, norm: float) -> np.ndarray:
                              f"{4.0 * scale:.2e} (n={diag.size})")
     # The shifted diagonal is a temporary of this call: dptsv factorises it in place.
     if dptsv(diag - (rho - 1e3 * scale), off, np.empty((vec.size, 0)), overwrite_d=True)[3] != 0:
-        raise NumericalError(
-            f"the state at E' = {rho:.6e} is not the lowest: the grid (n={diag.size}) has a "
-            f"state more than {1e3 * scale:.1e} below it"
-        )
+        raise NumericalError(f"the state at E' = {rho:.6e} is not the lowest: the grid "
+                             f"(n={diag.size}) has a state more than {1e3 * scale:.1e} below it")
     return vec
 
 
@@ -357,10 +357,8 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     d, e = diag[1:] - e0, off[1:]
     phi, info = dptsv(d, e, b)[2:]
     if info != 0:
-        raise NumericalError(
-            f"H - E0 is not positive definite on the odd half-grid (n={d.size}): "
-            f"pivot {info} is not positive"
-        )
+        raise NumericalError(f"H - E0 is not positive definite on the odd half-grid "
+                             f"(n={d.size}): pivot {info} is not positive")
 
     def solve_residual() -> float:
         residual = _tridiag_matvec(d, e, phi, b)
@@ -429,33 +427,38 @@ def _spectral(config: GridOracleConfig) -> tuple[float, float]:
     With s = beta0 (1 and R = 0 on the hard wall) the Galerkin matrices are
     H = K_in + s K_out - R^2 M_in, in the threshold frame, so a shallow
     well's E_0' = -beta0^2 is not rounded against R^2, and
-    M = M_in + M_out / s, each parity from ``_spectral_tables``.  The even
-    block's lowest pair (LAPACK ``dsygvx``) is refined by one shifted solve,
-    (H - E M) c = M c (``dgesv``), whose Rayleigh quotient is E_0'.  Then
-    alpha' = 4 b^T (H_odd - E_0' M_odd)^-1 b, b the dipole image of the unit
-    ground state; that block holds only states above E_0', so the solve is
-    LAPACK's Cholesky solve ``dposv``.  NumericalError: a LAPACK call fails.
+    M = M_in + M_out / s, each parity from ``_spectral_tables``.  Galerkin
+    energies bound the true ones from above, so ``_SPECTRAL_SOLVES`` solves
+    (H - sigma M) c = M c at sigma just below the exact E_0' (LAPACK's
+    Cholesky solve ``dposv``) find the even ground state, whose Rayleigh
+    quotient is E_0', and certify it: no Galerkin state lies below sigma.
+    Then alpha' = 4 b^T (H_odd - E_0' M_odd)^-1 b, b the dipole image of the
+    unit ground state, by ``dposv`` too: that block holds only states above
+    E_0'.  NumericalError: a factorisation fails.
     """
-    blocks, dipole = _spectral_tables(config.ground is None)
-    s, r_sq = (1.0, 0.0) if config.ground is None else (config.ground.beta0, config.well_R**2)
+    hard_wall = config.ground is None
+    blocks, dipole = _spectral_tables(hard_wall)
+    s, r_sq = (1.0, 0.0) if hard_wall else (config.ground.beta0, config.well_R**2)
     size = math.isqrt(dipole.shape[1])
     weights = np.array(((1.0, s, -r_sq, 0.0), (0.0, 0.0, 1.0, 1.0 / s)))
     (h_even, h_odd), (m_even, m_odd) = (weights @ blocks).reshape(2, 2, size, size)
     x = (np.array((1.0, 1.0 / s, 1.0 / (s * s))) @ dipole).reshape(size, size)
-    energy, c, _, _, info = dsygvx(h_even, m_even, range="I", il=1, iu=1)
-    if info == 0:
-        c, info = dgesv(h_even - energy[0] * m_even, m_even @ c[:, 0])[2:]
-    if info != 0:
-        raise NumericalError(f"the spectral ground state failed: LAPACK info {info}")
+    exact, gap = (0.25 * math.pi**2, math.inf) if hard_wall else (-s * s, s * s)
+    shift = exact - _SPECTRAL_SHIFT * min(gap, 2.0 * math.pi**2)
+    shifted = h_even - shift * m_even
+    c = np.ones(size)
+    for _ in range(_SPECTRAL_SOLVES):
+        c, info = dposv(shifted, m_even @ c)[1:]
+        if info != 0:
+            raise NumericalError(f"a Galerkin state lies below the shift {shift:.6e} of the "
+                                 f"spectral ground state: pivot {info} is not positive")
     m_c = m_even @ c
     e0 = float(c @ (h_even @ c) / (c @ m_c))
     b = (x @ c) / math.sqrt(c @ m_c)
     phi, info = dposv(h_odd - e0 * m_odd, b)[1:]
     if info != 0:
-        raise NumericalError(
-            f"H - E0 is not positive definite on the odd spectral basis: pivot {info} is "
-            f"not positive"
-        )
+        raise NumericalError(f"H - E0 is not positive definite on the odd spectral basis: "
+                             f"pivot {info} is not positive")
     return 4.0 * float(b @ phi), e0
 
 
@@ -498,10 +501,8 @@ class OracleResult(_Record):
         sizes = tuple(2 * L * m - 1 for m in ms)
         if not small or sizes[-1] > _MAX_GRID_NODES:
             nodes = sizes[-1] if small else f"over {4 * _MAX_GRID_NODES}"
-            raise DomainError(
-                f"the finest grid would have {nodes} nodes on a box of half-width {L}, "
-                f"more than the budget of {_MAX_GRID_NODES}"
-            )
+            raise DomainError(f"the finest grid would have {nodes} nodes on a box of half-width "
+                              f"{L}, more than the budget of {_MAX_GRID_NODES}")
         alphas, e0s = [], []
         for m in ms:
             x, v, diag, off = _grid(config, m)
@@ -513,16 +514,11 @@ class OracleResult(_Record):
             alphas.append(alpha)
             e0s.append(e0)
         alpha_curvature, spectral_e0 = _spectral(config)
-        d_prev = alphas[-2] - alphas[-3]
-        d_last = alphas[-1] - alphas[-2]
-        observed = (math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0
-                    else math.nan)
+        d_prev, d_last = alphas[-2] - alphas[-3], alphas[-1] - alphas[-2]
+        observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan
         if not 1.5 <= observed <= 2.5:
-            warnings.warn(
-                f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
+                          ConvergenceWarning, stacklevel=2)
         diagnostics = {
             "grid_num_points_actual": sizes[0],
             "grid_box_half_width": L,
@@ -541,10 +537,8 @@ class OracleResult(_Record):
                 raise NumericalError(f"{name} must be positive, got {value!r}")
         gap = abs(richardson - alpha_curvature) / alpha_curvature
         if gap > _ROUTE_AGREEMENT:
-            raise NumericalError(
-                f"oracle routes disagree by {gap:.2e}: Romberg's grid value against the "
-                f"spectral solve"
-            )
+            raise NumericalError(f"oracle routes disagree by {gap:.2e}: Romberg's grid value "
+                                 f"against the spectral solve")
         return tuple.__new__(cls, (config, levels, alpha_sum, alpha_curvature, e0s[0],
                                    richardson, diagnostics, gap))
 

@@ -98,12 +98,12 @@ def extrapolate(values: Sequence[float], ratio: float) -> float:
     Romberg's table (h^2, h^4, ... under grid halving at ratio 1/4): each
     column eliminates the next power r of the ratio, taking neighbours a, b
     to b + (b - a) r / (1 - r).  DomainError unless ``values`` is non-empty,
-    each a real number that a float holds, and 0 < ratio < 1.
+    each a finite real number, and 0 < ratio < 1.
     """
     if len(values) == 0 or not 0.0 < ratio < 1.0:
         raise DomainError(f"extrapolate needs values and 0 < ratio < 1, got "
                           f"{len(values)} values at ratio {ratio!r}")
-    column, r = [_require_real(f"values[{i}]", value) for i, value in enumerate(values)], ratio
+    column, r = [_require_real(f"values[{i}]", v, True) for i, v in enumerate(values)], ratio
     while len(column) > 1:
         column = [b + (b - a) * r / (1.0 - r) for a, b in zip(column, column[1:])]
         r *= ratio

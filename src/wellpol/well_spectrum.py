@@ -76,15 +76,18 @@ def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> 
     raise DomainError(f"{name} must be {rule}, got {_shown(value)}")
 
 
-def _require_real(name: str, value) -> float:
-    """``value`` as a float; DomainError for a bool, or a number no float holds."""
+def _require_real(name: str, value, finite: bool = False) -> float:
+    """``value`` as a float; DomainError: a bool, no float holds it, or nan/inf if ``finite``."""
     # bool is an int subclass, but True is not the number 1.
     if isinstance(value, bool):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         raise DomainError(f"{name} must be within the float range, got {_shown(value)}") from None
+    if finite and not math.isfinite(real):
+        raise DomainError(f"{name} must be finite, got {real!r}")
+    return real
 
 
 class _Record(tuple):
@@ -141,6 +144,12 @@ class WellSpec(_Record):
             raise DomainError(f"WellSpec.charge must be finite and nonzero, got {charge!r}")
         if not math.isfinite(self.strength_R):
             raise DomainError("derived well strength R is not finite")
+        try:
+            unit = self.polarizability_unit
+        except OverflowError:  # a power past the float range, of an int or a float
+            unit = math.inf
+        if not 0.0 < unit < math.inf:
+            raise DomainError(f"derived polarizability unit is {unit}, not finite and positive")
         return self
 
     @property
@@ -180,14 +189,10 @@ class GroundState(_Record):
             raise DomainError("beta0 and R must both be positive")
         # The residuals below square both: an infinite one would meet its infinite
         # bound, and a square or an int past the float range raises OverflowError.
-        if not beta0 * beta0 <= sys.float_info.max:
-            raise DomainError(
-                f"beta0 must be finite and positive with a finite square, got {_shown(beta0)}"
-            )
-        if not R * R <= sys.float_info.max:
-            raise DomainError(
-                f"R must be finite and positive with a finite square, got {_shown(R)}"
-            )
+        for name, value in (("beta0", beta0), ("R", R)):
+            if not value * value <= sys.float_info.max:
+                raise DomainError(f"{name} must be finite and positive with a finite square, "
+                                  f"got {_shown(value)}")
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
         # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated

@@ -821,19 +821,65 @@ class TestSpectral:
         assert result.alpha_curvature == grid_oracle._spectral(config)[0]
 
     def test_excited_state_is_refused(self, monkeypatch):
-        # Given the second even state, above the lowest odd one, H - E0 on
-        # the odd basis is indefinite and its Cholesky solve fails.
-        eigen = grid_oracle.dsygvx
-        second = lambda *a, **k: eigen(*a, **{**k, "il": 2, "iu": 2})  # noqa: E731
-        monkeypatch.setattr(grid_oracle, "dsygvx", second)
-        with pytest.raises(NumericalError, match="not positive definite on the odd spectral"):
+        # A shift halfway from E0 to the threshold lies above the ground
+        # state, so inverse iteration there could land on another state: the
+        # factorisation at the shift fails and refuses it.
+        monkeypatch.setattr(grid_oracle, "_SPECTRAL_SHIFT", -0.5)
+        with pytest.raises(NumericalError, match="a Galerkin state lies below the shift"):
             grid_oracle._spectral(GridOracleConfig(well_R=R_REF))
 
-    def test_failed_eigensolve_is_refused(self, monkeypatch):
-        eigen = grid_oracle.dsygvx
-        monkeypatch.setattr(grid_oracle, "dsygvx", lambda *a, **k: (*eigen(*a, **k)[:4], 3))
-        with pytest.raises(NumericalError, match="spectral ground state failed: LAPACK info 3"):
+    def test_failed_factorisation_is_refused(self, monkeypatch):
+        # The hard wall's ground state is within 1.2e-14 of pi^2/4, so a
+        # shift 2 pi^2 * 1e-3 above it is caught.
+        monkeypatch.setattr(grid_oracle, "_SPECTRAL_SHIFT", -1e-3)
+        shift = math.pi**2 / 4.0 + 2e-3 * math.pi**2
+        message = re.escape(f"below the shift {shift:.6e} of the spectral ground state: pivot ")
+        with pytest.raises(NumericalError, match=message + r"\d+ is not positive"):
             grid_oracle._spectral(GridOracleConfig.hard_wall())
+
+    @pytest.mark.parametrize("well_R", [None, R_REF])
+    def test_solves_are_the_only_lapack_calls(self, monkeypatch, well_R):
+        # _SPECTRAL_SOLVES even Cholesky solves at one shifted matrix, then
+        # one odd solve; no eigensolver, no general solve, no tridiagonal one.
+        calls = []
+
+        def counting(name):
+            original = getattr(grid_oracle, name)
+
+            def counted(a, b, *args, **kwargs):
+                calls.append((name, a.copy()))
+                return original(a, b, *args, **kwargs)
+
+            return counted
+
+        for name in ("dposv", "dptsv"):
+            monkeypatch.setattr(grid_oracle, name, counting(name))
+        grid_oracle._spectral(GridOracleConfig(well_R=well_R))
+        assert not any(hasattr(grid_oracle, name) for name in ("dsygvx", "dgesv", "dsyev"))
+        solves = grid_oracle._SPECTRAL_SOLVES
+        assert [name for name, _ in calls] == ["dposv"] * (solves + 1)
+        even = [matrix for _, matrix in calls[:solves]]
+        assert all(np.array_equal(matrix, even[0]) for matrix in even)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # A fresh interpreter per setting, never more threads than CPUs:
+        # the hard wall and the 23 wells of the oracle's accuracy test.
+        code = (
+            "import math\n"
+            "import wellpol.grid_oracle as go\n"
+            "from wellpol.well_spectrum import ground_state_from_gamma\n"
+            "for R in [None] + [ground_state_from_gamma((0.05 + 0.02 * k) * math.pi).R\n"
+            "                   for k in range(23)]:\n"
+            "    print(*(v.hex() for v in go._spectral(go.GridOracleConfig(R))))\n"
+        )
+        runs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, timeout=60).stdout
+            for threads in ("1", str(min(2, os.cpu_count() or 1)))
+        ]
+        assert len(runs[0].splitlines()) == 24
+        assert runs[0] == runs[1]
 
 
 def probe_fields(config):
@@ -959,19 +1005,19 @@ class TestCurvature:
 STUDY_HEX = {
     None: (
         "0x1.1fa4cf0381476p-4",
-        "0x1.1fa3f860e5051p-4",
+        "0x1.1fa3f860e505ep-4",
         "0x1.1fa3f860c47ebp-4",
         "0x1.3bd39da29fe9ep+1",
     ),
     R_REF: (
         "0x1.af48a9b395729p-3",
-        "0x1.afae858fd076fp-3",
+        "0x1.afae858fd077dp-3",
         "0x1.afae858ff22ffp-3",
         "-0x1.7290f64de8508p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
         "0x1.0d83dc0d1f920p+5",
-        "0x1.0b830f853849dp+5",
+        "0x1.0b830f8538e4ep+5",
         "0x1.0b830fa377c9ap+5",
         "-0x1.a98053924194cp-3",
     ),
@@ -992,7 +1038,7 @@ DIAGNOSTIC_HEX = {
             "0x1.3bd39da29fe9ep+1", "0x1.3bd3c0dd92bacp+1", "0x1.3bd3c9ac4fecdp+1",
         ),
         "refine_observed_order": "0x1.ffff97a4452dap+0",
-        "spectral_ground_energy": "0x1.3bd3cc9be459cp+1",
+        "spectral_ground_energy": "0x1.3bd3cc9be45a7p+1",
     },
     R_REF: {
         "sum_solve_residual": "0x1.70f912dfa4db9p-54",
@@ -1003,7 +1049,7 @@ DIAGNOSTIC_HEX = {
             "-0x1.7290f64de8508p+3", "-0x1.7299e7b255057p+3", "-0x1.729c25e0b2c58p+3",
         ),
         "refine_observed_order": "0x1.fff6892a54928p+0",
-        "spectral_ground_energy": "-0x1.729ce56f55f37p+3",
+        "spectral_ground_energy": "-0x1.729ce56f55f35p+3",
     },
     ground_state_from_gamma(0.2 * math.pi).R: {
         "sum_solve_residual": "0x1.d70d196da498dp-54",
@@ -1014,7 +1060,7 @@ DIAGNOSTIC_HEX = {
             "-0x1.a98053924194cp-3", "-0x1.aa774a095c200p-3", "-0x1.aab5096894fa6p-3",
         ),
         "refine_observed_order": "0x1.01329fd359f49p+1",
-        "spectral_ground_energy": "-0x1.aac99eb6296f6p-3",
+        "spectral_ground_energy": "-0x1.aac99eb6294d7p-3",
     },
 }
 
@@ -1266,28 +1312,27 @@ class TestOracleResult:
         assert "refine_observed_order" in result.diagnostics
 
 
-# Runs in a fresh interpreter: solves a fixed tridiagonal SPD, dense SPD,
-# general and symmetric-definite pencil system with the four routines that
-# grid_oracle binds, before any scipy module is imported and again after
-# ``import scipy.linalg`` initialises the extension a second time under its
-# package name, and with scipy.linalg.lapack's own.  Prints whether each
-# set of outputs has the direct load's bytes.
+# Runs in a fresh interpreter: solves a fixed tridiagonal SPD and dense SPD
+# system with the two routines that grid_oracle binds, before any scipy
+# module is imported and again after ``import scipy.linalg`` initialises the
+# extension a second time under its package name, and with
+# scipy.linalg.lapack's own.  Prints whether each set of outputs has the
+# direct load's bytes.
 LAPACK_BITS = """
 import sys
 import numpy as np
 import wellpol.grid_oracle as go
 
-def outputs(dgesv, dposv, dptsv, dsygvx):
+def outputs(dposv, dptsv):
     n = 7
     k = np.arange(n, dtype=float)
     general = np.sin(np.add.outer(3.0 * k, k * k) + 1.0)
     spd = general @ general.T + n * np.eye(n)
     rhs = np.cos(np.outer(k, (1.0, 2.0)))
-    runs = (dptsv(4.0 + np.sin(k), np.cos(k[1:]), rhs), dposv(spd, rhs), dgesv(general, rhs),
-            dsygvx(general + general.T, spd, range="I", il=1, iu=3))
+    runs = (dptsv(4.0 + np.sin(k), np.cos(k[1:]), rhs), dposv(spd, rhs))
     return [np.asarray(value).tobytes() for run in runs for value in run]
 
-names = ("dgesv", "dposv", "dptsv", "dsygvx")
+names = ("dposv", "dptsv")
 bound = [getattr(go, name) for name in names]
 direct = outputs(*bound)
 assert not any(m.split(".")[0] in ("scipy", "_flapack") for m in sys.modules)
@@ -1317,7 +1362,7 @@ else:
 import wellpol.grid_oracle as go
 from scipy.linalg import lapack
 
-assert all(getattr(go, n) is getattr(lapack, n) for n in ("dgesv", "dposv", "dptsv", "dsygvx"))
+assert all(getattr(go, n) is getattr(lapack, n) for n in ("dposv", "dptsv"))
 assert "_flapack" not in sys.modules
 result = go.oracle_study(go.GridOracleConfig(well_R=%r, num_points=600))
 print(*(value.hex() for value in (result.alpha_sum, result.alpha_curvature,

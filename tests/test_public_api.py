@@ -255,6 +255,21 @@ def test_reals_past_the_float_range_are_refused(make, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, name",
+    [(dalgarno_lewis.alpha2_prime_hard_wall, "c_prime"),
+     (lambda value: limits.extrapolate([value, 1.0], 0.25), "values[0]"),
+     (lambda value: limits.extrapolate([1.0, value], 0.25), "values[1]")],
+    ids=["alpha2_prime_hard_wall", "extrapolate-first", "extrapolate-last"],
+)
+def test_non_finite_reals_are_refused(call, name, value):
+    # Each returned nan or an infinity: a non-finite answer from a finite domain.
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be finite, got {value!r}"
+
+
 def test_cli_options_are_pinned():
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

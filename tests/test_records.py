@@ -89,15 +89,15 @@ RECORDS = {
         lambda: OracleResult(GridOracleConfig.hard_wall(num_points=500)),
         "OracleResult(config=GridOracleConfig(well_R=None, num_points=500, box_half_width=1, "
         "ground=None), levels=2, alpha_sum=0.07022588343619432, "
-        "alpha_curvature=0.07022473357057037, ground_energy_dimless=2.4673930474104253, "
+        "alpha_curvature=0.07022473357057055, ground_energy_dimless=2.4673930474104253, "
         "richardson_alpha=0.07022473357035522, diagnostics={'grid_num_points_actual': 501, "
         "'grid_box_half_width': 1, 'grid_spacing': 0.00398406374501992, "
-        "'sum_solve_residual': 1.10282585702248e-16, 'spectral_ground_energy': 2.46740110027231, "
+        "'sum_solve_residual': 1.10282585702248e-16, 'spectral_ground_energy': 2.467401100272315, "
         "'refine_grid_multipliers': (251, 502, 1004), 'refine_grid_sizes': (501, 1003, 2007), "
         "'refine_alpha_per_level': (0.07022588343619432, 0.07022502103600135, "
         "0.0702248054367159), 'refine_ground_energy_per_level': (2.4673930474104253, "
         "2.4673990870548903, 2.4674005969678547), 'refine_observed_order': 2.0000051042384337}, "
-        "route_gap=3.0636975527766334e-12)",
+        "route_gap=3.0662666083262672e-12)",
     ),
 }
 # The first field of each type, which every instance has.

@@ -360,3 +360,20 @@ class TestWellSpec:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(DomainError):
             WellSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "fields, unit",
+        [
+            # Each took its power past the float range, raising OverflowError
+            # from the property of a spec that had been built.
+            ((1.0, 1.0, 1.0, 10**300), "inf"),
+            ((10**200, 1.0, 1.0, 1.0), "inf"),
+            ((1.0, 1.0, 1.0, 1e300), "inf"),
+            ((1e200, 1.0, 1.0, 1.0), "inf"),
+            ((1e-100, 1.0, 1.0, 1.0), "0.0"),  # a^4 underflows
+        ],
+    )
+    def test_rejects_unit_outside_the_float_range(self, fields, unit):
+        with pytest.raises(DomainError) as info:
+            WellSpec(*fields)
+        assert str(info.value) == f"derived polarizability unit is {unit}, not finite and positive"
