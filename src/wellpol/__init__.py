@@ -14,7 +14,7 @@ are read-only records built on ``tuple``; none uses ``dataclasses``.
 """
 
 from .dalgarno_lewis import breakdown
-from .errors import ConvergenceWarning, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .well_spectrum import WellSpec, ground_state_from_R, ground_state_from_gamma
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ground_state_from_R",
     "ground_state_from_gamma",
     "WellSpec",
-    "ConvergenceWarning",
     "DomainError",
     "NumericalError",
 ]

@@ -1,8 +1,9 @@
-"""Exception and warning types shared across the package.
+"""Exception types shared across the package.
 
 Two error classes, one per CLI exit code: a DomainError exits 2 and a
 NumericalError exits 3.  No caller tells the failures within a class
-apart, so the message carries the detail.
+apart, so the message carries the detail.  The package issues no
+warning of its own: a check it cannot pass raises one of these.
 """
 
 
@@ -13,6 +14,3 @@ class DomainError(ValueError):
 class NumericalError(RuntimeError):
     """A numerical procedure failed to reach its accuracy contract."""
 
-
-class ConvergenceWarning(UserWarning):
-    """A grid-refinement study shows an unexpected convergence order."""

@@ -22,23 +22,24 @@ independent ways:
                     (``_spectral_tables``)
 
 No route calls an eigensolver: each finds its ground state by positive-
-definite factorisations (LAPACK ``dptsv``, ``dposv``) shifted below it,
+definite factorisations (LAPACK ``dptsv``, ``dpotrf``) shifted below it,
 whose success certifies it as the lowest (Sylvester's law of inertia).  The
 grid's is the continuum ground state at the grid's own phases
-(``_grid_phases``), checked by a residual stop scaled by |T|_2 <= 4 m^2 and
-certified by one L D L^T factorisation with no right-hand side; the
-spectral one comes of inverse iteration at a shift just below the exact
-E_0'.
+(``_grid_phases``), whose energy is the exact eigenvalue of the grid's rows
+inside the well: the pair is checked by a residual stop scaled by
+|T|_2 <= 4 m^2 and certified by one L D L^T factorisation with no right-hand
+side; the spectral one comes of inverse iteration at a shift just below the
+exact E_0'.
 
 The grid's well edges +-1 fall on nodes (edge nodes take half the well
 depth), which keeps the eigenvalue error a clean O(h^2) and makes Romberg's
 table across grid doublings (``limits.extrapolate``, ratio 1/4)
-meaningful.  Every grid ground energy is one Rayleigh quotient from the
-well bottom, free of cancellation.  ``oracle_study``, the one entry point,
-is the result type ``OracleResult``: one grid, ground state and solve per
-level, and one spectral solve.  A ``well_R`` of None selects the hard-wall
-box of half-width 1, whose responses check out against the analytic
-transition sum.
+meaningful.  ``oracle_study``, the one entry point, is the result type
+``OracleResult``: one grid, ground state and solve per level, and one
+spectral solve, whose agreement with Romberg's value is the study's one
+verdict on it.  A ``well_R`` of None selects the hard-wall box of
+half-width 1, whose responses check out against the analytic transition
+sum.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ import importlib.util
 import math
 import os
 import sys
-import warnings
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError, NumericalError
+from .errors import DomainError, NumericalError
 from .limits import extrapolate
 from .well_spectrum import GroundState, _Record, _require_int, ground_state_from_R
 
@@ -97,7 +97,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _lapack_routines():
-    """``dposv`` and ``dptsv``, the oracle's two solves, from scipy's f2py LAPACK extension.
+    """``dpotrf``, ``dpotrs`` and ``dptsv`` from scipy's f2py LAPACK extension.
 
     The extension is loaded from its file alone: importing it through
     ``scipy.linalg`` runs that whole package, which costs a ``wellpol
@@ -118,7 +118,7 @@ def _lapack_routines():
             module = importlib.util.module_from_spec(
                 importlib.util.spec_from_file_location("_flapack", path, loader=loader))
             loader.exec_module(module)
-            return module.dposv, module.dptsv
+            return module.dpotrf, module.dpotrs, module.dptsv
         except ImportError:
             pass
         finally:
@@ -126,11 +126,11 @@ def _lapack_routines():
             sys.modules.pop("_flapack", None)
             if previous is not None:
                 sys.modules["_flapack"] = previous
-    from scipy.linalg.lapack import dposv, dptsv
-    return dposv, dptsv
+    from scipy.linalg.lapack import dpotrf, dpotrs, dptsv
+    return dpotrf, dpotrs, dptsv
 
 
-dposv, dptsv = _lapack_routines()
+dpotrf, dpotrs, dptsv = _lapack_routines()
 
 
 class GridOracleConfig(_Record):
@@ -211,22 +211,6 @@ def _tridiag_matvec(diag, off, vec, minus=None):
     return out
 
 
-def _rayleigh_quotient(off, onsite, vec) -> float:
-    """Energy above the well bottom, w.Tw / w.w, of the even state ``vec`` on the nodes x' >= 0.
-
-    T = (2 m^2 + ``onsite``, off = -m^2) is the whole grid and ``onsite`` the
-    exact potential above the well bottom, 0 at the centre.  The mirror image
-    of ``vec`` weighs its nodes (1, 2, 2, ...), here halved to (1/2, 1, 1, ...),
-    so w.Tw = m^2 [sum (w_{k+1} - w_k)^2 + w_{n-1}^2] + sum onsite_k w_k^2
-    exactly, the end term being the hard wall at x' = L: no term of size
-    4 m^2 or R^2 cancels, as it would in w.(T w) or from E' = 0.
-    """
-    step = vec[1:] - vec[:-1]
-    centre = 0.5 * vec[0] ** 2
-    kinetic = step @ step + vec[-1] ** 2
-    return float((-off[0] * kinetic + vec @ (onsite * vec)) / (vec @ vec - centre))
-
-
 def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
     """The grid's gamma0 and beta0: (u, nu) = (m theta, m mu) of its even bound state.
 
@@ -272,15 +256,18 @@ def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
     )
 
 
-def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
-    """The grid's own even ground state at the nodes ``x`` (x' >= 0), not normalised.
+def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> tuple[float, np.ndarray]:
+    """The grid's own even ground state at the nodes ``x`` (x' >= 0): its energy, and the state.
 
     The continuum ground state with the grid's phases (u, nu) from
     ``_grid_phases`` in place of gamma0 and beta0: cos(u x') up to the edge,
-    cos(u) e^{-nu (x' - 1)} beyond it, each branch on its own nodes.  It is
-    positive, and the even block's eigenvector to rounding but for the tail
-    cut at ~e^-40 of its edge value.  The hard wall is the same formula with
-    u = pi/2 and no node beyond the edge: cos(pi x'/2) vanishes at its wall.
+    cos(u) e^{-nu (x' - 1)} beyond it, each branch on its own nodes, not
+    normalised.  It is positive, and the even block's eigenvector to
+    rounding but for the tail cut at ~e^-40 of its edge value.  Its energy
+    above the well bottom, 4 m^2 sin^2(u/2m), is exactly the eigenvalue of
+    cos(k u/m) on the rows inside the well, so no quotient of the vector is
+    formed.  The hard wall is the same formula with u = pi/2 and no node
+    beyond the edge: cos(pi x'/2) vanishes at its wall.
     """
     u, nu = (0.5 * math.pi, 0.0) if config.ground is None else _grid_phases(config.ground, m)
     edge = m + 1  # the nodes 0 ... m, of which the hard wall lacks m
@@ -288,57 +275,56 @@ def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> np.ndarray:
     np.cos(u * x[:edge], out=start[:edge])
     np.exp(-nu * (x[edge:] - 1.0), out=start[edge:])
     start[edge:] *= math.cos(u)
-    return start
+    return 4.0 * m * m * math.sin(0.5 * u / m) ** 2, start
 
 
-def _lowest_vector(diag, off, start, norm: float) -> np.ndarray:
-    """Unit eigenvector of the lowest eigenvalue of the tridiagonal T = (diag, off).
+def _lowest_vector(diag, off, energy: float, start, norm: float) -> np.ndarray:
+    """Unit eigenvector of the tridiagonal T = (diag, off) at its lowest eigenvalue ``energy``.
 
-    ``start`` must be that eigenvector to rounding and ``norm`` a bound on
-    |T|_2: for the unit vector v along it, with quotient rho, the residual
-    r = T v - rho v must be within the stop 4 eps ``norm``.  T - sigma,
-    sigma = rho - 1e3 eps ``norm``, is then factorised by the L D L^T
+    (``energy``, ``start``) must be that eigenpair to rounding and ``norm`` a
+    bound on |T|_2: for the unit vector v along ``start``, the residual
+    r = T v - ``energy`` v must be within the stop 4 eps ``norm``, so that T
+    has an eigenvalue within |r| of ``energy``.  T - sigma,
+    sigma = ``energy`` - 1e3 eps ``norm``, is then factorised by the L D L^T
     factorisation ``dptsv`` with no right-hand side, and v is returned: D > 0
     certifies, by Sylvester's law of inertia, that T has no eigenvalue below
-    sigma, and the one within |r| of rho lies above it.  The shift, 250
-    times the stop, keeps rounding from failing the factorisation at the
-    ground state.  NumericalError: r is above the stop, or the factorisation
-    fails.
+    sigma, and the one within |r| of ``energy`` lies above it.  The shift,
+    250 times the stop, keeps rounding from failing the factorisation at
+    the ground state.  NumericalError: r is above the stop, or the
+    factorisation fails.
     """
     scale = _EPS * norm
     # sqrt(v @ v) is np.linalg.norm(v) of a 1-D double array bit for bit.
     vec = start / math.sqrt(start @ start)
-    tv = _tridiag_matvec(diag, off, vec)
-    rho = float(vec @ tv)
-    tv -= rho * vec
-    res = math.sqrt(tv @ tv)
+    r = _tridiag_matvec(diag, off, vec, energy * vec)
+    res = math.sqrt(r @ r)
     if res > 4.0 * scale:
         raise NumericalError(f"the start's residual {res:.2e} exceeds the stop "
                              f"{4.0 * scale:.2e} (n={diag.size})")
-    # The shifted diagonal is a temporary of this call: dptsv factorises it in place.
-    if dptsv(diag - (rho - 1e3 * scale), off, np.empty((vec.size, 0)), overwrite_d=True)[3] != 0:
-        raise NumericalError(f"the state at E' = {rho:.6e} is not the lowest: the grid "
+    shifted = diag - (energy - 1e3 * scale)  # a temporary: dptsv factorises it in place
+    if dptsv(shifted, off, np.empty((vec.size, 0)), overwrite_d=True)[3] != 0:
+        raise NumericalError(f"the state at E' = {energy:.6e} is not the lowest: the grid "
                              f"(n={diag.size}) has a state more than {1e3 * scale:.1e} below it")
     return vec
 
 
-def _even_ground(v: np.ndarray, diag: np.ndarray, off: np.ndarray, start: np.ndarray):
-    """Well-bottom ground energy and unit eigenvector of the grid on its nodes x' >= 0.
+def _even_ground(diag: np.ndarray, off: np.ndarray, e0: float, start: np.ndarray) -> np.ndarray:
+    """Unit ground state of the grid on its nodes x' >= 0, certified at its energy ``e0``.
 
     The ground state is even, so these nodes carry it.  Their centre row
     reads d psi(0) + 2 e psi(h); with psi(0) scaled by 1/sqrt(2) the block is
     symmetric tridiagonal, with the grid's even eigenvalues, so 4 m^2 bounds
-    it.  ``start`` (``_grid_ground``, scaled in place, so the caller passes
-    an array of its own) is its eigenvector to rounding: one residual and
-    one factorisation settle it.  The energy is the even quotient of the
-    unscaled vector: on the block, the rounded sqrt(2) would move it ~1e-13.
+    it.  ``_grid_ground``'s energy less R^2 and its state are its eigenpair
+    (``e0``, ``start``) to rounding: one residual and one factorisation
+    settle it.  ``start`` is scaled in place, so the caller passes an array
+    of its own.
     """
     block_off = off.copy()
     block_off[0] *= math.sqrt(2.0)
     start[1:] *= math.sqrt(2.0)
-    psi = _lowest_vector(diag, block_off, start, -4.0 * off[0])
+    psi = _lowest_vector(diag, block_off, e0, start, -4.0 * off[0])
     psi[1:] /= math.sqrt(2.0)
-    return _rayleigh_quotient(off, v, psi), psi
+    return psi
 
 
 def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
@@ -429,12 +415,13 @@ def _spectral(config: GridOracleConfig) -> tuple[float, float]:
     well's E_0' = -beta0^2 is not rounded against R^2, and
     M = M_in + M_out / s, each parity from ``_spectral_tables``.  Galerkin
     energies bound the true ones from above, so ``_SPECTRAL_SOLVES`` solves
-    (H - sigma M) c = M c at sigma just below the exact E_0' (LAPACK's
-    Cholesky solve ``dposv``) find the even ground state, whose Rayleigh
-    quotient is E_0', and certify it: no Galerkin state lies below sigma.
-    Then alpha' = 4 b^T (H_odd - E_0' M_odd)^-1 b, b the dipole image of the
-    unit ground state, by ``dposv`` too: that block holds only states above
-    E_0'.  NumericalError: a factorisation fails.
+    (H - sigma M) c = M c at sigma just below the exact E_0' find the even
+    ground state, whose Rayleigh quotient is E_0', and the Cholesky
+    factorisation of H - sigma M (LAPACK's ``dpotrf``, its solves
+    ``dpotrs``) certifies it: no Galerkin state lies below sigma.  Then
+    alpha' = 4 b^T (H_odd - E_0' M_odd)^-1 b, b the dipole image of the unit
+    ground state, by one more factorisation and solve: that block holds only
+    states above E_0'.  NumericalError: a factorisation fails.
     """
     hard_wall = config.ground is None
     blocks, dipole = _spectral_tables(hard_wall)
@@ -445,21 +432,21 @@ def _spectral(config: GridOracleConfig) -> tuple[float, float]:
     x = (np.array((1.0, 1.0 / s, 1.0 / (s * s))) @ dipole).reshape(size, size)
     exact, gap = (0.25 * math.pi**2, math.inf) if hard_wall else (-s * s, s * s)
     shift = exact - _SPECTRAL_SHIFT * min(gap, 2.0 * math.pi**2)
-    shifted = h_even - shift * m_even
+    factor, info = dpotrf(h_even - shift * m_even)
+    if info != 0:
+        raise NumericalError(f"a Galerkin state lies below the shift {shift:.6e} of the "
+                             f"spectral ground state: pivot {info} is not positive")
     c = np.ones(size)
     for _ in range(_SPECTRAL_SOLVES):
-        c, info = dposv(shifted, m_even @ c)[1:]
-        if info != 0:
-            raise NumericalError(f"a Galerkin state lies below the shift {shift:.6e} of the "
-                                 f"spectral ground state: pivot {info} is not positive")
+        c = dpotrs(factor, m_even @ c)[0]
     m_c = m_even @ c
     e0 = float(c @ (h_even @ c) / (c @ m_c))
     b = (x @ c) / math.sqrt(c @ m_c)
-    phi, info = dposv(h_odd - e0 * m_odd, b)[1:]
+    factor, info = dpotrf(h_odd - e0 * m_odd)
     if info != 0:
         raise NumericalError(f"H - E0 is not positive definite on the odd spectral basis: "
                              f"pivot {info} is not positive")
-    return 4.0 * float(b @ phi), e0
+    return 4.0 * float(b @ dpotrs(factor, b)[0]), e0
 
 
 class OracleResult(_Record):
@@ -467,21 +454,24 @@ class OracleResult(_Record):
 
     ``oracle_study`` is this type.  It takes only the study's inputs and
     derives the rest, so a copy or a pickle re-runs the study: seconds for a
-    grid near ``_MAX_GRID_NODES``.  Each grid gives one even-block ground state
-    and one Dalgarno-Lewis solve.  On the base grid, ``alpha_sum`` is that
-    solve, whose residual is the one reported (``sum_solve_residual``), and
-    ``ground_energy_dimless`` its ground energy.  ``richardson_alpha``
+    grid near ``_MAX_GRID_NODES``.  Each grid gives one ground state, whose
+    energy E_0' = 4 m^2 sin^2(u/2m) - R^2 comes of the grid's phase u
+    (``_grid_ground``) and is the one its certificate vouches for, and one
+    Dalgarno-Lewis solve at that energy.  On the base grid, ``alpha_sum`` is
+    that solve, whose residual is the one reported (``sum_solve_residual``),
+    and ``ground_energy_dimless`` its E_0'.  ``richardson_alpha``
     extrapolates the solves of all levels by Romberg's table, assuming the
-    even-power error expansion of the three-point stencil; the observed order
-    is reported, with a warning outside [1.5, 2.5].  With the box sized to the
-    tail, even gamma0 = 0.49 pi is near that order from 1100 points
+    even-power error expansion of the three-point stencil.  The observed
+    order of the last three levels is reported, not judged: with the box
+    sized to the tail, even gamma0 = 0.49 pi is near order 2 from 1100 points
     (successive-difference ratios 3.98 and 3.99 against the asymptotic 4), and
     two doublings leave the extrapolated value within 2e-10 (relative) of
     ``alpha_exact_prime`` on every Table-1 row.  ``alpha_curvature``, named for
     the Stark-curvature route it replaced, is the spectral solve, which has no
     grid, so ``route_gap`` = |richardson_alpha - alpha_curvature| /
     alpha_curvature reads the grid's discretisation error; it must be at most
-    ``_ROUTE_AGREEMENT``, and both alphas must be positive.
+    ``_ROUTE_AGREEMENT``, the study's one verdict on Romberg's value, and both
+    alphas must be positive.
     The multipliers and node counts of every level are exact integers worked
     out first, and a finest level of more than ``_MAX_GRID_NODES`` nodes, for
     any ``levels``, raises DomainError before any grid.
@@ -505,9 +495,10 @@ class OracleResult(_Record):
                               f"{L}, more than the budget of {_MAX_GRID_NODES}")
         alphas, e0s = [], []
         for m in ms:
-            x, v, diag, off = _grid(config, m)
-            bottom, psi0 = _even_ground(v, diag, off, _grid_ground(config, x, m))
+            x, _, diag, off = _grid(config, m)
+            bottom, start = _grid_ground(config, x, m)
             e0 = bottom - (config.well_R or 0.0) ** 2
+            psi0 = _even_ground(diag, off, e0, start)
             alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
             if m == ms[0]:
                 residual = solve_residual()
@@ -516,9 +507,6 @@ class OracleResult(_Record):
         alpha_curvature, spectral_e0 = _spectral(config)
         d_prev, d_last = alphas[-2] - alphas[-3], alphas[-1] - alphas[-2]
         observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan
-        if not 1.5 <= observed <= 2.5:
-            warnings.warn(f"observed convergence order {observed:.2f} outside [1.5, 2.5]",
-                          ConvergenceWarning, stacklevel=2)
         diagnostics = {
             "grid_num_points_actual": sizes[0],
             "grid_box_half_width": L,

@@ -276,7 +276,7 @@ class TestReports:
         assert code == 0
         payload = json.loads(out)
         row = payload["rows"][0]
-        assert row["relative_deviation_from_closed_form"] == pytest.approx(0.119, abs=0.01)
+        assert row["relative_deviation_from_heuristic"] == pytest.approx(0.119, abs=0.01)
         checks = {c["name"]: c for c in payload["diagnostics"]["checks"]}
         assert set(checks) == {"richardson_vs_spectral_rel", "oracle_vs_exact_rel"}
         assert checks["richardson_vs_spectral_rel"]["passed"]

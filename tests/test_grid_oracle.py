@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -18,7 +19,7 @@ import oracles
 from wellpol.conventional_sum import infinite_well_alpha
 from wellpol.dalgarno_lewis import alpha_exact_prime
 from wellpol import grid_oracle
-from wellpol.errors import ConvergenceWarning, DomainError, NumericalError
+from wellpol.errors import DomainError, NumericalError
 from wellpol.grid_oracle import GridOracleConfig, OracleResult, oracle_study
 from wellpol.limits import extrapolate
 from wellpol.well_spectrum import ground_state_from_R, ground_state_from_gamma
@@ -69,14 +70,28 @@ def grid_start(config, level=0):
     """A grid of the study on its nodes x' >= 0 and the grid's own ground state there."""
     m = grid_oracle._multiplier(config) * 2**level
     x, v, diag, off = grid_oracle._grid(config, m)
-    return (x, v, diag, off), grid_oracle._grid_ground(config, x, m)
+    return (x, v, diag, off), grid_oracle._grid_ground(config, x, m)[1]
+
+
+def even_ground(config, level=0):
+    """The grid of ``grid_start``, its ground energy above the well bottom and unit ground state.
+
+    Taken as the study takes them: the energy of the grid's phases, and the
+    state that ``_even_ground`` certifies at that energy less R^2.
+    """
+    m = grid_oracle._multiplier(config) * 2**level
+    x, v, diag, off = grid_oracle._grid(config, m)
+    bottom, start = grid_oracle._grid_ground(config, x, m)
+    psi0 = grid_oracle._even_ground(diag, off, bottom - (config.well_R or 0.0) ** 2, start)
+    return (x, v, diag, off), bottom, psi0
 
 
 def whole_quotient(off, onsite, vec):
     """w.Tw / w.w of the whole-box well-bottom matrix T = (2 m^2 + onsite, off = -m^2).
 
-    The edge-difference form of ``_rayleigh_quotient`` with both hard walls,
-    for a vector of the whole box.
+    In the edge-difference form m^2 [sum (w_{k+1} - w_k)^2 + w_0^2 + w_{n-1}^2]
+    + sum onsite_k w_k^2, the last two squares being the box's hard walls:
+    no term of size 4 m^2 or R^2 cancels.
     """
     step = vec[1:] - vec[:-1]
     kinetic = step @ step + vec[0] ** 2 + vec[-1] ** 2
@@ -149,12 +164,12 @@ class TestConfig:
         calls, sizes, inside = [], [], []
         lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
-        def counting_lowest(diag, off, start, norm):
+        def counting_lowest(diag, *args):
             sizes.append(diag.size)
             calls.append([])
             inside.append(True)
             try:
-                return lowest(diag, off, start, norm)
+                return lowest(diag, *args)
             finally:
                 inside.pop()
 
@@ -329,8 +344,7 @@ class TestSpectrum:
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         # The half grid's pair, mirrored, is the whole box's ground pair.
         config = GridOracleConfig(well_R=well_R)
-        (x, v, diag, off), start = grid_start(config)
-        e0, psi0 = grid_oracle._even_ground(v, diag, off, start)
+        (x, _, _, _), e0, psi0 = even_ground(config)
         _, full_v, full_diag, full_off = full_grid(config)
         _, vec = lowest_pairs(full_diag, full_off, 1)
         assert psi0.size == x.size == (full_diag.size + 1) // 2
@@ -354,7 +368,7 @@ class TestSpectrum:
             u, nu = grid_oracle._grid_phases(config.ground, m)
             tail = math.cos(u) * np.exp(-nu * np.maximum(ax - 1.0, 0.0))
             whole = np.where(ax <= 1.0, np.cos(u * ax), tail)
-        start = grid_oracle._grid_ground(config, x, m)
+        _, start = grid_oracle._grid_ground(config, x, m)
         assert np.array_equal(start, whole[x.size - 1 :])
         assert np.array_equal(mirror(start), whole)
         assert np.all(start > 0.0)
@@ -369,9 +383,9 @@ class TestSpectrum:
         records = []
         lowest, solve = grid_oracle._lowest_vector, grid_oracle.dptsv
 
-        def recording_lowest(diag, off, start, norm):
+        def recording_lowest(diag, off, *args):
             records.append((diag, off, []))
-            vec = lowest(diag, off, start, norm)
+            vec = lowest(diag, off, *args)
             records[-1] += (vec.copy(),)  # _even_ground rescales it in place
             return vec
 
@@ -380,10 +394,9 @@ class TestSpectrum:
             return solve(d, e, b, **kwargs)
 
         config = GridOracleConfig(well_R=well_R)
-        (_, v, diag, off), start = grid_start(config)
         monkeypatch.setattr(grid_oracle, "_lowest_vector", recording_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", recording_solve)
-        grid_oracle._even_ground(v, diag, off, start)
+        even_ground(config)
         m = grid_oracle._multiplier(config)
         assert len(records) == 1
         for block_diag, block_off, solves, vec in records:
@@ -399,15 +412,16 @@ class TestSpectrum:
             assert 0.0 < rho - sigma <= 1e3 * grid_oracle._EPS * bound + 2.0 * residual
 
     def test_excited_start_is_not_certified(self):
-        # Started on the even block's first excited state, inverse iteration
-        # stays there; the factorisation below it fails, so the pair is
-        # refused instead of returned as the ground state.
+        # Given the even block's first excited pair, the residual passes, but
+        # the factorisation below its energy fails, so the pair is refused
+        # instead of returned as the ground state.
         config = GridOracleConfig(well_R=R_REF, num_points=900)
         _, _, diag, off = base_grid(config)
         block_diag, block_off = even_block(diag, off)
-        _, vec = lowest_pairs(block_diag, block_off, 2)
+        energies, vec = lowest_pairs(block_diag, block_off, 2)
         with pytest.raises(NumericalError, match="has a state more than"):
-            grid_oracle._lowest_vector(block_diag, block_off, vec[:, 1], -4.0 * off[0])
+            grid_oracle._lowest_vector(block_diag, block_off, energies[1], vec[:, 1],
+                                       -4.0 * off[0])
 
     def test_continuum_start_is_refused_not_iterated(self, monkeypatch):
         # The continuum gamma0 and beta0 in place of the grid's phases give a
@@ -467,6 +481,26 @@ class TestGridStart:
             assert (nu1 - state.beta0) / (nu2 - state.beta0) == pytest.approx(4.0, abs=0.05)
 
     @pytest.mark.parametrize(
+        "well_R, levels",
+        [(None, 3), (R_REF, 3), (ground_state_from_gamma(0.2 * math.pi).R, 3), (0.01, 2)],
+        ids=["hard-wall", "R_REF", "0.2pi", "R=0.01"],
+    )
+    def test_energy_within_four_ulp_of_grid_eigenvalue(self, well_R, levels):
+        # The energy above the well bottom is 4 m^2 sin^2(u/2m) at the grid's
+        # phase u: on each level within 4 ulp of the eigenvalue of the grid's
+        # rows at the 40-digit phase (pi/2 on the hard wall).  On R = 0.01's
+        # first two levels (4e5 and 8e5 nodes x' >= 0) the Rayleigh quotient
+        # of the certified state is 12 and 20 ulp off it (measured).
+        config = GridOracleConfig(well_R=well_R)
+        for level in range(levels):
+            m = grid_oracle._multiplier(config) * 2**level
+            bottom, _ = grid_oracle._grid_ground(config, grid_oracle._grid(config, m)[0], m)
+            with mpmath.workdps(40):
+                u = mpmath.pi / 2 if well_R is None else oracles.grid_phases(well_R, m)[0]
+                exact = 4 * m * m * mpmath.sin(u / (2 * m)) ** 2
+            assert ulps_off(bottom, exact) <= 4.0
+
+    @pytest.mark.parametrize(
         "state",
         WELL_RANGE + [None, ground_state_from_R(1e3), ground_state_from_R(1e4)],
         ids=lambda s: "hard-wall" if s is None else f"R={s.R:.6g}",
@@ -513,7 +547,7 @@ class TestGridStart:
         for level in range(3):  # levels=2
             m = grid_oracle._multiplier(config) * 2**level
             assert (config.well_R or 0.0) ** 2 < 4 * m * m
-            (_, v, diag, off), start = grid_start(config, level)
+            (_, _, diag, off), _, psi0 = even_ground(config, level)
             _, _, full_diag, full_off = full_grid(config, level)
             bound = 4.0 * m * m
             for d, e in ((full_diag, full_off), even_block(diag, off)):
@@ -522,7 +556,6 @@ class TestGridStart:
                     assert eigh_tridiagonal(
                         d, e, eigvals_only=True, select="v", select_range=outside
                     ).size == 0
-            _, psi0 = grid_oracle._even_ground(v, diag, off, start)
             assert np.all(psi0[: m + 1] > 0.0)
             assert np.all(psi0 >= 0.0)
 
@@ -554,37 +587,11 @@ class TestRayleighQuotient:
         # box's mirrored vector.
         config = GridOracleConfig(well_R=well_R)
         level = 2 if case == "finest" else 0  # levels=2
-        (_, v, diag, off), start = grid_start(config, level)
+        _, energy, psi0 = even_ground(config, level)
         _, full_v, _, full_off = full_grid(config, level)
-        energy, psi0 = grid_oracle._even_ground(v, diag, off, start)
         vec = mirror(psi0)
         exact = exact_quotient(full_off, full_v, vec)
         assert abs(Fraction(energy) - exact) <= 4 * Fraction(math.ulp(float(exact)))
-
-    @pytest.mark.parametrize("well_R", [None, R_REF, 49.008061])
-    def test_identity_holds_for_any_vector(self, well_R):
-        # The form is an identity for the oracle's grids, not an
-        # approximation near eigenvectors: check it on random vectors
-        # against w.(T w) of the well-bottom matrix in long double.
-        # The even form of a vector on the nodes x' >= 0 is the whole form
-        # of its mirror image, and so is the tests' whole-box form.
-        rng = np.random.default_rng(7)
-        config = GridOracleConfig(well_R=well_R)
-        _, half_v, _, half_off = base_grid(config)
-        _, v, _, off = full_grid(config)
-        bottom = (v - 2.0 * off[0]).astype(np.longdouble)
-        for _ in range(5):
-            vec = rng.standard_normal(v.size)
-            w = vec.astype(np.longdouble)
-            tw = grid_oracle._tridiag_matvec(bottom, off.astype(np.longdouble), w)
-            reference = float((w @ tw) / (w @ w))
-            assert whole_quotient(off, v, vec) == pytest.approx(reference, rel=1e-13, abs=0.0)
-            half = vec[half_v.size - 1 :]
-            w = mirror(half).astype(np.longdouble)
-            tw = grid_oracle._tridiag_matvec(bottom, off.astype(np.longdouble), w)
-            reference = float((w @ tw) / (w @ w))
-            even = grid_oracle._rayleigh_quotient(half_off, half_v, half)
-            assert even == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_diagonal_is_potential_below_the_bottom(self):
         # diag = 2 m^2 + (v - R^2) is bit for bit the stencil plus V', and the
@@ -647,8 +654,7 @@ class TestAlphaSum:
         else:
             config = deep_config(well_R) if well_R >= 1e3 else GridOracleConfig(well_R=well_R)
         for level in range(3):  # levels=2
-            (x, v, diag, off), start = grid_start(config, level)
-            bottom, psi0 = grid_oracle._even_ground(v, diag, off, start)
+            (x, _, diag, off), bottom, psi0 = even_ground(config, level)
             e0 = bottom - (well_R or 0.0) ** 2
             _, solve_residual = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
             d, e = diag[1:] - e0, off[1:]  # the nodes x' > 0
@@ -674,14 +680,14 @@ class TestAlphaSum:
         residual = oracle_study(config).diagnostics["sum_solve_residual"]
         assert 0.0 < residual <= 4.0 * grid_oracle._EPS
 
-    def test_shift_above_odd_states_raises(self, monkeypatch):
-        # H - E0 must be positive definite on the odd half-grid; a shift
-        # past the first odd state breaks the Cholesky solve.
-        monkeypatch.setattr(
-            grid_oracle, "_rayleigh_quotient", lambda *args, **kwargs: 1e3 + R_REF**2
-        )
+    def test_shift_above_odd_states_raises(self):
+        # H - E0 must be positive definite on the odd half-grid; an energy
+        # between its first two states breaks the L D L^T solve.
+        config = GridOracleConfig(well_R=R_REF, num_points=900)
+        (x, _, diag, off), start = grid_start(config)
+        odd, _ = lowest_pairs(diag[1:], off[1:], 2)
         with pytest.raises(NumericalError, match="not positive definite"):
-            oracle_study(GridOracleConfig(well_R=R_REF, num_points=900))
+            grid_oracle._dalgarno_lewis(x, diag, off, 0.5 * (odd[0] + odd[1]), start)
 
     def test_hard_wall_matches_conventional_sum(self):
         config = GridOracleConfig.hard_wall(num_points=1000)
@@ -839,27 +845,32 @@ class TestSpectral:
 
     @pytest.mark.parametrize("well_R", [None, R_REF])
     def test_solves_are_the_only_lapack_calls(self, monkeypatch, well_R):
-        # _SPECTRAL_SOLVES even Cholesky solves at one shifted matrix, then
-        # one odd solve; no eigensolver, no general solve, no tridiagonal one.
+        # One Cholesky factorisation per parity: the even one at the shift
+        # serves all _SPECTRAL_SOLVES triangular solves, the odd one the
+        # solve for alpha'; no eigensolver, no general solve, no tridiagonal one.
         calls = []
 
         def counting(name):
             original = getattr(grid_oracle, name)
 
-            def counted(a, b, *args, **kwargs):
-                calls.append((name, a.copy()))
-                return original(a, b, *args, **kwargs)
+            def counted(a, *args, **kwargs):
+                result = original(a, *args, **kwargs)
+                calls.append((name, a.copy(), result[0]))
+                return result
 
             return counted
 
-        for name in ("dposv", "dptsv"):
+        for name in ("dpotrf", "dpotrs", "dptsv"):
             monkeypatch.setattr(grid_oracle, name, counting(name))
         grid_oracle._spectral(GridOracleConfig(well_R=well_R))
-        assert not any(hasattr(grid_oracle, name) for name in ("dsygvx", "dgesv", "dsyev"))
+        assert not any(hasattr(grid_oracle, name)
+                       for name in ("dsygvx", "dgesv", "dsyev", "dposv"))
         solves = grid_oracle._SPECTRAL_SOLVES
-        assert [name for name, _ in calls] == ["dposv"] * (solves + 1)
-        even = [matrix for _, matrix in calls[:solves]]
-        assert all(np.array_equal(matrix, even[0]) for matrix in even)
+        names = [name for name, _, _ in calls]
+        assert names == ["dpotrf"] + ["dpotrs"] * solves + ["dpotrf", "dpotrs"]
+        even_factor, odd_factor = calls[0][2], calls[solves + 1][2]
+        assert all(np.array_equal(factor, even_factor) for _, factor, _ in calls[1:solves + 1])
+        assert np.array_equal(calls[-1][1], odd_factor)
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # A fresh interpreter per setting, never more threads than CPUs:
@@ -953,8 +964,7 @@ class TestCurvature:
         # 4e-16 of the bisection energies.
         config = GridOracleConfig(well_R=well_R)
         result = oracle_study(config)
-        (_, v, diag, off), start = grid_start(config)
-        bottom, _ = grid_oracle._even_ground(v, diag, off, start)
+        _, bottom, _ = even_ground(config)
         large, small = probe_fields(config)
         reference = (16.0 * field_energy(config, small) - field_energy(config, large)) / 15.0
         predicted = bottom - result.alpha_sum * small**2 / 5.0
@@ -1007,7 +1017,7 @@ STUDY_HEX = {
         "0x1.1fa4cf0381476p-4",
         "0x1.1fa3f860e505ep-4",
         "0x1.1fa3f860c47ebp-4",
-        "0x1.3bd39da29fe9ep+1",
+        "0x1.3bd39da29fe9dp+1",
     ),
     R_REF: (
         "0x1.af48a9b395729p-3",
@@ -1019,7 +1029,7 @@ STUDY_HEX = {
         "0x1.0d83dc0d1f920p+5",
         "0x1.0b830f8538e4ep+5",
         "0x1.0b830fa377c9ap+5",
-        "-0x1.a98053924194cp-3",
+        "-0x1.a980539241944p-3",
     ),
 }
 
@@ -1035,7 +1045,7 @@ DIAGNOSTIC_HEX = {
             "0x1.1fa4cf0381476p-4", "0x1.1fa42e097fd20p-4", "0x1.1fa405caf4159p-4",
         ),
         "refine_ground_energy_per_level": (
-            "0x1.3bd39da29fe9ep+1", "0x1.3bd3c0dd92bacp+1", "0x1.3bd3c9ac4fecdp+1",
+            "0x1.3bd39da29fe9dp+1", "0x1.3bd3c0dd92bacp+1", "0x1.3bd3c9ac4fecbp+1",
         ),
         "refine_observed_order": "0x1.ffff97a4452dap+0",
         "spectral_ground_energy": "0x1.3bd3cc9be45a7p+1",
@@ -1057,7 +1067,7 @@ DIAGNOSTIC_HEX = {
             "0x1.0d83dc0d1f920p+5", "0x1.0c0298b4b383ap+5", "0x1.0ba2e74733d4ap+5",
         ),
         "refine_ground_energy_per_level": (
-            "-0x1.a98053924194cp-3", "-0x1.aa774a095c200p-3", "-0x1.aab5096894fa6p-3",
+            "-0x1.a980539241944p-3", "-0x1.aa774a095c1fap-3", "-0x1.aab5096894fa8p-3",
         ),
         "refine_observed_order": "0x1.01329fd359f49p+1",
         "spectral_ground_energy": "-0x1.aac99eb6294d7p-3",
@@ -1102,13 +1112,17 @@ class TestRefine:
         result = oracle_study(config, levels=2)
         assert 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
 
-    def test_convergence_warning_points_at_caller(self):
-        # At the default 2000 points this well's levels agree to 3.6e-9,
-        # but their successive differences read as order 3.14 (measured).
-        config = GridOracleConfig(well_R=2.244924107558891)
-        with pytest.warns(ConvergenceWarning, match="observed convergence order") as record:
-            oracle_study(config, levels=2)
-        assert record[0].filename == __file__
+    def test_route_gap_alone_judges_romberg(self):
+        # At the default 2000 points this well's levels agree to 3.6e-9, yet
+        # their successive differences read as order 3.14, outside
+        # [1.5, 2.5]: the h^2 coefficient passes near zero.  The order is
+        # reported, not judged; the route gap (measured 4.5e-12) is the
+        # study's verdict on Romberg's value, and nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = oracle_study(GridOracleConfig(well_R=2.244924107558891), levels=2)
+        assert not 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
+        assert result.route_gap <= 1e-10
 
     def test_hard_wall_extrapolation_is_stable(self):
         coarse = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)
@@ -1312,8 +1326,9 @@ class TestOracleResult:
         assert "refine_observed_order" in result.diagnostics
 
 
-# Runs in a fresh interpreter: solves a fixed tridiagonal SPD and dense SPD
-# system with the two routines that grid_oracle binds, before any scipy
+# Runs in a fresh interpreter: solves a fixed tridiagonal SPD system, and
+# factorises and solves a dense SPD one, with the three routines that
+# grid_oracle binds, before any scipy
 # module is imported and again after ``import scipy.linalg`` initialises the
 # extension a second time under its package name, and with
 # scipy.linalg.lapack's own.  Prints whether each set of outputs has the
@@ -1323,16 +1338,17 @@ import sys
 import numpy as np
 import wellpol.grid_oracle as go
 
-def outputs(dposv, dptsv):
+def outputs(dpotrf, dpotrs, dptsv):
     n = 7
     k = np.arange(n, dtype=float)
     general = np.sin(np.add.outer(3.0 * k, k * k) + 1.0)
     spd = general @ general.T + n * np.eye(n)
     rhs = np.cos(np.outer(k, (1.0, 2.0)))
-    runs = (dptsv(4.0 + np.sin(k), np.cos(k[1:]), rhs), dposv(spd, rhs))
+    factor = dpotrf(spd)
+    runs = (dptsv(4.0 + np.sin(k), np.cos(k[1:]), rhs), factor, dpotrs(factor[0], rhs))
     return [np.asarray(value).tobytes() for run in runs for value in run]
 
-names = ("dposv", "dptsv")
+names = ("dpotrf", "dpotrs", "dptsv")
 bound = [getattr(go, name) for name in names]
 direct = outputs(*bound)
 assert not any(m.split(".")[0] in ("scipy", "_flapack") for m in sys.modules)
@@ -1362,7 +1378,7 @@ else:
 import wellpol.grid_oracle as go
 from scipy.linalg import lapack
 
-assert all(getattr(go, n) is getattr(lapack, n) for n in ("dposv", "dptsv"))
+assert all(getattr(go, n) is getattr(lapack, n) for n in ("dpotrf", "dpotrs", "dptsv"))
 assert "_flapack" not in sys.modules
 result = go.oracle_study(go.GridOracleConfig(well_R=%r, num_points=600))
 print(*(value.hex() for value in (result.alpha_sum, result.alpha_curvature,

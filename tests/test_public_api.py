@@ -26,7 +26,6 @@ PACKAGE = {
     "ground_state_from_R",
     "ground_state_from_gamma",
     "WellSpec",
-    "ConvergenceWarning",
     "DomainError",
     "NumericalError",
 }
