@@ -28,8 +28,8 @@ grid's is the continuum ground state at the grid's own phases
 (``_grid_phases``), whose energy is the exact eigenvalue of the grid's rows
 inside the well: the pair is checked by a residual stop scaled by
 |T|_2 <= 4 m^2 and certified by one L D L^T factorisation with no right-hand
-side; the spectral one comes of inverse iteration at a shift just below the
-exact E_0'.
+side; the spectral one comes of inverse iteration just below the exact
+E_0', on the pencil H - E_0' M assembled from gamma0^2 and beta0^2.
 
 The grid's well edges +-1 fall on nodes (edge nodes take half the well
 depth), which keeps the eigenvalue error a clean O(h^2) and makes Romberg's
@@ -211,6 +211,12 @@ def _tridiag_matvec(diag, off, vec, minus=None):
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's own loop: a 1-D ``a @ b`` is BLAS ``ddot``, which a threaded
+    BLAS splits above a size, so its last bits would follow the thread count."""
+    return float(np.einsum("i,i", a, b))
+
+
 def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
     """The grid's gamma0 and beta0: (u, nu) = (m theta, m mu) of its even bound state.
 
@@ -294,10 +300,9 @@ def _lowest_vector(diag, off, energy: float, start, norm: float) -> np.ndarray:
     factorisation fails.
     """
     scale = _EPS * norm
-    # sqrt(v @ v) is np.linalg.norm(v) of a 1-D double array bit for bit.
-    vec = start / math.sqrt(start @ start)
+    vec = start / math.sqrt(_dot(start, start))
     r = _tridiag_matvec(diag, off, vec, energy * vec)
-    res = math.sqrt(r @ r)
+    res = math.sqrt(_dot(r, r))
     if res > 4.0 * scale:
         raise NumericalError(f"the start's residual {res:.2e} exceeds the stop "
                              f"{4.0 * scale:.2e} (n={diag.size})")
@@ -351,7 +356,7 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
         return float(np.max(np.abs(residual)) / ((-4.0 * e[0] + abs(e0)) * np.max(np.abs(phi))))
 
     # the full-grid <x psi0|phi> counts each half once: 4 * 2 * b.phi
-    return 8.0 * float(b @ phi), solve_residual
+    return 8.0 * _dot(b, phi), solve_residual
 
 
 @functools.cache
@@ -410,43 +415,44 @@ def _spectral_tables(hard_wall: bool):
 def _spectral(config: GridOracleConfig) -> tuple[float, float]:
     """alpha' and E_0' of the Legendre x Laguerre Galerkin solve.
 
-    With s = beta0 (1 and R = 0 on the hard wall) the Galerkin matrices are
-    H = K_in + s K_out - R^2 M_in, in the threshold frame, so a shallow
-    well's E_0' = -beta0^2 is not rounded against R^2, and
-    M = M_in + M_out / s, each parity from ``_spectral_tables``.  Galerkin
-    energies bound the true ones from above, so ``_SPECTRAL_SOLVES`` solves
-    (H - sigma M) c = M c at sigma just below the exact E_0' find the even
-    ground state, whose Rayleigh quotient is E_0', and the Cholesky
-    factorisation of H - sigma M (LAPACK's ``dpotrf``, its solves
-    ``dpotrs``) certifies it: no Galerkin state lies below sigma.  Then
-    alpha' = 4 b^T (H_odd - E_0' M_odd)^-1 b, b the dipole image of the unit
-    ground state, by one more factorisation and solve: that block holds only
-    states above E_0'.  NumericalError: a factorisation fails.
+    Each parity's pencil, in the ground state's frame, comes of
+    ``_spectral_tables`` with s = beta0: A = H - E_0' M is
+    K_in - gamma0^2 M_in + s K_out + (beta0^2 / s) M_out and M is
+    M_in + M_out / s, so no coefficient cancels R^2 against E_0' = -beta0^2.
+    The hard wall has (gamma0, beta0) = (pi/2, 0), s = 1, E_0' = pi^2/4.
+    Galerkin energies bound the true ones from above, so ``_SPECTRAL_SOLVES``
+    solves (A + delta M) c = M c, delta a fraction ``_SPECTRAL_SHIFT`` of
+    beta0^2 or 2 pi^2, the lower (2 pi^2 on the hard wall), find the even
+    ground state, whose Rayleigh quotient is its offset epsilon from E_0', and
+    the Cholesky factorisation of A + delta M certifies it: no Galerkin state
+    lies below E_0' - delta.  Then alpha' = 4 b^T (A_odd - epsilon M_odd)^-1 b,
+    b the dipole image of the unit ground state: that block holds only states
+    above E_0' + epsilon.  NumericalError: a factorisation fails.
     """
-    hard_wall = config.ground is None
-    blocks, dipole = _spectral_tables(hard_wall)
-    s, r_sq = (1.0, 0.0) if hard_wall else (config.ground.beta0, config.well_R**2)
+    ground = config.ground
+    blocks, dipole = _spectral_tables(ground is None)
+    gamma0, beta0, e0 = ((0.5 * math.pi, 0.0, 0.25 * math.pi**2) if ground is None
+                         else (ground.gamma0, ground.beta0, -ground.beta0**2))
+    s = beta0 or 1.0
     size = math.isqrt(dipole.shape[1])
-    weights = np.array(((1.0, s, -r_sq, 0.0), (0.0, 0.0, 1.0, 1.0 / s)))
-    (h_even, h_odd), (m_even, m_odd) = (weights @ blocks).reshape(2, 2, size, size)
+    weights = np.array(((1.0, s, -gamma0 * gamma0, beta0 * beta0 / s), (0.0, 0.0, 1.0, 1.0 / s)))
+    (a_even, a_odd), (m_even, m_odd) = (weights @ blocks).reshape(2, 2, size, size)
     x = (np.array((1.0, 1.0 / s, 1.0 / (s * s))) @ dipole).reshape(size, size)
-    exact, gap = (0.25 * math.pi**2, math.inf) if hard_wall else (-s * s, s * s)
-    shift = exact - _SPECTRAL_SHIFT * min(gap, 2.0 * math.pi**2)
-    factor, info = dpotrf(h_even - shift * m_even)
+    delta = _SPECTRAL_SHIFT * min(beta0 * beta0 or math.inf, 2.0 * math.pi**2)
+    factor, info = dpotrf(a_even + delta * m_even)
     if info != 0:
-        raise NumericalError(f"a Galerkin state lies below the shift {shift:.6e} of the "
+        raise NumericalError(f"a Galerkin state lies below the shift {e0 - delta:.6e} of the "
                              f"spectral ground state: pivot {info} is not positive")
     c = np.ones(size)
     for _ in range(_SPECTRAL_SOLVES):
         c = dpotrs(factor, m_even @ c)[0]
-    m_c = m_even @ c
-    e0 = float(c @ (h_even @ c) / (c @ m_c))
-    b = (x @ c) / math.sqrt(c @ m_c)
-    factor, info = dpotrf(h_odd - e0 * m_odd)
+    c /= math.sqrt(c @ (m_even @ c))
+    offset, b = float(c @ (a_even @ c)), x @ c
+    factor, info = dpotrf(a_odd - offset * m_odd)
     if info != 0:
         raise NumericalError(f"H - E0 is not positive definite on the odd spectral basis: "
                              f"pivot {info} is not positive")
-    return 4.0 * float(b @ dpotrs(factor, b)[0]), e0
+    return 4.0 * float(b @ dpotrs(factor, b)[0]), e0 + offset
 
 
 class OracleResult(_Record):

@@ -763,16 +763,30 @@ class TestSpectral:
 
     @pytest.mark.parametrize(
         "well_R, num_points, band",
-        # Measured 1.6e-9, 5.6e-10, 2.8e-11 and 2.4e-9: the shallow wells'
-        # E0 = -beta0^2 sits near the rounding of R^2, the deep wells lose
-        # ~R^2 eps, as the grid does.
-        [(0.01, 2000, 1e-8), (0.009, 2000, 1e-8), (1e3, 9996, 1e-9), (1e4, 99999, 1e-8)],
+        # Measured 1.3e-10, 7.0e-11, 2.9e-14 and 2.9e-13: the shallow wells'
+        # M = M_in + M_out/beta0 mixes 1/beta0 with O(1) entries; the deep
+        # wells' pencils, assembled from gamma0^2 and beta0^2, cancel no R^2.
+        [(0.01, 2000, 1e-8), (0.009, 2000, 1e-8), (1e3, 9996, 1e-12), (1e4, 99999, 1e-11)],
     )
     def test_edges_of_the_oracle_domain(self, well_R, num_points, band):
         # The spectral solve builds no grid, so it is cheap at both ends.
         config = GridOracleConfig(well_R=well_R, num_points=num_points)
         alpha, _ = grid_oracle._spectral(config)
         assert alpha == pytest.approx(alpha_exact_prime(config.ground), rel=band, abs=0.0)
+
+    def test_log_uniform_wells_match_exact_polarizability(self):
+        # 400 wells log-uniform on [0.1, 1e5], most past the default grid's
+        # reach, so a stand-in config carries the well and its ground state.
+        # Measured 2.2e-11 for alpha' and 1.2e-11 for E0; a threshold-frame
+        # pencil, whose inside coefficient R^2 - beta0^2 cancels, misses
+        # alpha' by 3.9e-7.
+        rng = np.random.default_rng(11)
+        for well_R in map(float, np.exp(rng.uniform(math.log(0.1), math.log(1e5), 400))):
+            ground = ground_state_from_R(well_R)
+            config = types.SimpleNamespace(well_R=well_R, ground=ground)
+            alpha, energy = grid_oracle._spectral(config)
+            assert alpha == pytest.approx(alpha_exact_prime(ground), rel=5e-11, abs=0.0)
+            assert energy == pytest.approx(ground.energy_dimless, rel=5e-11, abs=0.0)
 
     @pytest.mark.parametrize("hard_wall", [False, True], ids=["well", "hard-wall"])
     def test_tables_match_quadrature(self, hard_wall):
@@ -1008,27 +1022,24 @@ class TestCurvature:
 # solve and richardson_alpha Romberg's h^2 and h^4 steps.  Each level is
 # built on its nodes x' >= 0; each even block starts at the grid's own
 # state, and each ground state is the vector whose residual passed the
-# stop.  Bit pins of the grid hold only on grids below about 1e4 nodes:
-# above that a threaded BLAS sums the dot products in another order, and
-# CHANGES.md records a 12,871-node level whose last bits change with
-# OPENBLAS_NUM_THREADS.  At 600 points the finest level has under 1e4.
+# stop.
 STUDY_HEX = {
     None: (
-        "0x1.1fa4cf0381476p-4",
-        "0x1.1fa3f860e505ep-4",
-        "0x1.1fa3f860c47ebp-4",
+        "0x1.1fa4cf0381474p-4",
+        "0x1.1fa3f860e5063p-4",
+        "0x1.1fa3f860c47f1p-4",
         "0x1.3bd39da29fe9dp+1",
     ),
     R_REF: (
-        "0x1.af48a9b395729p-3",
-        "0x1.afae858fd077dp-3",
-        "0x1.afae858ff22ffp-3",
+        "0x1.af48a9b39572ap-3",
+        "0x1.afae858fd070fp-3",
+        "0x1.afae858ff22f3p-3",
         "-0x1.7290f64de8508p+3",
     ),
     ground_state_from_gamma(0.2 * math.pi).R: (
         "0x1.0d83dc0d1f920p+5",
-        "0x1.0b830f8538e4ep+5",
-        "0x1.0b830fa377c9ap+5",
+        "0x1.0b830f85389ecp+5",
+        "0x1.0b830fa377c97p+5",
         "-0x1.a980539241944p-3",
     ),
 }
@@ -1040,37 +1051,37 @@ STUDY_HEX = {
 # solve's ground energy.
 DIAGNOSTIC_HEX = {
     None: {
-        "sum_solve_residual": "0x1.834a2986b863bp-54",
+        "sum_solve_residual": "0x1.834a2986b863ep-54",
         "refine_alpha_per_level": (
-            "0x1.1fa4cf0381476p-4", "0x1.1fa42e097fd20p-4", "0x1.1fa405caf4159p-4",
+            "0x1.1fa4cf0381474p-4", "0x1.1fa42e097fd20p-4", "0x1.1fa405caf415ep-4",
         ),
         "refine_ground_energy_per_level": (
             "0x1.3bd39da29fe9dp+1", "0x1.3bd3c0dd92bacp+1", "0x1.3bd3c9ac4fecbp+1",
         ),
-        "refine_observed_order": "0x1.ffff97a4452dap+0",
-        "spectral_ground_energy": "0x1.3bd3cc9be45a7p+1",
+        "refine_observed_order": "0x1.ffff97a6d9efap+0",
+        "spectral_ground_energy": "0x1.3bd3cc9be4600p+1",
     },
     R_REF: {
         "sum_solve_residual": "0x1.70f912dfa4db9p-54",
         "refine_alpha_per_level": (
-            "0x1.af48a9b395729p-3", "0x1.af950e13363f0p-3", "0x1.afa827a868e7ap-3",
+            "0x1.af48a9b39572ap-3", "0x1.af950e13363f2p-3", "0x1.afa827a868e72p-3",
         ),
         "refine_ground_energy_per_level": (
             "-0x1.7290f64de8508p+3", "-0x1.7299e7b255057p+3", "-0x1.729c25e0b2c58p+3",
         ),
-        "refine_observed_order": "0x1.fff6892a54928p+0",
-        "spectral_ground_energy": "-0x1.729ce56f55f35p+3",
+        "refine_observed_order": "0x1.fff6892a60f5bp+0",
+        "spectral_ground_energy": "-0x1.729ce56f55f2ap+3",
     },
     ground_state_from_gamma(0.2 * math.pi).R: {
         "sum_solve_residual": "0x1.d70d196da498dp-54",
         "refine_alpha_per_level": (
-            "0x1.0d83dc0d1f920p+5", "0x1.0c0298b4b383ap+5", "0x1.0ba2e74733d4ap+5",
+            "0x1.0d83dc0d1f920p+5", "0x1.0c0298b4b3840p+5", "0x1.0ba2e74733d4ap+5",
         ),
         "refine_ground_energy_per_level": (
             "-0x1.a980539241944p-3", "-0x1.aa774a095c1fap-3", "-0x1.aab5096894fa8p-3",
         ),
-        "refine_observed_order": "0x1.01329fd359f49p+1",
-        "spectral_ground_energy": "-0x1.aac99eb6294d7p-3",
+        "refine_observed_order": "0x1.01329fd3590d5p+1",
+        "spectral_ground_energy": "-0x1.aac99eb629738p-3",
     },
 }
 
@@ -1104,6 +1115,27 @@ class TestPinnedStudy:
             value = diagnostics[name]
             got[name] = tuple(v.hex() for v in value) if isinstance(value, tuple) else value.hex()
         assert got == DIAGNOSTIC_HEX[well_R]
+
+    def test_large_study_bits_do_not_depend_on_the_blas_thread_count(self):
+        # A fresh interpreter per setting, never more threads than CPUs: the
+        # hard wall at 20,000 points has levels of 2e4 to 8e4 nodes, past
+        # the size at which a threaded BLAS splits a dot product.
+        code = (
+            "import wellpol.grid_oracle as go\n"
+            "r = go.oracle_study(go.GridOracleConfig.hard_wall(num_points=20000))\n"
+            "fields = [n for n in r._fields if n not in ('config', 'levels', 'diagnostics')]\n"
+            "for name, value in [*((n, getattr(r, n)) for n in fields), *r.diagnostics.items()]:\n"
+            "    print(name, *(v.hex() if isinstance(v, float) else v\n"
+            "                  for v in (value if isinstance(value, tuple) else (value,))))\n"
+        )
+        runs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads},
+                           check=True, timeout=120).stdout
+            for threads in ("1", str(min(2, os.cpu_count() or 1)))
+        ]
+        assert len(runs[0].splitlines()) == 15
+        assert runs[0] == runs[1]
 
 
 class TestRefine:

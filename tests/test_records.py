@@ -88,16 +88,17 @@ RECORDS = {
     "OracleResult": (
         lambda: OracleResult(GridOracleConfig.hard_wall(num_points=500)),
         "OracleResult(config=GridOracleConfig(well_R=None, num_points=500, box_half_width=1, "
-        "ground=None), levels=2, alpha_sum=0.07022588343619432, "
-        "alpha_curvature=0.07022473357057055, ground_energy_dimless=2.467393047410425, "
-        "richardson_alpha=0.07022473357035522, diagnostics={'grid_num_points_actual': 501, "
+        "ground=None), levels=2, alpha_sum=0.07022588343619435, "
+        "alpha_curvature=0.07022473357057062, ground_energy_dimless=2.467393047410425, "
+        "richardson_alpha=0.07022473357035518, diagnostics={'grid_num_points_actual': 501, "
         "'grid_box_half_width': 1, 'grid_spacing': 0.00398406374501992, "
-        "'sum_solve_residual': 1.10282585702248e-16, 'spectral_ground_energy': 2.467401100272315, "
+        "'sum_solve_residual': 1.1028258570224799e-16, "
+        "'spectral_ground_energy': 2.4674011002723546, "
         "'refine_grid_multipliers': (251, 502, 1004), 'refine_grid_sizes': (501, 1003, 2007), "
-        "'refine_alpha_per_level': (0.07022588343619432, 0.07022502103600135, "
-        "0.0702248054367159), 'refine_ground_energy_per_level': (2.467393047410425, "
-        "2.4673990870548894, 2.467400596967854), 'refine_observed_order': 2.0000051042384337}, "
-        "route_gap=3.0662666083262672e-12)",
+        "'refine_alpha_per_level': (0.07022588343619435, 0.07022502103600138, "
+        "0.07022480543671589), 'refine_ground_energy_per_level': (2.467393047410425, "
+        "2.4673990870548894, 2.467400596967854), 'refine_observed_order': 2.0000051039598414}, "
+        "route_gap=3.0678475655875824e-12)",
     ),
 }
 # The first field of each type, which every instance has.
