@@ -175,7 +175,6 @@ def cmd_solve(args) -> int:
         "n_prime_sq": state.n_prime_sq,
         "energy_dimless": state.energy_dimless,
         "phi_jump_at_edge": dalgarno_lewis.phi_jump(state),
-        "orthogonality": dalgarno_lewis.orthogonality(state),
         "alpha_via_quadrature": dalgarno_lewis.alpha_via_quadrature(state),
     }
     meta = {"inputs": {"gamma": args.gamma, "R": args.R}, "columns": list(SWEEP_COLUMNS)}

@@ -41,20 +41,20 @@ All phi evaluations here are in the reduced convention
 
 so the applied field eps never appears numerically.  phi' is fixed by the
 state, its C' being ``default_c_prime(gamma0)``, so no record wraps it:
-``phi_jump`` and the quadratures take the ``GroundState``.
+``phi_jump`` and the quadrature take the ``GroundState``.
 ``alpha_via_quadrature`` integrates <psi0| x |phi> directly as an
-independent route to the same number, and ``orthogonality`` checks
-<psi0|phi> = 0.  Both use fixed Gauss rules written in ``math``, so this
-module, like every closed form here, needs neither numpy nor scipy.
-Outside the well the integrands are e^{-2t} times a cubic in t = beta0
-(|x'| - 1), which a two-point Gauss-Laguerre rule integrates exactly;
-inside, a Gauss-Legendre rule tabulated once per size gives the value and
-an error estimate.  Each call hands its state to ``_quadrature``, which
-reads the state's fields and forms its constants once, and sums each piece
-in one pass with phi' written out in place.  The alpha' integrand is even,
+independent route to the same number.  It uses fixed Gauss rules written in
+``math``, so this module, like every closed form here, needs neither numpy
+nor scipy.  Outside the well the integrand is e^{-2t} times a cubic in
+t = beta0 (|x'| - 1), which a two-point Gauss-Laguerre rule integrates
+exactly; inside, a Gauss-Legendre rule tabulated once per size gives the
+value and an error estimate.  Each call hands its state to ``_quadrature``,
+which reads the state's fields and forms its constants once, and sums each
+piece in one pass with phi' written out in place.  The integrand is even,
 so the left outer side is its right mirror counted twice and the inner
-nodes x' < 0 are their mirrors x' > 0 at doubled weight; the odd overlap
-integrand is evaluated on both sides, so its parity check sees each.
+nodes x' < 0 are their mirrors x' > 0 at doubled weight.  The overlap
+<psi0|phi'> is not integrated: psi0 is even and phi' odd, so it vanishes
+by parity.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "alpha2_prime_hard_wall",
     "breakdown",
     "alpha_via_quadrature",
-    "orthogonality",
 ]
 
 _QUARTER_PI_SQ = (0.5 * math.pi) ** 2
@@ -214,12 +213,13 @@ def alpha2_prime_hard_wall(c_prime: float = -1.0) -> float:
     """
     c_prime = _require_real("c_prime", c_prime, finite=True)
     pi_sq = math.pi**2
+    # C' times the rounded slope: -2 C' overflows for |C'| > ~9e307.
     return math.fsum(
         [
             -4.0 / (3.0 * pi_sq),
             -2.0 / pi_sq,
             20.0 / pi_sq**2,
-            -2.0 * c_prime / pi_sq,
+            c_prime * (-2.0 / pi_sq),
         ]
     )
 
@@ -253,7 +253,7 @@ breakdown = PolarizabilityBreakdown
 
 
 # Gauss-Legendre rules (Golub & Welsch, Math. Comp. 23, 221 (1969)) for the
-# inner piece |x'| < 1 of the quadrature cross-checks.  Its integrand is
+# inner piece |x'| < 1 of the quadrature cross-check.  Its integrand is
 # smooth, so a fixed rule suffices: the 16-point rule gives the value and
 # the 10-point rule the error estimate.
 _RULE_POINTS = 16
@@ -261,8 +261,8 @@ _ESTIMATE_POINTS = 10
 # The two-point Gauss-Laguerre rule (s, w) for int_0^inf e^{-s} f(s) ds: its
 # nodes are the roots 2 -+ sqrt(2) of L_2, and it is exact for f of degree
 # <= 3.  Outside the well psi0 and phi' each carry e^{-t}, t = beta0 (|x'| - 1),
-# so in s = 2t the integrand psi0 x'^k phi' is e^{-s} times a polynomial of
-# degree k + 2 <= 3 and the rule integrates it exactly.
+# so in s = 2t the integrand psi0 x' phi' is e^{-s} times a cubic and the
+# rule integrates it exactly.
 _LAGUERRE = (
     (2.0 - math.sqrt(2.0), (2.0 + math.sqrt(2.0)) / 4.0),
     (2.0 + math.sqrt(2.0), (2.0 - math.sqrt(2.0)) / 4.0),
@@ -271,15 +271,14 @@ _LAGUERRE = (
 
 @functools.cache
 def _panel_nodes(n: int):
-    """The n-point Gauss-Legendre rule on [-1, 1], n even, built once per n.
+    """The nodes x' > 0 of the n-point Gauss-Legendre rule on [-1, 1] at doubled weights.
 
-    Newton iteration on P_n from cos(pi (i - 1/4) / (n + 1/2)).  Returns the
-    rule as ((x', w), ...), its nodes in exact +-pairs so that an odd
-    integrand sums to zero, and its nodes x' > 0 with doubled weights,
-    ((x', 2 w), ...), on which an even integrand is summed once per mirror
-    pair.
+    n is even.  Newton iteration on P_n from cos(pi (i - 1/4) / (n + 1/2)),
+    built once per n.  Returns ((x', 2 w), ...), w = 2 / ((1 - x'^2) P_n'(x')^2).
+    The rule's nodes come in exact +-pairs with equal weights, so an even
+    integrand summed here is bit for bit its sum over all n nodes.
     """
-    inner: list[tuple[float, float]] = []
+    nodes: list[tuple[float, float]] = []
     for i in range(1, n // 2 + 1):
         x, dx = math.cos(math.pi * (i - 0.25) / (n + 0.5)), math.inf
         for _ in range(100):
@@ -291,70 +290,57 @@ def _panel_nodes(n: int):
                 break
             dx = p / dp
             x -= dx
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        inner += [(-x, w), (x, w)]
-    return tuple(inner), tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
+        nodes.append((x, 4.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(nodes)
 
 
-def _outer_panel(k: int, side: float, n_cos: float, cos_g: float, b: float, b2: float) -> float:
-    """fsum of w e^{2t} psi0 x'^k phi' over the ``_LAGUERRE`` nodes s = 2t.
+def _outer_panel(n_cos: float, cos_g: float, b: float, b2: float) -> float:
+    """fsum of w e^{2t} psi0 x' phi' over the ``_LAGUERRE`` nodes s = 2t, x' = 1 + t/b.
 
-    x' = side (1 + t/b).  e^{t} psi0 = n_cos, and e^{t} phi' is
-    ``_phi_outer`` at env = 1, written out with cos(gamma0) = cos_g and
-    beta0^2 = b2 hoisted; the (side cos_g) factor gives phi' its sign as
-    copysign does there.  The k = 1 integrand is even, so it is taken on
-    the right side only, where x'^k phi' needs no sign.
+    e^{t} psi0 = n_cos, and e^{t} phi' is ``_phi_outer`` at env = 1, written
+    out with cos(gamma0) = cos_g and beta0^2 = b2 hoisted.  The integrand is
+    even, so it is taken on the right side only.
     """
-    side_cos = side * cos_g
     return math.fsum(
         [
-            w * ((n_cos * x if k else n_cos) * (side_cos * (x * x / b + x / b2)))
+            w * (n_cos * x * (cos_g * (x * x / b + x / b2)))
             for s, w in _LAGUERRE
             for x in (1.0 + 0.5 * s / b,)
         ]
     )
 
 
-def _inner_panel(nodes, k: int, n_prime: float, g: float, g2: float, c_prime: float) -> float:
-    """fsum of w psi0 x'^k phi' over (x', w) nodes of the inner rule.
+def _inner_panel(nodes, n_prime: float, g: float, g2: float, c_prime: float) -> float:
+    """fsum of w psi0 x' phi' over the (x', w) nodes of ``_panel_nodes``.
 
     phi' is ``_phi_inner`` written out with gamma0^2 = g2 hoisted, and
-    psi0 = n_prime cos(gamma0 |x'|) reuses its cos(gamma0 x'), cos being
-    even.  The k = 1 integrand is even, so it is given the nodes x' > 0
-    with doubled weights.
+    psi0 = n_prime cos(gamma0 x') reuses its cos(gamma0 x').
     """
     sin, cos = math.sin, math.cos
     return math.fsum(
         [
-            w * ((n_prime * c * x if k else n_prime * c)
-                 * -(x * x * s / g + x * c / g2 + c_prime * s / g))
+            w * (n_prime * c * x * -(x * x * s / g + x * c / g2 + c_prime * s / g))
             for x, w in nodes
             for s, c in ((sin(g * x), cos(g * x)),)
         ]
     )
 
 
-def _quadrature(state: GroundState, k: int, rules: tuple[int, ...]):
-    """N' and the integrals of psi0 x'^k phi' outside and inside the well.
+def _quadrature(state: GroundState, rules: tuple[int, ...]):
+    """N' and the integrals of psi0 x' phi' outside and inside the well.
 
     Reads the state's fields and forms its constants once.  Returns N', the
-    integrals over x' < -1 and x' > 1, exact (with dx' = ds / (2 beta0) each
-    is 1/(2 beta0) times ``_outer_panel``), and one integral over |x'| < 1
-    per n-point inner rule in ``rules``.  A left outer node is the exact
-    negative of its right mirror and the inner nodes come in exact +-pairs
-    with equal weights, so the even k = 1 integrand lists its right outer
-    side twice and takes the inner nodes x' > 0 with doubled weights, bit
-    for bit the sums over all; the odd k = 0 integrand is evaluated on both
-    sides, so the parity check sees each.
+    integral over |x'| > 1, exact, and one integral over |x'| < 1 per n-point
+    inner rule in ``rules``.  With dx' = ds / (2 beta0) each outer side is
+    1/(2 beta0) times ``_outer_panel``, the left one bit for bit the right's.
     """
     g, b = state.gamma0, state.beta0
     n_prime, cos_g, g2, b2 = math.sqrt(state.n_prime_sq), math.cos(g), g**2, b**2
     # C' is default_c_prime(g); every state's gamma0 is in its range.
-    c_prime, half_b, n_cos = -_QUARTER_PI_SQ / g2, 0.5 / b, n_prime * cos_g
-    right = half_b * _outer_panel(k, 1.0, n_cos, cos_g, b, b2)
-    left = right if k else half_b * _outer_panel(k, -1.0, n_cos, cos_g, b, b2)
-    inner = [_inner_panel(_panel_nodes(n)[k], k, n_prime, g, g2, c_prime) for n in rules]
-    return n_prime, [left, right], inner
+    c_prime = -_QUARTER_PI_SQ / g2
+    outer = (1.0 / b) * _outer_panel(n_prime * cos_g, cos_g, b, b2)
+    inner = [_inner_panel(_panel_nodes(n), n_prime, g, g2, c_prime) for n in rules]
+    return n_prime, outer, inner
 
 
 def alpha_via_quadrature(state: GroundState) -> float:
@@ -367,8 +353,8 @@ def alpha_via_quadrature(state: GroundState) -> float:
     total.  The outer nodes are mapped in t = beta0 (|x'| - 1), so near
     the hard wall they do not lose digits to a rounded x'.
     """
-    n_prime, outer, (inner, estimate) = _quadrature(state, 1, (_RULE_POINTS, _ESTIMATE_POINTS))
-    total = n_prime * math.fsum([*outer, inner])
+    n_prime, outer, (inner, estimate) = _quadrature(state, (_RULE_POINTS, _ESTIMATE_POINTS))
+    total = n_prime * math.fsum([outer, inner])
     err = n_prime * abs(inner - estimate)
     if err > 1e-8 * max(abs(total), 1e-3):
         raise NumericalError(
@@ -379,10 +365,9 @@ def alpha_via_quadrature(state: GroundState) -> float:
 
 
 def orthogonality(state: GroundState) -> float:
-    """Overlap <psi0|phi'> by quadrature; vanishes by parity (psi0 even, phi' odd).
+    """0.0: the overlap <psi0|phi'> vanishes by parity, psi0 being even and phi' odd.
 
-    The value is exactly 0.0: each node's term is the exact negative of its
-    mirror's, so a nonzero value means phi' has lost its parity.
+    Kept only for the benchmark's crosscheck operation; it goes with ROADMAP
+    item 4.
     """
-    _, outer, (inner,) = _quadrature(state, 0, (_RULE_POINTS,))
-    return math.fsum([*outer, inner])
+    return 0.0

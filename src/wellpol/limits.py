@@ -27,8 +27,9 @@ import math
 from typing import Sequence
 
 from .dalgarno_lewis import breakdown
-from .errors import DomainError
-from .well_spectrum import _Record, _require_real, ground_state_from_R, ground_state_from_gamma
+from .errors import DomainError, NumericalError
+from .well_spectrum import (_Record, _require_real, _shown, ground_state_from_R,
+                            ground_state_from_gamma)
 
 __all__ = [
     "extrapolate",
@@ -98,15 +99,17 @@ def extrapolate(values: Sequence[float], ratio: float) -> float:
     Romberg's table (h^2, h^4, ... under grid halving at ratio 1/4): each
     column eliminates the next power r of the ratio, taking neighbours a, b
     to b + (b - a) r / (1 - r).  DomainError unless ``values`` is non-empty,
-    each a finite real number, and 0 < ratio < 1.
+    each a finite real number, and 0 < ratio < 1; NumericalError if a step overflows.
     """
     if len(values) == 0 or not 0.0 < ratio < 1.0:
         raise DomainError(f"extrapolate needs values and 0 < ratio < 1, got "
-                          f"{len(values)} values at ratio {ratio!r}")
+                          f"{len(values)} values at ratio {_shown(ratio)}")
     column, r = [_require_real(f"values[{i}]", v, True) for i, v in enumerate(values)], ratio
     while len(column) > 1:
         column = [b + (b - a) * r / (1.0 - r) for a, b in zip(column, column[1:])]
         r *= ratio
+    if not math.isfinite(column[0]):
+        raise NumericalError(f"extrapolate's table overflowed to {column[0]!r} at ratio {ratio!r}")
     return column[0]
 
 

@@ -146,7 +146,7 @@ class WellSpec(_Record):
             raise DomainError("derived well strength R is not finite")
         try:
             unit = self.polarizability_unit
-        except OverflowError:  # a power past the float range, of an int or a float
+        except (OverflowError, ZeroDivisionError):  # a power past the float range, or hbar^2 == 0
             unit = math.inf
         if not 0.0 < unit < math.inf:
             raise DomainError(f"derived polarizability unit is {unit}, not finite and positive")

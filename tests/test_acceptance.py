@@ -30,8 +30,8 @@ from wellpol.dalgarno_lewis import (
     alpha_via_quadrature,
     breakdown,
     default_c_prime,
-    orthogonality,
 )
+from wellpol.dalgarno_lewis import _LAGUERRE, _RULE_POINTS, _panel_nodes, _phi_inner, _phi_outer
 from wellpol.grid_oracle import GridOracleConfig, oracle_study
 from wellpol.limits import delta_limit, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_gamma
@@ -202,10 +202,19 @@ def test_criterion_7_closed_form_vs_quadrature():
 
 def test_criterion_8_property_suite():
     failures = []
-    # parity / orthogonality
+    # parity: psi0 is even, so <psi0|phi'> = 0 because phi' is odd, exactly,
+    # at every 16-point inner node and at the outer quadrature nodes
     for gamma in np.linspace(0.1 * PI, 0.49 * PI, 52)[1:-1]:
-        if abs(orthogonality(ground_state_from_gamma(float(gamma)))) > 1e-10:
-            failures.append(f"orthogonality at {gamma / PI:.3f}pi")
+        state = ground_state_from_gamma(float(gamma))
+        g, b = state.gamma0, state.beta0
+        c_prime = default_c_prime(g)
+        for x, _ in _panel_nodes(_RULE_POINTS):
+            if _phi_inner(g, c_prime, -x) != -_phi_inner(g, c_prime, x):
+                failures.append(f"inner phi' not odd at ({gamma / PI:.3f}pi, {x:.3f})")
+        for s, _ in _LAGUERRE:
+            x, env = 1.0 + 0.5 * s / b, math.exp(-0.5 * s)
+            if _phi_outer(g, b, -x, env) != -_phi_outer(g, b, x, env):
+                failures.append(f"outer phi' not odd at ({gamma / PI:.3f}pi, {x:.3f})")
     # ODE residuals: identically 0 for the symbolic phi' (free C and B),
     # and the package's phi' pieces are that phi' to 1e-14 relative
     if symbolic.residuals() != (0, 0):

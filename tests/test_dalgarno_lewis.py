@@ -6,6 +6,7 @@ The exact proof that phi' solves the response equations, and the tie-in of
 
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +20,6 @@ from wellpol.dalgarno_lewis import (
     alpha_via_quadrature,
     breakdown,
     default_c_prime,
-    orthogonality,
     phi_jump,
     phi_reduced,
 )
@@ -138,45 +138,23 @@ def quadrature_pieces(state):
     These are the sums ``alpha_via_quadrature`` adds up, restricted to each
     region: the exact outer rule and the 16-point inner rule.
     """
-    n_prime, outer, (inner,) = dalgarno_lewis._quadrature(
-        state, 1, (dalgarno_lewis._RULE_POINTS,)
-    )
-    return n_prime * math.fsum(outer), n_prime * inner
+    n_prime, outer, (inner,) = dalgarno_lewis._quadrature(state, (dalgarno_lewis._RULE_POINTS,))
+    return n_prime * outer, n_prime * inner
 
 
 def add_to_inner_phi(monkeypatch, defect):
     """Make the quadrature kernel integrate phi' + defect(x') on the inner panel.
 
-    ``_inner_panel`` sums w psi0 x'^k phi' over the nodes, so the defect
+    ``_inner_panel`` sums w psi0 x' phi' over the nodes, so the defect
     enters as that sum with defect(x') in place of phi'.
     """
     panel = dalgarno_lewis._inner_panel
 
-    def contaminated(nodes, k, n_prime, g, g2, c_prime):
-        extra = math.fsum(w * n_prime * math.cos(g * x) * x**k * defect(x) for x, w in nodes)
-        return panel(nodes, k, n_prime, g, g2, c_prime) + extra
+    def contaminated(nodes, n_prime, g, g2, c_prime):
+        extra = math.fsum(w * n_prime * math.cos(g * x) * x * defect(x) for x, w in nodes)
+        return panel(nodes, n_prime, g, g2, c_prime) + extra
 
     monkeypatch.setattr(dalgarno_lewis, "_inner_panel", contaminated)
-
-
-def add_to_outer_phi(monkeypatch, defect):
-    """Make the quadrature kernel integrate phi' + defect(x') outside the well.
-
-    ``_outer_panel`` sums w e^{2t} psi0 x'^k phi' over the Gauss-Laguerre
-    nodes s = 2t, with e^{t} psi0 = n_cos, so the defect enters as that sum
-    with e^{t} defect(x') in place of e^{t} phi'.
-    """
-    panel = dalgarno_lewis._outer_panel
-
-    def contaminated(k, side, n_cos, cos_g, b, b2):
-        extra = math.fsum(
-            w * n_cos * math.exp(0.5 * s) * x**k * defect(x)
-            for s, w in dalgarno_lewis._LAGUERRE
-            for x in (side * (1.0 + 0.5 * s / b),)
-        )
-        return panel(k, side, n_cos, cos_g, b, b2) + extra
-
-    monkeypatch.setattr(dalgarno_lewis, "_outer_panel", contaminated)
 
 
 def phi_039(x):
@@ -228,6 +206,11 @@ class TestPhi:
         # The benchmark's phi_jump(phi_reduced(state)) is phi_jump(state).
         state = state_039()
         assert phi_reduced(state) is state
+
+    def test_orthogonality_is_zero(self):
+        # The benchmark's orthogonality(state): <psi0|phi'> vanishes by
+        # parity, which TestPhi and criterion 8 check on phi' itself.
+        assert dalgarno_lewis.orthogonality(state_039()) == 0.0
 
     def test_jump_is_reported_not_hidden(self):
         # The piecewise phi' is discontinuous at the edge by construction.
@@ -409,6 +392,18 @@ class TestAlpha2:
         assert alpha2_prime_hard_wall(0.0) == pytest.approx(
             HARD_WALL_ALPHA2T_EXACT, rel=1e-14
         )
+
+    @pytest.mark.parametrize("c_prime", [1e308, sys.float_info.max, -sys.float_info.max])
+    def test_hard_wall_is_finite_up_to_the_largest_c_prime(self, c_prime):
+        # -2 C' was formed before the division by pi^2 and overflowed.
+        assert alpha2_prime_hard_wall(c_prime) == pytest.approx(
+            -2.0 * (c_prime / PI**2), rel=1e-15
+        )
+
+    def test_hard_wall_keeps_its_bits_at_the_calibration_points(self):
+        # C' = -1, 0 and 1 are calibrate_C's and the golden files' inputs.
+        got = [alpha2_prime_hard_wall(c).hex() for c in (-1.0, 0.0, 1.0)]
+        assert got == ["0x1.1fa3f860e5020p-4", "-0x1.0f30f9f1b9f10p-3", "-0x1.5719f809f3318p-2"]
 
 
 def edge_coefficients(state):
@@ -609,7 +604,11 @@ class TestGaussLegendre:
         "n", [dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS]
     )
     def test_rule_is_exact_for_polynomials_up_to_degree_2n_minus_1(self, n):
-        nodes, weights = zip(*dalgarno_lewis._panel_nodes(n)[0])
+        # The rule is the tabulated nodes x' > 0 and their mirrors, each at
+        # half the tabulated weight.
+        nodes, weights = zip(
+            *((sign * x, 0.5 * w) for x, w in dalgarno_lewis._panel_nodes(n) for sign in (-1, 1))
+        )
         assert len(nodes) == n
         assert math.fsum(weights) == pytest.approx(2.0, abs=1e-15)
         for k in range(2 * n):
@@ -635,7 +634,6 @@ class TestGaussLegendre:
                 state = ground_state_from_gamma(float(gamma))
                 closed = breakdown(state).alpha_prime
                 assert alpha_via_quadrature(state) == pytest.approx(closed, rel=1e-12)
-                assert orthogonality(state) == 0.0
 
     def test_regions_match_alpha1_and_alpha2(self):
         # The outer nodes come from t = beta0 (|x'| - 1), not from a
@@ -662,9 +660,7 @@ class TestGaussLegendre:
 
     def test_even_integrand_is_evaluated_once_per_mirror_pair(self, monkeypatch):
         # alpha' evaluates the exact outer rule once, on the right side
-        # only (2 nodes), and the inner nodes x' > 0 only, 8 + 5; the odd
-        # overlap evaluates both outer sides, 2 x 2 nodes, and all 16 inner
-        # nodes.
+        # only (2 nodes), and the inner nodes x' > 0 only, 8 + 5.
         evaluated = {"outer": [], "inner": []}
 
         class CountingRule(tuple):
@@ -687,37 +683,32 @@ class TestGaussLegendre:
         assert len(evaluated["outer"]) == 2
         assert len(evaluated["inner"]) == 13
         assert all(x > 0.0 for x, _ in evaluated["inner"])
-        evaluated["outer"].clear()
-        evaluated["inner"].clear()
-        orthogonality(state_039())
-        assert len(evaluated["outer"]) == 4
-        assert len(evaluated["inner"]) == 16
 
 
-# gamma0 -> float.hex of alpha_via_quadrature, of its outer and inner
-# pieces (``quadrature_pieces``) and of orthogonality.  The inner entries
+# gamma0 -> float.hex of alpha_via_quadrature and of its outer and inner
+# pieces (``quadrature_pieces``).  The inner entries
 # are those of the node-by-node kernel (one _phi_inner call per node).
 QUADRATURE_HEX = {
     1e-20: (
-        "0x1.c73892ecbfbf3p+531", "0x1.c73892ecbfbf3p+531", "0x1.f4df76f50ba51p-1", "0x0.0p+0"
+        "0x1.c73892ecbfbf3p+531", "0x1.c73892ecbfbf3p+531", "0x1.f4df76f50ba51p-1"
     ),
     1e-08: (
-        "0x1.e62c4e38ff86ap+212", "0x1.e62c4e38ff86ap+212", "0x1.f4df76f50ba50p-1", "0x0.0p+0"
+        "0x1.e62c4e38ff86ap+212", "0x1.e62c4e38ff86ap+212", "0x1.f4df76f50ba50p-1"
     ),
     0.0599: (
-        "0x1.bf676b55dcde3p+32", "0x1.bf676b54e3a19p+32", "0x1.f279243d67309p-1", "0x0.0p+0"
+        "0x1.bf676b55dcde3p+32", "0x1.bf676b54e3a19p+32", "0x1.f279243d67309p-1"
     ),
     0.06: (
-        "0x1.b9775b1026f0fp+32", "0x1.b9775b0f2db56p+32", "0x1.f27718443b511p-1", "0x0.0p+0"
+        "0x1.b9775b1026f0fp+32", "0x1.b9775b0f2db56p+32", "0x1.f27718443b511p-1"
     ),
     0.39 * PI: (
-        "0x1.81b1495a156c5p-3", "0x1.f15b7d8bdca8fp-7", "0x1.629b918157a1cp-3", "0x0.0p+0"
+        "0x1.81b1495a156c5p-3", "0x1.f15b7d8bdca8fp-7", "0x1.629b918157a1cp-3"
     ),
     0.49 * PI: (
-        "0x1.37d38cc75be18p-4", "0x1.c739adfeff0b0p-22", "0x1.37d31af8f061cp-4", "0x0.0p+0"
+        "0x1.37d38cc75be18p-4", "0x1.c739adfeff0b0p-22", "0x1.37d31af8f061cp-4"
     ),
     GAMMA_MAX: (
-        "0x1.1fa3f86d2ef1fp-4", "0x1.13d299a5b0afcp-121", "0x1.1fa3f86d2ef1fp-4", "0x0.0p+0"
+        "0x1.1fa3f86d2ef1fp-4", "0x1.13d299a5b0afcp-121", "0x1.1fa3f86d2ef1fp-4"
     ),
 }
 
@@ -739,18 +730,15 @@ class TestQuadratureKernel:
                     return get(record)
 
                 monkeypatch.setattr(GroundState, name, property(counted))
-        for call in (alpha_via_quadrature, orthogonality):
-            reads.clear()
-            call(state)
-            assert sorted(reads) == ["beta0", "gamma0", "n_prime_sq"], call.__name__
+        alpha_via_quadrature(state)
+        assert sorted(reads) == ["beta0", "gamma0", "n_prime_sq"]
 
     @pytest.mark.parametrize("gamma", sorted(QUADRATURE_HEX))
     def test_outputs_match_frozen_bits(self, gamma):
         state = ground_state_from_gamma(gamma)
         got = tuple(
             value.hex()
-            for value in (alpha_via_quadrature(state), *quadrature_pieces(state),
-                          orthogonality(state))
+            for value in (alpha_via_quadrature(state), *quadrature_pieces(state))
         )
         assert got == QUADRATURE_HEX[gamma]
 
@@ -761,57 +749,33 @@ class TestQuadratureKernel:
         # Each node is summed alone with unit weight and normalisation, so
         # the kernel returns its integrand there, which must equal the one
         # built on _phi_outer / _phi_inner bit for bit.  Outside, that is
-        # e^{2t} psi0 x'^k phi' with e^{t} psi0 = 1, so the outer kernel's
-        # e^{t} phi' is _phi_outer at env = 1.  The k = 1 inner term of -x'
-        # must equal that of x' bit for bit, so that summing the nodes
-        # x' > 0 with doubled weights gives the sum over all of them.
-        inner, inner_right = dalgarno_lewis._panel_nodes(n)
-        assert inner_right == tuple((x, 2.0 * w) for x, w in inner if x > 0.0)
-        assert len(inner_right) == n // 2
+        # e^{2t} psi0 x' phi' with e^{t} psi0 = 1, so the outer kernel's
+        # e^{t} phi' is _phi_outer at env = 1.  The term of -x' must equal
+        # that of x' bit for bit, so that summing the right side alone, the
+        # inner nodes at doubled weights, gives the sum over both sides.
+        inner = dalgarno_lewis._panel_nodes(n)
+        assert len(inner) == n // 2
+        assert all(x > 0.0 for x, _ in inner)
         rule = dalgarno_lewis._LAGUERRE
         for gamma in self.GRID:
             state = ground_state_from_gamma(gamma)
             g, b = state.gamma0, state.beta0
             cos_g, c_prime = math.cos(g), default_c_prime(g)
-            # The even k = 1 integrand is taken on the right side only.
-            cases = ((0, -1.0), (0, 1.0), (1, 1.0))
             for s, _ in rule:
                 monkeypatch.setattr(dalgarno_lewis, "_LAGUERRE", ((s, 1.0),))
-                for k, side in cases:
-                    x = side * (1.0 + 0.5 * s / b)
-                    phi = dalgarno_lewis._phi_outer(g, b, x, 1.0)
-                    got = dalgarno_lewis._outer_panel(k, side, 1.0, cos_g, b, b**2)
-                    want = 1.0 * ((x if k else 1.0) * phi)
-                    assert got.hex() == want.hex(), (gamma, s, k, side)
+                x = 1.0 + 0.5 * s / b
+                want = 1.0 * (x * dalgarno_lewis._phi_outer(g, b, x, 1.0))
+                got = dalgarno_lewis._outer_panel(1.0, cos_g, b, b**2)
+                assert got.hex() == want.hex(), (gamma, s)
+                mirror = -x * dalgarno_lewis._phi_outer(g, b, -x, 1.0)
+                assert mirror.hex() == want.hex(), (gamma, s)
             for x, _ in inner:
                 phi = dalgarno_lewis._phi_inner(g, c_prime, x)
-                psi = math.cos(g * abs(x))
-                for k in (0, 1):
-                    got = dalgarno_lewis._inner_panel(((x, 1.0),), k, 1.0, g, g**2, c_prime)
-                    want = 1.0 * ((psi * x if k else psi) * phi)
-                    assert got.hex() == want.hex(), (gamma, x, k)
-                mirror = dalgarno_lewis._inner_panel(((-x, 1.0),), 1, 1.0, g, g**2, c_prime)
+                want = 1.0 * ((math.cos(g * x) * x) * phi)
+                got = dalgarno_lewis._inner_panel(((x, 1.0),), 1.0, g, g**2, c_prime)
+                assert got.hex() == want.hex(), (gamma, x)
+                mirror = dalgarno_lewis._inner_panel(((-x, 1.0),), 1.0, g, g**2, c_prime)
                 assert mirror.hex() == got.hex(), (gamma, x)
-
-
-class TestOrthogonality:
-    @pytest.mark.parametrize("gamma_pi", [0.39, 0.47])
-    def test_vanishes_by_parity(self, gamma_pi):
-        # Exactly: each node's term is the exact negative of its mirror's.
-        state = ground_state_from_gamma(gamma_pi * PI)
-        assert orthogonality(state) == 0.0
-
-    def test_even_contaminant_is_detected(self, monkeypatch):
-        state = state_039()
-        add_to_inner_phi(monkeypatch, lambda x: x * x)
-        assert orthogonality(state) > 1e-3
-
-    def test_even_outer_contaminant_is_detected(self, monkeypatch):
-        # The odd integrand's left outer panels must be evaluated, not
-        # folded onto the right ones, or this bump would cancel.
-        state = state_039()
-        add_to_outer_phi(monkeypatch, lambda x: x * x)
-        assert orthogonality(state) > 1e-3
 
 
 class TestQuadratureProperties:
@@ -832,7 +796,6 @@ class TestQuadratureProperties:
                 ground_state_from_gamma(gamma)
             return
         state = ground_state_from_gamma(gamma)
-        assert orthogonality(state) == 0.0
         bd = breakdown(state)
         assert quadrature_pieces(state)[0] == pytest.approx(bd.alpha1_prime, rel=1e-12)
         assert alpha_via_quadrature(state) == pytest.approx(bd.alpha_prime, rel=1e-12)
@@ -840,10 +803,6 @@ class TestQuadratureProperties:
 
 class TestSpecProperties:
     GAMMAS = np.linspace(0.1 * PI, 0.49 * PI, 52)[1:-1]
-
-    def test_parity_orthogonality_grid(self):
-        for gamma in self.GAMMAS:
-            assert orthogonality(ground_state_from_gamma(float(gamma))) == 0.0
 
     def test_closed_form_vs_quadrature_grid(self):
         for gamma in self.GAMMAS:

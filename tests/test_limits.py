@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from wellpol.errors import DomainError
+from wellpol.errors import DomainError, NumericalError
 from wellpol.limits import delta_limit, extrapolate, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_R
 
@@ -44,6 +44,22 @@ class TestExtrapolate:
 
     def test_single_value_is_its_own_limit(self):
         assert extrapolate([3.0], ratio=0.5) == 3.0
+
+    @pytest.mark.parametrize(
+        "values, ratio",
+        [([1e308, -1e308], 0.25), ([1e308, 1.7e308], 0.5), ([1.7e308, -1.7e308, 1.7e308], 1e-300)],
+        ids=["-inf", "inf", "nan"],
+    )
+    def test_overflowing_table_is_refused(self, values, ratio):
+        # Finite values whose differences or steps overflow: each returned
+        # the value its id names.
+        with pytest.raises(NumericalError, match="overflowed"):
+            extrapolate(values, ratio)
+
+    def test_refused_ratio_prints_by_size_past_100_digits(self):
+        # Printing the refused ratio raised ValueError past 4,300 digits.
+        with pytest.raises(DomainError, match="at ratio a positive int of 16610 bits$"):
+            extrapolate([1.0], 10**5000)
 
 
 class TestDeltaLimit:

@@ -29,8 +29,9 @@ PACKAGE = {
     "DomainError",
     "NumericalError",
 }
-# 8 names; the pieces alpha1', alpha2', alpha2_t' and alpha_apr' come only
-# from ``breakdown``, and phi_jump takes the state, phi' being fixed by it.
+# 7 names; the pieces alpha1', alpha2', alpha2_t' and alpha_apr' come only
+# from ``breakdown``, phi_jump takes the state, phi' being fixed by it, and
+# the overlap <psi0|phi'>, zero by parity, is not a public name.
 DALGARNO_LEWIS = {
     "PolarizabilityBreakdown",
     "default_c_prime",
@@ -39,7 +40,6 @@ DALGARNO_LEWIS = {
     "alpha2_prime_hard_wall",
     "breakdown",
     "alpha_via_quadrature",
-    "orthogonality",
 }
 WELL_SPECTRUM = {
     "GAMMA_MAX",

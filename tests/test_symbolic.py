@@ -40,7 +40,8 @@ def nodes_and_t():
     """
     xs, ts = [], [0.0, 40.0] + [0.5 * s for s, _ in dalgarno_lewis._LAGUERRE]
     for n in (dalgarno_lewis._RULE_POINTS, dalgarno_lewis._ESTIMATE_POINTS):
-        nodes = [x for x, _ in dalgarno_lewis._panel_nodes(n)[0]]
+        # The whole rule: the tabulated nodes x' > 0 and their mirrors.
+        nodes = [sign * x for x, _ in dalgarno_lewis._panel_nodes(n) for sign in (-1.0, 1.0)]
         xs += nodes
         for lo, hi in zip(PANEL_T, PANEL_T[1:]):
             mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -157,8 +158,8 @@ class TestOuterRule:
         worst = 0.0
         for gamma in gammas:
             state = ground_state_from_gamma(gamma)
-            n_prime, outer, _ = dalgarno_lewis._quadrature(state, 1, ())
-            outer = n_prime * math.fsum(outer)
+            n_prime, outer, _ = dalgarno_lewis._quadrature(state, ())
+            outer = n_prime * outer
             ref = symbolic.alpha1_ref(state.gamma0, state.beta0, state.n_prime_sq)
             worst = max(worst, float(abs((outer - ref) / ref)))
         assert worst <= 2e-15, worst

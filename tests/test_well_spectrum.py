@@ -371,6 +371,9 @@ class TestWellSpec:
             ((1.0, 1.0, 1.0, 1e300), "inf"),
             ((1e200, 1.0, 1.0, 1.0), "inf"),
             ((1e-100, 1.0, 1.0, 1.0), "0.0"),  # a^4 underflows
+            # hbar^2 underflows to 0: each raised ZeroDivisionError.
+            ((1.0, 1.0, 1.0, 1.0, 1e-200), "inf"),
+            ((1e-10, 1.0, 1.0, 1.0, 2.2e-309), "inf"),
         ],
     )
     def test_rejects_unit_outside_the_float_range(self, fields, unit):
