@@ -9,8 +9,8 @@ the error classes; everything else is imported from its module
 ``wellpol.grid_oracle``, so ``import wellpol`` loads neither numpy nor scipy.
 ``breakdown`` alone gives alpha1', alpha2', alpha2_t' and alpha_apr'.  Result
 types take only their independent inputs (a breakdown its state, an oracle
-result its config and level count, a limit study none), derive the rest, and
-are read-only records built on ``tuple``; none uses ``dataclasses``.
+result its well and its point and level counts, a limit study none), derive
+the rest and are read-only ``tuple`` records; none uses ``dataclasses``.
 """
 
 from .dalgarno_lewis import breakdown

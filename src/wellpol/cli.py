@@ -246,9 +246,7 @@ def cmd_oracle(args) -> int:
 
     if (args.R is None) == (not args.hard_wall):
         raise DomainError("oracle needs exactly one of --R or --hard-wall")
-    # An R of None selects the hard wall.
-    config = grid_oracle.GridOracleConfig(well_R=args.R, num_points=args.num_points)
-    result = grid_oracle.oracle_study(config)
+    result = grid_oracle.OracleResult(args.R, args.num_points)
     # alpha_curvature holds the spectral solve, route_gap its gap to Romberg's grid value.
     checks = [_check("richardson_vs_spectral_rel", result.route_gap, 0.0,
                      grid_oracle._ROUTE_AGREEMENT)]
@@ -263,9 +261,8 @@ def cmd_oracle(args) -> int:
     else:
         # Gated on the exact polarizability; the paper's heuristic alpha'
         # and the oracle's deviation from it are reported, not gated.
-        state = config.ground
-        exact = dalgarno_lewis.alpha_exact_prime(state)
-        heuristic = dalgarno_lewis.breakdown(state).alpha_prime
+        exact = dalgarno_lewis.alpha_exact_prime(result.ground)
+        heuristic = dalgarno_lewis.breakdown(result.ground).alpha_prime
         rows[0].update(
             alpha_exact_prime=exact,
             heuristic_alpha_prime=heuristic,

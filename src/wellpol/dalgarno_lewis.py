@@ -85,11 +85,14 @@ _HARD_WALL_ALPHA_COEFF = 0.0702247
 def default_c_prime(gamma0: float) -> float:
     """Homogeneous-correction coefficient C' = -(pi/2)^2 / gamma0^2.
 
-    gamma0 must lie in [GAMMA_MIN, pi/2), the range of every ``GroundState``.
+    gamma0 must be a real number, not True, in [GAMMA_MIN, pi/2): a state's range.
     """
-    if not GAMMA_MIN <= gamma0 < 0.5 * math.pi:
-        raise DomainError(f"gamma0 must lie in [GAMMA_MIN, pi/2), got {_shown(gamma0)}")
-    return -_QUARTER_PI_SQ / gamma0**2
+    try:
+        if GAMMA_MIN <= gamma0 < 0.5 * math.pi and gamma0 is not True:
+            return -_QUARTER_PI_SQ / gamma0**2
+    except TypeError:  # text or None, which no number compares with
+        pass
+    raise DomainError(f"gamma0 must be a real number in [GAMMA_MIN, pi/2), got {_shown(gamma0)}")
 
 
 def phi_reduced(state: GroundState) -> GroundState:

@@ -34,12 +34,10 @@ E_0', on the pencil H - E_0' M assembled from gamma0^2 and beta0^2.
 The grid's well edges +-1 fall on nodes (edge nodes take half the well
 depth), which keeps the eigenvalue error a clean O(h^2) and makes Romberg's
 table across grid doublings (``limits.extrapolate``, ratio 1/4)
-meaningful.  ``oracle_study``, the one entry point, is the result type
-``OracleResult``: one grid, ground state and solve per level, and one
-spectral solve, whose agreement with Romberg's value is the study's one
-verdict on it.  A ``well_R`` of None selects the hard-wall box of
-half-width 1, whose responses check out against the analytic transition
-sum.
+meaningful.  ``OracleResult`` is the one entry point and the one record:
+one grid, ground state and solve per level, and one spectral solve, whose
+agreement with Romberg's value is the study's one verdict on it.  The
+hard-wall box's responses check out against the analytic transition sum.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from .errors import DomainError, NumericalError
 from .limits import extrapolate
 from .well_spectrum import GroundState, _Record, _require_int, ground_state_from_R
 
-__all__ = ["GridOracleConfig", "OracleResult", "oracle_study"]
+__all__ = ["OracleResult"]
 
 # Relative agreement required between Romberg's grid value and the spectral
 # solve before a combined result is considered sane.
@@ -133,68 +131,15 @@ def _lapack_routines():
 dpotrf, dpotrs, dptsv = _lapack_routines()
 
 
-class GridOracleConfig(_Record):
-    """Discretization and study parameters for one oracle run.
-
-    ``well_R`` is the dimensionless well strength; None selects the
-    hard-wall box of half-width 1.  ``box_half_width`` is derived on
-    construction from the one bound-state solve, which also checks
-    ``well_R``: it is 1 for the hard wall and ceil(1 + 40/beta0) for a well,
-    where psi0 has fallen to e^-40 of its edge value.  That solve is kept as
-    ``ground`` (None for the hard wall); its gamma0 starts the root of each
-    grid's own phases, and its beta0 scales the spectral solve's Laguerre
-    functions.  ``num_points`` is a request of at most ``_MAX_GRID_NODES``,
-    which the base grid alone would otherwise exceed: the actual grid is
-    snapped up to the nearest size whose nodes hit the well edges.  A well
-    whose base grid has h * beta0 above ``_MAX_H_BETA0`` is refused, naming
-    the smallest ``num_points`` that resolves its tail.
-    """
-
-    __slots__ = ()
-    _fields = ("well_R", "num_points", "box_half_width", "ground")
-
-    def __new__(cls, well_R: Optional[float], num_points: int = 2000) -> "GridOracleConfig":
-        _require_int("num_points", num_points, 500, _MAX_GRID_NODES)
-        if well_R is None:
-            return tuple.__new__(cls, (None, num_points, 1, None))
-        ground = ground_state_from_R(well_R)
-        beta0 = ground.beta0
-        self = tuple.__new__(cls, (well_R, num_points, math.ceil(1.0 + 40.0 / beta0), ground))
-        m, m_min = _multiplier(self), math.ceil(beta0 / _MAX_H_BETA0)
-        if m < m_min:
-            nodes = 2 * self.box_half_width * m_min - 1
-            over = (f", but its {nodes} nodes exceed the budget of {_MAX_GRID_NODES}: no grid "
-                    f"within the budget resolves this well" if nodes > _MAX_GRID_NODES else "")
-            # repr, so a value just over the bound never prints as the bound.
-            raise DomainError(
-                f"h*beta0 = {beta0 / m!r} on the base grid exceeds {_MAX_H_BETA0:g}: the "
-                f"grid is too coarse for the bound-state tail; num_points >= "
-                f"{2 * self.box_half_width * (m_min - 1)} meets the bound{over}"
-            )
-        return self
-
-    @classmethod
-    def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
-        """``cls(well_R=None, num_points)``, for the benchmark's callers: ``num_states`` is
-        checked and unused, and ROADMAP item 4 removes both."""
-        _require_int("num_states", num_states, 50)
-        return cls(well_R=None, num_points=num_points)
-
-
-def _multiplier(config: GridOracleConfig) -> int:
-    """Nodes per unit length of the base grid: the fewest that give ``num_points``, exactly."""
-    return -(-(config.num_points + 1) // (2 * config.box_half_width))
-
-
-def _grid(config: GridOracleConfig, m: int):
+def _grid(box_half_width: int, well_R: Optional[float], m: int):
     """Abscissae, well-bottom potential, diagonal and off-diagonal on the nodes x' >= 0.
 
     These are x' = k/m, k = 0 ... L m - 1, of the 2 L m - 1 nodes of [-L, L].
     v = V' + R^2 is exact: 0 inside, R^2 outside, R^2/2 on the edge node.
     R^2 < 4 m^2 on every admitted grid (h beta0 <= 0.4), so |T|_2 <= 4 m^2.
     """
-    x = np.arange(config.box_half_width * m, dtype=float) / m
-    r_sq = (config.well_R or 0.0) ** 2
+    x = np.arange(box_half_width * m, dtype=float) / m
+    r_sq = float(well_R or 0.0) ** 2  # a float for an int R too, so v holds R^2/2
     v = np.full(x.size, r_sq)
     v[:m] = 0.0
     v[m:m + 1] = 0.5 * r_sq  # the hard wall's box ends at its edges: no edge node
@@ -262,7 +207,7 @@ def _grid_phases(ground: GroundState, m: int) -> tuple[float, float]:
     )
 
 
-def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> tuple[float, np.ndarray]:
+def _grid_ground(ground: Optional[GroundState], x: np.ndarray, m: int) -> tuple[float, np.ndarray]:
     """The grid's own even ground state at the nodes ``x`` (x' >= 0): its energy, and the state.
 
     The continuum ground state with the grid's phases (u, nu) from
@@ -272,10 +217,10 @@ def _grid_ground(config: GridOracleConfig, x: np.ndarray, m: int) -> tuple[float
     rounding but for the tail cut at ~e^-40 of its edge value.  Its energy
     above the well bottom, 4 m^2 sin^2(u/2m), is exactly the eigenvalue of
     cos(k u/m) on the rows inside the well, so no quotient of the vector is
-    formed.  The hard wall is the same formula with u = pi/2 and no node
-    beyond the edge: cos(pi x'/2) vanishes at its wall.
+    formed.  The hard wall, ``ground`` None, is the same formula with
+    u = pi/2 and no node beyond the edge: cos(pi x'/2) vanishes at its wall.
     """
-    u, nu = (0.5 * math.pi, 0.0) if config.ground is None else _grid_phases(config.ground, m)
+    u, nu = (0.5 * math.pi, 0.0) if ground is None else _grid_phases(ground, m)
     edge = m + 1  # the nodes 0 ... m, of which the hard wall lacks m
     start = np.empty(x.size)
     np.cos(u * x[:edge], out=start[:edge])
@@ -339,7 +284,7 @@ def _dalgarno_lewis(x, diag, off, e0: float, psi0: np.ndarray):
     Hamiltonian.  The second value takes no argument and returns the
     solve's backward error |(T - E_0') phi - b| / ((4 m^2 + |E_0'|) |phi|)
     in infinity norms, 4 m^2 + |E_0'| bounding |T - E_0'| on the grid;
-    ``oracle_study`` reports the base grid's.  phi is odd, so phi(0) = 0
+    ``OracleResult`` reports the base grid's.  phi is odd, so phi(0) = 0
     and the nodes x' > 0 carry the whole problem.
     That block holds only odd states, all above E_0', so H - E_0' is
     positive definite there and LAPACK's L D L^T solve ``dptsv`` applies.
@@ -412,7 +357,7 @@ def _spectral_tables(hard_wall: bool):
     return blocks, dipole
 
 
-def _spectral(config: GridOracleConfig) -> tuple[float, float]:
+def _spectral(ground: Optional[GroundState]) -> tuple[float, float]:
     """alpha' and E_0' of the Legendre x Laguerre Galerkin solve.
 
     Each parity's pencil, in the ground state's frame, comes of
@@ -429,7 +374,6 @@ def _spectral(config: GridOracleConfig) -> tuple[float, float]:
     b the dipole image of the unit ground state: that block holds only states
     above E_0' + epsilon.  NumericalError: a factorisation fails.
     """
-    ground = config.ground
     blocks, dipole = _spectral_tables(ground is None)
     gamma0, beta0, e0 = ((0.5 * math.pi, 0.0, 0.25 * math.pi**2) if ground is None
                          else (ground.gamma0, ground.beta0, -ground.beta0**2))
@@ -458,59 +402,78 @@ def _spectral(config: GridOracleConfig) -> tuple[float, float]:
 class OracleResult(_Record):
     """The grid's Dalgarno-Lewis solve over ``levels`` doublings, checked by the spectral solve.
 
-    ``oracle_study`` is this type.  It takes only the study's inputs and
-    derives the rest, so a copy or a pickle re-runs the study: seconds for a
-    grid near ``_MAX_GRID_NODES``.  Each grid gives one ground state, whose
-    energy E_0' = 4 m^2 sin^2(u/2m) - R^2 comes of the grid's phase u
-    (``_grid_ground``) and is the one its certificate vouches for, and one
-    Dalgarno-Lewis solve at that energy.  On the base grid, ``alpha_sum`` is
-    that solve, whose residual is the one reported (``sum_solve_residual``),
-    and ``ground_energy_dimless`` its E_0'.  ``richardson_alpha``
-    extrapolates the solves of all levels by Romberg's table, assuming the
-    even-power error expansion of the three-point stencil.  The observed
-    order of the last three levels is reported, not judged: with the box
-    sized to the tail, even gamma0 = 0.49 pi is near order 2 from 1100 points
-    (successive-difference ratios 3.98 and 3.99 against the asymptotic 4), and
-    two doublings leave the extrapolated value within 2e-10 (relative) of
-    ``alpha_exact_prime`` on every Table-1 row.  ``alpha_curvature``, named for
-    the Stark-curvature route it replaced, is the spectral solve, which has no
-    grid, so ``route_gap`` = |richardson_alpha - alpha_curvature| /
-    alpha_curvature reads the grid's discretisation error; it must be at most
-    ``_ROUTE_AGREEMENT``, the study's one verdict on Romberg's value, and both
-    alphas must be positive.
-    The multipliers and node counts of every level are exact integers worked
-    out first, and a finest level of more than ``_MAX_GRID_NODES`` nodes, for
-    any ``levels``, raises DomainError before any grid.
+    The oracle's one record: it takes only the study's inputs and derives
+    the rest, so a copy or a pickle re-runs the study, seconds for a grid
+    near ``_MAX_GRID_NODES``.  ``well_R`` None is the hard-wall box of
+    half-width 1.  A well's one bound-state solve is ``ground``: its gamma0
+    starts the root of each grid's own phases, and its beta0 scales the
+    spectral solve's Laguerre functions and sets ``box_half_width`` =
+    ceil(1 + 40/beta0), where psi0 has fallen to e^-40 of its edge value.
+    The base grid is ``num_points`` snapped up to the nearest size whose
+    nodes hit the well edges, and each level doubles it.  Every size is an
+    exact integer, and every refusal a DomainError made before any grid, in
+    this order: ``num_points`` (at most ``_MAX_GRID_NODES``), ``levels`` (at
+    most its bit length), ``well_R``, h * beta0 above ``_MAX_H_BETA0`` on the
+    base grid (naming the smallest ``num_points`` that resolves the tail),
+    and a finest level of more than ``_MAX_GRID_NODES`` nodes.
+
+    Each grid gives one ground state, whose energy E_0' = 4 m^2 sin^2(u/2m)
+    - R^2 comes of the grid's phase u (``_grid_ground``) and is the one its
+    certificate vouches for, and one Dalgarno-Lewis solve at that energy.  On
+    the base grid, ``alpha_sum`` is that solve, whose residual is the one
+    reported (``sum_solve_residual``), and ``ground_energy_dimless`` its
+    E_0'.  ``richardson_alpha`` extrapolates the solves of all levels by
+    Romberg's table, assuming the even-power error expansion of the
+    three-point stencil.  The observed order of the last three levels is
+    reported, not judged: with the box sized to the tail, even gamma0 =
+    0.49 pi is near order 2 from 1100 points (successive-difference ratios
+    3.98 and 3.99 against the asymptotic 4), and two doublings leave the
+    extrapolated value within 2e-10 (relative) of ``alpha_exact_prime`` on
+    every Table-1 row.  ``alpha_curvature``, named for the Stark-curvature
+    route it replaced, is the spectral solve, which has no grid, so
+    ``route_gap`` = |richardson_alpha - alpha_curvature| / alpha_curvature
+    reads the grid's discretisation error; it must be at most
+    ``_ROUTE_AGREEMENT``, the study's one verdict on Romberg's value, and
+    both alphas must be positive.
     """
 
     __slots__ = ()
-    _fields = ("config", "levels", "alpha_sum", "alpha_curvature", "ground_energy_dimless",
-               "richardson_alpha", "diagnostics", "route_gap")
+    _fields = ("well_R", "num_points", "levels", "box_half_width", "ground", "alpha_sum",
+               "alpha_curvature", "ground_energy_dimless", "richardson_alpha", "diagnostics",
+               "route_gap")
 
-    def __new__(cls, config: GridOracleConfig, levels: int = 2) -> "OracleResult":
-        _require_int("levels", levels, 2)
-        L = config.box_half_width
-        # The base grid has at least num_points nodes and each level doubles
-        # them: past these caps the finest has over 4x the budget, not formed.
-        small = levels <= _MAX_GRID_NODES.bit_length()
-        ms = tuple(_multiplier(config) << level for level in range(levels + 1)) if small else ()
+    def __new__(cls, well_R: Optional[float], num_points: int = 2000,
+                levels: int = 2) -> "OracleResult":
+        _require_int("num_points", num_points, 500, _MAX_GRID_NODES)
+        _require_int("levels", levels, 2, _MAX_GRID_NODES.bit_length())
+        ground = None if well_R is None else ground_state_from_R(well_R)
+        L = 1 if ground is None else math.ceil(1.0 + 40.0 / ground.beta0)
+        m = -(-(num_points + 1) // (2 * L))  # fewest nodes per unit length for num_points
+        if ground is not None and m < (m_min := math.ceil(ground.beta0 / _MAX_H_BETA0)):
+            nodes = 2 * L * m_min - 1
+            over = (f", but its {nodes} nodes exceed the budget of {_MAX_GRID_NODES}: no grid "
+                    f"within the budget resolves this well" if nodes > _MAX_GRID_NODES else "")
+            # repr, so a value just over the bound never prints as the bound.
+            raise DomainError(f"h*beta0 = {ground.beta0 / m!r} on the base grid exceeds "
+                              f"{_MAX_H_BETA0:g}: the grid is too coarse for the bound-state "
+                              f"tail; num_points >= {2 * L * (m_min - 1)} meets the bound{over}")
+        ms = tuple(m << level for level in range(levels + 1))
         sizes = tuple(2 * L * m - 1 for m in ms)
-        if not small or sizes[-1] > _MAX_GRID_NODES:
-            nodes = sizes[-1] if small else f"over {4 * _MAX_GRID_NODES}"
-            raise DomainError(f"the finest grid would have {nodes} nodes on a box of half-width "
-                              f"{L}, more than the budget of {_MAX_GRID_NODES}")
+        if sizes[-1] > _MAX_GRID_NODES:
+            raise DomainError(f"the finest grid would have {sizes[-1]} nodes on a box of "
+                              f"half-width {L}, more than the budget of {_MAX_GRID_NODES}")
         alphas, e0s = [], []
         for m in ms:
-            x, _, diag, off = _grid(config, m)
-            bottom, start = _grid_ground(config, x, m)
-            e0 = bottom - (config.well_R or 0.0) ** 2
+            x, _, diag, off = _grid(L, well_R, m)
+            bottom, start = _grid_ground(ground, x, m)
+            e0 = bottom - (well_R or 0.0) ** 2
             psi0 = _even_ground(diag, off, e0, start)
             alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
             if m == ms[0]:
                 residual = solve_residual()
             alphas.append(alpha)
             e0s.append(e0)
-        alpha_curvature, spectral_e0 = _spectral(config)
+        alpha_curvature, spectral_e0 = _spectral(ground)
         d_prev, d_last = alphas[-2] - alphas[-3], alphas[-1] - alphas[-2]
         observed = math.log2(abs(d_prev / d_last)) if d_last != 0.0 and d_prev != 0.0 else math.nan
         diagnostics = {
@@ -533,8 +496,26 @@ class OracleResult(_Record):
         if gap > _ROUTE_AGREEMENT:
             raise NumericalError(f"oracle routes disagree by {gap:.2e}: Romberg's grid value "
                                  f"against the spectral solve")
-        return tuple.__new__(cls, (config, levels, alpha_sum, alpha_curvature, e0s[0],
-                                   richardson, diagnostics, gap))
+        return tuple.__new__(cls, (well_R, num_points, levels, L, ground, alpha_sum,
+                                   alpha_curvature, e0s[0], richardson, diagnostics, gap))
 
 
-oracle_study = OracleResult
+class GridOracleConfig(_Record):
+    """The benchmark's ``oracle_study`` argument, not public; it goes with ROADMAP item 4."""
+
+    __slots__ = ()
+    _fields = ("well_R", "num_points")
+
+    def __new__(cls, well_R: Optional[float], num_points: int = 2000) -> "GridOracleConfig":
+        return tuple.__new__(cls, (well_R, num_points))
+
+    @classmethod
+    def hard_wall(cls, num_points: int = 2000, num_states: int = 200) -> "GridOracleConfig":
+        """``cls(None, num_points)``: ``num_states`` is checked and unused."""
+        _require_int("num_states", num_states, 50)
+        return cls(None, num_points)
+
+
+def oracle_study(config: GridOracleConfig, levels: int = 2) -> OracleResult:
+    """``OracleResult(*config, levels)``, the benchmark's call; it goes with ROADMAP item 4."""
+    return OracleResult(*config, levels)

@@ -101,7 +101,7 @@ def extrapolate(values: Sequence[float], ratio: float) -> float:
     to b + (b - a) r / (1 - r).  DomainError unless ``values`` is non-empty,
     each a finite real number, and 0 < ratio < 1; NumericalError if a step overflows.
     """
-    if len(values) == 0 or not 0.0 < ratio < 1.0:
+    if len(values) == 0 or isinstance(ratio, (str, bytes, bytearray)) or not 0.0 < ratio < 1.0:
         raise DomainError(f"extrapolate needs values and 0 < ratio < 1, got "
                           f"{len(values)} values at ratio {_shown(ratio)}")
     column, r = [_require_real(f"values[{i}]", v, True) for i, v in enumerate(values)], ratio

@@ -77,9 +77,9 @@ def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> 
 
 
 def _require_real(name: str, value, finite: bool = False) -> float:
-    """``value`` as a float; DomainError: a bool, no float holds it, or nan/inf if ``finite``."""
-    # bool is an int subclass, but True is not the number 1.
-    if isinstance(value, bool):
+    """``value`` as a float; DomainError: bool, text, past the floats, or nan/inf if ``finite``."""
+    # bool is an int subclass, but True is not the number 1; float() would parse text.
+    if isinstance(value, (bool, str, bytes, bytearray)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         real = float(value)
@@ -178,15 +178,16 @@ class GroundState(_Record):
     def __new__(cls, gamma0: float, beta0: float, R: float) -> "GroundState":
         if bool in (type(gamma0), type(beta0), type(R)):
             raise DomainError("GroundState takes real numbers, got a bool")
-        if not (0.0 < gamma0 < 0.5 * math.pi):
-            raise DomainError(f"gamma0 must lie in (0, pi/2), got {_shown(gamma0)}")
-        if gamma0 < GAMMA_MIN:
-            raise DomainError(
-                f"gamma0 must be >= {GAMMA_MIN!r}, got {gamma0!r}; "
-                "the closed-form polarizability overflows below it"
-            )
-        if not (beta0 > 0.0 and R > 0.0):
-            raise DomainError("beta0 and R must both be positive")
+        try:
+            if not (0.0 < gamma0 < 0.5 * math.pi):
+                raise DomainError(f"gamma0 must lie in (0, pi/2), got {_shown(gamma0)}")
+            if gamma0 < GAMMA_MIN:
+                raise DomainError(f"gamma0 must be >= {GAMMA_MIN!r}, got {gamma0!r}; the "
+                                  "closed-form polarizability overflows below it")
+            if not (beta0 > 0.0 and R > 0.0):
+                raise DomainError("beta0 and R must both be positive")
+        except TypeError:  # text or None, which no number compares with
+            raise DomainError("GroundState takes real numbers, got a non-number") from None
         # The residuals below square both: an infinite one would meet its infinite
         # bound, and a square or an int past the float range raises OverflowError.
         for name, value in (("beta0", beta0), ("R", R)):
@@ -243,7 +244,11 @@ def _solve_gamma(R: float) -> float:
 def ground_state_from_R(R: float) -> GroundState:
     """Solve the quantisation conditions for a given well strength R."""
     # Comparisons, not math.isfinite: they refuse an int that no float holds.
-    if not 0.0 < R <= sys.float_info.max:
+    try:
+        in_range = 0.0 < R <= sys.float_info.max
+    except TypeError:  # text or None, which no number compares with
+        in_range = False
+    if not in_range:
         raise DomainError(f"R must be finite and positive, got {_shown(R)}")
     if R < GAMMA_MIN:
         raise DomainError(
@@ -256,11 +261,13 @@ def ground_state_from_R(R: float) -> GroundState:
 
 def ground_state_from_gamma(gamma0: float) -> GroundState:
     """Build the ground state directly from the inside phase gamma0."""
-    if not 0.0 < gamma0 <= GAMMA_MAX:
-        raise DomainError(
-            f"gamma0 must lie in (0, pi/2 - 1e-9], got {_shown(gamma0)}; "
-            "use the limits module to approach the infinite-well edge"
-        )
+    try:
+        in_range = 0.0 < gamma0 <= GAMMA_MAX
+    except TypeError:  # text or None, which no number compares with
+        in_range = False
+    if not in_range:
+        raise DomainError(f"gamma0 must lie in (0, pi/2 - 1e-9], got {_shown(gamma0)}; "
+                          "use the limits module to approach the infinite-well edge")
     beta0 = gamma0 * math.tan(gamma0)
     return GroundState(gamma0, beta0, math.hypot(gamma0, beta0))
 

@@ -32,7 +32,7 @@ from wellpol.dalgarno_lewis import (
     default_c_prime,
 )
 from wellpol.dalgarno_lewis import _LAGUERRE, _RULE_POINTS, _panel_nodes, _phi_inner, _phi_outer
-from wellpol.grid_oracle import GridOracleConfig, oracle_study
+from wellpol.grid_oracle import OracleResult
 from wellpol.limits import delta_limit, infinite_well_limit
 from wellpol.well_spectrum import ground_state_from_gamma
 
@@ -257,15 +257,14 @@ def oracle_data():
     rows = {}
     for gamma_pi in TABLE1_GAMMAS:
         state = ground_state_from_gamma(gamma_pi * PI)
-        config = GridOracleConfig(well_R=state.R, num_points=1100)
-        study = oracle_study(config, levels=2)
+        study = OracleResult(state.R, num_points=1100, levels=2)
         rows[gamma_pi] = {
             "closed": breakdown(state).alpha_prime,
             "exact": alpha_exact_prime(state),
             "richardson": study.richardson_alpha,
             "spectral": study.alpha_curvature,
         }
-    hard_study = oracle_study(GridOracleConfig.hard_wall(num_points=999), levels=2)
+    hard_study = OracleResult(None, num_points=999, levels=2)
     elapsed = time.perf_counter() - start
     return {
         "rows": rows,

@@ -5,9 +5,9 @@ import os
 import re
 import subprocess
 import sys
-import types
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -28,9 +28,42 @@ R_REF = 3.617018  # gamma0 = 0.39 pi row
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def base_grid(config):
-    """Abscissae, potential, diagonal and off-diagonal of the base grid's nodes x' >= 0."""
-    return grid_oracle._grid(config, grid_oracle._multiplier(config))
+class GridBuilt(Exception):
+    """Raised by ``stop_at_grid``: the study passed every refusal and went to build a grid."""
+
+
+def stop_at_grid(box_half_width, well_R, m):
+    """A stand-in ``_grid`` that builds nothing and hands over the base grid's sizes."""
+    raise GridBuilt(box_half_width, m)
+
+
+def no_grid(*args):
+    raise AssertionError("a grid was built")
+
+
+class Plan(NamedTuple):
+    """What ``OracleResult(well_R, num_points)`` derives before its first grid."""
+
+    well_R: object
+    box_half_width: int
+    ground: object
+    m: int  # the base grid's nodes per unit length
+
+
+def planned(well_R, num_points=2000):
+    """The ``Plan`` of a study, read off its first ``_grid`` call, which is stopped."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_oracle, "_grid", stop_at_grid)
+        with pytest.raises(GridBuilt) as info:
+            OracleResult(well_R, num_points)
+    ground = None if well_R is None else ground_state_from_R(well_R)
+    box_half_width, m = info.value.args
+    return Plan(well_R, box_half_width, ground, m)
+
+
+def level_grid(plan, level=0):
+    """Abscissae, potential, diagonal and off-diagonal of a level's nodes x' >= 0."""
+    return grid_oracle._grid(plan.box_half_width, plan.well_R, plan.m * 2**level)
 
 
 def mirror(half, sign=1.0):
@@ -38,9 +71,9 @@ def mirror(half, sign=1.0):
     return np.concatenate((sign * half[:0:-1], half))
 
 
-def full_grid(config, level=0):
+def full_grid(plan, level=0):
     """Abscissae, well-bottom potential, diagonal and off-diagonal of the whole box [-L, L]."""
-    x, v, diag, off = grid_oracle._grid(config, grid_oracle._multiplier(config) * 2**level)
+    x, v, diag, off = level_grid(plan, level)
     return mirror(x, -1.0), mirror(v), mirror(diag), np.concatenate((off, off))
 
 
@@ -66,23 +99,21 @@ def lowest_pairs(diag, off, count):
     return energies, states
 
 
-def grid_start(config, level=0):
+def grid_start(plan, level=0):
     """A grid of the study on its nodes x' >= 0 and the grid's own ground state there."""
-    m = grid_oracle._multiplier(config) * 2**level
-    x, v, diag, off = grid_oracle._grid(config, m)
-    return (x, v, diag, off), grid_oracle._grid_ground(config, x, m)[1]
+    x, v, diag, off = level_grid(plan, level)
+    return (x, v, diag, off), grid_oracle._grid_ground(plan.ground, x, plan.m * 2**level)[1]
 
 
-def even_ground(config, level=0):
+def even_ground(plan, level=0):
     """The grid of ``grid_start``, its ground energy above the well bottom and unit ground state.
 
     Taken as the study takes them: the energy of the grid's phases, and the
     state that ``_even_ground`` certifies at that energy less R^2.
     """
-    m = grid_oracle._multiplier(config) * 2**level
-    x, v, diag, off = grid_oracle._grid(config, m)
-    bottom, start = grid_oracle._grid_ground(config, x, m)
-    psi0 = grid_oracle._even_ground(diag, off, bottom - (config.well_R or 0.0) ** 2, start)
+    x, v, diag, off = level_grid(plan, level)
+    bottom, start = grid_oracle._grid_ground(plan.ground, x, plan.m * 2**level)
+    psi0 = grid_oracle._even_ground(diag, off, bottom - (plan.well_R or 0.0) ** 2, start)
     return (x, v, diag, off), bottom, psi0
 
 
@@ -102,25 +133,34 @@ def whole_quotient(off, onsite, vec):
 WELL_RANGE = [ground_state_from_gamma((0.05 + 0.02 * k) * math.pi) for k in range(23)]
 
 
-def deep_config(well_R):
-    """The coarsest grid whose h * beta0 meets the bound: 4 (m - 1) points on the box of 2."""
+def study_points(well_R):
+    """2000 points, but from R = 1e3 up the coarsest grid whose h * beta0 meets the bound.
+
+    That is 4 (m - 1) points on the box of 2.
+    """
+    if well_R is None or well_R < 1e3:
+        return 2000
     m = math.ceil(ground_state_from_R(well_R).beta0 / grid_oracle._MAX_H_BETA0)
-    return GridOracleConfig(well_R=well_R, num_points=4 * (m - 1))
+    return 4 * (m - 1)
 
 
 class TestConfig:
+    """What a study derives from its well and point count, and what it refuses."""
+
     def test_defaults_resolve_box(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=800)
-        assert config.box_half_width == 13
+        result = OracleResult(R_REF, num_points=800)
+        assert result.box_half_width == result.diagnostics["grid_box_half_width"] == 13
+        assert result.ground == ground_state_from_R(R_REF)
         # ceil(1 + 40/beta0) with no floor: beta0 = 49 needs only 2
-        assert GridOracleConfig(well_R=49.008061).box_half_width == 2
+        assert planned(49.008061).box_half_width == 2
 
     def test_hard_wall_forces_unit_box(self):
-        config = GridOracleConfig.hard_wall(num_points=600)
-        assert config.box_half_width == 1
+        result = OracleResult(None, num_points=600)
+        assert result.box_half_width == 1
+        assert result.ground is None
 
     def test_study_solves_bound_state_once(self, monkeypatch):
-        # The config resolves its box from one bound-state solve; the grids
+        # The study resolves its box from one bound-state solve; the grids
         # of every route and refinement level reuse it.
         calls = []
         solve = grid_oracle.ground_state_from_R
@@ -130,7 +170,7 @@ class TestConfig:
             return solve(R)
 
         monkeypatch.setattr(grid_oracle, "ground_state_from_R", counting)
-        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        OracleResult(R_REF, num_points=600, levels=2)
         assert calls == [R_REF]
 
     def test_study_makes_one_eigensolve_per_level(self, monkeypatch):
@@ -145,7 +185,7 @@ class TestConfig:
             return lowest(*args, **kwargs)
 
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
-        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        OracleResult(R_REF, num_points=600, levels=2)
         assert not hasattr(grid_oracle, "eigh_tridiagonal")
         assert not hasattr(grid_oracle, "dgtsv")
         assert not hasattr(grid_oracle, "dpttrf")
@@ -180,11 +220,7 @@ class TestConfig:
 
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", counting_solve)
-        if well_R is None:
-            config = GridOracleConfig.hard_wall()
-        else:
-            config = deep_config(well_R) if well_R >= 1e3 else GridOracleConfig(well_R=well_R)
-        result = oracle_study(config, levels=2)
+        result = OracleResult(well_R, study_points(well_R), levels=2)
         blocks = [n // 2 + 1 for n in result.diagnostics["refine_grid_sizes"]]
         assert sizes == blocks
         assert calls == [[0]] * 3
@@ -195,9 +231,9 @@ class TestConfig:
         build = grid_oracle._grid
         lowest = grid_oracle._lowest_vector
 
-        def counting_grid(*args, **kwargs):
-            grids.append(args[1:] + tuple(kwargs.values()))
-            return build(*args, **kwargs)
+        def counting_grid(*args):
+            grids.append(args)
+            return build(*args)
 
         def counting_lowest(*args, **kwargs):
             ground_states.append(args)
@@ -205,7 +241,7 @@ class TestConfig:
 
         monkeypatch.setattr(grid_oracle, "_grid", counting_grid)
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
-        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        OracleResult(R_REF, num_points=600, levels=2)
         assert len(grids) == 3
         assert len(set(grids)) == 3
         assert len(ground_states) == 3
@@ -237,14 +273,14 @@ class TestConfig:
         for name in outside:
             monkeypatch.setattr(grid_oracle, name, counting(name))
         monkeypatch.setattr(grid_oracle, "_lowest_vector", counting_lowest)
-        oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        OracleResult(R_REF, num_points=600, levels=2)
         assert outside == {"_tridiag_matvec": 1, "dptsv": 3}
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"well_R": R_REF, "num_points": 100},
-            {"num_states": 10},
+            {"levels": 1},
             {"well_R": -1.0},
             {"well_R": 100.0},  # h * beta0 = 0.497 on the base grid
             {"well_R": 300.0},  # 1.5
@@ -252,7 +288,7 @@ class TestConfig:
             {"well_R": 1e7},
             {"well_R": R_REF, "num_points": math.nan},
             {"well_R": R_REF, "num_points": math.inf},
-            {"num_states": math.nan},
+            {"levels": math.nan},
             {"num_points": 2**22 + 1},  # the base grid alone past the node budget
             {"well_R": 0.0},
             {"well_R": math.nan},
@@ -260,15 +296,17 @@ class TestConfig:
             {"well_R": 10**400},  # no float holds it: math.isfinite raised OverflowError
         ],
     )
-    def test_rejects_invalid(self, kwargs):
-        # Cases without a well_R go to the hard wall, which still checks the
-        # num_states it no longer uses.
-        make = GridOracleConfig if "well_R" in kwargs else GridOracleConfig.hard_wall
+    def test_rejects_invalid(self, monkeypatch, kwargs):
+        # Cases without a well_R study the hard wall.
+        monkeypatch.setattr(grid_oracle, "_grid", no_grid)
         with pytest.raises(DomainError):
-            make(**{"num_points": 800, **kwargs})
+            OracleResult(**{"well_R": None, "num_points": 800, **kwargs})
 
     def test_hard_wall_ignores_num_states(self):
+        # The benchmark's shim checks the count it does not use.
         assert GridOracleConfig.hard_wall(num_states=50) == GridOracleConfig.hard_wall()
+        with pytest.raises(DomainError, match="num_states must be an integer >= 50, got 10"):
+            GridOracleConfig.hard_wall(num_states=10)
 
     @pytest.mark.parametrize(
         "well_R, h_beta0, needed, over",
@@ -284,31 +322,32 @@ class TestConfig:
             ),
         ],
     )
-    def test_refuses_grid_too_coarse_for_tail(self, well_R, h_beta0, needed, over):
+    def test_refuses_grid_too_coarse_for_tail(self, monkeypatch, well_R, h_beta0, needed, over):
         # At the default 2000 points the box is 2 and h = 1/501; the message
         # names h * beta0 and the smallest num_points that meets the bound,
         # and says when that base grid alone is past the node budget.
-        with pytest.raises(DomainError) as info:
-            GridOracleConfig(well_R=well_R)
+        with monkeypatch.context() as patch, pytest.raises(DomainError) as info:
+            patch.setattr(grid_oracle, "_grid", no_grid)
+            OracleResult(well_R)
         assert str(info.value) == (
             f"h*beta0 = {h_beta0} on the base grid exceeds 0.4: the grid is too "
             f"coarse for the bound-state tail; num_points >= {needed} meets the bound{over}"
         )
         if needed > grid_oracle._MAX_GRID_NODES:
             with pytest.raises(DomainError, match="^num_points must be <= 4194304, got "):
-                GridOracleConfig(well_R=well_R, num_points=needed)
+                OracleResult(well_R, num_points=needed)
             return
-        config = GridOracleConfig(well_R=well_R, num_points=needed)
-        assert config.ground.beta0 / grid_oracle._multiplier(config) <= 0.4
+        plan = planned(well_R, needed)
+        assert plan.ground.beta0 / plan.m <= 0.4
         with pytest.raises(DomainError, match="h\\*beta0"):
-            GridOracleConfig(well_R=well_R, num_points=needed - 1)
+            planned(well_R, needed - 1)
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_refuses_unprintable_point_counts(self, sign):
         # Past Python's 4,300-digit limit on int-to-str, printing the count
         # raised ValueError; it is named by its sign and bit length instead.
         with pytest.raises(DomainError) as info:
-            GridOracleConfig(None, num_points=sign * 10**5000)
+            OracleResult(None, num_points=sign * 10**5000)
         bits = (10**5000).bit_length()
         sign_word = "positive" if sign > 0 else "negative"
         assert str(info.value).endswith(f"got a {sign_word} int of {bits} bits")
@@ -318,7 +357,7 @@ class TestConfig:
         # One size below the deep well's bound, h*beta0 = 0.40016 once
         # printed to three digits as "0.4 ... exceeds 0.4".
         with pytest.raises(DomainError) as info:
-            GridOracleConfig(well_R=1e3, num_points=9992)
+            OracleResult(1e3, num_points=9992)
         printed = str(info.value).split("h*beta0 = ")[1].split(" ")[0]
         assert float(printed) > 0.4
 
@@ -326,15 +365,13 @@ class TestConfig:
 class TestSpectrum:
     def test_ground_energy_matches_bound_state(self):
         # Stated check: request ~4000 points on the derived half-width-13 box.
-        config = GridOracleConfig(well_R=R_REF, num_points=4000)
-        _, _, diag, off = full_grid(config)
+        _, _, diag, off = full_grid(planned(R_REF, 4000))
         energies, _ = lowest_pairs(diag, off, 1)
         beta0 = ground_state_from_R(R_REF).beta0
         assert energies[0] == pytest.approx(-beta0**2, rel=1e-3)
 
     def test_hard_wall_quadratic_ladder(self):
-        config = GridOracleConfig.hard_wall(num_points=1000)
-        _, _, diag, off = full_grid(config)
+        _, _, diag, off = full_grid(planned(None, 1000))
         energies, _ = lowest_pairs(diag, off, 7)
         base = math.pi**2 / 4.0
         for n in range(1, 8):
@@ -343,9 +380,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("well_R", [None, 0.6, R_REF, 49.008061])
     def test_even_block_ground_pair_matches_full_grid(self, well_R):
         # The half grid's pair, mirrored, is the whole box's ground pair.
-        config = GridOracleConfig(well_R=well_R)
-        (x, _, _, _), e0, psi0 = even_ground(config)
-        _, full_v, full_diag, full_off = full_grid(config)
+        plan = planned(well_R)
+        (x, _, _, _), e0, psi0 = even_ground(plan)
+        _, full_v, full_diag, full_off = full_grid(plan)
         _, vec = lowest_pairs(full_diag, full_off, 1)
         assert psi0.size == x.size == (full_diag.size + 1) // 2
         assert e0 == pytest.approx(whole_quotient(full_off, full_v, vec[:, 0]), rel=1e-15, abs=0.0)
@@ -358,17 +395,17 @@ class TestSpectrum:
         # place of (gamma0, beta0).  Evaluated branch by branch on the nodes
         # x' >= 0, it equals both branches taken on the whole grid and
         # selected by |x'| <= 1; on the hard wall it is cos(pi x'/2) bit for bit.
-        config = GridOracleConfig(well_R=well_R)
-        m = grid_oracle._multiplier(config) * 2**level
-        x = grid_oracle._grid(config, m)[0]
+        plan = planned(well_R)
+        m = plan.m * 2**level
+        x = level_grid(plan, level)[0]
         ax = np.abs(mirror(x, -1.0))
         if well_R is None:
             whole = np.cos(0.5 * math.pi * ax)
         else:
-            u, nu = grid_oracle._grid_phases(config.ground, m)
+            u, nu = grid_oracle._grid_phases(plan.ground, m)
             tail = math.cos(u) * np.exp(-nu * np.maximum(ax - 1.0, 0.0))
             whole = np.where(ax <= 1.0, np.cos(u * ax), tail)
-        _, start = grid_oracle._grid_ground(config, x, m)
+        _, start = grid_oracle._grid_ground(plan.ground, x, m)
         assert np.array_equal(start, whole[x.size - 1 :])
         assert np.array_equal(mirror(start), whole)
         assert np.all(start > 0.0)
@@ -393,11 +430,11 @@ class TestSpectrum:
             records[-1][2].append((d.copy(), b))  # the factorisation overwrites d
             return solve(d, e, b, **kwargs)
 
-        config = GridOracleConfig(well_R=well_R)
+        plan = planned(well_R)
         monkeypatch.setattr(grid_oracle, "_lowest_vector", recording_lowest)
         monkeypatch.setattr(grid_oracle, "dptsv", recording_solve)
-        even_ground(config)
-        m = grid_oracle._multiplier(config)
+        even_ground(plan)
+        m = plan.m
         assert len(records) == 1
         for block_diag, block_off, solves, vec in records:
             shifted, last = solves[-1]
@@ -415,8 +452,7 @@ class TestSpectrum:
         # Given the even block's first excited pair, the residual passes, but
         # the factorisation below its energy fails, so the pair is refused
         # instead of returned as the ground state.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        _, _, diag, off = base_grid(config)
+        _, _, diag, off = level_grid(planned(R_REF, 900))
         block_diag, block_off = even_block(diag, off)
         energies, vec = lowest_pairs(block_diag, block_off, 2)
         with pytest.raises(NumericalError, match="has a state more than"):
@@ -429,20 +465,18 @@ class TestSpectrum:
         # refuses it, naming the residual, instead of iterating towards it.
         monkeypatch.setattr(grid_oracle, "_grid_phases",
                             lambda ground, m: (ground.gamma0, ground.beta0))
-        config = GridOracleConfig(well_R=R_REF)
-        stop = 4.0 * grid_oracle._EPS * 4.0 * grid_oracle._multiplier(config) ** 2
+        stop = 4.0 * grid_oracle._EPS * 4.0 * planned(R_REF).m ** 2
         with pytest.raises(NumericalError, match="the start's residual") as info:
-            oracle_study(config, levels=2)
+            OracleResult(R_REF, levels=2)
         residual, shown_stop, n = re.fullmatch(
             r"the start's residual (\S+) exceeds the stop (\S+) \(n=(\d+)\)", str(info.value)
         ).groups()
         assert float(residual) > 1e3 * stop
         assert float(shown_stop) == pytest.approx(stop, rel=1e-2)
-        assert int(n) == config.num_points // 2 + 1
+        assert int(n) == 2000 // 2 + 1
 
     def test_parity_of_lowest_states(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        _, _, diag, off = full_grid(config)
+        _, _, diag, off = full_grid(planned(R_REF, 900))
         _, states = lowest_pairs(diag, off, 2)
         ground, first = states[:, 0], states[:, 1]
         assert np.max(np.abs(ground - ground[::-1])) <= 1e-8
@@ -461,8 +495,7 @@ class TestGridStart:
         # At m = 1 and at the three levels of the study at 2000 points (at
         # the coarsest admissible grid for R = 1e4), (m theta, m mu) is the
         # 40-digit root of the grid's own rows within a few ulp.
-        config = GridOracleConfig(well_R=state.R) if state.R < 1e3 else deep_config(state.R)
-        m0 = grid_oracle._multiplier(config)
+        m0 = planned(state.R, study_points(state.R)).m
         for m in (1, m0, 2 * m0, 4 * m0):
             u, nu = grid_oracle._grid_phases(state, m)
             u_ref, nu_ref = oracles.grid_phases(state.R, m)
@@ -474,7 +507,7 @@ class TestGridStart:
         # The three-point stencil's error is O(h^2): each doubling of m
         # cuts m theta - gamma0 and m mu - beta0 by ~4 (measured 3.995-4.009).
         state = ground_state_from_gamma(gamma_pi * math.pi)
-        m0 = grid_oracle._multiplier(GridOracleConfig(well_R=state.R))
+        m0 = planned(state.R).m
         phases = [grid_oracle._grid_phases(state, m0 * 2**j) for j in range(4)]
         for (u1, nu1), (u2, nu2) in zip(phases, phases[1:]):
             assert (u1 - state.gamma0) / (u2 - state.gamma0) == pytest.approx(4.0, abs=0.05)
@@ -491,10 +524,10 @@ class TestGridStart:
         # rows at the 40-digit phase (pi/2 on the hard wall).  On R = 0.01's
         # first two levels (4e5 and 8e5 nodes x' >= 0) the Rayleigh quotient
         # of the certified state is 12 and 20 ulp off it (measured).
-        config = GridOracleConfig(well_R=well_R)
+        plan = planned(well_R)
         for level in range(levels):
-            m = grid_oracle._multiplier(config) * 2**level
-            bottom, _ = grid_oracle._grid_ground(config, grid_oracle._grid(config, m)[0], m)
+            m = plan.m * 2**level
+            bottom, _ = grid_oracle._grid_ground(plan.ground, level_grid(plan, level)[0], m)
             with mpmath.workdps(40):
                 u = mpmath.pi / 2 if well_R is None else oracles.grid_phases(well_R, m)[0]
                 exact = 4 * m * m * mpmath.sin(u / (2 * m)) ** 2
@@ -510,18 +543,16 @@ class TestGridStart:
         # |T s - rho s| <= 4 eps 4 m^2 |s|, the stop of _lowest_vector, which
         # refuses a start that misses it.  R = 1e3 and 1e4 are on their
         # coarsest admitted grids, h beta0 up to the bound 0.4.
-        if state is None:
-            config = GridOracleConfig.hard_wall()
-        else:
-            config = deep_config(state.R) if state.R >= 1e3 else GridOracleConfig(well_R=state.R)
+        well_R = None if state is None else state.R
+        plan = planned(well_R, study_points(well_R))
         for level in range(3):
-            (_, _, diag, off), start = grid_start(config, level)
+            (_, _, diag, off), start = grid_start(plan, level)
             block_diag, block_off = even_block(diag, off)
             s = start.copy()
             s[1:] *= math.sqrt(2.0)
             ts = grid_oracle._tridiag_matvec(block_diag, block_off, s)
             rho = (s @ ts) / (s @ s)
-            m = grid_oracle._multiplier(config) * 2**level
+            m = plan.m * 2**level
             bound = 4.0 * grid_oracle._EPS * 4.0 * m * m * np.linalg.norm(s)
             assert np.linalg.norm(ts - rho * s) <= bound
 
@@ -539,16 +570,14 @@ class TestGridStart:
         # underflows to 0), so no sign convention is needed.  R = 1e3 and
         # 1e4 are on their coarsest admitted grids (9996 and 99999 points).
         if state is None:
-            config = GridOracleConfig.hard_wall()
-        elif state.R < 1e3:
-            config = GridOracleConfig(well_R=state.R)
+            plan = planned(None)
         else:
-            config = GridOracleConfig(well_R=state.R, num_points={1e3: 9996, 1e4: 99999}[state.R])
+            plan = planned(state.R, {1e3: 9996, 1e4: 99999}.get(state.R, 2000))
         for level in range(3):  # levels=2
-            m = grid_oracle._multiplier(config) * 2**level
-            assert (config.well_R or 0.0) ** 2 < 4 * m * m
-            (_, _, diag, off), _, psi0 = even_ground(config, level)
-            _, _, full_diag, full_off = full_grid(config, level)
+            m = plan.m * 2**level
+            assert (plan.well_R or 0.0) ** 2 < 4 * m * m
+            (_, _, diag, off), _, psi0 = even_ground(plan, level)
+            _, _, full_diag, full_off = full_grid(plan, level)
             bound = 4.0 * m * m
             for d, e in ((full_diag, full_off), even_block(diag, off)):
                 # Sturm counts by bisection: no eigenvalue beyond +-bound.
@@ -585,10 +614,10 @@ class TestRayleighQuotient:
         # matrix and vector allow.  The even block's energy, taken on the
         # nodes x' >= 0, is checked against the exact quotient of the whole
         # box's mirrored vector.
-        config = GridOracleConfig(well_R=well_R)
+        plan = planned(well_R)
         level = 2 if case == "finest" else 0  # levels=2
-        _, energy, psi0 = even_ground(config, level)
-        _, full_v, _, full_off = full_grid(config, level)
+        _, energy, psi0 = even_ground(plan, level)
+        _, full_v, _, full_off = full_grid(plan, level)
         vec = mirror(psi0)
         exact = exact_quotient(full_off, full_v, vec)
         assert abs(Fraction(energy) - exact) <= 4 * Fraction(math.ulp(float(exact)))
@@ -596,9 +625,9 @@ class TestRayleighQuotient:
     def test_diagonal_is_potential_below_the_bottom(self):
         # diag = 2 m^2 + (v - R^2) is bit for bit the stencil plus V', and the
         # half grid mirrors into the whole box's nodes k/m, |k| < L m.
-        config = GridOracleConfig(well_R=R_REF)
-        m, L = grid_oracle._multiplier(config), config.box_half_width
-        x, v, diag, off = full_grid(config)
+        plan = planned(R_REF)
+        m, L = plan.m, plan.box_half_width
+        x, v, diag, off = full_grid(plan)
         assert np.array_equal(x, np.arange(1 - L * m, L * m, dtype=float) / m)
         r_sq = R_REF**2
         inside = np.where(np.abs(x) < 1.0, -r_sq, 0.0)
@@ -612,10 +641,9 @@ class TestAlphaSum:
     @pytest.fixture(scope="class")
     def every_state(self):
         """The solve result and each grid state's share of the spectral sum."""
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
+        result = OracleResult(R_REF, num_points=900)
         size = result.diagnostics["grid_num_points_actual"]
-        x, _, diag, off = full_grid(config)
+        x, _, diag, off = full_grid(planned(R_REF, 900))
         energies, states = lowest_pairs(diag, off, x.size)
         assert energies.size == size
         ground = states[:, 0]
@@ -649,12 +677,9 @@ class TestAlphaSum:
         # 0.41 pi on the finest grid).  The solve's own residual is scaled
         # by the grid's bound 4 m^2 + |E0| on |T - E0|, so it is rescaled
         # here by the matrix's own row sum.
-        if well_R is None:
-            config = GridOracleConfig.hard_wall()
-        else:
-            config = deep_config(well_R) if well_R >= 1e3 else GridOracleConfig(well_R=well_R)
+        plan = planned(well_R, study_points(well_R))
         for level in range(3):  # levels=2
-            (x, _, diag, off), bottom, psi0 = even_ground(config, level)
+            (x, _, diag, off), bottom, psi0 = even_ground(plan, level)
             e0 = bottom - (well_R or 0.0) ** 2
             _, solve_residual = grid_oracle._dalgarno_lewis(x, diag, off, e0, psi0)
             d, e = diag[1:] - e0, off[1:]  # the nodes x' > 0
@@ -673,33 +698,26 @@ class TestAlphaSum:
         # |(T - E0) phi - b| / ((4 m^2 + |E0|) |phi|): a backward-stable solve
         # reads a few eps on every grid, deep wells and fine grids included
         # (measured 0.34-0.67 eps here).
-        if well_R is None:
-            config = GridOracleConfig.hard_wall(num_points=num_points)
-        else:
-            config = GridOracleConfig(well_R=well_R, num_points=num_points)
-        residual = oracle_study(config).diagnostics["sum_solve_residual"]
+        residual = OracleResult(well_R, num_points).diagnostics["sum_solve_residual"]
         assert 0.0 < residual <= 4.0 * grid_oracle._EPS
 
     def test_shift_above_odd_states_raises(self):
         # H - E0 must be positive definite on the odd half-grid; an energy
         # between its first two states breaks the L D L^T solve.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        (x, _, diag, off), start = grid_start(config)
+        (x, _, diag, off), start = grid_start(planned(R_REF, 900))
         odd, _ = lowest_pairs(diag[1:], off[1:], 2)
         with pytest.raises(NumericalError, match="not positive definite"):
             grid_oracle._dalgarno_lewis(x, diag, off, 0.5 * (odd[0] + odd[1]), start)
 
     def test_hard_wall_matches_conventional_sum(self):
-        config = GridOracleConfig.hard_wall(num_points=1000)
-        result = oracle_study(config)
+        result = OracleResult(None, num_points=1000)
         reference = infinite_well_alpha(50)
         assert result.alpha_sum == pytest.approx(reference, rel=2e-3)
 
     def test_reference_row_compared_to_published_value(self):
         # The published closed form at R = 9.037118 is 0.106382; the oracle
         # is exact, so the measured deviation (~1.5%) must stay inside 5%.
-        config = GridOracleConfig(well_R=9.037118, num_points=900)
-        result = oracle_study(config)
+        result = OracleResult(9.037118, num_points=900)
         assert abs(result.alpha_sum - 0.106382) / 0.106382 < 0.05
 
 
@@ -757,7 +775,7 @@ class TestSpectral:
 
     def test_hard_wall_matches_exact_polarizability(self):
         # 20/pi^4 - 4/(3 pi^2) exactly, measured 9e-15 off; E0 = pi^2/4 to 1.2e-14.
-        alpha, energy = grid_oracle._spectral(GridOracleConfig.hard_wall())
+        alpha, energy = grid_oracle._spectral(None)
         assert alpha == pytest.approx(HARD_WALL_ALPHA, rel=1e-12, abs=0.0)
         assert energy == pytest.approx(math.pi**2 / 4.0, rel=1e-12, abs=0.0)
 
@@ -769,22 +787,22 @@ class TestSpectral:
         [(0.01, 2000, 1e-8), (0.009, 2000, 1e-8), (1e3, 9996, 1e-12), (1e4, 99999, 1e-11)],
     )
     def test_edges_of_the_oracle_domain(self, well_R, num_points, band):
-        # The spectral solve builds no grid, so it is cheap at both ends.
-        config = GridOracleConfig(well_R=well_R, num_points=num_points)
-        alpha, _ = grid_oracle._spectral(config)
-        assert alpha == pytest.approx(alpha_exact_prime(config.ground), rel=band, abs=0.0)
+        # The spectral solve builds no grid, so it is cheap at both ends of
+        # the wells that a study at num_points admits.
+        ground = planned(well_R, num_points).ground
+        alpha, _ = grid_oracle._spectral(ground)
+        assert alpha == pytest.approx(alpha_exact_prime(ground), rel=band, abs=0.0)
 
     def test_log_uniform_wells_match_exact_polarizability(self):
         # 400 wells log-uniform on [0.1, 1e5], most past the default grid's
-        # reach, so a stand-in config carries the well and its ground state.
+        # reach, which the spectral solve of a ground state does not need.
         # Measured 2.2e-11 for alpha' and 1.2e-11 for E0; a threshold-frame
         # pencil, whose inside coefficient R^2 - beta0^2 cancels, misses
         # alpha' by 3.9e-7.
         rng = np.random.default_rng(11)
         for well_R in map(float, np.exp(rng.uniform(math.log(0.1), math.log(1e5), 400))):
             ground = ground_state_from_R(well_R)
-            config = types.SimpleNamespace(well_R=well_R, ground=ground)
-            alpha, energy = grid_oracle._spectral(config)
+            alpha, energy = grid_oracle._spectral(ground)
             assert alpha == pytest.approx(alpha_exact_prime(ground), rel=5e-11, abs=0.0)
             assert energy == pytest.approx(ground.energy_dimless, rel=5e-11, abs=0.0)
 
@@ -812,7 +830,7 @@ class TestSpectral:
     def test_tables_are_built_once_per_kind(self):
         grid_oracle._spectral_tables.cache_clear()
         for well_R in (None, R_REF, None, 0.6):
-            oracle_study(GridOracleConfig(well_R=well_R, num_points=600))
+            OracleResult(well_R, num_points=600)
         info = grid_oracle._spectral_tables.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
@@ -824,8 +842,8 @@ class TestSpectral:
             "import wellpol.grid_oracle as go\n"
             "assert go._spectral_tables.cache_info().misses == 0\n"
             "before = set(sys.modules)\n"
-            "go.oracle_study(go.GridOracleConfig(3.617018))\n"
-            "go.oracle_study(go.GridOracleConfig.hard_wall())\n"
+            "go.OracleResult(3.617018)\n"
+            "go.OracleResult(None)\n"
             "assert go._spectral_tables.cache_info().currsize == 2\n"
             "print(sorted(set(sys.modules) - before))\n"
         )
@@ -834,11 +852,10 @@ class TestSpectral:
         assert done.stdout == "[]\n"
 
     def test_study_reports_the_spectral_state(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=600)
-        result = oracle_study(config)
+        result = OracleResult(R_REF, num_points=600)
         energy = result.diagnostics["spectral_ground_energy"]
-        assert energy == pytest.approx(-config.ground.beta0**2, rel=1e-11, abs=0.0)
-        assert result.alpha_curvature == grid_oracle._spectral(config)[0]
+        assert energy == pytest.approx(-result.ground.beta0**2, rel=1e-11, abs=0.0)
+        assert result.alpha_curvature == grid_oracle._spectral(result.ground)[0]
 
     def test_excited_state_is_refused(self, monkeypatch):
         # A shift halfway from E0 to the threshold lies above the ground
@@ -846,7 +863,7 @@ class TestSpectral:
         # factorisation at the shift fails and refuses it.
         monkeypatch.setattr(grid_oracle, "_SPECTRAL_SHIFT", -0.5)
         with pytest.raises(NumericalError, match="a Galerkin state lies below the shift"):
-            grid_oracle._spectral(GridOracleConfig(well_R=R_REF))
+            grid_oracle._spectral(ground_state_from_R(R_REF))
 
     def test_failed_factorisation_is_refused(self, monkeypatch):
         # The hard wall's ground state is within 1.2e-14 of pi^2/4, so a
@@ -855,7 +872,7 @@ class TestSpectral:
         shift = math.pi**2 / 4.0 + 2e-3 * math.pi**2
         message = re.escape(f"below the shift {shift:.6e} of the spectral ground state: pivot ")
         with pytest.raises(NumericalError, match=message + r"\d+ is not positive"):
-            grid_oracle._spectral(GridOracleConfig.hard_wall())
+            grid_oracle._spectral(None)
 
     @pytest.mark.parametrize("well_R", [None, R_REF])
     def test_solves_are_the_only_lapack_calls(self, monkeypatch, well_R):
@@ -876,7 +893,7 @@ class TestSpectral:
 
         for name in ("dpotrf", "dpotrs", "dptsv"):
             monkeypatch.setattr(grid_oracle, name, counting(name))
-        grid_oracle._spectral(GridOracleConfig(well_R=well_R))
+        grid_oracle._spectral(None if well_R is None else ground_state_from_R(well_R))
         assert not any(hasattr(grid_oracle, name)
                        for name in ("dsygvx", "dgesv", "dsyev", "dposv"))
         solves = grid_oracle._SPECTRAL_SOLVES
@@ -893,9 +910,9 @@ class TestSpectral:
             "import math\n"
             "import wellpol.grid_oracle as go\n"
             "from wellpol.well_spectrum import ground_state_from_gamma\n"
-            "for R in [None] + [ground_state_from_gamma((0.05 + 0.02 * k) * math.pi).R\n"
-            "                   for k in range(23)]:\n"
-            "    print(*(v.hex() for v in go._spectral(go.GridOracleConfig(R))))\n"
+            "for ground in [None] + [ground_state_from_gamma((0.05 + 0.02 * k) * math.pi)\n"
+            "                        for k in range(23)]:\n"
+            "    print(*(v.hex() for v in go._spectral(ground)))\n"
         )
         runs = [
             subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -907,28 +924,28 @@ class TestSpectral:
         assert runs[0] == runs[1]
 
 
-def probe_fields(config):
+def probe_fields(plan):
     """Field sizes eps' of the tests' Stark reference, larger first.
 
     1e-3 and 5e-4, scaled by beta0^3 on wells with beta0 < 1: there alpha'
     grows as beta0^-4, and larger fields pull the ground state out of the well.
     """
-    scale = 1.0 if config.ground is None else min(1.0, config.ground.beta0**3)
+    scale = 1.0 if plan.ground is None else min(1.0, plan.ground.beta0**3)
     return (scale * 1e-3, scale * 5e-4)
 
 
-def field_energy(config, size, sign=1.0):
+def field_energy(plan, size, sign=1.0):
     """Ground energy above the well bottom of the whole base grid at field sign * size, by bisection."""
-    x, v, diag, off = full_grid(config)
+    x, v, diag, off = full_grid(plan)
     tilt = sign * size * x
     _, vec = lowest_pairs(diag - tilt, off, 1)
     return whole_quotient(off, v - tilt, vec[:, 0])
 
 
-def stark_quotients(config):
+def stark_quotients(plan):
     """q = -4 (E(eps') - E(0)) / eps'^2 at each probe size, = alpha' + O(eps'^2)."""
-    zero = field_energy(config, 0.0)
-    return [-4.0 * (field_energy(config, size) - zero) / size**2 for size in probe_fields(config)]
+    zero = field_energy(plan, 0.0)
+    return [-4.0 * (field_energy(plan, size) - zero) / size**2 for size in probe_fields(plan)]
 
 
 class TestCurvature:
@@ -942,19 +959,17 @@ class TestCurvature:
     def test_two_routes_agree_at_matched_discretization(self):
         # The grid solve and the grid's own Stark curvature, taken to zero
         # field from the two probe sizes: measured 2.1e-8 apart.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        fields = probe_fields(config)
-        curvature = extrapolate(stark_quotients(config), ratio=(fields[1] / fields[0]) ** 2)
+        plan, result = planned(R_REF, 900), OracleResult(R_REF, num_points=900)
+        fields = probe_fields(plan)
+        curvature = extrapolate(stark_quotients(plan), ratio=(fields[1] / fields[0]) ** 2)
         gap = abs(result.alpha_sum - curvature)
         assert gap / result.alpha_sum < 1e-6
 
     def test_zero_field_row_reproduces_ground_energy(self):
         # E(0) = (4 E(eps'/2) - E(eps')) / 3 + O(eps'^4) from the field
         # energies alone is the study's ground energy.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        result = oracle_study(config)
-        large, small = (field_energy(config, size) for size in probe_fields(config))
+        plan, result = planned(R_REF, 900), OracleResult(R_REF, num_points=900)
+        large, small = (field_energy(plan, size) for size in probe_fields(plan))
         intercept = (4.0 * small - large) / 3.0 - R_REF**2
         assert intercept == pytest.approx(result.ground_energy_dimless, rel=1e-14, abs=0.0)
 
@@ -962,11 +977,11 @@ class TestCurvature:
         # The study takes the even ground state's response as the whole of
         # alpha', so E(eps') has no linear term: direct solves at +eps' and
         # -eps' check that symmetry instead of assuming it.
-        config = GridOracleConfig(well_R=R_REF, num_points=900)
-        eps = probe_fields(config)[0]
-        direct = field_energy(config, eps, sign=-1.0)
-        assert direct == pytest.approx(field_energy(config, eps), rel=1e-14, abs=0.0)
-        assert direct < field_energy(config, 0.0)
+        plan = planned(R_REF, 900)
+        eps = probe_fields(plan)[0]
+        direct = field_energy(plan, eps, sign=-1.0)
+        assert direct == pytest.approx(field_energy(plan, eps), rel=1e-14, abs=0.0)
+        assert direct < field_energy(plan, 0.0)
 
     @pytest.mark.parametrize(
         "well_R", [None, ground_state_from_gamma(0.2 * math.pi).R, R_REF, 49.008061]
@@ -976,11 +991,10 @@ class TestCurvature:
         # its base grid.  At eps' and eps'/2, (16 E(eps'/2) - E(eps')) / 15
         # drops c and reads E0 - alpha' (eps'/2)^2 / 5: measured within
         # 4e-16 of the bisection energies.
-        config = GridOracleConfig(well_R=well_R)
-        result = oracle_study(config)
-        _, bottom, _ = even_ground(config)
-        large, small = probe_fields(config)
-        reference = (16.0 * field_energy(config, small) - field_energy(config, large)) / 15.0
+        plan, result = planned(well_R), OracleResult(well_R)
+        _, bottom, _ = even_ground(plan)
+        large, small = probe_fields(plan)
+        reference = (16.0 * field_energy(plan, small) - field_energy(plan, large)) / 15.0
         predicted = bottom - result.alpha_sum * small**2 / 5.0
         assert predicted == pytest.approx(reference, rel=1e-14, abs=0.0)
 
@@ -988,7 +1002,7 @@ class TestCurvature:
         # The spectral solve finds its own E_0', at which it solves for
         # alpha'; Romberg's table of the grid levels' ground energies
         # reaches it (measured 2.2e-11 apart).
-        result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+        result = OracleResult(R_REF, num_points=600, levels=2)
         per_level = result.diagnostics["refine_ground_energy_per_level"]
         assert extrapolate(per_level, ratio=0.25) == pytest.approx(
             result.diagnostics["spectral_ground_energy"], rel=1e-10, abs=0.0
@@ -997,7 +1011,7 @@ class TestCurvature:
     def test_quartic_share_is_tiny_for_reference_row(self):
         # The eps'^4 term's share of the probe fields' Stark shift, which
         # the extrapolation above removes: measured 1.3e-8.
-        large, small = stark_quotients(GridOracleConfig(well_R=R_REF, num_points=900))
+        large, small = stark_quotients(planned(R_REF, 900))
         assert abs(large - small) / abs(small) <= 1e-6
 
     @pytest.mark.parametrize("well_R", [1e3, 1e4])
@@ -1006,9 +1020,8 @@ class TestCurvature:
         # threshold frame would round E_0' = -beta0^2 against R^2; on the
         # coarsest grid whose h * beta0 meets the bound, both routes agree
         # (measured 4.7e-10 and 1.7e-7).
-        config = deep_config(well_R)
-        result = oracle_study(config)
-        beta0 = config.ground.beta0
+        result = OracleResult(well_R, study_points(well_R))
+        beta0 = result.ground.beta0
         assert result.diagnostics["spectral_ground_energy"] == pytest.approx(
             -beta0**2, rel=1e-14, abs=0.0
         )
@@ -1017,7 +1030,7 @@ class TestCurvature:
 
 
 # well_R -> float.hex of (alpha_sum, alpha_curvature, richardson_alpha,
-# ground_energy_dimless) of oracle_study at 600 points and levels=2, with
+# ground_energy_dimless) of OracleResult at 600 points and levels=2, with
 # every energy a quotient from the well bottom, alpha_curvature the spectral
 # solve and richardson_alpha Romberg's h^2 and h^4 steps.  Each level is
 # built on its nodes x' >= 0; each even block starts at the grid's own
@@ -1087,12 +1100,7 @@ DIAGNOSTIC_HEX = {
 
 
 def pinned_study(well_R):
-    config = (
-        GridOracleConfig.hard_wall(num_points=600)
-        if well_R is None
-        else GridOracleConfig(well_R=well_R, num_points=600)
-    )
-    return oracle_study(config, levels=2)
+    return OracleResult(well_R, num_points=600, levels=2)
 
 
 class TestPinnedStudy:
@@ -1122,8 +1130,9 @@ class TestPinnedStudy:
         # the size at which a threaded BLAS splits a dot product.
         code = (
             "import wellpol.grid_oracle as go\n"
-            "r = go.oracle_study(go.GridOracleConfig.hard_wall(num_points=20000))\n"
-            "fields = [n for n in r._fields if n not in ('config', 'levels', 'diagnostics')]\n"
+            "r = go.OracleResult(None, num_points=20000)\n"
+            "inputs = ('well_R', 'num_points', 'levels', 'box_half_width', 'ground')\n"
+            "fields = [n for n in r._fields if n not in (*inputs, 'diagnostics')]\n"
             "for name, value in [*((n, getattr(r, n)) for n in fields), *r.diagnostics.items()]:\n"
             "    print(name, *(v.hex() if isinstance(v, float) else v\n"
             "                  for v in (value if isinstance(value, tuple) else (value,))))\n"
@@ -1140,8 +1149,7 @@ class TestPinnedStudy:
 
 class TestRefine:
     def test_observed_order_near_two(self):
-        config = GridOracleConfig(well_R=R_REF, num_points=600)
-        result = oracle_study(config, levels=2)
+        result = OracleResult(R_REF, num_points=600, levels=2)
         assert 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
 
     def test_route_gap_alone_judges_romberg(self):
@@ -1152,13 +1160,13 @@ class TestRefine:
         # study's verdict on Romberg's value, and nothing warns.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = oracle_study(GridOracleConfig(well_R=2.244924107558891), levels=2)
+            result = OracleResult(2.244924107558891, levels=2)
         assert not 1.5 <= result.diagnostics["refine_observed_order"] <= 2.5
         assert result.route_gap <= 1e-10
 
     def test_hard_wall_extrapolation_is_stable(self):
-        coarse = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)
-        finer = oracle_study(GridOracleConfig.hard_wall(num_points=1200), levels=2)
+        coarse = OracleResult(None, num_points=600, levels=2)
+        finer = OracleResult(None, num_points=1200, levels=2)
         assert coarse.richardson_alpha == pytest.approx(
             finer.richardson_alpha, abs=1e-4 * finer.richardson_alpha
         )
@@ -1166,120 +1174,88 @@ class TestRefine:
     def test_deep_well_row_against_published_value(self):
         # R = 49.008061 is the one Table-1 row where the closed form is
         # essentially exact; the extrapolated oracle lands within 2%.
-        config = GridOracleConfig(well_R=49.008061, num_points=1200)
-        result = oracle_study(config, levels=2)
+        result = OracleResult(49.008061, num_points=1200, levels=2)
         assert abs(result.richardson_alpha - 0.076129) / 0.076129 < 0.02
 
     @pytest.mark.parametrize("gamma_pi", [0.39, 0.41, 0.43, 0.45, 0.47, 0.49])
     def test_four_levels_match_edge_matched_closed_form(self, gamma_pi):
         # Order 2 holds; deep wells are only pre-asymptotic at two levels.
         state = ground_state_from_gamma(gamma_pi * math.pi)
-        config = GridOracleConfig(well_R=state.R, num_points=1100)
-        result = oracle_study(config, levels=4)
+        result = OracleResult(state.R, num_points=1100, levels=4)
         assert result.richardson_alpha == pytest.approx(alpha_exact_prime(state), rel=1e-6)
 
     def test_rejects_single_level(self):
         with pytest.raises(DomainError, match="levels must be an integer >= 2, got 1"):
-            oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=1)
+            OracleResult(None, num_points=600, levels=1)
 
     @pytest.mark.parametrize("levels", [1, 2.5, 3.0])
     def test_levels_are_checked_before_any_grid(self, monkeypatch, levels):
-        def no_grid(*args):
-            raise AssertionError("a grid was built")
-
         monkeypatch.setattr(grid_oracle, "_grid", no_grid)
         with pytest.raises(DomainError, match="levels must be an integer >= 2"):
-            oracle_study(GridOracleConfig(well_R=0.529, num_points=600), levels=levels)
+            OracleResult(0.529, num_points=600, levels=levels)
 
     @pytest.mark.parametrize("well_R, nodes", [(1e-5, 3200000000223), (1e-3, 320000223)])
     def test_shallow_wells_are_refused_before_any_grid(self, monkeypatch, well_R, nodes):
         # The box is ceil(1 + 40/beta0), so its node count grows as 1/beta0.
-        def no_grid(*args):
-            raise AssertionError("a grid was built")
-
         monkeypatch.setattr(grid_oracle, "_grid", no_grid)
         with pytest.raises(DomainError, match=f"would have {nodes} nodes .* budget of 4194304"):
-            oracle_study(GridOracleConfig(well_R=well_R))
+            OracleResult(well_R)
 
     def test_node_budget_admits_its_bound(self, monkeypatch):
         # The hard wall's finest level has 8 m - 1 nodes, m = ceil((num_points + 1) / 2).
-        class Built(Exception):
-            pass
-
-        def built(*args):
-            raise Built
-
-        monkeypatch.setattr(grid_oracle, "_grid", built)
+        monkeypatch.setattr(grid_oracle, "_grid", stop_at_grid)
         assert grid_oracle._MAX_GRID_NODES == 2**22
-        with pytest.raises(Built):
-            oracle_study(GridOracleConfig(well_R=None, num_points=2**20 - 1))
+        with pytest.raises(GridBuilt):
+            OracleResult(None, num_points=2**20 - 1)
         with pytest.raises(DomainError, match="would have 4194311 nodes"):
-            oracle_study(GridOracleConfig(well_R=None, num_points=2**20))
+            OracleResult(None, num_points=2**20)
 
     @pytest.mark.parametrize(
-        "well_R, num_points, levels",
-        [(None, 10**4000, 2), (R_REF, 10**400, 2), (R_REF, 2000, 10**6), (None, 2**22 + 1, 2),
-         (None, 500, 24)],
+        "well_R, num_points, levels, message",
+        [(None, 10**4000, 2, "num_points must be <= 4194304, got a positive int of 13288 bits"),
+         (R_REF, 10**400, 2, "num_points must be <= 4194304, got a positive int of 1329 bits"),
+         (R_REF, 2000, 10**6, "levels must be <= 23, got 1000000"),
+         (None, 2**22 + 1, 2, "num_points must be <= 4194304, got 4194305"),
+         (None, 500, 24, "levels must be <= 23, got 24")],
         ids=["hard-wall-1e4000-points", "well-1e400-points", "1e6-levels", "points-cap",
              "levels-cap"],
     )
-    def test_any_size_is_refused_before_any_grid(self, monkeypatch, well_R, num_points, levels):
+    def test_any_size_is_refused_before_any_grid(self, monkeypatch, well_R, num_points, levels,
+                                                 message):
         # A 4000-digit count died in OverflowError, 20,000 levels in
         # ValueError printing the finest size.  A num_points past the budget
-        # is refused by the config, whose base grid alone would exceed it;
-        # past the cap on levels the finest size is over four times the
-        # budget and is not formed.
-        def no_grid(*args):
-            raise AssertionError("a grid was built")
-
-        if num_points > grid_oracle._MAX_GRID_NODES:
-            with pytest.raises(DomainError, match="^num_points must be <= 4194304, got") as info:
-                GridOracleConfig(well_R=well_R, num_points=num_points)
-            assert len(str(info.value)) < 300
-            return
-        config = GridOracleConfig(well_R=well_R, num_points=num_points)
-        base = 2 * config.box_half_width * grid_oracle._multiplier(config)
-        assert (base << levels) - 1 > 4 * grid_oracle._MAX_GRID_NODES
-        # A multiplier per level would take tens of gigabytes at 1e6 levels.
-        calls, multiplier = [], grid_oracle._multiplier
-
-        def once(config):
-            calls.append(config)
-            if len(calls) > 1:
-                pytest.fail("a second multiplier was formed")
-            return multiplier(config)
-
+        # is refused, as the base grid alone would exceed it, and so are more
+        # levels than the budget's bit length, as the finest grid would then
+        # have more nodes than the budget whatever num_points is; neither
+        # size is formed.
         monkeypatch.setattr(grid_oracle, "_grid", no_grid)
-        monkeypatch.setattr(grid_oracle, "_multiplier", once)
-        with pytest.raises(DomainError, match="over 16777216 nodes .* budget of 4194304") as info:
-            oracle_study(config, levels=levels)
-        assert len(str(info.value)) < 300
+        with pytest.raises(DomainError) as info:
+            OracleResult(well_R, num_points, levels)
+        assert str(info.value) == message
 
     def test_unprintable_levels_are_refused(self, monkeypatch):
         # Past Python's 4,300-digit limit, printing the count raised ValueError.
         monkeypatch.setattr(grid_oracle, "_grid", lambda *args: pytest.fail("a grid was built"))
         with pytest.raises(DomainError) as info:
-            oracle_study(GridOracleConfig(well_R=None, num_points=500), levels=-(10**5000))
+            OracleResult(None, num_points=500, levels=-(10**5000))
         assert len(str(info.value)) < 300
 
     def test_levels_below_the_cap_report_the_finest_size(self, monkeypatch):
         # Just inside the levels cap the exact size is formed and named.
         monkeypatch.setattr(grid_oracle, "_grid", lambda *args: pytest.fail("a grid was built"))
         with pytest.raises(DomainError, match="would have 4211081215 nodes"):
-            oracle_study(GridOracleConfig(well_R=None, num_points=500), levels=23)
+            OracleResult(None, num_points=500, levels=23)
 
     def test_multiplier_is_exact(self):
-        # The float form ceil((num_points + 1) / (2 L)) rounded 2^53 + 1 down.
-        config = types.SimpleNamespace(num_points=2**53, box_half_width=1)
-        assert grid_oracle._multiplier(config) == 2**52 + 1
-        assert math.ceil((config.num_points + 1) / 2) == 2**52
-        # Below 2^53 the two forms agree; checked on numpy arrays of every
-        # num_points from 500 to 1e6, for the hard wall and wider boxes.
-        points = np.arange(500, 10**6 + 1)
-        for half_width in (1, 2, 3, 13, 41, 1001, 3200000000001):
-            box = types.SimpleNamespace(num_points=points, box_half_width=half_width)
-            exact = grid_oracle._multiplier(box)
-            assert np.array_equal(exact, np.ceil((points + 1) / (2 * half_width)))
+        # The base grid has the fewest nodes per unit length m, an int, whose
+        # 2 L m - 1 nodes are at least num_points: checked on every
+        # num_points from 500 to 1500, for the hard wall and wider boxes.
+        for well_R, half_width in ((None, 1), (49.008061, 2), (R_REF, 13)):
+            for num_points in range(500, 1501):
+                plan = planned(well_R, num_points)
+                width, m = 2 * half_width, plan.m
+                assert plan.box_half_width == half_width and type(m) is int
+                assert width * (m - 1) - 1 < num_points <= width * m - 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -1291,7 +1267,7 @@ def test_both_routes_match_closed_form_across_well_range(k):
     # Romberg's miss, 7.2e-9 at 0.05 pi and <= 6.5e-11 from 0.19 pi up.
     gamma_pi = 0.05 + 0.02 * k
     state = ground_state_from_gamma(gamma_pi * math.pi)
-    result = oracle_study(GridOracleConfig(well_R=state.R), levels=2)
+    result = OracleResult(state.R, levels=2)
     gap = abs(result.richardson_alpha - result.alpha_curvature) / result.alpha_curvature
     assert result.route_gap == gap
     assert result.route_gap <= 1e-6
@@ -1317,14 +1293,14 @@ class TestOracleResult:
             sums.append(sum_sign * alpha)
             return sums[-1], residual
 
-        def spectral_value(config):
+        def spectral_value(ground):
             return spectral(extrapolate(sums, ratio=0.25)), 0.0
 
         with monkeypatch.context() as patch:
             patch.setattr(grid_oracle, "_dalgarno_lewis", solve)
             if spectral is not None:
                 patch.setattr(grid_oracle, "_spectral", spectral_value)
-            return OracleResult(GridOracleConfig(well_R=R_REF, num_points=600), levels=2)
+            return OracleResult(R_REF, num_points=600, levels=2)
 
     def test_positivity_enforced(self, monkeypatch):
         with pytest.raises(NumericalError, match="alpha_sum must be positive"):
@@ -1349,13 +1325,43 @@ class TestOracleResult:
             assert result.route_gap == pytest.approx(gap, rel=1e-9)
 
     def test_combined_study_fills_everything(self):
-        result = oracle_study(GridOracleConfig.hard_wall(num_points=600), levels=2)
+        result = OracleResult(None, num_points=600, levels=2)
         assert result.alpha_sum > 0
         assert result.alpha_curvature > 0
         assert result.richardson_alpha > 0
         assert "sum_solve_residual" in result.diagnostics
         assert "spectral_ground_energy" in result.diagnostics
         assert "refine_observed_order" in result.diagnostics
+
+    def test_refusals_come_in_order_before_any_grid(self, monkeypatch):
+        # num_points, levels, well_R, h * beta0, then the node budget: each
+        # call below mends the previous call's first fault.
+        monkeypatch.setattr(grid_oracle, "_grid", no_grid)
+        calls = [
+            ((-1.0, 499, 1), "^num_points must be an integer >= 500, got 499$"),
+            ((-1.0, 2000, 1), "^levels must be an integer >= 2, got 1$"),
+            ((-1.0, 2000, 2), "^R must be finite and positive, got -1.0$"),
+            ((1e3, 2000, 2), "^h\\*beta0 = .* num_points >= 9996 meets the bound$"),
+            ((1e-3, 2000, 2), "^the finest grid would have 320000223 nodes"),
+        ]
+        for args, message in calls:
+            with pytest.raises(DomainError, match=message):
+                OracleResult(*args)
+
+    def test_an_int_well_is_the_float_well(self):
+        # R = 3 as an int: the edge node's depth R^2/2 = 4.5 was once stored
+        # in an int array as 4, and the grid's own state missed its rows.
+        whole, real = OracleResult(3, num_points=600), OracleResult(3.0, num_points=600)
+        assert whole.well_R == 3 and type(whole.well_R) is int
+        assert whole[5:] == real[5:]
+
+    def test_benchmark_shims_study_the_same_well(self):
+        # The benchmark's calls, which go with ROADMAP item 4.
+        study = oracle_study(GridOracleConfig(R_REF, 600), levels=3)
+        assert study == OracleResult(R_REF, 600, 3)
+        hard_wall = oracle_study(GridOracleConfig.hard_wall(num_points=500, num_states=50))
+        assert hard_wall == OracleResult(None, 500, 2)
+        assert GridOracleConfig(well_R=R_REF)[:] == (R_REF, 2000)
 
 
 # Runs in a fresh interpreter: solves a fixed tridiagonal SPD system, and
@@ -1412,7 +1418,7 @@ from scipy.linalg import lapack
 
 assert all(getattr(go, n) is getattr(lapack, n) for n in ("dpotrf", "dpotrs", "dptsv"))
 assert "_flapack" not in sys.modules
-result = go.oracle_study(go.GridOracleConfig(well_R=%r, num_points=600))
+result = go.OracleResult(%r, num_points=600)
 print(*(value.hex() for value in (result.alpha_sum, result.alpha_curvature,
                                   result.richardson_alpha)))
 """ % R_REF
@@ -1439,7 +1445,7 @@ class TestLapackLoad:
 
     @pytest.mark.parametrize("failure", ["missing", "raises"])
     def test_failed_load_falls_back_to_scipy_linalg(self, failure):
-        result = oracle_study(GridOracleConfig(well_R=R_REF, num_points=600))
+        result = OracleResult(R_REF, num_points=600)
         direct = " ".join(value.hex() for value in (result.alpha_sum, result.alpha_curvature,
                                                     result.richardson_alpha))
         assert self.python("-c", LAPACK_FALLBACK, failure) == direct + "\n"

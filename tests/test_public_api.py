@@ -4,10 +4,11 @@ The package re-exports what the README's examples import, plus the error
 classes; everything else is imported from its module.  The oracle's grid
 and spectral basis and the limit studies' starting points and step counts are
 derived or fixed, and the result types take only their independent inputs
-(a breakdown its state, an oracle result its config and level count, a
-limit study nothing), so their signatures are
-pinned, and so are the CLI's options: a removed knob or a derived field
-cannot come back unnoticed.
+(a breakdown its state, an oracle result its well, point count and level
+count, a limit study nothing), so their signatures are pinned, and so are
+the CLI's options: a removed knob or a derived field cannot come back
+unnoticed.  The benchmark's ``GridOracleConfig`` and ``oracle_study`` shims
+are not public names.
 """
 
 import argparse
@@ -49,7 +50,7 @@ WELL_SPECTRUM = {
     "ground_state_from_R",
     "ground_state_from_gamma",
 }
-GRID_ORACLE = {"GridOracleConfig", "OracleResult", "oracle_study"}
+GRID_ORACLE = {"OracleResult"}
 CONVENTIONAL_SUM = {"infinite_well_term", "infinite_well_alpha", "calibrate_C"}
 LIMITS = {
     "extrapolate",
@@ -58,21 +59,19 @@ LIMITS = {
     "delta_limit",
     "infinite_well_limit",
 }
-# (name, default) of every parameter; 10 settable values in all, 6 of them
+# (name, default) of every parameter; 7 settable values in all, 4 of them
 # the result types' independent inputs: a breakdown takes its state, an
-# oracle result its config and level count, and a limit study nothing.  hard_wall's num_states is checked but unused
-# (ROADMAP item 4 removes it).
+# oracle result its well, point count and level count, and a limit study
+# nothing.
 REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
-    "GridOracleConfig": [("well_R", REQUIRED), ("num_points", 2000)],
-    "GridOracleConfig.hard_wall": [("num_points", 2000), ("num_states", 200)],
     "delta_limit": [],
     "infinite_well_limit": [],
     "GroundState": [("gamma0", REQUIRED), ("beta0", REQUIRED), ("R", REQUIRED)],
     "PolarizabilityBreakdown": [("state", REQUIRED)],
     "DeltaLimitSequence": [],
     "InfiniteWellLimitReport": [],
-    "OracleResult": [("config", REQUIRED), ("levels", 2)],
+    "OracleResult": [("well_R", REQUIRED), ("num_points", 2000), ("levels", 2)],
 }
 # Option strings of each subcommand, --help aside; 20 in all.
 CLI_OPTIONS = {
@@ -85,8 +84,6 @@ CLI_OPTIONS = {
     "calibrate": ["--output"],
 }
 CALLABLES = {
-    "GridOracleConfig": grid_oracle.GridOracleConfig,
-    "GridOracleConfig.hard_wall": grid_oracle.GridOracleConfig.hard_wall,
     "delta_limit": limits.delta_limit,
     "infinite_well_limit": limits.infinite_well_limit,
     "GroundState": well_spectrum.GroundState,
@@ -137,7 +134,7 @@ def test_ground_state_attributes_are_its_fields():
 
 
 def test_settable_value_count():
-    assert sum(map(len, SIGNATURES.values())) == 10
+    assert sum(map(len, SIGNATURES.values())) == 7
 
 
 def test_verbs_are_the_record_types():
@@ -145,7 +142,6 @@ def test_verbs_are_the_record_types():
     assert dalgarno_lewis.breakdown is dalgarno_lewis.PolarizabilityBreakdown
     assert limits.delta_limit is limits.DeltaLimitSequence
     assert limits.infinite_well_limit is limits.InfiniteWellLimitReport
-    assert grid_oracle.oracle_study is grid_oracle.OracleResult
 
 
 @pytest.mark.parametrize(
@@ -169,9 +165,8 @@ def test_records_refuse_their_derived_values_as_inputs(make):
 @pytest.mark.parametrize(
     "make, name",
     [
-        (lambda: grid_oracle.GridOracleConfig(None, num_points=True), "num_points"),
-        (lambda: grid_oracle.OracleResult(grid_oracle.GridOracleConfig.hard_wall(500),
-                                          levels=True), "levels"),
+        (lambda: grid_oracle.OracleResult(None, num_points=True), "num_points"),
+        (lambda: grid_oracle.OracleResult(None, 500, levels=True), "levels"),
         (lambda: conventional_sum.infinite_well_alpha(True), "num_terms"),
         (lambda: conventional_sum.infinite_well_term(True), "transition index"),
         (lambda: grid_oracle.GridOracleConfig.hard_wall(num_states=True), "num_states"),
@@ -211,17 +206,18 @@ WELL = (0.5, 2.0, 1.0, -1.0, 1.0)
         lambda: well_spectrum.GroundState(True, math.tan(1.0), math.hypot(1.0, math.tan(1.0))),
         lambda: well_spectrum.GroundState(X_TAN_X_ONE, True, math.hypot(X_TAN_X_ONE, 1.0)),
         lambda: well_spectrum.GroundState(*well_spectrum.ground_state_from_R(1.0)[:2], True),
-        lambda: grid_oracle.GridOracleConfig(well_R=True),
+        lambda: grid_oracle.OracleResult(well_R=True),
         lambda: limits.extrapolate([1.0, True], 0.25),
         lambda: dalgarno_lewis.alpha2_prime_hard_wall(True),
         lambda: conventional_sum.calibrate_C(True),
+        lambda: dalgarno_lewis.default_c_prime(True),
     ] + [
         lambda i=i: well_spectrum.WellSpec(*WELL[:i], True, *WELL[i + 1:])
         for i in range(len(WELL))
     ],
     ids=["ground_state_from_R", "ground_state_from_gamma", "gamma0", "beta0", "R",
          "well_R", "extrapolate", "alpha2_prime_hard_wall", "calibrate_C",
-         "half_width", "depth", "mass", "charge", "hbar"],
+         "default_c_prime", "half_width", "depth", "mass", "charge", "hbar"],
 )
 def test_reals_refuse_true(make):
     # True == 1, so each call would otherwise build a record that holds True

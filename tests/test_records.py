@@ -1,19 +1,22 @@
 """The result types behave as read-only value records.
 
-One instance of each of the five types on the ``import wellpol`` path, and
-of the grid oracle's config and result, is built twice from the same
+One instance of each of the five types on the ``import wellpol`` path, of
+the grid oracle's result and of the two-field ``GridOracleConfig`` that the
+benchmark still passes to ``oracle_study``, is built twice from the same
 inputs through its own constructor: a breakdown from its state, an oracle
-result from its config, and each limit study from no input at all, running
-the study again.  Every field is read-only, equal inputs give equal records
-with equal hashes (``OracleResult`` holds a dict, so it has no hash), records of
-different types never compare equal, ``copy``, ``deepcopy`` and a pickle
-round trip at every protocol give back an equal record, and ``repr`` lists
-every field in declaration order, derived fields included, in the
-``Type(name=value, ...)`` format.  They are all ``_Record``s, tuples whose
-fields are properties, so no module of the package imports ``dataclasses``.
-No record has a ``__dict__``, equals a plain tuple of its fields or orders
-against another, and a pickle written by the slot-based records that came
-before still loads.
+result from its well, point count and level count, and each limit study
+from no input at all, running the study again.  Every field is read-only,
+equal inputs give equal records with equal hashes (``OracleResult`` holds a
+dict, so it has no hash), records of different types never compare equal,
+``copy``, ``deepcopy`` and a pickle round trip at every protocol give back
+an equal record, and ``repr`` lists every field in declaration order,
+derived fields included, in the ``Type(name=value, ...)`` format.  They are
+all ``_Record``s, tuples whose fields are properties, so no module of the
+package imports ``dataclasses``.  No record has a ``__dict__``, equals a
+plain tuple of its fields or orders against another, and a pickle written
+by the slot-based records that came before still loads, but for an oracle
+result's, which held the config record that derived the box and ground
+state.
 """
 
 import ast
@@ -26,6 +29,7 @@ import pytest
 
 import wellpol
 from wellpol.dalgarno_lewis import PolarizabilityBreakdown
+from wellpol.errors import DomainError
 from wellpol.grid_oracle import GridOracleConfig, OracleResult
 from wellpol.limits import DeltaLimitSequence, InfiniteWellLimitReport
 from wellpol.well_spectrum import GroundState, WellSpec
@@ -80,15 +84,12 @@ RECORDS = {
     ),
     "GridOracleConfig": (
         lambda: GridOracleConfig(well_R=2.0, num_points=500),
-        "GridOracleConfig(well_R=2.0, num_points=500, box_half_width=25, "
-        "ground=GroundState(gamma0=1.0298665293222589, "
-        "beta0=1.714460536665025, R=2.0, n_prime_sq=0.6316026751935779, "
-        "energy_dimless=-2.9393749317817255))",
+        "GridOracleConfig(well_R=2.0, num_points=500)",
     ),
     "OracleResult": (
-        lambda: OracleResult(GridOracleConfig.hard_wall(num_points=500)),
-        "OracleResult(config=GridOracleConfig(well_R=None, num_points=500, box_half_width=1, "
-        "ground=None), levels=2, alpha_sum=0.07022588343619435, "
+        lambda: OracleResult(None, num_points=500),
+        "OracleResult(well_R=None, num_points=500, levels=2, box_half_width=1, ground=None, "
+        "alpha_sum=0.07022588343619435, "
         "alpha_curvature=0.07022473357057062, ground_energy_dimless=2.467393047410425, "
         "richardson_alpha=0.07022473357035518, diagnostics={'grid_num_points_actual': 501, "
         "'grid_box_half_width': 1, 'grid_spacing': 0.00398406374501992, "
@@ -109,7 +110,7 @@ FIRST_FIELD = {
     "DeltaLimitSequence": "a_values",
     "InfiniteWellLimitReport": "epsilons",
     "GridOracleConfig": "well_R",
-    "OracleResult": "config",
+    "OracleResult": "well_R",
 }
 # Records with a dict field, which has no hash.
 UNHASHABLE = {"OracleResult"}
@@ -183,8 +184,8 @@ def test_repr_is_frozen(name):
 
 
 def test_studies_never_share_a_diagnostics_dict():
-    first = OracleResult(GridOracleConfig.hard_wall(num_points=500))
-    for second in (OracleResult(first.config), copy.copy(first), copy.deepcopy(first)):
+    first = OracleResult(None, num_points=500)
+    for second in (OracleResult(*first[:3]), copy.copy(first), copy.deepcopy(first)):
         assert second.diagnostics == first.diagnostics
         assert second.diagnostics is not first.diagnostics
 
@@ -212,12 +213,13 @@ FIELDS = {
     "InfiniteWellLimitReport": ("epsilons", "alpha1_values", "alpha2_values",
                                 "alpha2_t_values", "alpha1_limit", "alpha2_limit",
                                 "alpha2_t_limit"),
-    "GridOracleConfig": ("well_R", "num_points", "box_half_width", "ground"),
-    "OracleResult": ("config", "levels", "alpha_sum", "alpha_curvature",
-                     "ground_energy_dimless", "richardson_alpha", "diagnostics", "route_gap"),
+    "GridOracleConfig": ("well_R", "num_points"),
+    "OracleResult": ("well_R", "num_points", "levels", "box_half_width", "ground", "alpha_sum",
+                     "alpha_curvature", "ground_energy_dimless", "richardson_alpha",
+                     "diagnostics", "route_gap"),
 }
-# pickle.dumps(record, protocol=4) of each RECORDS factory, written by the
-# slot-based records that preceded the tuple-based ones.
+# pickle.dumps(record, protocol=4) of each RECORDS factory but the oracle
+# result's, written by the slot-based records that preceded the tuple-based ones.
 PARENT_PICKLES = {
     "WellSpec": (
         b'\x80\x04\x95X\x00\x00\x00\x00\x00\x00\x00\x8c\x15wellpol.well_spectrum\x94\x8c'
@@ -249,12 +251,14 @@ PARENT_PICKLES = {
         b'\x10GridOracleConfig\x94\x93\x94G@\x00\x00\x00\x00\x00\x00\x00M\xf4\x01\x86'
         b'\x94R\x94.'
     ),
-    "OracleResult": (
-        b'\x80\x04\x95M\x00\x00\x00\x00\x00\x00\x00\x8c\x13wellpol.grid_oracle\x94\x8c'
-        b'\x0cOracleResult\x94\x93\x94h\x00\x8c\x10GridOracleConfig\x94\x93\x94NM\xf4'
-        b'\x01\x86\x94R\x94K\x02\x86\x94R\x94.'
-    ),
 }
+# The same of the hard-wall OracleResult at 500 points, which pickled its
+# inputs as (GridOracleConfig(None, 500), 2).
+ORACLE_RESULT_PICKLE = (
+    b'\x80\x04\x95M\x00\x00\x00\x00\x00\x00\x00\x8c\x13wellpol.grid_oracle\x94\x8c'
+    b'\x0cOracleResult\x94\x93\x94h\x00\x8c\x10GridOracleConfig\x94\x93\x94NM\xf4'
+    b'\x01\x86\x94R\x94K\x02\x86\x94R\x94.'
+)
 
 
 def test_no_record_has_a_dict(name):
@@ -280,7 +284,15 @@ def test_records_are_unordered(name):
             compare(first, second)
 
 
+@pytest.mark.parametrize("name", list(PARENT_PICKLES))
 def test_pickles_of_the_slot_records_still_load(name):
     record, fresh = pickle.loads(PARENT_PICKLES[name]), RECORDS[name][0]()
     assert type(record) is type(fresh)
     assert record == fresh
+
+
+def test_old_oracle_result_pickle_is_refused():
+    # It rebuilt the study from (config, levels), which now arrive as well_R
+    # and num_points: the level count 2 is refused as a point count.
+    with pytest.raises(DomainError, match="^num_points must be an integer >= 500, got 2$"):
+        pickle.loads(ORACLE_RESULT_PICKLE)
