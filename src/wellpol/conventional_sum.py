@@ -78,6 +78,6 @@ def calibrate_C(target_alpha_prime: float) -> float:
     c_prime = (target - intercept) / slope
     if not math.isfinite(c_prime):
         raise DomainError(
-            f"target {target_alpha_prime!r} gives C' = {c_prime!r}, not a finite float"
+            f"target {target!r} gives C' = {c_prime!r}, not a finite float"
         )
     return c_prime

@@ -63,7 +63,7 @@ import functools
 import math
 
 from .errors import DomainError, NumericalError
-from .well_spectrum import GAMMA_MIN, GroundState, _Record, _require_real, _shown
+from .well_spectrum import GAMMA_MIN, GroundState, _Record, _require_real
 
 __all__ = [
     "PolarizabilityBreakdown",
@@ -85,14 +85,12 @@ _HARD_WALL_ALPHA_COEFF = 0.0702247
 def default_c_prime(gamma0: float) -> float:
     """Homogeneous-correction coefficient C' = -(pi/2)^2 / gamma0^2.
 
-    gamma0 must be a real number, not True, in [GAMMA_MIN, pi/2): a state's range.
+    gamma0 is any real (``_require_real``) in [GAMMA_MIN, pi/2): a state's range.
     """
-    try:
-        if GAMMA_MIN <= gamma0 < 0.5 * math.pi and gamma0 is not True:
-            return -_QUARTER_PI_SQ / gamma0**2
-    except TypeError:  # text or None, which no number compares with
-        pass
-    raise DomainError(f"gamma0 must be a real number in [GAMMA_MIN, pi/2), got {_shown(gamma0)}")
+    gamma0 = gamma0 if type(gamma0) is float else _require_real("gamma0", gamma0)
+    if GAMMA_MIN <= gamma0 < 0.5 * math.pi:
+        return -_QUARTER_PI_SQ / gamma0**2
+    raise DomainError(f"gamma0 must be a real number in [GAMMA_MIN, pi/2), got {gamma0!r}")
 
 
 def phi_reduced(state: GroundState) -> GroundState:

@@ -139,7 +139,7 @@ def _grid(box_half_width: int, well_R: Optional[float], m: int):
     R^2 < 4 m^2 on every admitted grid (h beta0 <= 0.4), so |T|_2 <= 4 m^2.
     """
     x = np.arange(box_half_width * m, dtype=float) / m
-    r_sq = float(well_R or 0.0) ** 2  # a float for an int R too, so v holds R^2/2
+    r_sq = (well_R or 0.0) ** 2
     v = np.full(x.size, r_sq)
     v[:m] = 0.0
     v[m:m + 1] = 0.5 * r_sq  # the hard wall's box ends at its edges: no edge node
@@ -405,17 +405,19 @@ class OracleResult(_Record):
     The oracle's one record: it takes only the study's inputs and derives
     the rest, so a copy or a pickle re-runs the study, seconds for a grid
     near ``_MAX_GRID_NODES``.  ``well_R`` None is the hard-wall box of
-    half-width 1.  A well's one bound-state solve is ``ground``: its gamma0
-    starts the root of each grid's own phases, and its beta0 scales the
-    spectral solve's Laguerre functions and sets ``box_half_width`` =
-    ceil(1 + 40/beta0), where psi0 has fallen to e^-40 of its edge value.
-    The base grid is ``num_points`` snapped up to the nearest size whose
-    nodes hit the well edges, and each level doubles it.  Every size is an
-    exact integer, and every refusal a DomainError made before any grid, in
-    this order: ``num_points`` (at most ``_MAX_GRID_NODES``), ``levels`` (at
-    most its bit length), ``well_R``, h * beta0 above ``_MAX_H_BETA0`` on the
-    base grid (naming the smallest ``num_points`` that resolves the tail),
-    and a finest level of more than ``_MAX_GRID_NODES`` nodes.
+    half-width 1.  A well's one bound-state solve is ``ground``, whose float
+    ``ground.R`` every grid is built at: its gamma0 starts the root of each
+    grid's own phases, and its beta0 scales the spectral solve's Laguerre
+    functions and sets ``box_half_width`` = ceil(1 + 40/beta0), where psi0
+    has fallen to e^-40 of its edge value.  The base grid is ``num_points``
+    snapped up to the nearest size whose nodes hit the well edges, and each
+    level doubles it.  Every size is an exact integer, and every refusal a
+    DomainError made before any grid, in this order: ``num_points`` (at most
+    ``_MAX_GRID_NODES``), ``levels`` (at most its bit length), ``well_R``,
+    h * beta0 above ``_MAX_H_BETA0`` on the base grid (naming the smallest
+    ``num_points`` that resolves the tail, and whether even that study's
+    finest level is past the budget), and a finest level of more than
+    ``_MAX_GRID_NODES`` nodes.
 
     Each grid gives one ground state, whose energy E_0' = 4 m^2 sin^2(u/2m)
     - R^2 comes of the grid's phase u (``_grid_ground``) and is the one its
@@ -447,12 +449,13 @@ class OracleResult(_Record):
         _require_int("num_points", num_points, 500, _MAX_GRID_NODES)
         _require_int("levels", levels, 2, _MAX_GRID_NODES.bit_length())
         ground = None if well_R is None else ground_state_from_R(well_R)
-        L = 1 if ground is None else math.ceil(1.0 + 40.0 / ground.beta0)
+        R, L = (0.0, 1) if ground is None else (ground.R, math.ceil(1.0 + 40.0 / ground.beta0))
         m = -(-(num_points + 1) // (2 * L))  # fewest nodes per unit length for num_points
         if ground is not None and m < (m_min := math.ceil(ground.beta0 / _MAX_H_BETA0)):
-            nodes = 2 * L * m_min - 1
-            over = (f", but its {nodes} nodes exceed the budget of {_MAX_GRID_NODES}: no grid "
-                    f"within the budget resolves this well" if nodes > _MAX_GRID_NODES else "")
+            nodes = 2 * L * (m_min << levels) - 1
+            over = (f", but its finest level's {nodes} nodes exceed the budget of "
+                    f"{_MAX_GRID_NODES}: no grid within the budget resolves this well"
+                    if nodes > _MAX_GRID_NODES else "")
             # repr, so a value just over the bound never prints as the bound.
             raise DomainError(f"h*beta0 = {ground.beta0 / m!r} on the base grid exceeds "
                               f"{_MAX_H_BETA0:g}: the grid is too coarse for the bound-state "
@@ -464,9 +467,9 @@ class OracleResult(_Record):
                               f"half-width {L}, more than the budget of {_MAX_GRID_NODES}")
         alphas, e0s = [], []
         for m in ms:
-            x, _, diag, off = _grid(L, well_R, m)
+            x, _, diag, off = _grid(L, R, m)
             bottom, start = _grid_ground(ground, x, m)
-            e0 = bottom - (well_R or 0.0) ** 2
+            e0 = bottom - R ** 2
             psi0 = _even_ground(diag, off, e0, start)
             alpha, solve_residual = _dalgarno_lewis(x, diag, off, e0, psi0)
             if m == ms[0]:

@@ -24,14 +24,14 @@ and the squared normalisation constant in units of 1/a
     N'^2 = 1 / [1 + sin(gamma0)cos(gamma0)/gamma0 + cos^2(gamma0)/beta0].
 
 Dimensionful well parameters enter only through :class:`WellSpec`, which is
-an adapter at the boundary of the otherwise dimensionless computation.
+an adapter at the boundary of the otherwise dimensionless computation.  Every
+public real input is taken as its float by the one gate ``_require_real``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 
 from .errors import DomainError, NumericalError
 
@@ -56,13 +56,16 @@ _NEWTON_STEPS = 40
 
 
 def _shown(value) -> str:
-    """``value`` as a refusal prints it: an int past 100 digits by sign and bit length.
-
-    Python prints no int past 4,300 digits; every other value is its repr.
-    """
+    """``value`` as a refusal prints it: an int past 100 digits by sign and bit length, any
+    other value by its repr, or by its type if that is over 101 characters or unprintable."""
     if isinstance(value, int) and abs(value) >= 10**100:
         return f"a {'negative' if value < 0 else 'positive'} int of {value.bit_length()} bits"
-    return repr(value)
+    try:
+        if len(shown := repr(value)) <= 101:
+            return shown
+    except ValueError:
+        pass
+    return f"a {type(value).__qualname__} too long to print"
 
 
 def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
@@ -77,14 +80,20 @@ def _require_int(name: str, value, minimum: int, maximum: int | None = None) -> 
 
 
 def _require_real(name: str, value, finite: bool = False) -> float:
-    """``value`` as a float; DomainError: bool, text, past the floats, or nan/inf if ``finite``."""
-    # bool is an int subclass, but True is not the number 1; float() would parse text.
-    if isinstance(value, (bool, str, bytes, bytearray)):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
+    """``value`` as a float: the one gate of every public real input, whose caller range-checks it.
+
+    Any number that float() accepts is that float.  DomainError: a bool, text, what float()
+    refuses (None, complex, a signalling Decimal NaN), past the floats, or nan/inf if ``finite``.
+    """
     try:
+        # bool is an int subclass, but True is not the number 1; float() would parse text.
+        if isinstance(value, (bool, str, bytes, bytearray)):
+            raise TypeError
         real = float(value)
     except OverflowError:
         raise DomainError(f"{name} must be within the float range, got {_shown(value)}") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {_shown(value)}") from None
     if finite and not math.isfinite(real):
         raise DomainError(f"{name} must be finite, got {real!r}")
     return real
@@ -135,13 +144,13 @@ class WellSpec(_Record):
 
     def __new__(cls, half_width: float, depth: float, mass: float, charge: float,
                 hbar: float = 1.0) -> "WellSpec":
-        self = tuple.__new__(cls, (half_width, depth, mass, charge, hbar))
+        self = tuple.__new__(cls, (_require_real(f"WellSpec.{name}", value) for name, value
+                                   in zip(cls._fields, (half_width, depth, mass, charge, hbar))))
         for name, value in zip(cls._fields, self):
-            real = _require_real(f"WellSpec.{name}", value)
-            if name != "charge" and not (math.isfinite(real) and real > 0.0):
+            if name != "charge" and not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"WellSpec.{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(charge) and charge != 0.0):
-            raise DomainError(f"WellSpec.charge must be finite and nonzero, got {charge!r}")
+        if not (math.isfinite(self.charge) and self.charge != 0.0):
+            raise DomainError(f"WellSpec.charge must be finite and nonzero, got {self.charge!r}")
         if not math.isfinite(self.strength_R):
             raise DomainError("derived well strength R is not finite")
         try:
@@ -176,24 +185,21 @@ class GroundState(_Record):
     _fields = ("gamma0", "beta0", "R", "n_prime_sq", "energy_dimless")
 
     def __new__(cls, gamma0: float, beta0: float, R: float) -> "GroundState":
-        if bool in (type(gamma0), type(beta0), type(R)):
-            raise DomainError("GroundState takes real numbers, got a bool")
-        try:
-            if not (0.0 < gamma0 < 0.5 * math.pi):
-                raise DomainError(f"gamma0 must lie in (0, pi/2), got {_shown(gamma0)}")
-            if gamma0 < GAMMA_MIN:
-                raise DomainError(f"gamma0 must be >= {GAMMA_MIN!r}, got {gamma0!r}; the "
-                                  "closed-form polarizability overflows below it")
-            if not (beta0 > 0.0 and R > 0.0):
-                raise DomainError("beta0 and R must both be positive")
-        except TypeError:  # text or None, which no number compares with
-            raise DomainError("GroundState takes real numbers, got a non-number") from None
-        # The residuals below square both: an infinite one would meet its infinite
-        # bound, and a square or an int past the float range raises OverflowError.
+        if not type(gamma0) is type(beta0) is type(R) is float:
+            gamma0, beta0, R = map(_require_real, cls._fields, (gamma0, beta0, R))
+        if not (0.0 < gamma0 < 0.5 * math.pi):
+            raise DomainError(f"gamma0 must lie in (0, pi/2), got {gamma0!r}")
+        if gamma0 < GAMMA_MIN:
+            raise DomainError(f"gamma0 must be >= {GAMMA_MIN!r}, got {gamma0!r}; the "
+                              "closed-form polarizability overflows below it")
+        if not (beta0 > 0.0 and R > 0.0):
+            raise DomainError("beta0 and R must both be positive")
+        # The residuals below square both: an infinite one would meet its
+        # infinite bound, and a square past the float range raises OverflowError.
         for name, value in (("beta0", beta0), ("R", R)):
-            if not value * value <= sys.float_info.max:
+            if not value * value < math.inf:
                 raise DomainError(f"{name} must be finite and positive with a finite square, "
-                                  f"got {_shown(value)}")
+                                  f"got {value!r}")
         # Quantisation residuals, each bounded relative to the terms it
         # compares, so a shallow well (every term ~R^2) is checked as
         # tightly as a deep one.  gamma0 tan(gamma0) = beta0 is evaluated
@@ -242,32 +248,22 @@ def _solve_gamma(R: float) -> float:
 
 
 def ground_state_from_R(R: float) -> GroundState:
-    """Solve the quantisation conditions for a given well strength R."""
-    # Comparisons, not math.isfinite: they refuse an int that no float holds.
-    try:
-        in_range = 0.0 < R <= sys.float_info.max
-    except TypeError:  # text or None, which no number compares with
-        in_range = False
-    if not in_range:
-        raise DomainError(f"R must be finite and positive, got {_shown(R)}")
+    """Solve the quantisation conditions for a well strength R, any real (``_require_real``)."""
+    R = R if type(R) is float else _require_real("R", R)
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"R must be finite and positive, got {R!r}")
     if R < GAMMA_MIN:
-        raise DomainError(
-            f"R must be >= GAMMA_MIN = {GAMMA_MIN!r}, got {R!r}; gamma0 < R, and "
-            "the closed-form polarizability overflows below GAMMA_MIN"
-        )
+        raise DomainError(f"R must be >= GAMMA_MIN = {GAMMA_MIN!r}, got {R!r}; gamma0 < R, and "
+                          "the closed-form polarizability overflows below GAMMA_MIN")
     gamma0 = _solve_gamma(R)
     return GroundState(gamma0, R * math.sin(gamma0), R)
 
 
 def ground_state_from_gamma(gamma0: float) -> GroundState:
-    """Build the ground state directly from the inside phase gamma0."""
-    try:
-        in_range = 0.0 < gamma0 <= GAMMA_MAX
-    except TypeError:  # text or None, which no number compares with
-        in_range = False
-    if not in_range:
-        raise DomainError(f"gamma0 must lie in (0, pi/2 - 1e-9], got {_shown(gamma0)}; "
+    """Build the ground state from the inside phase gamma0, any real (``_require_real``)."""
+    gamma0 = gamma0 if type(gamma0) is float else _require_real("gamma0", gamma0)
+    if not 0.0 < gamma0 <= GAMMA_MAX:
+        raise DomainError(f"gamma0 must lie in (0, pi/2 - 1e-9], got {gamma0!r}; "
                           "use the limits module to approach the infinite-well edge")
     beta0 = gamma0 * math.tan(gamma0)
     return GroundState(gamma0, beta0, math.hypot(gamma0, beta0))
-

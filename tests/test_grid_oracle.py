@@ -314,10 +314,19 @@ class TestConfig:
         [
             pytest.param(1e3, "1.996005526471852", 9996, "", id="1000.0-2-9996"),
             pytest.param(1e4, "19.960079594120987", 99996, "", id="10000.0-20-99996"),
+            # Its base grid of 2999999 nodes is inside the budget, but its
+            # finest level is not: the note once said that num_points meets
+            # the bound, and the study then refused it.
+            pytest.param(
+                3e5, "598.8023952013726", 2999996,
+                ", but its finest level's 11999999 nodes exceed the budget of 4194304: no "
+                "grid within the budget resolves this well",
+                id="300000.0-599-2999996",
+            ),
             pytest.param(
                 1e9, "1996007.9840319362", 9999999996,
-                ", but its 9999999999 nodes exceed the budget of 4194304: no grid within "
-                "the budget resolves this well",
+                ", but its finest level's 39999999999 nodes exceed the budget of 4194304: no "
+                "grid within the budget resolves this well",
                 id="1000000000.0-2e+06-9999999996",
             ),
         ],
@@ -325,7 +334,7 @@ class TestConfig:
     def test_refuses_grid_too_coarse_for_tail(self, monkeypatch, well_R, h_beta0, needed, over):
         # At the default 2000 points the box is 2 and h = 1/501; the message
         # names h * beta0 and the smallest num_points that meets the bound,
-        # and says when that base grid alone is past the node budget.
+        # and says when that study's finest level is past the node budget.
         with monkeypatch.context() as patch, pytest.raises(DomainError) as info:
             patch.setattr(grid_oracle, "_grid", no_grid)
             OracleResult(well_R)
@@ -335,6 +344,13 @@ class TestConfig:
         )
         if needed > grid_oracle._MAX_GRID_NODES:
             with pytest.raises(DomainError, match="^num_points must be <= 4194304, got "):
+                OracleResult(well_R, num_points=needed)
+            return
+        if over:
+            finest = over.split("level's ")[1].split()[0]
+            with monkeypatch.context() as patch, pytest.raises(
+                    DomainError, match=f"^the finest grid would have {finest} nodes "):
+                patch.setattr(grid_oracle, "_grid", no_grid)
                 OracleResult(well_R, num_points=needed)
             return
         plan = planned(well_R, needed)

@@ -1,22 +1,32 @@
-"""Every closed-form public entry point keeps the input contract on any number.
+"""Every public entry point keeps the input contract on any number.
 
-Each test draws from floats (nan, +-inf, subnormals, +-0 and +-max among
-them), ints of up to 10^4 digits, bools and text (str, bytes and
-bytearray, which ``float`` would parse), and asserts that the call returns
-finite floats or raises ``DomainError`` / ``NumericalError``: never another
-exception and never a quietly non-finite value.  The one exception
-is a breakdown's ``t_ratio``, which is nan exactly where its alpha2' is 0.
+Each test draws every real parameter from floats (nan, +-inf, subnormals,
++-0 and +-max among them), ints of up to 10^4 digits, bools and text (str,
+bytes and bytearray, which ``float`` would parse), None, complex numbers,
+an ``object()``, Decimals (NaN, sNaN, +-inf and 10^5000 among them),
+Fractions (a 5,000-digit numerator among them) and numpy float32, float64
+and int64 scalars.  It asserts that the call returns finite floats, the
+same bits as the call on each number's ``float()``, or raises
+``DomainError`` / ``NumericalError`` with a message under 300 characters:
+never another exception, never a warning (pytest's ``filterwarnings =
+error`` makes one an exception) and never a quietly non-finite value.  The
+one exception is a breakdown's ``t_ratio``, which is nan exactly where its
+alpha2' is 0.
 The entry points that take a ``GroundState`` draw it through
 ``ground_state_from_R`` or ``ground_state_from_gamma``, so the numbers reach
 them through the state's constructors.  ``OracleResult`` is drawn with its
 first grid stopped: each draw must be refused, or else reach that grid.
 Each ``@example`` is an input that returned a non-finite value, returned a
-value for text or a bool, or raised another exception before its fix.
+value for text or a bool, returned other bits than its float, or raised
+another exception before its fix.
 """
 
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -60,13 +70,29 @@ IN_DOMAIN = st.one_of(
 # Text that float() parses, and any other.
 TEXT = st.one_of(st.sampled_from(["1", "0.25", "nan", "1e400", b"1", bytearray(b"2")]),
                  st.text(max_size=8), st.binary(max_size=8))
-REALS = st.one_of(st.floats(), st.sampled_from(EDGES), LOG_UNIFORM, INTS, st.booleans(), TEXT)
+# No float holds 10^5000 as a Fraction; as a Decimal it is inf.  Python
+# prints neither in 300 characters, nor the Fraction at all.
+HUGE = [Decimal(10**5000), Fraction(10**5000, 3), Fraction(-(10**5000), 7)]
+# What float() refuses, and numbers of other types than int and float.
+OTHERS = st.one_of(
+    st.sampled_from([None, 1j, complex(1.0, 0.0), object(), Decimal("NaN"), Decimal("sNaN"),
+                     Decimal("-inf"), *HUGE]),
+    st.decimals(),
+    st.fractions(),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+REALS = st.one_of(st.floats(), st.sampled_from(EDGES), LOG_UNIFORM, INTS, st.booleans(), TEXT,
+                  OTHERS)
+# Wells at which float32 strengths once computed in float32, or raised NumericalError.
+FLOAT32_WELLS = [np.float32(R) for R in (0.01, 0.5, 1.0, 3.617018, 49.008061, 1e3, 1e6)]
 
 
 def half(domain):
     """Half the draws from ``domain`` and half from ``REALS``.
 
-    ``st.one_of`` would weigh each of REALS' six branches as much as the domain.
+    ``st.one_of`` would weigh each of REALS' seven branches as much as the domain.
     """
     return st.booleans().flatmap(lambda inside: domain if inside else REALS)
 
@@ -94,16 +120,50 @@ def not_a_number(args) -> bool:
                or isinstance(a, (list, tuple)) and not_a_number(a) for a in args)
 
 
-def outcome(call, *args):
+def examples(*values):
+    """One ``@example`` per value, for a test of one argument."""
+    def apply(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return apply
+
+
+def as_float(arg):
+    """``arg`` as the real-input gate takes it: a number as its float, a list item by item.
+
+    Records pass as they are: they hold floats.
+    """
+    if isinstance(arg, list):
+        return [float(item) for item in arg]
+    return arg if isinstance(arg, tuple) else float(arg)
+
+
+def bits(value):
+    """``value`` with every float in it, in records, tuples and dicts too, as its hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return type(value), tuple(bits(item) for item in value)
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    return value
+
+
+def outcome(call, *args, reals=True):
     """The call's value, or None if it raised DomainError or NumericalError.
 
-    A bool or text among the arguments is always refused.
+    A refusal says why in under 300 characters.  A bool or text among the
+    arguments is always refused, and if the arguments are ``reals`` a value
+    has the bits of the call on each argument's float.
     """
     try:
         value = call(*args)
-    except (DomainError, NumericalError):
+    except (DomainError, NumericalError) as exc:
+        assert len(str(exc)) < 300, exc
         return None
     assert not not_a_number(args), args
+    assert not reals or bits(value) == bits(call(*map(as_float, args))), args
     return value
 
 
@@ -112,9 +172,9 @@ def assert_finite_float(value):
 
 
 def assert_finite_reals(values):
-    # A record keeps its inputs as given, so an int input is a field too.
+    # A record holds the float of each input, whatever its type.
     for value in values:
-        assert type(value) in (int, float) and math.isfinite(value), values
+        assert type(value) is float and math.isfinite(value), values
 
 
 def assert_state(state):
@@ -131,14 +191,14 @@ def state_call(func, make, value):
 
 @CONTRACT
 @given(REALS)
-@example("1")
+@examples("1", *FLOAT32_WELLS, Decimal("1"), Decimal("NaN"), None)
 def test_ground_state_from_R(R):
     assert_state(outcome(ground_state_from_R, R))
 
 
 @CONTRACT
 @given(REALS)
-@example("1")
+@examples("1", np.float32(0.39 * math.pi), np.float32(0.1), Decimal("1"), Fraction(1))
 def test_ground_state_from_gamma(gamma0):
     assert_state(outcome(ground_state_from_gamma, gamma0))
 
@@ -148,6 +208,8 @@ def test_ground_state_from_gamma(gamma0):
               .map(lambda g: tuple(ground_state_from_gamma(g)[:3])), 3))
 @example(("1", 1.0, 1.0))
 @example((1.0, b"1", 1.0))
+@example((Decimal("1"), *ground_state_from_gamma(1.0)[1:3]))
+@example((None, 1.0, 1.0))
 def test_ground_state(args):
     assert_state(outcome(GroundState, *args))
 
@@ -157,6 +219,9 @@ def test_ground_state(args):
 @example((1.0, 1.0, 1.0, 1.0, 1e-200))
 @example((1e-10, 1.0, 1.0, 1.0, 2.2e-309))
 @example(("1", 1.0, 1.0, 1.0))
+@example((Decimal("1"), 1.0, 1.0, 1.0))
+@example((1.0, 1.0, 1.0, 1.0, Decimal("1")))
+@example((None, 1.0, 1.0, 1.0))
 def test_well_spec_and_its_derived_values(args):
     spec = outcome(WellSpec, *args)
     if spec is not None:
@@ -204,8 +269,7 @@ def test_alpha_via_quadrature(state_input):
 
 @CONTRACT
 @given(half(IN_DOMAIN))
-@example(True)
-@example("1")
+@examples(True, "1", Decimal("1"), np.float32(1.0))
 def test_default_c_prime(gamma0):
     value = outcome(default_c_prime, gamma0)
     if value is not None:
@@ -214,9 +278,7 @@ def test_default_c_prime(gamma0):
 
 @CONTRACT
 @given(REALS)
-@example(1e308)
-@example(MAX)
-@example("1")
+@examples(1e308, MAX, "1", None)
 def test_alpha2_prime_hard_wall(c_prime):
     value = outcome(alpha2_prime_hard_wall, c_prime)
     if value is not None:
@@ -225,7 +287,7 @@ def test_alpha2_prime_hard_wall(c_prime):
 
 @CONTRACT
 @given(REALS)
-@example("1")
+@examples("1", None, 1j, object(), Decimal(10**5000))
 def test_calibrate_C(target):
     value = outcome(calibrate_C, target)
     if value is not None:
@@ -237,7 +299,7 @@ def test_calibrate_C(target):
 @example(34 * 10**37)
 @example(34 * 10**37 + 2)
 def test_infinite_well_term(n):
-    value = outcome(infinite_well_term, n)
+    value = outcome(infinite_well_term, n, reals=False)
     if value is not None:
         assert_finite_float(value)
 
@@ -245,7 +307,7 @@ def test_infinite_well_term(n):
 @CONTRACT
 @given(half(st.integers(min_value=1, max_value=400)))
 def test_infinite_well_alpha(num_terms):
-    value = outcome(infinite_well_alpha, num_terms)
+    value = outcome(infinite_well_alpha, num_terms, reals=False)
     if value is not None:
         assert_finite_float(value)
 
@@ -262,6 +324,10 @@ def test_infinite_well_alpha(num_terms):
 @example([1.0], 10**5000)
 @example("ab", 0.25)
 @example([1.0], "0.25")
+@example([1.0, 2.0], Decimal("0.25"))
+@example([1.0], Decimal("NaN"))
+@example([None], 0.25)
+@example([1.0], None)
 def test_extrapolate(values, ratio):
     value = outcome(extrapolate, values, ratio)
     if value is not None:
@@ -289,10 +355,42 @@ def counts(valid):
 @example("1", 2000, 2)
 @example(3.617018, "2000", 2)
 @example(3.617018, 2000, 2.0)
+@example(Decimal("3.617018"), 2000, 2)
+@example(np.float32(3.617018), 2000, 2)
 def test_oracle_result(well_R, num_points, levels):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grid_oracle, "_grid", stop_at_grid)
         try:
-            outcome(OracleResult, well_R, num_points, levels)
+            outcome(OracleResult, well_R, num_points, levels, reals=False)
         except GridBuilt:
             pass
+
+
+# hypothesis prints each explicit example, and Python prints no Fraction past
+# 4,300 digits, so the numbers of HUGE are checked here, not as @example.
+@pytest.mark.parametrize(
+    "call",
+    [ground_state_from_R, ground_state_from_gamma, lambda v: GroundState(v, 1.0, 1.0),
+     lambda v: WellSpec(1.0, 1.0, 1.0, v), default_c_prime, alpha2_prime_hard_wall, calibrate_C,
+     lambda v: extrapolate([v], 0.25), lambda v: extrapolate([1.0], v), OracleResult],
+    ids=["ground_state_from_R", "ground_state_from_gamma", "GroundState", "WellSpec",
+         "default_c_prime", "alpha2_prime_hard_wall", "calibrate_C", "extrapolate-values",
+         "extrapolate-ratio", "OracleResult"],
+)
+@pytest.mark.parametrize("value", HUGE, ids=["Decimal", "Fraction", "negative-Fraction"])
+def test_huge_numbers_are_refused_in_a_short_message(call, value):
+    # The Fractions' refusals raised ValueError printing them, and calibrate_C
+    # printed all 5,000 digits of the Decimal.
+    assert outcome(call, value) is None
+
+
+@pytest.mark.parametrize(
+    "well_R", [Decimal("3.617018"), np.float32(3.617018), Fraction(3617018, 10**6)],
+    ids=["Decimal", "float32", "Fraction"],
+)
+def test_oracle_studies_any_real_well_at_its_float(well_R):
+    # The Decimal raised TypeError, and the float32 well NumericalError: the
+    # study computed in the input's own type.  The record keeps the input.
+    study, real = OracleResult(well_R, 600), OracleResult(float(well_R), 600)
+    assert study.well_R is well_R
+    assert bits(study[1:]) == bits(real[1:])
